@@ -43,7 +43,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_streaming(options.stream)
         .with_segment_size(options.segment_size)
         .with_speculation(options.speculation)
-        .with_spec_depth(options.spec_depth)
         .build()?;
     let space = if options.kernel_axes {
         SearchSpace::explorer_joint()

@@ -47,14 +47,14 @@ fn seconds(d: Duration) -> f64 {
 }
 
 /// Runs one Table I layer at full fidelity (no matmul cap) four ways —
-/// speculative streamed (fork/join segment scheduler), sequential streamed
-/// (event-driven core fed by the bounded-channel producer), materialized
-/// event-driven, and the cycle-stepping reference — asserts the
-/// architectural statistics are bit-identical across all of them (with a
-/// byte-identical JSON cross-check for the CI parity step), and reports the
-/// measured wall-clock speedups, segment counts, peak resident
-/// instructions and speculation commit/replay rates. Returns the per-design
-/// timing rows for the machine-readable perf document.
+/// fast-forwarded streamed (skipping the periodic steady state), sequential
+/// streamed (event-driven core fed by the bounded-channel producer),
+/// materialized event-driven, and the cycle-stepping reference — asserts
+/// the architectural statistics are bit-identical across all of them (with
+/// a byte-identical JSON cross-check for the CI parity step), and reports
+/// the measured wall-clock speedups, segment counts, peak resident
+/// instructions and fast-forwarded strides. Returns the per-design timing
+/// rows for the machine-readable perf document.
 fn timing_comparison(
     layer_name: &str,
     options: &rasa_bench::BinOptions,
@@ -74,8 +74,7 @@ fn timing_comparison(
         let name = design.name().to_string();
         let sim = Simulator::new(design)?
             .with_matmul_cap(None)?
-            .with_segment_size(options.segment_size)?
-            .with_spec_depth(options.spec_depth)?;
+            .with_segment_size(options.segment_size)?;
 
         let start = Instant::now();
         let materialized = sim.clone().with_streaming(false).run_layer(layer)?;
@@ -168,37 +167,36 @@ fn timing_comparison(
             rows.push(JsonValue::Object(row));
             continue;
         }
-        // Speculation leg: the fork/join segment scheduler must reproduce
-        // the sequential streamed statistics bit for bit (including the
-        // byte-identical CpuStats JSON), and the wall-clock gain over the
-        // sequential streamed run is the tentpole's measured speedup.
+        // Fast-forward leg: skipping the periodic steady state must
+        // reproduce the sequential streamed statistics bit for bit
+        // (including the byte-identical CpuStats JSON); the wall-clock gain
+        // over the sequential streamed run is its measured speedup.
         let start = Instant::now();
         let speculative = sim.run_layer(layer)?;
         let speculative_seconds = seconds(start.elapsed());
         if speculative.cpu != streamed.cpu || speculative.sched != streamed.sched {
             return Err(format!(
-                "speculative scheduler diverged from the sequential streamed path on {layer_name} / {name}"
+                "fast-forward diverged from the sequential streamed path on {layer_name} / {name}"
             )
             .into());
         }
         if speculative.cpu.to_json().to_string_pretty() != streamed_json {
             return Err(format!(
-                "speculative CpuStats JSON drifted from the sequential document on {layer_name} / {name}"
+                "fast-forwarded CpuStats JSON drifted from the sequential document on {layer_name} / {name}"
             )
             .into());
         }
         let spec_speedup = streamed_seconds / speculative_seconds.max(1e-9);
         println!(
-            "  {:<14} speculative {:.3} s vs sequential streamed {:.3} s = {:.2}x fork/join speedup",
+            "  {:<14} fast-forwarded {:.3} s vs sequential streamed {:.3} s = {:.2}x fast-forward speedup",
             "", speculative_seconds, streamed_seconds, spec_speedup,
         );
         println!(
-            "  {:<14} {} speculative segments: {} committed, {} replayed ({:.1}% commit rate)",
+            "  {:<14} {} strides fast-forwarded; {} segments fed (sequential streamed: {})",
             "",
             speculative.pipeline.spec_forks,
-            speculative.pipeline.spec_commits,
-            speculative.pipeline.spec_replays,
-            speculative.pipeline.spec_commit_rate() * 100.0,
+            speculative.pipeline.segments,
+            streamed.pipeline.segments,
         );
         row.extend([
             (
@@ -229,11 +227,9 @@ fn timing_comparison(
         rows.push(JsonValue::Object(row));
     }
     if speculation {
-        println!(
-            "  statistics bit-identical across all cores, pipelines and the fork/join scheduler"
-        );
+        println!("  statistics bit-identical across all cores, pipelines and the fast-forward");
     } else if stream {
-        println!("  statistics bit-identical across all cores and pipelines (speculation off)");
+        println!("  statistics bit-identical across all cores and pipelines (fast-forward off)");
     } else {
         println!("  statistics bit-identical across both cores (streamed pipeline not compared: --no-stream)");
     }
@@ -356,10 +352,6 @@ fn results_document(
                     JsonValue::number_from_usize(options.segment_size),
                 ),
                 ("speculation".into(), JsonValue::Bool(options.speculation)),
-                (
-                    "spec_depth".into(),
-                    JsonValue::number_from_usize(options.spec_depth),
-                ),
                 (
                     "layers".into(),
                     options
@@ -559,7 +551,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .with_streaming(options.stream)
         .with_segment_size(options.segment_size)
         .with_speculation(options.speculation)
-        .with_spec_depth(options.spec_depth)
         .with_layer_filter(options.layers)
         .serial()
         .build()?;

@@ -97,13 +97,11 @@ pub struct BinOptions {
     pub stream: bool,
     /// Target streamed-segment size in instructions (`--segment-size`).
     pub segment_size: usize,
-    /// Run streamed cells through the speculative fork/join segment
-    /// scheduler (`--speculation on`, the default) or sequentially
+    /// Let streamed cells fast-forward through their periodic steady state
+    /// (`--speculation on`, the default) or feed every stride
     /// (`--speculation off`). Simulated statistics are bit-identical
     /// either way.
     pub speculation: bool,
-    /// Speculative workers per fork/join wave (`--spec-depth`).
-    pub spec_depth: usize,
     /// For `run_all` / `design_search` / `serve_soak`: write the
     /// machine-readable perf document (throughputs, speculation rates,
     /// serve latencies) here (`--bench PATH`).
@@ -186,7 +184,6 @@ impl Default for BinOptions {
             stream: true,
             segment_size: rasa_sim::DEFAULT_SEGMENT_SIZE,
             speculation: true,
-            spec_depth: rasa_sim::DEFAULT_SPEC_DEPTH,
             bench_path: None,
             layers: None,
             strategy: "grid".to_string(),
@@ -216,7 +213,7 @@ impl BinOptions {
     /// `--no-serial-check` (skip `run_all`'s serial cross-check),
     /// `--json PATH` (write the JSON results document), the streaming
     /// pipeline knobs `--no-stream` (materialized A/B path),
-    /// `--segment-size N`, `--speculation on|off`, `--spec-depth N` and
+    /// `--segment-size N`, `--speculation on|off` and
     /// `--layers FILTER` (comma-separated
     /// substrings or 1-based Table I indices), `--bench PATH` (write the
     /// machine-readable perf document), the `run_all` knobs
@@ -310,11 +307,6 @@ impl BinOptions {
                     Some("off") => options.speculation = false,
                     _ => {}
                 },
-                "--spec-depth" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.spec_depth = value;
-                    }
-                }
                 "--bench" => options.bench_path = args.next(),
                 "--layers" => options.layers = args.next(),
                 "--timing-layer" => {
@@ -457,7 +449,6 @@ impl BinOptions {
             .with_streaming(self.stream)
             .with_segment_size(self.segment_size)
             .with_speculation(self.speculation)
-            .with_spec_depth(self.spec_depth)
             .with_layer_filter(self.layers.clone())
             .build()
     }
@@ -531,13 +522,7 @@ pub const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         flag: "--speculation",
         value: "on|off",
-        description: "speculative fork/join segment scheduling (default on)",
-        binaries: SUITE_BINARIES,
-    },
-    FlagSpec {
-        flag: "--spec-depth",
-        value: "N",
-        description: "speculative workers per fork/join wave",
+        description: "fast-forward through the periodic steady state (default on)",
         binaries: SUITE_BINARIES,
     },
     FlagSpec {
@@ -991,23 +976,13 @@ mod tests {
     fn parse_speculation_flags() {
         let o = BinOptions::parse(std::iter::empty());
         assert!(o.speculation, "speculation is the default");
-        assert_eq!(o.spec_depth, rasa_sim::DEFAULT_SPEC_DEPTH);
         assert_eq!(o.bench_path, None);
-        let args = [
-            "--speculation",
-            "off",
-            "--spec-depth",
-            "3",
-            "--bench",
-            "b.json",
-        ];
+        let args = ["--speculation", "off", "--bench", "b.json"];
         let o = BinOptions::parse(args.iter().map(ToString::to_string));
         assert!(!o.speculation);
-        assert_eq!(o.spec_depth, 3);
         assert_eq!(o.bench_path.as_deref(), Some("b.json"));
         let s = o.suite().unwrap();
         assert!(!s.runner().is_speculative());
-        assert_eq!(s.runner().spec_depth(), 3);
         // Unknown values keep the default.
         let o = BinOptions::parse(["--speculation".to_string(), "banana".to_string()]);
         assert!(o.speculation);

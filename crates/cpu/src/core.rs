@@ -24,7 +24,8 @@ struct RobEntry {
     pending: u32,
     /// Sequences of younger instructions waiting on this entry's
     /// completion (event-driven path only; drained by the completion
-    /// event, so always empty by the time the entry retires).
+    /// event, so always empty by the time the entry retires). The buffer
+    /// is recycled through `CoreRun::spare_waiters`.
     waiters: Vec<u64>,
 }
 
@@ -88,7 +89,7 @@ enum RunPhase {
 /// together with its core (which owns the matrix engine) snapshots the
 /// whole execution; both copies can then be driven independently and
 /// produce identical results for identical remaining feeds.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CoreRun {
     isa: IsaConfig,
     /// The core run id this run was opened under (see `CpuCore::run_id`).
@@ -107,6 +108,9 @@ pub struct CoreRun {
     rs_ready: usize,
     engine_events: VecDeque<EngineEvent>,
     events: EventHeap,
+    /// Drained waiter buffers, handed to the next entry that gains a
+    /// waiter so the steady state allocates no per-instruction lists.
+    spare_waiters: Vec<Vec<u64>>,
     /// Fed-but-not-yet-renamed instructions (the resident window).
     pending: VecDeque<Instruction>,
     fed: usize,
@@ -118,72 +122,6 @@ pub struct CoreRun {
     stats: CpuStats,
     sched: SchedStats,
     stream: StreamStats,
-}
-
-// Manual impl so `clone_from` reuses the target's heap buffers (ROB,
-// reservation station, event heap, pending window) instead of allocating
-// fresh ones — the derived impl would allocate-and-replace. Speculation
-// forks checkpoint state every wave, so this is a hot path.
-impl Clone for CoreRun {
-    fn clone(&self) -> Self {
-        CoreRun {
-            isa: self.isa,
-            run_id: self.run_id,
-            config: self.config,
-            full_tile: self.full_tile,
-            clock_ratio: self.clock_ratio,
-            tile_writer: self.tile_writer,
-            gpr_writer: self.gpr_writer,
-            vec_writer: self.vec_writer,
-            rob: self.rob.clone(),
-            rob_base: self.rob_base,
-            next_seq: self.next_seq,
-            rs_slots: self.rs_slots.clone(),
-            rs_unsorted: self.rs_unsorted,
-            rs_ready: self.rs_ready,
-            engine_events: self.engine_events.clone(),
-            events: self.events.clone(),
-            pending: self.pending.clone(),
-            fed: self.fed,
-            retired: self.retired,
-            cycle: self.cycle,
-            phase: self.phase,
-            finalized: self.finalized,
-            done: self.done,
-            stats: self.stats,
-            sched: self.sched,
-            stream: self.stream,
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.isa = source.isa;
-        self.run_id = source.run_id;
-        self.config = source.config;
-        self.full_tile = source.full_tile;
-        self.clock_ratio = source.clock_ratio;
-        self.tile_writer = source.tile_writer;
-        self.gpr_writer = source.gpr_writer;
-        self.vec_writer = source.vec_writer;
-        self.rob.clone_from(&source.rob);
-        self.rob_base = source.rob_base;
-        self.next_seq = source.next_seq;
-        self.rs_slots.clone_from(&source.rs_slots);
-        self.rs_unsorted = source.rs_unsorted;
-        self.rs_ready = source.rs_ready;
-        self.engine_events.clone_from(&source.engine_events);
-        self.events.clone_from(&source.events);
-        self.pending.clone_from(&source.pending);
-        self.fed = source.fed;
-        self.retired = source.retired;
-        self.cycle = source.cycle;
-        self.phase = source.phase;
-        self.finalized = source.finalized;
-        self.done = source.done;
-        self.stats = source.stats;
-        self.sched = source.sched;
-        self.stream = source.stream;
-    }
 }
 
 impl CoreRun {
@@ -205,6 +143,7 @@ impl CoreRun {
             rs_ready: 0,
             engine_events: VecDeque::new(),
             events: EventHeap::default(),
+            spare_waiters: Vec::new(),
             pending: VecDeque::new(),
             fed: 0,
             retired: 0,
@@ -245,17 +184,17 @@ impl CoreRun {
         self.retired
     }
 
-    /// Current core cycle of the paused run (speculation support).
+    /// Current core cycle of the paused run (fast-forward support).
     pub(crate) const fn current_cycle(&self) -> u64 {
         self.cycle
     }
 
-    /// Next rename sequence of the paused run (speculation support).
+    /// Next rename sequence of the paused run (fast-forward support).
     pub(crate) const fn next_sequence(&self) -> u64 {
         self.next_seq
     }
 
-    /// Core cycles per engine cycle for this run (speculation support).
+    /// Core cycles per engine cycle for this run (fast-forward support).
     pub(crate) const fn clock_ratio(&self) -> u64 {
         self.clock_ratio
     }
@@ -267,8 +206,8 @@ impl CoreRun {
         while let Some((_, seq)) = self.events.pop_due(now) {
             self.sched.completion_events += 1;
             debug_assert!(seq >= self.rob_base, "completion for retired entry");
-            let waiters = std::mem::take(&mut self.rob[(seq - self.rob_base) as usize].waiters);
-            for consumer in waiters {
+            let mut waiters = std::mem::take(&mut self.rob[(seq - self.rob_base) as usize].waiters);
+            for &consumer in &waiters {
                 self.sched.wakeups += 1;
                 let entry = &mut self.rob[(consumer - self.rob_base) as usize];
                 entry.pending -= 1;
@@ -276,7 +215,31 @@ impl CoreRun {
                     self.rs_ready += 1;
                 }
             }
+            if waiters.capacity() > 0 {
+                waiters.clear();
+                self.spare_waiters.push(waiters);
+            }
         }
+    }
+
+    /// Registers `seq` as a waiter on `producer` if the producer has not
+    /// completed by the current cycle, bumping `pending` per outstanding
+    /// reference. An entry's first waiter reuses a drained buffer.
+    fn subscribe(&mut self, seq: u64, producer: u64, pending: &mut u32) {
+        if producer < self.rob_base {
+            return; // retired, hence complete
+        }
+        let entry = &mut self.rob[(producer - self.rob_base) as usize];
+        if entry.issued && entry.complete_cycle <= self.cycle {
+            return; // already complete
+        }
+        if entry.waiters.capacity() == 0 {
+            if let Some(spare) = self.spare_waiters.pop() {
+                entry.waiters = spare;
+            }
+        }
+        entry.waiters.push(seq);
+        *pending += 1;
     }
 }
 
@@ -296,27 +259,6 @@ fn rob_eq(a: &VecDeque<RobEntry>, b: &VecDeque<RobEntry>, cycle: u64) -> bool {
                 && x.waiters == y.waiters
                 && (x.complete_cycle == y.complete_cycle || (dead(x) && dead(y)))
         })
-}
-
-/// Registers `seq` as a waiter on `producer` if the producer has not
-/// completed by `cycle`, bumping `pending` per outstanding reference.
-fn subscribe(
-    rob: &mut VecDeque<RobEntry>,
-    rob_base: u64,
-    cycle: u64,
-    seq: u64,
-    producer: u64,
-    pending: &mut u32,
-) {
-    if producer < rob_base {
-        return; // retired, hence complete
-    }
-    let idx = (producer - rob_base) as usize;
-    if rob[idx].issued && rob[idx].complete_cycle <= cycle {
-        return; // already complete
-    }
-    rob[idx].waiters.push(seq);
-    *pending += 1;
 }
 
 /// The trace-driven out-of-order core.
@@ -539,7 +481,7 @@ impl CpuCore {
         Ok(stats)
     }
 
-    // ---- Speculation support (used by `crate::SpeculativeRun`) ---------
+    // ---- Fast-forward support (used by `crate::SpeculativeRun`) --------
 
     /// Takes the statistics a paused run accumulated since the last take
     /// (or since `begin_run`), leaving the run's counters — and the hosted
@@ -547,8 +489,8 @@ impl CpuCore {
     ///
     /// Folding the returned intervals in order with the `accumulate`
     /// methods reproduces the unsegmented counters bit for bit; this is
-    /// what lets a speculative execution adopt a forked run (whose counters
-    /// cover only its own segment) without double-counting.
+    /// what lets a fast-forward measure one stride's statistics and fold
+    /// in repeats of them without double-counting.
     pub(crate) fn take_interval_stats(
         &mut self,
         run: &mut CoreRun,
@@ -570,10 +512,9 @@ impl CpuCore {
     /// Shifts the paused boundary state of `(self, run)` forward by
     /// `cycles` core cycles, `seqs` rename sequences and `matmuls` engine
     /// submissions — the state a perfectly periodic execution would reach
-    /// after that much more identical work. This is the state *predictor*
-    /// of the speculative scheduler: predictions are validated bit for bit
-    /// at join ([`CpuCore::boundary_matches`]), so a wrong shift can only
-    /// cost a replay, never correctness.
+    /// after that much more identical work. A probe checks one shift bit
+    /// for bit against the real next boundary
+    /// ([`CpuCore::boundary_matches`]) before a fast-forward trusts it.
     ///
     /// Time-valued fields move by `cycles` (the `u64::MAX` not-yet-issued
     /// sentinel excepted), sequence-valued fields by `seqs`, and the hosted
@@ -779,7 +720,7 @@ impl CpuCore {
                             // The engine reports the completion as a
                             // timestamped event; convert it to core cycles
                             // and schedule it.
-                            for completion in self.engine.take_completions() {
+                            for completion in self.engine.drain_completions() {
                                 let complete = completion.complete_cycle * run.clock_ratio;
                                 let idx = (seq - run.rob_base) as usize;
                                 run.rob[idx].issued = true;
@@ -927,18 +868,18 @@ impl CpuCore {
                 let mut pending: u32 = 0;
                 for r in inst.tile_reads().iter() {
                     if let Some(p) = run.tile_writer[r.index()] {
-                        subscribe(&mut run.rob, run.rob_base, run.cycle, seq, p, &mut pending);
+                        run.subscribe(seq, p, &mut pending);
                     }
                 }
                 for r in inst.gpr_reads().iter() {
                     if let Some(p) = run.gpr_writer[r.index()] {
-                        subscribe(&mut run.rob, run.rob_base, run.cycle, seq, p, &mut pending);
+                        run.subscribe(seq, p, &mut pending);
                     }
                 }
                 if let Instruction::VectorFma { dst, src1, src2 } = inst {
                     for r in [dst, src1, src2] {
                         if let Some(p) = run.vec_writer[r as usize % NUM_VEC_REGS] {
-                            subscribe(&mut run.rob, run.rob_base, run.cycle, seq, p, &mut pending);
+                            run.subscribe(seq, p, &mut pending);
                         }
                     }
                 }
@@ -1344,7 +1285,7 @@ impl CpuCore {
 
         // The reference loop consumes completions synchronously; drop the
         // event records the engine accumulated for event-driven hosts.
-        self.engine.take_completions();
+        self.engine.drain_completions();
 
         stats.engine = *self.engine.stats();
         Ok(stats)

@@ -67,5 +67,5 @@ pub use config::CpuConfig;
 pub use core::{CoreRun, CpuCore};
 pub use error::CpuError;
 pub use sched::SchedStats;
-pub use spec::{SpecCheckpoint, SpecDelta, SpeculativeRun, SpeculativeWorker};
+pub use spec::{SpecCheckpoint, SpecDelta, SpeculativeRun};
 pub use stats::{CpuStats, StreamStats};

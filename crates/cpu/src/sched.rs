@@ -53,6 +53,18 @@ impl SchedStats {
         self.wakeups += interval.wakeups;
     }
 
+    /// The counters of `strides` further executions of this interval (all
+    /// counters are additive, so each scales by `strides`).
+    #[must_use]
+    pub fn repeated(&self, strides: u64) -> SchedStats {
+        SchedStats {
+            visited_cycles: self.visited_cycles * strides,
+            skipped_cycles: self.skipped_cycles * strides,
+            completion_events: self.completion_events * strides,
+            wakeups: self.wakeups * strides,
+        }
+    }
+
     /// Fraction of the covered timeline that was skipped rather than
     /// stepped (0 when nothing ran).
     #[must_use]
@@ -69,24 +81,9 @@ impl SchedStats {
 /// A min-heap of `(wake cycle, ROB sequence)` completion events.
 ///
 /// Sequences break timestamp ties so pop order is fully deterministic.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct EventHeap {
     heap: BinaryHeap<Reverse<(u64, u64)>>,
-}
-
-// Manual impl so `clone_from` reaches `BinaryHeap`'s buffer-reusing
-// override (a derived impl would fall back to allocate-and-replace),
-// which is what lets speculation checkpoints recycle their event heaps.
-impl Clone for EventHeap {
-    fn clone(&self) -> Self {
-        EventHeap {
-            heap: self.heap.clone(),
-        }
-    }
-
-    fn clone_from(&mut self, source: &Self) {
-        self.heap.clone_from(&source.heap);
-    }
 }
 
 impl EventHeap {

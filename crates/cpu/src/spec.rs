@@ -1,47 +1,45 @@
-//! Speculative segment-parallel execution of a streaming core run.
+//! Fast-forward of a streaming core run through its periodic steady state.
 //!
-//! A [`crate::CoreRun`] is `Clone` and pauses at exact pipeline boundaries,
-//! which makes the following scheme sound: checkpoint the authoritative
-//! execution at a segment boundary, *predict* the architectural state a
-//! fixed amount of further work will reach (see
-//! [`CpuCore::shift_boundary`](crate::CpuCore)), fork speculative workers
-//! seeded with those predicted states, simulate their segments in parallel,
-//! and validate at join — a worker whose predicted entry state matches the
-//! authoritative predecessor's exit state **bit for bit** proves (by
-//! determinism of the core model) that its execution is exactly what the
-//! sequential execution would have produced, so its state and statistics
-//! commit; otherwise the segment replays sequentially.
+//! The interior of a tiled GEMM trace is a long run of identical strides of
+//! register blocks: the same instructions stride after stride, with only
+//! their memory addresses changed — and the timing model never reads an
+//! address. A [`crate::CoreRun`] is `Clone` and pauses at exact pipeline
+//! boundaries, so a run can be checkpointed between strides
+//! ([`SpeculativeRun::checkpoint`]). Past the warm-up transient, consecutive
+//! boundaries differ by a constant translation: every time-valued field
+//! advanced by the same number of cycles, every sequence-valued field by the
+//! same number of instructions and `rasa_mm`s ([`SpecDelta`]). A probe
+//! confirms this bit for bit ([`SpecCheckpoint::shifted_matches`]).
 //!
-//! The predictor exploits the periodicity of GEMM traces: the interior of a
-//! tiled GEMM is a long run of identical instruction blocks, so in steady
-//! state the boundary state advances by a constant `(cycles, sequences,
-//! matmuls)` increment per block stride ([`SpecDelta`]). Correctness never
-//! depends on the prediction being right — only commit/replay rates do.
+//! Because the core model's scheduling is translation-covariant, a
+//! confirmed delta then describes every further stride of the same work:
+//! each advances the boundary by the same delta and accumulates the same
+//! statistics. [`SpeculativeRun::fast_forward`] therefore skips `n` strides
+//! in O(1) — it shifts the boundary state by `n` deltas
+//! ([`CpuCore::shift_boundary`](crate::CpuCore)) and folds in `n` copies of
+//! the confirmed stride's statistics. The result is exact, not sampled: it
+//! is bit-identical to feeding those strides one by one.
 //!
-//! [`SpeculativeRun`] owns the authoritative `(CpuCore, CoreRun)` pair and
-//! the fold-in-order statistics accumulators; [`SpeculativeWorker`] is a
-//! forked pair plus its frozen entry snapshot. The orchestration policy
-//! (stride sizing, wave depth, delta search) lives in the simulator crate;
-//! this module provides the mechanism and its accounting.
+//! Where the uniform strides lie is a property of the trace, so that policy
+//! lives in the simulator crate; this module provides the mechanism and its
+//! accounting.
 
 use crate::core::{CoreRun, CpuCore};
 use crate::{CpuError, CpuStats, SchedStats, StreamStats};
-use rasa_isa::{Instruction, IsaConfig, ProgramSegment};
+use rasa_isa::{IsaConfig, ProgramSegment};
 
-/// Retired `(core, run)` pairs kept for reuse, bounded so a pathological
-/// wave cannot pin unbounded state. A depth-`d` wave has at most `2d`
-/// pairs in flight (worker state + frozen entry each).
-const SPARE_POOL_CAP: usize = 16;
-
-/// A cloned boundary state of a speculative execution, usable as a
-/// speculation seed. Taking a checkpoint folds the authoritative interval
-/// statistics into the run's accumulators, so the checkpoint itself always
-/// carries zeroed counters — a worker forked from it accumulates exactly
-/// its own segment's statistics.
+/// A cloned boundary state of a [`SpeculativeRun`], together with the
+/// statistics the run accumulated since its previous checkpoint.
 #[derive(Debug, Clone)]
 pub struct SpecCheckpoint {
     core: CpuCore,
     run: CoreRun,
+    /// Position in the run's sequence of checkpoints (the first is 1).
+    ordinal: u64,
+    /// Architectural statistics of the work since the previous checkpoint.
+    cpu: CpuStats,
+    /// Scheduler counters of the work since the previous checkpoint.
+    sched: SchedStats,
 }
 
 impl SpecCheckpoint {
@@ -61,11 +59,10 @@ impl SpecCheckpoint {
     ///
     /// When this holds, `other` is an exact translation of `self`; and
     /// because the core model's scheduling is translation-covariant,
-    /// feeding both the same uniform work keeps them translated copies —
-    /// so every speculative fork predicted with `delta` will validate at
-    /// join for as long as the trace stays uniform. A probe that gates on
-    /// this check therefore buys a deterministic ~100% commit rate instead
-    /// of a heuristic one.
+    /// feeding both the same uniform work keeps them translated copies. So
+    /// every further stride of that work advances the state by `delta` and
+    /// accumulates `delta`'s statistics, which is what makes
+    /// [`SpeculativeRun::fast_forward`] exact.
     #[must_use]
     pub fn shifted_matches(&self, delta: &SpecDelta, other: &SpecCheckpoint) -> bool {
         let mut core = self.core.clone();
@@ -75,10 +72,9 @@ impl SpecCheckpoint {
     }
 }
 
-/// The constant per-stride state increment of a periodic steady-state
-/// execution: how far the boundary state advances per fixed chunk of
-/// identical work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// One stride of a periodic steady state: how far the boundary state
+/// advances per stride of identical work, and what the stride accumulates.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecDelta {
     /// Core cycles per stride.
     pub cycles: u64,
@@ -86,13 +82,19 @@ pub struct SpecDelta {
     pub instructions: u64,
     /// Engine submissions (`rasa_mm`s) per stride.
     pub matmuls: u64,
+    /// Architectural statistics of one stride.
+    pub cpu: CpuStats,
+    /// Scheduler counters of one stride.
+    pub sched: SchedStats,
 }
 
 impl SpecDelta {
-    /// The positional increment from `from` to `to`, or `None` when the
-    /// pair cannot seed a prediction: `to` must be strictly later in both
-    /// time and sequence, and the cycle delta must be a whole number of
-    /// engine cycles (otherwise engine-clock state cannot shift exactly).
+    /// The stride from `from` to `to`, or `None` when the pair cannot
+    /// describe one: `to` must be the checkpoint taken right after `from`
+    /// (so its statistics cover exactly the work between them) and strictly
+    /// later in both time and sequence, and the cycle delta must be a whole
+    /// number of engine cycles (otherwise engine-clock state cannot shift
+    /// exactly).
     #[must_use]
     pub fn between(from: &SpecCheckpoint, to: &SpecCheckpoint) -> Option<SpecDelta> {
         debug_assert_eq!(
@@ -102,7 +104,11 @@ impl SpecDelta {
         );
         let (from_cycle, from_seq, from_mm) = from.position();
         let (to_cycle, to_seq, to_mm) = to.position();
-        if to_cycle <= from_cycle || to_seq <= from_seq || to_mm < from_mm {
+        if to.ordinal != from.ordinal + 1
+            || to_cycle <= from_cycle
+            || to_seq <= from_seq
+            || to_mm < from_mm
+        {
             return None;
         }
         let cycles = to_cycle - from_cycle;
@@ -113,47 +119,19 @@ impl SpecDelta {
             cycles,
             instructions: to_seq - from_seq,
             matmuls: to_mm - from_mm,
+            cpu: to.cpu,
+            sched: to.sched,
         })
     }
 }
 
-/// A forked speculative execution: a `(core, run)` pair seeded with a
-/// predicted boundary state, plus the frozen entry snapshot the join step
-/// validates against. Workers are independent (`Send`) and are meant to be
-/// fed their segment's instructions on worker threads.
-#[derive(Debug)]
-pub struct SpeculativeWorker {
-    entry: SpecCheckpoint,
-    core: CpuCore,
-    run: CoreRun,
-}
-
-impl SpeculativeWorker {
-    /// Feeds one validated segment into the speculative execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CpuCore::feed_segment`] errors.
-    pub fn feed_segment(&mut self, segment: &ProgramSegment) -> Result<(), CpuError> {
-        self.core.feed_segment(&mut self.run, segment)
-    }
-
-    /// Feeds raw instructions into the speculative execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CpuCore::feed_instructions`] errors.
-    pub fn feed_instructions(&mut self, instructions: &[Instruction]) -> Result<(), CpuError> {
-        self.core.feed_instructions(&mut self.run, instructions)
-    }
-}
-
-/// The authoritative side of a speculative segment-parallel execution.
+/// A streaming core run that can fast-forward through its periodic steady
+/// state.
 ///
-/// Drives a single logical [`CoreRun`] whose architectural statistics are
-/// **bit-identical** to feeding the same instruction stream sequentially —
-/// however many forked segments commit or replay. See the module docs for
-/// the protocol; see the simulator crate for the scheduling policy.
+/// Owns the `(CpuCore, CoreRun)` pair and the fold-in-order statistics
+/// accumulators. Its statistics are **bit-identical** to feeding the same
+/// instruction stream sequentially, however many strides it skips. See the
+/// module docs for the argument.
 #[derive(Debug)]
 pub struct SpeculativeRun {
     core: CpuCore,
@@ -161,16 +139,11 @@ pub struct SpeculativeRun {
     cpu: CpuStats,
     sched: SchedStats,
     stream: StreamStats,
-    force_mispredict: bool,
-    /// Scratch arena: `(core, run)` pairs retired by commits, mispredicts
-    /// and consumed entry snapshots. Forks and checkpoints `clone_from`
-    /// into them, recycling the ROB/reservation-station/event-heap buffers
-    /// instead of allocating fresh ones every wave.
-    spares: Vec<(CpuCore, CoreRun)>,
+    checkpoints: u64,
 }
 
 impl SpeculativeRun {
-    /// Opens a speculative streaming run on `core` against `isa`.
+    /// Opens a streaming run on `core` against `isa`.
     ///
     /// # Errors
     ///
@@ -183,49 +156,11 @@ impl SpeculativeRun {
             cpu: CpuStats::default(),
             sched: SchedStats::default(),
             stream: StreamStats::default(),
-            force_mispredict: false,
-            spares: Vec::new(),
+            checkpoints: 0,
         })
     }
 
-    /// A `(core, run)` pair cloned from `source`, reusing a retired
-    /// pair's buffers when the arena has one.
-    fn fresh_pair(&mut self, source_core: &CpuCore, source_run: &CoreRun) -> (CpuCore, CoreRun) {
-        match self.spares.pop() {
-            Some((mut core, mut run)) => {
-                core.clone_from(source_core);
-                run.clone_from(source_run);
-                (core, run)
-            }
-            None => (source_core.clone(), source_run.clone()),
-        }
-    }
-
-    /// Returns a retired `(core, run)` pair to the arena (dropped once the
-    /// arena is full).
-    fn recycle(&mut self, core: CpuCore, run: CoreRun) {
-        if self.spares.len() < SPARE_POOL_CAP {
-            self.spares.push((core, run));
-        }
-    }
-
-    /// Test hook: poison every subsequently forked worker's predicted entry
-    /// state (displacing it by one engine cycle) so that validation at join
-    /// is guaranteed to fail and every forked segment replays. Used to
-    /// prove that the replay path restores bit-identity on its own.
-    pub fn set_force_mispredict(&mut self, force: bool) {
-        self.force_mispredict = force;
-    }
-
-    /// Streaming statistics accumulated so far, including the speculation
-    /// counters (forks/commits/replays).
-    #[must_use]
-    pub const fn stream_stats(&self) -> &StreamStats {
-        &self.stream
-    }
-
-    /// Feeds one validated segment into the authoritative execution (the
-    /// sequential path: warm-up, probes and replays).
+    /// Feeds one validated segment into the run.
     ///
     /// # Errors
     ///
@@ -234,109 +169,60 @@ impl SpeculativeRun {
         self.core.feed_segment(&mut self.run, segment)
     }
 
-    /// Feeds raw instructions into the authoritative execution.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`CpuCore::feed_instructions`] errors.
-    pub fn feed_instructions(&mut self, instructions: &[Instruction]) -> Result<(), CpuError> {
-        self.core.feed_instructions(&mut self.run, instructions)
-    }
-
-    /// Folds the authoritative interval statistics into the accumulators.
-    fn fold_interval(&mut self) {
+    /// Captures the current boundary, folding the statistics accumulated
+    /// since the previous checkpoint into the run's totals and recording
+    /// them in the checkpoint.
+    pub fn checkpoint(&mut self) -> SpecCheckpoint {
         let (cpu, sched, stream) = self.core.take_interval_stats(&mut self.run);
         self.cpu.accumulate(&cpu);
         self.sched.accumulate(&sched);
         self.stream.accumulate(&stream);
-    }
-
-    /// Captures the current boundary as a speculation seed (folding the
-    /// pending interval statistics first, so the seed carries zeroed
-    /// counters).
-    pub fn checkpoint(&mut self) -> SpecCheckpoint {
-        self.fold_interval();
-        match self.spares.pop() {
-            Some((mut core, mut run)) => {
-                core.clone_from(&self.core);
-                run.clone_from(&self.run);
-                SpecCheckpoint { core, run }
-            }
-            None => SpecCheckpoint {
-                core: self.core.clone(),
-                run: self.run.clone(),
-            },
+        self.checkpoints += 1;
+        SpecCheckpoint {
+            core: self.core.clone(),
+            run: self.run.clone(),
+            ordinal: self.checkpoints,
+            cpu,
+            sched,
         }
     }
 
-    /// Forks a speculative worker predicted to start `strides` strides
-    /// after `seed`, where one stride advances the state by `delta`. A
-    /// zero-stride fork predicts the seed state itself (the leading worker
-    /// of a wave, which validates trivially).
-    pub fn fork(
-        &mut self,
-        seed: &SpecCheckpoint,
-        delta: &SpecDelta,
-        strides: u64,
-    ) -> SpeculativeWorker {
-        self.stream.spec_forks += 1;
-        let (mut core, mut run) = self.fresh_pair(&seed.core, &seed.run);
-        core.shift_boundary(
-            &mut run,
+    /// Skips `strides` further strides of the work `delta` was measured on,
+    /// in O(1).
+    ///
+    /// The run must be paused at the checkpoint `delta` ends at (the `to`
+    /// of [`SpecDelta::between`], confirmed by
+    /// [`SpecCheckpoint::shifted_matches`]), with nothing fed since, and the
+    /// next `strides` strides of the stream must be that same work: the
+    /// same instructions up to memory addresses. Feeding them would then
+    /// advance the boundary by `strides` deltas and accumulate `strides`
+    /// copies of the stride's statistics, so this shifts the boundary state
+    /// and folds those statistics directly. The skipped instructions count
+    /// as fed, so `fed_instructions` matches a sequential run.
+    pub fn fast_forward(&mut self, delta: &SpecDelta, strides: u64) {
+        debug_assert_eq!(
+            self.run.stream_stats().fed_instructions,
+            0,
+            "fast-forward starts right at a checkpoint"
+        );
+        let engine_period = delta.cycles / self.run.clock_ratio();
+        self.core.shift_boundary(
+            &mut self.run,
             delta.cycles * strides,
             delta.instructions * strides,
             delta.matmuls * strides,
         );
-        if self.force_mispredict {
-            let ratio = run.clock_ratio();
-            core.shift_boundary(&mut run, ratio, 0, 0);
-        }
-        let (entry_core, entry_run) = self.fresh_pair(&core, &run);
-        SpeculativeWorker {
-            entry: SpecCheckpoint {
-                core: entry_core,
-                run: entry_run,
-            },
-            core,
-            run,
-        }
-    }
-
-    /// Validates a finished worker against the authoritative state and
-    /// either commits it (adopting its exit state and folding its interval
-    /// statistics) or reports a mispredict, in which case the caller must
-    /// replay the worker's segment sequentially through
-    /// [`SpeculativeRun::feed_segment`] / `feed_instructions`.
-    ///
-    /// Commit is sound because the core model is deterministic: identical
-    /// boundary dynamics plus identical future feeds yield identical
-    /// executions, so a bit-for-bit entry match proves the worker computed
-    /// exactly the sequential continuation.
-    pub fn try_commit(&mut self, worker: SpeculativeWorker) -> bool {
-        let SpeculativeWorker { entry, core, run } = worker;
-        let matches = self
-            .core
-            .boundary_matches(&self.run, &entry.core, &entry.run);
-        self.recycle(entry.core, entry.run);
-        if matches {
-            self.fold_interval();
-            let old_core = std::mem::replace(&mut self.core, core);
-            let old_run = std::mem::replace(&mut self.run, run);
-            self.recycle(old_core, old_run);
-            self.stream.spec_commits += 1;
-            true
-        } else {
-            self.recycle(core, run);
-            self.stream.spec_replays += 1;
-            false
-        }
+        self.cpu
+            .accumulate(&delta.cpu.repeated(strides, engine_period));
+        self.sched.accumulate(&delta.sched.repeated(strides));
+        self.stream.fed_instructions += delta.instructions * strides;
+        self.stream.fast_forwarded_strides += strides;
     }
 
     /// Finalizes the run, drains the pipeline to quiescence and returns the
-    /// accumulated `(CpuStats, SchedStats, StreamStats)` — bit-identical to
-    /// the sequential streamed execution of the same instruction stream
-    /// (architectural and scheduler counters; the stream counters
-    /// additionally carry the speculation accounting).
+    /// accumulated `(CpuStats, SchedStats, StreamStats)` — the architectural
+    /// and scheduler counters bit-identical to the sequential streamed
+    /// execution of the same instruction stream.
     ///
     /// # Errors
     ///
@@ -368,10 +254,10 @@ mod tests {
 
     /// `total` instruction blocks: k-steps of the Algorithm-1 micro-kernel
     /// (4 tile loads + 4 matmuls touching the same registers every
-    /// iteration — the periodic steady state speculation relies on). The
+    /// iteration — the periodic steady state fast-forward relies on). The
     /// first block additionally loads the four accumulators; all later
     /// blocks are identical up to addresses, which carry no timing.
-    fn trace_blocks(total: usize) -> Vec<Vec<Instruction>> {
+    fn trace_blocks(total: usize) -> Vec<ProgramSegment> {
         let mut b = ProgramBuilder::new(IsaConfig::amx_like());
         let mut out = Vec::new();
         for k in 0..total {
@@ -389,165 +275,101 @@ mod tests {
             b.tile_load(treg(5), MemRef::tile(base + 0xc00, 64));
             b.matmul(treg(2), treg(6), treg(5));
             b.matmul(treg(3), treg(7), treg(5));
-            out.push(b.finish_segment().unwrap().instructions().to_vec());
+            out.push(b.finish_segment().unwrap());
         }
         out
     }
 
-    fn sequential_golden(
+    /// Warms up eight blocks, probes block by block for a confirmed delta,
+    /// fast-forwards to `tail` blocks before the end, feeds those and
+    /// returns the run's statistics plus the strides it skipped.
+    fn fast_forwarded(
         pe: PeVariant,
         scheme: ControlScheme,
-        blocks: &[Vec<Instruction>],
-    ) -> (CpuStats, SchedStats) {
-        let mut c = core(pe, scheme);
-        let isa = IsaConfig::amx_like();
-        let mut run = c.begin_run(&isa).unwrap();
-        for block in blocks {
-            c.feed_instructions(&mut run, block).unwrap();
+        blocks: &[ProgramSegment],
+        tail: usize,
+    ) -> (CpuStats, SchedStats, StreamStats, usize) {
+        let mut spec = SpeculativeRun::begin(core(pe, scheme), &IsaConfig::amx_like()).unwrap();
+        for block in &blocks[..8] {
+            spec.feed_segment(block).unwrap();
         }
-        let stats = c.run_to_quiescence(run).unwrap();
-        (stats, *c.sched_stats())
-    }
-
-    /// Warm up `warm` blocks, then slide a window over consecutive block
-    /// boundaries until one boundary is an exact one-block translation of
-    /// its predecessor ([`SpecCheckpoint::shifted_matches`]) — the steady
-    /// state has been reached and the delta is trustworthy. Returns the
-    /// seed at the confirmed boundary, the per-block delta, the stride (in
-    /// blocks) and the next unfed block index.
-    fn probe(
-        spec: &mut SpeculativeRun,
-        blocks: &[Vec<Instruction>],
-        warm: usize,
-        max_probe: usize,
-    ) -> (SpecCheckpoint, SpecDelta, usize, usize) {
-        for block in &blocks[..warm] {
-            spec.feed_instructions(block).unwrap();
-        }
-        let mut prev = spec.checkpoint();
-        let mut next = warm;
-        for _ in 0..max_probe {
-            spec.feed_instructions(&blocks[next]).unwrap();
+        let mut seed = spec.checkpoint();
+        let mut next = 8;
+        let delta = loop {
+            spec.feed_segment(&blocks[next]).unwrap();
             next += 1;
             let cp = spec.checkpoint();
-            if let Some(delta) = SpecDelta::between(&prev, &cp) {
-                if prev.shifted_matches(&delta, &cp) {
-                    return (cp, delta, 1, next);
+            if let Some(delta) = SpecDelta::between(&seed, &cp) {
+                if seed.shifted_matches(&delta, &cp) {
+                    break delta;
                 }
             }
-            prev = cp;
-        }
-        panic!("no periodic delta found within {max_probe} probe blocks");
-    }
-
-    #[test]
-    fn committed_waves_reproduce_sequential_stats_bit_for_bit() {
-        for (pe, scheme) in [
-            (PeVariant::Baseline, ControlScheme::Base),
-            (PeVariant::Dmdb, ControlScheme::Wls),
-        ] {
-            let total_blocks = 64;
-            let blocks = trace_blocks(total_blocks);
-            let (golden_cpu, golden_sched) = sequential_golden(pe, scheme, &blocks);
-
-            let mut spec = SpeculativeRun::begin(core(pe, scheme), &IsaConfig::amx_like()).unwrap();
-            let (mut seed, delta, stride, mut next) = probe(&mut spec, &blocks, 8, 8);
-            let depth = 3usize;
-            while next + depth * stride <= total_blocks {
-                let mut workers: Vec<(usize, SpeculativeWorker)> = (0..depth)
-                    .map(|j| (next + j * stride, spec.fork(&seed, &delta, j as u64)))
-                    .collect();
-                for (lo, worker) in &mut workers {
-                    for block in &blocks[*lo..*lo + stride] {
-                        worker.feed_instructions(block).unwrap();
-                    }
-                }
-                for (lo, worker) in workers {
-                    if !spec.try_commit(worker) {
-                        for block in &blocks[lo..lo + stride] {
-                            spec.feed_instructions(block).unwrap();
-                        }
-                    }
-                }
-                next += depth * stride;
-                seed = spec.checkpoint();
-            }
-            for block in &blocks[next..] {
-                spec.feed_instructions(block).unwrap();
-            }
-            let (cpu, sched, stream) = spec.finish().unwrap();
-            assert_eq!(cpu, golden_cpu, "{pe:?}/{scheme:?}");
-            assert_eq!(sched, golden_sched, "{pe:?}/{scheme:?}");
-            assert!(stream.spec_forks > 0);
-            // The steady state of a uniform block stream is periodic, so
-            // the waves must actually commit (worker 0 at minimum).
-            assert!(
-                stream.spec_commits > stream.spec_replays,
-                "commits {} vs replays {} on {pe:?}/{scheme:?}",
-                stream.spec_commits,
-                stream.spec_replays
-            );
-            let total_instructions: usize = blocks.iter().map(Vec::len).sum();
-            assert_eq!(stream.fed_instructions, total_instructions as u64);
-        }
-    }
-
-    #[test]
-    fn forced_mispredict_replays_and_restores_bit_identity() {
-        let (pe, scheme) = (PeVariant::Db, ControlScheme::Wls);
-        let total_blocks = 40;
-        let blocks = trace_blocks(total_blocks);
-        let (golden_cpu, golden_sched) = sequential_golden(pe, scheme, &blocks);
-
-        let mut spec = SpeculativeRun::begin(core(pe, scheme), &IsaConfig::amx_like()).unwrap();
-        let (seed, delta, stride, mut next) = probe(&mut spec, &blocks, 8, 8);
-        spec.set_force_mispredict(true);
-        let depth = 3usize;
-        let mut workers: Vec<(usize, SpeculativeWorker)> = (0..depth)
-            .map(|j| (next + j * stride, spec.fork(&seed, &delta, j as u64)))
-            .collect();
-        for (lo, worker) in &mut workers {
-            for block in &blocks[*lo..*lo + stride] {
-                worker.feed_instructions(block).unwrap();
-            }
-        }
-        for (lo, worker) in workers {
-            assert!(!spec.try_commit(worker), "poisoned entry must not match");
-            for block in &blocks[lo..lo + stride] {
-                spec.feed_instructions(block).unwrap();
-            }
-        }
-        next += depth * stride;
-        for block in &blocks[next..] {
-            spec.feed_instructions(block).unwrap();
+            assert!(next < 16, "no periodic delta on {pe:?}/{scheme:?}");
+            seed = cp;
+        };
+        let strides = blocks.len() - tail - next;
+        spec.fast_forward(&delta, strides as u64);
+        for block in &blocks[next + strides..] {
+            spec.feed_segment(block).unwrap();
         }
         let (cpu, sched, stream) = spec.finish().unwrap();
-        assert_eq!(cpu, golden_cpu, "replay restores the sequential stats");
-        assert_eq!(sched, golden_sched);
-        assert_eq!(stream.spec_commits, 0);
-        assert_eq!(stream.spec_replays, depth as u64);
-        assert_eq!(stream.spec_forks, depth as u64);
+        (cpu, sched, stream, strides)
+    }
+
+    #[test]
+    fn fast_forward_reproduces_sequential_stats_bit_for_bit() {
+        let blocks = trace_blocks(64);
+        let total_instructions: usize = blocks.iter().map(ProgramSegment::len).sum();
+        for (pe, scheme) in [
+            (PeVariant::Baseline, ControlScheme::Base),
+            (PeVariant::Baseline, ControlScheme::Wlbp),
+            (PeVariant::Dmdb, ControlScheme::Wls),
+        ] {
+            let mut golden = core(pe, scheme);
+            let mut run = golden.begin_run(&IsaConfig::amx_like()).unwrap();
+            for block in &blocks {
+                golden.feed_segment(&mut run, block).unwrap();
+            }
+            let golden_cpu = golden.run_to_quiescence(run).unwrap();
+            // With no tail the final counters, engine horizon included,
+            // come from the fast-forward alone.
+            for tail in [0, 4] {
+                let (cpu, sched, stream, strides) = fast_forwarded(pe, scheme, &blocks, tail);
+                let what = format!("{pe:?}/{scheme:?}, tail {tail}");
+                assert_eq!(cpu, golden_cpu, "{what}");
+                assert_eq!(sched, *golden.sched_stats(), "{what}");
+                assert_eq!(stream.fast_forwarded_strides, strides as u64);
+                assert_eq!(stream.fed_instructions, total_instructions as u64);
+            }
+        }
     }
 
     #[test]
     fn delta_between_rejects_non_advancing_or_ragged_pairs() {
-        let blocks = trace_blocks(2);
+        let blocks = trace_blocks(3);
         let mut spec = SpeculativeRun::begin(
             core(PeVariant::Baseline, ControlScheme::Base),
             &IsaConfig::amx_like(),
         )
         .unwrap();
-        spec.feed_instructions(&blocks[0]).unwrap();
+        spec.feed_segment(&blocks[0]).unwrap();
         let a = spec.checkpoint();
         // Same checkpoint twice: no advance, no delta.
         assert!(SpecDelta::between(&a, &a.clone()).is_none());
-        spec.feed_instructions(&blocks[1]).unwrap();
+        spec.feed_segment(&blocks[1]).unwrap();
         let b = spec.checkpoint();
         // Reversed order is rejected.
         assert!(SpecDelta::between(&b, &a).is_none());
         if let Some(delta) = SpecDelta::between(&a, &b) {
             assert!(delta.cycles > 0 && delta.instructions > 0);
             assert_eq!(delta.cycles % 4, 0, "paper configs run a 4:1 clock ratio");
+            // A paused run has renamed everything it was fed.
+            assert_eq!(delta.instructions, blocks[1].len() as u64);
         }
+        // A checkpoint that skips one in between covers two strides of
+        // statistics, so it cannot describe one.
+        spec.feed_segment(&blocks[2]).unwrap();
+        let c = spec.checkpoint();
+        assert!(SpecDelta::between(&a, &c).is_none());
     }
 }

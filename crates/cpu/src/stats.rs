@@ -69,6 +69,24 @@ impl CpuStats {
         self.rs_full_stalls += interval.rs_full_stalls;
         self.engine.accumulate(&interval.engine);
     }
+
+    /// The counters of `strides` further executions of this interval, each
+    /// `engine_period` engine cycles after the one before (see
+    /// [`EngineStats::repeated`]). `cycles` is a timeline position, not a
+    /// count: a run that skips ahead reads it from its shifted clock at
+    /// quiescence, so the repeats carry none.
+    #[must_use]
+    pub fn repeated(&self, strides: u64, engine_period: u64) -> CpuStats {
+        CpuStats {
+            cycles: 0,
+            retired_instructions: self.retired_instructions * strides,
+            retired_matmuls: self.retired_matmuls * strides,
+            retired_tile_memory_ops: self.retired_tile_memory_ops * strides,
+            rob_full_stalls: self.rob_full_stalls * strides,
+            rs_full_stalls: self.rs_full_stalls * strides,
+            engine: self.engine.repeated(strides, engine_period),
+        }
+    }
 }
 
 /// Feed-side statistics of a streaming ([`crate::CoreRun`]) execution.
@@ -93,16 +111,11 @@ pub struct StreamStats {
     /// feed ends in one such pause — including the single feed of a
     /// one-shot run — so this counts at least one per segment.
     pub pauses: u64,
-    /// Speculative segment executions forked by a
-    /// [`crate::SpeculativeRun`] (zero for purely sequential runs).
-    pub spec_forks: u64,
-    /// Forked segments whose predicted entry state matched the
-    /// authoritative predecessor's exit state bit for bit, letting their
-    /// statistics commit without re-execution.
-    pub spec_commits: u64,
-    /// Forked segments whose prediction missed; their work was discarded
-    /// and the segment replayed sequentially on the authoritative state.
-    pub spec_replays: u64,
+    /// Strides a [`crate::SpeculativeRun`] skipped by fast-forwarding
+    /// through its periodic steady state (zero for purely sequential
+    /// runs). Their instructions count in `fed_instructions`, not in
+    /// `segments`.
+    pub fast_forwarded_strides: u64,
 }
 
 impl StreamStats {
@@ -114,20 +127,7 @@ impl StreamStats {
         self.fed_instructions += interval.fed_instructions;
         self.peak_resident = self.peak_resident.max(interval.peak_resident);
         self.pauses += interval.pauses;
-        self.spec_forks += interval.spec_forks;
-        self.spec_commits += interval.spec_commits;
-        self.spec_replays += interval.spec_replays;
-    }
-
-    /// Fraction of forked speculative segments that committed (0 when no
-    /// speculation ran).
-    #[must_use]
-    pub fn spec_commit_rate(&self) -> f64 {
-        if self.spec_forks == 0 {
-            0.0
-        } else {
-            self.spec_commits as f64 / self.spec_forks as f64
-        }
+        self.fast_forwarded_strides += interval.fast_forwarded_strides;
     }
 }
 

@@ -111,7 +111,6 @@ impl ExperimentSuite {
             .with_streaming(self.runner.is_streaming())
             .with_segment_size(self.runner.segment_size())
             .with_speculation(self.runner.is_speculative())
-            .with_spec_depth(self.runner.spec_depth())
             .with_layer_filter(self.layer_filter.clone())
             .build()
             .expect("matmul cap must be at least 1 (or None for uncapped)")
@@ -260,7 +259,6 @@ pub struct ExperimentSuiteBuilder {
     streaming: Option<bool>,
     segment_size: Option<usize>,
     speculation: Option<bool>,
-    spec_depth: Option<usize>,
     layer_filter: Option<String>,
 }
 
@@ -308,18 +306,11 @@ impl ExperimentSuiteBuilder {
         self
     }
 
-    /// Enables (default) or disables the speculative fork/join segment
-    /// scheduler for streamed cells.
+    /// Enables (default) or disables steady-state fast-forward for
+    /// streamed cells.
     #[must_use]
     pub fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = Some(speculation);
-        self
-    }
-
-    /// Overrides the number of speculative workers per fork/join wave.
-    #[must_use]
-    pub fn with_spec_depth(mut self, spec_depth: usize) -> Self {
-        self.spec_depth = Some(spec_depth);
         self
     }
 
@@ -352,9 +343,6 @@ impl ExperimentSuiteBuilder {
         }
         if let Some(speculation) = self.speculation {
             runner_builder = runner_builder.with_speculation(speculation);
-        }
-        if let Some(spec_depth) = self.spec_depth {
-            runner_builder = runner_builder.with_spec_depth(spec_depth);
         }
         let runner = runner_builder.build()?;
         let all_layers = WorkloadSuite::mlperf().layers().to_vec();

@@ -782,8 +782,8 @@ impl FromJson for PipelineStats {
         let streamed = member(value, "streamed")?
             .as_bool()
             .ok_or_else(|| JsonError::decode("field 'streamed' is not a bool"))?;
-        // The speculation counters are absent in documents written before
-        // the fork/join scheduler existed; default them to zero.
+        // The `spec_*` counters are absent in documents written before
+        // they existed; default them to zero.
         let optional = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
         Ok(PipelineStats {
             streamed,

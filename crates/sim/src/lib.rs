@@ -69,7 +69,7 @@ pub use serve::{
     AdmissionControl, GemmRequest, GemmResponse, GemmServer, LatencySummary, RequestLatency,
     ResponseHandle, ServeConfig, ServeStats, DEFAULT_QUEUE_CAPACITY,
 };
-pub use simulator::{Simulator, DEFAULT_SPEC_DEPTH};
+pub use simulator::Simulator;
 
 /// Default target size (in instructions) of a streamed trace segment
 /// (re-exported from `rasa-trace` for configuration plumbing).

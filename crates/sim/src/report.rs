@@ -25,14 +25,14 @@ pub struct PipelineStats {
     /// one. The streaming pipeline's memory headroom is the ratio of the
     /// two.
     pub peak_resident_instructions: u64,
-    /// Speculative segment executions forked by the fork/join scheduler
-    /// (zero when speculation was off or not applicable).
+    /// Strides skipped by fast-forwarding through the periodic steady
+    /// state (zero when fast-forward was off or not applicable).
     pub spec_forks: u64,
-    /// Forked segments whose predicted entry state validated bit for bit
-    /// at join, so their statistics committed without re-execution.
+    /// Skipped strides whose statistics were folded in — always equal to
+    /// `spec_forks`, since a confirmed delta is exact.
     pub spec_commits: u64,
-    /// Forked segments whose prediction missed and were replayed
-    /// sequentially on the authoritative state.
+    /// Always zero: fast-forward never has to replay a stride. Kept so
+    /// the counter set of older documents still decodes and compares.
     pub spec_replays: u64,
 }
 
@@ -48,8 +48,8 @@ impl PipelineStats {
         }
     }
 
-    /// Fraction of forked speculative segments that committed (0 when no
-    /// speculation ran).
+    /// Fraction of skipped strides whose statistics were folded in (1
+    /// whenever fast-forward ran, 0 when it did not).
     #[must_use]
     pub fn spec_commit_rate(&self) -> f64 {
         if self.spec_forks == 0 {
@@ -77,7 +77,7 @@ impl fmt::Display for PipelineStats {
         if self.spec_forks > 0 {
             write!(
                 f,
-                ", {} speculative segments ({} committed, {} replayed)",
+                ", {} strides fast-forwarded ({} committed, {} replayed)",
                 self.spec_forks, self.spec_commits, self.spec_replays
             )?;
         }
@@ -220,11 +220,11 @@ pub struct SimSummary {
     pub segments: u64,
     /// Peak instructions resident in the core's fetch buffer.
     pub peak_resident_instructions: u64,
-    /// Speculative segments forked by the fork/join scheduler.
+    /// Strides skipped by fast-forward.
     pub spec_forks: u64,
-    /// Speculative segments whose prediction validated and committed.
+    /// Skipped strides whose statistics were folded in (= `spec_forks`).
     pub spec_commits: u64,
-    /// Speculative segments that mispredicted and replayed sequentially.
+    /// Always zero (fast-forward never replays).
     pub spec_replays: u64,
 }
 
@@ -327,7 +327,7 @@ mod tests {
         };
         assert!((streamed.residency() - 0.12).abs() < 1e-12);
         assert!(streamed.to_string().contains("streamed"));
-        assert!(streamed.to_string().contains("8 speculative segments"));
+        assert!(streamed.to_string().contains("8 strides fast-forwarded"));
         assert!((streamed.spec_commit_rate() - 0.75).abs() < 1e-12);
         let materialized = PipelineStats {
             streamed: false,
@@ -338,7 +338,7 @@ mod tests {
         };
         assert!((materialized.residency() - 1.0).abs() < 1e-12);
         assert!(materialized.to_string().contains("materialized"));
-        assert!(!materialized.to_string().contains("speculative"));
+        assert!(!materialized.to_string().contains("fast-forwarded"));
         assert_eq!(PipelineStats::default().residency(), 0.0);
         assert_eq!(PipelineStats::default().spec_commit_rate(), 0.0);
     }

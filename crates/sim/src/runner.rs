@@ -29,7 +29,7 @@ use crate::cache::{InsertOutcome, LruCache};
 use crate::json::{FromJson, JsonValue, ToJson};
 use crate::key::CellKey;
 use crate::prof::{self, Stage};
-use crate::simulator::{DEFAULT_MATMUL_CAP, DEFAULT_SPEC_DEPTH};
+use crate::simulator::DEFAULT_MATMUL_CAP;
 use crate::{DesignPoint, SimError, SimReport, Simulator, WorkloadRun};
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
@@ -220,7 +220,6 @@ pub struct ExperimentRunner {
     streaming: bool,
     segment_size: usize,
     speculation: bool,
-    spec_depth: usize,
     cache: Mutex<LruCache<CellKey, Arc<SimReport>>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -269,19 +268,12 @@ impl ExperimentRunner {
         self.segment_size
     }
 
-    /// Whether streamed cells may use the speculative fork/join segment
-    /// scheduler (default). Like the transport settings, speculation never
-    /// changes a simulated statistic — mispredicted segments replay
-    /// sequentially — so this only trades wall-clock time for cores.
+    /// Whether streamed cells may fast-forward through their periodic
+    /// steady state (default). Like the transport settings, fast-forward
+    /// never changes a simulated statistic; it only saves wall-clock time.
     #[must_use]
     pub const fn is_speculative(&self) -> bool {
         self.speculation
-    }
-
-    /// Speculative workers per fork/join wave.
-    #[must_use]
-    pub const fn spec_depth(&self) -> usize {
-        self.spec_depth
     }
 
     /// Cache effectiveness counters since construction (or the last
@@ -472,7 +464,6 @@ impl ExperimentRunner {
                 .with_streaming(self.streaming)
                 .with_segment_size(self.segment_size)?
                 .with_speculation(self.speculation)
-                .with_spec_depth(self.spec_depth)?
                 .run_layer(&job.workload)?,
         );
         drop(simulate);
@@ -574,7 +565,6 @@ pub struct ExperimentRunnerBuilder {
     streaming: Option<bool>,
     segment_size: Option<usize>,
     speculation: Option<bool>,
-    spec_depth: Option<usize>,
     cache_capacity: Option<usize>,
 }
 
@@ -616,18 +606,11 @@ impl ExperimentRunnerBuilder {
         self
     }
 
-    /// Enables (default) or disables the speculative fork/join segment
-    /// scheduler for streamed cells.
+    /// Enables (default) or disables steady-state fast-forward for
+    /// streamed cells.
     #[must_use]
     pub fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = Some(speculation);
-        self
-    }
-
-    /// Overrides the number of speculative workers per fork/join wave.
-    #[must_use]
-    pub fn with_spec_depth(mut self, spec_depth: usize) -> Self {
-        self.spec_depth = Some(spec_depth);
         self
     }
 
@@ -666,19 +649,12 @@ impl ExperimentRunnerBuilder {
                 reason: "segment size must be at least one instruction".to_string(),
             });
         }
-        let spec_depth = self.spec_depth.unwrap_or(DEFAULT_SPEC_DEPTH);
-        if spec_depth == 0 {
-            return Err(SimError::InvalidExperiment {
-                reason: "speculation depth must be at least one worker".to_string(),
-            });
-        }
         Ok(ExperimentRunner {
             matmul_cap,
             parallel: self.parallel.unwrap_or(true),
             streaming: self.streaming.unwrap_or(true),
             segment_size,
             speculation: self.speculation.unwrap_or(true),
-            spec_depth,
             cache: Mutex::new(LruCache::new(cache_capacity)),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -724,18 +700,11 @@ mod tests {
     fn builder_plumbs_speculation_settings() {
         let runner = ExperimentRunner::new();
         assert!(runner.is_speculative());
-        assert_eq!(runner.spec_depth(), DEFAULT_SPEC_DEPTH);
         let tuned = ExperimentRunner::builder()
             .with_speculation(false)
-            .with_spec_depth(3)
             .build()
             .unwrap();
         assert!(!tuned.is_speculative());
-        assert_eq!(tuned.spec_depth(), 3);
-        assert!(matches!(
-            ExperimentRunner::builder().with_spec_depth(0).build(),
-            Err(SimError::InvalidExperiment { .. })
-        ));
     }
 
     #[test]

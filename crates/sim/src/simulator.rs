@@ -2,7 +2,7 @@ use crate::prof::{self, Stage};
 use crate::{DesignPoint, PipelineStats, SimError, SimReport};
 use rasa_cpu::{CpuCore, CpuStats, SchedStats, SpecDelta, SpeculativeRun, StreamStats};
 use rasa_isa::{Program, ProgramSegment};
-use rasa_numeric::{GemmShape, TileGrid};
+use rasa_numeric::GemmShape;
 use rasa_power::{EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
 use rasa_trace::{
@@ -30,26 +30,20 @@ const STREAM_CHANNEL_SEGMENTS: usize = 4;
 /// cell may itself be one job of an already-parallel experiment matrix.
 const SHARD_WAVE: usize = 4;
 
-/// Default speculative workers per fork/join wave (worker 0 is the
-/// authoritative continuation; the rest are predicted). The value is part
-/// of the deterministic schedule — pipeline statistics must not depend on
-/// the machine's core count — so it is a constant, not a CPU probe.
-pub const DEFAULT_SPEC_DEPTH: usize = 6;
-
-/// Strides the speculative scheduler probes for a confirmed periodic state
-/// delta before giving up and running the cell sequentially.
+/// Strides the fast-forward probe tries for a confirmed periodic state
+/// delta before giving up and running the rest of the cell sequentially.
 const SPEC_PROBE_STRIDES: usize = 8;
 
-/// The deterministic fork/join schedule of a speculative run: how many
-/// register blocks one speculative segment spans and where the uniform
-/// (periodic) region of the block walk ends.
+/// The deterministic fast-forward schedule of a cell: how many register
+/// blocks one stride spans and where the uniform (periodic) region of the
+/// block walk ends.
 #[derive(Debug, Clone, Copy)]
 struct SpecPlan {
-    /// Register blocks per speculative segment — a multiple of the block
-    /// walk's structural period, so every segment carries identical work.
+    /// Register blocks per stride — a multiple of the block walk's
+    /// structural period, so every stride carries identical work.
     stride_blocks: usize,
-    /// Blocks `>= uniform_end` (a ragged final block column) never
-    /// speculate; they are fed sequentially after the last wave.
+    /// Blocks `>= uniform_end` (a ragged final block column) are never
+    /// skipped; they are fed sequentially after the fast-forward.
     uniform_end: usize,
 }
 
@@ -75,7 +69,6 @@ pub struct Simulator {
     streaming: bool,
     segment_size: usize,
     speculation: bool,
-    spec_depth: usize,
 }
 
 impl Simulator {
@@ -97,7 +90,6 @@ impl Simulator {
             streaming: true,
             segment_size: DEFAULT_SEGMENT_SIZE,
             speculation: true,
-            spec_depth: DEFAULT_SPEC_DEPTH,
         })
     }
 
@@ -157,42 +149,20 @@ impl Simulator {
         Ok(self)
     }
 
-    /// Enables (default) or disables the speculative fork/join segment
-    /// scheduler for streamed, uncapped runs. Speculation is a wall-clock
-    /// optimization only: the simulated statistics are bit-identical either
-    /// way (mispredicted segments replay sequentially), which the parity
-    /// tests and CI enforce.
+    /// Enables (default) or disables steady-state fast-forward for
+    /// streamed, uncapped runs. Fast-forward is a wall-clock optimization
+    /// only: the simulated statistics are bit-identical either way, which
+    /// the parity tests and CI enforce.
     #[must_use]
     pub const fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = speculation;
         self
     }
 
-    /// Overrides the number of speculative workers per fork/join wave.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidExperiment`] for a zero depth.
-    pub fn with_spec_depth(mut self, spec_depth: usize) -> Result<Self, SimError> {
-        if spec_depth == 0 {
-            return Err(SimError::InvalidExperiment {
-                reason: "speculation depth must be at least one worker".to_string(),
-            });
-        }
-        self.spec_depth = spec_depth;
-        Ok(self)
-    }
-
-    /// Whether runs may use the speculative fork/join segment scheduler.
+    /// Whether runs may fast-forward through their periodic steady state.
     #[must_use]
     pub const fn is_speculative(&self) -> bool {
         self.speculation
-    }
-
-    /// Speculative workers per fork/join wave.
-    #[must_use]
-    pub const fn spec_depth(&self) -> usize {
-        self.spec_depth
     }
 
     /// The design point being simulated.
@@ -385,44 +355,25 @@ impl Simulator {
         Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, name))
     }
 
-    /// The deterministic fork/join schedule for speculating `shape`, or
-    /// `None` when the cell must run sequentially: speculation is off, the
-    /// trace is capped (the cap is a sequential prefix property), or the
-    /// uniform block region is too short to amortize a probe and a wave.
+    /// The deterministic fast-forward schedule for `shape`, or `None` when
+    /// the cell must run sequentially: fast-forward is off, the trace is
+    /// capped (the cap is a sequential prefix property), or the uniform
+    /// block region is too short to hold a warm-up stride, a probe and a
+    /// skipped stride.
     fn spec_plan(&self, shape: GemmShape) -> Result<Option<SpecPlan>, SimError> {
         if !self.speculation || self.generator.kernel().max_matmuls.is_some() {
             return Ok(None);
         }
-        let kernel = self.generator.kernel();
-        let grid = TileGrid::new(shape, kernel.tiling)?;
-        let (mt, kt, nt) = (grid.m_tiles(), grid.k_tiles(), grid.n_tiles());
-        let blocks = self.generator.block_count(shape)?;
-        let block = kernel.scheme.block;
-        let mb_count = block.m_blocks(mt);
-        // The block walk is n-major: a column of `mb_count` row blocks per
-        // block-width tile-column. An `mt` that does not divide by the
-        // block height makes the last block of every column ragged — the
-        // walk is still periodic, with period one column instead of one
-        // block. An `nt` that does not divide by the block width makes the
-        // entire last column ragged; it is excluded from speculation
-        // outright.
-        let base_period = if mt % block.m != 0 { mb_count } else { 1 };
-        let uniform_end = if nt % block.n != 0 {
-            blocks - mb_count
-        } else {
-            blocks
-        };
-        // One stride spans a couple of segments' worth of blocks (the same
-        // scale as the shard-parallel producer), rounded up to a whole
-        // number of structural periods.
-        let block_len = kernel.block_len_estimate(kt);
-        let target = (2 * self.effective_segment_size())
-            .div_ceil(block_len)
-            .max(1);
-        let stride_blocks = target.div_ceil(base_period) * base_period;
+        let (period, uniform_end) = self.generator.uniform_blocks(shape)?;
+        // One stride spans a shard's worth of blocks (a couple of
+        // segments), rounded up to a whole number of periods so every
+        // stride carries identical work.
+        let target = self.blocks_per_shard(shape, self.effective_segment_size())?;
+        let stride_blocks = target.div_ceil(period) * period;
         // Worth it only when the uniform region holds the warm-up stride,
-        // a couple of probe strides and at least one full wave.
-        if uniform_end < stride_blocks * (3 + self.spec_depth) {
+        // two probe strides (a first comparison and one retry) and at
+        // least one skipped stride.
+        if uniform_end < stride_blocks * 4 {
             return Ok(None);
         }
         Ok(Some(SpecPlan {
@@ -431,8 +382,7 @@ impl Simulator {
         }))
     }
 
-    /// Generates blocks `[lo, hi)` of `shape` and feeds them into the
-    /// authoritative speculative run.
+    /// Generates blocks `[lo, hi)` of `shape` and feeds them into the run.
     fn feed_blocks(
         &self,
         spec: &mut SpeculativeRun,
@@ -450,24 +400,24 @@ impl Simulator {
         Ok(())
     }
 
-    /// The speculative fork/join pipeline for streamed, uncapped cells.
+    /// The fast-forward pipeline for streamed, uncapped cells.
     ///
     /// Protocol (mechanism in `rasa_cpu::SpeculativeRun`): warm up one
-    /// stride, slide a probe until one block-stride boundary is an exact
-    /// translation of its predecessor (a *confirmed* periodic
-    /// [`SpecDelta`]), then repeatedly fork `spec_depth` workers seeded
-    /// with predicted states `j · delta` ahead, simulate their strides in
-    /// parallel on the rayon pool (each worker generating its own trace
-    /// shard), and join in order — committing validated workers, replaying
-    /// mispredicted ones sequentially. The ragged tail past the uniform
-    /// region feeds sequentially.
+    /// stride, then probe stride by stride until one stride boundary is an
+    /// exact translation of its predecessor — a *confirmed* periodic
+    /// [`SpecDelta`]. Every remaining whole stride of the uniform region is
+    /// then the same work with only its addresses changed, so the run skips
+    /// them in O(1): it shifts the boundary state by that many deltas and
+    /// folds in that many copies of the confirmed stride's statistics. The
+    /// rest — the partial last stride and any ragged column — feeds
+    /// sequentially.
     ///
-    /// The schedule (stride, depth, wave boundaries) derives only from the
-    /// shape, segment size and configured depth — never from thread timing
-    /// — so the statistics, including the speculation counters, are
-    /// deterministic and machine-independent; and the architectural
-    /// statistics are bit-identical to the sequential streamed path by the
-    /// commit-validation argument.
+    /// The schedule derives only from the shape and segment size — never
+    /// from thread timing — so the statistics, including the fast-forward
+    /// counters, are deterministic; and the architectural statistics are
+    /// bit-identical to the sequential streamed path, because the core
+    /// model's scheduling is translation-covariant and its timing never
+    /// reads an address.
     fn run_speculative(
         &self,
         shape: GemmShape,
@@ -487,11 +437,10 @@ impl Simulator {
         let mut next = stride;
 
         // Probe: slide stride by stride until a boundary is an exact
-        // translation of its predecessor. The structural check is what
-        // buys the deterministic commit rate — see
-        // `SpecCheckpoint::shifted_matches`.
+        // translation of its predecessor (see
+        // `SpecCheckpoint::shifted_matches`).
         let mut seed = spec.checkpoint();
-        let mut delta: Option<SpecDelta> = None;
+        let mut delta = None;
         for _ in 0..SPEC_PROBE_STRIDES {
             if next + stride > plan.uniform_end {
                 break;
@@ -499,45 +448,19 @@ impl Simulator {
             self.feed_blocks(&mut spec, shape, name, next, next + stride)?;
             next += stride;
             let cp = spec.checkpoint();
-            if let Some(candidate) = SpecDelta::between(&seed, &cp) {
-                if seed.shifted_matches(&candidate, &cp) {
-                    delta = Some(candidate);
-                    seed = cp;
-                    break;
-                }
+            delta = SpecDelta::between(&seed, &cp).filter(|d| seed.shifted_matches(d, &cp));
+            if delta.is_some() {
+                break;
             }
             seed = cp;
         }
 
-        // Fork/join waves across the uniform region.
+        // Fast-forward over every remaining whole stride of the uniform
+        // region.
         if let Some(delta) = delta {
-            let depth = self.spec_depth;
-            while next + depth * stride <= plan.uniform_end {
-                let mut workers: Vec<(usize, rasa_cpu::SpeculativeWorker)> = (0..depth)
-                    .map(|j| (next + j * stride, spec.fork(&seed, &delta, j as u64)))
-                    .collect();
-                workers
-                    .par_iter_mut()
-                    .try_for_each(|(lo, worker)| -> Result<(), SimError> {
-                        let mut shard = self.generator.gemm_blocks(
-                            shape,
-                            name,
-                            *lo..*lo + stride,
-                            self.segment_size,
-                        )?;
-                        while let Some(segment) = shard.next_segment()? {
-                            worker.feed_segment(&segment)?;
-                        }
-                        Ok(())
-                    })?;
-                for (lo, worker) in workers {
-                    if !spec.try_commit(worker) {
-                        self.feed_blocks(&mut spec, shape, name, lo, lo + stride)?;
-                    }
-                }
-                next += depth * stride;
-                seed = spec.checkpoint();
-            }
+            let strides = (plan.uniform_end - next) / stride;
+            spec.fast_forward(&delta, strides as u64);
+            next += strides * stride;
         }
 
         // Sequential tail: the uniform remainder plus any ragged column.
@@ -550,9 +473,9 @@ impl Simulator {
             segments: stream.segments,
             fed_instructions: stream.fed_instructions,
             peak_resident_instructions: stream.peak_resident as u64,
-            spec_forks: stream.spec_forks,
-            spec_commits: stream.spec_commits,
-            spec_replays: stream.spec_replays,
+            spec_forks: stream.fast_forwarded_strides,
+            spec_commits: stream.fast_forwarded_strides,
+            spec_replays: 0,
         };
         Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, name))
     }
@@ -564,14 +487,14 @@ impl Simulator {
     fn blocks_per_shard(&self, shape: GemmShape, segment_size: usize) -> Result<usize, SimError> {
         let kt = rasa_numeric::TileGrid::new(shape, self.generator.kernel().tiling)?.k_tiles();
         // The scheme's own estimate of one full register block — the single
-        // source of truth shared with the speculative fork points.
+        // source of truth shared with the fast-forward strides.
         let block_len = self.generator.kernel().block_len_estimate(kt);
         Ok((2 * segment_size).div_ceil(block_len).max(1))
     }
 
     /// The segment size streams actually use: a kernel scheme carrying a
     /// segment-size hint overrides the simulator's configured size, so the
-    /// shard and speculation schedules must be derived from the same value.
+    /// shard and fast-forward schedules must be derived from the same value.
     fn effective_segment_size(&self) -> usize {
         self.generator
             .kernel()
@@ -818,10 +741,10 @@ mod tests {
 
     #[test]
     fn speculative_path_is_bit_identical_and_commits() {
-        // The tentpole invariant: the speculative fork/join scheduler
+        // The fast-forward invariant: skipping the periodic steady state
         // produces architectural and scheduler statistics bit-identical to
-        // the sequential streamed path and the materialized path, while
-        // actually committing speculative segments.
+        // the sequential streamed path and the materialized path, and still
+        // counts every skipped instruction as fed.
         let shape = GemmShape::new(256, 64, 512);
         for design in [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()] {
             let sim = Simulator::new(design)
@@ -841,8 +764,8 @@ mod tests {
                 speculative.pipeline.fed_instructions,
                 sequential.pipeline.fed_instructions
             );
-            // The scheduler engaged and the confirmed-delta probe makes
-            // every predicted worker commit on this uniform trace.
+            // Fast-forward engaged: every skipped stride counts as a fork
+            // and a commit, and nothing replays.
             assert!(speculative.pipeline.spec_forks > 0);
             assert_eq!(
                 speculative.pipeline.spec_commits,
@@ -855,7 +778,7 @@ mod tests {
 
     #[test]
     fn four_paths_are_bit_identical_on_a_non_default_kernel_scheme() {
-        // Satellite of the kernel-scheme refactor: the speculative,
+        // Satellite of the kernel-scheme refactor: the fast-forwarded,
         // sequential-streamed, materialized and cycle-stepping reference
         // paths must agree bit for bit even when the kernel is nothing like
         // Algorithm 1 — a 1×3 block, interleaved matmuls, accumulators
@@ -888,8 +811,8 @@ mod tests {
         assert_eq!(speculative.cpu, reference.cpu);
         assert_eq!(speculative.core_cycles, reference.core_cycles);
         assert_eq!(speculative.sched, sequential.sched);
-        // The non-default scheme still speculates (the plan generalizes
-        // beyond the 2×2 walk) and commits on this uniform trace.
+        // The non-default scheme still fast-forwards (the plan generalizes
+        // beyond the 2×2 walk).
         assert!(speculative.pipeline.spec_forks > 0);
         assert_eq!(
             speculative.pipeline.spec_commits,
@@ -899,16 +822,14 @@ mod tests {
 
     #[test]
     fn speculative_runs_are_deterministic() {
-        // The fork/join schedule derives from the shape, segment size and
-        // depth alone — never from thread timing — so the speculation
-        // counters themselves are reproducible.
+        // The fast-forward schedule derives from the shape and segment size
+        // alone — never from thread timing — so its counters are
+        // reproducible.
         let sim = Simulator::new(DesignPoint::rasa_wlbp())
             .unwrap()
             .with_matmul_cap(None)
             .unwrap()
             .with_segment_size(128)
-            .unwrap()
-            .with_spec_depth(3)
             .unwrap();
         let shape = GemmShape::new(256, 64, 256);
         let a = sim.run_gemm(shape).unwrap();
@@ -920,11 +841,29 @@ mod tests {
     #[test]
     fn capped_runs_never_speculate() {
         // A matmul cap is a sequential-prefix property, so the planner
-        // must refuse to fork no matter how large the trace is.
+        // must refuse to skip ahead no matter how large the trace is.
         let sim = Simulator::new(DesignPoint::baseline()).unwrap();
         assert!(sim.is_speculative());
         let plan = sim.spec_plan(GemmShape::new(1024, 1024, 1024)).unwrap();
         assert!(plan.is_none());
+    }
+
+    #[test]
+    fn plan_needs_warm_up_probe_and_one_skipped_stride() {
+        // With one-instruction segments a stride is a single 2×2 block, so
+        // a 2×8-tile GEMM holds exactly the four uniform strides a plan
+        // needs; 2×6 tiles, or a ragged eighth column, hold only three.
+        let sim = Simulator::new(DesignPoint::baseline())
+            .unwrap()
+            .with_matmul_cap(None)
+            .unwrap()
+            .with_segment_size(1)
+            .unwrap();
+        let plan = sim.spec_plan(GemmShape::new(32, 64, 128)).unwrap().unwrap();
+        assert_eq!((plan.stride_blocks, plan.uniform_end), (1, 4));
+        for short in [GemmShape::new(32, 64, 96), GemmShape::new(32, 64, 112)] {
+            assert!(sim.spec_plan(short).unwrap().is_none(), "{short:?}");
+        }
     }
 
     #[test]
@@ -935,15 +874,6 @@ mod tests {
             .unwrap();
         let report = sim.run_gemm(GemmShape::new(64, 64, 64)).unwrap();
         assert_eq!(report.pipeline.spec_forks, 0);
-    }
-
-    #[test]
-    fn zero_spec_depth_is_rejected() {
-        let sim = Simulator::new(DesignPoint::baseline()).unwrap();
-        assert!(matches!(
-            sim.with_spec_depth(0),
-            Err(SimError::InvalidExperiment { .. })
-        ));
     }
 
     #[test]

@@ -56,7 +56,7 @@ pub struct MmCompletion {
 /// A timestamped completion event recorded by the engine.
 ///
 /// Every accepted [`MmRequest`] enqueues exactly one completion event; an
-/// event-driven host drains them with [`MatrixEngine::take_completions`]
+/// event-driven host drains them with [`MatrixEngine::drain_completions`]
 /// and schedules its own wakeups from the timestamps instead of polling
 /// engine state cycle by cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,7 +121,7 @@ pub struct MatrixEngine {
     /// by the configuration's `max_in_flight`.
     in_flight: VecDeque<u64>,
     /// Completion events recorded by `submit` and not yet drained through
-    /// [`MatrixEngine::take_completions`].
+    /// [`MatrixEngine::drain_completions`].
     pending_completions: Vec<EngineCompletion>,
 }
 
@@ -248,14 +248,15 @@ impl MatrixEngine {
     }
 
     /// Drains the completion events recorded since the last call, in
-    /// submission order.
+    /// submission order. The buffer is drained in place, so later
+    /// submissions reuse its allocation.
     ///
     /// Each accepted [`MmRequest`] records exactly one [`EngineCompletion`];
     /// an event-driven host (the `rasa-cpu` scheduler) pairs the drained
     /// events with its own bookkeeping and inserts the timestamps into its
     /// event heap rather than polling the engine for per-instruction state.
-    pub fn take_completions(&mut self) -> Vec<EngineCompletion> {
-        std::mem::take(&mut self.pending_completions)
+    pub fn drain_completions(&mut self) -> std::vec::Drain<'_, EngineCompletion> {
+        self.pending_completions.drain(..)
     }
 
     /// Submits the next `rasa_mm` in program order and returns its resolved
@@ -629,16 +630,16 @@ mod tests {
     fn completion_events_are_recorded_in_submission_order() {
         let mut e = engine(PeVariant::Baseline, ControlScheme::Base);
         let done = run_pattern(&mut e, 3, &[4], 1);
-        let events = e.take_completions();
+        let events: Vec<_> = e.drain_completions().collect();
         assert_eq!(events.len(), 3);
         for (i, (event, completion)) in events.iter().zip(&done).enumerate() {
             assert_eq!(event.sequence, i as u64);
             assert_eq!(event.complete_cycle, completion.complete_cycle);
         }
         // The queue drains: a second take returns nothing new.
-        assert!(e.take_completions().is_empty());
+        assert_eq!(e.drain_completions().len(), 0);
         e.submit(MmRequest::ready_at(treg(4), FULL, 0)).unwrap();
-        let events = e.take_completions();
+        let events: Vec<_> = e.drain_completions().collect();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].sequence, 3);
     }
@@ -648,11 +649,12 @@ mod tests {
         let mut e = engine(PeVariant::Baseline, ControlScheme::Base);
         let bad = TileDims::new(16, 64, 16);
         assert!(e.submit(MmRequest::ready_at(treg(0), bad, 0)).is_err());
-        assert!(e.take_completions().is_empty());
+        assert_eq!(e.drain_completions().len(), 0);
         e.submit(MmRequest::ready_at(treg(4), FULL, 0)).unwrap();
         e.reset();
-        assert!(
-            e.take_completions().is_empty(),
+        assert_eq!(
+            e.drain_completions().len(),
+            0,
             "reset drops undrained events"
         );
     }
@@ -668,7 +670,7 @@ mod tests {
         ] {
             let mut original = engine(pe, scheme);
             run_pattern(&mut original, 8, &[4, 5], 2);
-            original.take_completions();
+            original.drain_completions();
             let mut shifted = original.clone();
             shifted.shift_state(1000, 7);
             // A request stream offset by the same time delta must resolve to

@@ -55,6 +55,30 @@ impl EngineStats {
         self.structural_stall_cycles += interval.structural_stall_cycles;
     }
 
+    /// The counters of `strides` further executions of this interval, each
+    /// `period` engine cycles after the one before — what a periodic steady
+    /// state accumulates over a stretch it skips. Additive counters scale
+    /// by `strides`; the horizon moves to the last execution's (an interval
+    /// that submitted nothing has none to move).
+    #[must_use]
+    pub fn repeated(&self, strides: u64, period: u64) -> EngineStats {
+        EngineStats {
+            matmuls: self.matmuls * strides,
+            weight_bypasses: self.weight_bypasses * strides,
+            weight_prefetches: self.weight_prefetches * strides,
+            full_weight_loads: self.full_weight_loads * strides,
+            occupancy_cycles: self.occupancy_cycles * strides,
+            last_completion_cycle: if self.matmuls == 0 {
+                0
+            } else {
+                self.last_completion_cycle + strides * period
+            },
+            total_macs: self.total_macs * strides,
+            operand_stall_cycles: self.operand_stall_cycles * strides,
+            structural_stall_cycles: self.structural_stall_cycles * strides,
+        }
+    }
+
     /// Fraction of `rasa_mm` instructions that skipped Weight Load via the
     /// dirty-bit bypass.
     #[must_use]
@@ -148,5 +172,36 @@ mod tests {
         let text = s.to_string();
         assert!(text.contains("10 rasa_mm"));
         assert!(text.contains("5 bypassed"));
+    }
+
+    #[test]
+    fn repeats_scale_counters_and_translate_the_horizon() {
+        let stride = EngineStats {
+            matmuls: 4,
+            weight_bypasses: 2,
+            weight_prefetches: 1,
+            full_weight_loads: 1,
+            occupancy_cycles: 300,
+            last_completion_cycle: 1000,
+            total_macs: 4 * 8192,
+            operand_stall_cycles: 5,
+            structural_stall_cycles: 7,
+        };
+        let three = stride.repeated(3, 64);
+        assert_eq!(three.matmuls, 12);
+        assert_eq!(three.weight_bypasses, 6);
+        assert_eq!(three.occupancy_cycles, 900);
+        assert_eq!(three.structural_stall_cycles, 21);
+        // The horizon is the last repeat's, three periods on — not the
+        // first stride's, which a plain fold would keep.
+        assert_eq!(three.last_completion_cycle, 1000 + 3 * 64);
+        let mut folded = stride;
+        folded.accumulate(&three);
+        assert_eq!(folded.last_completion_cycle, 1192);
+        // An interval that submitted nothing has no horizon to move.
+        assert_eq!(
+            EngineStats::default().repeated(3, 64),
+            EngineStats::default()
+        );
     }
 }

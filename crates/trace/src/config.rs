@@ -88,8 +88,8 @@ impl GemmKernelConfig {
     /// matmuls and modeled scalar overhead.
     ///
     /// The estimate is exact for interior (unclipped) blocks and is the
-    /// single source of truth for the simulator's speculative fork points
-    /// and shard sizing, which only need determinism, not exactness at the
+    /// single source of truth for the simulator's fast-forward strides and
+    /// shard sizing, which only need determinism, not exactness at the
     /// ragged edges.
     #[must_use]
     pub fn block_len_estimate(&self, kt: usize) -> usize {

@@ -136,6 +136,28 @@ impl TraceGenerator {
         Ok(block.n_blocks(nt) * block.m_blocks(mt))
     }
 
+    /// The periodic structure of `shape`'s block walk, as `(period,
+    /// uniform_end)`: blocks `[0, uniform_end)` are a run of identical
+    /// `period`-block windows — the same instructions once memory
+    /// addresses are stripped — and the blocks from `uniform_end` on differ.
+    ///
+    /// The walk is n-block-major: a column of row blocks per block-width
+    /// tile column. An M that does not divide by the block height makes the
+    /// last block of every column ragged, so the period is one column
+    /// instead of one block; an N that does not divide by the block width
+    /// makes the whole last column ragged, and it lies past `uniform_end`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Shape`] for an empty GEMM.
+    pub fn uniform_blocks(&self, shape: GemmShape) -> Result<(usize, usize), TraceError> {
+        let (mt, _, nt) = self.tile_dims(shape)?;
+        let block = self.kernel.scheme.block;
+        let column = block.m_blocks(mt);
+        let period = if mt % block.m == 0 { 1 } else { column };
+        Ok((period, nt / block.n * column))
+    }
+
     /// Emits one register block (accumulator loads, the K reduction loop,
     /// accumulator stores) for the block at `(nb, mb)`, bumping `emitted` by
     /// the number of `rasa_mm` instructions produced. The block shape, loop
@@ -611,6 +633,86 @@ mod tests {
                 "kernel {kernel}"
             );
         }
+    }
+
+    #[test]
+    fn uniform_strides_differ_only_in_memory_addresses() {
+        // The premise of the simulator's steady-state fast-forward: every
+        // stride-aligned window of the uniform region emits the same
+        // instructions up to memory addresses, which the timing model
+        // never reads.
+        use crate::KernelSchemeBuilder;
+        use rasa_isa::Instruction;
+        fn strip(inst: Instruction) -> Instruction {
+            match inst {
+                Instruction::TileLoad { dst, src, base } => Instruction::TileLoad {
+                    dst,
+                    src: MemRef { base: 0, ..src },
+                    base,
+                },
+                Instruction::TileStore { dst, src, base } => Instruction::TileStore {
+                    dst: MemRef { base: 0, ..dst },
+                    src,
+                    base,
+                },
+                other => other,
+            }
+        }
+        // Even in every dimension, then ragged in M, in N and K, and in M
+        // and N for some block shapes only.
+        let shapes = [
+            GemmShape::new(192, 64, 192),
+            GemmShape::new(200, 64, 192),
+            GemmShape::new(192, 70, 200),
+            GemmShape::new(150, 40, 130),
+        ];
+        let mut compared = 0;
+        for (m, n) in [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)] {
+            for loop_order in [LoopOrder::KInnermost, LoopOrder::NInnermost] {
+                for matmul_order in [MatmulOrder::WeightPaired, MatmulOrder::Interleaved] {
+                    for scalar in 0..3 {
+                        let builder = KernelSchemeBuilder::new()
+                            .with_block(m, n)
+                            .with_loop_order(loop_order)
+                            .with_matmul_order(matmul_order);
+                        let builder = match scalar {
+                            0 => builder,
+                            1 => builder.with_scalar_ops_per_step(1),
+                            _ => builder.without_scalar_overhead(),
+                        };
+                        let kernel = builder.build().unwrap();
+                        let g = TraceGenerator::new(IsaConfig::amx_like(), kernel).unwrap();
+                        for shape in shapes {
+                            let (period, uniform_end) = g.uniform_blocks(shape).unwrap();
+                            assert_eq!(uniform_end % period, 0);
+                            for stride in [period, 2 * period, 3 * period] {
+                                let window = |lo: usize| -> Vec<Instruction> {
+                                    g.gemm_blocks(shape, "window", lo..lo + stride, usize::MAX)
+                                        .unwrap()
+                                        .flat_map(|segment| {
+                                            segment.unwrap().instructions().to_vec()
+                                        })
+                                        .map(strip)
+                                        .collect()
+                                };
+                                let first = window(0);
+                                let mut lo = stride;
+                                while lo + stride <= uniform_end {
+                                    assert_eq!(
+                                        window(lo),
+                                        first,
+                                        "kernel {kernel}, {shape:?}, stride {stride} at {lo}"
+                                    );
+                                    compared += 1;
+                                    lo += stride;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(compared > 1000, "only {compared} windows compared");
     }
 
     #[test]

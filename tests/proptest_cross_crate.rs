@@ -180,129 +180,6 @@ proptest! {
         );
     }
 
-    /// The speculative fork/join orchestrator reproduces the sequential
-    /// `CoreRun` statistics bit for bit across random segmentations (warm
-    /// length, stride, wave depth), and the forced-mispredict injection
-    /// hook proves the replay path restores bit-identity when every
-    /// speculative entry state is deliberately poisoned.
-    #[test]
-    fn speculative_run_matches_sequential_for_random_segmentations(
-        design in arb_design(),
-        total in 40usize..72,
-        warm in 8usize..14,
-        depth in 1usize..4,
-        stride in 1usize..3,
-        force in any::<bool>(),
-    ) {
-        use rasa::cpu::{CpuConfig, CpuCore, SpecDelta, SpeculativeRun, SpeculativeWorker};
-        use rasa::isa::{Instruction, IsaConfig, MemRef, ProgramBuilder, TileReg};
-        use rasa::systolic::MatrixEngine;
-
-        let treg = |i: u8| TileReg::new(i).unwrap();
-        // Uniform k-step blocks of the Algorithm-1 micro-kernel: the
-        // periodic workload shape the speculation probe is built for.
-        let mut b = ProgramBuilder::new(IsaConfig::amx_like());
-        let mut blocks: Vec<Vec<Instruction>> = Vec::new();
-        for k in 0..total {
-            if k == 0 {
-                for i in 0..4u8 {
-                    b.tile_load(treg(i), MemRef::tile(u64::from(i) * 0x400, 64));
-                }
-            }
-            let base = 0x10_000 + (k as u64) * 0x2000;
-            b.tile_load(treg(4), MemRef::tile(base, 64));
-            b.tile_load(treg(6), MemRef::tile(base + 0x400, 64));
-            b.matmul(treg(0), treg(6), treg(4));
-            b.tile_load(treg(7), MemRef::tile(base + 0x800, 64));
-            b.matmul(treg(1), treg(7), treg(4));
-            b.tile_load(treg(5), MemRef::tile(base + 0xc00, 64));
-            b.matmul(treg(2), treg(6), treg(5));
-            b.matmul(treg(3), treg(7), treg(5));
-            blocks.push(b.finish_segment().unwrap().instructions().to_vec());
-        }
-
-        let isa = IsaConfig::amx_like();
-        let core = || CpuCore::new(CpuConfig::skylake_like(), MatrixEngine::new(*design.systolic()));
-
-        let mut golden_core = core();
-        let mut run = golden_core.begin_run(&isa).unwrap();
-        for block in &blocks {
-            golden_core.feed_instructions(&mut run, block).unwrap();
-        }
-        let golden_cpu = golden_core.run_to_quiescence(run).unwrap();
-        let golden_sched = *golden_core.sched_stats();
-
-        let mut spec = SpeculativeRun::begin(core(), &isa).unwrap();
-        for block in &blocks[..warm] {
-            spec.feed_instructions(block).unwrap();
-        }
-        // Sliding probe for a confirmed periodic per-block delta; when the
-        // window misses (transient too long for this design), the run
-        // simply stays sequential and the bit-identity claim still holds.
-        let mut seed = spec.checkpoint();
-        let mut delta = None;
-        let mut next = warm;
-        for _ in 0..10 {
-            spec.feed_instructions(&blocks[next]).unwrap();
-            next += 1;
-            let cp = spec.checkpoint();
-            if let Some(candidate) = SpecDelta::between(&seed, &cp) {
-                if seed.shifted_matches(&candidate, &cp) {
-                    delta = Some(candidate);
-                    seed = cp;
-                    break;
-                }
-            }
-            seed = cp;
-        }
-        let confirmed = delta.is_some();
-        if let Some(delta) = delta {
-            spec.set_force_mispredict(force);
-            let block_delta = delta;
-            while next + depth * stride <= total {
-                // A stride of `stride` blocks is `stride` per-block deltas;
-                // worker j starts j strides ahead of the seed.
-                let mut workers: Vec<(usize, SpeculativeWorker)> = (0..depth)
-                    .map(|j| (next + j * stride, spec.fork(&seed, &block_delta, (j * stride) as u64)))
-                    .collect();
-                for (lo, worker) in &mut workers {
-                    for block in &blocks[*lo..*lo + stride] {
-                        worker.feed_instructions(block).unwrap();
-                    }
-                }
-                for (lo, worker) in workers {
-                    if !spec.try_commit(worker) {
-                        for block in &blocks[lo..lo + stride] {
-                            spec.feed_instructions(block).unwrap();
-                        }
-                    }
-                }
-                next += depth * stride;
-                seed = spec.checkpoint();
-            }
-        }
-        for block in &blocks[next..] {
-            spec.feed_instructions(block).unwrap();
-        }
-        let (cpu, sched, stream) = spec.finish().unwrap();
-        prop_assert_eq!(&cpu, &golden_cpu);
-        prop_assert_eq!(&sched, &golden_sched);
-        prop_assert_eq!(stream.spec_forks, stream.spec_commits + stream.spec_replays);
-        if confirmed {
-            // Enough blocks remain after the probe for at least one wave,
-            // so a confirmed delta guarantees the fork path was exercised.
-            prop_assert!(stream.spec_forks > 0);
-        }
-        if force {
-            // Every poisoned entry must be caught and replayed.
-            prop_assert_eq!(stream.spec_commits, 0);
-        } else {
-            // A confirmed periodic delta over a uniform stream commits
-            // every wave — the deterministic-commit-rate guarantee.
-            prop_assert_eq!(stream.spec_replays, 0);
-        }
-    }
-
     /// Two jobs that differ only in their kernel scheme must never alias —
     /// not in the runner's semantic cell key (the LRU memoization key) and
     /// not in the serving tier's shape key (the consistent-hash routing
@@ -459,4 +336,79 @@ proptest! {
             prop_assert!(rasa::numeric::max_abs_diff(&golden, &out) < 1e-4);
         }
     }
+}
+
+/// Steady-state fast-forward is exact: on random uncapped GEMMs (M and N
+/// need not be multiples of the register block), kernel schemes, designs
+/// and segment sizes, the fast-forwarded run's `CpuStats` and `SchedStats`
+/// equal both the sequential streamed run's and the materialized run's, bit
+/// for bit, and it counts every skipped instruction as fed. At least half
+/// of the drawn cases must actually fast-forward, so the property cannot
+/// hold vacuously.
+#[test]
+fn fast_forward_matches_sequential_and_materialized_runs() {
+    const CASES: usize = 64;
+    let mut rng = proptest::rng_for("fast_forward_matches_sequential_and_materialized_runs");
+    let mut engaged = 0;
+    for case in 0..CASES {
+        let design = arb_design().sample(&mut rng);
+        let shape = GemmShape::new(
+            (1usize..400).sample(&mut rng),
+            (1usize..130).sample(&mut rng),
+            (1usize..400).sample(&mut rng),
+        );
+        let (bm, bn) = [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)][(0usize..5).sample(&mut rng)];
+        let builder = KernelSchemeBuilder::new()
+            .with_block(bm, bn)
+            .with_loop_order(if any::<bool>().sample(&mut rng) {
+                LoopOrder::NInnermost
+            } else {
+                LoopOrder::KInnermost
+            })
+            .with_matmul_order(if any::<bool>().sample(&mut rng) {
+                MatmulOrder::Interleaved
+            } else {
+                MatmulOrder::WeightPaired
+            });
+        let kernel = match (0u8..3).sample(&mut rng) {
+            0 => builder,
+            1 => builder.with_scalar_ops_per_step(1),
+            _ => builder.without_scalar_overhead(),
+        }
+        .build()
+        .unwrap();
+        let segment_size = (8usize..128).sample(&mut rng);
+
+        let sim = Simulator::new(design)
+            .unwrap()
+            .with_kernel(kernel)
+            .unwrap()
+            .with_segment_size(segment_size)
+            .unwrap();
+        let what = format!(
+            "case {case}: {} on {shape:?}, kernel {kernel}, segment {segment_size}",
+            sim.design().name()
+        );
+        let fast = sim.run_gemm(shape).unwrap();
+        let sequential = sim.clone().with_speculation(false).run_gemm(shape).unwrap();
+        let materialized = sim.with_streaming(false).run_gemm(shape).unwrap();
+        assert_eq!(fast.cpu, sequential.cpu, "{what}");
+        assert_eq!(fast.sched, sequential.sched, "{what}");
+        assert_eq!(fast.cpu, materialized.cpu, "{what}");
+        assert_eq!(fast.sched, materialized.sched, "{what}");
+        assert_eq!(
+            fast.pipeline.fed_instructions, materialized.pipeline.fed_instructions,
+            "{what}"
+        );
+        assert_eq!(fast.pipeline.spec_commits, fast.pipeline.spec_forks);
+        assert_eq!(fast.pipeline.spec_replays, 0);
+        assert_eq!(sequential.pipeline.spec_forks, 0);
+        if fast.pipeline.spec_forks > 0 {
+            engaged += 1;
+        }
+    }
+    assert!(
+        engaged * 2 >= CASES,
+        "only {engaged} of {CASES} cases fast-forwarded"
+    );
 }
