@@ -40,8 +40,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let runner = ExperimentRunner::builder()
         .with_matmul_cap(options.matmul_cap)
         .with_parallel(options.parallel)
-        .with_streaming(options.stream)
-        .with_segment_size(options.segment_size)
         .with_speculation(options.speculation)
         .build()?;
     let space = if options.kernel_axes {

@@ -46,15 +46,15 @@ fn seconds(d: Duration) -> f64 {
     d.as_secs_f64()
 }
 
-/// Runs one Table I layer at full fidelity (no matmul cap) four ways —
-/// fast-forwarded streamed (skipping the periodic steady state), sequential
-/// streamed (event-driven core fed by the bounded-channel producer),
-/// materialized event-driven, and the cycle-stepping reference — asserts
-/// the architectural statistics are bit-identical across all of them (with
-/// a byte-identical JSON cross-check for the CI parity step), and reports
-/// the measured wall-clock speedups, segment counts, peak resident
-/// instructions and fast-forwarded strides. Returns the per-design timing
-/// rows for the machine-readable perf document.
+/// Runs one Table I layer at full fidelity (no matmul cap) three ways —
+/// the cycle-stepping reference core on a materialized trace, the
+/// event-driven core fed the trace segment by segment (sequential
+/// streamed), and the same with the periodic steady state fast-forwarded —
+/// asserts the architectural statistics are bit-identical across all of
+/// them (with a byte-identical CpuStats JSON cross-check for the CI parity
+/// step), and reports the measured wall-clock speedups, segment counts,
+/// peak resident instructions and fast-forwarded strides. Returns the
+/// per-design timing rows for the machine-readable perf document.
 fn timing_comparison(
     layer_name: &str,
     options: &rasa_bench::BinOptions,
@@ -66,104 +66,68 @@ fn timing_comparison(
         )
         .into());
     };
-    let stream = options.stream;
-    let speculation = stream && options.speculation;
     let mut rows = Vec::new();
     println!("== Event-driven core timing (full fidelity, {layer_name}) ==");
     for design in [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()] {
         let name = design.name().to_string();
-        let sim = Simulator::new(design)?
-            .with_matmul_cap(None)?
-            .with_segment_size(options.segment_size)?;
+        let sim = Simulator::new(design)?.with_matmul_cap(None)?;
 
         let start = Instant::now();
-        let materialized = sim.clone().with_streaming(false).run_layer(layer)?;
-        let materialized_seconds = seconds(start.elapsed());
+        let streamed = sim.clone().with_speculation(false).run_layer(layer)?;
+        let streamed_seconds = seconds(start.elapsed());
         let start = Instant::now();
         let reference = sim.run_layer_reference(layer)?;
         let reference_seconds = seconds(start.elapsed());
-        if materialized.cpu != reference.cpu {
+        if streamed.cpu != reference.cpu {
             return Err(format!(
                 "event-driven core diverged from the reference on {layer_name} / {name}"
             )
             .into());
         }
+        let streamed_json = streamed.cpu.to_json().to_string_pretty();
+        if streamed_json != reference.cpu.to_json().to_string_pretty() {
+            return Err(format!(
+                "streamed CpuStats JSON drifted from the reference document on {layer_name} / {name}"
+            )
+            .into());
+        }
         println!(
             "  {name:<14} {} rasa_mm, {} cycles: event-driven {:.3} s vs cycle-stepping {:.3} s = {:.2}x speedup",
-            materialized.simulated_matmuls,
-            materialized.core_cycles,
-            materialized_seconds,
+            streamed.simulated_matmuls,
+            streamed.core_cycles,
+            streamed_seconds,
             reference_seconds,
-            reference_seconds / materialized_seconds.max(1e-9),
+            reference_seconds / streamed_seconds.max(1e-9),
         );
         println!(
             "  {:<14} {} completion events, {} cycles visited, {} skipped ({:.1}% of the timeline)",
             "",
-            materialized.sched.completion_events,
-            materialized.sched.visited_cycles,
-            materialized.sched.skipped_cycles,
-            materialized.sched.skip_rate() * 100.0,
-        );
-
-        let mut row = vec![
-            ("design".to_string(), JsonValue::string(&name)),
-            (
-                "materialized_seconds".to_string(),
-                JsonValue::number_from_f64(materialized_seconds),
-            ),
-            (
-                "reference_seconds".to_string(),
-                JsonValue::number_from_f64(reference_seconds),
-            ),
-        ];
-
-        if !stream {
-            rows.push(JsonValue::Object(row));
-            continue;
-        }
-        // Streaming parity + overlap measurement: the sequential streamed
-        // pipeline must reproduce the materialized run's architectural
-        // *and* scheduler statistics bit for bit (byte-identical
-        // serialized form), while generating the trace concurrently with —
-        // and sharded ahead of — the simulation.
-        let start = Instant::now();
-        let streamed = sim.clone().with_speculation(false).run_layer(layer)?;
-        let streamed_seconds = seconds(start.elapsed());
-        if streamed.cpu != materialized.cpu || streamed.sched != materialized.sched {
-            return Err(format!(
-                "streamed pipeline diverged from the materialized path on {layer_name} / {name}"
-            )
-            .into());
-        }
-        let streamed_json = streamed.cpu.to_json().to_string_pretty();
-        let materialized_json = materialized.cpu.to_json().to_string_pretty();
-        if streamed_json != materialized_json {
-            return Err(format!(
-                "streamed CpuStats JSON drifted from the materialized document on {layer_name} / {name}"
-            )
-            .into());
-        }
-        println!(
-            "  {:<14} streamed {:.3} s vs materialized {:.3} s = {:.2}x overlap speedup",
-            "",
-            streamed_seconds,
-            materialized_seconds,
-            materialized_seconds / streamed_seconds.max(1e-9),
+            streamed.sched.completion_events,
+            streamed.sched.visited_cycles,
+            streamed.sched.skipped_cycles,
+            streamed.sched.skip_rate() * 100.0,
         );
         println!(
-            "  {:<14} {} segments, peak resident {} of {} instructions ({:.2}% of the materialized trace); CpuStats JSON byte-identical",
+            "  {:<14} {} segments, peak resident {} of {} instructions ({:.2}% of the trace); CpuStats JSON byte-identical",
             "",
             streamed.pipeline.segments,
             streamed.pipeline.peak_resident_instructions,
             streamed.pipeline.fed_instructions,
             streamed.pipeline.residency() * 100.0,
         );
-        row.push((
-            "streamed_seconds".to_string(),
-            JsonValue::number_from_f64(streamed_seconds),
-        ));
+        let mut row = vec![
+            ("design".to_string(), JsonValue::string(&name)),
+            (
+                "reference_seconds".to_string(),
+                JsonValue::number_from_f64(reference_seconds),
+            ),
+            (
+                "streamed_seconds".to_string(),
+                JsonValue::number_from_f64(streamed_seconds),
+            ),
+        ];
 
-        if !speculation {
+        if !options.speculation {
             rows.push(JsonValue::Object(row));
             continue;
         }
@@ -226,12 +190,10 @@ fn timing_comparison(
         ]);
         rows.push(JsonValue::Object(row));
     }
-    if speculation {
-        println!("  statistics bit-identical across all cores, pipelines and the fast-forward");
-    } else if stream {
-        println!("  statistics bit-identical across all cores and pipelines (fast-forward off)");
+    if options.speculation {
+        println!("  statistics bit-identical across the reference core, the streamed core and the fast-forward");
     } else {
-        println!("  statistics bit-identical across both cores (streamed pipeline not compared: --no-stream)");
+        println!("  statistics bit-identical across the reference core and the streamed core (fast-forward off)");
     }
     Ok(rows)
 }
@@ -345,11 +307,6 @@ fn results_document(
                 (
                     "fig7_max_batch".into(),
                     JsonValue::number_from_usize(options.fig7_max_batch),
-                ),
-                ("stream".into(), JsonValue::Bool(options.stream)),
-                (
-                    "segment_size".into(),
-                    JsonValue::number_from_usize(options.segment_size),
                 ),
                 ("speculation".into(), JsonValue::Bool(options.speculation)),
                 (
@@ -474,15 +431,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max()
         .unwrap_or(0);
     println!(
-        "trace pipeline: {} across {} cells ({} segments of ~{} instructions, peak resident {} of a largest trace of {})",
-        if suite.runner().is_streaming() {
-            "streamed"
-        } else {
-            "materialized"
-        },
+        "trace pipeline: streamed across {} cells ({} segments of ~{} instructions, peak resident {} of a largest trace of {})",
         results.fig5.runs.len() * results.fig5.designs.len(),
         segments,
-        suite.runner().segment_size(),
+        rasa_sim::DEFAULT_SEGMENT_SIZE,
         peak,
         fed,
     );
@@ -548,8 +500,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let serial_suite = ExperimentSuite::builder()
         .with_matmul_cap(options.matmul_cap)
         .with_fig7_max_batch(options.fig7_max_batch)
-        .with_streaming(options.stream)
-        .with_segment_size(options.segment_size)
         .with_speculation(options.speculation)
         .with_layer_filter(options.layers)
         .serial()

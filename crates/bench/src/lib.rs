@@ -92,12 +92,7 @@ pub struct BinOptions {
     /// For `run_all`: skip the timing comparison (repeat sweeps that do
     /// not need the full-fidelity reference re-run).
     pub no_timing: bool,
-    /// Run cells through the streaming trace→simulate pipeline (default) or
-    /// the materialized path (`--no-stream`, the A/B escape hatch).
-    pub stream: bool,
-    /// Target streamed-segment size in instructions (`--segment-size`).
-    pub segment_size: usize,
-    /// Let streamed cells fast-forward through their periodic steady state
+    /// Let cells fast-forward through their periodic steady state
     /// (`--speculation on`, the default) or feed every stride
     /// (`--speculation off`). Simulated statistics are bit-identical
     /// either way.
@@ -181,8 +176,6 @@ impl Default for BinOptions {
             timing_layer: "ResNet50-2".to_string(),
             timing_only: false,
             no_timing: false,
-            stream: true,
-            segment_size: rasa_sim::DEFAULT_SEGMENT_SIZE,
             speculation: true,
             bench_path: None,
             layers: None,
@@ -211,9 +204,8 @@ impl BinOptions {
     /// Parses the binaries' tiny CLI: `--cap N`, `--full` (no cap),
     /// `--max-batch N`, `--serial` (single-threaded execution),
     /// `--no-serial-check` (skip `run_all`'s serial cross-check),
-    /// `--json PATH` (write the JSON results document), the streaming
-    /// pipeline knobs `--no-stream` (materialized A/B path),
-    /// `--segment-size N`, `--speculation on|off` and
+    /// `--json PATH` (write the JSON results document),
+    /// `--speculation on|off` (steady-state fast-forward) and
     /// `--layers FILTER` (comma-separated
     /// substrings or 1-based Table I indices), `--bench PATH` (write the
     /// machine-readable perf document), the `run_all` knobs
@@ -296,12 +288,6 @@ impl BinOptions {
                     _ => {}
                 },
                 "--warm-start" => options.warm_start_path = args.next(),
-                "--no-stream" => options.stream = false,
-                "--segment-size" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.segment_size = value;
-                    }
-                }
                 "--speculation" => match args.next().as_deref() {
                     Some("on") => options.speculation = true,
                     Some("off") => options.speculation = false,
@@ -446,8 +432,6 @@ impl BinOptions {
             .with_matmul_cap(self.matmul_cap)
             .with_fig7_max_batch(self.fig7_max_batch)
             .with_parallel(self.parallel)
-            .with_streaming(self.stream)
-            .with_segment_size(self.segment_size)
             .with_speculation(self.speculation)
             .with_layer_filter(self.layers.clone())
             .build()
@@ -472,7 +456,7 @@ pub struct FlagSpec {
 }
 
 /// The binaries that run an [`ExperimentSuite`] and therefore honour the
-/// shared simulation flags (`--cap`, `--serial`, the streaming knobs…).
+/// shared simulation flags (`--cap`, `--serial`, `--speculation`…).
 pub const SUITE_BINARIES: &[&str] = &[
     "fig1_toy",
     "fig2_utilization",
@@ -505,18 +489,6 @@ pub const FLAGS: &[FlagSpec] = &[
         flag: "--serial",
         value: "",
         description: "run the experiment matrix single-threaded",
-        binaries: SUITE_BINARIES,
-    },
-    FlagSpec {
-        flag: "--no-stream",
-        value: "",
-        description: "use the materialized trace path instead of streaming",
-        binaries: SUITE_BINARIES,
-    },
-    FlagSpec {
-        flag: "--segment-size",
-        value: "N",
-        description: "target streamed-segment size in instructions",
         binaries: SUITE_BINARIES,
     },
     FlagSpec {
@@ -951,24 +923,15 @@ mod tests {
 
     #[test]
     fn parse_streaming_flags() {
+        // The streamed path's knobs: fast-forward and the layer filter.
         let o = BinOptions::parse(std::iter::empty());
-        assert!(o.stream, "streaming is the default");
-        assert_eq!(o.segment_size, rasa_sim::DEFAULT_SEGMENT_SIZE);
         assert_eq!(o.layers, None);
-        let args = [
-            "--no-stream",
-            "--segment-size",
-            "4096",
-            "--layers",
-            "DLRM,9",
-        ];
+        assert!(o.suite().unwrap().runner().is_speculative());
+        let args = ["--speculation", "off", "--layers", "DLRM,9"];
         let o = BinOptions::parse(args.iter().map(ToString::to_string));
-        assert!(!o.stream);
-        assert_eq!(o.segment_size, 4096);
         assert_eq!(o.layers.as_deref(), Some("DLRM,9"));
         let s = o.suite().unwrap();
-        assert!(!s.runner().is_streaming());
-        assert_eq!(s.runner().segment_size(), 4096);
+        assert!(!s.runner().is_speculative());
         assert_eq!(s.layers().len(), 4);
     }
 

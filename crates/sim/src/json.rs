@@ -277,6 +277,7 @@ impl JsonValue {
         let mut parser = Parser {
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
@@ -326,9 +327,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a bound an untrusted frame of
+/// `[[[…` could overflow the stack; the documents this crate writes nest
+/// a handful of levels deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -373,11 +382,29 @@ impl Parser<'_> {
             Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(b'[') => self.nested(Self::parse_array),
+            Some(b'{') => self.nested(Self::parse_object),
             Some(b'-' | b'0'..=b'9') => self.parse_number(),
             _ => Err(JsonError::parse("expected a JSON value", self.pos)),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::parse(
+                format!("nesting deeper than {MAX_DEPTH} levels"),
+                self.pos,
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
@@ -1407,6 +1434,23 @@ mod tests {
         assert!(decode.to_string().contains("decode"));
         let sim: SimError = decode.into();
         assert!(matches!(sim, SimError::Json { .. }));
+    }
+
+    #[test]
+    fn nesting_past_the_depth_cap_is_a_parse_error() {
+        // Unbounded recursion would overflow the stack long before these
+        // inputs end; the cap turns them into ordinary parse errors.
+        for open in ["[", "{\"a\":"] {
+            let text = open.repeat(100_000);
+            let err = JsonValue::parse(&text).expect_err(open);
+            assert_eq!(err.offset, Some(MAX_DEPTH * open.len()), "{open}: {err}");
+            assert!(err.message.contains("nesting"), "{err}");
+        }
+        // Exactly the cap still parses.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&deepest).is_ok());
+        let too_deep = format!("[{deepest}]");
+        assert!(JsonValue::parse(&too_deep).is_err());
     }
 
     #[test]

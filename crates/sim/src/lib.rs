@@ -71,6 +71,6 @@ pub use serve::{
 };
 pub use simulator::Simulator;
 
-/// Default target size (in instructions) of a streamed trace segment
-/// (re-exported from `rasa-trace` for configuration plumbing).
+/// Target size (in instructions) of a streamed trace segment, unless the
+/// kernel scheme pins its own (re-exported from `rasa-trace`).
 pub use rasa_trace::DEFAULT_SEGMENT_SIZE;

@@ -162,9 +162,12 @@ impl NetClient {
                     message: failure.message,
                 })
             }
-            FrameKind::Request | FrameKind::Health => Err(NetError::Protocol {
-                reason: format!("peer answered a request with a {kind:?} frame"),
-            }),
+            FrameKind::Request | FrameKind::Health => {
+                self.conn = None;
+                Err(NetError::Protocol {
+                    reason: format!("peer answered a request with a {kind:?} frame"),
+                })
+            }
         }
     }
 
@@ -183,9 +186,13 @@ impl NetClient {
         self.decode_buf = reply.into_payload();
         match kind {
             FrameKind::Health => json,
-            other => Err(NetError::Protocol {
-                reason: format!("peer answered a probe with a {other:?} frame"),
-            }),
+            other => {
+                // As for an id mismatch: never reuse a suspect stream.
+                self.conn = None;
+                Err(NetError::Protocol {
+                    reason: format!("peer answered a probe with a {other:?} frame"),
+                })
+            }
         }
     }
 
@@ -383,6 +390,39 @@ mod tests {
         assert_eq!(client.stats().retries, 0, "unknown design is not retried");
         assert_eq!(client.stats().failed, 1);
         shard.shutdown();
+    }
+
+    #[test]
+    fn wrong_kind_replies_drop_the_connection() {
+        // A rogue peer answering every frame with a Request frame: wrong
+        // for a request and for a probe alike.
+        let rogue = crate::net::event_loop::EventLoop::bind(
+            "127.0.0.1:0",
+            "rogue",
+            std::sync::Arc::new(|_: &Frame| Frame {
+                kind: FrameKind::Request,
+                payload: b"{}".to_vec(),
+            }),
+            false,
+        )
+        .unwrap();
+        let mut client = NetClient::new(vec![rogue.local_addr().to_string()]);
+        let request = WireRequest::new(5, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+        for connects in 1..=2 {
+            let err = client.request(&request).unwrap_err();
+            assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+            assert_eq!(client.stats().connects, connects, "each request redials");
+        }
+        let err = client.health().unwrap_err();
+        assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+        assert_eq!(client.stats().connects, 3);
+        client.health().unwrap_err();
+        assert_eq!(client.stats().connects, 4, "the probe redials too");
+        assert_eq!(
+            client.stats().retries,
+            0,
+            "protocol violations are not retried"
+        );
     }
 
     #[test]

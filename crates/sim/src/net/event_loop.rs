@@ -1,6 +1,7 @@
-//! The readiness-based transport behind [`FrameListener`]: one event-loop
-//! thread multiplexing every connection over non-blocking sockets, plus a
-//! small worker pool running the frame handler.
+//! The frame-server front end shared by [`ShardServer`] and [`Router`]:
+//! one event-loop thread multiplexing every connection over non-blocking
+//! sockets, plus a small worker pool answering each inbound frame through
+//! a [`FrameHandler`].
 //!
 //! On Linux the loop blocks in `epoll_wait` (via the hand-rolled bindings
 //! in [`crate::net::sys`]); elsewhere it falls back to a portable
@@ -8,8 +9,8 @@
 //! socket. Both paths share all connection logic:
 //!
 //! - Each connection owns a [`FrameDecoder`], so partial header or payload
-//!   bytes survive across readiness events — the mid-frame desync of the
-//!   old blocking reader is impossible by construction.
+//!   bytes survive across readiness events — a slow writer straddling a
+//!   poll timeout mid-frame cannot desync the framing.
 //! - Replies accumulate in a per-connection write buffer and drain as the
 //!   socket accepts them; the buffer is bounded, and a connection that
 //!   backlogs past the bound (or pipelines more than [`PENDING_LIMIT`]
@@ -23,11 +24,11 @@
 //! The loop never blocks on a socket and workers never touch sockets, so
 //! one slow or dead peer cannot stall any other connection.
 //!
-//! [`FrameListener`]: crate::net::listener::FrameListener
+//! [`ShardServer`]: crate::net::ShardServer
+//! [`Router`]: crate::net::Router
 //! [`FrameDecoder`]: crate::net::wire::FrameDecoder
 
 use crate::json::ToJson;
-use crate::net::listener::FrameHandler;
 use crate::net::wire::{ErrorCode, Frame, FrameDecoder, FrameKind, WireFailure, MAX_FRAME_LEN};
 use crate::net::NetError;
 use crate::prof::{self, Stage};
@@ -83,16 +84,12 @@ const fn token(index: usize, generation: u32) -> u64 {
     ((generation as u64) << 32) | (index as u64)
 }
 
-/// Number of handler worker threads: `RASA_NET_WORKERS` when set, else
-/// twice the available parallelism clamped to [8, 32].
+/// The frame→frame request handler a server plugs into the loop.
+pub(crate) type FrameHandler = Arc<dyn Fn(&Frame) -> Frame + Send + Sync>;
+
+/// Number of handler worker threads: twice the available parallelism
+/// clamped to [8, 32].
 fn worker_count() -> usize {
-    if let Ok(value) = std::env::var("RASA_NET_WORKERS") {
-        if let Ok(n) = value.parse::<usize>() {
-            if n > 0 {
-                return n.min(256);
-            }
-        }
-    }
     thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32))
 }
 
@@ -415,14 +412,15 @@ impl EventLoop {
     }
 
     /// How many connections the loop currently holds open. (Read by the
-    /// listener facade's tests; production callers observe connection
-    /// counts from the client side.)
+    /// tests; production callers observe connection counts from the
+    /// client side.)
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn open_connections(&self) -> usize {
         self.open_connections.load(Ordering::SeqCst)
     }
 
-    /// Stops the loop and joins every thread. Idempotent.
+    /// Stops the loop and joins every thread. Idempotent; dropping the
+    /// loop calls it too.
     pub(crate) fn stop_and_join(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.waker.wake();
@@ -792,6 +790,138 @@ impl LoopState {
             }
             self.read_burst(index);
             self.flush_and_settle(index);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// An echo handler: answers every frame with the same payload as a
+    /// Response frame.
+    fn echo_handler() -> FrameHandler {
+        Arc::new(|frame: &Frame| Frame {
+            kind: FrameKind::Response,
+            payload: frame.payload.clone(),
+        })
+    }
+
+    fn request_frame(text: &str) -> Frame {
+        Frame {
+            kind: FrameKind::Request,
+            payload: text.as_bytes().to_vec(),
+        }
+    }
+
+    /// Both pollers: epoll (where available) and the forced portable
+    /// fallback, the only transport off Linux.
+    const FORCE_FALLBACK: [bool; 2] = [false, true];
+
+    #[test]
+    fn every_transport_answers_framed_requests() {
+        for fallback in FORCE_FALLBACK {
+            let mut server =
+                EventLoop::bind("127.0.0.1:0", "test-echo", echo_handler(), fallback).unwrap();
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            for i in 0..3 {
+                let frame = request_frame(&format!("{{\"seq\":{i}}}"));
+                frame.write_to(&mut stream).unwrap();
+                let reply = Frame::read_from(&mut stream).unwrap();
+                assert_eq!(reply.kind, FrameKind::Response, "fallback {fallback}");
+                assert_eq!(reply.payload, frame.payload, "fallback {fallback}");
+            }
+            drop(stream);
+            server.stop_and_join();
+        }
+    }
+
+    /// The mid-frame desync regression: one frame written a byte at a time
+    /// with gaps well past the 50 ms epoll timeout, placed to straddle the
+    /// length prefix, the kind byte and the payload. The decoder keeps
+    /// every partial byte across wakeups, so the reply is correct and the
+    /// connection stays in sync.
+    #[test]
+    fn slow_writers_straddling_poll_timeouts_do_not_desync() {
+        for fallback in FORCE_FALLBACK {
+            let mut server =
+                EventLoop::bind("127.0.0.1:0", "test-slow", echo_handler(), fallback).unwrap();
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            let frame = request_frame("{\"slow\":true}");
+            let bytes = frame.encode();
+            // Gaps after the 2nd byte (mid length prefix), the 5th byte
+            // (between version and kind) and the 8th byte (mid payload):
+            // every gap exceeds the poll timeout.
+            for (at, byte) in bytes.iter().enumerate() {
+                stream.write_all(std::slice::from_ref(byte)).unwrap();
+                stream.flush().unwrap();
+                if matches!(at, 1 | 4 | 7) {
+                    std::thread::sleep(Duration::from_millis(70));
+                }
+            }
+            let reply = Frame::read_from(&mut stream).unwrap();
+            assert_eq!(reply.kind, FrameKind::Response, "fallback {fallback}");
+            assert_eq!(reply.payload, frame.payload, "fallback {fallback}");
+            // The connection is still usable afterwards — framing stayed
+            // in sync.
+            let follow_up = request_frame("{\"after\":1}");
+            follow_up.write_to(&mut stream).unwrap();
+            let reply = Frame::read_from(&mut stream).unwrap();
+            assert_eq!(reply.payload, follow_up.payload, "fallback {fallback}");
+            drop(stream);
+            server.stop_and_join();
+        }
+    }
+
+    /// A corrupt frame gets an error-frame answer, then the connection is
+    /// closed.
+    #[test]
+    fn event_loop_answers_corrupt_frames_then_closes() {
+        for fallback in FORCE_FALLBACK {
+            let mut server =
+                EventLoop::bind("127.0.0.1:0", "test-corrupt", echo_handler(), fallback).unwrap();
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            // A frame with a bad version byte.
+            let mut bytes = request_frame("{}").encode();
+            bytes[4] = 9;
+            stream.write_all(&bytes).unwrap();
+            let reply = Frame::read_from(&mut stream).unwrap();
+            assert_eq!(reply.kind, FrameKind::Error, "fallback {fallback}");
+            // ... then EOF: the server closed the connection.
+            let mut rest = Vec::new();
+            stream.read_to_end(&mut rest).unwrap();
+            assert!(rest.is_empty(), "fallback {fallback}");
+            server.stop_and_join();
+        }
+    }
+
+    /// The event loop serves many concurrent connections from one thread;
+    /// open_connections tracks the population and returns to zero.
+    #[test]
+    fn event_loop_counts_open_connections() {
+        for fallback in FORCE_FALLBACK {
+            let mut server =
+                EventLoop::bind("127.0.0.1:0", "test-count", echo_handler(), fallback).unwrap();
+            let mut streams = Vec::new();
+            for _ in 0..20 {
+                streams.push(TcpStream::connect(server.local_addr()).unwrap());
+            }
+            // Drive one request over each to prove they are all registered.
+            for (i, stream) in streams.iter_mut().enumerate() {
+                let frame = request_frame(&format!("{{\"conn\":{i}}}"));
+                frame.write_to(stream).unwrap();
+                let reply = Frame::read_from(stream).unwrap();
+                assert_eq!(reply.payload, frame.payload, "fallback {fallback}");
+            }
+            assert_eq!(server.open_connections(), 20, "fallback {fallback}");
+            drop(streams);
+            // The loop notices the EOFs within a few poll intervals.
+            let deadline = std::time::Instant::now() + Duration::from_secs(5);
+            while server.open_connections() > 0 && std::time::Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            assert_eq!(server.open_connections(), 0, "fallback {fallback}");
+            server.stop_and_join();
         }
     }
 }

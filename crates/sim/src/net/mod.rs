@@ -10,25 +10,22 @@
 //!   semantic shape key to a shard, so repeated shapes always land where
 //!   the LRU cell cache is already warm.
 //! - [`shard`] — [`ShardServer`]: one TCP worker wrapping a `GemmServer`
-//!   behind the shared frame-server front end.
+//!   behind the shared event-loop frame server.
 //! - [`router`] — [`Router`]: consistent-hash routing across N shards with
 //!   per-shard bounded in-flight windows (the PR 3 admission-control
 //!   semantics, applied per backend) and dead-shard failover.
 //! - [`client`] — [`NetClient`]: a blocking client library with bounded
 //!   retry/backoff and endpoint rotation.
 //!
-//! Servers run on a **readiness-based event loop** by default: one thread
-//! multiplexes every connection over non-blocking sockets (a hand-rolled
-//! epoll binding on Linux, a portable level-triggered poll fallback
-//! elsewhere), each connection carrying an incremental
-//! [`wire::FrameDecoder`] so partial frames survive across readiness
-//! events, with complete frames dispatched to a worker pool. The legacy
-//! blocking thread-per-connection transport remains available via
-//! `RASA_NET_TRANSPORT=blocking`. There is still no async runtime and no
-//! new dependency — the crate keeps its zero-dependency stance. Responses
-//! carry full [`SimReport`](crate::SimReport)s whose JSON is
-//! byte-identical to what the same job produces in process
-//! (`tests/net_wire.rs` proves it), on every transport.
+//! Servers run on a **readiness-based event loop**: one thread multiplexes
+//! every connection over non-blocking sockets (a hand-rolled epoll binding
+//! on Linux, a portable level-triggered poll fallback elsewhere), each
+//! connection carrying an incremental [`wire::FrameDecoder`] so partial
+//! frames survive across readiness events, with complete frames dispatched
+//! to a worker pool. There is no async runtime and no new dependency — the
+//! crate keeps its zero-dependency stance. Responses carry full
+//! [`SimReport`](crate::SimReport)s whose JSON is byte-identical to what
+//! the same job produces in process (`tests/net_wire.rs` proves it).
 //!
 //! See `docs/ARCHITECTURE.md` for where this tier sits in the crate map
 //! (including the transport section: event loop, buffer lifecycle,
@@ -38,7 +35,6 @@
 pub mod client;
 mod event_loop;
 pub mod hash;
-mod listener;
 pub mod router;
 pub mod shard;
 mod sys;

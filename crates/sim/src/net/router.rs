@@ -33,8 +33,8 @@
 use crate::cache::LruCache;
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
 use crate::key::CellKey;
+use crate::net::event_loop::EventLoop;
 use crate::net::hash::HashRing;
-use crate::net::listener::FrameListener;
 use crate::net::wire::{
     ErrorCode, Frame, FrameKind, HealthStatus, WireFailure, WireRequest, WireResponse,
 };
@@ -352,6 +352,12 @@ impl Backend {
         Ok(reply)
     }
 
+    /// Drops every pooled connection. After a protocol violation the
+    /// stream that carried it is desynced, and it already sits in the pool.
+    fn clear_pool(&self) {
+        self.pool.lock().expect("router pool lock").clear();
+    }
+
     /// Returns a parsed reply's payload buffer to the scratch pool.
     fn reclaim(&self, reply: Frame) {
         self.scratch
@@ -386,7 +392,7 @@ struct RouterCore {
 /// A consistent-hashing request router over N shard backends.
 pub struct Router {
     core: Arc<RouterCore>,
-    listener: Option<FrameListener>,
+    server: Option<EventLoop>,
 }
 
 impl std::fmt::Debug for Router {
@@ -447,7 +453,7 @@ impl Router {
                 result_cache: (config_cache_capacity > 0)
                     .then(|| Mutex::new(LruCache::new(config_cache_capacity))),
             }),
-            listener: None,
+            server: None,
         })
     }
 
@@ -465,20 +471,21 @@ impl Router {
     ) -> Result<Router, SimError> {
         let mut router = Router::new(shard_addrs, config)?;
         let core = Arc::clone(&router.core);
-        let listener = FrameListener::bind(
+        let server = EventLoop::bind(
             addr,
             "rasa-router",
             Arc::new(move |frame| answer(frame, &core)),
+            false,
         )
         .map_err(SimError::from)?;
-        router.listener = Some(listener);
+        router.server = Some(server);
         Ok(router)
     }
 
     /// The frame server's bound address. `None` for an in-process router.
     #[must_use]
     pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.listener.as_ref().map(FrameListener::local_addr)
+        self.server.as_ref().map(EventLoop::local_addr)
     }
 
     /// Routes one request to its shard (with failover) and returns the
@@ -532,8 +539,8 @@ impl Router {
     /// Stops the frame server, if one was bound (the explicit form of
     /// drop). An in-process router has nothing to stop.
     pub fn shutdown(mut self) {
-        if let Some(mut listener) = self.listener.take() {
-            listener.stop_and_join();
+        if let Some(mut server) = self.server.take() {
+            server.stop_and_join();
         }
     }
 }
@@ -581,16 +588,12 @@ impl RouterCore {
                         Ok(response) => response,
                         Err(error) => {
                             // A protocol violation (wrong frame kind, id
-                            // mismatch, unparseable payload) means the
-                            // pooled stream is desynced: whatever bytes
-                            // follow belong to the reply we failed to
-                            // understand. Exchange already returned the
-                            // connection to the pool, so drop every pooled
-                            // stream for this backend before surfacing the
-                            // error — a desynced stream must not serve the
-                            // next request.
+                            // mismatch) means the pooled stream is
+                            // desynced: whatever bytes follow belong to the
+                            // reply we failed to understand. It must not
+                            // serve the next request.
                             if matches!(error, NetError::Protocol { .. }) {
-                                backend.pool.lock().expect("router pool lock").clear();
+                                backend.clear_pool();
                             }
                             return Err(error);
                         }
@@ -608,7 +611,7 @@ impl RouterCore {
                     if backend.alive.swap(false, Ordering::SeqCst) {
                         self.counters.dead_marked.fetch_add(1, Ordering::SeqCst);
                     }
-                    backend.pool.lock().expect("router pool lock").clear();
+                    backend.clear_pool();
                     last_io = Some(NetError::Io {
                         kind: std::io::ErrorKind::Other,
                         reason: format!("shard {shard} ({}) failed", backend.addr),
@@ -718,10 +721,16 @@ impl RouterCore {
             if backend.alive.load(Ordering::SeqCst) {
                 continue;
             }
-            if backend.exchange(&Frame::health_probe()).is_ok() {
-                backend.alive.store(true, Ordering::SeqCst);
-                self.counters.revived.fetch_add(1, Ordering::SeqCst);
-                revived.push(backend.shard);
+            // Only a Health reply proves a shard is back; any other kind
+            // is a protocol violation from whatever now holds the address.
+            match backend.exchange(&Frame::health_probe()) {
+                Ok(reply) if reply.kind == FrameKind::Health => {
+                    backend.alive.store(true, Ordering::SeqCst);
+                    self.counters.revived.fetch_add(1, Ordering::SeqCst);
+                    revived.push(backend.shard);
+                }
+                Ok(_) => backend.clear_pool(),
+                Err(_) => {}
             }
         }
         revived
@@ -772,6 +781,7 @@ impl RouterCore {
                         self.counters.dead_marked.fetch_add(1, Ordering::SeqCst);
                     }
                 }
+                Err(NetError::Protocol { .. }) => backend.clear_pool(),
                 Err(_) => {}
             }
         }
@@ -906,10 +916,11 @@ mod tests {
         // A rogue shard that echoes every frame back verbatim: answering
         // a request with a Request frame is a protocol violation, and the
         // stream that produced it is desynced by definition.
-        let rogue = FrameListener::bind(
+        let rogue = EventLoop::bind(
             "127.0.0.1:0",
             "rogue",
             Arc::new(|frame: &Frame| frame.clone()),
+            false,
         )
         .unwrap();
         let addrs = vec![rogue.local_addr().to_string()];
@@ -926,6 +937,39 @@ mod tests {
                 .is_empty(),
             "a desynced stream must not be returned to the pool"
         );
+    }
+
+    #[test]
+    fn wrong_kind_probe_replies_neither_pool_nor_revive() {
+        // A rogue peer answering every frame — probes included — with a
+        // Request frame.
+        let rogue = EventLoop::bind(
+            "127.0.0.1:0",
+            "rogue",
+            Arc::new(|_: &Frame| Frame {
+                kind: FrameKind::Request,
+                payload: b"{}".to_vec(),
+            }),
+            false,
+        )
+        .unwrap();
+        let addrs = vec![rogue.local_addr().to_string()];
+        let router = Router::new(&addrs, router_config()).unwrap();
+        let backend = &router.core.backends[0];
+        let pooled = || backend.pool.lock().expect("router pool lock").len();
+
+        // A health aggregate skips the rogue and drops its connection.
+        let health = router.health();
+        assert!(health.shards.is_empty());
+        assert_eq!(pooled(), 0, "a wrong-kind probe reply must clear the pool");
+
+        // Marked dead (as a transport failure would), the rogue now holds
+        // the shard's address: its reply is no proof of a revived shard.
+        backend.alive.store(false, Ordering::SeqCst);
+        assert!(router.revive_dead().is_empty());
+        assert!(!backend.alive.load(Ordering::SeqCst));
+        assert_eq!(router.stats().revived, 0);
+        assert_eq!(pooled(), 0);
     }
 
     #[test]

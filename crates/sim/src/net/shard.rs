@@ -1,7 +1,9 @@
-//! One TCP shard worker: a [`GemmServer`] behind a blocking accept loop.
+//! One TCP shard worker: a [`GemmServer`] behind the event-loop frame
+//! server.
 //!
-//! A [`ShardServer`] binds a listener, answers every connection on its own
-//! thread, and translates wire frames to [`GemmServer::submit`] calls. It
+//! A [`ShardServer`] binds a listener, multiplexes every connection on one
+//! event-loop thread, and translates wire frames to [`GemmServer::submit`]
+//! calls on the loop's worker pool. It
 //! inherits the server's whole serving stack unchanged — per-design worker
 //! pools, shape coalescing, admission control, the bounded LRU cell cache
 //! — which is what makes a shard "warm": the router keeps sending the same
@@ -10,7 +12,7 @@
 //! The `rasa-shardd` binary is a thin wrapper over this type.
 
 use crate::json::{FromJson, ToJson};
-use crate::net::listener::FrameListener;
+use crate::net::event_loop::EventLoop;
 use crate::net::wire::{
     ErrorCode, Frame, FrameKind, HealthStatus, WireFailure, WireRequest, WireResponse,
 };
@@ -39,11 +41,11 @@ struct ShardShared {
 }
 
 /// A running TCP shard worker. Dropping it (or calling
-/// [`shutdown`](ShardServer::shutdown)) stops the accept loop, joins every
-/// connection handler and shuts the wrapped server down.
+/// [`shutdown`](ShardServer::shutdown)) stops the event loop, joins its
+/// threads and shuts the wrapped server down.
 pub struct ShardServer {
     shared: Arc<ShardShared>,
-    listener: FrameListener,
+    server: EventLoop,
 }
 
 impl std::fmt::Debug for ShardServer {
@@ -75,22 +77,23 @@ impl ShardServer {
             served: AtomicU64::new(0),
         });
         let handler_shared = Arc::clone(&shared);
-        let listener = FrameListener::bind(
+        let server = EventLoop::bind(
             addr,
             &format!("rasa-shard-{}", config.shard_id),
             Arc::new(move |frame| {
                 handler_shared.served.fetch_add(1, Ordering::SeqCst);
                 answer(frame, &handler_shared)
             }),
+            false,
         )
         .map_err(SimError::from)?;
-        Ok(ShardServer { shared, listener })
+        Ok(ShardServer { shared, server })
     }
 
     /// The bound address (with the resolved port when binding port 0).
     #[must_use]
     pub fn local_addr(&self) -> SocketAddr {
-        self.listener.local_addr()
+        self.server.local_addr()
     }
 
     /// This shard's id.
@@ -106,10 +109,10 @@ impl ShardServer {
         self.shared.health()
     }
 
-    /// Stops accepting, joins every connection handler and shuts the
+    /// Stops accepting, joins the event loop's threads and shuts the
     /// wrapped server down (the explicit form of drop).
     pub fn shutdown(mut self) {
-        self.listener.stop_and_join();
+        self.server.stop_and_join();
     }
 }
 
@@ -274,6 +277,28 @@ mod tests {
         let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
         assert_eq!(failure.code, ErrorCode::BadRequest);
 
+        shard.shutdown();
+    }
+
+    #[test]
+    fn deeply_nested_frames_are_bad_requests_not_aborts() {
+        // Before the parser had a depth cap, this frame overflowed a
+        // worker's stack and aborted the whole process.
+        let designs = vec![DesignPoint::baseline()];
+        let shard = ShardServer::bind("127.0.0.1:0", tiny_config(), &designs).unwrap();
+        let mut conn = TcpStream::connect(shard.local_addr()).unwrap();
+        let nested = Frame {
+            kind: FrameKind::Request,
+            payload: vec![b'['; 10_000],
+        };
+        let reply = request_over(&mut conn, &nested);
+        assert_eq!(reply.kind, FrameKind::Error);
+        let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+        assert_eq!(failure.code, ErrorCode::BadRequest);
+        assert!(failure.message.contains("nesting"), "{}", failure.message);
+        // The shard is still up and the connection still in sync.
+        let reply = request_over(&mut conn, &Frame::health_probe());
+        assert_eq!(reply.kind, FrameKind::Health);
         shard.shutdown();
     }
 

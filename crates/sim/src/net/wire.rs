@@ -351,13 +351,11 @@ fn write_all_vectored(
 /// [`Frame::read_from_pooled`].
 ///
 /// A connection owns one decoder for its whole lifetime and feeds it
-/// whatever bytes the transport produces — a readiness event's read burst,
-/// or a blocking read that may time out mid-frame. Partial header or
-/// payload bytes **survive across calls**, which eliminates the classic
-/// blocking-reader desync by construction: a poll timeout that lands
-/// after part of a length prefix has been consumed resumes exactly where
-/// it stopped instead of silently discarding the prefix and re-parsing
-/// payload bytes as a header.
+/// whatever bytes each readiness event's read burst produces. Partial
+/// header or payload bytes **survive across calls**, which rules out the
+/// classic framing desync by construction: a burst that ends after part of
+/// a length prefix resumes exactly where it stopped instead of discarding
+/// the prefix and re-parsing payload bytes as a header.
 ///
 /// The decoder enforces the same validation as the one-shot parser — the
 /// [`MAX_FRAME_LEN`] guard runs when the 6-byte header completes, *before*
@@ -443,52 +441,6 @@ impl FrameDecoder {
         Ok((consumed, None))
     }
 
-    /// One resumable read step for blocking transports: issues a single
-    /// `read` into whichever gap (header or payload) is open. Unlike
-    /// [`Frame::read_from_pooled`], a timeout mid-frame
-    /// (`WouldBlock`/`TimedOut`) leaves all partial bytes in place, so the
-    /// caller can poll a shutdown flag and resume exactly where the stream
-    /// stopped.
-    ///
-    /// # Errors
-    ///
-    /// [`NetError::Io`] on transport failure or timeout (state is
-    /// preserved for timeouts; an `UnexpectedEof` means the peer closed —
-    /// mid-frame if [`is_mid_frame`](Self::is_mid_frame) was true), plus
-    /// the same validation errors as [`Frame::decode`].
-    pub fn read_step(&mut self, reader: &mut impl Read) -> Result<Option<Frame>, NetError> {
-        if self.kind.is_none() {
-            let n = reader
-                .read(&mut self.header[self.header_filled..])
-                .map_err(NetError::from)?;
-            if n == 0 {
-                return Err(FrameDecoder::eof());
-            }
-            self.header_filled += n;
-            if self.header_filled < HEADER_LEN {
-                return Ok(None);
-            }
-            let decode = prof::time(Stage::FrameDecode);
-            self.finish_header()?;
-            drop(decode);
-            if self.payload.is_empty() {
-                return Ok(Some(self.complete()));
-            }
-            return Ok(None);
-        }
-        let n = reader
-            .read(&mut self.payload[self.payload_filled..])
-            .map_err(NetError::from)?;
-        if n == 0 {
-            return Err(FrameDecoder::eof());
-        }
-        self.payload_filled += n;
-        if self.payload_filled == self.payload.len() {
-            return Ok(Some(self.complete()));
-        }
-        Ok(None)
-    }
-
     /// Validates the completed header and prepares the payload buffer
     /// (recycled capacity when available). Runs the [`MAX_FRAME_LEN`]
     /// guard before any allocation.
@@ -521,13 +473,6 @@ impl FrameDecoder {
         Frame {
             kind,
             payload: std::mem::take(&mut self.payload),
-        }
-    }
-
-    fn eof() -> NetError {
-        NetError::Io {
-            kind: std::io::ErrorKind::UnexpectedEof,
-            reason: "peer closed the connection".to_string(),
         }
     }
 }
@@ -1123,73 +1068,6 @@ mod tests {
         bytes[5] = 0x7f;
         let err = FrameDecoder::new().feed(&bytes).unwrap_err();
         assert!(matches!(err, NetError::Frame { .. }), "{err}");
-    }
-
-    #[test]
-    fn decoder_read_step_survives_timeouts_mid_frame() {
-        use std::io::Read;
-
-        /// A reader yielding one byte per call, with a `WouldBlock`
-        /// timeout before every byte — the slow-writer-straddling-a-poll
-        /// shape that desynced the old blocking reader.
-        struct OneByteWithTimeouts {
-            bytes: Vec<u8>,
-            at: usize,
-            timeout_next: bool,
-        }
-        impl Read for OneByteWithTimeouts {
-            fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-                if self.timeout_next {
-                    self.timeout_next = false;
-                    return Err(std::io::ErrorKind::WouldBlock.into());
-                }
-                self.timeout_next = true;
-                if self.at == self.bytes.len() {
-                    return Ok(0);
-                }
-                buf[0] = self.bytes[self.at];
-                self.at += 1;
-                Ok(1)
-            }
-        }
-
-        let frame = Frame {
-            kind: FrameKind::Request,
-            payload: b"{\"id\":9}".to_vec(),
-        };
-        let mut reader = OneByteWithTimeouts {
-            bytes: frame.encode(),
-            at: 0,
-            timeout_next: true,
-        };
-        let mut decoder = FrameDecoder::new();
-        let mut timeouts = 0;
-        let decoded = loop {
-            match decoder.read_step(&mut reader) {
-                Ok(Some(frame)) => break frame,
-                Ok(None) => {}
-                Err(NetError::Io {
-                    kind: std::io::ErrorKind::WouldBlock,
-                    ..
-                }) => {
-                    timeouts += 1;
-                }
-                Err(other) => panic!("unexpected error: {other}"),
-            }
-        };
-        assert_eq!(decoded, frame);
-        assert!(timeouts >= decoded.encode().len() as u64);
-        assert!(!decoder.is_mid_frame());
-        // EOF after the frame is a clean close.
-        reader.timeout_next = false;
-        let err = decoder.read_step(&mut reader).unwrap_err();
-        assert!(matches!(
-            err,
-            NetError::Io {
-                kind: std::io::ErrorKind::UnexpectedEof,
-                ..
-            }
-        ));
     }
 
     #[test]

@@ -4,17 +4,18 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// How the trace reached the simulating core: as a stream of bounded
-/// segments (the default pipeline) or as one materialized program.
+/// segments (every `run_gemm`/`run_layer` cell) or as one materialized
+/// program (the `run_program` and reference-core oracles).
 ///
 /// These are diagnostics of the *pipeline*, not of the simulated core —
 /// deterministic for a given configuration (segment boundaries derive from
-/// the shape and segment size, never from thread scheduling), but carrying
-/// no architectural meaning. The simulated statistics ([`SimReport::cpu`],
-/// [`SimReport::sched`]) are bit-identical across both transports.
+/// the shape and kernel alone), but carrying no architectural meaning. The
+/// simulated statistics ([`SimReport::cpu`], [`SimReport::sched`]) are
+/// bit-identical either way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineStats {
-    /// Whether the streaming producer/consumer pipeline ran (`false` for
-    /// the materialized generate-then-simulate path).
+    /// Whether the trace was streamed segment by segment (`false` for a
+    /// materialized program).
     pub streamed: bool,
     /// Segments fed to the core (1 for a materialized run).
     pub segments: u64,

@@ -217,8 +217,6 @@ impl CacheStats {
 pub struct ExperimentRunner {
     matmul_cap: Option<usize>,
     parallel: bool,
-    streaming: bool,
-    segment_size: usize,
     speculation: bool,
     cache: Mutex<LruCache<CellKey, Arc<SimReport>>>,
     hits: AtomicU64,
@@ -253,24 +251,9 @@ impl ExperimentRunner {
         self.parallel
     }
 
-    /// Whether cells run through the streaming trace→simulate pipeline
-    /// (default) or the materialized path. Simulated statistics are
-    /// bit-identical either way; only the [`crate::PipelineStats`]
-    /// diagnostics differ.
-    #[must_use]
-    pub const fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// The target streamed-segment size in instructions.
-    #[must_use]
-    pub const fn segment_size(&self) -> usize {
-        self.segment_size
-    }
-
-    /// Whether streamed cells may fast-forward through their periodic
-    /// steady state (default). Like the transport settings, fast-forward
-    /// never changes a simulated statistic; it only saves wall-clock time.
+    /// Whether cells may fast-forward through their periodic steady state
+    /// (default). Fast-forward never changes a simulated statistic; it
+    /// only saves wall-clock time.
     #[must_use]
     pub const fn is_speculative(&self) -> bool {
         self.speculation
@@ -354,12 +337,12 @@ impl ExperimentRunner {
     /// cap), so cells dumped under a different fidelity simply never match
     /// this runner's lookups: warm-starting is always safe, never wrong.
     ///
-    /// The trace-transport settings (streaming on/off, segment size,
-    /// speculation on/off and depth) are deliberately *not* part of the
-    /// key — the simulated statistics are bit-identical across transports. A warmed cell therefore keeps the
-    /// [`crate::PipelineStats`] diagnostics of the execution that
-    /// originally produced it, which may describe a different transport
-    /// than this runner's; every architectural metric is exact.
+    /// Fast-forward on/off is deliberately *not* part of the key — the
+    /// simulated statistics are bit-identical either way. A warmed cell
+    /// therefore keeps the [`crate::PipelineStats`] diagnostics of the
+    /// execution that originally produced it, which may describe a
+    /// different fast-forward setting than this runner's; every
+    /// architectural metric is exact.
     ///
     /// # Errors
     ///
@@ -461,8 +444,6 @@ impl ExperimentRunner {
         let report = Arc::new(
             Simulator::new(job.design.clone())?
                 .with_kernel(kernel)?
-                .with_streaming(self.streaming)
-                .with_segment_size(self.segment_size)?
                 .with_speculation(self.speculation)
                 .run_layer(&job.workload)?,
         );
@@ -562,8 +543,6 @@ impl Default for ExperimentRunner {
 pub struct ExperimentRunnerBuilder {
     matmul_cap: Option<Option<usize>>,
     parallel: Option<bool>,
-    streaming: Option<bool>,
-    segment_size: Option<usize>,
     speculation: Option<bool>,
     cache_capacity: Option<usize>,
 }
@@ -591,23 +570,7 @@ impl ExperimentRunnerBuilder {
         self.with_parallel(false)
     }
 
-    /// Selects the streaming trace→simulate pipeline (default) or the
-    /// materialized path for every cell.
-    #[must_use]
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = Some(streaming);
-        self
-    }
-
-    /// Overrides the target streamed-segment size in instructions.
-    #[must_use]
-    pub fn with_segment_size(mut self, segment_size: usize) -> Self {
-        self.segment_size = Some(segment_size);
-        self
-    }
-
-    /// Enables (default) or disables steady-state fast-forward for
-    /// streamed cells.
+    /// Enables (default) or disables steady-state fast-forward.
     #[must_use]
     pub fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = Some(speculation);
@@ -641,19 +604,9 @@ impl ExperimentRunnerBuilder {
                 reason: "cache capacity must be at least 1".to_string(),
             });
         }
-        let segment_size = self
-            .segment_size
-            .unwrap_or(rasa_trace::DEFAULT_SEGMENT_SIZE);
-        if segment_size == 0 {
-            return Err(SimError::InvalidExperiment {
-                reason: "segment size must be at least one instruction".to_string(),
-            });
-        }
         Ok(ExperimentRunner {
             matmul_cap,
             parallel: self.parallel.unwrap_or(true),
-            streaming: self.streaming.unwrap_or(true),
-            segment_size,
             speculation: self.speculation.unwrap_or(true),
             cache: Mutex::new(LruCache::new(cache_capacity)),
             hits: AtomicU64::new(0),

@@ -1,17 +1,13 @@
 use crate::prof::{self, Stage};
 use crate::{DesignPoint, PipelineStats, SimError, SimReport};
-use rasa_cpu::{CpuCore, CpuStats, SchedStats, SpecDelta, SpeculativeRun, StreamStats};
-use rasa_isa::{Program, ProgramSegment};
+use rasa_cpu::{CpuCore, CpuStats, SchedStats, SpecDelta, SpeculativeRun};
+use rasa_isa::Program;
 use rasa_numeric::GemmShape;
 use rasa_power::{EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
-use rasa_trace::{
-    GemmKernelConfig, ProgramSource, TraceError, TraceGenerator, DEFAULT_SEGMENT_SIZE,
-};
+use rasa_trace::{GemmKernelConfig, ProgramSource, TraceGenerator, DEFAULT_SEGMENT_SIZE};
 use rasa_workloads::LayerSpec;
-use rayon::prelude::*;
 use std::ops::Range;
-use std::sync::mpsc;
 
 /// Default cap on the number of `rasa_mm` instructions simulated per
 /// workload. The Table I layers contain up to hundreds of thousands of
@@ -19,16 +15,6 @@ use std::sync::mpsc;
 /// full-workload runtime is extrapolated at the observed throughput (the
 /// [`SimReport`] records both numbers).
 pub(crate) const DEFAULT_MATMUL_CAP: usize = 4096;
-
-/// Segments buffered in the bounded producer→consumer channel of a
-/// streamed run. Together with the shard wave this bounds the resident
-/// trace to a handful of segments, whatever the workload size.
-const STREAM_CHANNEL_SEGMENTS: usize = 4;
-
-/// Register-block shards generated concurrently per wave when an uncapped
-/// trace is fanned out over the worker pool. Small on purpose: a streamed
-/// cell may itself be one job of an already-parallel experiment matrix.
-const SHARD_WAVE: usize = 4;
 
 /// Strides the fast-forward probe tries for a confirmed periodic state
 /// delta before giving up and running the rest of the cell sequentially.
@@ -53,27 +39,24 @@ struct SpecPlan {
 /// each `run_*` call generates the workload trace, executes it on a fresh
 /// core and returns a [`SimReport`].
 ///
-/// By default the trace→simulate path is a **streaming pipeline**: a
-/// producer thread generates bounded instruction segments (in parallel
-/// register-block shards when the trace is uncapped) into a bounded
-/// channel while the resumable core consumes them, so trace generation
-/// overlaps timing simulation and the resident trace stays O(segment)
-/// instead of O(workload). The simulated statistics are bit-identical to
-/// the materialized path ([`Simulator::with_streaming`]`(false)`), which is
-/// retained for A/B comparisons; [`SimReport::pipeline`] records which path
-/// ran and what it kept resident.
+/// Every cell runs on **one synchronous path** on the calling thread: the
+/// trace is generated as bounded instruction segments, each fed into the
+/// resumable core as soon as it exists, so the resident trace stays
+/// O(segment) instead of O(workload). Uncapped cells whose block walk
+/// settles into a periodic steady state skip it exactly by fast-forward
+/// ([`Simulator::with_speculation`]); the simulated statistics are
+/// bit-identical either way. [`SimReport::pipeline`] records what the run
+/// kept resident and how many strides it skipped.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     design: DesignPoint,
     generator: TraceGenerator,
-    streaming: bool,
-    segment_size: usize,
     speculation: bool,
 }
 
 impl Simulator {
     /// Creates a simulator for a design point with the default trace
-    /// generator, matmul cap and streaming pipeline.
+    /// generator and matmul cap, fast-forward enabled.
     ///
     /// # Errors
     ///
@@ -87,8 +70,6 @@ impl Simulator {
         Ok(Simulator {
             design,
             generator,
-            streaming: true,
-            segment_size: DEFAULT_SEGMENT_SIZE,
             speculation: true,
         })
     }
@@ -112,8 +93,8 @@ impl Simulator {
     }
 
     /// Overrides the full kernel configuration (tiling, scalar overhead,
-    /// `rasa_mm` emission order and cap) used to generate traces — the hook
-    /// the kernel-blocking ablation uses.
+    /// `rasa_mm` emission order, cap and segment size hint) used to
+    /// generate traces — the hook the kernel-blocking ablation uses.
     ///
     /// # Errors
     ///
@@ -124,35 +105,10 @@ impl Simulator {
         Ok(self)
     }
 
-    /// Selects the streaming pipeline (default) or the materialized
-    /// generate-then-simulate path. Both produce bit-identical simulated
-    /// statistics; the materialized path is the A/B reference for the
-    /// streaming pipeline's memory and overlap gains.
-    #[must_use]
-    pub const fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Overrides the target streamed-segment size in instructions.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidExperiment`] for a zero segment size.
-    pub fn with_segment_size(mut self, segment_size: usize) -> Result<Self, SimError> {
-        if segment_size == 0 {
-            return Err(SimError::InvalidExperiment {
-                reason: "segment size must be at least one instruction".to_string(),
-            });
-        }
-        self.segment_size = segment_size;
-        Ok(self)
-    }
-
     /// Enables (default) or disables steady-state fast-forward for
-    /// streamed, uncapped runs. Fast-forward is a wall-clock optimization
-    /// only: the simulated statistics are bit-identical either way, which
-    /// the parity tests and CI enforce.
+    /// uncapped runs. Fast-forward is a wall-clock optimization only: the
+    /// simulated statistics are bit-identical either way, which the parity
+    /// tests and CI enforce.
     #[must_use]
     pub const fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = speculation;
@@ -176,18 +132,6 @@ impl Simulator {
     #[must_use]
     pub fn matmul_cap(&self) -> Option<usize> {
         self.generator.kernel().max_matmuls
-    }
-
-    /// Whether runs use the streaming pipeline.
-    #[must_use]
-    pub const fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
-    /// The target streamed-segment size in instructions.
-    #[must_use]
-    pub const fn segment_size(&self) -> usize {
-        self.segment_size
     }
 
     /// Simulates an arbitrary GEMM.
@@ -230,25 +174,9 @@ impl Simulator {
         self.run_program_on(&program, total as u64, layer.name(), true)
     }
 
-    /// Generates and simulates `shape` under this simulator's configured
-    /// pipeline (streamed or materialized).
-    fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
-        let total = self.generator.matmul_count(shape)? as u64;
-        if self.streaming {
-            if let Some(plan) = self.spec_plan(shape)? {
-                return self.run_speculative(shape, name, total, plan);
-            }
-            self.run_streamed(shape, name, total)
-        } else {
-            let gen = prof::time(Stage::TraceGen);
-            let program = self.generator.gemm(shape, name)?;
-            drop(gen);
-            self.run_program_on(&program, total, name, false)
-        }
-    }
-
-    /// Runs an already-generated program, extrapolating to `total_matmuls`
-    /// when the program is a truncated trace of a larger workload.
+    /// Runs an already-generated program on the one-shot event-driven core
+    /// ([`CpuCore::run`]), extrapolating to `total_matmuls` when the program
+    /// is a truncated trace of a larger workload.
     ///
     /// # Errors
     ///
@@ -277,8 +205,8 @@ impl Simulator {
             core.run(program)?
         };
         let sched = *core.sched_stats();
-        // Both materialized paths hold (and feed) the whole program at
-        // once: one segment, everything resident.
+        // A materialized program is held (and fed) whole: one segment,
+        // everything resident.
         let pipeline = PipelineStats {
             streamed: false,
             segments: 1,
@@ -289,68 +217,33 @@ impl Simulator {
         Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, workload))
     }
 
-    /// The streaming trace→simulate pipeline: a producer thread generates
-    /// bounded segments into a bounded channel while the resumable core
-    /// consumes them. Uncapped traces are additionally fanned out as
-    /// register-block shards generated in parallel waves through the rayon
-    /// pool, so a single heavy `--full` workload no longer serializes its
-    /// whole trace generation behind one thread.
-    fn run_streamed(
-        &self,
-        shape: GemmShape,
-        name: &str,
-        total_matmuls: u64,
-    ) -> Result<SimReport, SimError> {
+    /// Generates and simulates `shape` on the calling thread: an optional
+    /// fast-forward prefix, then every remaining register block generated
+    /// segment by segment straight into the core.
+    ///
+    /// A capped cell never plans a fast-forward, so it feeds blocks
+    /// `0..block_count` — exactly [`TraceGenerator::gemm_stream`]'s
+    /// segments, cap truncation included.
+    fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
+        let total_matmuls = self.generator.matmul_count(shape)? as u64;
+        let blocks = self.generator.block_count(shape)?;
         let engine = MatrixEngine::new(*self.design.systolic());
-        let mut core = CpuCore::new(*self.design.cpu(), engine);
-        let generator = &self.generator;
-        let segment_size = self.effective_segment_size();
-        let blocks = generator.block_count(shape)?;
-        // Shards only pay off when the trace is uncapped (the cap is a
-        // sequential prefix property) and wide enough to split.
-        let shard_blocks = if generator.kernel().max_matmuls.is_none() && blocks > SHARD_WAVE {
-            Some(self.blocks_per_shard(shape, segment_size)?)
-        } else {
-            None
+        let core = CpuCore::new(*self.design.cpu(), engine);
+        let mut run = SpeculativeRun::begin(core, self.generator.isa())?;
+        let next = match self.spec_plan(shape)? {
+            Some(plan) => self.fast_forward_prefix(&mut run, shape, name, plan)?,
+            None => 0,
         };
-
-        let (cpu_stats, sched, stream) = std::thread::scope(
-            |scope| -> Result<(CpuStats, SchedStats, StreamStats), SimError> {
-                let (tx, rx) = mpsc::sync_channel::<Result<ProgramSegment, TraceError>>(
-                    STREAM_CHANNEL_SEGMENTS,
-                );
-                scope.spawn(move || {
-                    let outcome = produce_segments(
-                        generator,
-                        shape,
-                        name,
-                        blocks,
-                        shard_blocks,
-                        segment_size,
-                        &tx,
-                    );
-                    if let Err(error) = outcome {
-                        // The consumer surfaces the error; if it already
-                        // hung up, there is nobody left to care.
-                        let _ = tx.send(Err(error));
-                    }
-                });
-                let mut run = core.begin_run(generator.isa())?;
-                for message in rx {
-                    let segment = message?;
-                    core.feed_segment(&mut run, &segment)?;
-                }
-                let cpu_stats = core.run_to_quiescence(run)?;
-                Ok((cpu_stats, *core.sched_stats(), *core.stream_stats()))
-            },
-        )?;
-
+        self.feed_blocks(&mut run, shape, name, next..blocks)?;
+        let (cpu_stats, sched, stream) = run.finish()?;
         let pipeline = PipelineStats {
             streamed: true,
             segments: stream.segments,
             fed_instructions: stream.fed_instructions,
             peak_resident_instructions: stream.peak_resident as u64,
-            ..PipelineStats::default()
+            spec_forks: stream.fast_forwarded_strides,
+            spec_commits: stream.fast_forwarded_strides,
+            spec_replays: 0,
         };
         Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, name))
     }
@@ -365,10 +258,15 @@ impl Simulator {
             return Ok(None);
         }
         let (period, uniform_end) = self.generator.uniform_blocks(shape)?;
-        // One stride spans a shard's worth of blocks (a couple of
-        // segments), rounded up to a whole number of periods so every
-        // stride carries identical work.
-        let target = self.blocks_per_shard(shape, self.effective_segment_size())?;
+        // One stride spans a couple of segments' worth of blocks (the
+        // scheme's own block-length estimate), rounded up to a whole number
+        // of periods so every stride carries identical work.
+        let kernel = self.generator.kernel();
+        let kt = rasa_numeric::TileGrid::new(shape, kernel.tiling)?.k_tiles();
+        let segment_size = kernel.scheme.segment_size.unwrap_or(DEFAULT_SEGMENT_SIZE);
+        let target = (2 * segment_size)
+            .div_ceil(kernel.block_len_estimate(kt))
+            .max(1);
         let stride_blocks = target.div_ceil(period) * period;
         // Worth it only when the uniform region holds the warm-up stride,
         // two probe strides (a first comparison and one retry) and at
@@ -382,25 +280,31 @@ impl Simulator {
         }))
     }
 
-    /// Generates blocks `[lo, hi)` of `shape` and feeds them into the run.
+    /// Generates register blocks `blocks` of `shape` segment by segment and
+    /// feeds each into the run as soon as it exists.
     fn feed_blocks(
         &self,
-        spec: &mut SpeculativeRun,
+        run: &mut SpeculativeRun,
         shape: GemmShape,
         name: &str,
-        lo: usize,
-        hi: usize,
+        blocks: Range<usize>,
     ) -> Result<(), SimError> {
-        let mut shard = self
+        let mut stream = self
             .generator
-            .gemm_blocks(shape, name, lo..hi, self.segment_size)?;
-        while let Some(segment) = shard.next_segment()? {
-            spec.feed_segment(&segment)?;
+            .gemm_blocks(shape, name, blocks, DEFAULT_SEGMENT_SIZE)?;
+        loop {
+            let gen = prof::time(Stage::TraceGen);
+            let segment = stream.next_segment()?;
+            drop(gen);
+            let Some(segment) = segment else {
+                return Ok(());
+            };
+            run.feed_segment(&segment)?;
         }
-        Ok(())
     }
 
-    /// The fast-forward pipeline for streamed, uncapped cells.
+    /// The fast-forward prefix of an uncapped cell; returns the first
+    /// register block still to be fed.
     ///
     /// Protocol (mechanism in `rasa_cpu::SpeculativeRun`): warm up one
     /// stride, then probe stride by stride until one stride boundary is an
@@ -409,45 +313,40 @@ impl Simulator {
     /// then the same work with only its addresses changed, so the run skips
     /// them in O(1): it shifts the boundary state by that many deltas and
     /// folds in that many copies of the confirmed stride's statistics. The
-    /// rest — the partial last stride and any ragged column — feeds
-    /// sequentially.
+    /// rest — the partial last stride and any ragged column — is left to
+    /// the sequential feed.
     ///
-    /// The schedule derives only from the shape and segment size — never
-    /// from thread timing — so the statistics, including the fast-forward
-    /// counters, are deterministic; and the architectural statistics are
-    /// bit-identical to the sequential streamed path, because the core
-    /// model's scheduling is translation-covariant and its timing never
-    /// reads an address.
-    fn run_speculative(
+    /// The schedule derives only from the shape and the kernel, so the
+    /// statistics, including the fast-forward counters, are deterministic;
+    /// and the architectural statistics are bit-identical to feeding every
+    /// block, because the core model's scheduling is translation-covariant
+    /// and its timing never reads an address.
+    fn fast_forward_prefix(
         &self,
+        run: &mut SpeculativeRun,
         shape: GemmShape,
         name: &str,
-        total_matmuls: u64,
         plan: SpecPlan,
-    ) -> Result<SimReport, SimError> {
-        let engine = MatrixEngine::new(*self.design.systolic());
-        let core = CpuCore::new(*self.design.cpu(), engine);
-        let blocks = self.generator.block_count(shape)?;
+    ) -> Result<usize, SimError> {
         let stride = plan.stride_blocks;
-        let mut spec = SpeculativeRun::begin(core, self.generator.isa())?;
 
         // Warm-up: one stride to move the pipeline off the cold-start
         // transient before probing.
-        self.feed_blocks(&mut spec, shape, name, 0, stride)?;
+        self.feed_blocks(run, shape, name, 0..stride)?;
         let mut next = stride;
 
         // Probe: slide stride by stride until a boundary is an exact
         // translation of its predecessor (see
         // `SpecCheckpoint::shifted_matches`).
-        let mut seed = spec.checkpoint();
+        let mut seed = run.checkpoint();
         let mut delta = None;
         for _ in 0..SPEC_PROBE_STRIDES {
             if next + stride > plan.uniform_end {
                 break;
             }
-            self.feed_blocks(&mut spec, shape, name, next, next + stride)?;
+            self.feed_blocks(run, shape, name, next..next + stride)?;
             next += stride;
-            let cp = spec.checkpoint();
+            let cp = run.checkpoint();
             delta = SpecDelta::between(&seed, &cp).filter(|d| seed.shifted_matches(d, &cp));
             if delta.is_some() {
                 break;
@@ -459,48 +358,10 @@ impl Simulator {
         // region.
         if let Some(delta) = delta {
             let strides = (plan.uniform_end - next) / stride;
-            spec.fast_forward(&delta, strides as u64);
+            run.fast_forward(&delta, strides as u64);
             next += strides * stride;
         }
-
-        // Sequential tail: the uniform remainder plus any ragged column.
-        if next < blocks {
-            self.feed_blocks(&mut spec, shape, name, next, blocks)?;
-        }
-        let (cpu_stats, sched, stream) = spec.finish()?;
-        let pipeline = PipelineStats {
-            streamed: true,
-            segments: stream.segments,
-            fed_instructions: stream.fed_instructions,
-            peak_resident_instructions: stream.peak_resident as u64,
-            spec_forks: stream.fast_forwarded_strides,
-            spec_commits: stream.fast_forwarded_strides,
-            spec_replays: 0,
-        };
-        Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, name))
-    }
-
-    /// Register blocks per generation shard: sized so one shard amounts to
-    /// a couple of segments, derived deterministically from the shape (so
-    /// segment boundaries — and hence pipeline statistics — do not depend
-    /// on the machine's parallelism).
-    fn blocks_per_shard(&self, shape: GemmShape, segment_size: usize) -> Result<usize, SimError> {
-        let kt = rasa_numeric::TileGrid::new(shape, self.generator.kernel().tiling)?.k_tiles();
-        // The scheme's own estimate of one full register block — the single
-        // source of truth shared with the fast-forward strides.
-        let block_len = self.generator.kernel().block_len_estimate(kt);
-        Ok((2 * segment_size).div_ceil(block_len).max(1))
-    }
-
-    /// The segment size streams actually use: a kernel scheme carrying a
-    /// segment-size hint overrides the simulator's configured size, so the
-    /// shard and fast-forward schedules must be derived from the same value.
-    fn effective_segment_size(&self) -> usize {
-        self.generator
-            .kernel()
-            .scheme
-            .segment_size
-            .unwrap_or(self.segment_size)
+        Ok(next)
     }
 
     fn report(
@@ -538,69 +399,6 @@ impl Simulator {
             power,
         }
     }
-}
-
-/// Producer half of the streaming pipeline: pushes the trace of `shape`
-/// into `tx` as validated segments, either sequentially or as
-/// wave-parallel register-block shards. A send failure means the consumer
-/// hung up (success or error); either way there is nothing left to do.
-fn produce_segments(
-    generator: &TraceGenerator,
-    shape: GemmShape,
-    name: &str,
-    blocks: usize,
-    shard_blocks: Option<usize>,
-    segment_size: usize,
-    tx: &mpsc::SyncSender<Result<ProgramSegment, TraceError>>,
-) -> Result<(), TraceError> {
-    let Some(shard_blocks) = shard_blocks else {
-        let mut stream = generator.gemm_stream(shape, name, segment_size)?;
-        loop {
-            let gen = prof::time(Stage::TraceGen);
-            let segment = stream.next_segment()?;
-            drop(gen);
-            let Some(segment) = segment else {
-                return Ok(());
-            };
-            if tx.send(Ok(segment)).is_err() {
-                return Ok(());
-            }
-        }
-    };
-
-    // Wave-parallel sharding: generate SHARD_WAVE shards concurrently,
-    // then forward their segments in block order while the core simulates.
-    // Memory stays bounded by (wave + channel) segments.
-    let mut start = 0usize;
-    while start < blocks {
-        let ranges: Vec<Range<usize>> = (0..SHARD_WAVE)
-            .map(|i| {
-                let lo = (start + i * shard_blocks).min(blocks);
-                let hi = (start + (i + 1) * shard_blocks).min(blocks);
-                lo..hi
-            })
-            .filter(|r| !r.is_empty())
-            .collect();
-        start = (start + SHARD_WAVE * shard_blocks).min(blocks);
-        let gen = prof::time(Stage::TraceGen);
-        let wave: Result<Vec<Vec<ProgramSegment>>, TraceError> = ranges
-            .par_iter()
-            .map(|range| {
-                generator
-                    .gemm_blocks(shape, name, range.clone(), segment_size)?
-                    .collect()
-            })
-            .collect();
-        drop(gen);
-        for shard in wave? {
-            for segment in shard {
-                if tx.send(Ok(segment)).is_err() {
-                    return Ok(());
-                }
-            }
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -689,6 +487,26 @@ mod tests {
         }
     }
 
+    /// The default kernel carrying `cap` and a `segment_size`-instruction
+    /// segment hint — the one place a segment size is set.
+    fn segmented(segment_size: usize, cap: Option<usize>) -> GemmKernelConfig {
+        let mut kernel = rasa_trace::KernelSchemeBuilder::new()
+            .with_segment_size(segment_size)
+            .build()
+            .unwrap();
+        kernel.max_matmuls = cap;
+        kernel
+    }
+
+    /// The materialized oracle: the whole trace generated up front by
+    /// [`TraceGenerator::gemm`] and run on the one-shot core
+    /// ([`CpuCore::run`]).
+    fn materialized(sim: &Simulator, shape: GemmShape) -> SimReport {
+        let program = sim.generator.gemm(shape, "oracle").unwrap();
+        let total = sim.generator.matmul_count(shape).unwrap() as u64;
+        sim.run_program(&program, total, "oracle").unwrap()
+    }
+
     #[test]
     fn streamed_and_materialized_paths_are_bit_identical() {
         let suite = WorkloadSuite::mlperf();
@@ -696,25 +514,16 @@ mod tests {
         for (cap, segment_size) in [(Some(2000), 512), (None, 128)] {
             let sim = Simulator::new(DesignPoint::rasa_wlbp())
                 .unwrap()
-                .with_matmul_cap(cap)
-                .unwrap()
-                .with_segment_size(segment_size)
+                .with_kernel(segmented(segment_size, cap))
                 .unwrap();
-            // Keep the uncapped case tractable: a small GEMM with enough
-            // register blocks to trigger the shard-parallel producer.
-            let (streamed, materialized) = if cap.is_none() {
-                let shape = GemmShape::new(256, 64, 256);
-                assert!(sim.generator.block_count(shape).unwrap() > SHARD_WAVE);
-                (
-                    sim.run_gemm(shape).unwrap(),
-                    sim.with_streaming(false).run_gemm(shape).unwrap(),
-                )
+            // Keep the uncapped case tractable: a small GEMM.
+            let shape = if cap.is_none() {
+                GemmShape::new(256, 64, 256)
             } else {
-                (
-                    sim.run_layer(layer).unwrap(),
-                    sim.with_streaming(false).run_layer(layer).unwrap(),
-                )
+                layer.gemm_shape()
             };
+            let streamed = sim.run_gemm(shape).unwrap();
+            let materialized = materialized(&sim, shape);
             // Architectural and scheduler statistics are bit-identical;
             // only the pipeline diagnostics differ.
             assert_eq!(streamed.cpu, materialized.cpu);
@@ -740,6 +549,27 @@ mod tests {
     }
 
     #[test]
+    fn capped_cells_stream_exactly_the_gemm_stream_segments() {
+        // A capped cell feeds blocks `0..block_count`, which must cut the
+        // same segments as `gemm_stream` — the goldens record them.
+        let sim = Simulator::new(DesignPoint::baseline())
+            .unwrap()
+            .with_kernel(segmented(300, Some(700)))
+            .unwrap();
+        let shape = GemmShape::new(512, 256, 512);
+        let report = sim.run_gemm(shape).unwrap();
+        let mut stream = sim.generator.gemm_stream(shape, "capped", 1).unwrap();
+        let (mut segments, mut peak) = (0u64, 0u64);
+        while let Some(segment) = stream.next_segment().unwrap() {
+            segments += 1;
+            peak = peak.max(segment.len() as u64);
+        }
+        assert!(report.is_extrapolated());
+        assert_eq!(report.pipeline.segments, segments);
+        assert!(report.pipeline.peak_resident_instructions >= peak);
+    }
+
+    #[test]
     fn speculative_path_is_bit_identical_and_commits() {
         // The fast-forward invariant: skipping the periodic steady state
         // produces architectural and scheduler statistics bit-identical to
@@ -749,13 +579,11 @@ mod tests {
         for design in [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()] {
             let sim = Simulator::new(design)
                 .unwrap()
-                .with_matmul_cap(None)
-                .unwrap()
-                .with_segment_size(128)
+                .with_kernel(segmented(128, None))
                 .unwrap();
             let speculative = sim.run_gemm(shape).unwrap();
             let sequential = sim.clone().with_speculation(false).run_gemm(shape).unwrap();
-            let materialized = sim.with_streaming(false).run_gemm(shape).unwrap();
+            let materialized = materialized(&sim, shape);
             assert_eq!(speculative.cpu, sequential.cpu);
             assert_eq!(speculative.sched, sequential.sched);
             assert_eq!(speculative.cpu, materialized.cpu);
@@ -779,24 +607,23 @@ mod tests {
     #[test]
     fn four_paths_are_bit_identical_on_a_non_default_kernel_scheme() {
         // Satellite of the kernel-scheme refactor: the fast-forwarded,
-        // sequential-streamed, materialized and cycle-stepping reference
-        // paths must agree bit for bit even when the kernel is nothing like
-        // Algorithm 1 — a 1×3 block, interleaved matmuls, accumulators
-        // spilled around every K step and a lean scalar model.
+        // sequential-streamed, one-shot materialized and cycle-stepping
+        // reference paths must agree bit for bit even when the kernel is
+        // nothing like Algorithm 1 — a 1×3 block, interleaved matmuls,
+        // accumulators spilled around every K step and a lean scalar model.
         use rasa_trace::{KernelSchemeBuilder, LoopOrder};
         let kernel = KernelSchemeBuilder::new()
             .with_block(1, 3)
             .with_matmul_order(rasa_trace::MatmulOrder::Interleaved)
             .with_loop_order(LoopOrder::NInnermost)
             .with_scalar_ops_per_step(1)
+            .with_segment_size(128)
             .build()
             .unwrap();
         let layer = rasa_workloads::LayerSpec::fc("scheme-parity", 256, 64, 512);
         let sim = Simulator::new(DesignPoint::rasa_dmdb_wls())
             .unwrap()
             .with_kernel(kernel)
-            .unwrap()
-            .with_segment_size(128)
             .unwrap();
         let speculative = sim.run_layer(&layer).unwrap();
         let sequential = sim
@@ -804,7 +631,7 @@ mod tests {
             .with_speculation(false)
             .run_layer(&layer)
             .unwrap();
-        let materialized = sim.clone().with_streaming(false).run_layer(&layer).unwrap();
+        let materialized = materialized(&sim, layer.gemm_shape());
         let reference = sim.run_layer_reference(&layer).unwrap();
         assert_eq!(speculative.cpu, sequential.cpu);
         assert_eq!(speculative.cpu, materialized.cpu);
@@ -822,14 +649,11 @@ mod tests {
 
     #[test]
     fn speculative_runs_are_deterministic() {
-        // The fast-forward schedule derives from the shape and segment size
-        // alone — never from thread timing — so its counters are
-        // reproducible.
+        // The fast-forward schedule derives from the shape and kernel
+        // alone, so its counters are reproducible.
         let sim = Simulator::new(DesignPoint::rasa_wlbp())
             .unwrap()
-            .with_matmul_cap(None)
-            .unwrap()
-            .with_segment_size(128)
+            .with_kernel(segmented(128, None))
             .unwrap();
         let shape = GemmShape::new(256, 64, 256);
         let a = sim.run_gemm(shape).unwrap();
@@ -855,9 +679,7 @@ mod tests {
         // needs; 2×6 tiles, or a ragged eighth column, hold only three.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
-            .with_matmul_cap(None)
-            .unwrap()
-            .with_segment_size(1)
+            .with_kernel(segmented(1, None))
             .unwrap();
         let plan = sim.spec_plan(GemmShape::new(32, 64, 128)).unwrap().unwrap();
         assert_eq!((plan.stride_blocks, plan.uniform_end), (1, 4));
@@ -878,13 +700,11 @@ mod tests {
 
     #[test]
     fn streamed_pipeline_stats_are_deterministic() {
-        // Segment boundaries derive from the shape and segment size alone,
-        // never from scheduling, so repeated runs agree exactly.
+        // Segment boundaries derive from the shape and kernel alone, so
+        // repeated runs agree exactly.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
-            .with_matmul_cap(None)
-            .unwrap()
-            .with_segment_size(300)
+            .with_kernel(segmented(300, None))
             .unwrap();
         let shape = GemmShape::new(192, 64, 192);
         let a = sim.run_gemm(shape).unwrap();
@@ -927,11 +747,12 @@ mod tests {
 
     #[test]
     fn zero_segment_size_is_rejected() {
+        // The kernel scheme's hint is the only segment size knob, and a
+        // zero hint never reaches a stream.
+        let mut kernel = GemmKernelConfig::amx_like();
+        kernel.scheme.segment_size = Some(0);
         let sim = Simulator::new(DesignPoint::baseline()).unwrap();
-        assert!(matches!(
-            sim.with_segment_size(0),
-            Err(SimError::InvalidExperiment { .. })
-        ));
+        assert!(matches!(sim.with_kernel(kernel), Err(SimError::Trace(_))));
     }
 
     #[test]

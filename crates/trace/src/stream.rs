@@ -8,8 +8,8 @@
 //! the same n-block-major register-block order and hands out validated
 //! segments of roughly `segment_size` instructions, so the resident
 //! footprint is O(segment) however large the workload, and a consumer (the
-//! resumable `rasa-cpu` core) can simulate one segment while the next is
-//! being generated.
+//! resumable `rasa-cpu` core) can simulate each segment as soon as it is
+//! generated.
 //!
 //! Two invariants make the stream a drop-in replacement for the
 //! materialized path:
@@ -24,12 +24,11 @@
 //!   across segments, so a streamed trace is exactly as well-formed as its
 //!   materialized counterpart.
 //!
-//! For parallel production, [`TraceGenerator::gemm_blocks`] opens a stream
-//! over a sub-range of register blocks (a *shard*). Shards partition the
-//! block walk, so generating `[0..b1)`, `[b1..b2)`, … on different threads
-//! and concatenating the results in order reproduces the full sequence —
-//! the granularity `rasa-sim` uses to fan one heavy workload's trace
-//! generation out across the worker pool.
+//! [`TraceGenerator::gemm_blocks`] opens a stream over a sub-range of
+//! register blocks (a *shard*). Shards partition the block walk, so
+//! generating `[0..b1)`, `[b1..b2)`, … and concatenating the results in
+//! order reproduces the full sequence — the granularity at which
+//! `rasa-sim` feeds a run around the steady-state stretch it fast-forwards.
 
 use crate::{TraceError, TraceGenerator};
 use rasa_isa::{IsaConfig, ProgramBuilder, ProgramSegment};
@@ -38,8 +37,8 @@ use std::ops::Range;
 
 /// Default target size (in instructions) of a streamed segment.
 ///
-/// Large enough that per-segment overhead (validation bookkeeping, channel
-/// hops, core feed calls) is negligible, small enough that a stream of the
+/// Large enough that per-segment overhead (validation bookkeeping, core
+/// feed calls) is negligible, small enough that a stream of the
 /// largest Table I layer keeps three orders of magnitude less trace
 /// resident than the materialized path.
 pub const DEFAULT_SEGMENT_SIZE: usize = 8192;
@@ -212,7 +211,7 @@ impl TraceGenerator {
     /// Opens a streaming trace of `shape`: the same instruction sequence as
     /// [`TraceGenerator::gemm`] (including matmul-cap truncation), emitted
     /// as validated segments of roughly `segment_size` instructions instead
-    /// of one materialized program. A kernel scheme carrying a segment-size
+    /// of one materialized program. A kernel scheme carrying a segment size
     /// hint overrides `segment_size`.
     ///
     /// # Errors

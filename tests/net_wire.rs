@@ -332,20 +332,13 @@ fn corrupt_streams_are_answered_then_closed() {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         stream.write_all(&corrupt).unwrap();
-        let mut decoder = FrameDecoder::new();
-        let reply = loop {
-            match decoder.read_step(&mut stream) {
-                Ok(Some(frame)) => break frame,
-                Ok(None) => {}
-                Err(error) => panic!("expected an error frame before close, got {error}"),
-            }
-        };
+        let reply = Frame::read_from(&mut stream)
+            .unwrap_or_else(|error| panic!("expected an error frame before close, got {error}"));
         assert_eq!(reply.kind, FrameKind::Error);
         let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
         assert_eq!(failure.code, ErrorCode::BadRequest);
         // ...then EOF: the server must hang up after the error frame.
-        let mut decoder = FrameDecoder::new();
-        match decoder.read_step(&mut stream) {
+        match Frame::read_from(&mut stream) {
             Err(NetError::Io { kind, .. }) => {
                 assert_eq!(kind, std::io::ErrorKind::UnexpectedEof);
             }

@@ -341,8 +341,8 @@ proptest! {
 /// Steady-state fast-forward is exact: on random uncapped GEMMs (M and N
 /// need not be multiples of the register block), kernel schemes, designs
 /// and segment sizes, the fast-forwarded run's `CpuStats` and `SchedStats`
-/// equal both the sequential streamed run's and the materialized run's, bit
-/// for bit, and it counts every skipped instruction as fed. At least half
+/// equal both the sequential streamed run's and those of the materialized
+/// trace on the one-shot core, bit for bit, and it counts every skipped instruction as fed. At least half
 /// of the drawn cases must actually fast-forward, so the property cannot
 /// hold vacuously.
 #[test]
@@ -370,28 +370,27 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
             } else {
                 MatmulOrder::WeightPaired
             });
-        let kernel = match (0u8..3).sample(&mut rng) {
+        let builder = match (0u8..3).sample(&mut rng) {
             0 => builder,
             1 => builder.with_scalar_ops_per_step(1),
             _ => builder.without_scalar_overhead(),
-        }
-        .build()
-        .unwrap();
+        };
         let segment_size = (8usize..128).sample(&mut rng);
+        let kernel = builder.with_segment_size(segment_size).build().unwrap();
 
-        let sim = Simulator::new(design)
-            .unwrap()
-            .with_kernel(kernel)
-            .unwrap()
-            .with_segment_size(segment_size)
-            .unwrap();
+        let sim = Simulator::new(design).unwrap().with_kernel(kernel).unwrap();
         let what = format!(
             "case {case}: {} on {shape:?}, kernel {kernel}, segment {segment_size}",
             sim.design().name()
         );
         let fast = sim.run_gemm(shape).unwrap();
         let sequential = sim.clone().with_speculation(false).run_gemm(shape).unwrap();
-        let materialized = sim.with_streaming(false).run_gemm(shape).unwrap();
+        // The materialized oracle: the whole trace up front on the one-shot
+        // core.
+        let generator = TraceGenerator::amx_like().with_kernel(kernel).unwrap();
+        let program = generator.gemm(shape, "oracle").unwrap();
+        let total = generator.matmul_count(shape).unwrap() as u64;
+        let materialized = sim.run_program(&program, total, "oracle").unwrap();
         assert_eq!(fast.cpu, sequential.cpu, "{what}");
         assert_eq!(fast.sched, sequential.sched, "{what}");
         assert_eq!(fast.cpu, materialized.cpu, "{what}");
