@@ -152,8 +152,11 @@ fn timing_comparison(
         }
         let spec_speedup = streamed_seconds / speculative_seconds.max(1e-9);
         println!(
-            "  {:<14} fast-forwarded {:.3} s vs sequential streamed {:.3} s = {:.2}x fast-forward speedup",
-            "", speculative_seconds, streamed_seconds, spec_speedup,
+            "  {:<14} fast-forwarded {:.3} ms vs sequential streamed {:.3} ms = {:.2}x fast-forward speedup",
+            "",
+            speculative_seconds * 1e3,
+            streamed_seconds * 1e3,
+            spec_speedup,
         );
         println!(
             "  {:<14} {} strides fast-forwarded; {} segments fed (sequential streamed: {})",

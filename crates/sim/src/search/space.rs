@@ -93,8 +93,9 @@ impl KernelGenotype {
         self.block.tile_regs_needed()
     }
 
-    /// Instruction-class cost proxies per useful `rasa_mm`, from the same
-    /// closed-form model as `GemmKernelConfig::block_len_estimate`:
+    /// Instruction-class cost proxies per useful `rasa_mm`, counted from
+    /// the instructions the trace generator emits for one interior register
+    /// block per K step:
     /// `(memory, scalar)` — operand loads plus per-K-step accumulator
     /// spill traffic, and modeled scalar bookkeeping (three pointer bumps
     /// plus a branch per K step unless unrolled). Matrix work is exactly

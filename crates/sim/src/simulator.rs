@@ -25,11 +25,12 @@ const SPEC_PROBE_STRIDES: usize = 8;
 /// block walk ends.
 #[derive(Debug, Clone, Copy)]
 struct SpecPlan {
-    /// Register blocks per stride — a multiple of the block walk's
-    /// structural period, so every stride carries identical work.
+    /// Register blocks per stride — one period of the block walk, so every
+    /// stride carries identical work.
     stride_blocks: usize,
-    /// Blocks `>= uniform_end` (a ragged final block column) are never
-    /// skipped; they are fed sequentially after the fast-forward.
+    /// Blocks `>= uniform_end` (a ragged block column, or the rest of a
+    /// walk whose uniform run is its first column) are never skipped; they
+    /// are fed sequentially after the fast-forward.
     uniform_end: usize,
 }
 
@@ -42,8 +43,8 @@ struct SpecPlan {
 /// Every cell runs on **one synchronous path** on the calling thread: the
 /// trace is generated as bounded instruction segments, each fed into the
 /// resumable core as soon as it exists, so the resident trace stays
-/// O(segment) instead of O(workload). Uncapped cells whose block walk
-/// settles into a periodic steady state skip it exactly by fast-forward
+/// O(segment) instead of O(workload). Cells whose block walk settles into
+/// a periodic steady state skip it exactly by fast-forward
 /// ([`Simulator::with_speculation`]); the simulated statistics are
 /// bit-identical either way. [`SimReport::pipeline`] records what the run
 /// kept resident and how many strides it skipped.
@@ -105,10 +106,10 @@ impl Simulator {
         Ok(self)
     }
 
-    /// Enables (default) or disables steady-state fast-forward for
-    /// uncapped runs. Fast-forward is a wall-clock optimization only: the
-    /// simulated statistics are bit-identical either way, which the parity
-    /// tests and CI enforce.
+    /// Enables (default) or disables steady-state fast-forward.
+    /// Fast-forward is a wall-clock optimization only: the simulated
+    /// statistics are bit-identical either way, which the parity tests and
+    /// CI enforce.
     #[must_use]
     pub const fn with_speculation(mut self, speculation: bool) -> Self {
         self.speculation = speculation;
@@ -221,9 +222,9 @@ impl Simulator {
     /// fast-forward prefix, then every remaining register block generated
     /// segment by segment straight into the core.
     ///
-    /// A capped cell never plans a fast-forward, so it feeds blocks
-    /// `0..block_count` — exactly [`TraceGenerator::gemm_stream`]'s
-    /// segments, cap truncation included.
+    /// Capped or not, the run covers exactly the blocks of
+    /// [`TraceGenerator::block_count`]; without a fast-forward it feeds
+    /// [`TraceGenerator::gemm_stream`]'s segments.
     fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
         let total_matmuls = self.generator.matmul_count(shape)? as u64;
         let blocks = self.generator.block_count(shape)?;
@@ -249,25 +250,15 @@ impl Simulator {
     }
 
     /// The deterministic fast-forward schedule for `shape`, or `None` when
-    /// the cell must run sequentially: fast-forward is off, the trace is
-    /// capped (the cap is a sequential prefix property), or the uniform
+    /// the cell must run sequentially: fast-forward is off, or the uniform
     /// block region is too short to hold a warm-up stride, a probe and a
-    /// skipped stride.
+    /// skipped stride. One stride is one period of the block walk, capped
+    /// or not.
     fn spec_plan(&self, shape: GemmShape) -> Result<Option<SpecPlan>, SimError> {
-        if !self.speculation || self.generator.kernel().max_matmuls.is_some() {
+        if !self.speculation {
             return Ok(None);
         }
-        let (period, uniform_end) = self.generator.uniform_blocks(shape)?;
-        // One stride spans a couple of segments' worth of blocks (the
-        // scheme's own block-length estimate), rounded up to a whole number
-        // of periods so every stride carries identical work.
-        let kernel = self.generator.kernel();
-        let kt = rasa_numeric::TileGrid::new(shape, kernel.tiling)?.k_tiles();
-        let segment_size = kernel.scheme.segment_size.unwrap_or(DEFAULT_SEGMENT_SIZE);
-        let target = (2 * segment_size)
-            .div_ceil(kernel.block_len_estimate(kt))
-            .max(1);
-        let stride_blocks = target.div_ceil(period) * period;
+        let (stride_blocks, uniform_end) = self.generator.uniform_blocks(shape)?;
         // Worth it only when the uniform region holds the warm-up stride,
         // two probe strides (a first comparison and one retry) and at
         // least one skipped stride.
@@ -303,8 +294,8 @@ impl Simulator {
         }
     }
 
-    /// The fast-forward prefix of an uncapped cell; returns the first
-    /// register block still to be fed.
+    /// The fast-forward prefix of a cell; returns the first register block
+    /// still to be fed.
     ///
     /// Protocol (mechanism in `rasa_cpu::SpeculativeRun`): warm up one
     /// stride, then probe stride by stride until one stride boundary is an
@@ -313,8 +304,8 @@ impl Simulator {
     /// then the same work with only its addresses changed, so the run skips
     /// them in O(1): it shifts the boundary state by that many deltas and
     /// folds in that many copies of the confirmed stride's statistics. The
-    /// rest — the partial last stride and any ragged column — is left to
-    /// the sequential feed.
+    /// rest of the walk past the uniform region — a ragged column, or the
+    /// columns after a ragged first one — is left to the sequential feed.
     ///
     /// The schedule derives only from the shape and the kernel, so the
     /// statistics, including the fast-forward counters, are deterministic;
@@ -550,12 +541,14 @@ mod tests {
 
     #[test]
     fn capped_cells_stream_exactly_the_gemm_stream_segments() {
-        // A capped cell feeds blocks `0..block_count`, which must cut the
-        // same segments as `gemm_stream` — the goldens record them.
+        // Without a fast-forward a capped cell feeds blocks
+        // `0..block_count`, which must cut the same segments as
+        // `gemm_stream`.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
             .with_kernel(segmented(300, Some(700)))
-            .unwrap();
+            .unwrap()
+            .with_speculation(false);
         let shape = GemmShape::new(512, 256, 512);
         let report = sim.run_gemm(shape).unwrap();
         let mut stream = sim.generator.gemm_stream(shape, "capped", 1).unwrap();
@@ -663,23 +656,43 @@ mod tests {
     }
 
     #[test]
-    fn capped_runs_never_speculate() {
-        // A matmul cap is a sequential-prefix property, so the planner
-        // must refuse to skip ahead no matter how large the trace is.
+    fn capped_cells_plan_and_fast_forward_exactly() {
+        // The cap bounds the block walk itself, so a capped cell plans a
+        // fast-forward over its shorter walk one block at a time, and the
+        // skip reproduces both the sequential run and the capped trace on
+        // the one-shot core bit for bit.
         let sim = Simulator::new(DesignPoint::baseline()).unwrap();
         assert!(sim.is_speculative());
-        let plan = sim.spec_plan(GemmShape::new(1024, 1024, 1024)).unwrap();
-        assert!(plan.is_none());
+        let shape = GemmShape::new(1024, 1024, 1024);
+        let plan = sim.spec_plan(shape).unwrap().expect("a capped cell plans");
+        let blocks = sim.generator.block_count(shape).unwrap();
+        assert_eq!((plan.stride_blocks, plan.uniform_end), (1, blocks));
+        let fast = sim.run_gemm(shape).unwrap();
+        let sequential = sim.clone().with_speculation(false).run_gemm(shape).unwrap();
+        let materialized = materialized(&sim, shape);
+        assert!(fast.is_extrapolated());
+        assert!(fast.pipeline.spec_forks > 0);
+        assert_eq!(sequential.pipeline.spec_forks, 0);
+        for oracle in [&sequential, &materialized] {
+            assert_eq!(fast.cpu, oracle.cpu);
+            assert_eq!(fast.sched, oracle.sched);
+            assert_eq!(fast.core_cycles, oracle.core_cycles);
+            assert_eq!(
+                fast.pipeline.fed_instructions,
+                oracle.pipeline.fed_instructions
+            );
+        }
     }
 
     #[test]
     fn plan_needs_warm_up_probe_and_one_skipped_stride() {
-        // With one-instruction segments a stride is a single 2×2 block, so
-        // a 2×8-tile GEMM holds exactly the four uniform strides a plan
-        // needs; 2×6 tiles, or a ragged eighth column, hold only three.
+        // A stride is one period of the block walk — here a single 2×2
+        // block — so a 2×8-tile GEMM holds exactly the four uniform strides
+        // a plan needs; 2×6 tiles, or a ragged eighth column, hold only
+        // three.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
-            .with_kernel(segmented(1, None))
+            .with_matmul_cap(None)
             .unwrap();
         let plan = sim.spec_plan(GemmShape::new(32, 64, 128)).unwrap().unwrap();
         assert_eq!((plan.stride_blocks, plan.uniform_end), (1, 4));

@@ -1,4 +1,4 @@
-use crate::scheme::{KernelScheme, LoopOrder};
+use crate::scheme::KernelScheme;
 use crate::TraceError;
 use rasa_numeric::TilingConfig;
 use std::fmt;
@@ -59,7 +59,8 @@ pub struct GemmKernelConfig {
     /// Whether to emit scalar pointer-bump instructions and loop branches.
     pub emit_scalar_overhead: bool,
     /// Optional cap on the number of `rasa_mm` instructions emitted; the
-    /// loop nest is truncated once the cap is reached. Used to keep
+    /// block walk ends with the register block that reaches the cap (see
+    /// [`crate::TraceGenerator::block_count`]). Used to keep
     /// cycle-level simulations of very large layers tractable — the caller
     /// can extrapolate using the true tile count.
     pub max_matmuls: Option<usize>,
@@ -80,31 +81,6 @@ impl GemmKernelConfig {
         crate::KernelSchemeBuilder::new()
             .build()
             .expect("the Algorithm-1 defaults are valid")
-    }
-
-    /// A deterministic estimate of the instruction count of one *full*
-    /// register block over a reduction of `kt` K tiles, as emitted by the
-    /// trace generator: accumulator moves plus per-step operand loads,
-    /// matmuls and modeled scalar overhead.
-    ///
-    /// The estimate is exact for interior (unclipped) blocks and is the
-    /// single source of truth for the simulator's fast-forward strides and
-    /// shard sizing, which only need determinism, not exactness at the
-    /// ragged edges.
-    #[must_use]
-    pub fn block_len_estimate(&self, kt: usize) -> usize {
-        let (bm, bn) = (self.scheme.block.m, self.scheme.block.n);
-        let acc = bm * bn;
-        let overhead = if self.emit_scalar_overhead {
-            self.scheme.scalar_ops_per_step as usize + 1
-        } else {
-            0
-        };
-        let per_step = bm + bn + acc + overhead;
-        match self.scheme.loop_order {
-            LoopOrder::KInnermost => 2 * acc + kt * per_step,
-            LoopOrder::NInnermost => kt * (per_step + 2 * acc),
-        }
     }
 
     /// Returns a copy with a different intra-block `rasa_mm` emission order.
@@ -197,6 +173,7 @@ impl fmt::Display for GemmKernelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LoopOrder;
 
     #[test]
     fn defaults_match_amx() {

@@ -122,45 +122,76 @@ impl TraceGenerator {
         Ok((grid.m_tiles(), grid.k_tiles(), grid.n_tiles()))
     }
 
-    /// The number of register blocks a trace of `shape` walks (the unit
-    /// both the cap check and the streaming segmenter operate on). Blocks
-    /// are ordered n-block-major: linear index `nb * mb_count + mb`, with
-    /// the block shape taken from the kernel scheme (2×2 by default).
+    /// The number of register blocks a trace of `shape` walks: every
+    /// trace, materialized or streamed, is exactly blocks
+    /// `0..block_count`. Blocks are ordered n-block-major: linear index
+    /// `nb * mb_count + mb`, with the block shape taken from the kernel
+    /// scheme (2×2 by default).
+    ///
+    /// A matmul cap shortens the walk to the blocks up to and including
+    /// the first one that brings the emitted `rasa_mm` count to the cap, so
+    /// the last block may overshoot it; a cap past the whole trace leaves
+    /// the walk whole.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Shape`] for an empty GEMM.
     pub fn block_count(&self, shape: GemmShape) -> Result<usize, TraceError> {
-        let (mt, _, nt) = self.tile_dims(shape)?;
+        let (mt, kt, nt) = self.tile_dims(shape)?;
         let block = self.kernel.scheme.block;
-        Ok(block.n_blocks(nt) * block.m_blocks(mt))
+        let column = block.m_blocks(mt);
+        let walk = block.n_blocks(nt) * column;
+        let Some(cap) = self.kernel.max_matmuls else {
+            return Ok(walk);
+        };
+        // The full-width columns the cap covers whole, then the rows of the
+        // next column up to the block that reaches it.
+        let column_matmuls = kt * mt * block.n;
+        let columns = (cap / column_matmuls).min(nt / block.n);
+        let width = (nt - columns * block.n).min(block.n);
+        if width == 0 {
+            return Ok(walk);
+        }
+        let rows = (cap - columns * column_matmuls).div_ceil(kt * width * block.m);
+        Ok(columns * column + rows.min(column))
     }
 
     /// The periodic structure of `shape`'s block walk, as `(period,
     /// uniform_end)`: blocks `[0, uniform_end)` are a run of identical
     /// `period`-block windows — the same instructions once memory
-    /// addresses are stripped — and the blocks from `uniform_end` on differ.
+    /// addresses are stripped — inside the (possibly capped) walk
+    /// `0..block_count`.
     ///
     /// The walk is n-block-major: a column of row blocks per block-width
-    /// tile column. An M that does not divide by the block height makes the
-    /// last block of every column ragged, so the period is one column
-    /// instead of one block; an N that does not divide by the block width
-    /// makes the whole last column ragged, and it lies past `uniform_end`.
+    /// tile column. An N that does not divide by the block width makes the
+    /// whole last column ragged, and it lies past `uniform_end`. An M that
+    /// does not divide by the block height makes the last block of every
+    /// column ragged; the run is then whichever spans more periods — whole
+    /// columns (period one column), or the full blocks inside the first
+    /// column (period one block).
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Shape`] for an empty GEMM.
     pub fn uniform_blocks(&self, shape: GemmShape) -> Result<(usize, usize), TraceError> {
         let (mt, _, nt) = self.tile_dims(shape)?;
+        let walk = self.block_count(shape)?;
         let block = self.kernel.scheme.block;
         let column = block.m_blocks(mt);
-        let period = if mt % block.m == 0 { 1 } else { column };
-        Ok((period, nt / block.n * column))
+        if mt % block.m == 0 {
+            return Ok((1, (nt / block.n * column).min(walk)));
+        }
+        let columns = (nt / block.n).min(walk / column);
+        let first_column = (mt / block.m).min(walk);
+        if columns >= first_column {
+            Ok((column, columns * column))
+        } else {
+            Ok((1, first_column))
+        }
     }
 
     /// Emits one register block (accumulator loads, the K reduction loop,
-    /// accumulator stores) for the block at `(nb, mb)`, bumping `emitted` by
-    /// the number of `rasa_mm` instructions produced. The block shape, loop
+    /// accumulator stores) for the block at `(nb, mb)`. The block shape, loop
     /// order and scalar-overhead model all come from the kernel scheme; the
     /// default scheme reproduces the pre-scheme 2×2 Algorithm-1 sequence
     /// byte for byte. Shared by the materialized [`TraceGenerator::gemm`]
@@ -172,7 +203,6 @@ impl TraceGenerator {
         (mt, kt, nt): (usize, usize, usize),
         nb: usize,
         mb: usize,
-        emitted: &mut usize,
     ) {
         // Register allocation generalizing Algorithm 1: accumulators first,
         // then the weight (B) tiles, then the activation (A) tiles — for the
@@ -237,7 +267,6 @@ impl TraceGenerator {
                                     treg(a_regs[m_idx]),
                                     treg(b_regs[n_idx]),
                                 );
-                                *emitted += 1;
                             }
                         }
                     }
@@ -264,7 +293,6 @@ impl TraceGenerator {
                                     treg(a_regs[m_idx]),
                                     treg(b_regs[n_idx]),
                                 );
-                                *emitted += 1;
                             }
                         }
                     }
@@ -312,21 +340,13 @@ impl TraceGenerator {
     /// (which would be a generator bug).
     pub fn gemm(&self, shape: GemmShape, name: &str) -> Result<Program, TraceError> {
         let dims = self.tile_dims(shape)?;
-        let (mt, _, nt) = dims;
-        let cap = self.kernel.max_matmuls.unwrap_or(usize::MAX);
+        let column = self.kernel.scheme.block.m_blocks(dims.0);
 
         let mut b = ProgramBuilder::new(self.isa);
         b.set_name(name);
 
-        let block = self.kernel.scheme.block;
-        let mut emitted = 0usize;
-        'outer: for nb in 0..block.n_blocks(nt) {
-            for mb in 0..block.m_blocks(mt) {
-                self.emit_register_block(&mut b, dims, nb, mb, &mut emitted);
-                if emitted >= cap {
-                    break 'outer;
-                }
-            }
+        for block in 0..self.block_count(shape)? {
+            self.emit_register_block(&mut b, dims, block / column, block % column);
         }
 
         Ok(b.finish()?)
@@ -606,32 +626,61 @@ mod tests {
     }
 
     #[test]
-    fn block_len_estimate_is_exact_for_interior_blocks() {
-        use crate::{KernelSchemeBuilder, LoopOrder};
-        // Shapes that divide evenly: every block is interior, so the whole
-        // trace length is blocks × estimate.
-        let shape = GemmShape::new(64, 64, 64);
-        for kernel in [
-            GemmKernelConfig::amx_like(),
-            KernelSchemeBuilder::new().with_block(1, 2).build().unwrap(),
-            KernelSchemeBuilder::new()
-                .with_loop_order(LoopOrder::NInnermost)
-                .build()
-                .unwrap(),
-            KernelSchemeBuilder::new()
-                .without_scalar_overhead()
-                .build()
-                .unwrap(),
-        ] {
-            let g = TraceGenerator::new(IsaConfig::amx_like(), kernel).unwrap();
-            let p = g.gemm(shape, "estimate").unwrap();
-            let (_, kt, _) = g.tile_dims(shape).unwrap();
-            let blocks = g.block_count(shape).unwrap();
-            assert_eq!(
-                p.len(),
-                blocks * kernel.block_len_estimate(kt),
-                "kernel {kernel}"
-            );
+    fn capped_block_count_is_the_walk_gemm_emits() {
+        // The capped walk is the shortest prefix of the uncapped walk whose
+        // rasa_mm count reaches the cap (checked after each block), and the
+        // capped `gemm` emits exactly that prefix.
+        use crate::KernelSchemeBuilder;
+        // Even, ragged in M, ragged in N, ragged in both.
+        let shapes = [
+            GemmShape::new(64, 64, 96),
+            GemmShape::new(200, 64, 192),
+            GemmShape::new(192, 70, 200),
+            GemmShape::new(150, 40, 130),
+        ];
+        for (m, n) in [(2, 2), (1, 3), (3, 1)] {
+            let kernel = KernelSchemeBuilder::new().with_block(m, n).build().unwrap();
+            let full = TraceGenerator::new(IsaConfig::amx_like(), kernel).unwrap();
+            for shape in shapes {
+                let program = full.gemm(shape, "full").unwrap();
+                let blocks = full.block_count(shape).unwrap();
+                // Running (rasa_mm, instruction) totals after each block.
+                let mut prefix = vec![(0, 0)];
+                for block in 0..blocks {
+                    let segment = full
+                        .gemm_blocks(shape, "block", block..block + 1, usize::MAX)
+                        .unwrap()
+                        .next()
+                        .unwrap()
+                        .unwrap();
+                    let (mm, len) = prefix[block];
+                    prefix.push((mm + segment.count_matmuls(), len + segment.len()));
+                }
+                let total = prefix[blocks].0;
+                assert_eq!(total, program.count_matmuls());
+                // Caps inside and on the edge of the first blocks, the
+                // ragged last block of the first column, the first block of
+                // the second column and the last block, then past the walk.
+                let (mt, _, _) = full.tile_dims(shape).unwrap();
+                let column = kernel.scheme.block.m_blocks(mt);
+                let mut caps = vec![total + 1, 10 * total];
+                for block in [0, 1, column - 1, column, blocks - 1] {
+                    caps.extend([prefix[block].0 + 1, prefix[block + 1].0]);
+                }
+                for cap in caps {
+                    let expected = (1..=blocks).find(|&b| prefix[b].0 >= cap).unwrap_or(blocks);
+                    let capped = full.with_kernel(kernel.with_max_matmuls(cap)).unwrap();
+                    let what = format!("block {m}x{n}, {shape:?}, cap {cap}");
+                    assert_eq!(capped.block_count(shape).unwrap(), expected, "{what}");
+                    let trace = capped.gemm(shape, "capped").unwrap();
+                    assert_eq!(trace.count_matmuls(), prefix[expected].0, "{what}");
+                    assert_eq!(
+                        trace.instructions(),
+                        &program.instructions()[..prefix[expected].1],
+                        "{what}"
+                    );
+                }
+            }
         }
     }
 
@@ -659,18 +708,20 @@ mod tests {
             }
         }
         // Even in every dimension, then ragged in M, in N and K, and in M
-        // and N for some block shapes only.
+        // and N for some block shapes only; the last has a ragged M with
+        // long columns, so its first column's interior is the longer run.
         let shapes = [
             GemmShape::new(192, 64, 192),
             GemmShape::new(200, 64, 192),
             GemmShape::new(192, 70, 200),
             GemmShape::new(150, 40, 130),
+            GemmShape::new(400, 64, 40),
         ];
-        let mut compared = 0;
+        let (mut compared, mut first_column_runs) = (0, 0);
         for (m, n) in [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)] {
             for loop_order in [LoopOrder::KInnermost, LoopOrder::NInnermost] {
                 for matmul_order in [MatmulOrder::WeightPaired, MatmulOrder::Interleaved] {
-                    for scalar in 0..3 {
+                    for (scalar, cap) in (0..3).flat_map(|s| [(s, None), (s, Some(100))]) {
                         let builder = KernelSchemeBuilder::new()
                             .with_block(m, n)
                             .with_loop_order(loop_order)
@@ -680,11 +731,17 @@ mod tests {
                             1 => builder.with_scalar_ops_per_step(1),
                             _ => builder.without_scalar_overhead(),
                         };
-                        let kernel = builder.build().unwrap();
+                        let mut kernel = builder.build().unwrap();
+                        kernel.max_matmuls = cap;
                         let g = TraceGenerator::new(IsaConfig::amx_like(), kernel).unwrap();
                         for shape in shapes {
                             let (period, uniform_end) = g.uniform_blocks(shape).unwrap();
                             assert_eq!(uniform_end % period, 0);
+                            assert!(uniform_end <= g.block_count(shape).unwrap());
+                            let (mt, _, _) = g.tile_dims(shape).unwrap();
+                            if mt % m != 0 && period == 1 && uniform_end > 1 {
+                                first_column_runs += 1;
+                            }
                             for stride in [period, 2 * period, 3 * period] {
                                 let window = |lo: usize| -> Vec<Instruction> {
                                     g.gemm_blocks(shape, "window", lo..lo + stride, usize::MAX)
@@ -713,6 +770,10 @@ mod tests {
             }
         }
         assert!(compared > 1000, "only {compared} windows compared");
+        assert!(
+            first_column_runs >= 100,
+            "only {first_column_runs} first-column runs"
+        );
     }
 
     #[test]

@@ -17,8 +17,8 @@
 //! * **identical sequence** — segments are cut only at register-block
 //!   boundaries and both paths share the same block emitter, so
 //!   concatenating the segments reproduces [`TraceGenerator::gemm`]'s
-//!   instruction sequence byte for byte, including the matmul-cap
-//!   truncation semantics (the cap is checked after each block);
+//!   instruction sequence byte for byte, matmul-cap truncation included
+//!   (both walk exactly the blocks of [`TraceGenerator::block_count`]);
 //! * **carried validation** — segments are validated by the shared
 //!   [`rasa_isa::ProgramBuilder`] segmenter with register state carried
 //!   across segments, so a streamed trace is exactly as well-formed as its
@@ -77,10 +77,8 @@ pub struct GemmTraceStream {
     mb_count: usize,
     blocks: Range<usize>,
     emitted: usize,
-    cap: usize,
     segment_size: usize,
     builder: ProgramBuilder,
-    done: bool,
 }
 
 impl GemmTraceStream {
@@ -122,10 +120,8 @@ impl GemmTraceStream {
             mb_count: generator.kernel().scheme.block.m_blocks(mt),
             blocks,
             emitted: 0,
-            cap: generator.kernel().max_matmuls.unwrap_or(usize::MAX),
             segment_size,
             builder: ProgramBuilder::new(*generator.isa()),
-            done: false,
         })
     }
 
@@ -142,15 +138,10 @@ impl GemmTraceStream {
         self.emitted
     }
 
-    /// Register blocks not yet emitted (0 once the walk — or the cap — has
-    /// finished).
+    /// Register blocks not yet emitted (0 once the walk has finished).
     #[must_use]
     pub fn blocks_remaining(&self) -> usize {
-        if self.done {
-            0
-        } else {
-            self.blocks.len()
-        }
+        self.blocks.len()
     }
 }
 
@@ -164,36 +155,22 @@ impl ProgramSource for GemmTraceStream {
     }
 
     fn next_segment(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
-        if self.done {
-            return Ok(None);
-        }
-        // Emit whole register blocks until the segment target is reached,
-        // the cap truncates the walk, or the block range is exhausted. The
-        // cap check mirrors the materialized path exactly: it is evaluated
-        // after each block, so the final block may overshoot the cap.
-        while !self.blocks.is_empty()
-            && self.builder.len() < self.segment_size
-            && self.emitted < self.cap
-        {
+        // Emit whole register blocks until the segment target is reached
+        // or the block range is exhausted.
+        while !self.blocks.is_empty() && self.builder.len() < self.segment_size {
             let block = self.blocks.start;
             self.blocks.start += 1;
             let nb = block / self.mb_count;
             let mb = block % self.mb_count;
-            self.generator.emit_register_block(
-                &mut self.builder,
-                self.dims,
-                nb,
-                mb,
-                &mut self.emitted,
-            );
-        }
-        if self.blocks.is_empty() || self.emitted >= self.cap {
-            self.done = true;
+            self.generator
+                .emit_register_block(&mut self.builder, self.dims, nb, mb);
         }
         if self.builder.is_empty() {
             return Ok(None);
         }
-        Ok(Some(self.builder.finish_segment()?))
+        let segment = self.builder.finish_segment()?;
+        self.emitted += segment.count_matmuls();
+        Ok(Some(segment))
     }
 }
 
@@ -233,9 +210,9 @@ impl TraceGenerator {
     /// a partition of `0..block_count` concatenate, in order, to the full
     /// [`TraceGenerator::gemm_stream`] sequence.
     ///
-    /// Segment indices and instruction offsets are shard-local, and a
-    /// matmul cap is applied per shard; shards are intended for fanning out
-    /// the generation of *uncapped* traces.
+    /// Segment indices and instruction offsets are shard-local. A matmul
+    /// cap bounds the walk itself, so shards of a capped trace partition
+    /// its shorter `0..block_count`.
     ///
     /// # Errors
     ///
