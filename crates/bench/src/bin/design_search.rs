@@ -115,34 +115,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("results written to {path} (round-trip verified)");
     }
 
-    if let Some(path) = &options.bench_path {
-        // Wall-clock search throughput for the perf trajectory
-        // (machine-dependent; `bench_check` compares within a noise band).
-        let section = JsonValue::Object(vec![
-            (
-                "elapsed_seconds".into(),
-                JsonValue::number_from_f64(elapsed),
-            ),
-            (
-                "cells_simulated".into(),
-                JsonValue::number_from_u64(stats.misses),
-            ),
-            (
-                "cells_per_second".into(),
-                JsonValue::number_from_f64(stats.misses as f64 / elapsed.max(1e-9)),
-            ),
-            (
-                "cache_hit_rate".into(),
-                JsonValue::number_from_f64(stats.hit_rate()),
-            ),
-        ]);
-        let section_name = if options.kernel_axes {
-            "design_search_joint"
-        } else {
-            "design_search"
-        };
-        rasa_bench::update_bench_section(path, section_name, section)?;
-        println!("perf document section '{section_name}' written to {path}");
-    }
     Ok(())
 }

@@ -53,12 +53,11 @@ fn seconds(d: Duration) -> f64 {
 /// asserts the architectural statistics are bit-identical across all of
 /// them (with a byte-identical CpuStats JSON cross-check for the CI parity
 /// step), and reports the measured wall-clock speedups, segment counts,
-/// peak resident instructions and fast-forwarded strides. Returns the
-/// per-design timing rows for the machine-readable perf document.
+/// peak resident instructions and fast-forwarded strides.
 fn timing_comparison(
     layer_name: &str,
     options: &rasa_bench::BinOptions,
-) -> Result<Vec<JsonValue>, Box<dyn std::error::Error>> {
+) -> Result<(), Box<dyn std::error::Error>> {
     let suite = WorkloadSuite::mlperf();
     let Some(layer) = suite.layer(layer_name) else {
         return Err(format!(
@@ -66,7 +65,6 @@ fn timing_comparison(
         )
         .into());
     };
-    let mut rows = Vec::new();
     println!("== Event-driven core timing (full fidelity, {layer_name}) ==");
     for design in [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()] {
         let name = design.name().to_string();
@@ -115,20 +113,8 @@ fn timing_comparison(
             streamed.pipeline.fed_instructions,
             streamed.pipeline.residency() * 100.0,
         );
-        let mut row = vec![
-            ("design".to_string(), JsonValue::string(&name)),
-            (
-                "reference_seconds".to_string(),
-                JsonValue::number_from_f64(reference_seconds),
-            ),
-            (
-                "streamed_seconds".to_string(),
-                JsonValue::number_from_f64(streamed_seconds),
-            ),
-        ];
 
         if !options.speculation {
-            rows.push(JsonValue::Object(row));
             continue;
         }
         // Fast-forward leg: skipping the periodic steady state must
@@ -165,40 +151,13 @@ fn timing_comparison(
             speculative.pipeline.segments,
             streamed.pipeline.segments,
         );
-        row.extend([
-            (
-                "speculative_seconds".to_string(),
-                JsonValue::number_from_f64(speculative_seconds),
-            ),
-            (
-                "speculative_speedup".to_string(),
-                JsonValue::number_from_f64(spec_speedup),
-            ),
-            (
-                "spec_forks".to_string(),
-                JsonValue::number_from_u64(speculative.pipeline.spec_forks),
-            ),
-            (
-                "spec_commits".to_string(),
-                JsonValue::number_from_u64(speculative.pipeline.spec_commits),
-            ),
-            (
-                "spec_replays".to_string(),
-                JsonValue::number_from_u64(speculative.pipeline.spec_replays),
-            ),
-            (
-                "spec_commit_rate".to_string(),
-                JsonValue::number_from_f64(speculative.pipeline.spec_commit_rate()),
-            ),
-        ]);
-        rows.push(JsonValue::Object(row));
     }
     if options.speculation {
         println!("  statistics bit-identical across the reference core, the streamed core and the fast-forward");
     } else {
         println!("  statistics bit-identical across the reference core and the streamed core (fast-forward off)");
     }
-    Ok(rows)
+    Ok(())
 }
 
 /// The deterministic slice of the evaluation, as a JSON document: every
@@ -372,13 +331,7 @@ fn results_document(
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = rasa_bench::BinOptions::from_env_or_usage("run_all");
     if options.timing_only {
-        let timing_rows = timing_comparison(&options.timing_layer, &options)?;
-        if let Some(path) = &options.bench_path {
-            let section = JsonValue::Object(vec![("timing".into(), JsonValue::Array(timing_rows))]);
-            rasa_bench::update_bench_section(path, "run_all", section)?;
-            println!("perf document section 'run_all' written to {path}");
-        }
-        return Ok(());
+        return timing_comparison(&options.timing_layer, &options);
     }
     let suite = options.suite()?;
 
@@ -407,7 +360,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = suite.runner().cache_stats();
     let mode = if suite.runner().is_parallel() {
-        format!("parallel on {} threads", rayon::current_num_threads())
+        format!(
+            "parallel on {} threads",
+            std::thread::available_parallelism().map_or(1, usize::from)
+        )
     } else {
         "serial".to_string()
     };
@@ -448,50 +404,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!("results written to {path} (round-trip verified)");
     }
 
-    let timing_rows = if options.no_timing {
-        Vec::new()
-    } else {
-        timing_comparison(&options.timing_layer, &options)?
-    };
-
-    if let Some(path) = &options.bench_path {
-        // Wall-clock throughputs and speculation rates for the perf
-        // trajectory. Unlike the results document these numbers are
-        // machine-dependent; `bench_check` compares them within a noise
-        // band only.
-        let visited: u64 = reports().map(|r| r.sched.visited_cycles).sum();
-        let skipped: u64 = reports().map(|r| r.sched.skipped_cycles).sum();
-        let instructions: u64 = reports().map(|r| r.pipeline.fed_instructions).sum();
-        let timeline = visited + skipped;
-        let section = JsonValue::Object(vec![
-            (
-                "elapsed_seconds".into(),
-                JsonValue::number_from_f64(seconds(elapsed)),
-            ),
-            (
-                "cells_simulated".into(),
-                JsonValue::number_from_u64(stats.misses),
-            ),
-            (
-                "cells_per_second".into(),
-                JsonValue::number_from_f64(stats.misses as f64 / seconds(elapsed).max(1e-9)),
-            ),
-            (
-                "instructions_per_second".into(),
-                JsonValue::number_from_f64(instructions as f64 / seconds(elapsed).max(1e-9)),
-            ),
-            (
-                "visited_cycle_skip_rate".into(),
-                JsonValue::number_from_f64(if timeline == 0 {
-                    0.0
-                } else {
-                    skipped as f64 / timeline as f64
-                }),
-            ),
-            ("timing".into(), JsonValue::Array(timing_rows)),
-        ]);
-        rasa_bench::update_bench_section(path, "run_all", section)?;
-        println!("perf document section 'run_all' written to {path}");
+    if !options.no_timing {
+        timing_comparison(&options.timing_layer, &options)?;
     }
 
     if options.skip_serial_check || !suite.runner().is_parallel() {

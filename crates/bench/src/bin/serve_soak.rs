@@ -1,7 +1,8 @@
 //! Soak-tests the batched GEMM serving layer: N closed-loop clients drive a
 //! deterministic seeded mix of FC-layer shapes through a [`GemmServer`],
 //! and the harness reports throughput, p50/p99 latency, cache
-//! hit/eviction statistics and batching effectiveness.
+//! hit/eviction statistics, batching effectiveness and the time spent in
+//! each [`rasa_sim::prof`] stage.
 //!
 //! Run with, e.g.:
 //!
@@ -24,13 +25,10 @@
 //! serialized document must reload and re-serialize to byte-identical
 //! output (the property the CI regression harness relies on).
 
-use rasa_bench::{prof, BinOptions};
-use rasa_sim::net::{
-    ClientStats, NetClient, Router, RouterConfig, RouterHealth, ShardConfig, ShardServer,
-    WireRequest,
-};
+use rasa_bench::BinOptions;
+use rasa_sim::net::{ClientStats, NetClient, RouterHealth, WireRequest};
 use rasa_sim::serve::{AdmissionControl, GemmRequest, GemmServer, LatencySummary, ServeConfig};
-use rasa_sim::{DesignPoint, FromJson, JsonValue, SimError, SimSummary, ToJson};
+use rasa_sim::{prof, DesignPoint, FromJson, JsonValue, SimError, SimSummary, ToJson};
 use rasa_workloads::{bert_layers, dlrm_layers, LayerSpec, TrafficGenerator};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
@@ -47,25 +45,7 @@ struct Completion {
     total_seconds: f64,
     queue_seconds: f64,
     simulate_seconds: f64,
-    /// Seconds from soak start to this completion — the steady-state
-    /// throughput window is cut on these.
-    finished_seconds: f64,
     summary: SimSummary,
-}
-
-/// Throughput over the steady-state window: the first `warmup_percent` of
-/// completions (cold caches, cold pools) are excluded, and the remainder
-/// is divided by the time from the last warmup completion to the end.
-/// Falls back to the whole-run rate when the warmup swallows everything.
-fn steady_state_throughput(finish_times: &mut [f64], warmup_percent: usize) -> f64 {
-    let total = finish_times.len();
-    finish_times.sort_by(f64::total_cmp);
-    let warm = total * warmup_percent.min(100) / 100;
-    let last = *finish_times.last().expect("at least one completion");
-    if warm == 0 || warm >= total || last - finish_times[warm - 1] < 1e-9 {
-        return total as f64 / last.max(1e-9);
-    }
-    (total - warm) as f64 / (last - finish_times[warm - 1])
 }
 
 /// One client's view of a completed distributed request. The wire carries
@@ -77,9 +57,6 @@ struct DistCompletion {
     workload: String,
     layer: LayerSpec,
     total_seconds: f64,
-    /// Seconds from soak start to this completion — the steady-state
-    /// throughput window is cut on these, exactly as in-process.
-    finished_seconds: f64,
     summary: SimSummary,
     summary_json: String,
 }
@@ -186,56 +163,6 @@ fn traffic_universe() -> (Vec<LayerSpec>, [usize; 3]) {
     (layers, [1usize, 8, 64])
 }
 
-/// Replays the soak's deterministic traffic through a loopback tier — two
-/// in-process TCP shard servers fronted by a [`Router`] with its result
-/// cache enabled — and returns the router's counters. This is how the
-/// local bench measures an honest `router_cache_hit_rate` (and populates
-/// the frame encode/decode profiling stages) without spawning processes.
-fn loopback_router_stats(
-    options: &BinOptions,
-) -> Result<rasa_sim::net::RouterStats, Box<dyn std::error::Error>> {
-    let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
-    let (layers, batch_sizes) = traffic_universe();
-    let mut shards = Vec::new();
-    let mut addrs = Vec::new();
-    for shard_id in 0..2u32 {
-        let shard = ShardServer::bind(
-            "127.0.0.1:0",
-            ShardConfig {
-                shard_id,
-                serve: serve_config(options),
-            },
-            &designs,
-        )?;
-        addrs.push(shard.local_addr().to_string());
-        shards.push(shard);
-    }
-    let router = Router::new(
-        &addrs,
-        RouterConfig {
-            matmul_cap: options.matmul_cap,
-            result_cache_capacity: options.router_cache,
-            ..RouterConfig::default()
-        },
-    )?;
-    for client in 0..options.clients {
-        let mut traffic =
-            TrafficGenerator::new(&layers, &batch_sizes, options.seed + client as u64)
-                .expect("non-empty traffic universe");
-        for request_index in 0..options.requests_per_client {
-            let workload = traffic.next_request();
-            let design = designs[(client + request_index) % designs.len()].name();
-            let id = ((client as u64) << 32) | request_index as u64;
-            router.route(&WireRequest::new(id, design, workload))?;
-        }
-    }
-    let stats = router.stats();
-    for shard in shards {
-        shard.shutdown();
-    }
-    Ok(stats)
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let options = rasa_bench::BinOptions::from_env_or_usage("serve_soak");
     if options.clients == 0 || options.requests_per_client == 0 {
@@ -277,7 +204,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
     let retries = AtomicU64::new(0);
     prof::reset();
     prof::set_enabled(true);
-    let allocs_before = prof::allocations();
     let soak_start = Instant::now();
     let completions: Vec<Completion> = std::thread::scope(|scope| {
         let mut clients = Vec::new();
@@ -286,7 +212,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
             let layers = &layers;
             let designs = &designs;
             let retries = &retries;
-            let soak_start = &soak_start;
             clients.push(
                 scope.spawn(move || -> Result<Vec<Completion>, rasa_sim::SimError> {
                     // Each client gets its own deterministic traffic stream.
@@ -319,7 +244,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
                             total_seconds: response.latency.total_seconds,
                             queue_seconds: response.latency.queue_seconds,
                             simulate_seconds: response.latency.simulate_seconds,
-                            finished_seconds: soak_start.elapsed().as_secs_f64(),
                             summary: response.report.summary(),
                         });
                     }
@@ -334,7 +258,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
             .map(|all| all.into_iter().flatten().collect())
     })?;
     let wall_seconds = soak_start.elapsed().as_secs_f64();
-    let soak_allocs = prof::allocations() - allocs_before;
 
     let serving = server.stats();
     let cache = server.cache_stats();
@@ -347,9 +270,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
     let queue_latency = LatencySummary::from_samples(&queues).expect("non-empty");
     let simulate_latency = LatencySummary::from_samples(&simulates).expect("non-empty");
     let throughput = completions.len() as f64 / wall_seconds.max(1e-9);
-    let mut finish_times: Vec<f64> = completions.iter().map(|c| c.finished_seconds).collect();
-    let steady_throughput = steady_state_throughput(&mut finish_times, options.warmup_percent);
-    let allocs_per_request = soak_allocs as f64 / completions.len() as f64;
 
     // Distinct simulated cells in deterministic (design, workload) order —
     // these numbers are seed-reproducible even though latencies are not.
@@ -359,10 +279,9 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     println!(
-        "completed {} requests in {:.2} s ({throughput:.0} req/s; steady-state {steady_throughput:.0} req/s past the first {}%; {allocs_per_request:.0} allocs/request)",
+        "completed {} requests in {:.2} s ({throughput:.0} req/s)",
         totals.len(),
         wall_seconds,
-        options.warmup_percent,
     );
     println!(
         "latency p50 {:.3} ms | p99 {:.3} ms | p99.9 {:.3} ms | max {:.3} ms (queue p99 {:.3} ms, simulate p99 {:.3} ms)",
@@ -396,6 +315,19 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
         retries.load(Ordering::Relaxed),
     );
     println!("{} distinct cells simulated", cells.len());
+    // Wall-clock data, so it is printed but kept out of the --json document.
+    let stages: Vec<String> = prof::snapshot()
+        .iter()
+        .map(|stage| {
+            format!(
+                "{} {} in {:.3} ms",
+                stage.stage.name(),
+                stage.count,
+                stage.seconds() * 1e3
+            )
+        })
+        .collect();
+    println!("prof: {}", stages.join(", "));
 
     if let Some(path) = &options.json_path {
         let document = JsonValue::Object(vec![
@@ -471,90 +403,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
         println!("results written to {path} (round-trip verified)");
     }
 
-    if let Some(path) = &options.bench_path {
-        let section = JsonValue::Object(vec![
-            (
-                "throughput_requests_per_second".into(),
-                JsonValue::number_from_f64(throughput),
-            ),
-            (
-                "steady_state_requests_per_second".into(),
-                JsonValue::number_from_f64(steady_throughput),
-            ),
-            (
-                "warmup_percent".into(),
-                JsonValue::number_from_usize(options.warmup_percent),
-            ),
-            (
-                "p50_seconds".into(),
-                JsonValue::number_from_f64(latency.p50_seconds),
-            ),
-            (
-                "p99_seconds".into(),
-                JsonValue::number_from_f64(latency.p99_seconds),
-            ),
-            (
-                "p999_seconds".into(),
-                JsonValue::number_from_f64(latency.p999_seconds),
-            ),
-            (
-                "max_seconds".into(),
-                JsonValue::number_from_f64(latency.max_seconds),
-            ),
-            (
-                "mean_batch_size".into(),
-                JsonValue::number_from_f64(serving.mean_batch_size()),
-            ),
-        ]);
-        rasa_bench::update_bench_section(path, "serve_soak", section)?;
-        rasa_bench::update_bench_section(
-            path,
-            "allocs_per_request",
-            JsonValue::number_from_f64(allocs_per_request),
-        )?;
-
-        // The router-side result cache is measured on a loopback tier
-        // (in-process TCP shards behind a real Router) driven by the same
-        // deterministic traffic — the hit rate is seed-reproducible.
-        let router_stats = loopback_router_stats(options)?;
-        println!(
-            "loopback router: {} routed, {} cache hits / {} misses ({:.0}% hit rate)",
-            router_stats.routed,
-            router_stats.cache_hits,
-            router_stats.cache_misses,
-            router_stats.cache_hit_rate() * 100.0,
-        );
-        rasa_bench::update_bench_section(
-            path,
-            "router_cache_hit_rate",
-            JsonValue::number_from_f64(router_stats.cache_hit_rate()),
-        )?;
-
-        // The prof section is snapshotted last so it attributes the whole
-        // process: the soak itself plus the loopback wire phase (the only
-        // part of a local run that exercises frame encode/decode).
-        let section = JsonValue::Object(
-            prof::snapshot()
-                .iter()
-                .map(|stage| {
-                    (
-                        stage.stage.name().to_string(),
-                        JsonValue::Object(vec![
-                            ("count".into(), JsonValue::number_from_u64(stage.count)),
-                            (
-                                "seconds".into(),
-                                JsonValue::number_from_f64(stage.seconds()),
-                            ),
-                        ]),
-                    )
-                })
-                .collect(),
-        );
-        rasa_bench::update_bench_section(path, "prof", section)?;
-        println!(
-            "perf document sections 'serve_soak', 'allocs_per_request', 'router_cache_hit_rate' and 'prof' written to {path}"
-        );
-    }
     Ok(())
 }
 
@@ -741,7 +589,6 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                             workload: response.report.workload.clone(),
                             layer: workload,
                             total_seconds: start.elapsed().as_secs_f64(),
-                            finished_seconds: soak_start.elapsed().as_secs_f64(),
                             summary_json: summary.to_json().to_string(),
                             summary,
                         });
@@ -789,14 +636,9 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let totals: Vec<f64> = completions.iter().map(|c| c.total_seconds).collect();
     let latency = LatencySummary::from_samples(&totals).expect("at least one completion");
     let throughput = completions.len() as f64 / wall_seconds.max(1e-9);
-    let mut finish_times: Vec<f64> = completions.iter().map(|c| c.finished_seconds).collect();
-    let steady_throughput = steady_state_throughput(&mut finish_times, options.warmup_percent);
     println!(
-        "steady-state throughput {steady_throughput:.0} req/s over {} concurrent client connections",
+        "throughput {throughput:.0} req/s over {} concurrent client connections | latency p50 {:.3} ms | p99 {:.3} ms | p99.9 {:.3} ms | max {:.3} ms",
         options.clients,
-    );
-    println!(
-        "throughput {throughput:.0} req/s | latency p50 {:.3} ms | p99 {:.3} ms | p99.9 {:.3} ms | max {:.3} ms",
         latency.p50_seconds * 1e3,
         latency.p99_seconds * 1e3,
         latency.p999_seconds * 1e3,
@@ -967,10 +809,6 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                 JsonValue::number_from_f64(throughput),
             ),
             (
-                "steady_state_requests_per_second".into(),
-                JsonValue::number_from_f64(steady_throughput),
-            ),
-            (
                 "concurrent_client_connections".into(),
                 JsonValue::number_from_usize(options.clients),
             ),
@@ -1012,58 +850,5 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
         println!("results written to {path} (round-trip verified)");
     }
 
-    if let Some(path) = &options.bench_path {
-        let (batch_total, batch_count) = health
-            .shards
-            .iter()
-            .fold((0u64, 0u64), |(done, batches), shard| {
-                (done + shard.serve.completed, batches + shard.serve.batches)
-            });
-        let mean_batch = if batch_count == 0 {
-            0.0
-        } else {
-            batch_total as f64 / batch_count as f64
-        };
-        let section = JsonValue::Object(vec![
-            (
-                "throughput_requests_per_second".into(),
-                JsonValue::number_from_f64(throughput),
-            ),
-            (
-                "steady_state_requests_per_second".into(),
-                JsonValue::number_from_f64(steady_throughput),
-            ),
-            (
-                "concurrent_client_connections".into(),
-                JsonValue::number_from_usize(options.clients),
-            ),
-            (
-                "p50_seconds".into(),
-                JsonValue::number_from_f64(latency.p50_seconds),
-            ),
-            (
-                "p99_seconds".into(),
-                JsonValue::number_from_f64(latency.p99_seconds),
-            ),
-            (
-                "p999_seconds".into(),
-                JsonValue::number_from_f64(latency.p999_seconds),
-            ),
-            (
-                "max_seconds".into(),
-                JsonValue::number_from_f64(latency.max_seconds),
-            ),
-            (
-                "mean_batch_size".into(),
-                JsonValue::number_from_f64(mean_batch),
-            ),
-            (
-                "router_cache_hit_rate".into(),
-                JsonValue::number_from_f64(health.stats.cache_hit_rate()),
-            ),
-        ]);
-        rasa_bench::update_bench_section(path, "serve_soak_distributed", section)?;
-        println!("perf document section 'serve_soak_distributed' written to {path}");
-    }
     Ok(())
 }

@@ -1,23 +1,20 @@
-//! # rasa-bench — benchmark harness regenerating every paper table and figure
+//! # rasa-bench — the binaries regenerating every paper table and figure
 //!
-//! The crate has two faces:
+//! One experiment binary (`src/bin/*.rs`) per figure/table of the paper's
+//! evaluation runs the corresponding [`rasa_sim::ExperimentSuite`]
+//! experiment and prints a paper-style table together with the values the
+//! paper reports, so the reproduction gap is visible at a glance. Run them
+//! with, e.g. `cargo run --release -p rasa-bench --bin fig5_runtime`.
+//! Beside them sit `run_all` (the whole evaluation), `design_search`, the
+//! `serve_soak` harness and the `rasa-shardd` / `rasa-router` serving
+//! daemons.
 //!
-//! * **Experiment binaries** (`src/bin/*.rs`) — one per figure/table of the
-//!   paper's evaluation. Each runs the corresponding
-//!   [`rasa_sim::ExperimentSuite`] experiment and prints a paper-style table
-//!   together with the values the paper reports, so the reproduction gap is
-//!   visible at a glance. Run them with, e.g.
-//!   `cargo run --release -p rasa-bench --bin fig5_runtime`.
-//! * **Criterion benches** (`benches/*.rs`) — wall-clock benchmarks of the
-//!   simulator itself (how long it takes to regenerate each experiment and
-//!   how fast the matrix-engine scheduler is), run via `cargo bench`.
-//!
-//! The shared helpers here parse the tiny command-line interface of the
-//! binaries and hold the paper's reference numbers.
+//! The shared helpers here parse the binaries' command line against the
+//! [`FLAGS`] registry and hold the paper's reference numbers. The
+//! simulator's speed is measured by the separate `perfbench` package
+//! registered in `BENCHMARK.json`, not by these binaries.
 
 #![deny(missing_docs)]
-
-pub mod prof;
 
 use rasa_sim::search::{Evolutionary, ExhaustiveGrid, RandomSampling, SearchStrategy};
 use rasa_sim::serve::AdmissionControl;
@@ -97,10 +94,6 @@ pub struct BinOptions {
     /// (`--speculation off`). Simulated statistics are bit-identical
     /// either way.
     pub speculation: bool,
-    /// For `run_all` / `design_search` / `serve_soak`: write the
-    /// machine-readable perf document (throughputs, speculation rates,
-    /// serve latencies) here (`--bench PATH`).
-    pub bench_path: Option<String>,
     /// For `run_all`: restrict the evaluation to the Table I layers
     /// matching this filter (comma-separated substrings or 1-based
     /// indices).
@@ -142,14 +135,10 @@ pub struct BinOptions {
     /// For `rasa-router` / `serve_soak --distributed`: virtual nodes per
     /// shard on the consistent-hash ring (`--vnodes`).
     pub vnodes: usize,
-    /// For `rasa-router` / `serve_soak`: bound on the router's own result
-    /// cache, probed before any shard is contacted (`--router-cache`;
-    /// 0 disables it).
+    /// For `rasa-router` / `serve_soak --distributed`: bound on the
+    /// router's own result cache, probed before any shard is contacted
+    /// (`--router-cache`; 0 disables it).
     pub router_cache: usize,
-    /// For `serve_soak`: percentage of each run's requests treated as
-    /// cache/pool warmup and excluded from the steady-state throughput
-    /// metric (`--warmup PCT`).
-    pub warmup_percent: usize,
     /// For `rasa-shardd`: this worker's shard id (`--shard-id`).
     pub shard_id: u32,
     /// `--help` / `-h` was given: print the binary's flag table and exit.
@@ -177,7 +166,6 @@ impl Default for BinOptions {
             timing_only: false,
             no_timing: false,
             speculation: true,
-            bench_path: None,
             layers: None,
             strategy: "grid".to_string(),
             population: 16,
@@ -193,7 +181,6 @@ impl Default for BinOptions {
             inflight: 32,
             vnodes: 64,
             router_cache: rasa_sim::net::DEFAULT_RESULT_CACHE_CAPACITY,
-            warmup_percent: 20,
             shard_id: 0,
             help: false,
         }
@@ -201,199 +188,113 @@ impl Default for BinOptions {
 }
 
 impl BinOptions {
-    /// Parses the binaries' tiny CLI: `--cap N`, `--full` (no cap),
-    /// `--max-batch N`, `--serial` (single-threaded execution),
-    /// `--no-serial-check` (skip `run_all`'s serial cross-check),
-    /// `--json PATH` (write the JSON results document),
-    /// `--speculation on|off` (steady-state fast-forward) and
-    /// `--layers FILTER` (comma-separated
-    /// substrings or 1-based Table I indices), `--bench PATH` (write the
-    /// machine-readable perf document), the `run_all` knobs
-    /// `--warm-start PATH`, `--timing-layer NAME` and `--timing-only`, and
-    /// the `serve_soak` knobs `--clients N`, `--requests N`, `--workers N`,
-    /// `--batch N`, `--cache-capacity N`, `--queue-capacity N`,
-    /// `--admission block|reject` and `--seed N`, and the `design_search`
-    /// knobs `--strategy grid|random|evolve`, `--population N`,
-    /// `--generations N`, `--samples N`, `--workload NAME` and
-    /// `--kernel-axes` (joint hardware × kernel search), the
-    /// distributed-serving knobs `--distributed`, `--shards N`,
-    /// `--kill-worker`, `--inflight N`, `--vnodes N`, `--router-cache N`
-    /// and `--warmup PCT`, and the
-    /// `rasa-shardd` / `rasa-router` knobs `--listen ADDR`,
-    /// `--shard ADDR` (repeatable) and `--shard-id N`. `--help` / `-h`
-    /// sets [`BinOptions::help`] so a binary can print its flag table (see
-    /// [`usage`]). Unknown arguments are ignored so the binaries can be
-    /// run under criterion or other wrappers.
-    #[must_use]
-    pub fn parse(args: impl IntoIterator<Item = String>) -> Self {
-        fn numeric<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>) -> Option<T> {
-            args.next().and_then(|v| v.parse().ok())
+    /// Parses `binary`'s command line against the [`FLAGS`] registry: every
+    /// flag must be registered for `binary` (its `--help` table, see
+    /// [`usage`]), and a flag with a value placeholder must be followed by
+    /// a well-formed value (see [`FlagSpec::value`]). `--help` / `-h` sets
+    /// [`BinOptions::help`] so the binary can print its flag table.
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line message for an unknown flag, a missing value or
+    /// a malformed value.
+    pub fn parse(binary: &str, args: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        fn invalid(spec: &FlagSpec, value: &str) -> String {
+            format!("{} {}: invalid value '{value}'", spec.flag, spec.value)
+        }
+        fn number<T: std::str::FromStr>(spec: &FlagSpec, value: &str) -> Result<T, String> {
+            value.parse().map_err(|_| invalid(spec, value))
         }
         let mut options = BinOptions::default();
         let mut args = args.into_iter();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--cap" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.matmul_cap = Some(value);
-                    }
+            if arg == "--help" || arg == "-h" {
+                options.help = true;
+                continue;
+            }
+            let Some(spec) = FLAGS
+                .iter()
+                .find(|spec| spec.flag == arg && spec.binaries.contains(&binary))
+            else {
+                return Err(format!("unknown flag '{arg}'"));
+            };
+            let value = if spec.value.is_empty() {
+                String::new()
+            } else {
+                match args.next() {
+                    Some(value) if !value.starts_with("--") => value,
+                    _ => return Err(format!("{} {}: missing value", spec.flag, spec.value)),
                 }
+            };
+            if spec.value.contains('|') && !spec.value.split('|').any(|choice| choice == value) {
+                return Err(invalid(spec, &value));
+            }
+            match spec.flag {
+                "--cap" => options.matmul_cap = Some(number(spec, &value)?),
                 "--full" => options.matmul_cap = None,
-                "--max-batch" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.fig7_max_batch = value;
-                    }
-                }
+                "--max-batch" => options.fig7_max_batch = number(spec, &value)?,
                 "--serial" => options.parallel = false,
                 "--no-serial-check" => options.skip_serial_check = true,
-                "--json" => options.json_path = args.next(),
-                "--clients" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.clients = value;
-                    }
+                "--json" => options.json_path = Some(value),
+                "--clients" => options.clients = number(spec, &value)?,
+                "--requests" => options.requests_per_client = number(spec, &value)?,
+                "--workers" => options.workers_per_design = number(spec, &value)?,
+                "--batch" => options.serve_max_batch = number(spec, &value)?,
+                "--cache-capacity" => options.cache_capacity = number(spec, &value)?,
+                "--seed" => options.seed = number(spec, &value)?,
+                "--queue-capacity" => options.queue_capacity = number(spec, &value)?,
+                "--admission" => {
+                    options.admission = if value == "reject" {
+                        AdmissionControl::Reject
+                    } else {
+                        AdmissionControl::Block
+                    };
                 }
-                "--requests" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.requests_per_client = value;
-                    }
-                }
-                "--workers" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.workers_per_design = value;
-                    }
-                }
-                "--batch" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.serve_max_batch = value;
-                    }
-                }
-                "--cache-capacity" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.cache_capacity = value;
-                    }
-                }
-                "--seed" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.seed = value;
-                    }
-                }
-                "--queue-capacity" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.queue_capacity = value;
-                    }
-                }
-                "--admission" => match args.next().as_deref() {
-                    Some("reject") => options.admission = AdmissionControl::Reject,
-                    Some("block") => options.admission = AdmissionControl::Block,
-                    _ => {}
-                },
-                "--warm-start" => options.warm_start_path = args.next(),
-                "--speculation" => match args.next().as_deref() {
-                    Some("on") => options.speculation = true,
-                    Some("off") => options.speculation = false,
-                    _ => {}
-                },
-                "--bench" => options.bench_path = args.next(),
-                "--layers" => options.layers = args.next(),
-                "--timing-layer" => {
-                    if let Some(value) = args.next() {
-                        options.timing_layer = value;
-                    }
-                }
+                "--warm-start" => options.warm_start_path = Some(value),
+                "--speculation" => options.speculation = value == "on",
+                "--layers" => options.layers = Some(value),
+                "--timing-layer" => options.timing_layer = value,
                 "--timing-only" => options.timing_only = true,
                 "--no-timing" => options.no_timing = true,
-                "--strategy" => {
-                    if let Some(value) = args.next() {
-                        options.strategy = value;
-                    }
-                }
-                "--population" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.population = value;
-                    }
-                }
-                "--generations" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.generations = value;
-                    }
-                }
-                "--samples" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.samples = value;
-                    }
-                }
-                "--workload" => {
-                    if let Some(value) = args.next() {
-                        options.workload = value;
-                    }
-                }
+                "--strategy" => options.strategy = value,
+                "--population" => options.population = number(spec, &value)?,
+                "--generations" => options.generations = number(spec, &value)?,
+                "--samples" => options.samples = number(spec, &value)?,
+                "--workload" => options.workload = value,
                 "--kernel-axes" => options.kernel_axes = true,
                 "--distributed" => options.distributed = true,
-                "--shards" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.shards = value;
-                    }
-                }
+                "--shards" => options.shards = number(spec, &value)?,
                 "--kill-worker" => options.kill_worker = true,
-                "--listen" => {
-                    if let Some(value) = args.next() {
-                        options.listen = value;
-                    }
-                }
-                "--shard" => {
-                    if let Some(value) = args.next() {
-                        options.shard_addrs.push(value);
-                    }
-                }
-                "--inflight" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.inflight = value;
-                    }
-                }
-                "--vnodes" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.vnodes = value;
-                    }
-                }
-                "--router-cache" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.router_cache = value;
-                    }
-                }
-                "--warmup" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.warmup_percent = value;
-                    }
-                }
-                "--shard-id" => {
-                    if let Some(value) = numeric(&mut args) {
-                        options.shard_id = value;
-                    }
-                }
-                "--help" | "-h" => options.help = true,
-                _ => {}
+                "--listen" => options.listen = value,
+                "--shard" => options.shard_addrs.push(value),
+                "--inflight" => options.inflight = number(spec, &value)?,
+                "--vnodes" => options.vnodes = number(spec, &value)?,
+                "--router-cache" => options.router_cache = number(spec, &value)?,
+                "--shard-id" => options.shard_id = number(spec, &value)?,
+                other => unreachable!("FLAGS registers {other}, which parse does not handle"),
             }
         }
-        options
+        Ok(options)
     }
 
-    /// Parses the current process arguments.
-    #[must_use]
-    pub fn from_env() -> Self {
-        BinOptions::parse(std::env::args().skip(1))
-    }
-
-    /// Parses the current process arguments and, when `--help` / `-h` was
-    /// given, prints `binary`'s flag table (see [`usage`]) to stdout and
-    /// exits with status 0. Every experiment binary starts with this.
+    /// Parses the current process arguments for `binary`. With `--help` /
+    /// `-h` it prints `binary`'s flag table (see [`usage`]) to stdout and
+    /// exits with status 0; on a parse error it prints the error and the
+    /// flag table to stderr and exits with status 2. Every binary of this
+    /// crate starts with this.
     #[must_use]
     pub fn from_env_or_usage(binary: &str) -> Self {
-        let options = BinOptions::from_env();
-        if options.help {
-            print!("{}", usage(binary));
-            std::process::exit(0);
+        match BinOptions::parse(binary, std::env::args().skip(1)) {
+            Ok(options) if options.help => {
+                print!("{}", usage(binary));
+                std::process::exit(0);
+            }
+            Ok(options) => options,
+            Err(error) => {
+                eprint!("{binary}: {error}\n\n{}", usage(binary));
+                std::process::exit(2);
+            }
         }
-        options
     }
 
     /// Builds the boxed [`SearchStrategy`] these options select for the
@@ -440,14 +341,16 @@ impl BinOptions {
 
 /// One command-line flag of the experiment binaries: its spelling, value
 /// placeholder, one-line description and the binaries that honour it.
-/// [`usage`] renders the per-binary `--help` table from this registry, and
-/// the README's flag table is regenerated from the same output, so the
-/// three can never drift apart independently.
+/// [`usage`] renders the per-binary `--help` table from this registry,
+/// [`BinOptions::parse`] accepts exactly the flags it registers for a
+/// binary, and the README's flag table is regenerated from the same
+/// output, so the four can never drift apart independently.
 #[derive(Debug, Clone, Copy)]
 pub struct FlagSpec {
     /// The flag itself, e.g. `--cap`.
     pub flag: &'static str,
     /// The value placeholder (`"N"`, `"PATH"`, …); empty for bare flags.
+    /// `N` takes a number and `a|b` exactly one of the alternatives.
     pub value: &'static str,
     /// One-line description shown in `--help`.
     pub description: &'static str,
@@ -470,8 +373,7 @@ pub const SUITE_BINARIES: &[&str] = &[
     "design_search",
 ];
 
-/// Every flag of every experiment binary (except `bench_check`, which has
-/// its own three-flag CLI documented in its `--help`).
+/// Every flag of every binary in this crate.
 pub const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         flag: "--cap",
@@ -543,12 +445,6 @@ pub const FLAGS: &[FlagSpec] = &[
         flag: "--json",
         value: "PATH",
         description: "write the machine-readable results document",
-        binaries: &["run_all", "design_search", "serve_soak"],
-    },
-    FlagSpec {
-        flag: "--bench",
-        value: "PATH",
-        description: "write/update the machine-readable perf document",
         binaries: &["run_all", "design_search", "serve_soak"],
     },
     FlagSpec {
@@ -645,7 +541,7 @@ pub const FLAGS: &[FlagSpec] = &[
         flag: "--full",
         value: "",
         description: "remove the matmul cap — must match across router and shards",
-        binaries: &["rasa-shardd", "rasa-router"],
+        binaries: &["serve_soak", "rasa-shardd", "rasa-router"],
     },
     FlagSpec {
         flag: "--distributed",
@@ -684,12 +580,6 @@ pub const FLAGS: &[FlagSpec] = &[
         binaries: &["serve_soak", "rasa-router"],
     },
     FlagSpec {
-        flag: "--warmup",
-        value: "PCT",
-        description: "percent of requests excluded from steady-state throughput (default 20)",
-        binaries: &["serve_soak"],
-    },
-    FlagSpec {
         flag: "--listen",
         value: "ADDR",
         description: "bind address (port 0 = ephemeral; resolved address printed on stdout)",
@@ -712,7 +602,7 @@ pub const FLAGS: &[FlagSpec] = &[
 /// Renders `binary`'s `--help` text from the [`FLAGS`] registry.
 #[must_use]
 pub fn usage(binary: &str) -> String {
-    let mut out = format!("Usage: {binary} [FLAGS]\n\nFlags (unknown arguments are ignored):\n");
+    let mut out = format!("Usage: {binary} [FLAGS]\n\nFlags:\n");
     for spec in FLAGS {
         if !spec.binaries.contains(&binary) {
             continue;
@@ -764,43 +654,6 @@ pub fn read_json(path: &str) -> Result<rasa_sim::JsonValue, Box<dyn std::error::
     Ok(rasa_sim::JsonValue::parse(&std::fs::read_to_string(path)?)?)
 }
 
-/// Replaces (or inserts) the `section` member of the machine-readable perf
-/// document at `path` and writes it back, creating the document if absent.
-///
-/// Each binary owns one section (`"run_all"`, `"design_search"`,
-/// `"serve_soak"`), so a perf-trajectory point like `BENCH_6.json` is
-/// assembled by running the binaries in sequence with the same `--bench`
-/// path. Unlike the golden results documents, the perf document records
-/// wall-clock observations: it is machine-dependent by design and compared
-/// only within a noise band (see the `bench_check` binary).
-///
-/// # Errors
-///
-/// Returns I/O errors, JSON parse errors, and an error when the existing
-/// file is not a JSON object.
-pub fn update_bench_section(
-    path: &str,
-    section: &str,
-    value: rasa_sim::JsonValue,
-) -> Result<(), Box<dyn std::error::Error>> {
-    use rasa_sim::JsonValue;
-    let mut members = match std::fs::read_to_string(path) {
-        Ok(text) => match JsonValue::parse(&text)? {
-            JsonValue::Object(members) => members,
-            _ => return Err(format!("perf document {path} is not a JSON object").into()),
-        },
-        Err(error) if error.kind() == std::io::ErrorKind::NotFound => {
-            vec![("schema".into(), JsonValue::string("rasa-bench/1"))]
-        }
-        Err(error) => return Err(error.into()),
-    };
-    match members.iter_mut().find(|(name, _)| name == section) {
-        Some((_, existing)) => *existing = value,
-        None => members.push((section.to_string(), value)),
-    }
-    write_verified_json(path, &JsonValue::Object(members))
-}
-
 /// Formats a `measured vs paper` comparison line used by the binaries.
 #[must_use]
 pub fn compare_line(label: &str, measured: f64, paper: f64, unit: &str) -> String {
@@ -818,6 +671,10 @@ pub fn compare_line(label: &str, measured: f64, paper: f64, unit: &str) -> Strin
 mod tests {
     use super::*;
 
+    fn parse(binary: &str, args: &[&str]) -> Result<BinOptions, String> {
+        BinOptions::parse(binary, args.iter().map(ToString::to_string))
+    }
+
     #[test]
     fn default_options() {
         let o = BinOptions::default();
@@ -829,26 +686,61 @@ mod tests {
 
     #[test]
     fn parse_cap_and_full() {
-        let o = BinOptions::parse(["--cap".to_string(), "512".to_string()]);
+        let o = parse("run_all", &["--cap", "512"]).unwrap();
         assert_eq!(o.matmul_cap, Some(512));
-        let o = BinOptions::parse(["--full".to_string()]);
+        let o = parse("run_all", &["--full"]).unwrap();
         assert_eq!(o.matmul_cap, None);
-        let o = BinOptions::parse([
-            "--max-batch".to_string(),
-            "64".to_string(),
-            "--junk".to_string(),
-        ]);
+        let o = parse("run_all", &["--max-batch", "64"]).unwrap();
         assert_eq!(o.fig7_max_batch, 64);
-        // Malformed values fall back to the default.
-        let o = BinOptions::parse(["--cap".to_string(), "notanumber".to_string()]);
-        assert_eq!(o.matmul_cap, Some(4096));
+        // serve_soak forwards --full to the daemons it spawns.
+        let o = parse("serve_soak", &["--full"]).unwrap();
+        assert_eq!(o.matmul_cap, None);
+        // Malformed and missing values are errors, not the default cap.
+        let error = parse("run_all", &["--cap", "abc"]).unwrap_err();
+        assert!(error.contains("--cap") && error.contains("abc"), "{error}");
+        assert!(parse("run_all", &["--cap"]).is_err());
+        assert!(parse("run_all", &["--cap", "--full"]).is_err());
+        assert!(parse("run_all", &["--json", "--no-timing"]).is_err());
+        assert!(parse("serve_soak", &["--seed", "-1"]).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_unknown_flags() {
+        let error = parse("run_all", &["--max-batch", "64", "--junk"]).unwrap_err();
+        assert!(error.contains("--junk"), "{error}");
+        // A stale perf-document flag is an error, not a silent no-op.
+        for binary in ["run_all", "design_search", "serve_soak"] {
+            assert!(parse(binary, &["--bench", "out.json"]).is_err());
+        }
+        // A flag registered for another binary is unknown here.
+        assert!(parse("fig5_runtime", &["--clients", "3"]).is_err());
+        assert!(parse("rasa-router", &["--shard-id", "1"]).is_err());
+        assert!(parse("serve_soak", &["--listen", "127.0.0.1:0"]).is_err());
+    }
+
+    #[test]
+    fn every_registered_flag_parses_for_its_binaries() {
+        // `N` gets a number, `a|b` its first alternative, and any other
+        // placeholder (`PATH`, `NAME`, `ADDR`, …) its own text.
+        for spec in FLAGS {
+            let mut args = vec![spec.flag];
+            match spec.value {
+                "" => {}
+                "N" => args.push("3"),
+                choices => args.push(choices.split('|').next().unwrap()),
+            }
+            for binary in spec.binaries {
+                let parsed = parse(binary, &args);
+                assert!(parsed.is_ok(), "{binary} {args:?}: {parsed:?}");
+            }
+        }
     }
 
     #[test]
     fn parse_execution_flags() {
-        let o = BinOptions::parse(["--serial".to_string()]);
+        let o = parse("run_all", &["--serial"]).unwrap();
         assert!(!o.parallel);
-        let o = BinOptions::parse(["--no-serial-check".to_string()]);
+        let o = parse("run_all", &["--no-serial-check"]).unwrap();
         assert!(o.skip_serial_check);
         assert!(o.parallel);
     }
@@ -871,7 +763,7 @@ mod tests {
             "--seed",
             "123",
         ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        let o = parse("serve_soak", &args).unwrap();
         assert_eq!(o.json_path.as_deref(), Some("out.json"));
         assert_eq!(o.clients, 3);
         assert_eq!(o.requests_per_client, 7);
@@ -880,7 +772,7 @@ mod tests {
         assert_eq!(o.cache_capacity, 9);
         assert_eq!(o.seed, 123);
         // Defaults when absent.
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse("serve_soak", &[]).unwrap();
         assert_eq!(o.json_path, None);
         assert_eq!(o.clients, 8);
         assert_eq!(o.requests_per_client, 32);
@@ -897,38 +789,38 @@ mod tests {
 
     #[test]
     fn parse_backpressure_and_timing_flags() {
+        let o = parse(
+            "serve_soak",
+            &["--queue-capacity", "5", "--admission", "reject"],
+        )
+        .unwrap();
+        assert_eq!(o.queue_capacity, 5);
+        assert_eq!(o.admission, AdmissionControl::Reject);
         let args = [
-            "--queue-capacity",
-            "5",
-            "--admission",
-            "reject",
             "--warm-start",
             "prev.json",
             "--timing-layer",
             "DLRM-2",
             "--timing-only",
         ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
-        assert_eq!(o.queue_capacity, 5);
-        assert_eq!(o.admission, AdmissionControl::Reject);
+        let o = parse("run_all", &args).unwrap();
         assert_eq!(o.warm_start_path.as_deref(), Some("prev.json"));
         assert_eq!(o.timing_layer, "DLRM-2");
         assert!(o.timing_only);
         assert!(!o.no_timing);
-        assert!(BinOptions::parse(["--no-timing".to_string()]).no_timing);
-        // Unknown admission values keep the default.
-        let o = BinOptions::parse(["--admission".to_string(), "banana".to_string()]);
-        assert_eq!(o.admission, AdmissionControl::Block);
+        assert!(parse("run_all", &["--no-timing"]).unwrap().no_timing);
+        // Admission values outside block|reject are errors.
+        let error = parse("serve_soak", &["--admission", "banana"]).unwrap_err();
+        assert!(error.contains("block|reject"), "{error}");
     }
 
     #[test]
     fn parse_streaming_flags() {
         // The streamed path's knobs: fast-forward and the layer filter.
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse("run_all", &[]).unwrap();
         assert_eq!(o.layers, None);
         assert!(o.suite().unwrap().runner().is_speculative());
-        let args = ["--speculation", "off", "--layers", "DLRM,9"];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        let o = parse("run_all", &["--speculation", "off", "--layers", "DLRM,9"]).unwrap();
         assert_eq!(o.layers.as_deref(), Some("DLRM,9"));
         let s = o.suite().unwrap();
         assert!(!s.runner().is_speculative());
@@ -937,23 +829,28 @@ mod tests {
 
     #[test]
     fn parse_speculation_flags() {
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse("run_all", &[]).unwrap();
         assert!(o.speculation, "speculation is the default");
-        assert_eq!(o.bench_path, None);
-        let args = ["--speculation", "off", "--bench", "b.json"];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        let o = parse("run_all", &["--speculation", "off"]).unwrap();
         assert!(!o.speculation);
-        assert_eq!(o.bench_path.as_deref(), Some("b.json"));
         let s = o.suite().unwrap();
         assert!(!s.runner().is_speculative());
-        // Unknown values keep the default.
-        let o = BinOptions::parse(["--speculation".to_string(), "banana".to_string()]);
-        assert!(o.speculation);
+        assert!(
+            parse("run_all", &["--speculation", "on"])
+                .unwrap()
+                .speculation
+        );
+        // A typo is an error, not a silent "on".
+        let error = parse("run_all", &["--speculation", "of"]).unwrap_err();
+        assert!(
+            error.contains("on|off") && error.contains("'of'"),
+            "{error}"
+        );
     }
 
     #[test]
     fn parse_search_flags_and_build_strategies() {
-        let o = BinOptions::parse(std::iter::empty());
+        let o = parse("design_search", &[]).unwrap();
         assert_eq!(o.strategy, "grid");
         assert_eq!(o.population, 16);
         assert_eq!(o.generations, 8);
@@ -977,7 +874,7 @@ mod tests {
             "7",
             "--kernel-axes",
         ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
+        let o = parse("design_search", &args).unwrap();
         assert_eq!(o.strategy, "evolve");
         assert_eq!(o.population, 12);
         assert_eq!(o.generations, 4);
@@ -986,9 +883,13 @@ mod tests {
         assert!(o.kernel_axes);
         assert_eq!(o.search_strategy().unwrap().name(), "evolve");
 
-        let o = BinOptions::parse(["--strategy".to_string(), "random".to_string()]);
+        let o = parse("design_search", &["--strategy", "random"]).unwrap();
         assert_eq!(o.search_strategy().unwrap().name(), "random");
-        let o = BinOptions::parse(["--strategy".to_string(), "banana".to_string()]);
+        assert!(parse("design_search", &["--strategy", "banana"]).is_err());
+        let o = BinOptions {
+            strategy: "banana".to_string(),
+            ..BinOptions::default()
+        };
         assert!(matches!(
             o.search_strategy(),
             Err(rasa_sim::SimError::InvalidExperiment { .. })
@@ -997,7 +898,7 @@ mod tests {
 
     #[test]
     fn parse_distributed_flags() {
-        let o = BinOptions::parse(std::iter::empty());
+        let o = BinOptions::default();
         assert!(!o.distributed);
         assert_eq!(o.shards, 4);
         assert!(!o.kill_worker);
@@ -1013,30 +914,32 @@ mod tests {
             "--shards",
             "6",
             "--kill-worker",
+            "--inflight",
+            "8",
+            "--vnodes",
+            "16",
+        ];
+        let o = parse("serve_soak", &args).unwrap();
+        assert!(o.distributed);
+        assert_eq!(o.shards, 6);
+        assert!(o.kill_worker);
+        assert_eq!(o.inflight, 8);
+        assert_eq!(o.vnodes, 16);
+        let args = [
             "--listen",
             "127.0.0.1:9000",
             "--shard",
             "127.0.0.1:9001",
             "--shard",
             "127.0.0.1:9002",
-            "--inflight",
-            "8",
-            "--vnodes",
-            "16",
-            "--shard-id",
-            "3",
         ];
-        let o = BinOptions::parse(args.iter().map(ToString::to_string));
-        assert!(o.distributed);
-        assert_eq!(o.shards, 6);
-        assert!(o.kill_worker);
+        let o = parse("rasa-router", &args).unwrap();
         assert_eq!(o.listen, "127.0.0.1:9000");
         assert_eq!(o.shard_addrs, vec!["127.0.0.1:9001", "127.0.0.1:9002"]);
-        assert_eq!(o.inflight, 8);
-        assert_eq!(o.vnodes, 16);
+        let o = parse("rasa-shardd", &["--shard-id", "3"]).unwrap();
         assert_eq!(o.shard_id, 3);
-        assert!(BinOptions::parse(["--help".to_string()]).help);
-        assert!(BinOptions::parse(["-h".to_string()]).help);
+        assert!(parse("rasa-shardd", &["--help"]).unwrap().help);
+        assert!(parse("fig1_toy", &["-h"]).unwrap().help);
     }
 
     #[test]
@@ -1047,6 +950,10 @@ mod tests {
         assert!(soak.contains("--clients"));
         assert!(!soak.contains("--listen"), "--listen is a daemon flag");
         assert!(soak.contains("--cap"), "the soak honours the matmul cap");
+        assert!(
+            soak.contains("--full"),
+            "and forwards --full to the daemons"
+        );
 
         let shardd = usage("rasa-shardd");
         assert!(shardd.contains("--listen"));
@@ -1100,25 +1007,6 @@ mod tests {
         // The on-disk bytes re-serialize identically.
         let bytes = std::fs::read_to_string(path).unwrap();
         assert_eq!(reloaded.to_string_pretty(), bytes);
-        std::fs::remove_file(path).ok();
-    }
-
-    #[test]
-    fn bench_sections_accumulate_and_replace() {
-        use rasa_sim::JsonValue;
-        let path = std::env::temp_dir().join("rasa_bench_sections_test.json");
-        let path = path.to_str().unwrap();
-        std::fs::remove_file(path).ok();
-        update_bench_section(path, "run_all", JsonValue::number_from_u64(1)).unwrap();
-        update_bench_section(path, "serve_soak", JsonValue::number_from_u64(2)).unwrap();
-        update_bench_section(path, "run_all", JsonValue::number_from_u64(3)).unwrap();
-        let doc = read_json(path).unwrap();
-        assert_eq!(
-            doc.get("schema").and_then(JsonValue::as_str),
-            Some("rasa-bench/1")
-        );
-        assert_eq!(doc.get("run_all").and_then(JsonValue::as_u64), Some(3));
-        assert_eq!(doc.get("serve_soak").and_then(JsonValue::as_u64), Some(2));
         std::fs::remove_file(path).ok();
     }
 

@@ -11,11 +11,10 @@
 //! The stages cover the end-to-end request pipeline: trace generation and
 //! core simulation (the cell itself), JSON serialization, wire-frame
 //! encode/decode, cell-cache probes, and the readiness transport's
-//! poll-wait and socket-work phases. Bench binaries enable the
-//! registry (`rasa_bench::prof` re-exports it and adds a counting global
-//! allocator), run their workload, and emit a `prof` section into the
-//! perf document via [`snapshot`] — so a BENCH document *attributes*
-//! where the time went rather than asserting it.
+//! poll-wait and socket-work phases. A harness enables the registry, runs
+//! its workload and reads the totals back with [`snapshot`]; `serve_soak`
+//! prints every stage's count and time, so a soak *attributes* where the
+//! time went rather than asserting it.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::time::Instant;
