@@ -1,10 +1,11 @@
 //! `rasa-shardd` — one TCP shard worker of the distributed serving tier.
 //!
 //! Wraps a [`rasa_sim::serve::GemmServer`] (all eight paper designs) in a
-//! [`rasa_sim::net::ShardServer`] and runs until stdin reaches EOF, so a
-//! parent process that spawned it with a piped stdin stops it by closing
-//! the pipe (or by dying — the pipe closes either way, so no orphaned
-//! worker outlives the harness).
+//! [`rasa_sim::net::ShardServer`], which simulates each request on the
+//! event-loop worker that decoded it (one worker per available core). It
+//! runs until stdin reaches EOF, so a parent process that spawned it with
+//! a piped stdin stops it by closing the pipe (or by dying — the pipe
+//! closes either way, so no orphaned worker outlives the harness).
 //!
 //! The first stdout line is `LISTENING <addr>` with the resolved address
 //! (bind with `--listen 127.0.0.1:0` to let the OS pick a port). The
@@ -24,12 +25,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ShardConfig {
         shard_id: options.shard_id,
         serve: ServeConfig {
-            workers_per_design: options.workers_per_design,
-            max_batch: options.serve_max_batch,
             cache_capacity: options.cache_capacity,
             matmul_cap: options.matmul_cap,
-            queue_capacity: options.queue_capacity,
-            admission: options.admission,
         },
     };
     let designs = DesignPoint::paper_designs();
@@ -45,11 +42,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let health = shard.health();
     eprintln!(
-        "rasa-shardd shard={} served={} completed={} coalesced={} cache hits={} misses={} evictions={}",
+        "rasa-shardd shard={} served={} completed={} cache hits={} misses={} evictions={}",
         health.shard,
         health.served,
         health.serve.completed,
-        health.serve.coalesced,
         health.cache.hits,
         health.cache.misses,
         health.cache.evictions,

@@ -1,14 +1,14 @@
-//! Soak-tests the batched GEMM serving layer: N closed-loop clients drive a
+//! Soak-tests the GEMM serving layer: N closed-loop clients drive a
 //! deterministic seeded mix of FC-layer shapes through a [`GemmServer`],
 //! and the harness reports throughput, p50/p99 latency, cache
-//! hit/eviction statistics, batching effectiveness and the time spent in
-//! each [`rasa_sim::prof`] stage.
+//! hit/eviction statistics and the time spent in each [`rasa_sim::prof`]
+//! stage.
 //!
 //! Run with, e.g.:
 //!
 //! ```sh
 //! cargo run --release -p rasa-bench --bin serve_soak -- \
-//!     --clients 8 --requests 32 --workers 2 --cache-capacity 24 \
+//!     --clients 8 --requests 32 --cache-capacity 24 \
 //!     --cap 256 --json soak.json
 //! ```
 //!
@@ -27,8 +27,8 @@
 
 use rasa_bench::BinOptions;
 use rasa_sim::net::{ClientStats, NetClient, RouterHealth, WireRequest};
-use rasa_sim::serve::{AdmissionControl, GemmRequest, GemmServer, LatencySummary, ServeConfig};
-use rasa_sim::{prof, DesignPoint, FromJson, JsonValue, SimError, SimSummary, ToJson};
+use rasa_sim::serve::{GemmRequest, GemmServer, LatencySummary, ServeConfig};
+use rasa_sim::{prof, AdmissionControl, DesignPoint, FromJson, JsonValue, SimSummary, ToJson};
 use rasa_workloads::{bert_layers, dlrm_layers, LayerSpec, TrafficGenerator};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
@@ -43,14 +43,13 @@ struct Completion {
     design: String,
     workload: String,
     total_seconds: f64,
-    queue_seconds: f64,
     simulate_seconds: f64,
     summary: SimSummary,
 }
 
 /// One client's view of a completed distributed request. The wire carries
-/// no queue/simulate breakdown, so only the client-observed total latency
-/// is available; the serialized summary is kept for the byte-identity
+/// no simulate time, so only the client-observed total latency is
+/// available; the serialized summary is kept for the byte-identity
 /// check against in-process serving.
 struct DistCompletion {
     design: String,
@@ -146,12 +145,8 @@ fn sibling(name: &str) -> Result<PathBuf, Box<dyn std::error::Error>> {
 /// in-process verification server.
 fn serve_config(options: &BinOptions) -> ServeConfig {
     ServeConfig {
-        workers_per_design: options.workers_per_design,
-        max_batch: options.serve_max_batch,
         cache_capacity: options.cache_capacity,
         matmul_cap: options.matmul_cap,
-        queue_capacity: options.queue_capacity,
-        admission: options.admission,
     }
 }
 
@@ -178,30 +173,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
     let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
     let server = GemmServer::new(serve_config(options), &designs)?;
-    assert!(
-        server.worker_count() > 1,
-        "soak requires more than one worker"
-    );
 
     let (layers, batch_sizes) = traffic_universe();
 
     println!(
-        "serve_soak: {} clients x {} requests over {} shapes x {} designs; {} workers, max batch {}, cache capacity {}, queue capacity {} ({:?} admission), seed {}",
+        "serve_soak: {} clients x {} requests over {} shapes x {} designs; cache capacity {}, seed {}",
         options.clients,
         options.requests_per_client,
         layers.len() * batch_sizes.len(),
         designs.len(),
-        server.worker_count(),
-        options.serve_max_batch,
         options.cache_capacity,
-        options.queue_capacity,
-        options.admission,
         options.seed,
     );
 
-    // Client-side retries after an admission-control rejection (reject
-    // mode only; block mode clients park inside `submit` instead).
-    let retries = AtomicU64::new(0);
     prof::reset();
     prof::set_enabled(true);
     let soak_start = Instant::now();
@@ -211,7 +195,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
             let server = &server;
             let layers = &layers;
             let designs = &designs;
-            let retries = &retries;
             clients.push(
                 scope.spawn(move || -> Result<Vec<Completion>, rasa_sim::SimError> {
                     // Each client gets its own deterministic traffic stream.
@@ -222,27 +205,11 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
                     for request_index in 0..options.requests_per_client {
                         let workload = traffic.next_request();
                         let design = designs[(client + request_index) % designs.len()].clone();
-                        // A rejected request (queue at capacity under
-                        // `--admission reject`) backs off briefly and
-                        // retries: the closed loop must still complete
-                        // every request.
-                        let handle = loop {
-                            match server.submit(GemmRequest::new(design.clone(), workload.clone()))
-                            {
-                                Ok(handle) => break handle,
-                                Err(SimError::Overloaded { .. }) => {
-                                    retries.fetch_add(1, Ordering::Relaxed);
-                                    std::thread::sleep(Duration::from_micros(200));
-                                }
-                                Err(error) => return Err(error),
-                            }
-                        };
-                        let response = handle.wait()?;
+                        let response = server.submit(GemmRequest::new(design, workload))?.wait()?;
                         completions.push(Completion {
                             design: response.report.design.clone(),
                             workload: response.report.workload.clone(),
                             total_seconds: response.latency.total_seconds,
-                            queue_seconds: response.latency.queue_seconds,
                             simulate_seconds: response.latency.simulate_seconds,
                             summary: response.report.summary(),
                         });
@@ -264,10 +231,8 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
     server.shutdown();
 
     let totals: Vec<f64> = completions.iter().map(|c| c.total_seconds).collect();
-    let queues: Vec<f64> = completions.iter().map(|c| c.queue_seconds).collect();
     let simulates: Vec<f64> = completions.iter().map(|c| c.simulate_seconds).collect();
     let latency = LatencySummary::from_samples(&totals).expect("at least one completion");
-    let queue_latency = LatencySummary::from_samples(&queues).expect("non-empty");
     let simulate_latency = LatencySummary::from_samples(&simulates).expect("non-empty");
     let throughput = completions.len() as f64 / wall_seconds.max(1e-9);
 
@@ -284,12 +249,11 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
         wall_seconds,
     );
     println!(
-        "latency p50 {:.3} ms | p99 {:.3} ms | p99.9 {:.3} ms | max {:.3} ms (queue p99 {:.3} ms, simulate p99 {:.3} ms)",
+        "latency p50 {:.3} ms | p99 {:.3} ms | p99.9 {:.3} ms | max {:.3} ms (simulate p99 {:.3} ms)",
         latency.p50_seconds * 1e3,
         latency.p99_seconds * 1e3,
         latency.p999_seconds * 1e3,
         latency.max_seconds * 1e3,
-        queue_latency.p99_seconds * 1e3,
         simulate_latency.p99_seconds * 1e3,
     );
     println!(
@@ -300,19 +264,6 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
         cache.evictions,
         cache.entries,
         cache.capacity,
-    );
-    println!(
-        "batching: {} batches, mean size {:.2}, largest {}, {} requests coalesced",
-        serving.batches,
-        serving.mean_batch_size(),
-        serving.largest_batch,
-        serving.coalesced,
-    );
-    println!(
-        "backpressure: {} submissions blocked for space, {} rejected ({} client retries)",
-        serving.blocked,
-        serving.rejected,
-        retries.load(Ordering::Relaxed),
     );
     println!("{} distinct cells simulated", cells.len());
     // Wall-clock data, so it is printed but kept out of the --json document.
@@ -344,24 +295,8 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
                         JsonValue::number_from_usize(options.requests_per_client),
                     ),
                     (
-                        "workers_per_design".into(),
-                        JsonValue::number_from_usize(options.workers_per_design),
-                    ),
-                    (
-                        "max_batch".into(),
-                        JsonValue::number_from_usize(options.serve_max_batch),
-                    ),
-                    (
                         "cache_capacity".into(),
                         JsonValue::number_from_usize(options.cache_capacity),
-                    ),
-                    (
-                        "queue_capacity".into(),
-                        JsonValue::number_from_usize(options.queue_capacity),
-                    ),
-                    (
-                        "admission".into(),
-                        JsonValue::string(format!("{:?}", options.admission)),
                     ),
                     (
                         "matmul_cap".into(),
@@ -386,13 +321,8 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
                 JsonValue::number_from_f64(throughput),
             ),
             ("latency".into(), latency.to_json()),
-            ("queue_latency".into(), queue_latency.to_json()),
             ("simulate_latency".into(), simulate_latency.to_json()),
             ("serving".into(), serving.to_json()),
-            (
-                "client_retries".into(),
-                JsonValue::number_from_u64(retries.load(Ordering::Relaxed)),
-            ),
             ("cache".into(), cache.to_json()),
             (
                 "cells".into(),
@@ -423,16 +353,8 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let mut serve_flags: Vec<String> = vec![
         "--listen".into(),
         "127.0.0.1:0".into(),
-        "--workers".into(),
-        options.workers_per_design.to_string(),
-        "--batch".into(),
-        options.serve_max_batch.to_string(),
         "--cache-capacity".into(),
         options.cache_capacity.to_string(),
-        "--queue-capacity".into(),
-        options.queue_capacity.to_string(),
-        "--admission".into(),
-        admission.into(),
     ];
     match options.matmul_cap {
         Some(cap) => serve_flags.extend(["--cap".into(), cap.to_string()]),
@@ -669,12 +591,10 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let health = RouterHealth::from_json(&health_json)?;
     for shard in &health.shards {
         println!(
-            "shard {}: served {}, completed {}, {} batches (mean {:.2}), cache {} hits / {} misses / {} evictions, {}/{} resident",
+            "shard {}: served {}, completed {}, cache {} hits / {} misses / {} evictions, {}/{} resident",
             shard.shard,
             shard.served,
             shard.serve.completed,
-            shard.serve.batches,
-            shard.serve.mean_batch_size(),
             shard.cache.hits,
             shard.cache.misses,
             shard.cache.evictions,
@@ -711,11 +631,7 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
 
     // The byte-identity proof: every distinct cell re-simulated on an
     // in-process server must serialize to the identical SimSummary JSON.
-    let verify_config = ServeConfig {
-        admission: AdmissionControl::Block,
-        ..serve_config(options)
-    };
-    let verifier = GemmServer::new(verify_config, &designs)?;
+    let verifier = GemmServer::new(serve_config(options), &designs)?;
     let mut verified = 0usize;
     for ((design_name, workload_name), record) in &cells {
         let design = DesignPoint::by_name(design_name)
@@ -758,20 +674,8 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                         JsonValue::number_from_usize(options.shards),
                     ),
                     (
-                        "workers_per_design".into(),
-                        JsonValue::number_from_usize(options.workers_per_design),
-                    ),
-                    (
-                        "max_batch".into(),
-                        JsonValue::number_from_usize(options.serve_max_batch),
-                    ),
-                    (
                         "cache_capacity".into(),
                         JsonValue::number_from_usize(options.cache_capacity),
-                    ),
-                    (
-                        "queue_capacity".into(),
-                        JsonValue::number_from_usize(options.queue_capacity),
                     ),
                     (
                         "admission".into(),

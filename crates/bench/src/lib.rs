@@ -17,8 +17,7 @@
 #![deny(missing_docs)]
 
 use rasa_sim::search::{Evolutionary, ExhaustiveGrid, RandomSampling, SearchStrategy};
-use rasa_sim::serve::AdmissionControl;
-use rasa_sim::ExperimentSuite;
+use rasa_sim::{AdmissionControl, ExperimentSuite};
 
 /// The paper's reported average runtime reductions (Fig. 5), as fractions.
 pub const PAPER_FIG5_REDUCTIONS: [(&str, f64); 5] = [
@@ -65,17 +64,12 @@ pub struct BinOptions {
     pub clients: usize,
     /// For `serve_soak`: requests each client submits.
     pub requests_per_client: usize,
-    /// For `serve_soak`: worker threads per design pool.
-    pub workers_per_design: usize,
-    /// For `serve_soak`: maximum requests coalesced into one batch.
-    pub serve_max_batch: usize,
     /// For `serve_soak`: LRU bound on the shared memoization cache.
     pub cache_capacity: usize,
     /// For `serve_soak`: base seed of the deterministic traffic mix.
     pub seed: u64,
-    /// For `serve_soak`: bound on queued requests per design pool.
-    pub queue_capacity: usize,
-    /// For `serve_soak`: what a full queue does to new submissions.
+    /// For `rasa-router` / `serve_soak --distributed`: what a full
+    /// per-shard in-flight window does to new requests.
     pub admission: AdmissionControl,
     /// For `run_all`: warm-start the runner's cell cache from a previous
     /// `--json` results document before evaluating.
@@ -155,11 +149,8 @@ impl Default for BinOptions {
             json_path: None,
             clients: 8,
             requests_per_client: 32,
-            workers_per_design: 2,
-            serve_max_batch: 8,
             cache_capacity: 1024,
             seed: 42,
-            queue_capacity: rasa_sim::DEFAULT_QUEUE_CAPACITY,
             admission: AdmissionControl::default(),
             warm_start_path: None,
             timing_layer: "ResNet50-2".to_string(),
@@ -238,11 +229,8 @@ impl BinOptions {
                 "--json" => options.json_path = Some(value),
                 "--clients" => options.clients = number(spec, &value)?,
                 "--requests" => options.requests_per_client = number(spec, &value)?,
-                "--workers" => options.workers_per_design = number(spec, &value)?,
-                "--batch" => options.serve_max_batch = number(spec, &value)?,
                 "--cache-capacity" => options.cache_capacity = number(spec, &value)?,
                 "--seed" => options.seed = number(spec, &value)?,
-                "--queue-capacity" => options.queue_capacity = number(spec, &value)?,
                 "--admission" => {
                     options.admission = if value == "reject" {
                         AdmissionControl::Reject
@@ -502,34 +490,16 @@ pub const FLAGS: &[FlagSpec] = &[
         binaries: &["serve_soak"],
     },
     FlagSpec {
-        flag: "--workers",
-        value: "N",
-        description: "worker threads per design pool",
-        binaries: &["serve_soak", "rasa-shardd"],
-    },
-    FlagSpec {
-        flag: "--batch",
-        value: "N",
-        description: "maximum requests coalesced into one batch",
-        binaries: &["serve_soak", "rasa-shardd"],
-    },
-    FlagSpec {
         flag: "--cache-capacity",
         value: "N",
         description: "LRU bound on the memoization cell cache",
         binaries: &["serve_soak", "rasa-shardd"],
     },
     FlagSpec {
-        flag: "--queue-capacity",
-        value: "N",
-        description: "bound on queued requests per design pool",
-        binaries: &["serve_soak", "rasa-shardd"],
-    },
-    FlagSpec {
         flag: "--admission",
         value: "block|reject",
-        description: "behaviour when a queue or in-flight window is full",
-        binaries: &["serve_soak", "rasa-shardd", "rasa-router"],
+        description: "behaviour when a router in-flight window is full",
+        binaries: &["serve_soak", "rasa-router"],
     },
     FlagSpec {
         flag: "--cap",
@@ -754,10 +724,6 @@ mod tests {
             "3",
             "--requests",
             "7",
-            "--workers",
-            "2",
-            "--batch",
-            "16",
             "--cache-capacity",
             "9",
             "--seed",
@@ -767,8 +733,6 @@ mod tests {
         assert_eq!(o.json_path.as_deref(), Some("out.json"));
         assert_eq!(o.clients, 3);
         assert_eq!(o.requests_per_client, 7);
-        assert_eq!(o.workers_per_design, 2);
-        assert_eq!(o.serve_max_batch, 16);
         assert_eq!(o.cache_capacity, 9);
         assert_eq!(o.seed, 123);
         // Defaults when absent.
@@ -776,11 +740,8 @@ mod tests {
         assert_eq!(o.json_path, None);
         assert_eq!(o.clients, 8);
         assert_eq!(o.requests_per_client, 32);
-        assert_eq!(o.workers_per_design, 2);
-        assert_eq!(o.serve_max_batch, 8);
         assert_eq!(o.cache_capacity, 1024);
         assert_eq!(o.seed, 42);
-        assert_eq!(o.queue_capacity, rasa_sim::DEFAULT_QUEUE_CAPACITY);
         assert_eq!(o.admission, AdmissionControl::Block);
         assert_eq!(o.warm_start_path, None);
         assert_eq!(o.timing_layer, "ResNet50-2");
@@ -789,13 +750,10 @@ mod tests {
 
     #[test]
     fn parse_backpressure_and_timing_flags() {
-        let o = parse(
-            "serve_soak",
-            &["--queue-capacity", "5", "--admission", "reject"],
-        )
-        .unwrap();
-        assert_eq!(o.queue_capacity, 5);
+        let o = parse("serve_soak", &["--admission", "reject"]).unwrap();
         assert_eq!(o.admission, AdmissionControl::Reject);
+        // Shards have no admission control of their own.
+        assert!(parse("rasa-shardd", &["--admission", "reject"]).is_err());
         let args = [
             "--warm-start",
             "prev.json",

@@ -32,15 +32,6 @@ pub enum SimError {
         /// Human-readable description of the serving failure.
         reason: String,
     },
-    /// A request was turned away by admission control: the design's queue
-    /// was at capacity and the server is configured to reject rather than
-    /// block. The request was not enqueued; retrying later is safe.
-    Overloaded {
-        /// The design pool whose queue was full.
-        design: String,
-        /// The configured queue capacity that was hit.
-        capacity: usize,
-    },
     /// The networked serving tier failed (framing, transport or a remote
     /// error frame). See `rasa_sim::net` for the underlying error type.
     Net {
@@ -61,10 +52,6 @@ impl fmt::Display for SimError {
             }
             SimError::Json { reason } => write!(f, "result serialization error: {reason}"),
             SimError::Serve { reason } => write!(f, "serving error: {reason}"),
-            SimError::Overloaded { design, capacity } => write!(
-                f,
-                "server overloaded: queue for design '{design}' is at capacity {capacity}"
-            ),
             SimError::Net { reason } => write!(f, "network serving error: {reason}"),
         }
     }
@@ -80,7 +67,6 @@ impl Error for SimError {
             SimError::InvalidExperiment { .. }
             | SimError::Json { .. }
             | SimError::Serve { .. }
-            | SimError::Overloaded { .. }
             | SimError::Net { .. } => None,
         }
     }

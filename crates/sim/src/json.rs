@@ -1112,9 +1112,8 @@ impl FromJson for LayerSpec {
                 usize_member(value, "input_neurons")?,
                 usize_member(value, "output_neurons")?,
             )),
-            Some("conv") => Ok(LayerSpec::conv(
-                name,
-                ConvShape::new(
+            Some("conv") => {
+                let shape = ConvShape::new(
                     usize_member(value, "n")?,
                     usize_member(value, "c")?,
                     usize_member(value, "y")?,
@@ -1124,8 +1123,15 @@ impl FromJson for LayerSpec {
                     usize_member(value, "s")?,
                     usize_member(value, "stride")?,
                     usize_member(value, "pad")?,
-                ),
-            )),
+                );
+                // Lowering divides by the stride and subtracts the filter
+                // from the padded input, so an invalid shape must never
+                // leave the decoder.
+                shape
+                    .validate()
+                    .map_err(|e| JsonError::decode(format!("invalid conv shape: {e}")))?;
+                Ok(LayerSpec::conv(name, shape))
+            }
             Some(other) => Err(JsonError::decode(format!("unknown layer kind '{other}'"))),
             None => Err(JsonError::decode("field 'kind' is not a string")),
         }
@@ -1514,5 +1520,26 @@ mod tests {
         .unwrap();
         let err = CacheStats::from_json(&value).unwrap_err();
         assert!(err.message.contains("not a u64"));
+    }
+
+    #[test]
+    fn conv_layers_decode_only_valid_shapes() {
+        let conv = |stride: usize, r: usize| {
+            JsonValue::parse(&format!(
+                "{{\"name\":\"c\",\"kind\":\"conv\",\"n\":1,\"c\":3,\"y\":4,\"x\":4,\
+                 \"k\":8,\"r\":{r},\"s\":{r},\"stride\":{stride},\"pad\":1}}"
+            ))
+            .unwrap()
+        };
+        let layer = LayerSpec::from_json(&conv(1, 3)).unwrap();
+        assert_eq!(layer.to_json(), conv(1, 3), "valid shapes round-trip");
+        for (value, what) in [
+            (conv(0, 3), "stride must be non-zero"),
+            (conv(1, 7), "filter 7x7 larger than padded input 6x6"),
+        ] {
+            let err = LayerSpec::from_json(&value).unwrap_err();
+            assert!(err.message.contains("invalid conv shape"), "{err}");
+            assert!(err.message.contains(what), "{err}");
+        }
     }
 }

@@ -4,19 +4,19 @@
 //! semantic string — `"{design:?}|{shape:?}|{kernel:?}"`, rendered by
 //! [`SimJob::semantic_key`](crate::SimJob::semantic_key). Before this
 //! module existed, that string was rendered and hashed *repeatedly* per
-//! request: once for the runner's memoization probe, once per serving
-//! coalescing comparison, and once per router ring lookup, each hashing
-//! the full ~200-byte key with SipHash or FNV from scratch.
+//! request: once for the runner's memoization probe and once per router
+//! ring lookup, each hashing the full ~200-byte key with SipHash or FNV
+//! from scratch.
 //!
 //! [`CellKey`] renders the key **once** and carries a precomputed 64-bit
 //! hash — [`net::hash::ring_point`](crate::net::hash::ring_point), the
 //! same FNV-1a + avalanche finalizer the consistent-hash ring uses. The
-//! one value then serves three masters with zero re-hashing:
+//! one value then serves both masters with zero re-hashing:
 //!
 //! - `HashMap`/[`LruCache`](crate::LruCache) probes: the [`Hash`] impl
-//!   feeds the precomputed value straight to the hasher.
-//! - Serving-layer coalescing: equality short-circuits on the hash before
-//!   comparing bytes, and clones are `Arc` bumps, not string copies.
+//!   feeds the precomputed value straight to the hasher, equality
+//!   short-circuits on the hash before comparing bytes, and clones are
+//!   `Arc` bumps, not string copies.
 //! - Router placement: [`hash64`](CellKey::hash64) *is* the ring point,
 //!   so [`HashRing::route_point`](crate::net::HashRing::route_point)
 //!   needs no further work.

@@ -55,7 +55,9 @@ pub use experiments::{
 };
 pub use json::{FromJson, JsonError, JsonValue, ToJson};
 pub use key::CellKey;
-pub use net::{NetClient, NetError, Router, ShardServer, WireRequest, WireResponse};
+pub use net::{
+    AdmissionControl, NetClient, NetError, Router, ShardServer, WireRequest, WireResponse,
+};
 pub use report::{PipelineStats, SimReport, SimSummary, WorkloadRun};
 pub use runner::{
     CacheStats, ExperimentRunner, ExperimentRunnerBuilder, ExperimentSpec, SimJob,
@@ -66,8 +68,8 @@ pub use search::{
     RandomSampling, SearchOutcome, SearchSpace, SearchStrategy,
 };
 pub use serve::{
-    AdmissionControl, GemmRequest, GemmResponse, GemmServer, LatencySummary, RequestLatency,
-    ResponseHandle, ServeConfig, ServeStats, DEFAULT_QUEUE_CAPACITY,
+    GemmRequest, GemmResponse, GemmServer, LatencySummary, RequestLatency, ResponseHandle,
+    ServeConfig, ServeStats,
 };
 pub use simulator::Simulator;
 

@@ -312,7 +312,6 @@ mod tests {
             ShardConfig {
                 shard_id,
                 serve: ServeConfig {
-                    workers_per_design: 1,
                     matmul_cap: Some(8),
                     ..ServeConfig::default()
                 },
@@ -403,6 +402,7 @@ mod tests {
                 kind: FrameKind::Request,
                 payload: b"{}".to_vec(),
             }),
+            1,
             false,
         )
         .unwrap();

@@ -1,7 +1,7 @@
 //! The frame-server front end shared by [`ShardServer`] and [`Router`]:
 //! one event-loop thread multiplexing every connection over non-blocking
-//! sockets, plus a small worker pool answering each inbound frame through
-//! a [`FrameHandler`].
+//! sockets, plus a worker pool, sized by its owner, answering each inbound
+//! frame through a [`FrameHandler`].
 //!
 //! On Linux the loop blocks in `epoll_wait` (via the hand-rolled bindings
 //! in [`crate::net::sys`]); elsewhere it falls back to a portable
@@ -20,6 +20,10 @@
 //!   connection is in flight at a time, which preserves the wire
 //!   protocol's request/response lockstep. Replies return to the loop via
 //!   a channel and a wakeup.
+//! - A handler that panics is contained at the worker boundary: its frame
+//!   is answered with an `internal` error frame (id 0) and the worker
+//!   keeps serving, so the connection never waits on a reply that will
+//!   not come.
 //!
 //! The loop never blocks on a socket and workers never touch sockets, so
 //! one slow or dead peer cannot stall any other connection.
@@ -35,6 +39,7 @@ use crate::prof::{self, Stage};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -87,10 +92,19 @@ const fn token(index: usize, generation: u32) -> u64 {
 /// The frame→frame request handler a server plugs into the loop.
 pub(crate) type FrameHandler = Arc<dyn Fn(&Frame) -> Frame + Send + Sync>;
 
-/// Number of handler worker threads: twice the available parallelism
-/// clamped to [8, 32].
-fn worker_count() -> usize {
-    thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32))
+/// Runs the handler on one frame, turning a panic into an `internal`
+/// error frame so the worker thread survives it.
+fn answer_contained(handler: &FrameHandler, frame: &Frame) -> Frame {
+    panic::catch_unwind(AssertUnwindSafe(|| handler(frame))).unwrap_or_else(|payload| {
+        let cause = payload
+            .downcast_ref::<&str>()
+            .copied()
+            .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+            .unwrap_or("non-string panic payload");
+        let failure =
+            WireFailure::new(0, ErrorCode::Internal, format!("handler panicked: {cause}"));
+        Frame::json(FrameKind::Error, &failure.to_json())
+    })
 }
 
 /// A complete request frame handed to the worker pool.
@@ -293,13 +307,15 @@ pub(crate) struct EventLoop {
 }
 
 impl EventLoop {
-    /// Binds `addr` and starts the loop and worker threads. With
+    /// Binds `addr` and starts the loop thread plus `worker_count` handler
+    /// threads (at least one, or no frame is ever answered). With
     /// `force_fallback` the portable tick poller is used even where epoll
     /// is available (exercised in tests so the fallback stays honest).
     pub(crate) fn bind(
         addr: &str,
         name: &str,
         handler: FrameHandler,
+        worker_count: usize,
         force_fallback: bool,
     ) -> Result<EventLoop, NetError> {
         let listener = TcpListener::bind(addr).map_err(|e| NetError::Io {
@@ -323,8 +339,8 @@ impl EventLoop {
         let (done_tx, done_rx) = mpsc::channel::<Done>();
         let work_rx = Arc::new(Mutex::new(work_rx));
 
-        let mut workers = Vec::new();
-        for i in 0..worker_count() {
+        let mut workers = Vec::with_capacity(worker_count);
+        for i in 0..worker_count {
             let rx = Arc::clone(&work_rx);
             let tx = done_tx.clone();
             let worker_handler = Arc::clone(&handler);
@@ -337,7 +353,7 @@ impl EventLoop {
                         guard.recv()
                     };
                     let Ok(work) = work else { break };
-                    let reply = worker_handler(&work.frame);
+                    let reply = answer_contained(&worker_handler, &work.frame);
                     let recycled = work.frame.into_payload();
                     let done = Done {
                         index: work.index,
@@ -797,6 +813,7 @@ impl LoopState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::FromJson;
 
     /// An echo handler: answers every frame with the same payload as a
     /// Response frame.
@@ -822,7 +839,7 @@ mod tests {
     fn every_transport_answers_framed_requests() {
         for fallback in FORCE_FALLBACK {
             let mut server =
-                EventLoop::bind("127.0.0.1:0", "test-echo", echo_handler(), fallback).unwrap();
+                EventLoop::bind("127.0.0.1:0", "test-echo", echo_handler(), 2, fallback).unwrap();
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
             for i in 0..3 {
                 let frame = request_frame(&format!("{{\"seq\":{i}}}"));
@@ -831,6 +848,49 @@ mod tests {
                 assert_eq!(reply.kind, FrameKind::Response, "fallback {fallback}");
                 assert_eq!(reply.payload, frame.payload, "fallback {fallback}");
             }
+            drop(stream);
+            server.stop_and_join();
+        }
+    }
+
+    /// A handler panic is contained at the worker boundary: the frame gets
+    /// an `internal` error reply and the one worker keeps serving the same
+    /// connection.
+    #[test]
+    fn handler_panics_become_internal_errors() {
+        let handler: FrameHandler = Arc::new(|frame: &Frame| {
+            assert!(frame.payload != b"panic", "injected handler panic");
+            Frame {
+                kind: FrameKind::Response,
+                payload: frame.payload.clone(),
+            }
+        });
+        for fallback in FORCE_FALLBACK {
+            let mut server = EventLoop::bind(
+                "127.0.0.1:0",
+                "test-panic",
+                Arc::clone(&handler),
+                1,
+                fallback,
+            )
+            .unwrap();
+            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+            // Without containment the reply never comes: fail, don't hang.
+            stream
+                .set_read_timeout(Some(Duration::from_secs(10)))
+                .unwrap();
+            request_frame("panic").write_to(&mut stream).unwrap();
+            let reply = Frame::read_from(&mut stream).unwrap();
+            assert_eq!(reply.kind, FrameKind::Error, "fallback {fallback}");
+            let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+            assert_eq!(failure.code, ErrorCode::Internal, "fallback {fallback}");
+            assert_eq!(failure.id, 0);
+            assert!(failure.message.contains("injected handler panic"));
+            let next = request_frame("{\"after\":1}");
+            next.write_to(&mut stream).unwrap();
+            let reply = Frame::read_from(&mut stream).unwrap();
+            assert_eq!(reply.kind, FrameKind::Response, "fallback {fallback}");
+            assert_eq!(reply.payload, next.payload, "fallback {fallback}");
             drop(stream);
             server.stop_and_join();
         }
@@ -845,7 +905,7 @@ mod tests {
     fn slow_writers_straddling_poll_timeouts_do_not_desync() {
         for fallback in FORCE_FALLBACK {
             let mut server =
-                EventLoop::bind("127.0.0.1:0", "test-slow", echo_handler(), fallback).unwrap();
+                EventLoop::bind("127.0.0.1:0", "test-slow", echo_handler(), 2, fallback).unwrap();
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
             let frame = request_frame("{\"slow\":true}");
             let bytes = frame.encode();
@@ -879,7 +939,8 @@ mod tests {
     fn event_loop_answers_corrupt_frames_then_closes() {
         for fallback in FORCE_FALLBACK {
             let mut server =
-                EventLoop::bind("127.0.0.1:0", "test-corrupt", echo_handler(), fallback).unwrap();
+                EventLoop::bind("127.0.0.1:0", "test-corrupt", echo_handler(), 2, fallback)
+                    .unwrap();
             let mut stream = TcpStream::connect(server.local_addr()).unwrap();
             // A frame with a bad version byte.
             let mut bytes = request_frame("{}").encode();
@@ -901,7 +962,7 @@ mod tests {
     fn event_loop_counts_open_connections() {
         for fallback in FORCE_FALLBACK {
             let mut server =
-                EventLoop::bind("127.0.0.1:0", "test-count", echo_handler(), fallback).unwrap();
+                EventLoop::bind("127.0.0.1:0", "test-count", echo_handler(), 2, fallback).unwrap();
             let mut streams = Vec::new();
             for _ in 0..20 {
                 streams.push(TcpStream::connect(server.local_addr()).unwrap());

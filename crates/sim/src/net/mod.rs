@@ -10,10 +10,11 @@
 //!   semantic shape key to a shard, so repeated shapes always land where
 //!   the LRU cell cache is already warm.
 //! - [`shard`] — [`ShardServer`]: one TCP worker wrapping a `GemmServer`
-//!   behind the shared event-loop frame server.
+//!   behind the shared event-loop frame server, simulating on the loop's
+//!   workers.
 //! - [`router`] — [`Router`]: consistent-hash routing across N shards with
-//!   per-shard bounded in-flight windows (the PR 3 admission-control
-//!   semantics, applied per backend) and dead-shard failover.
+//!   per-shard bounded in-flight windows (the tier's [`AdmissionControl`])
+//!   and dead-shard failover.
 //! - [`client`] — [`NetClient`]: a blocking client library with bounded
 //!   retry/backoff and endpoint rotation.
 //!
@@ -22,10 +23,12 @@
 //! on Linux, a portable level-triggered poll fallback elsewhere), each
 //! connection carrying an incremental [`wire::FrameDecoder`] so partial
 //! frames survive across readiness events, with complete frames dispatched
-//! to a worker pool. There is no async runtime and no new dependency — the
-//! crate keeps its zero-dependency stance. Responses carry full
-//! [`SimReport`](crate::SimReport)s whose JSON is byte-identical to what
-//! the same job produces in process (`tests/net_wire.rs` proves it).
+//! to a worker pool whose size the owning server picks and whose handler
+//! panics become `internal` error frames. There is no async runtime and no
+//! new dependency — the crate keeps its zero-dependency stance. Responses
+//! carry full [`SimReport`](crate::SimReport)s whose JSON is
+//! byte-identical to what the same job produces in process
+//! (`tests/net_wire.rs` proves it).
 //!
 //! See `docs/ARCHITECTURE.md` for where this tier sits in the crate map
 //! (including the transport section: event loop, buffer lifecycle,
@@ -42,7 +45,10 @@ pub mod wire;
 
 pub use client::{ClientConfig, ClientStats, NetClient};
 pub use hash::HashRing;
-pub use router::{Router, RouterConfig, RouterHealth, RouterStats, DEFAULT_RESULT_CACHE_CAPACITY};
+pub use router::{
+    AdmissionControl, Router, RouterConfig, RouterHealth, RouterStats,
+    DEFAULT_RESULT_CACHE_CAPACITY,
+};
 pub use shard::{ShardConfig, ShardServer};
 pub use wire::{
     ErrorCode, Frame, FrameDecoder, FrameKind, HealthStatus, WireFailure, WireRequest,

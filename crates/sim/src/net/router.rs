@@ -8,12 +8,12 @@
 //!
 //! Two mechanisms bound and protect the fan-out:
 //!
-//! - **Per-shard in-flight windows** re-apply the PR 3 admission-control
-//!   semantics per backend: at most `inflight_per_shard` requests may be
-//!   outstanding to one shard; excess callers either block until a slot
-//!   frees ([`AdmissionControl::Block`]) or are turned away with a
-//!   retryable `overloaded` error ([`AdmissionControl::Reject`]). A slow
-//!   shard therefore backpressures its own traffic instead of absorbing
+//! - **Per-shard in-flight windows** are the tier's admission control: at
+//!   most `inflight_per_shard` requests may be outstanding to one shard;
+//!   excess callers either block until a slot frees
+//!   ([`AdmissionControl::Block`]) or are turned away with a retryable
+//!   `overloaded` error ([`AdmissionControl::Reject`]). A slow shard
+//!   therefore backpressures its own traffic instead of absorbing
 //!   unbounded connections.
 //! - **Dead-shard failover**: a transport failure marks the shard dead and
 //!   the request is retried on the next shard in the ring's clockwise
@@ -40,11 +40,23 @@ use crate::net::wire::{
 };
 use crate::net::NetError;
 use crate::prof::{self, Stage};
-use crate::serve::AdmissionControl;
 use crate::SimError;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread;
+
+/// What a caller does when its shard's in-flight window is full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum AdmissionControl {
+    /// Block the caller until an in-flight request to that shard finishes.
+    /// Backpressure propagates to the client.
+    #[default]
+    Block,
+    /// Fail fast with a retryable `overloaded` error; the request never
+    /// reaches the shard and is counted in [`RouterStats::window_rejected`].
+    Reject,
+}
 
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
@@ -267,8 +279,8 @@ impl FromJson for RouterHealth {
     }
 }
 
-/// The in-flight window of one backend: a counting semaphore with the
-/// serve layer's admission-control semantics.
+/// The in-flight window of one backend: a counting semaphore with
+/// [`AdmissionControl`] semantics.
 struct Window {
     in_flight: Mutex<usize>,
     space: Condvar,
@@ -471,10 +483,14 @@ impl Router {
     ) -> Result<Router, SimError> {
         let mut router = Router::new(shard_addrs, config)?;
         let core = Arc::clone(&router.core);
+        // Handlers block on shard round trips rather than compute, so the
+        // router runs more workers than cores.
+        let workers = thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32));
         let server = EventLoop::bind(
             addr,
             "rasa-router",
             Arc::new(move |frame| answer(frame, &core)),
+            workers,
             false,
         )
         .map_err(SimError::from)?;
@@ -851,6 +867,7 @@ mod tests {
     use crate::net::shard::{ShardConfig, ShardServer};
     use crate::serve::ServeConfig;
     use crate::DesignPoint;
+    use rasa_numeric::ConvShape;
     use rasa_workloads::LayerSpec;
 
     fn spawn_shards(count: u32) -> (Vec<ShardServer>, Vec<String>) {
@@ -861,7 +878,6 @@ mod tests {
             let config = ShardConfig {
                 shard_id,
                 serve: ServeConfig {
-                    workers_per_design: 1,
                     matmul_cap: Some(8),
                     ..ServeConfig::default()
                 },
@@ -920,6 +936,7 @@ mod tests {
             "127.0.0.1:0",
             "rogue",
             Arc::new(|frame: &Frame| frame.clone()),
+            1,
             false,
         )
         .unwrap();
@@ -950,6 +967,7 @@ mod tests {
                 kind: FrameKind::Request,
                 payload: b"{}".to_vec(),
             }),
+            1,
             false,
         )
         .unwrap();
@@ -1061,7 +1079,6 @@ mod tests {
             ShardConfig {
                 shard_id: home,
                 serve: ServeConfig {
-                    workers_per_design: 1,
                     matmul_cap: Some(8),
                     ..ServeConfig::default()
                 },
@@ -1133,6 +1150,40 @@ mod tests {
         let back = RouterHealth::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back, health);
 
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    #[test]
+    fn bound_router_answers_invalid_conv_shapes_with_bad_request() {
+        // Routing renders the cell key, which lowers the conv: a stride-0
+        // shape once divided by zero there and panicked the worker.
+        let (shards, addrs) = spawn_shards(1);
+        let router = Router::bind("127.0.0.1:0", &addrs, router_config()).unwrap();
+        let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        let stride_zero = ConvShape::new(1, 3, 8, 8, 4, 3, 3, 0, 1);
+        let filter_too_large = ConvShape::new(1, 3, 4, 4, 4, 7, 7, 1, 1);
+        for shape in [stride_zero, filter_too_large] {
+            let request = WireRequest::new(3, "BASELINE", LayerSpec::conv("bad", shape));
+            Frame::json(FrameKind::Request, &request.to_json())
+                .write_to(&mut conn)
+                .unwrap();
+            let reply = Frame::read_from(&mut conn).unwrap();
+            assert_eq!(reply.kind, FrameKind::Error);
+            let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+            assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
+            assert!(
+                failure.message.contains("conv shape"),
+                "{}",
+                failure.message
+            );
+            Frame::health_probe().write_to(&mut conn).unwrap();
+            let reply = Frame::read_from(&mut conn).unwrap();
+            assert_eq!(reply.kind, FrameKind::Health);
+        }
+        assert_eq!(router.stats().routed, 0, "nothing reached a shard");
         router.shutdown();
         for shard in shards {
             shard.shutdown();

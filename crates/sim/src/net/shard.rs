@@ -2,12 +2,12 @@
 //! server.
 //!
 //! A [`ShardServer`] binds a listener, multiplexes every connection on one
-//! event-loop thread, and translates wire frames to [`GemmServer::submit`]
-//! calls on the loop's worker pool. It
-//! inherits the server's whole serving stack unchanged — per-design worker
-//! pools, shape coalescing, admission control, the bounded LRU cell cache
-//! — which is what makes a shard "warm": the router keeps sending the same
-//! shape keys here, and they keep hitting this shard's cache.
+//! event-loop thread, and answers each decoded request frame with a
+//! [`GemmServer::submit`] call on the loop worker that decoded it: one hop,
+//! no further queue. The loop runs one worker per available core, because
+//! its handlers simulate. The server's bounded LRU cell cache is what
+//! makes a shard "warm": the router keeps sending the same shape keys
+//! here, and they keep hitting this shard's cache.
 //!
 //! The `rasa-shardd` binary is a thin wrapper over this type.
 
@@ -22,6 +22,7 @@ use crate::{DesignPoint, SimError};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread;
 
 /// Configuration of a [`ShardServer`].
 #[derive(Debug, Clone, Default)]
@@ -41,8 +42,8 @@ struct ShardShared {
 }
 
 /// A running TCP shard worker. Dropping it (or calling
-/// [`shutdown`](ShardServer::shutdown)) stops the event loop, joins its
-/// threads and shuts the wrapped server down.
+/// [`shutdown`](ShardServer::shutdown)) stops the event loop and joins its
+/// threads.
 pub struct ShardServer {
     shared: Arc<ShardShared>,
     server: EventLoop,
@@ -64,7 +65,7 @@ impl ShardServer {
     /// # Errors
     ///
     /// [`SimError::Net`] when the bind fails, or any error of
-    /// [`GemmServer::new`] (e.g. a zero worker count).
+    /// [`GemmServer::new`] (e.g. a zero cache capacity).
     pub fn bind(
         addr: &str,
         config: ShardConfig,
@@ -84,6 +85,7 @@ impl ShardServer {
                 handler_shared.served.fetch_add(1, Ordering::SeqCst);
                 answer(frame, &handler_shared)
             }),
+            thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
             false,
         )
         .map_err(SimError::from)?;
@@ -109,8 +111,8 @@ impl ShardServer {
         self.shared.health()
     }
 
-    /// Stops accepting, joins the event loop's threads and shuts the
-    /// wrapped server down (the explicit form of drop).
+    /// Stops accepting and joins the event loop's threads (the explicit
+    /// form of drop).
     pub fn shutdown(mut self) {
         self.server.stop_and_join();
     }
@@ -188,18 +190,9 @@ fn answer_request(request: &WireRequest, shared: &Arc<ShardShared>) -> Frame {
             &WireResponse {
                 id: request.id,
                 shard: shared.shard_id,
-                batch_size: response.batch_size,
+                batch_size: 1,
                 report: (*response.report).clone(),
             }
-            .to_json(),
-        ),
-        Err(SimError::Overloaded { design, capacity }) => Frame::json(
-            FrameKind::Error,
-            &WireFailure::new(
-                request.id,
-                ErrorCode::Overloaded,
-                format!("queue for design '{design}' is at capacity {capacity}"),
-            )
             .to_json(),
         ),
         Err(error) => Frame::json(
@@ -213,6 +206,7 @@ fn answer_request(request: &WireRequest, shared: &Arc<ShardShared>) -> Frame {
 mod tests {
     use super::*;
     use crate::json::JsonValue;
+    use rasa_numeric::ConvShape;
     use rasa_workloads::LayerSpec;
     use std::net::TcpStream;
 
@@ -220,7 +214,6 @@ mod tests {
         ShardConfig {
             shard_id: 7,
             serve: ServeConfig {
-                workers_per_design: 1,
                 matmul_cap: Some(8),
                 ..ServeConfig::default()
             },
@@ -299,6 +292,37 @@ mod tests {
         // The shard is still up and the connection still in sync.
         let reply = request_over(&mut conn, &Frame::health_probe());
         assert_eq!(reply.kind, FrameKind::Health);
+        shard.shutdown();
+    }
+
+    #[test]
+    fn invalid_conv_shapes_are_bad_requests_not_panics() {
+        // A stride-0 conv once divided by zero while the worker rendered
+        // its cell key: the worker panicked and the client never got a
+        // reply. Both shapes must now be rejected by the decoder.
+        let designs = vec![DesignPoint::baseline()];
+        let shard = ShardServer::bind("127.0.0.1:0", tiny_config(), &designs).unwrap();
+        let mut conn = TcpStream::connect(shard.local_addr()).unwrap();
+        let stride_zero = ConvShape::new(1, 3, 8, 8, 4, 3, 3, 0, 1);
+        let filter_too_large = ConvShape::new(1, 3, 4, 4, 4, 7, 7, 1, 1);
+        for shape in [stride_zero, filter_too_large] {
+            let request = WireRequest::new(5, "BASELINE", LayerSpec::conv("bad", shape));
+            let reply = request_over(
+                &mut conn,
+                &Frame::json(FrameKind::Request, &request.to_json()),
+            );
+            assert_eq!(reply.kind, FrameKind::Error);
+            let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+            assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
+            assert!(
+                failure.message.contains("conv shape"),
+                "{}",
+                failure.message
+            );
+            // The worker survived and the connection is still in sync.
+            let reply = request_over(&mut conn, &Frame::health_probe());
+            assert_eq!(reply.kind, FrameKind::Health);
+        }
         shard.shutdown();
     }
 

@@ -484,7 +484,8 @@ pub enum ErrorCode {
     BadRequest,
     /// The request named a design the shard does not serve.
     UnknownDesign,
-    /// Admission control turned the request away; retrying later is safe.
+    /// A router's in-flight window turned the request away; retrying later
+    /// is safe.
     Overloaded,
     /// The simulation itself failed.
     Simulation,
@@ -648,7 +649,8 @@ pub struct WireResponse {
     pub id: u64,
     /// Which shard simulated (or recalled) the cell.
     pub shard: u32,
-    /// How many coalesced requests shared the simulation on the shard.
+    /// Kept for wire compatibility: shards answer each request on its own,
+    /// so this always reads 1.
     pub batch_size: usize,
     /// The simulation result.
     pub report: SimReport,
@@ -759,7 +761,7 @@ impl FromJson for WireFailure {
 pub struct HealthStatus {
     /// The shard's id (routers report `u32::MAX`).
     pub shard: u32,
-    /// The designs the shard serves, in pool order.
+    /// The designs the shard serves, in construction order.
     pub designs: Vec<String>,
     /// Requests answered over the wire since start.
     pub served: u64,
@@ -1087,8 +1089,7 @@ mod tests {
             serve: ServeStats {
                 submitted: 41,
                 completed: 41,
-                batches: 40,
-                ..ServeStats::default()
+                batches: 41,
             },
             cache: CacheStats {
                 hits: 30,

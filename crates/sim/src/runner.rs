@@ -89,8 +89,8 @@ impl SimJob {
     /// The semantic identity of this job's simulation cell under a given
     /// default matmul cap: design + lowered GEMM shape + resolved kernel.
     ///
-    /// This is the key [`ExperimentRunner`] memoizes under and the serving
-    /// layer coalesces by, computable without a runner — the network
+    /// This is the key [`ExperimentRunner`] memoizes under, computable
+    /// without a runner — the network
     /// router uses it to consistent-hash a request onto the shard whose
     /// cell cache is warm for the shape.
     ///
@@ -102,29 +102,21 @@ impl SimJob {
     #[must_use]
     pub fn semantic_key(&self, default_matmul_cap: Option<usize>) -> String {
         let kernel = self.resolved_kernel(default_matmul_cap);
-        render_semantic_key(&self.design, &self.workload, &kernel)
+        format!(
+            "{:?}|{:?}|{kernel:?}",
+            self.design,
+            self.workload.gemm_shape()
+        )
     }
 
     /// The interned form of [`semantic_key`](Self::semantic_key): the same
     /// bytes, rendered and hashed exactly once. This is what the runner
-    /// memoizes under, the serving layer coalesces by and the router
-    /// consistent-hashes — one rendering per request end-to-end.
+    /// memoizes under and the router consistent-hashes — one rendering
+    /// per request end-to-end.
     #[must_use]
     pub fn cell_key(&self, default_matmul_cap: Option<usize>) -> CellKey {
         CellKey::new(self.semantic_key(default_matmul_cap))
     }
-}
-
-/// Renders the semantic cell key text from borrowed parts — the single
-/// definition of the key format, shared by [`SimJob::semantic_key`] and
-/// the serving layer (which keys from a borrowed request without cloning
-/// it into a job first).
-pub(crate) fn render_semantic_key(
-    design: &DesignPoint,
-    workload: &LayerSpec,
-    kernel: &GemmKernelConfig,
-) -> String {
-    format!("{design:?}|{:?}|{kernel:?}", workload.gemm_shape())
 }
 
 /// A declarative experiment: the (workload × design) matrix to simulate and
@@ -399,31 +391,30 @@ impl ExperimentRunner {
     /// already simulated at its native batch of 512. The derived Debug
     /// output covers every configuration field (floats print with
     /// round-trip precision), so the key is a complete identity of the
-    /// cell. The serving layer batches requests by this same key, so
-    /// requests coalesced into one batch share one simulation.
+    /// cell. The serving layer memoizes requests under this same key, so
+    /// equal-shape requests share one simulation.
     ///
     /// The key comes back interned ([`CellKey`]): rendered and hashed
-    /// once, reusable for cache probes, coalescing comparisons and ring
-    /// placement without re-hashing.
+    /// once, reusable for cache probes and ring placement without
+    /// re-hashing.
     #[must_use]
     pub fn job_key(&self, job: &SimJob) -> CellKey {
         job.cell_key(self.matmul_cap)
     }
 
-    /// Runs (or recalls) one cell under a key the caller already interned
-    /// (`key` must be `self.job_key(job)`); the serving layer uses this to
-    /// reuse the key it coalesced the batch by.
+    /// Runs (or recalls) one cell. A cache hit is restamped with the
+    /// workload name this job asked for.
     ///
     /// # Errors
     ///
     /// Propagates simulation errors from the underlying [`Simulator`].
-    pub fn run_job_keyed(&self, job: &SimJob, key: &CellKey) -> Result<Arc<SimReport>, SimError> {
-        debug_assert_eq!(key, &self.job_key(job), "key must belong to the job");
+    pub fn run_job(&self, job: &SimJob) -> Result<Arc<SimReport>, SimError> {
+        let key = self.job_key(job);
         let kernel = self.resolve_kernel(job);
         {
             let probe = prof::time(Stage::CacheProbe);
             let mut cache = self.cache.lock().expect("cache lock");
-            let hit = cache.get(key).map(Arc::clone);
+            let hit = cache.get(&key).map(Arc::clone);
             drop(cache);
             drop(probe);
             if let Some(report) = hit {
@@ -452,20 +443,11 @@ impl ExperimentRunner {
             .cache
             .lock()
             .expect("cache lock")
-            .insert(key.clone(), Arc::clone(&report));
+            .insert(key, Arc::clone(&report));
         if matches!(outcome, InsertOutcome::Evicted(..)) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(report)
-    }
-
-    /// Runs (or recalls) one cell.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors from the underlying [`Simulator`].
-    pub fn run_job(&self, job: &SimJob) -> Result<Arc<SimReport>, SimError> {
-        self.run_job_keyed(job, &self.job_key(job))
     }
 
     /// Runs a batch of cells, in parallel when the runner is parallel, and

@@ -1,46 +1,37 @@
-//! # Batched multi-query GEMM serving layer
+//! # Multi-query GEMM serving layer
 //!
 //! The [`ExperimentRunner`](crate::ExperimentRunner) executes *declared*
 //! experiment matrices; this module puts a request-facing front-end on top
 //! of it, exercising the ROADMAP's "millions of users" direction:
 //!
 //! ```text
-//!  clients ──▶ submit(GemmRequest) ──▶ per-design queue ─┐
-//!                                                        │  coalesce by
-//!  clients ──▶ submit(GemmRequest) ──▶ per-design queue ─┤  semantic shape
-//!                                                        │  key into batches
-//!                     worker pool (N threads per design) ◀┘
-//!                        │ one simulation per batch
-//!                        ▼
-//!          bounded-LRU memoization (ExperimentRunner)
-//!                        │
-//!                        ▼
-//!  GemmResponse { SimReport, latency breakdown, batch size }
+//!  client thread ──▶ submit(GemmRequest) ──▶ design served? ──▶ cell key
+//!                                                                  │
+//!                                                                  ▼
+//!                        bounded-LRU memoization (shared ExperimentRunner)
+//!                                                                  │
+//!                                                                  ▼
+//!  ResponseHandle { GemmResponse { SimReport, latency breakdown } }
 //! ```
 //!
-//! * **Shape batching** — requests are keyed by the runner's semantic cell
-//!   key (design + lowered GEMM shape + kernel). A worker that dequeues a
-//!   request drags every queued request with the same key into the same
-//!   batch (up to `max_batch`), so the whole batch costs one simulation —
-//!   and usually zero, because the bounded LRU cache of the shared runner
-//!   already holds the hot shapes.
-//! * **Per-design worker pools** — each design point gets its own queue and
-//!   worker threads, mirroring how a production deployment pins model
-//!   variants to accelerator groups. All pools share one runner (and thus
-//!   one cache).
-//! * **Latency accounting** — every response reports queue wait, batch
-//!   formation time and simulation time, so the soak harness can report
-//!   p50/p99 end-to-end latency.
+//! * **One hop** — [`GemmServer::submit`] answers on the calling thread:
+//!   there are no queues, worker pools or reply channels, and the handle
+//!   it returns already holds the answer. A networked shard therefore
+//!   simulates on the event-loop worker that decoded the request.
+//! * **Shared cells** — requests are keyed by the runner's semantic cell
+//!   key (design + lowered GEMM shape + kernel), so equal shapes share
+//!   one simulation through the bounded LRU cell cache, and a hit is
+//!   restamped with the workload name the request asked for.
+//! * **Latency accounting** — every response reports its simulate time and
+//!   end-to-end time, so the soak harness can report p50/p99 latency.
 //!
-//! The module is deliberately std-only (threads, `Mutex`/`Condvar`,
-//! `mpsc`): the vendored dependency set has no async runtime, and the
-//! blocking model keeps the scheduling deterministic enough to unit-test
-//! coalescing exactly (see [`GemmServer::suspended`]).
+//! The module is std-only: the vendored dependency set has no async
+//! runtime, and callers bring their own threads.
 
 mod request;
 mod server;
 mod stats;
 
 pub use request::{GemmRequest, GemmResponse, RequestLatency, ResponseHandle};
-pub use server::{AdmissionControl, GemmServer, ServeConfig, DEFAULT_QUEUE_CAPACITY};
+pub use server::{GemmServer, ServeConfig};
 pub use stats::{LatencySummary, ServeStats};

@@ -1,10 +1,8 @@
 //! Request/response types of the serving layer.
 
-use crate::key::CellKey;
 use crate::{DesignPoint, SimError, SimJob, SimReport};
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
-use std::sync::mpsc;
 use std::sync::Arc;
 
 /// One GEMM query: a workload to run on a design point, optionally under a
@@ -46,46 +44,15 @@ impl GemmRequest {
             kernel: self.kernel,
         }
     }
-
-    /// The simulation job this request resolves to, leaving the request
-    /// intact (used by the dispatch path, which still owns the request for
-    /// relabelling the response).
-    #[must_use]
-    pub fn to_job(&self) -> SimJob {
-        SimJob {
-            design: self.design.clone(),
-            workload: self.workload.clone(),
-            kernel: self.kernel,
-        }
-    }
-
-    /// The interned cell key this request coalesces under — identical to
-    /// `self.to_job().cell_key(default_matmul_cap)` but rendered from
-    /// borrowed fields, so submission never clones the request just to
-    /// compute its key.
-    #[must_use]
-    pub fn cell_key(&self, default_matmul_cap: Option<usize>) -> CellKey {
-        let kernel = self.kernel.unwrap_or_else(|| GemmKernelConfig {
-            max_matmuls: default_matmul_cap,
-            ..GemmKernelConfig::default()
-        });
-        CellKey::new(crate::runner::render_semantic_key(
-            &self.design,
-            &self.workload,
-            &kernel,
-        ))
-    }
 }
 
 /// Wall-clock latency breakdown of one served request, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RequestLatency {
-    /// Time from this request's submission to its batch being dispatched.
+    /// Time spent waiting before the simulation started. Always 0: the
+    /// server answers on the submitting thread, so nothing queues.
     pub queue_seconds: f64,
-    /// Time the batch spent forming: from the submission of its *oldest*
-    /// member to dispatch (identical for every member of a batch).
-    pub batch_formation_seconds: f64,
-    /// Wall-clock time of the batch's single simulation (or cache lookup).
+    /// Wall-clock time of the simulation (or cache lookup).
     pub simulate_seconds: f64,
     /// End-to-end: submission to response delivery.
     pub total_seconds: f64,
@@ -98,27 +65,23 @@ pub struct GemmResponse {
     pub report: Arc<SimReport>,
     /// Wall-clock latency breakdown.
     pub latency: RequestLatency,
-    /// How many requests shared this simulation (1 = no coalescing).
-    pub batch_size: usize,
 }
 
-/// A pending response, returned by
-/// [`GemmServer::submit`](crate::serve::GemmServer::submit).
+/// The answer to one request, returned by
+/// [`GemmServer::submit`](crate::serve::GemmServer::submit) once the
+/// request has been simulated (or recalled).
 #[derive(Debug)]
 pub struct ResponseHandle {
-    pub(super) receiver: mpsc::Receiver<Result<GemmResponse, SimError>>,
+    pub(super) result: Result<GemmResponse, SimError>,
 }
 
 impl ResponseHandle {
-    /// Blocks until the server responds.
+    /// Takes the answer. Never blocks: `submit` already computed it.
     ///
     /// # Errors
     ///
-    /// Propagates the simulation error for a failed request, or
-    /// [`SimError::Serve`] if the server shut down before responding.
+    /// Propagates the simulation error for a failed request.
     pub fn wait(self) -> Result<GemmResponse, SimError> {
-        self.receiver.recv().map_err(|_| SimError::Serve {
-            reason: "server shut down before responding".to_string(),
-        })?
+        self.result
     }
 }

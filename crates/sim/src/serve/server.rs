@@ -1,354 +1,145 @@
-//! The batching GEMM server: per-design queues, worker pools and the
-//! shape-coalescing dispatch loop.
+//! The synchronous GEMM server: every request is answered on the thread
+//! that submits it, through one shared memoizing runner.
 
-use crate::key::CellKey;
 use crate::serve::{GemmRequest, GemmResponse, RequestLatency, ResponseHandle, ServeStats};
 use crate::simulator::DEFAULT_MATMUL_CAP;
-use crate::{CacheStats, DesignPoint, ExperimentRunner, SimError, SimReport};
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use crate::{CacheStats, DesignPoint, ExperimentRunner, SimError};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
-
-/// Default per-design bound on queued (not yet dispatched) requests.
-pub const DEFAULT_QUEUE_CAPACITY: usize = 1024;
-
-/// What [`GemmServer::submit`] does when a design's queue is at capacity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionControl {
-    /// Block the submitting thread until a worker frees queue space (or the
-    /// server shuts down). Backpressure propagates to the client.
-    #[default]
-    Block,
-    /// Fail fast with [`SimError::Overloaded`]; the request is not
-    /// enqueued and the rejection is counted in
-    /// [`ServeStats::rejected`](crate::serve::ServeStats::rejected).
-    Reject,
-}
 
 /// Configuration of a [`GemmServer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServeConfig {
-    /// Worker threads per design pool (each design gets its own pool).
-    pub workers_per_design: usize,
-    /// Maximum requests coalesced into one batch.
-    pub max_batch: usize,
     /// Bound on the shared runner's memoization cache (LRU-evicted).
     pub cache_capacity: usize,
     /// Cap on simulated `rasa_mm` instructions per cell (`None` = full).
     pub matmul_cap: Option<usize>,
-    /// Bound on queued requests per design pool.
-    pub queue_capacity: usize,
-    /// Behaviour when a design's queue is at capacity.
-    pub admission: AdmissionControl,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         ServeConfig {
-            workers_per_design: 2,
-            max_batch: 8,
             cache_capacity: crate::runner::DEFAULT_CACHE_CAPACITY,
             matmul_cap: Some(DEFAULT_MATMUL_CAP),
-            queue_capacity: DEFAULT_QUEUE_CAPACITY,
-            admission: AdmissionControl::default(),
         }
     }
 }
 
-/// One queued request, waiting for a worker.
-struct Pending {
-    request: GemmRequest,
-    /// The runner's interned cell key — the coalescing identity, rendered
-    /// and hashed once at submission and reused by the dispatch lookup.
-    key: CellKey,
-    submitted: Instant,
-    reply: mpsc::Sender<Result<GemmResponse, SimError>>,
-}
-
-/// A design pool's queue; workers sleep on `ready`, submitters blocked by
-/// a full queue sleep on `space`.
-struct PoolQueue {
-    queue: Mutex<VecDeque<Pending>>,
-    ready: Condvar,
-    space: Condvar,
-}
-
-/// State shared by every pool and worker of one server.
-struct Shared {
-    runner: Arc<ExperimentRunner>,
-    max_batch: usize,
-    queue_capacity: usize,
-    admission: AdmissionControl,
-    shutdown: AtomicBool,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    batches: AtomicU64,
-    coalesced: AtomicU64,
-    largest_batch: AtomicU64,
-    rejected: AtomicU64,
-    blocked: AtomicU64,
-}
-
-/// The batching multi-query GEMM server. See the
-/// [module docs](crate::serve) for the architecture.
+/// The multi-query GEMM server. See the [module docs](crate::serve) for
+/// the architecture.
 ///
-/// Dropping the server initiates shutdown: queued requests are drained and
-/// answered, then the worker threads are joined.
+/// The server owns no thread: [`submit`](Self::submit) simulates (or
+/// recalls) the cell on the calling thread, so concurrency is exactly the
+/// number of threads calling it.
 #[derive(Debug)]
 pub struct GemmServer {
-    shared: Arc<Shared>,
-    pools: HashMap<String, Arc<PoolQueue>>,
-    /// Design names in construction order (stable reporting order).
-    design_names: Vec<String>,
-    /// Worker join handles; behind a mutex so [`GemmServer::start`] works
-    /// through a shared reference (e.g. an `Arc`-held server).
-    workers: Mutex<Vec<JoinHandle<()>>>,
-    workers_per_design: usize,
-}
-
-impl std::fmt::Debug for Shared {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Shared")
-            .field("max_batch", &self.max_batch)
-            .field("shutdown", &self.shutdown)
-            .finish_non_exhaustive()
-    }
-}
-
-impl std::fmt::Debug for PoolQueue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolQueue").finish_non_exhaustive()
-    }
+    runner: ExperimentRunner,
+    /// Served design names in construction order (stable reporting order).
+    designs: Vec<String>,
+    submitted: AtomicU64,
+    completed: AtomicU64,
 }
 
 impl GemmServer {
-    /// Builds the server and starts its worker pools.
+    /// Builds the server over its shared runner.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::Serve`] for an invalid configuration (zero
-    /// workers or batch size, no designs, duplicate design names) and
-    /// propagates runner construction errors.
+    /// Returns [`SimError::Serve`] for an invalid configuration (no
+    /// designs, duplicate design names) and propagates runner construction
+    /// errors (e.g. a zero cache capacity).
     pub fn new(config: ServeConfig, designs: &[DesignPoint]) -> Result<Self, SimError> {
-        let server = GemmServer::suspended(config, designs)?;
-        server.start();
-        Ok(server)
-    }
-
-    /// Builds the server **without** starting any workers. Requests can be
-    /// submitted and sit in the queues; calling [`start`](Self::start)
-    /// releases the workers. Used by tests to make batching deterministic
-    /// and by harnesses that want to preload a burst.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`new`](Self::new).
-    pub fn suspended(config: ServeConfig, designs: &[DesignPoint]) -> Result<Self, SimError> {
-        if config.workers_per_design == 0 {
-            return Err(SimError::Serve {
-                reason: "at least one worker per design is required".to_string(),
-            });
-        }
-        if config.max_batch == 0 {
-            return Err(SimError::Serve {
-                reason: "max batch size must be at least 1".to_string(),
-            });
-        }
-        if config.queue_capacity == 0 {
-            return Err(SimError::Serve {
-                reason: "queue capacity must be at least 1".to_string(),
-            });
-        }
         if designs.is_empty() {
             return Err(SimError::Serve {
                 reason: "a server needs at least one design point".to_string(),
             });
         }
-        let runner = ExperimentRunner::builder()
-            .with_matmul_cap(config.matmul_cap)
-            .with_cache_capacity(config.cache_capacity)
-            .build()?;
-        let mut pools = HashMap::new();
-        let mut design_names = Vec::with_capacity(designs.len());
+        let mut names: Vec<String> = Vec::with_capacity(designs.len());
         for design in designs {
-            let name = design.name().to_string();
-            if pools
-                .insert(
-                    name.clone(),
-                    Arc::new(PoolQueue {
-                        queue: Mutex::new(VecDeque::new()),
-                        ready: Condvar::new(),
-                        space: Condvar::new(),
-                    }),
-                )
-                .is_some()
-            {
+            let name = design.name();
+            if names.iter().any(|known| known == name) {
                 return Err(SimError::Serve {
                     reason: format!("duplicate design point '{name}'"),
                 });
             }
-            design_names.push(name);
+            names.push(name.to_string());
         }
+        let runner = ExperimentRunner::builder()
+            .with_matmul_cap(config.matmul_cap)
+            .with_cache_capacity(config.cache_capacity)
+            .build()?;
         Ok(GemmServer {
-            shared: Arc::new(Shared {
-                runner: Arc::new(runner),
-                max_batch: config.max_batch,
-                queue_capacity: config.queue_capacity,
-                admission: config.admission,
-                shutdown: AtomicBool::new(false),
-                submitted: AtomicU64::new(0),
-                completed: AtomicU64::new(0),
-                batches: AtomicU64::new(0),
-                coalesced: AtomicU64::new(0),
-                largest_batch: AtomicU64::new(0),
-                rejected: AtomicU64::new(0),
-                blocked: AtomicU64::new(0),
-            }),
-            pools,
-            design_names,
-            workers: Mutex::new(Vec::new()),
-            workers_per_design: config.workers_per_design,
+            runner,
+            designs: names,
+            submitted: AtomicU64::new(0),
+            completed: AtomicU64::new(0),
         })
     }
 
-    /// Starts the worker pools (idempotent).
-    pub fn start(&self) {
-        let mut workers = self.workers.lock().expect("serve workers lock");
-        if !workers.is_empty() {
-            return;
-        }
-        for name in &self.design_names {
-            let pool = Arc::clone(&self.pools[name]);
-            for worker in 0..self.workers_per_design {
-                let shared = Arc::clone(&self.shared);
-                let pool = Arc::clone(&pool);
-                let thread_name = format!("serve-{name}-{worker}");
-                workers.push(
-                    std::thread::Builder::new()
-                        .name(thread_name)
-                        .spawn(move || worker_loop(&shared, &pool))
-                        .expect("spawn serve worker"),
-                );
-            }
-        }
-    }
-
-    /// The design names this server has pools for, in construction order.
+    /// The design names this server serves, in construction order.
     #[must_use]
     pub fn designs(&self) -> &[String] {
-        &self.design_names
+        &self.designs
     }
 
-    /// Total worker threads once started.
-    #[must_use]
-    pub fn worker_count(&self) -> usize {
-        self.design_names.len() * self.workers_per_design
-    }
-
-    /// Enqueues a request and returns a handle for the response.
-    ///
-    /// Admission control bounds each design's queue at the configured
-    /// capacity: a submission hitting a full queue either blocks until a
-    /// worker frees space ([`AdmissionControl::Block`], the default) or
-    /// fails fast ([`AdmissionControl::Reject`]).
+    /// Answers one request on the calling thread and returns a handle that
+    /// already holds the answer. Requests with the same semantic cell key
+    /// share one simulation through the runner's cell cache, and a cache
+    /// hit is restamped with the workload name this request asked for.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::Serve`] when the request names a design the
-    /// server has no pool for or when the server is shutting down, and
-    /// [`SimError::Overloaded`] when the queue is full under
-    /// [`AdmissionControl::Reject`].
+    /// server does not serve. Simulation errors are delivered through
+    /// [`ResponseHandle::wait`].
     pub fn submit(&self, request: GemmRequest) -> Result<ResponseHandle, SimError> {
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(SimError::Serve {
-                reason: "server is shutting down".to_string(),
-            });
-        }
-        let Some(pool) = self.pools.get(request.design.name()) else {
+        let submitted = Instant::now();
+        let design = request.design.name();
+        if !self.designs.iter().any(|served| served == design) {
             return Err(SimError::Serve {
                 reason: format!(
-                    "no worker pool for design '{}' (serving: {})",
-                    request.design.name(),
-                    self.design_names.join(", ")
+                    "design '{design}' is not served (serving: {})",
+                    self.designs.join(", ")
                 ),
             });
-        };
-        let key = request.cell_key(self.shared.runner.matmul_cap());
-        let (reply, receiver) = mpsc::channel();
-        let pending = Pending {
-            request,
-            key,
-            submitted: Instant::now(),
-            reply,
-        };
-        let mut queue = pool.queue.lock().expect("serve queue lock");
-        if queue.len() >= self.shared.queue_capacity {
-            match self.shared.admission {
-                AdmissionControl::Reject => {
-                    self.shared.rejected.fetch_add(1, Ordering::Relaxed);
-                    return Err(SimError::Overloaded {
-                        design: pending.request.design.name().to_string(),
-                        capacity: self.shared.queue_capacity,
-                    });
-                }
-                AdmissionControl::Block => {
-                    self.shared.blocked.fetch_add(1, Ordering::Relaxed);
-                    while queue.len() >= self.shared.queue_capacity {
-                        if self.shared.shutdown.load(Ordering::SeqCst) {
-                            return Err(SimError::Serve {
-                                reason: "server is shutting down".to_string(),
-                            });
-                        }
-                        queue = pool.space.wait(queue).expect("serve queue lock");
-                    }
-                }
-            }
         }
-        // Re-check under the lock: a submitter woken by freed space (or one
-        // that raced the fast path) must not enqueue into a server whose
-        // workers may already have drained and exited — the request would
-        // never be answered and the caller's `wait` would hang.
-        if self.shared.shutdown.load(Ordering::SeqCst) {
-            return Err(SimError::Serve {
-                reason: "server is shutting down".to_string(),
-            });
-        }
-        // Counted before the request becomes visible to workers, so
-        // `submitted >= completed` holds for every stats() observer.
-        self.shared.submitted.fetch_add(1, Ordering::Relaxed);
-        queue.push_back(pending);
-        drop(queue);
-        pool.ready.notify_one();
-        Ok(ResponseHandle { receiver })
+        self.submitted.fetch_add(1, Ordering::Relaxed);
+        let simulating = Instant::now();
+        let result = self.runner.run_job(&request.into_job());
+        let simulate_seconds = simulating.elapsed().as_secs_f64();
+        self.completed.fetch_add(1, Ordering::Relaxed);
+        Ok(ResponseHandle {
+            result: result.map(|report| GemmResponse {
+                report,
+                latency: RequestLatency {
+                    queue_seconds: 0.0,
+                    simulate_seconds,
+                    total_seconds: submitted.elapsed().as_secs_f64(),
+                },
+            }),
+        })
     }
 
-    /// Submits a burst of requests and blocks for all responses, returned
-    /// in request order.
+    /// Answers a burst of requests, returned in request order.
     ///
     /// # Errors
     ///
     /// Returns the first submission or simulation error.
     pub fn run_batch(&self, requests: Vec<GemmRequest>) -> Result<Vec<GemmResponse>, SimError> {
-        let handles: Vec<ResponseHandle> = requests
+        requests
             .into_iter()
-            .map(|request| self.submit(request))
-            .collect::<Result<_, _>>()?;
-        handles.into_iter().map(ResponseHandle::wait).collect()
+            .map(|request| self.submit(request)?.wait())
+            .collect()
     }
 
     /// Serving counters since construction.
     #[must_use]
     pub fn stats(&self) -> ServeStats {
+        let completed = self.completed.load(Ordering::Relaxed);
         ServeStats {
-            submitted: self.shared.submitted.load(Ordering::Relaxed),
-            completed: self.shared.completed.load(Ordering::Relaxed),
-            batches: self.shared.batches.load(Ordering::Relaxed),
-            coalesced: self.shared.coalesced.load(Ordering::Relaxed),
-            largest_batch: self.shared.largest_batch.load(Ordering::Relaxed),
-            rejected: self.shared.rejected.load(Ordering::Relaxed),
-            blocked: self.shared.blocked.load(Ordering::Relaxed),
+            submitted: self.submitted.load(Ordering::Relaxed),
+            completed,
+            batches: completed,
         }
     }
 
@@ -356,141 +147,12 @@ impl GemmServer {
     /// resident entries, capacity).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        self.shared.runner.cache_stats()
+        self.runner.cache_stats()
     }
 
-    /// The shared memoizing runner backing every pool.
-    #[must_use]
-    pub fn runner(&self) -> &ExperimentRunner {
-        &self.shared.runner
-    }
-
-    /// Drains the queues, answers everything pending and joins the
-    /// workers. Called automatically on drop; explicit calls make the
-    /// shutdown point visible in harness code.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        for pool in self.pools.values() {
-            // Notify under the queue lock: a submitter that read the flag
-            // as false is then either still holding the lock (and will see
-            // it on its next loop iteration) or already parked on the
-            // condvar (and receives this wakeup) — the notification cannot
-            // fall between its check and its wait.
-            let _queue = pool.queue.lock().expect("serve queue lock");
-            pool.ready.notify_all();
-            pool.space.notify_all();
-        }
-        let workers = std::mem::take(&mut *self.workers.lock().expect("serve workers lock"));
-        for worker in workers {
-            let _ = worker.join();
-        }
-    }
-}
-
-impl Drop for GemmServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-/// Removes the front request and every queued request sharing its semantic
-/// key (up to `max_batch` total), preserving the relative order of what
-/// remains. The returned batch is never empty and its first element is the
-/// oldest member.
-fn take_batch(queue: &mut VecDeque<Pending>, max_batch: usize) -> Vec<Pending> {
-    let leader = queue.pop_front().expect("take_batch on empty queue");
-    let mut batch = Vec::with_capacity(max_batch.min(queue.len() + 1));
-    let key = leader.key.clone();
-    batch.push(leader);
-    let mut kept = VecDeque::with_capacity(queue.len());
-    while let Some(pending) = queue.pop_front() {
-        if batch.len() < max_batch && pending.key == key {
-            batch.push(pending);
-        } else {
-            kept.push_back(pending);
-        }
-    }
-    *queue = kept;
-    batch
-}
-
-fn worker_loop(shared: &Shared, pool: &PoolQueue) {
-    loop {
-        let batch = {
-            let mut queue = pool.queue.lock().expect("serve queue lock");
-            loop {
-                if !queue.is_empty() {
-                    break;
-                }
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                queue = pool.ready.wait(queue).expect("serve queue lock");
-            }
-            take_batch(&mut queue, shared.max_batch)
-        };
-        // The batch freed queue space: admit blocked submitters.
-        pool.space.notify_all();
-        dispatch(shared, batch);
-    }
-}
-
-/// Simulates one coalesced batch and answers every member.
-fn dispatch(shared: &Shared, batch: Vec<Pending>) {
-    let dispatched = Instant::now();
-    let batch_formation_seconds = dispatched.duration_since(batch[0].submitted).as_secs_f64();
-    let batch_size = batch.len();
-    shared.batches.fetch_add(1, Ordering::Relaxed);
-    shared
-        .coalesced
-        .fetch_add(batch_size as u64 - 1, Ordering::Relaxed);
-    shared
-        .largest_batch
-        .fetch_max(batch_size as u64, Ordering::Relaxed);
-
-    let job = batch[0].request.to_job();
-    let result = shared.runner.run_job_keyed(&job, &batch[0].key);
-    let simulate_seconds = dispatched.elapsed().as_secs_f64();
-
-    for pending in batch {
-        let response = match &result {
-            Ok(report) => {
-                let now = Instant::now();
-                Ok(GemmResponse {
-                    report: relabel(report, pending.request.workload.name()),
-                    latency: RequestLatency {
-                        queue_seconds: dispatched.duration_since(pending.submitted).as_secs_f64(),
-                        batch_formation_seconds,
-                        simulate_seconds,
-                        total_seconds: now.duration_since(pending.submitted).as_secs_f64(),
-                    },
-                    batch_size,
-                })
-            }
-            Err(error) => Err(error.clone()),
-        };
-        // Counted before the send so a client that has its response (and
-        // anyone it synchronizes with) observes a complete count.
-        shared.completed.fetch_add(1, Ordering::Relaxed);
-        // A dropped handle just means the client stopped waiting.
-        let _ = pending.reply.send(response);
-    }
-}
-
-/// Restamps a shared report with the workload name the member asked for
-/// (batch members may carry different names for the same semantic shape).
-fn relabel(report: &Arc<SimReport>, workload: &str) -> Arc<SimReport> {
-    if report.workload == workload {
-        Arc::clone(report)
-    } else {
-        let mut relabelled = (**report).clone();
-        relabelled.workload = workload.to_string();
-        Arc::new(relabelled)
-    }
+    /// Drops the server. It owns no thread, so there is nothing to drain
+    /// or join; the explicit call marks the shutdown point in harness code.
+    pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
@@ -498,94 +160,14 @@ mod tests {
     use super::*;
     use rasa_workloads::WorkloadSuite;
 
-    fn pending(key: &str) -> Pending {
-        let suite = WorkloadSuite::mlperf();
-        let (reply, _receiver) = mpsc::channel();
-        // The receiver is dropped; dispatch tolerates that, and these
-        // entries only exercise `take_batch`, which never sends.
-        Pending {
-            request: GemmRequest::new(
-                DesignPoint::baseline(),
-                suite.layer("DLRM-1").unwrap().clone(),
-            ),
-            key: CellKey::new(key),
-            submitted: Instant::now(),
-            reply,
-        }
-    }
-
-    fn keys(batch: &[Pending]) -> Vec<&str> {
-        batch.iter().map(|p| p.key.as_str()).collect()
-    }
-
-    #[test]
-    fn take_batch_coalesces_equal_keys_and_preserves_order() {
-        let mut queue: VecDeque<Pending> =
-            ["a", "b", "a", "a", "c"].into_iter().map(pending).collect();
-        let batch = take_batch(&mut queue, 8);
-        assert_eq!(keys(&batch), vec!["a", "a", "a"]);
-        let remaining: Vec<&str> = queue.iter().map(|p| p.key.as_str()).collect();
-        assert_eq!(remaining, vec!["b", "c"], "relative order preserved");
-    }
-
-    #[test]
-    fn take_batch_respects_max_batch() {
-        let mut queue: VecDeque<Pending> = ["a", "a", "a", "a"].into_iter().map(pending).collect();
-        let batch = take_batch(&mut queue, 2);
-        assert_eq!(keys(&batch), vec!["a", "a"]);
-        assert_eq!(queue.len(), 2, "overflow stays queued for the next batch");
-        let batch = take_batch(&mut queue, 2);
-        assert_eq!(keys(&batch), vec!["a", "a"]);
-        assert!(queue.is_empty());
-    }
-
-    #[test]
-    fn take_batch_singleton() {
-        let mut queue: VecDeque<Pending> = ["x", "y"].into_iter().map(pending).collect();
-        let batch = take_batch(&mut queue, 8);
-        assert_eq!(keys(&batch), vec!["x"]);
-        assert_eq!(queue.len(), 1);
-    }
-
     #[test]
     fn config_validation() {
         let designs = [DesignPoint::baseline()];
-        for (config, what) in [
-            (
-                ServeConfig {
-                    workers_per_design: 0,
-                    ..ServeConfig::default()
-                },
-                "zero workers",
-            ),
-            (
-                ServeConfig {
-                    max_batch: 0,
-                    ..ServeConfig::default()
-                },
-                "zero batch",
-            ),
-            (
-                ServeConfig {
-                    cache_capacity: 0,
-                    ..ServeConfig::default()
-                },
-                "zero cache",
-            ),
-        ] {
-            assert!(GemmServer::new(config, &designs).is_err(), "{what}");
-        }
-        assert!(
-            GemmServer::new(
-                ServeConfig {
-                    queue_capacity: 0,
-                    ..ServeConfig::default()
-                },
-                &designs,
-            )
-            .is_err(),
-            "zero queue capacity"
-        );
+        let zero_cache = ServeConfig {
+            cache_capacity: 0,
+            ..ServeConfig::default()
+        };
+        assert!(GemmServer::new(zero_cache, &designs).is_err(), "zero cache");
         assert!(
             GemmServer::new(ServeConfig::default(), &[]).is_err(),
             "no designs"
@@ -606,50 +188,36 @@ mod tests {
         let layer = suite.layer("DLRM-2").unwrap().clone();
         let other = suite.layer("BERT-1").unwrap().clone();
         let config = ServeConfig {
-            workers_per_design: 2,
-            max_batch: 8,
             cache_capacity: 64,
             matmul_cap: Some(64),
-            ..ServeConfig::default()
         };
-        let server = GemmServer::suspended(config, &[DesignPoint::baseline()]).unwrap();
+        let server = GemmServer::new(config, &[DesignPoint::baseline()]).unwrap();
 
-        // Queue three identical-shape requests and one different shape
-        // BEFORE any worker runs: the first worker must take all three as
-        // one batch.
-        let mut handles = Vec::new();
         for _ in 0..3 {
-            handles.push(
-                server
-                    .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
-                    .unwrap(),
-            );
-        }
-        let other_handle = server
-            .submit(GemmRequest::new(DesignPoint::baseline(), other))
-            .unwrap();
-        server.start();
-
-        for handle in handles {
-            let response = handle.wait().unwrap();
-            assert_eq!(response.batch_size, 3, "identical shapes form one batch");
+            let response = server
+                .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
+                .unwrap()
+                .wait()
+                .unwrap();
             assert_eq!(response.report.workload, "DLRM-2");
+            assert_eq!(response.latency.queue_seconds, 0.0, "nothing queues");
             assert!(response.latency.total_seconds >= response.latency.simulate_seconds);
         }
-        let response = other_handle.wait().unwrap();
-        assert_eq!(response.batch_size, 1);
+        server
+            .submit(GemmRequest::new(DesignPoint::baseline(), other))
+            .unwrap()
+            .wait()
+            .unwrap();
 
-        // Two distinct cells were simulated, total — the three coalesced
-        // requests shared one.
+        // One simulation per distinct shape: the two repeats were cell
+        // cache hits.
         let cache = server.cache_stats();
         assert_eq!(cache.misses, 2, "one simulation per distinct shape");
+        assert_eq!(cache.hits, 2);
         let stats = server.stats();
         assert_eq!(stats.submitted, 4);
         assert_eq!(stats.completed, 4);
-        assert_eq!(stats.coalesced, 2);
-        assert_eq!(stats.largest_batch, 3);
-        assert_eq!(stats.batches, 2);
-        assert!((stats.mean_batch_size() - 2.0).abs() < 1e-12);
+        assert_eq!(stats.batches, 4, "one batch per request");
     }
 
     #[test]
@@ -660,154 +228,26 @@ mod tests {
         assert_ne!(layer.name(), rebatched.name());
 
         let config = ServeConfig {
-            workers_per_design: 1,
-            max_batch: 8,
             cache_capacity: 64,
             matmul_cap: Some(64),
-            ..ServeConfig::default()
         };
-        let server = GemmServer::suspended(config, &[DesignPoint::baseline()]).unwrap();
+        let server = GemmServer::new(config, &[DesignPoint::baseline()]).unwrap();
         let a = server
             .submit(GemmRequest::new(DesignPoint::baseline(), layer))
+            .unwrap()
+            .wait()
             .unwrap();
         let b = server
             .submit(GemmRequest::new(DesignPoint::baseline(), rebatched.clone()))
+            .unwrap()
+            .wait()
             .unwrap();
-        server.start();
-
-        let a = a.wait().unwrap();
-        let b = b.wait().unwrap();
-        assert_eq!(a.batch_size, 2, "same semantic shape key");
-        assert_eq!(b.batch_size, 2);
         assert_eq!(a.report.workload, "DLRM-1");
         assert_eq!(b.report.workload, rebatched.name(), "relabelled");
         assert_eq!(a.report.core_cycles, b.report.core_cycles);
+        // Same semantic shape key: the second request is a cache hit.
         assert_eq!(server.cache_stats().misses, 1);
-    }
-
-    #[test]
-    fn full_queue_rejects_when_admission_is_reject() {
-        let suite = WorkloadSuite::mlperf();
-        let layer = suite.layer("DLRM-1").unwrap().clone();
-        let config = ServeConfig {
-            workers_per_design: 1,
-            max_batch: 8,
-            cache_capacity: 64,
-            matmul_cap: Some(64),
-            queue_capacity: 2,
-            admission: AdmissionControl::Reject,
-        };
-        // Suspended server: nothing drains the queue, so the bound is hit
-        // deterministically.
-        let server = GemmServer::suspended(config, &[DesignPoint::baseline()]).unwrap();
-        let a = server
-            .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
-            .unwrap();
-        let b = server
-            .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
-            .unwrap();
-        let err = server
-            .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
-            .unwrap_err();
-        assert!(
-            matches!(err, SimError::Overloaded { capacity: 2, .. }),
-            "expected Overloaded, got {err:?}"
-        );
-        assert!(err.to_string().contains("overloaded"));
-        let stats = server.stats();
-        assert_eq!(stats.submitted, 2, "rejected requests are not admitted");
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.blocked, 0);
-
-        // Once workers drain the queue, new submissions are admitted again.
-        server.start();
-        a.wait().unwrap();
-        b.wait().unwrap();
-        let c = server
-            .submit(GemmRequest::new(DesignPoint::baseline(), layer))
-            .unwrap();
-        c.wait().unwrap();
-        assert_eq!(server.stats().completed, 3);
-    }
-
-    #[test]
-    fn full_queue_blocks_until_space_when_admission_is_block() {
-        let suite = WorkloadSuite::mlperf();
-        let layer = suite.layer("DLRM-2").unwrap().clone();
-        let config = ServeConfig {
-            workers_per_design: 1,
-            max_batch: 1,
-            cache_capacity: 64,
-            matmul_cap: Some(64),
-            queue_capacity: 1,
-            admission: AdmissionControl::Block,
-        };
-        let server = GemmServer::suspended(config, &[DesignPoint::baseline()]).unwrap();
-        let first = server
-            .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
-            .unwrap();
-
-        // The queue is now full; a second submission must block until a
-        // worker frees space.
-        std::thread::scope(|scope| {
-            let submitter = scope.spawn(|| {
-                server
-                    .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
-                    .map(ResponseHandle::wait)
-            });
-            // `blocked` is incremented before the condvar wait, so once it
-            // reads 1 the submitter is (about to be) parked and still
-            // unadmitted.
-            while server.stats().blocked == 0 {
-                std::thread::yield_now();
-            }
-            assert_eq!(server.stats().submitted, 1, "second submit not admitted");
-            // Releasing the workers drains the queue and admits it.
-            server.start();
-            let second = submitter.join().expect("submitter thread");
-            second.expect("blocked submission is admitted").unwrap();
-        });
-        first.wait().unwrap();
-        let stats = server.stats();
-        assert_eq!(stats.submitted, 2);
-        assert_eq!(stats.completed, 2);
-        assert_eq!(stats.blocked, 1);
-        assert_eq!(stats.rejected, 0);
-    }
-
-    #[test]
-    fn shutdown_wakes_blocked_submitters() {
-        let suite = WorkloadSuite::mlperf();
-        let layer = suite.layer("DLRM-1").unwrap().clone();
-        let config = ServeConfig {
-            workers_per_design: 1,
-            max_batch: 1,
-            cache_capacity: 64,
-            matmul_cap: Some(64),
-            queue_capacity: 1,
-            admission: AdmissionControl::Block,
-        };
-        let server = GemmServer::suspended(config, &[DesignPoint::baseline()]).unwrap();
-        let _first = server
-            .submit(GemmRequest::new(DesignPoint::baseline(), layer.clone()))
-            .unwrap();
-        std::thread::scope(|scope| {
-            let submitter = scope
-                .spawn(|| server.submit(GemmRequest::new(DesignPoint::baseline(), layer.clone())));
-            while server.stats().blocked == 0 {
-                std::thread::yield_now();
-            }
-            // Signal shutdown exactly as `stop_and_join` does (flag, then
-            // notify under the queue lock); the blocked submitter must
-            // wake and error out instead of hanging.
-            server.shared.shutdown.store(true, Ordering::SeqCst);
-            for pool in server.pools.values() {
-                let _queue = pool.queue.lock().expect("serve queue lock");
-                pool.space.notify_all();
-            }
-            let err = submitter.join().expect("submitter thread").unwrap_err();
-            assert!(matches!(err, SimError::Serve { .. }), "got {err:?}");
-        });
+        assert_eq!(server.cache_stats().hits, 1);
     }
 
     #[test]
@@ -827,7 +267,7 @@ mod tests {
         ));
         assert!(matches!(err, Err(SimError::Serve { .. })));
         assert_eq!(server.designs(), &["BASELINE".to_string()]);
-        assert_eq!(server.worker_count(), 2);
+        assert_eq!(server.stats().submitted, 0, "rejected before admission");
     }
 
     #[test]
@@ -836,11 +276,8 @@ mod tests {
         let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
         let server = GemmServer::new(
             ServeConfig {
-                workers_per_design: 2,
-                max_batch: 4,
                 cache_capacity: 64,
                 matmul_cap: Some(64),
-                ..ServeConfig::default()
             },
             &designs,
         )
@@ -875,28 +312,28 @@ mod tests {
         let layer = suite.layer("DLRM-1").unwrap().clone();
         let design = DesignPoint::rasa_wlbp();
         let config = ServeConfig {
-            workers_per_design: 1,
-            max_batch: 8,
             cache_capacity: 64,
             matmul_cap: Some(64),
-            ..ServeConfig::default()
         };
-        let server = GemmServer::suspended(config, std::slice::from_ref(&design)).unwrap();
+        let server = GemmServer::new(config, std::slice::from_ref(&design)).unwrap();
         let mut interleaved =
             GemmKernelConfig::amx_like().with_matmul_order(MatmulOrder::Interleaved);
         interleaved.max_matmuls = Some(64);
         let a = server
             .submit(GemmRequest::new(design.clone(), layer.clone()))
+            .unwrap()
+            .wait()
             .unwrap();
         let b = server
             .submit(GemmRequest::new(design, layer).with_kernel(interleaved))
+            .unwrap()
+            .wait()
             .unwrap();
-        server.start();
-        let a = a.wait().unwrap();
-        let b = b.wait().unwrap();
-        assert_eq!(a.batch_size, 1, "different kernels must not coalesce");
-        assert_eq!(b.batch_size, 1);
         assert!(a.report.core_cycles < b.report.core_cycles);
-        assert_eq!(server.cache_stats().misses, 2);
+        assert_eq!(
+            server.cache_stats().misses,
+            2,
+            "different kernels, two cells"
+        );
     }
 }

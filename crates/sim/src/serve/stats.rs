@@ -9,31 +9,9 @@ pub struct ServeStats {
     pub submitted: u64,
     /// Requests answered (success or simulation error).
     pub completed: u64,
-    /// Batches dispatched to the runner.
+    /// Runner calls made: one per answered request, so it always equals
+    /// `completed`.
     pub batches: u64,
-    /// Requests that rode along in a batch they did not lead — each one is
-    /// a simulation avoided by shape coalescing (on top of cache hits).
-    pub coalesced: u64,
-    /// The largest batch dispatched so far.
-    pub largest_batch: u64,
-    /// Requests turned away by admission control (reject mode, queue at
-    /// capacity). Rejected requests are never counted in `submitted`.
-    pub rejected: u64,
-    /// Submissions that had to wait for queue space (block mode) before
-    /// being admitted.
-    pub blocked: u64,
-}
-
-impl ServeStats {
-    /// Mean requests per dispatched batch (0 when nothing was dispatched).
-    #[must_use]
-    pub fn mean_batch_size(&self) -> f64 {
-        if self.batches == 0 {
-            0.0
-        } else {
-            self.completed as f64 / self.batches as f64
-        }
-    }
 }
 
 impl ToJson for ServeStats {
@@ -48,16 +26,6 @@ impl ToJson for ServeStats {
                 JsonValue::number_from_u64(self.completed),
             ),
             ("batches".into(), JsonValue::number_from_u64(self.batches)),
-            (
-                "coalesced".into(),
-                JsonValue::number_from_u64(self.coalesced),
-            ),
-            (
-                "largest_batch".into(),
-                JsonValue::number_from_u64(self.largest_batch),
-            ),
-            ("rejected".into(), JsonValue::number_from_u64(self.rejected)),
-            ("blocked".into(), JsonValue::number_from_u64(self.blocked)),
         ])
     }
 }
@@ -74,10 +42,6 @@ impl FromJson for ServeStats {
             submitted: field("submitted")?,
             completed: field("completed")?,
             batches: field("batches")?,
-            coalesced: field("coalesced")?,
-            largest_batch: field("largest_batch")?,
-            rejected: field("rejected")?,
-            blocked: field("blocked")?,
         })
     }
 }
@@ -250,22 +214,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_stats_mean_batch_size_and_json() {
+    fn serve_stats_json_round_trips() {
         let stats = ServeStats {
             submitted: 10,
-            completed: 10,
-            batches: 4,
-            coalesced: 6,
-            largest_batch: 5,
-            rejected: 3,
-            blocked: 2,
+            completed: 9,
+            batches: 9,
         };
-        assert!((stats.mean_batch_size() - 2.5).abs() < 1e-12);
-        assert_eq!(ServeStats::default().mean_batch_size(), 0.0);
         let json = stats.to_json().to_string_compact();
-        assert!(json.contains("\"coalesced\":6"));
-        assert!(json.contains("\"rejected\":3"));
-        assert!(json.contains("\"blocked\":2"));
+        assert_eq!(json, r#"{"submitted":10,"completed":9,"batches":9}"#);
         let back = ServeStats::from_json(&JsonValue::parse(&json).unwrap()).unwrap();
         assert_eq!(back, stats);
         let lat = LatencySummary::from_samples(&[0.1]).unwrap();

@@ -1,6 +1,7 @@
-//! Serving-layer tour: stand up a batching [`GemmServer`] over two design
-//! points, push a burst of mixed GEMM traffic through it, and inspect the
-//! latency breakdown, shape coalescing and bounded-LRU cache behaviour.
+//! Serving-layer tour: stand up a [`GemmServer`] over two design points,
+//! push a burst of mixed GEMM traffic through it, and inspect the latency
+//! breakdown and the bounded-LRU cache that lets equal shapes share one
+//! simulation.
 //!
 //! Run with: `cargo run --release --example serving`
 
@@ -11,24 +12,21 @@ use rasa::workloads::TrafficGenerator;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ---------------------------------------------------------------
-    // 1. A server with one worker pool per design. Both pools share a
-    //    bounded LRU cache of memoized simulation cells.
+    // 1. A server over two designs. It owns no thread: each request is
+    //    answered on the submitting thread, through one bounded LRU
+    //    cache of memoized simulation cells.
     // ---------------------------------------------------------------
     let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
     let server = GemmServer::new(
         ServeConfig {
-            workers_per_design: 2,
-            max_batch: 8,
             cache_capacity: 16,
             matmul_cap: Some(512),
-            ..ServeConfig::default()
         },
         &designs,
     )?;
     println!(
-        "serving {} designs with {} workers (cache capacity {})",
+        "serving {} designs (cache capacity {})",
         server.designs().len(),
-        server.worker_count(),
         server.cache_stats().capacity
     );
 
@@ -45,7 +43,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // ---------------------------------------------------------------
     // 3. What did serving cost? End-to-end latency percentiles plus the
-    //    cache and batching counters.
+    //    cache counters (each hit reuses a cell an earlier request with
+    //    the same shape simulated).
     // ---------------------------------------------------------------
     let latencies: Vec<f64> = responses.iter().map(|r| r.latency.total_seconds).collect();
     let summary = LatencySummary::from_samples(&latencies).expect("non-empty");
@@ -54,9 +53,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         summary.p50_seconds * 1e3,
         summary.p99_seconds * 1e3
     );
-    let coalesced = responses.iter().filter(|r| r.batch_size > 1).count();
-    println!("{coalesced} responses shared a batch with an identical shape");
-
     let cache = server.cache_stats();
     println!(
         "cache: {} hits / {} misses ({:.0}% hit rate), {} evictions, {}/{} resident",

@@ -7,10 +7,9 @@
 use proptest::prelude::*;
 use rasa::prelude::*;
 use rasa::sim::net::{
-    ErrorCode, Frame, FrameDecoder, FrameKind, HashRing, NetError, RouterConfig, ShardConfig,
-    WireFailure, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,
+    AdmissionControl, ErrorCode, Frame, FrameDecoder, FrameKind, HashRing, NetError, RouterConfig,
+    ShardConfig, WireFailure, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,
 };
-use rasa::sim::serve::AdmissionControl;
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -194,11 +193,8 @@ fn killing_a_shard_moves_only_its_keys() {
 fn distributed_serving_is_byte_identical_and_survives_a_shard_death() {
     let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
     let serve = ServeConfig {
-        workers_per_design: 1,
-        max_batch: 4,
         cache_capacity: 16,
         matmul_cap: Some(96),
-        ..ServeConfig::default()
     };
     let shard_a = rasa::sim::net::ShardServer::bind(
         "127.0.0.1:0",
@@ -302,10 +298,8 @@ fn distributed_serving_is_byte_identical_and_survives_a_shard_death() {
 fn corrupt_streams_are_answered_then_closed() {
     let designs = [DesignPoint::baseline()];
     let serve = ServeConfig {
-        workers_per_design: 1,
         cache_capacity: 4,
         matmul_cap: Some(64),
-        ..ServeConfig::default()
     };
     let shard = rasa::sim::net::ShardServer::bind(
         "127.0.0.1:0",
@@ -357,10 +351,8 @@ fn one_event_loop_sustains_hundreds_of_concurrent_connections() {
     const CONNECTIONS: usize = 300;
     let designs = [DesignPoint::baseline()];
     let serve = ServeConfig {
-        workers_per_design: 1,
         cache_capacity: 8,
         matmul_cap: Some(64),
-        ..ServeConfig::default()
     };
     let shard = rasa::sim::net::ShardServer::bind(
         "127.0.0.1:0",
