@@ -796,10 +796,6 @@ impl ToJson for PipelineStats {
                 "spec_commits".into(),
                 JsonValue::number_from_u64(self.spec_commits),
             ),
-            (
-                "spec_replays".into(),
-                JsonValue::number_from_u64(self.spec_replays),
-            ),
         ])
     }
 }
@@ -819,7 +815,6 @@ impl FromJson for PipelineStats {
             peak_resident_instructions: u64_member(value, "peak_resident_instructions")?,
             spec_forks: optional("spec_forks"),
             spec_commits: optional("spec_commits"),
-            spec_replays: optional("spec_replays"),
         })
     }
 }
@@ -1016,10 +1011,6 @@ impl ToJson for SimSummary {
                 "spec_commits".into(),
                 JsonValue::number_from_u64(self.spec_commits),
             ),
-            (
-                "spec_replays".into(),
-                JsonValue::number_from_u64(self.spec_replays),
-            ),
         ])
     }
 }
@@ -1055,10 +1046,6 @@ impl FromJson for SimSummary {
                 .unwrap_or(0),
             spec_commits: value
                 .get("spec_commits")
-                .and_then(JsonValue::as_u64)
-                .unwrap_or(0),
-            spec_replays: value
-                .get("spec_replays")
                 .and_then(JsonValue::as_u64)
                 .unwrap_or(0),
         })

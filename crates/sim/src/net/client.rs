@@ -10,15 +10,16 @@
 //! only when a dial itself fails.
 //! Only **retryable** failures are retried (transport errors, `overloaded`
 //! and `unavailable` remote codes — see [`NetError::is_retryable`]); a
-//! simulation error or protocol violation is returned immediately.
+//! simulation error or protocol violation is returned immediately. Replies
+//! decode through [`WireResponse::from_reply`], the decoder
+//! [`Router::route`](crate::net::Router::route) uses too.
 //!
 //! Retrying a simulation request is always safe: the answer is a pure
 //! function of the request, so a duplicate execution can change nothing
 //! but cache temperature. This is what lets the distributed soak lose a
 //! worker mid-run and still complete every request.
 
-use crate::json::JsonValue;
-use crate::json::{FromJson, ToJson};
+use crate::json::{FromJson, JsonValue, ToJson};
 use crate::net::wire::{Frame, FrameKind, WireFailure, WireRequest, WireResponse};
 use crate::net::NetError;
 use std::net::TcpStream;
@@ -65,12 +66,6 @@ pub struct NetClient {
     conn: Option<TcpStream>,
     config: ClientConfig,
     stats: ClientStats,
-    /// Recycled request-serialization buffer: each request frame is
-    /// encoded into the previous one's allocation.
-    encode_buf: Vec<u8>,
-    /// Recycled reply buffer: each reply frame is decoded into the
-    /// previous one's allocation.
-    decode_buf: Vec<u8>,
 }
 
 impl NetClient {
@@ -102,8 +97,6 @@ impl NetClient {
             conn: None,
             config,
             stats: ClientStats::default(),
-            encode_buf: Vec::new(),
-            decode_buf: Vec::new(),
         }
     }
 
@@ -122,51 +115,22 @@ impl NetClient {
     /// non-retryable failures ([`NetError::Remote`] simulation errors,
     /// protocol violations, version mismatches).
     pub fn request(&mut self, request: &WireRequest) -> Result<WireResponse, NetError> {
-        let frame = Frame::json_pooled(
-            FrameKind::Request,
-            &request.to_json(),
-            std::mem::take(&mut self.encode_buf),
-        );
-        let outcome = self.exchange_with_retry(&frame);
-        self.encode_buf = frame.into_payload();
-        let reply = outcome?;
-        let kind = reply.kind;
-        let json = reply.payload_json();
-        self.decode_buf = reply.into_payload();
-        match kind {
-            FrameKind::Response => {
-                let response = WireResponse::from_json(&json?).map_err(|e| NetError::Frame {
-                    reason: format!("undecodable response payload: {e}"),
-                })?;
-                if response.id != request.id {
-                    // A desynced stream must not serve the next request:
-                    // drop the connection so the next attempt redials.
-                    self.conn = None;
-                    return Err(NetError::Protocol {
-                        reason: format!(
-                            "response id {} does not match request id {}",
-                            response.id, request.id
-                        ),
-                    });
-                }
+        let reply =
+            self.exchange_with_retry(&Frame::json(FrameKind::Request, &request.to_json()))?;
+        match WireResponse::from_reply(&reply, request.id) {
+            Ok(response) => {
                 self.stats.completed += 1;
                 Ok(response)
             }
-            FrameKind::Error => {
-                let failure = WireFailure::from_json(&json?).map_err(|e| NetError::Frame {
-                    reason: format!("undecodable error payload: {e}"),
-                })?;
-                self.stats.failed += 1;
-                Err(NetError::Remote {
-                    code: failure.code,
-                    message: failure.message,
-                })
-            }
-            FrameKind::Request | FrameKind::Health => {
-                self.conn = None;
-                Err(NetError::Protocol {
-                    reason: format!("peer answered a request with a {kind:?} frame"),
-                })
+            Err(error) => {
+                match error {
+                    // A desynced stream must not serve the next request:
+                    // drop the connection so the next attempt redials.
+                    NetError::Protocol { .. } => self.conn = None,
+                    NetError::Remote { .. } => self.stats.failed += 1,
+                    _ => {}
+                }
+                Err(error)
             }
         }
     }
@@ -181,11 +145,8 @@ impl NetClient {
     /// [`request`](Self::request).
     pub fn health(&mut self) -> Result<JsonValue, NetError> {
         let reply = self.exchange_with_retry(&Frame::health_probe())?;
-        let kind = reply.kind;
-        let json = reply.payload_json();
-        self.decode_buf = reply.into_payload();
-        match kind {
-            FrameKind::Health => json,
+        match reply.kind {
+            FrameKind::Health => reply.payload_json(),
             other => {
                 // As for an id mismatch: never reuse a suspect stream.
                 self.conn = None;
@@ -230,10 +191,6 @@ impl NetClient {
                                 code: failure.code,
                                 message: failure.message,
                             });
-                            // The reply frame is consumed here, not
-                            // returned — reclaim its buffer so the pool
-                            // survives the retry.
-                            self.decode_buf = reply.into_payload();
                         }
                         None => return Ok(reply),
                     }
@@ -281,7 +238,7 @@ impl NetClient {
         }
         let stream = self.conn.as_mut().expect("connection just ensured");
         let outcome = match frame.write_to(stream) {
-            Ok(()) => Frame::read_from_pooled(stream, &mut self.decode_buf),
+            Ok(()) => Frame::read_from(stream),
             Err(error) => Err(error),
         };
         if outcome.is_err() {

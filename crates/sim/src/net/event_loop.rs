@@ -114,13 +114,11 @@ struct Work {
     frame: Frame,
 }
 
-/// A handler reply returning to the loop, with the request's payload
-/// buffer riding along for recycling into the connection's decoder.
+/// A handler reply returning to the loop.
 struct Done {
     index: usize,
     generation: u32,
     reply: Frame,
-    recycled: Vec<u8>,
 }
 
 /// Wakes the loop out of its readiness wait when a worker finishes.
@@ -353,13 +351,10 @@ impl EventLoop {
                         guard.recv()
                     };
                     let Ok(work) = work else { break };
-                    let reply = answer_contained(&worker_handler, &work.frame);
-                    let recycled = work.frame.into_payload();
                     let done = Done {
                         index: work.index,
                         generation: work.generation,
-                        reply,
-                        recycled,
+                        reply: answer_contained(&worker_handler, &work.frame),
                     };
                     if tx.send(done).is_err() {
                         break;
@@ -713,8 +708,8 @@ impl LoopState {
         });
     }
 
-    /// Applies a worker's reply: recycle the request buffer, queue the
-    /// encoded reply, free the in-flight slot, dispatch the next frame.
+    /// Applies a worker's reply: queue the encoded reply, free the
+    /// in-flight slot, dispatch the next frame.
     fn complete(&mut self, done: Done) {
         {
             let Some(conn) = self.slab.get_mut(done.index) else {
@@ -723,7 +718,6 @@ impl LoopState {
             if conn.generation != done.generation {
                 return;
             }
-            conn.decoder.recycle(done.recycled);
             done.reply.append_to(&mut conn.out);
             conn.inflight = false;
         }

@@ -14,9 +14,12 @@
 //!   workers.
 //! - [`router`] — [`Router`]: consistent-hash routing across N shards with
 //!   per-shard bounded in-flight windows (the tier's [`AdmissionControl`])
-//!   and dead-shard failover.
+//!   and dead-shard failover. It relays bytes: a request frame goes to the
+//!   shard unchanged, and the shard's reply comes back unchanged once its
+//!   kind and id check out.
 //! - [`client`] — [`NetClient`]: a blocking client library with bounded
-//!   retry/backoff and endpoint rotation.
+//!   retry/backoff and endpoint rotation. It and the library router decode
+//!   replies with one decoder, [`WireResponse::from_reply`].
 //!
 //! Servers run on a **readiness-based event loop**: one thread multiplexes
 //! every connection over non-blocking sockets (a hand-rolled epoll binding

@@ -24,6 +24,15 @@
 //!   [`Router::revive_dead`] probes dead shards and puts recovered ones
 //!   back on the ring.
 //!
+//! The router relays bytes. It decodes a client's request only to compute
+//! its ring key, forwards the request frame unchanged, and returns the
+//! shard's Response or Error frame unchanged once the frame kind and the
+//! Response's canonical `{"id":<id>,` prefix check out. A reply that fails
+//! the check is a [`NetError::Protocol`], and its connection is dropped
+//! instead of pooled. The result cache holds a shard's Response payload
+//! after that prefix, keyed by cell key and workload name, so a hit
+//! splices in the new id and answers the shard's own bytes.
+//!
 //! [`Router::bind`] additionally exposes the router itself as a frame
 //! server (the `rasa-router` binary), answering health probes with a
 //! [`RouterHealth`] aggregate that nests every live shard's
@@ -72,8 +81,9 @@ pub struct RouterConfig {
     /// [`ServeConfig::matmul_cap`](crate::serve::ServeConfig::matmul_cap)
     /// so the routing key equals the shard's memoization key.
     pub matmul_cap: Option<usize>,
-    /// Bound on the router's own result cache (LRU over cell keys), probed
-    /// before any shard is contacted. `0` disables the cache. Cells are
+    /// Bound on the router's own result cache (LRU over cell keys and
+    /// workload names), probed before any shard is contacted. `0` disables
+    /// the cache. Cells are
     /// deterministic pure functions of their key (see DETERMINISM.md), so
     /// cached results never need invalidation.
     pub result_cache_capacity: usize,
@@ -329,21 +339,21 @@ struct Backend {
     alive: AtomicBool,
     window: Window,
     /// Idle connections to the shard. A request pops one (or dials a new
-    /// one), uses it exclusively, and returns it on clean completion.
+    /// one), uses it exclusively, and returns it once the reply checks out.
     pool: Mutex<Vec<TcpStream>>,
-    /// Retired reply-payload buffers, recycled into the next exchange's
-    /// decode. Like the connection pool, its size is bounded by the
-    /// number of concurrent exchanges (itself bounded by the in-flight
-    /// window).
-    scratch: Mutex<Vec<Vec<u8>>>,
     routed: AtomicU64,
 }
 
 impl Backend {
-    /// One request/response exchange on a pooled or fresh connection,
-    /// decoding the reply into a recycled buffer. Hand the reply back via
-    /// [`reclaim`](Self::reclaim) once parsed.
-    fn exchange(&self, frame: &Frame) -> Result<Frame, NetError> {
+    /// One request/reply exchange on a pooled or fresh connection. The
+    /// connection goes back to the pool only when `check` accepts the
+    /// reply: a reply of the wrong kind or for another id means the stream
+    /// is desynced, so it is dropped instead of serving the next request.
+    fn exchange(
+        &self,
+        frame: &Frame,
+        check: impl FnOnce(&Frame) -> Result<(), NetError>,
+    ) -> Result<Frame, NetError> {
         let pooled = self.pool.lock().expect("router pool lock").pop();
         let mut stream = match pooled {
             Some(stream) => stream,
@@ -353,29 +363,26 @@ impl Backend {
             })?,
         };
         frame.write_to(&mut stream)?;
-        let mut buf = self
-            .scratch
-            .lock()
-            .expect("router scratch lock")
-            .pop()
-            .unwrap_or_default();
-        let reply = Frame::read_from_pooled(&mut stream, &mut buf)?;
+        let reply = Frame::read_from(&mut stream)?;
+        check(&reply)?;
         self.pool.lock().expect("router pool lock").push(stream);
         Ok(reply)
     }
 
-    /// Drops every pooled connection. After a protocol violation the
-    /// stream that carried it is desynced, and it already sits in the pool.
-    fn clear_pool(&self) {
-        self.pool.lock().expect("router pool lock").clear();
+    /// A health probe exchange: anything but a Health reply is a protocol
+    /// violation from whatever now holds the shard's address.
+    fn probe(&self) -> Result<Frame, NetError> {
+        self.exchange(&Frame::health_probe(), |reply| match reply.kind {
+            FrameKind::Health => Ok(()),
+            other => Err(NetError::Protocol {
+                reason: format!("shard answered a probe with a {other:?} frame"),
+            }),
+        })
     }
 
-    /// Returns a parsed reply's payload buffer to the scratch pool.
-    fn reclaim(&self, reply: Frame) {
-        self.scratch
-            .lock()
-            .expect("router scratch lock")
-            .push(reply.into_payload());
+    /// Drops every pooled connection to a shard that failed.
+    fn clear_pool(&self) {
+        self.pool.lock().expect("router pool lock").clear();
     }
 }
 
@@ -396,10 +403,15 @@ struct RouterCore {
     ring: HashRing,
     backends: Vec<Backend>,
     counters: Counters,
-    /// The router's own result cache, probed before any shard. `None`
-    /// when disabled by configuration.
-    result_cache: Option<Mutex<LruCache<CellKey, Arc<WireResponse>>>>,
+    /// The router's own result cache, probed before any shard: a shard's
+    /// Response payload after its `{"id":<id>,` prefix, keyed by cell key
+    /// and workload name. `None` when disabled by configuration.
+    result_cache: Option<Mutex<LruCache<ReplyKey, Arc<[u8]>>>>,
 }
+
+/// What a shard's answer depends on: the cell and the workload name its
+/// report carries.
+type ReplyKey = (CellKey, String);
 
 /// A consistent-hashing request router over N shard backends.
 pub struct Router {
@@ -441,7 +453,6 @@ impl Router {
                 alive: AtomicBool::new(true),
                 window: Window::new(config.inflight_per_shard),
                 pool: Mutex::new(Vec::new()),
-                scratch: Mutex::new(Vec::new()),
                 routed: AtomicU64::new(0),
             })
             .collect();
@@ -471,7 +482,7 @@ impl Router {
 
     /// Builds the router **and** binds `addr` as a frame server for it —
     /// the form the `rasa-router` binary runs. Inbound request frames are
-    /// routed; health probes are answered with a [`RouterHealth`].
+    /// relayed; health probes are answered with a [`RouterHealth`].
     ///
     /// # Errors
     ///
@@ -505,16 +516,22 @@ impl Router {
     }
 
     /// Routes one request to its shard (with failover) and returns the
-    /// shard's answer.
+    /// shard's answer: the request is serialized once, relayed exactly as
+    /// the bound router relays a client's frame, and the reply decoded.
     ///
     /// # Errors
     ///
-    /// [`NetError::Remote`] for shard-reported failures (including window
-    /// rejection in reject mode, as a retryable `overloaded`),
-    /// [`NetError::Unavailable`] when every shard is dead or the named
-    /// design does not exist (no key can be computed).
+    /// [`NetError::Remote`] for shard-reported failures, window rejection
+    /// in reject mode (a retryable `overloaded`) and unknown designs (no
+    /// key can be computed); [`NetError::Unavailable`] when every shard is
+    /// dead; [`NetError::Protocol`] when a shard answers with the wrong
+    /// frame kind or id.
     pub fn route(&self, request: &WireRequest) -> Result<WireResponse, NetError> {
-        self.core.route(request)
+        let reply = self.core.relay(
+            request,
+            &Frame::json(FrameKind::Request, &request.to_json()),
+        )?;
+        WireResponse::from_reply(&reply, request.id)
     }
 
     /// The home shard id for a request, before liveness filtering. Useful
@@ -562,15 +579,23 @@ impl Router {
 }
 
 impl RouterCore {
-    fn route(&self, request: &WireRequest) -> Result<WireResponse, NetError> {
-        let key = request.shape_key(self.config.matmul_cap)?;
-        if let Some(cached) = self.probe_result_cache(&key, request) {
-            return Ok(cached);
+    /// Relays one request to its shard, with failover, and returns the
+    /// shard's Response or Error frame unchanged. `request` is `frame`
+    /// decoded; the router uses it only for the ring key, the cache key
+    /// and the id check.
+    fn relay(&self, request: &WireRequest, frame: &Frame) -> Result<Frame, NetError> {
+        let key: ReplyKey = (
+            request.shape_key(self.config.matmul_cap)?,
+            request.workload.name().to_string(),
+        );
+        let prefix = WireResponse::payload_prefix(request.id);
+        if let Some(tail) = self.probe_result_cache(&key) {
+            return Ok(Frame {
+                kind: FrameKind::Response,
+                payload: [prefix.as_bytes(), &tail].concat(),
+            });
         }
-        let order = self.ring.preference_order_point(key.hash64());
-        // Serialized once: the frame is identical across failover
-        // attempts, so re-encoding it per attempt would be pure waste.
-        let request_frame = Frame::json(FrameKind::Request, &request.to_json());
+        let order = self.ring.preference_order_point(key.0.hash64());
         let mut last_io: Option<NetError> = None;
         for (attempt, &shard) in order.iter().enumerate() {
             let backend = &self.backends[shard as usize];
@@ -593,30 +618,21 @@ impl RouterCore {
                     });
                 }
             }
-            let outcome = backend.exchange(&request_frame);
+            let outcome = backend.exchange(frame, |reply| check_reply(reply, &prefix));
             backend.window.release();
+            if attempt > 0 && matches!(outcome, Ok(_) | Err(NetError::Protocol { .. })) {
+                self.counters.failovers.fetch_add(1, Ordering::SeqCst);
+            }
             match outcome {
                 Ok(reply) => {
-                    if attempt > 0 {
-                        self.counters.failovers.fetch_add(1, Ordering::SeqCst);
+                    if reply.kind == FrameKind::Error {
+                        self.counters.remote_errors.fetch_add(1, Ordering::SeqCst);
+                    } else {
+                        backend.routed.fetch_add(1, Ordering::SeqCst);
+                        self.counters.routed.fetch_add(1, Ordering::SeqCst);
+                        self.store_result(key, &reply.payload[prefix.len()..]);
                     }
-                    let response = match self.parse_reply(&reply, request, backend) {
-                        Ok(response) => response,
-                        Err(error) => {
-                            // A protocol violation (wrong frame kind, id
-                            // mismatch) means the pooled stream is
-                            // desynced: whatever bytes follow belong to the
-                            // reply we failed to understand. It must not
-                            // serve the next request.
-                            if matches!(error, NetError::Protocol { .. }) {
-                                backend.clear_pool();
-                            }
-                            return Err(error);
-                        }
-                    };
-                    backend.reclaim(reply);
-                    self.store_result(&key, &response);
-                    return Ok(response);
+                    return Ok(reply);
                 }
                 // Transport failure: the shard is gone (or unreachable).
                 // Mark it dead and fail over clockwise. The request never
@@ -644,12 +660,11 @@ impl RouterCore {
         })
     }
 
-    /// Probes the router-side result cache. A hit replays the cached
-    /// response restamped for this request — the id becomes the caller's
-    /// and the report is relabelled to the requested workload name,
-    /// exactly what a shard with a warm cell would have answered — so no
-    /// shard is contacted at all.
-    fn probe_result_cache(&self, key: &CellKey, request: &WireRequest) -> Option<WireResponse> {
+    /// Probes the router-side result cache for the payload tail a shard
+    /// answered for this cell and workload name. A hit answers without
+    /// contacting any shard; the caller splices in the request's id, which
+    /// makes the bytes identical to the shard's own answer.
+    fn probe_result_cache(&self, key: &ReplyKey) -> Option<Arc<[u8]>> {
         let cache = self.result_cache.as_ref()?;
         let probe = prof::time(Stage::CacheProbe);
         let cached = cache
@@ -658,76 +673,23 @@ impl RouterCore {
             .get(key)
             .map(Arc::clone);
         drop(probe);
-        match cached {
-            Some(response) => {
-                self.counters.cache_hits.fetch_add(1, Ordering::SeqCst);
-                self.counters.routed.fetch_add(1, Ordering::SeqCst);
-                let mut replay = (*response).clone();
-                replay.id = request.id;
-                if replay.report.workload != request.workload.name() {
-                    replay.report.workload = request.workload.name().to_string();
-                }
-                Some(replay)
-            }
-            None => {
-                self.counters.cache_misses.fetch_add(1, Ordering::SeqCst);
-                None
-            }
+        if cached.is_some() {
+            self.counters.cache_hits.fetch_add(1, Ordering::SeqCst);
+            self.counters.routed.fetch_add(1, Ordering::SeqCst);
+        } else {
+            self.counters.cache_misses.fetch_add(1, Ordering::SeqCst);
         }
+        cached
     }
 
-    /// Records a shard's answer in the result cache (the id and workload
-    /// label are restamped per request on replay, so storing one
-    /// exemplar per cell key is enough).
-    fn store_result(&self, key: &CellKey, response: &WireResponse) {
+    /// Records a shard's answer, without its id prefix, in the result
+    /// cache.
+    fn store_result(&self, key: ReplyKey, tail: &[u8]) {
         if let Some(cache) = &self.result_cache {
             cache
                 .lock()
                 .expect("router result cache lock")
-                .insert(key.clone(), Arc::new(response.clone()));
-        }
-    }
-
-    fn parse_reply(
-        &self,
-        reply: &Frame,
-        request: &WireRequest,
-        backend: &Backend,
-    ) -> Result<WireResponse, NetError> {
-        match reply.kind {
-            FrameKind::Response => {
-                let response = WireResponse::from_json(&reply.payload_json()?).map_err(|e| {
-                    NetError::Frame {
-                        reason: format!("undecodable response payload: {e}"),
-                    }
-                })?;
-                if response.id != request.id {
-                    return Err(NetError::Protocol {
-                        reason: format!(
-                            "response id {} does not match request id {}",
-                            response.id, request.id
-                        ),
-                    });
-                }
-                backend.routed.fetch_add(1, Ordering::SeqCst);
-                self.counters.routed.fetch_add(1, Ordering::SeqCst);
-                Ok(response)
-            }
-            FrameKind::Error => {
-                let failure = WireFailure::from_json(&reply.payload_json()?).map_err(|e| {
-                    NetError::Frame {
-                        reason: format!("undecodable error payload: {e}"),
-                    }
-                })?;
-                self.counters.remote_errors.fetch_add(1, Ordering::SeqCst);
-                Err(NetError::Remote {
-                    code: failure.code,
-                    message: failure.message,
-                })
-            }
-            FrameKind::Request | FrameKind::Health => Err(NetError::Protocol {
-                reason: format!("shard answered a request with a {:?} frame", reply.kind),
-            }),
+                .insert(key, Arc::from(tail));
         }
     }
 
@@ -737,16 +699,11 @@ impl RouterCore {
             if backend.alive.load(Ordering::SeqCst) {
                 continue;
             }
-            // Only a Health reply proves a shard is back; any other kind
-            // is a protocol violation from whatever now holds the address.
-            match backend.exchange(&Frame::health_probe()) {
-                Ok(reply) if reply.kind == FrameKind::Health => {
-                    backend.alive.store(true, Ordering::SeqCst);
-                    self.counters.revived.fetch_add(1, Ordering::SeqCst);
-                    revived.push(backend.shard);
-                }
-                Ok(_) => backend.clear_pool(),
-                Err(_) => {}
+            // Only a Health reply proves a shard is back.
+            if backend.probe().is_ok() {
+                backend.alive.store(true, Ordering::SeqCst);
+                self.counters.revived.fetch_add(1, Ordering::SeqCst);
+                revived.push(backend.shard);
             }
         }
         revived
@@ -777,27 +734,17 @@ impl RouterCore {
             if !backend.alive.load(Ordering::SeqCst) {
                 continue;
             }
-            match backend
-                .exchange(&Frame::health_probe())
-                .and_then(|reply| match reply.kind {
-                    FrameKind::Health => {
-                        HealthStatus::from_json(&reply.payload_json()?).map_err(|e| {
-                            NetError::Frame {
-                                reason: format!("undecodable health payload: {e}"),
-                            }
-                        })
-                    }
-                    other => Err(NetError::Protocol {
-                        reason: format!("shard answered a probe with a {other:?} frame"),
-                    }),
-                }) {
+            match backend.probe().and_then(|reply| {
+                HealthStatus::from_json(&reply.payload_json()?).map_err(|e| NetError::Frame {
+                    reason: format!("undecodable health payload: {e}"),
+                })
+            }) {
                 Ok(health) => shards.push(health),
                 Err(NetError::Io { .. }) => {
                     if backend.alive.swap(false, Ordering::SeqCst) {
                         self.counters.dead_marked.fetch_add(1, Ordering::SeqCst);
                     }
                 }
-                Err(NetError::Protocol { .. }) => backend.clear_pool(),
                 Err(_) => {}
             }
         }
@@ -814,7 +761,22 @@ impl RouterCore {
     }
 }
 
-/// The frame handler of a bound router: route requests, aggregate health.
+/// Accepts a shard's reply to the request whose Response payloads start
+/// with `prefix`: a Response for that id, or an Error frame.
+fn check_reply(reply: &Frame, prefix: &str) -> Result<(), NetError> {
+    match reply.kind {
+        FrameKind::Error => Ok(()),
+        FrameKind::Response if reply.payload.starts_with(prefix.as_bytes()) => Ok(()),
+        FrameKind::Response => Err(NetError::Protocol {
+            reason: format!("a response payload does not start with {prefix}"),
+        }),
+        FrameKind::Request | FrameKind::Health => Err(NetError::Protocol {
+            reason: format!("shard answered a request with a {:?} frame", reply.kind),
+        }),
+    }
+}
+
+/// The frame handler of a bound router: relay requests, aggregate health.
 fn answer(frame: &Frame, core: &Arc<RouterCore>) -> Frame {
     match frame.kind {
         FrameKind::Health => Frame::json(FrameKind::Health, &core.health().to_json()),
@@ -832,22 +794,17 @@ fn answer(frame: &Frame, core: &Arc<RouterCore>) -> Frame {
                     );
                 }
             };
-            match core.route(&request) {
-                Ok(response) => Frame::json(FrameKind::Response, &response.to_json()),
-                Err(error) => {
-                    let code = match &error {
-                        NetError::Remote { code, .. } => *code,
-                        NetError::Unavailable { .. } | NetError::Io { .. } => {
-                            ErrorCode::Unavailable
-                        }
-                        _ => ErrorCode::Internal,
-                    };
-                    Frame::json(
-                        FrameKind::Error,
-                        &WireFailure::new(request.id, code, error.to_string()).to_json(),
-                    )
-                }
-            }
+            core.relay(&request, frame).unwrap_or_else(|error| {
+                let code = match &error {
+                    NetError::Remote { code, .. } => *code,
+                    NetError::Unavailable { .. } | NetError::Io { .. } => ErrorCode::Unavailable,
+                    _ => ErrorCode::Internal,
+                };
+                Frame::json(
+                    FrameKind::Error,
+                    &WireFailure::new(request.id, code, error.to_string()).to_json(),
+                )
+            })
         }
         FrameKind::Response | FrameKind::Error => Frame::json(
             FrameKind::Error,
@@ -900,28 +857,33 @@ mod tests {
     fn router_routes_to_the_home_shard() {
         let (shards, addrs) = spawn_shards(3);
         let router = Router::new(&addrs, router_config()).unwrap();
-        for i in 0..6 {
-            let request = WireRequest::new(
-                i,
-                "BASELINE",
-                LayerSpec::fc(format!("L{i}"), 64, 64 + 32 * (i as usize % 3), 128),
-            );
-            let home = router.home_shard(&request).unwrap();
-            let response = router.route(&request).unwrap();
-            assert_eq!(response.id, i);
-            assert_eq!(response.shard, home, "request must land on its home shard");
-            assert_eq!(response.report.workload, format!("L{i}"), "relabelled");
+        for pass in 0..2 {
+            for i in 0..6 {
+                let request = WireRequest::new(
+                    6 * pass + i,
+                    "BASELINE",
+                    LayerSpec::fc(format!("L{i}"), 64, 64 + 32 * (i as usize % 3), 128),
+                );
+                let home = router.home_shard(&request).unwrap();
+                let response = router.route(&request).unwrap();
+                assert_eq!(response.id, 6 * pass + i);
+                assert_eq!(response.shard, home, "request must land on its home shard");
+                assert_eq!(response.report.workload, format!("L{i}"), "relabelled");
+            }
         }
         let stats = router.stats();
-        assert_eq!(stats.routed, 6);
+        assert_eq!(stats.routed, 12);
         assert_eq!(stats.failovers, 0);
-        // The three repeated shapes (i = 3, 4, 5 reuse the shapes of
-        // i = 0, 1, 2) are answered from the router's result cache and
-        // never reach a shard.
-        assert_eq!(stats.cache_misses, 3);
-        assert_eq!(stats.cache_hits, 3);
+        // The first pass misses the router's result cache six times: L3–L5
+        // reuse the shapes of L0–L2 under other names, so their home
+        // shards answer them from their cell caches, relabelled. The
+        // second pass repeats every name and never reaches a shard.
+        assert_eq!(stats.cache_misses, 6);
+        assert_eq!(stats.cache_hits, 6);
         assert!((stats.cache_hit_rate() - 0.5).abs() < 1e-12);
-        assert_eq!(stats.per_shard.iter().sum::<u64>(), 3);
+        assert_eq!(stats.per_shard.iter().sum::<u64>(), 6);
+        let shard_hits: u64 = shards.iter().map(|s| s.health().cache.hits).sum();
+        assert_eq!(shard_hits, 3);
         for shard in shards {
             shard.shutdown();
         }
@@ -1026,20 +988,150 @@ mod tests {
             hit.to_json().to_string_compact()
         );
 
-        // A same-shape request under a different workload name and id is
-        // still a hit, restamped exactly as the shard would have.
+        // A same-shape request under a different workload name misses the
+        // router's cache; the shard's cell cache answers it, relabelled,
+        // and the bytes still match a shard round trip.
         let relabelled =
             WireRequest::new(12, "BASELINE", LayerSpec::fc("DLRM-1-alias", 64, 128, 128));
-        let hit = caching.route(&relabelled).unwrap();
+        let miss = caching.route(&relabelled).unwrap();
         let round_trip = direct.route(&relabelled).unwrap();
-        assert_eq!(caching.stats().cache_hits, 2);
+        assert_eq!(caching.stats().cache_hits, 1);
+        assert_eq!(caching.stats().cache_misses, 2);
+        assert_eq!(miss.report.workload, "DLRM-1-alias");
         assert_eq!(
-            hit.to_json().to_string_compact(),
+            miss.to_json().to_string_compact(),
             round_trip.to_json().to_string_compact()
         );
         for shard in shards {
             shard.shutdown();
         }
+    }
+
+    /// One request frame through a bound router and straight to a shard:
+    /// the router forwards the shard's Response bytes, on a cache miss and
+    /// on a cache hit that carries a new id.
+    #[test]
+    fn bound_router_forwards_shard_reply_bytes() {
+        let (shards, addrs) = spawn_shards(1);
+        let router = Router::bind("127.0.0.1:0", &addrs, router_config()).unwrap();
+        let mut via_router = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        let mut direct = TcpStream::connect(&addrs[0]).unwrap();
+        let exchange = |conn: &mut TcpStream, request: &WireRequest| {
+            Frame::json(FrameKind::Request, &request.to_json())
+                .write_to(conn)
+                .unwrap();
+            let reply = Frame::read_from(conn).unwrap();
+            assert_eq!(reply.kind, FrameKind::Response);
+            reply.payload
+        };
+        for id in [21, 22] {
+            let request = WireRequest::new(id, "BASELINE", LayerSpec::fc("BERT-1", 64, 96, 128));
+            assert_eq!(
+                exchange(&mut via_router, &request),
+                exchange(&mut direct, &request),
+                "request {id}"
+            );
+        }
+        let stats = router.stats();
+        assert_eq!((stats.cache_misses, stats.cache_hits), (1, 1));
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    /// A rogue shard answering request 7 with a genuine shard reply for id
+    /// 70: the canonical prefix `{"id":7,` ends in a comma, so the router
+    /// rejects it instead of taking `{"id":70` for a match.
+    #[test]
+    fn replies_for_another_id_are_protocol_violations() {
+        let (shards, addrs) = spawn_shards(1);
+        let layer = LayerSpec::fc("L", 64, 64, 128);
+        let mut conn = TcpStream::connect(&addrs[0]).unwrap();
+        Frame::json(
+            FrameKind::Request,
+            &WireRequest::new(70, "BASELINE", layer.clone()).to_json(),
+        )
+        .write_to(&mut conn)
+        .unwrap();
+        let answer_for_70 = Frame::read_from(&mut conn).unwrap();
+        assert_eq!(answer_for_70.kind, FrameKind::Response);
+        let rogue = EventLoop::bind(
+            "127.0.0.1:0",
+            "rogue",
+            Arc::new(move |_: &Frame| answer_for_70.clone()),
+            1,
+            false,
+        )
+        .unwrap();
+        let router = Router::bind(
+            "127.0.0.1:0",
+            &[rogue.local_addr().to_string()],
+            router_config(),
+        )
+        .unwrap();
+        let pooled = || router.core.backends[0].pool.lock().unwrap().len();
+
+        let request = WireRequest::new(7, "BASELINE", layer);
+        let err = router.route(&request).unwrap_err();
+        assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+        assert_eq!(pooled(), 0, "a desynced stream must not be pooled");
+
+        let mut client = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        Frame::json(FrameKind::Request, &request.to_json())
+            .write_to(&mut client)
+            .unwrap();
+        let reply = Frame::read_from(&mut client).unwrap();
+        assert_eq!(reply.kind, FrameKind::Error);
+        let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+        assert_eq!((failure.id, failure.code), (7, ErrorCode::Internal));
+        assert_eq!(pooled(), 0);
+        assert_eq!(router.stats().routed, 0);
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    /// A shard's Error frame reaches the client byte for byte, with the
+    /// shard's own id, code and message, and counts as a remote error.
+    #[test]
+    fn shard_error_frames_pass_through_unchanged() {
+        let failure = Frame::json(
+            FrameKind::Error,
+            &WireFailure::new(7, ErrorCode::Simulation, "rogue failure").to_json(),
+        );
+        let rogue_failure = failure.clone();
+        let rogue = EventLoop::bind(
+            "127.0.0.1:0",
+            "rogue",
+            Arc::new(move |_: &Frame| rogue_failure.clone()),
+            1,
+            false,
+        )
+        .unwrap();
+        let router = Router::bind(
+            "127.0.0.1:0",
+            &[rogue.local_addr().to_string()],
+            router_config(),
+        )
+        .unwrap();
+        let request = WireRequest::new(7, "BASELINE", LayerSpec::fc("L", 64, 64, 128));
+        let mut client = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        Frame::json(FrameKind::Request, &request.to_json())
+            .write_to(&mut client)
+            .unwrap();
+        assert_eq!(Frame::read_from(&mut client).unwrap(), failure);
+        assert_eq!(
+            router.route(&request).unwrap_err(),
+            NetError::Remote {
+                code: ErrorCode::Simulation,
+                message: "rogue failure".into(),
+            }
+        );
+        let stats = router.stats();
+        assert_eq!((stats.remote_errors, stats.routed), (2, 0));
+        router.shutdown();
     }
 
     #[test]

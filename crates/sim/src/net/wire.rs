@@ -18,7 +18,9 @@
 //! cannot make a shard balloon its memory, and rejects any version byte it
 //! does not speak with [`NetError::BadVersion`] — the version is the first
 //! byte after the length precisely so that future protocol revisions can
-//! be detected before any payload parsing. The full byte-level spec with a
+//! be detected before any payload parsing. Every decoder ([`Frame::decode`],
+//! [`Frame::read_from`], [`FrameDecoder`]) runs the same header check, and
+//! [`Frame::append_to`] is the one encoder. The full byte-level spec with a
 //! worked hex example lives in `docs/WIRE_PROTOCOL.md`.
 
 use crate::json::{FromJson, JsonError, JsonValue, ToJson};
@@ -29,7 +31,7 @@ use crate::serve::ServeStats;
 use crate::{CacheStats, DesignPoint, SimJob, SimReport};
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
-use std::io::{IoSlice, Read, Write};
+use std::io::{Read, Write};
 
 /// The protocol version this build speaks (the frame's fifth byte).
 pub const WIRE_VERSION: u8 = 1;
@@ -93,33 +95,11 @@ impl Frame {
     /// A frame wrapping a JSON document of the given kind.
     #[must_use]
     pub fn json(kind: FrameKind, document: &JsonValue) -> Frame {
-        Frame::json_pooled(kind, document, Vec::new())
-    }
-
-    /// [`json`](Self::json) serializing into a recycled payload buffer
-    /// (its contents are discarded, its capacity is reused). Connection
-    /// loops pass the previous frame's payload back in via
-    /// [`into_payload`](Self::into_payload), so steady-state serving
-    /// allocates no fresh frame buffers.
-    #[must_use]
-    pub fn json_pooled(kind: FrameKind, document: &JsonValue, recycled: Vec<u8>) -> Frame {
-        let serialize = prof::time(Stage::JsonSerialize);
-        // Round-trip through String to reuse the recycled capacity; the
-        // payload was produced by this serializer, so it is valid UTF-8.
-        let mut text = String::from_utf8(recycled).unwrap_or_default();
-        text.clear();
-        document.write_compact(&mut text);
-        drop(serialize);
+        let _serialize = prof::time(Stage::JsonSerialize);
         Frame {
             kind,
-            payload: text.into_bytes(),
+            payload: document.to_string_compact().into_bytes(),
         }
-    }
-
-    /// Consumes the frame, handing its payload buffer back for reuse.
-    #[must_use]
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
     }
 
     /// An empty-payload health probe.
@@ -135,16 +115,8 @@ impl Frame {
     /// byte, payload.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let body_len = 2 + self.payload.len();
-        let mut out = Vec::with_capacity(4 + body_len);
-        out.extend_from_slice(
-            &u32::try_from(body_len)
-                .expect("frame fits in u32")
-                .to_be_bytes(),
-        );
-        out.push(WIRE_VERSION);
-        out.push(self.kind.as_byte());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        self.append_to(&mut out);
         out
     }
 
@@ -159,104 +131,54 @@ impl Frame {
     /// [`NetError::BadVersion`] for any version byte other than
     /// [`WIRE_VERSION`].
     pub fn decode(bytes: &[u8]) -> Result<(Frame, usize), NetError> {
-        if bytes.len() < 4 {
-            return Err(NetError::Frame {
-                reason: format!("truncated length prefix: {} of 4 bytes", bytes.len()),
-            });
-        }
-        let body_len = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize;
-        Frame::check_body_len(body_len)?;
-        let total = 4 + body_len;
-        if bytes.len() < total {
-            return Err(NetError::Frame {
-                reason: format!("truncated frame: {} of {} bytes", bytes.len(), total),
-            });
-        }
-        let (version, kind) = (bytes[4], bytes[5]);
-        Frame::check_version(version)?;
-        let kind = FrameKind::from_byte(kind).ok_or_else(|| NetError::Frame {
-            reason: format!("unknown frame kind byte 0x{kind:02x}"),
-        })?;
+        let header = bytes
+            .get(..HEADER_LEN)
+            .and_then(|header| <[u8; HEADER_LEN]>::try_from(header).ok())
+            .ok_or_else(|| NetError::Frame {
+                reason: format!("truncated header: {} of {HEADER_LEN} bytes", bytes.len()),
+            })?;
+        let (kind, len) = parse_header(header)?;
+        let total = HEADER_LEN + len;
+        let payload = bytes
+            .get(HEADER_LEN..total)
+            .ok_or_else(|| NetError::Frame {
+                reason: format!("truncated frame: {} of {total} bytes", bytes.len()),
+            })?;
         Ok((
             Frame {
                 kind,
-                payload: bytes[HEADER_LEN..total].to_vec(),
+                payload: payload.to_vec(),
             },
             total,
         ))
     }
 
-    /// Reads exactly one frame from a stream.
+    /// Reads exactly one frame from a stream. The header is validated
+    /// before the payload buffer is allocated.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] when the stream ends or fails mid-frame, plus the
     /// same validation errors as [`decode`](Self::decode).
     pub fn read_from(reader: &mut impl Read) -> Result<Frame, NetError> {
-        Frame::read_from_pooled(reader, &mut Vec::new())
-    }
-
-    /// [`read_from`](Self::read_from) decoding into a recycled payload
-    /// buffer sized by the length prefix (contents discarded, capacity
-    /// reused). On success the buffer moves into the returned frame (take
-    /// it back with [`into_payload`](Self::into_payload)); on error —
-    /// including the idle-poll timeouts connection loops ride on — the
-    /// buffer stays with the caller, so pooling survives errors. The
-    /// [`MAX_FRAME_LEN`] guard still runs *before* the buffer grows.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`read_from`](Self::read_from).
-    pub fn read_from_pooled(
-        reader: &mut impl Read,
-        recycled: &mut Vec<u8>,
-    ) -> Result<Frame, NetError> {
-        // The 6 framing bytes are read in one exact read, then the payload
-        // lands directly in the pooled buffer — no post-hoc drain shuffle.
         let mut header = [0u8; HEADER_LEN];
         reader.read_exact(&mut header).map_err(NetError::from)?;
-        let decode = prof::time(Stage::FrameDecode);
-        let body_len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
-        Frame::check_body_len(body_len)?;
-        Frame::check_version(header[4])?;
-        let kind = FrameKind::from_byte(header[5]).ok_or_else(|| NetError::Frame {
-            reason: format!("unknown frame kind byte 0x{:02x}", header[5]),
-        })?;
-        recycled.clear();
-        recycled.resize(body_len - 2, 0);
-        reader.read_exact(recycled).map_err(NetError::from)?;
-        drop(decode);
-        Ok(Frame {
-            kind,
-            payload: std::mem::take(recycled),
-        })
+        let (kind, len) = parse_header(header)?;
+        let mut payload = vec![0; len];
+        reader.read_exact(&mut payload).map_err(NetError::from)?;
+        Ok(Frame { kind, payload })
     }
 
-    /// Writes the frame to a stream and flushes it. The 6 framing bytes
-    /// and the payload go out in a single vectored write — no
-    /// concatenated copy of the frame is ever built.
+    /// Writes the frame to a stream and flushes it: the frame is encoded
+    /// with [`append_to`](Self::append_to), then written in one
+    /// `write_all`.
     ///
     /// # Errors
     ///
     /// [`NetError::Io`] on any transport failure.
     pub fn write_to(&self, writer: &mut impl Write) -> Result<(), NetError> {
-        let encode = prof::time(Stage::FrameEncode);
-        let body_len = 2 + self.payload.len();
-        let len = u32::try_from(body_len)
-            .expect("frame fits in u32")
-            .to_be_bytes();
-        let header = [
-            len[0],
-            len[1],
-            len[2],
-            len[3],
-            WIRE_VERSION,
-            self.kind.as_byte(),
-        ];
-        write_all_vectored(writer, &header, &self.payload).map_err(NetError::from)?;
-        writer.flush().map_err(NetError::from)?;
-        drop(encode);
-        Ok(())
+        writer.write_all(&self.encode()).map_err(NetError::from)?;
+        writer.flush().map_err(NetError::from)
     }
 
     /// Parses the payload as a JSON document.
@@ -275,80 +197,48 @@ impl Frame {
 
     /// Appends the frame's encoded bytes — 4-byte big-endian length,
     /// version byte, kind byte, payload — to `out` without flushing
-    /// anything. This is the event loop's encoder: replies accumulate in
-    /// a per-connection write buffer and drain as the socket reports
-    /// writability, so a slow reader never blocks the loop.
+    /// anything. This is the one frame encoder: [`encode`](Self::encode)
+    /// and [`write_to`](Self::write_to) build on it, and the event loop
+    /// appends replies to a per-connection write buffer that drains as the
+    /// socket reports writability, so a slow reader never blocks the loop.
     pub fn append_to(&self, out: &mut Vec<u8>) {
-        let encode = prof::time(Stage::FrameEncode);
-        let body_len = 2 + self.payload.len();
-        out.extend_from_slice(
-            &u32::try_from(body_len)
-                .expect("frame fits in u32")
-                .to_be_bytes(),
-        );
+        let _encode = prof::time(Stage::FrameEncode);
+        let body_len = u32::try_from(2 + self.payload.len()).expect("frame fits in u32");
+        out.extend_from_slice(&body_len.to_be_bytes());
         out.push(WIRE_VERSION);
         out.push(self.kind.as_byte());
         out.extend_from_slice(&self.payload);
-        drop(encode);
-    }
-
-    fn check_body_len(body_len: usize) -> Result<(), NetError> {
-        if body_len < 2 {
-            return Err(NetError::Frame {
-                reason: format!("declared body length {body_len} is below the 2-byte header"),
-            });
-        }
-        if body_len - 2 > MAX_FRAME_LEN {
-            return Err(NetError::FrameTooLarge {
-                len: body_len - 2,
-                max: MAX_FRAME_LEN,
-            });
-        }
-        Ok(())
-    }
-
-    fn check_version(version: u8) -> Result<(), NetError> {
-        if version == WIRE_VERSION {
-            Ok(())
-        } else {
-            Err(NetError::BadVersion { got: version })
-        }
     }
 }
 
-/// Writes `header` then `payload` completely, preferring a single
-/// vectored write per iteration so the kernel sees one contiguous frame
-/// without us building a concatenated copy.
-fn write_all_vectored(
-    writer: &mut impl Write,
-    header: &[u8],
-    payload: &[u8],
-) -> std::io::Result<()> {
-    let mut header_done = 0;
-    let mut payload_done = 0;
-    while header_done < header.len() || payload_done < payload.len() {
-        let bufs = [
-            IoSlice::new(&header[header_done..]),
-            IoSlice::new(&payload[payload_done..]),
-        ];
-        let mut wrote = writer.write_vectored(&bufs)?;
-        if wrote == 0 {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::WriteZero,
-                "failed to write whole frame",
-            ));
-        }
-        let header_left = header.len() - header_done;
-        let from_header = wrote.min(header_left);
-        header_done += from_header;
-        wrote -= from_header;
-        payload_done += wrote.min(payload.len() - payload_done);
+/// Validates the 6 framing bytes — declared length, version byte, kind
+/// byte, in that order — and returns the kind and the payload length. The
+/// one header check of every decoder, run before any payload allocation.
+fn parse_header(header: [u8; HEADER_LEN]) -> Result<(FrameKind, usize), NetError> {
+    let _decode = prof::time(Stage::FrameDecode);
+    let body_len = u32::from_be_bytes([header[0], header[1], header[2], header[3]]) as usize;
+    let Some(len) = body_len.checked_sub(2) else {
+        return Err(NetError::Frame {
+            reason: format!("declared body length {body_len} is below the 2-byte header"),
+        });
+    };
+    if len > MAX_FRAME_LEN {
+        return Err(NetError::FrameTooLarge {
+            len,
+            max: MAX_FRAME_LEN,
+        });
     }
-    Ok(())
+    if header[4] != WIRE_VERSION {
+        return Err(NetError::BadVersion { got: header[4] });
+    }
+    let kind = FrameKind::from_byte(header[5]).ok_or_else(|| NetError::Frame {
+        reason: format!("unknown frame kind byte 0x{:02x}", header[5]),
+    })?;
+    Ok((kind, len))
 }
 
 /// An incremental, resumable frame decoder: the state machine form of
-/// [`Frame::read_from_pooled`].
+/// [`Frame::read_from`].
 ///
 /// A connection owns one decoder for its whole lifetime and feeds it
 /// whatever bytes each readiness event's read burst produces. Partial
@@ -361,9 +251,6 @@ fn write_all_vectored(
 /// [`MAX_FRAME_LEN`] guard runs when the 6-byte header completes, *before*
 /// any payload allocation — and produces byte-identical frames
 /// (`tests/net_wire.rs` proves parity under random split points).
-///
-/// Payload buffers are pooled: hand a completed frame's allocation back
-/// with [`recycle`](Self::recycle) and the next payload decodes into it.
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     /// The 6 framing bytes, accumulated across calls.
@@ -377,8 +264,6 @@ pub struct FrameDecoder {
     payload: Vec<u8>,
     /// How many payload bytes have arrived.
     payload_filled: usize,
-    /// A recycled buffer awaiting the next frame's payload.
-    spare: Vec<u8>,
 }
 
 impl FrameDecoder {
@@ -395,17 +280,6 @@ impl FrameDecoder {
         self.header_filled > 0 || self.kind.is_some()
     }
 
-    /// Hands a payload buffer back for reuse (contents discarded, capacity
-    /// kept). Connection loops pass each dispatched frame's allocation
-    /// back via [`Frame::into_payload`] so steady-state serving decodes
-    /// every frame into the same buffer.
-    pub fn recycle(&mut self, mut buf: Vec<u8>) {
-        if buf.capacity() > self.spare.capacity() {
-            buf.clear();
-            self.spare = buf;
-        }
-    }
-
     /// Consumes as many of `bytes` as one frame needs, returning how many
     /// were consumed and the frame if it completed. Callers loop while
     /// consumed < `bytes.len()` to drain a burst holding several frames.
@@ -416,7 +290,6 @@ impl FrameDecoder {
     /// the header completes. After an error the stream cannot be resynced
     /// — the connection must be closed.
     pub fn feed(&mut self, bytes: &[u8]) -> Result<(usize, Option<Frame>), NetError> {
-        let decode = prof::time(Stage::FrameDecode);
         let mut consumed = 0;
         if self.kind.is_none() {
             let take = (HEADER_LEN - self.header_filled).min(bytes.len());
@@ -427,42 +300,20 @@ impl FrameDecoder {
             if self.header_filled < HEADER_LEN {
                 return Ok((consumed, None));
             }
-            self.finish_header()?;
+            let (kind, len) = parse_header(self.header)?;
+            self.kind = Some(kind);
+            self.payload = vec![0; len];
+            self.payload_filled = 0;
         }
         let take = (self.payload.len() - self.payload_filled).min(bytes.len() - consumed);
         self.payload[self.payload_filled..self.payload_filled + take]
             .copy_from_slice(&bytes[consumed..consumed + take]);
         self.payload_filled += take;
         consumed += take;
-        drop(decode);
         if self.payload_filled == self.payload.len() {
             return Ok((consumed, Some(self.complete())));
         }
         Ok((consumed, None))
-    }
-
-    /// Validates the completed header and prepares the payload buffer
-    /// (recycled capacity when available). Runs the [`MAX_FRAME_LEN`]
-    /// guard before any allocation.
-    fn finish_header(&mut self) -> Result<(), NetError> {
-        let body_len = u32::from_be_bytes([
-            self.header[0],
-            self.header[1],
-            self.header[2],
-            self.header[3],
-        ]) as usize;
-        Frame::check_body_len(body_len)?;
-        Frame::check_version(self.header[4])?;
-        let kind = FrameKind::from_byte(self.header[5]).ok_or_else(|| NetError::Frame {
-            reason: format!("unknown frame kind byte 0x{:02x}", self.header[5]),
-        })?;
-        self.kind = Some(kind);
-        let mut buf = std::mem::take(&mut self.spare);
-        buf.clear();
-        buf.resize(body_len - 2, 0);
-        self.payload = buf;
-        self.payload_filled = 0;
-        Ok(())
     }
 
     /// Emits the completed frame and resets for the next one.
@@ -654,6 +505,62 @@ pub struct WireResponse {
     pub batch_size: usize,
     /// The simulation result.
     pub report: SimReport,
+}
+
+impl WireResponse {
+    /// The first bytes of every Response payload that answers request
+    /// `id`: `{"id":<id>,`. [`ToJson`] writes `id` first and the compact
+    /// writer adds no whitespace, so a router can check a shard's reply,
+    /// and splice a cached one under a new id, without parsing it. The
+    /// comma matters: request 7 must not accept an answer for id 70.
+    pub(crate) fn payload_prefix(id: u64) -> String {
+        format!("{{\"id\":{id},")
+    }
+
+    /// Decodes the reply frame to request `id`. This is the one reply
+    /// decoder of [`NetClient::request`](crate::net::NetClient::request)
+    /// and [`Router::route`](crate::net::Router::route).
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Frame`] for a payload that does not decode;
+    /// [`NetError::Protocol`] for a frame that is neither a Response nor an
+    /// Error, or a Response with another id; [`NetError::Remote`] with an
+    /// Error frame's code and message.
+    pub fn from_reply(reply: &Frame, id: u64) -> Result<WireResponse, NetError> {
+        match reply.kind {
+            FrameKind::Response => {
+                let response = WireResponse::from_json(&reply.payload_json()?).map_err(|e| {
+                    NetError::Frame {
+                        reason: format!("undecodable response payload: {e}"),
+                    }
+                })?;
+                if response.id != id {
+                    return Err(NetError::Protocol {
+                        reason: format!(
+                            "response id {} does not match request id {id}",
+                            response.id
+                        ),
+                    });
+                }
+                Ok(response)
+            }
+            FrameKind::Error => {
+                let failure = WireFailure::from_json(&reply.payload_json()?).map_err(|e| {
+                    NetError::Frame {
+                        reason: format!("undecodable error payload: {e}"),
+                    }
+                })?;
+                Err(NetError::Remote {
+                    code: failure.code,
+                    message: failure.message,
+                })
+            }
+            FrameKind::Request | FrameKind::Health => Err(NetError::Protocol {
+                reason: format!("peer answered a request with a {:?} frame", reply.kind),
+            }),
+        }
+    }
 }
 
 impl ToJson for WireResponse {
@@ -1013,7 +920,7 @@ mod tests {
     }
 
     #[test]
-    fn decoder_drains_multi_frame_bursts_and_recycles_buffers() {
+    fn decoder_drains_multi_frame_bursts() {
         let mut stream = Vec::new();
         let frames = [
             Frame {
@@ -1036,18 +943,59 @@ mod tests {
             let (consumed, frame) = decoder.feed(&stream[offset..]).unwrap();
             offset += consumed;
             if let Some(frame) = frame {
-                // Recycle each payload as the connection loop would.
-                decoded.push(frame.kind);
-                decoder.recycle(frame.into_payload());
+                decoded.push(frame);
             }
         }
-        assert_eq!(decoded, vec![FrameKind::Request, FrameKind::Request]);
-        // The recycled capacity must actually be reused: decode another
-        // frame and check its payload buffer carries the pooled capacity.
-        let mut tail = Vec::new();
-        frames[0].append_to(&mut tail);
-        let (_, frame) = decoder.feed(&tail).unwrap();
-        assert!(frame.unwrap().into_payload().capacity() >= frames[0].payload.len());
+        assert_eq!(decoded, frames);
+    }
+
+    #[test]
+    fn reply_decoder_checks_kind_and_id() {
+        let request = WireRequest::new(7, "BASELINE", LayerSpec::fc("DLRM-1", 64, 64, 64));
+        let runner = crate::ExperimentRunner::builder()
+            .with_matmul_cap(Some(8))
+            .build()
+            .unwrap();
+        let report = runner.run_job(&request.to_job().unwrap()).unwrap();
+        let answer = |id| {
+            let response = WireResponse {
+                id,
+                shard: 0,
+                batch_size: 1,
+                report: (*report).clone(),
+            };
+            Frame::json(FrameKind::Response, &response.to_json())
+        };
+        // The canonical prefix, comma included: request 7's prefix does
+        // not match an answer for id 70.
+        let prefix = WireResponse::payload_prefix(7);
+        assert!(answer(7).payload.starts_with(prefix.as_bytes()));
+        assert!(!answer(70).payload.starts_with(prefix.as_bytes()));
+
+        assert_eq!(
+            WireResponse::from_reply(&answer(7), 7).unwrap().report,
+            *report
+        );
+        let err = WireResponse::from_reply(&answer(70), 7).unwrap_err();
+        assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+        let failure = WireFailure::new(7, ErrorCode::Simulation, "boom");
+        let err = WireResponse::from_reply(&Frame::json(FrameKind::Error, &failure.to_json()), 7)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetError::Remote {
+                code: ErrorCode::Simulation,
+                message: "boom".into(),
+            }
+        );
+        let err = WireResponse::from_reply(&Frame::health_probe(), 7).unwrap_err();
+        assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+        let truncated = Frame {
+            kind: FrameKind::Response,
+            payload: prefix.into_bytes(),
+        };
+        let err = WireResponse::from_reply(&truncated, 7).unwrap_err();
+        assert!(matches!(err, NetError::Frame { .. }), "{err}");
     }
 
     #[test]

@@ -28,9 +28,10 @@ pub enum Stage {
     Simulate,
     /// Rendering a JSON payload to text.
     JsonSerialize,
-    /// Encoding a wire frame (header + payload bytes).
+    /// Encoding a wire frame (header + payload bytes) into a buffer; never
+    /// the socket write.
     FrameEncode,
-    /// Decoding a wire frame from a stream.
+    /// Validating a wire frame's 6-byte header; never the socket read.
     FrameDecode,
     /// Probing a cell cache (runner memoization or router result cache).
     CacheProbe,

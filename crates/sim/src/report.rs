@@ -32,9 +32,6 @@ pub struct PipelineStats {
     /// Skipped strides whose statistics were folded in — always equal to
     /// `spec_forks`, since a confirmed delta is exact.
     pub spec_commits: u64,
-    /// Always zero: fast-forward never has to replay a stride. Kept so
-    /// the counter set of older documents still decodes and compares.
-    pub spec_replays: u64,
 }
 
 impl PipelineStats {
@@ -78,8 +75,8 @@ impl fmt::Display for PipelineStats {
         if self.spec_forks > 0 {
             write!(
                 f,
-                ", {} strides fast-forwarded ({} committed, {} replayed)",
-                self.spec_forks, self.spec_commits, self.spec_replays
+                ", {} strides fast-forwarded ({} committed)",
+                self.spec_forks, self.spec_commits
             )?;
         }
         Ok(())
@@ -165,7 +162,6 @@ impl SimReport {
             peak_resident_instructions: self.pipeline.peak_resident_instructions,
             spec_forks: self.pipeline.spec_forks,
             spec_commits: self.pipeline.spec_commits,
-            spec_replays: self.pipeline.spec_replays,
         }
     }
 }
@@ -225,22 +221,20 @@ pub struct SimSummary {
     pub spec_forks: u64,
     /// Skipped strides whose statistics were folded in (= `spec_forks`).
     pub spec_commits: u64,
-    /// Always zero (fast-forward never replays).
-    pub spec_replays: u64,
 }
 
 impl SimSummary {
     /// The CSV header matching [`SimSummary::to_csv_row`].
     #[must_use]
     pub fn csv_header() -> &'static str {
-        "design,workload,core_cycles,simulated_matmuls,total_matmuls,runtime_seconds,ipc,engine_bypass_rate,area_mm2,energy_joules,sched_events,visited_cycles,segments,peak_resident_instructions,spec_forks,spec_commits,spec_replays"
+        "design,workload,core_cycles,simulated_matmuls,total_matmuls,runtime_seconds,ipc,engine_bypass_rate,area_mm2,energy_joules,sched_events,visited_cycles,segments,peak_resident_instructions,spec_forks,spec_commits"
     }
 
     /// One CSV row (no trailing newline).
     #[must_use]
     pub fn to_csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6e},{:.4},{:.4},{:.4},{:.6e},{},{},{},{},{},{},{}",
+            "{},{},{},{},{},{:.6e},{:.4},{:.4},{:.4},{:.6e},{},{},{},{},{},{}",
             self.design,
             self.workload,
             self.core_cycles,
@@ -256,8 +250,7 @@ impl SimSummary {
             self.segments,
             self.peak_resident_instructions,
             self.spec_forks,
-            self.spec_commits,
-            self.spec_replays
+            self.spec_commits
         )
     }
 }
@@ -324,7 +317,6 @@ mod tests {
             peak_resident_instructions: 120,
             spec_forks: 8,
             spec_commits: 6,
-            spec_replays: 2,
         };
         assert!((streamed.residency() - 0.12).abs() < 1e-12);
         assert!(streamed.to_string().contains("streamed"));

@@ -5,7 +5,7 @@ use rasa_isa::Program;
 use rasa_numeric::GemmShape;
 use rasa_power::{EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
-use rasa_trace::{GemmKernelConfig, ProgramSource, TraceGenerator, DEFAULT_SEGMENT_SIZE};
+use rasa_trace::{GemmKernelConfig, TraceGenerator, DEFAULT_SEGMENT_SIZE};
 use rasa_workloads::LayerSpec;
 use std::ops::Range;
 
@@ -223,8 +223,9 @@ impl Simulator {
     /// segment by segment straight into the core.
     ///
     /// Capped or not, the run covers exactly the blocks of
-    /// [`TraceGenerator::block_count`]; without a fast-forward it feeds
-    /// [`TraceGenerator::gemm_stream`]'s segments.
+    /// [`TraceGenerator::block_count`]; without a fast-forward it feeds the
+    /// segments of [`TraceGenerator::gemm_blocks`] over
+    /// `0..block_count`.
     fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
         let total_matmuls = self.generator.matmul_count(shape)? as u64;
         let blocks = self.generator.block_count(shape)?;
@@ -244,7 +245,6 @@ impl Simulator {
             peak_resident_instructions: stream.peak_resident as u64,
             spec_forks: stream.fast_forwarded_strides,
             spec_commits: stream.fast_forwarded_strides,
-            spec_replays: 0,
         };
         Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, name))
     }
@@ -542,8 +542,8 @@ mod tests {
     #[test]
     fn capped_cells_stream_exactly_the_gemm_stream_segments() {
         // Without a fast-forward a capped cell feeds blocks
-        // `0..block_count`, which must cut the same segments as
-        // `gemm_stream`.
+        // `0..block_count`, which must cut the same segments as one
+        // `gemm_blocks` stream over them.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
             .with_kernel(segmented(300, Some(700)))
@@ -551,7 +551,11 @@ mod tests {
             .with_speculation(false);
         let shape = GemmShape::new(512, 256, 512);
         let report = sim.run_gemm(shape).unwrap();
-        let mut stream = sim.generator.gemm_stream(shape, "capped", 1).unwrap();
+        let blocks = sim.generator.block_count(shape).unwrap();
+        let mut stream = sim
+            .generator
+            .gemm_blocks(shape, "capped", 0..blocks, 1)
+            .unwrap();
         let (mut segments, mut peak) = (0u64, 0u64);
         while let Some(segment) = stream.next_segment().unwrap() {
             segments += 1;
@@ -586,13 +590,12 @@ mod tests {
                 sequential.pipeline.fed_instructions
             );
             // Fast-forward engaged: every skipped stride counts as a fork
-            // and a commit, and nothing replays.
+            // and a commit.
             assert!(speculative.pipeline.spec_forks > 0);
             assert_eq!(
                 speculative.pipeline.spec_commits,
                 speculative.pipeline.spec_forks
             );
-            assert_eq!(speculative.pipeline.spec_replays, 0);
             assert_eq!(sequential.pipeline.spec_forks, 0);
         }
     }

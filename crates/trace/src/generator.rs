@@ -329,8 +329,8 @@ impl TraceGenerator {
     /// which keeps each B tile register live across consecutive `rasa_mm`
     /// instructions — the reuse pattern WLBP and WLS exploit.
     ///
-    /// The streaming counterpart, [`TraceGenerator::gemm_stream`], emits the
-    /// identical instruction sequence as bounded
+    /// The streaming counterpart, [`TraceGenerator::gemm_blocks`] over
+    /// `0..block_count`, emits the identical instruction sequence as bounded
     /// [`rasa_isa::ProgramSegment`]s without materializing the whole trace.
     ///
     /// # Errors

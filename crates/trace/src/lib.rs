@@ -46,4 +46,4 @@ pub use config::{GemmKernelConfig, MatmulOrder};
 pub use error::TraceError;
 pub use generator::TraceGenerator;
 pub use scheme::{KernelScheme, KernelSchemeBuilder, LoopOrder};
-pub use stream::{GemmTraceStream, ProgramSource, DEFAULT_SEGMENT_SIZE};
+pub use stream::{GemmTraceStream, DEFAULT_SEGMENT_SIZE};

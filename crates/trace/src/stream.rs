@@ -24,15 +24,16 @@
 //!   across segments, so a streamed trace is exactly as well-formed as its
 //!   materialized counterpart.
 //!
-//! [`TraceGenerator::gemm_blocks`] opens a stream over a sub-range of
-//! register blocks (a *shard*). Shards partition the block walk, so
+//! [`TraceGenerator::gemm_blocks`] is the one entry point: it opens a
+//! stream over a range of register blocks (a *shard*; `0..block_count` is
+//! the whole walk). Shards partition the block walk, so
 //! generating `[0..b1)`, `[b1..b2)`, … and concatenating the results in
 //! order reproduces the full sequence — the granularity at which
 //! `rasa-sim` feeds a run around the steady-state stretch it fast-forwards.
 
 use crate::{TraceError, TraceGenerator};
 use rasa_isa::{IsaConfig, ProgramBuilder, ProgramSegment};
-use rasa_numeric::{ConvShape, GemmShape};
+use rasa_numeric::GemmShape;
 use std::ops::Range;
 
 /// Default target size (in instructions) of a streamed segment.
@@ -43,32 +44,8 @@ use std::ops::Range;
 /// resident than the materialized path.
 pub const DEFAULT_SEGMENT_SIZE: usize = 8192;
 
-/// A producer of bounded, validated instruction segments.
-///
-/// The streaming analogue of handing a whole [`rasa_isa::Program`] to a
-/// consumer: segments arrive in program order and their concatenation is
-/// the full trace. Implementors are pull-based iterators; `None` means the
-/// stream is exhausted.
-pub trait ProgramSource {
-    /// The ISA configuration the stream emits for.
-    fn isa(&self) -> &IsaConfig;
-
-    /// Workload / kernel identifier carried into reports.
-    fn name(&self) -> &str;
-
-    /// Produces the next segment, or `None` when the stream is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Emit`] when a segment fails ISA validation
-    /// (a generator bug, surfaced rather than panicking).
-    fn next_segment(&mut self) -> Result<Option<ProgramSegment>, TraceError>;
-}
-
 /// A resumable walk over a GEMM trace's register blocks, emitting bounded
-/// segments. Created by [`TraceGenerator::gemm_stream`],
-/// [`TraceGenerator::conv_stream`] or (for shards)
-/// [`TraceGenerator::gemm_blocks`].
+/// segments in program order. Created by [`TraceGenerator::gemm_blocks`].
 #[derive(Debug, Clone)]
 pub struct GemmTraceStream {
     generator: TraceGenerator,
@@ -86,7 +63,7 @@ impl GemmTraceStream {
         generator: &TraceGenerator,
         shape: GemmShape,
         name: &str,
-        blocks: Option<Range<usize>>,
+        blocks: Range<usize>,
         segment_size: usize,
     ) -> Result<Self, TraceError> {
         if segment_size == 0 {
@@ -104,7 +81,6 @@ impl GemmTraceStream {
         let dims = generator.tile_dims(shape)?;
         let (mt, _, _) = dims;
         let total_blocks = generator.block_count(shape)?;
-        let blocks = blocks.unwrap_or(0..total_blocks);
         if blocks.start > blocks.end || blocks.end > total_blocks {
             return Err(TraceError::Stream {
                 reason: format!(
@@ -143,18 +119,26 @@ impl GemmTraceStream {
     pub fn blocks_remaining(&self) -> usize {
         self.blocks.len()
     }
-}
 
-impl ProgramSource for GemmTraceStream {
-    fn isa(&self) -> &IsaConfig {
+    /// The ISA configuration the stream emits for.
+    #[must_use]
+    pub fn isa(&self) -> &IsaConfig {
         self.generator.isa()
     }
 
-    fn name(&self) -> &str {
+    /// Workload / kernel identifier carried into reports.
+    #[must_use]
+    pub fn name(&self) -> &str {
         &self.name
     }
 
-    fn next_segment(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
+    /// Produces the next segment, or `None` when the stream is exhausted.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Emit`] when a segment fails ISA validation
+    /// (a generator bug, surfaced rather than panicking).
+    pub fn next_segment(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
         // Emit whole register blocks until the segment target is reached
         // or the block range is exhausted.
         while !self.blocks.is_empty() && self.builder.len() < self.segment_size {
@@ -175,7 +159,7 @@ impl ProgramSource for GemmTraceStream {
 }
 
 /// Iterator convenience: `for segment in stream { … }` over
-/// [`ProgramSource::next_segment`] results.
+/// [`GemmTraceStream::next_segment`] results.
 impl Iterator for GemmTraceStream {
     type Item = Result<ProgramSegment, TraceError>;
 
@@ -185,30 +169,14 @@ impl Iterator for GemmTraceStream {
 }
 
 impl TraceGenerator {
-    /// Opens a streaming trace of `shape`: the same instruction sequence as
-    /// [`TraceGenerator::gemm`] (including matmul-cap truncation), emitted
-    /// as validated segments of roughly `segment_size` instructions instead
-    /// of one materialized program. A kernel scheme carrying a segment size
-    /// hint overrides `segment_size`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM and
-    /// [`TraceError::Stream`] for a zero segment size.
-    pub fn gemm_stream(
-        &self,
-        shape: GemmShape,
-        name: &str,
-        segment_size: usize,
-    ) -> Result<GemmTraceStream, TraceError> {
-        GemmTraceStream::new(self, shape, name, None, segment_size)
-    }
-
-    /// Opens a streaming trace over a sub-range of `shape`'s register
-    /// blocks — a *shard* of the full walk (see
-    /// [`TraceGenerator::block_count`] for the block indexing). Shards over
-    /// a partition of `0..block_count` concatenate, in order, to the full
-    /// [`TraceGenerator::gemm_stream`] sequence.
+    /// Opens a streaming trace over a range of `shape`'s register blocks —
+    /// a *shard* of the full walk (see [`TraceGenerator::block_count`] for
+    /// the block indexing), emitted as validated segments of roughly
+    /// `segment_size` instructions. Over `0..block_count` the stream is
+    /// the same instruction sequence as [`TraceGenerator::gemm`]
+    /// (including matmul-cap truncation), and shards over a partition of
+    /// `0..block_count` concatenate, in order, to that sequence. A kernel
+    /// scheme carrying a segment size hint overrides `segment_size`.
     ///
     /// Segment indices and instruction offsets are shard-local. A matmul
     /// cap bounds the walk itself, so shards of a capped trace partition
@@ -226,24 +194,7 @@ impl TraceGenerator {
         blocks: Range<usize>,
         segment_size: usize,
     ) -> Result<GemmTraceStream, TraceError> {
-        GemmTraceStream::new(self, shape, name, Some(blocks), segment_size)
-    }
-
-    /// Streaming counterpart of [`TraceGenerator::conv`]: lowers the
-    /// convolution via im2col and opens a stream of the resulting GEMM.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] when the convolution shape is invalid
-    /// and [`TraceError::Stream`] for a zero segment size.
-    pub fn conv_stream(
-        &self,
-        conv: &ConvShape,
-        name: &str,
-        segment_size: usize,
-    ) -> Result<GemmTraceStream, TraceError> {
-        conv.validate()?;
-        self.gemm_stream(conv.to_gemm(), name, segment_size)
+        GemmTraceStream::new(self, shape, name, blocks, segment_size)
     }
 }
 
@@ -251,6 +202,16 @@ impl TraceGenerator {
 mod tests {
     use super::*;
     use rasa_isa::Program;
+
+    /// A stream over the whole block walk of `shape`.
+    fn whole(
+        g: &TraceGenerator,
+        shape: GemmShape,
+        name: &str,
+        segment_size: usize,
+    ) -> Result<GemmTraceStream, TraceError> {
+        g.gemm_blocks(shape, name, 0..g.block_count(shape)?, segment_size)
+    }
 
     fn reassemble(mut stream: GemmTraceStream, name: &str) -> Program {
         let mut segments = Vec::new();
@@ -267,7 +228,7 @@ mod tests {
             let shape = GemmShape::new(m, k, n);
             let program = g.gemm(shape, "parity").unwrap();
             for segment_size in [1, 64, 1 << 20] {
-                let stream = g.gemm_stream(shape, "parity", segment_size).unwrap();
+                let stream = whole(&g, shape, "parity", segment_size).unwrap();
                 assert_eq!(stream.name(), "parity");
                 assert_eq!(stream.isa(), g.isa());
                 let rebuilt = reassemble(stream, "parity");
@@ -283,7 +244,7 @@ mod tests {
             .unwrap();
         let shape = GemmShape::new(512, 512, 512);
         let program = g.gemm(shape, "capped").unwrap();
-        let rebuilt = reassemble(g.gemm_stream(shape, "capped", 32).unwrap(), "capped");
+        let rebuilt = reassemble(whole(&g, shape, "capped", 32).unwrap(), "capped");
         assert_eq!(rebuilt, program);
         assert!(rebuilt.count_matmuls() < g.matmul_count(shape).unwrap());
     }
@@ -293,7 +254,7 @@ mod tests {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(256, 128, 256);
         let segment_size = 200;
-        let mut stream = g.gemm_stream(shape, "bounded", segment_size).unwrap();
+        let mut stream = whole(&g, shape, "bounded", segment_size).unwrap();
         assert_eq!(stream.segment_size(), segment_size);
         // One register block is 4 C loads + kt K-steps (≤ 12 instructions
         // each at kt = 4) + 4 stores: the overshoot bound.
@@ -327,7 +288,7 @@ mod tests {
         let predicted = g.matmul_count(shape).unwrap();
         assert_eq!(g.gemm(shape, "mm").unwrap().count_matmuls(), predicted);
         let mut streamed = 0usize;
-        let mut stream = g.gemm_stream(shape, "mm", 128).unwrap();
+        let mut stream = whole(&g, shape, "mm", 128).unwrap();
         while let Some(segment) = stream.next_segment().unwrap() {
             streamed += segment.count_matmuls();
         }
@@ -338,8 +299,7 @@ mod tests {
         let conv = rasa_numeric::ConvShape::new(4, 16, 14, 14, 32, 3, 3, 1, 1);
         let predicted = g.matmul_count(conv.to_gemm()).unwrap();
         assert_eq!(g.conv(&conv, "conv").unwrap().count_matmuls(), predicted);
-        let streamed: usize = g
-            .conv_stream(&conv, "conv", 256)
+        let streamed: usize = whole(&g, conv.to_gemm(), "conv", 256)
             .unwrap()
             .map(|s| s.unwrap().count_matmuls())
             .sum();
@@ -351,8 +311,7 @@ mod tests {
             .with_kernel(crate::GemmKernelConfig::amx_like().with_max_matmuls(64))
             .unwrap();
         let program = capped.gemm(shape, "capped").unwrap();
-        let streamed: usize = capped
-            .gemm_stream(shape, "capped", 128)
+        let streamed: usize = whole(&capped, shape, "capped", 128)
             .unwrap()
             .map(|s| s.unwrap().count_matmuls())
             .sum();
@@ -377,7 +336,7 @@ mod tests {
             let g = TraceGenerator::amx_like().with_kernel(kernel).unwrap();
             let program = g.gemm(shape, "scheme-parity").unwrap();
             for segment_size in [1, 96, 1 << 20] {
-                let stream = g.gemm_stream(shape, "scheme-parity", segment_size).unwrap();
+                let stream = whole(&g, shape, "scheme-parity", segment_size).unwrap();
                 let rebuilt = reassemble(stream, "scheme-parity");
                 assert_eq!(rebuilt, program, "kernel {kernel} @ {segment_size}");
             }
@@ -392,9 +351,7 @@ mod tests {
             .build()
             .unwrap();
         let g = TraceGenerator::amx_like().with_kernel(kernel).unwrap();
-        let stream = g
-            .gemm_stream(GemmShape::new(64, 64, 64), "hinted", 1 << 20)
-            .unwrap();
+        let stream = whole(&g, GemmShape::new(64, 64, 64), "hinted", 1 << 20).unwrap();
         assert_eq!(stream.segment_size(), 64);
         // The hint only changes segmentation, never the sequence.
         let rebuilt = reassemble(stream, "hinted");
@@ -432,11 +389,11 @@ mod tests {
     fn invalid_stream_configurations_are_rejected() {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(64, 64, 64);
+        let blocks = g.block_count(shape).unwrap();
         assert!(matches!(
-            g.gemm_stream(shape, "bad", 0),
+            g.gemm_blocks(shape, "bad", 0..blocks, 0),
             Err(TraceError::Stream { .. })
         ));
-        let blocks = g.block_count(shape).unwrap();
         assert!(matches!(
             g.gemm_blocks(shape, "bad", 0..blocks + 1, 64),
             Err(TraceError::Stream { .. })
@@ -444,9 +401,9 @@ mod tests {
         #[allow(clippy::reversed_empty_ranges)]
         let reversed = 3..1;
         assert!(g.gemm_blocks(shape, "bad", reversed, 64).is_err());
-        assert!(g.gemm_stream(GemmShape::new(0, 1, 1), "bad", 64).is_err());
-        let bad_conv = rasa_numeric::ConvShape::new(0, 64, 56, 56, 64, 1, 1, 1, 0);
-        assert!(g.conv_stream(&bad_conv, "bad", 64).is_err());
+        assert!(g
+            .gemm_blocks(GemmShape::new(0, 1, 1), "bad", 0..0, 64)
+            .is_err());
     }
 
     #[test]
