@@ -1,13 +1,13 @@
-//! `rasa-router` — the consistent-hashing front of the distributed
+//! `rasa-router` — the rendezvous-hashing front of the distributed
 //! serving tier.
 //!
 //! Binds a frame server (see `docs/WIRE_PROTOCOL.md`) and forwards every
-//! request to the shard worker that owns its semantic shape key, with
-//! per-shard bounded in-flight windows and dead-shard failover (see
+//! request to the home shard of its route key (the design name, lowered
+//! shape and kernel override the client sent), with per-shard bounded
+//! in-flight windows and dead-shard failover (see
 //! [`rasa_sim::net::Router`]). Shard backends are passed as repeated
-//! `--shard ADDR` flags in shard-id order; `--cap` must match the value
-//! the shards run with, or routing keys stop matching the shards'
-//! memoization keys and every shard runs cache-cold.
+//! `--shard ADDR` flags in shard-id order. The router holds no shard
+//! configuration: the matmul cap is the shards' business alone.
 //!
 //! Like `rasa-shardd`, the process prints `LISTENING <addr>` as its first
 //! stdout line and runs until stdin reaches EOF.
@@ -22,10 +22,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(2);
     }
     let config = RouterConfig {
-        vnodes: options.vnodes,
         inflight_per_shard: options.inflight,
         admission: options.admission,
-        matmul_cap: options.matmul_cap,
         result_cache_capacity: options.router_cache,
     };
     let router = Router::bind(&options.listen, &options.shard_addrs, config)?;

@@ -374,8 +374,6 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let mut router_args: Vec<String> = vec![
         "--listen".into(),
         "127.0.0.1:0".into(),
-        "--vnodes".into(),
-        options.vnodes.to_string(),
         "--inflight".into(),
         options.inflight.to_string(),
         "--router-cache".into(),
@@ -383,10 +381,6 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
         "--admission".into(),
         admission.into(),
     ];
-    match options.matmul_cap {
-        Some(cap) => router_args.extend(["--cap".into(), cap.to_string()]),
-        None => router_args.push("--full".into()),
-    }
     for worker in &workers {
         router_args.extend(["--shard".into(), worker.addr.clone()]);
     }
@@ -398,14 +392,13 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let total = options.clients * options.requests_per_client;
 
     println!(
-        "serve_soak --distributed: router {router_addr} over {} shards; {} clients x {} requests over {} shapes x {} designs; inflight {} per shard, {} vnodes, seed {}{}",
+        "serve_soak --distributed: router {router_addr} over {} shards; {} clients x {} requests over {} shapes x {} designs; inflight {} per shard, seed {}{}",
         options.shards,
         options.clients,
         options.requests_per_client,
         layers.len() * batch_sizes.len(),
         designs.len(),
         options.inflight,
-        options.vnodes,
         options.seed,
         if options.kill_worker {
             " (killing one worker mid-run)"
@@ -686,10 +679,6 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                         options
                             .matmul_cap
                             .map_or(JsonValue::Null, JsonValue::number_from_usize),
-                    ),
-                    (
-                        "vnodes".into(),
-                        JsonValue::number_from_usize(options.vnodes),
                     ),
                     (
                         "inflight_per_shard".into(),

@@ -126,9 +126,6 @@ pub struct BinOptions {
     /// For `rasa-router` / `serve_soak --distributed`: per-shard bound on
     /// in-flight requests (`--inflight`).
     pub inflight: usize,
-    /// For `rasa-router` / `serve_soak --distributed`: virtual nodes per
-    /// shard on the consistent-hash ring (`--vnodes`).
-    pub vnodes: usize,
     /// For `rasa-router` / `serve_soak --distributed`: bound on the
     /// router's own result cache, probed before any shard is contacted
     /// (`--router-cache`; 0 disables it).
@@ -170,7 +167,6 @@ impl Default for BinOptions {
             listen: "127.0.0.1:0".to_string(),
             shard_addrs: Vec::new(),
             inflight: 32,
-            vnodes: 64,
             router_cache: rasa_sim::net::DEFAULT_RESULT_CACHE_CAPACITY,
             shard_id: 0,
             help: false,
@@ -256,7 +252,6 @@ impl BinOptions {
                 "--listen" => options.listen = value,
                 "--shard" => options.shard_addrs.push(value),
                 "--inflight" => options.inflight = number(spec, &value)?,
-                "--vnodes" => options.vnodes = number(spec, &value)?,
                 "--router-cache" => options.router_cache = number(spec, &value)?,
                 "--shard-id" => options.shard_id = number(spec, &value)?,
                 other => unreachable!("FLAGS registers {other}, which parse does not handle"),
@@ -504,14 +499,14 @@ pub const FLAGS: &[FlagSpec] = &[
     FlagSpec {
         flag: "--cap",
         value: "N",
-        description: "matmul cap per cell — must match across router and shards",
-        binaries: &["serve_soak", "rasa-shardd", "rasa-router"],
+        description: "default matmul cap per cell — must match across shards",
+        binaries: &["serve_soak", "rasa-shardd"],
     },
     FlagSpec {
         flag: "--full",
         value: "",
-        description: "remove the matmul cap — must match across router and shards",
-        binaries: &["serve_soak", "rasa-shardd", "rasa-router"],
+        description: "remove the default matmul cap — must match across shards",
+        binaries: &["serve_soak", "rasa-shardd"],
     },
     FlagSpec {
         flag: "--distributed",
@@ -535,12 +530,6 @@ pub const FLAGS: &[FlagSpec] = &[
         flag: "--inflight",
         value: "N",
         description: "per-shard bound on in-flight requests at the router",
-        binaries: &["serve_soak", "rasa-router"],
-    },
-    FlagSpec {
-        flag: "--vnodes",
-        value: "N",
-        description: "virtual nodes per shard on the consistent-hash ring",
         binaries: &["serve_soak", "rasa-router"],
     },
     FlagSpec {
@@ -662,7 +651,7 @@ mod tests {
         assert_eq!(o.matmul_cap, None);
         let o = parse("run_all", &["--max-batch", "64"]).unwrap();
         assert_eq!(o.fig7_max_batch, 64);
-        // serve_soak forwards --full to the daemons it spawns.
+        // serve_soak forwards --full to the shards it spawns.
         let o = parse("serve_soak", &["--full"]).unwrap();
         assert_eq!(o.matmul_cap, None);
         // Malformed and missing values are errors, not the default cap.
@@ -863,7 +852,6 @@ mod tests {
         assert_eq!(o.listen, "127.0.0.1:0");
         assert!(o.shard_addrs.is_empty());
         assert_eq!(o.inflight, 32);
-        assert_eq!(o.vnodes, 64);
         assert_eq!(o.shard_id, 0);
         assert!(!o.help);
 
@@ -874,15 +862,13 @@ mod tests {
             "--kill-worker",
             "--inflight",
             "8",
-            "--vnodes",
-            "16",
         ];
         let o = parse("serve_soak", &args).unwrap();
         assert!(o.distributed);
         assert_eq!(o.shards, 6);
         assert!(o.kill_worker);
         assert_eq!(o.inflight, 8);
-        assert_eq!(o.vnodes, 16);
+        assert!(parse("serve_soak", &["--vnodes", "16"]).is_err());
         let args = [
             "--listen",
             "127.0.0.1:9000",
@@ -908,9 +894,10 @@ mod tests {
         assert!(soak.contains("--clients"));
         assert!(!soak.contains("--listen"), "--listen is a daemon flag");
         assert!(soak.contains("--cap"), "the soak honours the matmul cap");
+        assert!(soak.contains("--full"), "and forwards --full to the shards");
         assert!(
-            soak.contains("--full"),
-            "and forwards --full to the daemons"
+            !soak.contains("--vnodes"),
+            "routing has no tuning parameter"
         );
 
         let shardd = usage("rasa-shardd");
@@ -920,8 +907,11 @@ mod tests {
 
         let router = usage("rasa-router");
         assert!(router.contains("--shard ADDR"));
-        assert!(router.contains("--vnodes"));
         assert!(!router.contains("--shard-id"));
+        // The router routes on the request alone: no shard configuration.
+        for flag in ["--cap", "--full", "--vnodes"] {
+            assert!(!router.contains(flag), "rasa-router lists {flag}");
+        }
 
         let fig5 = usage("fig5_runtime");
         assert!(fig5.contains("--cap"));

@@ -58,4 +58,4 @@ pub use instruction::{Instruction, InstructionKind};
 pub use memref::MemRef;
 pub use program::{Program, ProgramBuilder, ProgramSegment, ProgramStats};
 pub use regs::{GprReg, RegSet, TileReg, NUM_GPR_REGS, NUM_TILE_REGS};
-pub use tile::{TileGeometry, TileRegisterFile, TileShape};
+pub use tile::{TileGeometry, TileShape};

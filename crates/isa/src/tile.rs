@@ -1,4 +1,4 @@
-use crate::{DataType, IsaError, TileReg, NUM_TILE_REGS};
+use crate::{DataType, IsaError};
 
 /// Physical geometry of one tile register: a number of rows, each holding a
 /// fixed number of bytes.
@@ -148,122 +148,6 @@ impl std::fmt::Display for TileShape {
     }
 }
 
-/// Architectural tile register file state tracked at the ISA level.
-///
-/// The register file records, per register:
-///
-/// * whether the register has been written at all (so program validation can
-///   reject reads of undefined registers), and
-/// * the **dirty bit** introduced by the RASA-WLBP optimization: it is set
-///   whenever the register is overwritten and cleared when the matrix engine
-///   installs the register as its stationary weight plane. A subsequent
-///   `rasa_mm` that names the same weight register with a clear dirty bit may
-///   skip its Weight Load stage.
-///
-/// ```
-/// use rasa_isa::{TileRegisterFile, TileReg};
-/// let mut trf = TileRegisterFile::new(Default::default());
-/// let b = TileReg::new(4)?;
-/// trf.mark_written(b);
-/// assert!(trf.is_dirty(b));
-/// trf.install_as_weights(b);
-/// assert!(!trf.is_dirty(b));
-/// assert_eq!(trf.installed_weights(), Some(b));
-/// # Ok::<(), rasa_isa::IsaError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TileRegisterFile {
-    geometry: TileGeometry,
-    written: [bool; NUM_TILE_REGS],
-    dirty: [bool; NUM_TILE_REGS],
-    installed_weights: Option<TileReg>,
-}
-
-impl TileRegisterFile {
-    /// Creates a register file with all registers undefined and dirty.
-    #[must_use]
-    pub fn new(geometry: TileGeometry) -> Self {
-        TileRegisterFile {
-            geometry,
-            written: [false; NUM_TILE_REGS],
-            dirty: [true; NUM_TILE_REGS],
-            installed_weights: None,
-        }
-    }
-
-    /// The geometry shared by every register in the file.
-    #[must_use]
-    pub const fn geometry(&self) -> &TileGeometry {
-        &self.geometry
-    }
-
-    /// Records that `reg` has been written (by `rasa_tl` or as a `rasa_mm`
-    /// destination), setting its dirty bit.
-    pub fn mark_written(&mut self, reg: TileReg) {
-        self.written[reg.index()] = true;
-        self.dirty[reg.index()] = true;
-        if self.installed_weights == Some(reg) {
-            // Overwriting the register currently installed in the array
-            // invalidates the installed weight plane.
-            self.installed_weights = None;
-        }
-    }
-
-    /// Whether `reg` has been written at least once.
-    #[must_use]
-    pub fn is_written(&self, reg: TileReg) -> bool {
-        self.written[reg.index()]
-    }
-
-    /// Whether `reg`'s dirty bit is set (its contents differ from whatever
-    /// the matrix engine last loaded as weights from it).
-    #[must_use]
-    pub fn is_dirty(&self, reg: TileReg) -> bool {
-        self.dirty[reg.index()]
-    }
-
-    /// Installs `reg` as the matrix engine's stationary weight plane,
-    /// clearing its dirty bit.
-    pub fn install_as_weights(&mut self, reg: TileReg) {
-        if let Some(prev) = self.installed_weights {
-            if prev != reg {
-                // The previously installed register's contents are no longer
-                // in the array; mark it dirty so a later reuse reloads it.
-                self.dirty[prev.index()] = true;
-            }
-        }
-        self.installed_weights = Some(reg);
-        self.dirty[reg.index()] = false;
-    }
-
-    /// The register currently installed as the array's weight plane, if any.
-    #[must_use]
-    pub fn installed_weights(&self) -> Option<TileReg> {
-        self.installed_weights
-    }
-
-    /// Returns `true` when a `rasa_mm` naming `reg` as its weight operand may
-    /// bypass the Weight Load stage (RASA-WLBP): the register is already the
-    /// installed weight plane and has not been modified since.
-    #[must_use]
-    pub fn can_bypass_weight_load(&self, reg: TileReg) -> bool {
-        self.installed_weights == Some(reg) && !self.is_dirty(reg)
-    }
-
-    /// Resets the file to its initial (undefined, dirty) state.
-    pub fn reset(&mut self) {
-        self.written = [false; NUM_TILE_REGS];
-        self.dirty = [true; NUM_TILE_REGS];
-        self.installed_weights = None;
-    }
-}
-
-impl Default for TileRegisterFile {
-    fn default() -> Self {
-        TileRegisterFile::new(TileGeometry::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -310,57 +194,5 @@ mod tests {
         assert!(!s.is_empty());
         assert!(TileShape::new(0, 4).is_empty());
         assert_eq!(s.to_string(), "16x32");
-    }
-
-    #[test]
-    fn dirty_bit_lifecycle() {
-        let mut trf = TileRegisterFile::default();
-        let b = TileReg::new(4).unwrap();
-        // Initially undefined and dirty.
-        assert!(!trf.is_written(b));
-        assert!(trf.is_dirty(b));
-        assert!(!trf.can_bypass_weight_load(b));
-
-        trf.mark_written(b);
-        assert!(trf.is_written(b));
-        assert!(trf.is_dirty(b));
-
-        trf.install_as_weights(b);
-        assert!(!trf.is_dirty(b));
-        assert!(trf.can_bypass_weight_load(b));
-
-        // A write after installation sets the dirty bit and uninstalls.
-        trf.mark_written(b);
-        assert!(trf.is_dirty(b));
-        assert!(!trf.can_bypass_weight_load(b));
-        assert_eq!(trf.installed_weights(), None);
-    }
-
-    #[test]
-    fn installing_new_weights_dirties_previous_plane() {
-        let mut trf = TileRegisterFile::default();
-        let b0 = TileReg::new(4).unwrap();
-        let b1 = TileReg::new(5).unwrap();
-        trf.mark_written(b0);
-        trf.mark_written(b1);
-        trf.install_as_weights(b0);
-        assert!(trf.can_bypass_weight_load(b0));
-        trf.install_as_weights(b1);
-        assert!(trf.can_bypass_weight_load(b1));
-        // b0 is no longer resident in the array.
-        assert!(!trf.can_bypass_weight_load(b0));
-        assert!(trf.is_dirty(b0));
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut trf = TileRegisterFile::default();
-        let r = TileReg::new(2).unwrap();
-        trf.mark_written(r);
-        trf.install_as_weights(r);
-        trf.reset();
-        assert!(!trf.is_written(r));
-        assert!(trf.is_dirty(r));
-        assert_eq!(trf.installed_weights(), None);
     }
 }

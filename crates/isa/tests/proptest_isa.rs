@@ -3,7 +3,6 @@
 use proptest::prelude::*;
 use rasa_isa::{
     DataType, Instruction, IsaConfig, MemRef, Program, ProgramBuilder, TileGeometry, TileReg,
-    TileRegisterFile,
 };
 
 fn arb_tile_reg() -> impl Strategy<Value = TileReg> {
@@ -60,31 +59,6 @@ proptest! {
         prop_assert_eq!(inst.tile_writes().len(), 1);
         for r in inst.tile_reads().iter() {
             prop_assert!(r.index() < 8);
-        }
-    }
-
-    /// The dirty-bit protocol: a register can only be bypass-eligible if it
-    /// was installed and not rewritten since — independent of the order of
-    /// random write/install events.
-    #[test]
-    fn dirty_bit_protocol(events in proptest::collection::vec((0u8..8, any::<bool>()), 0..64)) {
-        let mut trf = TileRegisterFile::default();
-        // Shadow model: for each register, was the last event an install?
-        let mut last_install = [false; 8];
-        for (idx, is_install) in events {
-            let reg = TileReg::new(idx).unwrap();
-            if is_install {
-                trf.install_as_weights(reg);
-                last_install = [false; 8];
-                last_install[reg.index()] = true;
-            } else {
-                trf.mark_written(reg);
-                last_install[reg.index()] = false;
-            }
-        }
-        for idx in 0..8u8 {
-            let reg = TileReg::new(idx).unwrap();
-            prop_assert_eq!(trf.can_bypass_weight_load(reg), last_install[reg.index()]);
         }
     }
 

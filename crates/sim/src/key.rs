@@ -1,25 +1,23 @@
 //! Interned semantic cell keys.
 //!
-//! Every layer of the stack identifies a simulation cell by the same
-//! semantic string — `"{design:?}|{shape:?}|{kernel:?}"`, rendered by
-//! [`SimJob::semantic_key`](crate::SimJob::semantic_key). Before this
-//! module existed, that string was rendered and hashed *repeatedly* per
-//! request: once for the runner's memoization probe and once per router
-//! ring lookup, each hashing the full ~200-byte key with SipHash or FNV
-//! from scratch.
+//! The runner identifies a simulation cell by one semantic string —
+//! `"{design:?}|{shape:?}|{kernel:?}"`, rendered by
+//! [`SimJob::semantic_key`](crate::SimJob::semantic_key) — and the router
+//! identifies a request by a shorter one rendered from the request as sent
+//! ([`WireRequest::route_key`](crate::net::WireRequest::route_key)).
 //!
-//! [`CellKey`] renders the key **once** and carries a precomputed 64-bit
-//! hash — [`net::hash::ring_point`](crate::net::hash::ring_point), the
-//! same FNV-1a + avalanche finalizer the consistent-hash ring uses. The
-//! one value then serves both masters with zero re-hashing:
+//! [`CellKey`] renders a key **once** and carries a precomputed 64-bit
+//! hash — [`net::hash::ring_point`](crate::net::hash::ring_point), FNV-1a
+//! plus an avalanche finalizer. The one value then serves both masters
+//! with zero re-hashing:
 //!
 //! - `HashMap`/[`LruCache`](crate::LruCache) probes: the [`Hash`] impl
 //!   feeds the precomputed value straight to the hasher, equality
 //!   short-circuits on the hash before comparing bytes, and clones are
 //!   `Arc` bumps, not string copies.
-//! - Router placement: [`hash64`](CellKey::hash64) *is* the ring point,
-//!   so [`HashRing::route_point`](crate::net::HashRing::route_point)
-//!   needs no further work.
+//! - Router placement: [`hash64`](CellKey::hash64) *is* the point
+//!   [`preference_order`](crate::net::hash::preference_order) ranks the
+//!   shards for, so it needs no further work.
 //!
 //! Interning is **aliasing-free**: equality always compares the full key
 //! text (the hash only short-circuits inequality), so two distinct cells
@@ -33,10 +31,10 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
-/// An interned semantic cell key: the rendered key text plus its
-/// precomputed 64-bit hash (which doubles as the consistent-hash ring
-/// point). Cheap to clone (`Arc` bump), cheap to compare (hash
-/// short-circuit), cheap to re-probe (no re-hashing).
+/// An interned cell or route key: the rendered key text plus its
+/// precomputed 64-bit hash (which doubles as the routing point). Cheap to
+/// clone (`Arc` bump), cheap to compare (hash short-circuit), cheap to
+/// re-probe (no re-hashing).
 #[derive(Debug, Clone)]
 pub struct CellKey {
     text: Arc<str>,
@@ -60,8 +58,8 @@ impl CellKey {
     }
 
     /// The precomputed 64-bit hash: `mix64(fnv1a_64(text))`, identical to
-    /// the consistent-hash [`ring_point`] of the key text, so the router
-    /// places requests without re-hashing.
+    /// the [`ring_point`] of the key text, so the router places requests
+    /// without re-hashing.
     #[must_use]
     pub const fn hash64(&self) -> u64 {
         self.hash

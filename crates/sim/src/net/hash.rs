@@ -1,27 +1,25 @@
-//! Deterministic consistent hashing for shard-warm routing.
+//! Deterministic rendezvous hashing for shard-warm routing.
 //!
-//! The router places every shard on a ring at `vnodes` pseudo-random
-//! positions (FNV-1a 64 of `"{shard}#{replica}"`, passed through a 64-bit
-//! avalanche finalizer) and routes a request's
-//! semantic shape key (see [`SimJob::semantic_key`](crate::SimJob::semantic_key))
-//! to the first shard clockwise from the key's hash. Two properties make
-//! this the right structure here:
+//! The router hashes a request's route key (see
+//! [`WireRequest::route_key`](crate::net::WireRequest::route_key)) to a
+//! 64-bit point and ranks every shard by a score mixed from that point and
+//! the shard id ([`preference_order`], Thaler & Ravishankar's highest
+//! random weight). Two properties make this the right rule here:
 //!
-//! - **Warm caches:** the same shape key always hashes to the same shard,
+//! - **Warm caches:** the same key always ranks the shards the same way,
 //!   so a shard's bounded LRU cell cache sees a stable subset of shapes
-//!   and its hit rate survives traffic skew.
-//! - **Minimal churn on failure:** when a shard dies, only the keys that
-//!   mapped to it move (to the next shard clockwise); every other key
-//!   keeps its warm shard. [`HashRing::preference_order`] exposes exactly
-//!   that clockwise failover order.
+//!   and its hit rate survives traffic skew. Every shard owns an equal
+//!   share of the key space in expectation, with no tuning parameter.
+//! - **Minimal churn on failure:** when a shard dies, only the keys it
+//!   ranked first move, each to its second entry; every other key keeps
+//!   its warm shard. The order is exactly the failover order.
 //!
-//! Everything is deterministic — no randomness, no per-process seeds — so
-//! a router restart (or a second router) routes identically.
-
-use std::collections::BTreeMap;
+//! Everything is deterministic — no randomness, no per-process seeds, no
+//! placement structure — so a router restart (or a second router) routes
+//! identically.
 
 /// FNV-1a 64-bit hash of `bytes` — small, dependency-free and stable
-/// across platforms and processes, which is all the ring needs (this is a
+/// across platforms and processes, which is all routing needs (this is a
 /// placement hash, not a cryptographic one).
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
@@ -36,10 +34,9 @@ pub fn fnv1a_64(bytes: &[u8]) -> u64 {
 }
 
 /// A 64-bit avalanche finalizer (the murmur3 `fmix64` constants). FNV-1a
-/// of short, similar strings ("0#1", "0#2", …) differs mostly in its low
-/// bits; ring positions are compared as full integers (high bits first),
-/// so without this mix the virtual nodes cluster and some shards end up
-/// owning almost none of the key space.
+/// of short, similar strings differs mostly in its low bits, and shard
+/// scores are compared as full integers (high bits first), so without this
+/// mix similar keys would rank the shards alike.
 #[must_use]
 pub fn mix64(mut x: u64) -> u64 {
     x ^= x >> 33;
@@ -50,107 +47,40 @@ pub fn mix64(mut x: u64) -> u64 {
     x
 }
 
-/// The ring position of an arbitrary byte string: `mix64(fnv1a_64(bytes))`.
+/// The routing point of an arbitrary byte string: `mix64(fnv1a_64(bytes))`.
 ///
 /// This is also the 64-bit hash an interned [`CellKey`](crate::CellKey)
-/// precomputes, so a key rendered once can probe every cache *and* the
-/// ring without being re-hashed.
+/// precomputes, so a key rendered once can probe every cache *and* rank
+/// the shards without being re-hashed.
 #[must_use]
 pub fn ring_point(bytes: &[u8]) -> u64 {
     mix64(fnv1a_64(bytes))
 }
 
-/// A consistent-hash ring over shard ids with virtual nodes.
-#[derive(Debug, Clone)]
-pub struct HashRing {
-    /// Ring position → shard id. A `BTreeMap` gives the clockwise scan.
-    ring: BTreeMap<u64, u32>,
-    /// Number of distinct shards on the ring.
-    shards: usize,
-}
-
-impl HashRing {
-    /// Builds a ring for shard ids `0..shards`, each at `vnodes` positions.
-    ///
-    /// `vnodes` is clamped to at least 1. With tens of virtual nodes per
-    /// shard the key space splits roughly evenly even for small shard
-    /// counts; the routers default to 64.
-    #[must_use]
-    pub fn new(shards: usize, vnodes: usize) -> HashRing {
-        let vnodes = vnodes.max(1);
-        let mut ring = BTreeMap::new();
-        for shard in 0..shards {
+/// Every shard id in `0..shards`, ranked for the key at `point`: shard `s`
+/// scores `mix64(point ^ mix64(s + 1))`, and shards come in descending
+/// score order, ties broken by ascending id. The first entry is the home
+/// shard; each later entry is the next failover target.
+#[must_use]
+pub fn preference_order(point: u64, shards: usize) -> Vec<u32> {
+    let mut ranked: Vec<(std::cmp::Reverse<u64>, u32)> = (0..shards)
+        .map(|shard| {
             let shard = u32::try_from(shard).expect("shard count fits in u32");
-            for replica in 0..vnodes {
-                let point = ring_point(format!("{shard}#{replica}").as_bytes());
-                // On the astronomically unlikely collision the lower shard
-                // id wins, deterministically, on every router.
-                ring.entry(point).or_insert(shard);
-            }
-        }
-        HashRing { ring, shards }
-    }
-
-    /// Number of distinct shards the ring was built over.
-    #[must_use]
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
-    /// The home shard for `key`: the first ring position clockwise from
-    /// the key's hash. `None` only for an empty ring.
-    #[must_use]
-    pub fn route(&self, key: &str) -> Option<u32> {
-        self.route_point(ring_point(key.as_bytes()))
-    }
-
-    /// [`route`](Self::route) for a precomputed [`ring_point`] — the
-    /// zero-rehash path an interned [`CellKey`](crate::CellKey) takes.
-    #[must_use]
-    pub fn route_point(&self, point: u64) -> Option<u32> {
-        self.ring
-            .range(point..)
-            .next()
-            .or_else(|| self.ring.iter().next())
-            .map(|(_, &shard)| shard)
-    }
-
-    /// The home shard for `key`, skipping shards for which `alive` returns
-    /// false — the clockwise failover scan. `None` when every shard is
-    /// dead (or the ring is empty).
-    #[must_use]
-    pub fn route_alive(&self, key: &str, alive: impl Fn(u32) -> bool) -> Option<u32> {
-        self.preference_order(key).into_iter().find(|&s| alive(s))
-    }
-
-    /// Every distinct shard in clockwise order from `key`'s hash: the
-    /// first entry is the home shard, each subsequent entry is the next
-    /// failover target. Deterministic for a given ring and key.
-    #[must_use]
-    pub fn preference_order(&self, key: &str) -> Vec<u32> {
-        self.preference_order_point(ring_point(key.as_bytes()))
-    }
-
-    /// [`preference_order`](Self::preference_order) for a precomputed
-    /// [`ring_point`] — the zero-rehash failover scan.
-    #[must_use]
-    pub fn preference_order_point(&self, point: u64) -> Vec<u32> {
-        let mut order = Vec::with_capacity(self.shards);
-        for (_, &shard) in self.ring.range(point..).chain(self.ring.range(..point)) {
-            if !order.contains(&shard) {
-                order.push(shard);
-                if order.len() == self.shards {
-                    break;
-                }
-            }
-        }
-        order
-    }
+            let score = mix64(point ^ mix64(u64::from(shard) + 1));
+            (std::cmp::Reverse(score), shard)
+        })
+        .collect();
+    ranked.sort_unstable();
+    ranked.into_iter().map(|(_, shard)| shard).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn key_point(i: usize) -> u64 {
+        ring_point(format!("key-{i}").as_bytes())
+    }
 
     #[test]
     fn fnv1a_matches_reference_vectors() {
@@ -165,65 +95,57 @@ mod tests {
 
     #[test]
     fn routing_is_deterministic_and_total() {
-        let ring = HashRing::new(4, 64);
-        let again = HashRing::new(4, 64);
         for i in 0..200 {
-            let key = format!("design-{i}|shape-{}", i % 7);
-            let shard = ring.route(&key).unwrap();
-            assert!(shard < 4);
-            assert_eq!(again.route(&key), Some(shard), "rebuilt ring must agree");
+            let point = key_point(i);
+            let order = preference_order(point, 4);
+            assert!(order[0] < 4);
+            assert_eq!(preference_order(point, 4), order, "a rerun must agree");
         }
-        assert!(HashRing::new(0, 64).route("anything").is_none());
+        assert!(preference_order(key_point(0), 0).is_empty());
     }
 
     #[test]
-    fn vnodes_spread_keys_across_shards() {
-        let ring = HashRing::new(4, 64);
-        let mut counts = [0usize; 4];
-        for i in 0..1000 {
-            counts[ring.route(&format!("key-{i}")).unwrap() as usize] += 1;
-        }
-        for (shard, &count) in counts.iter().enumerate() {
-            assert!(
-                count > 100,
-                "shard {shard} got {count}/1000 keys — ring is badly unbalanced: {counts:?}"
-            );
+    fn rendezvous_splits_keys_evenly_across_shards() {
+        const KEYS: usize = 100_000;
+        for shards in [2usize, 3, 4, 8] {
+            let mut counts = vec![0usize; shards];
+            for i in 0..KEYS {
+                counts[preference_order(key_point(i), shards)[0] as usize] += 1;
+            }
+            for (shard, &count) in counts.iter().enumerate() {
+                let share = count as f64 / KEYS as f64;
+                assert!(
+                    (share - 1.0 / shards as f64).abs() <= 0.01,
+                    "shard {shard} of {shards} owns {share:.4} of the keys: {counts:?}"
+                );
+            }
         }
     }
 
     #[test]
     fn preference_order_lists_every_shard_once() {
-        let ring = HashRing::new(5, 32);
         for i in 0..50 {
-            let order = ring.preference_order(&format!("key-{i}"));
-            assert_eq!(order.len(), 5);
+            let order = preference_order(key_point(i), 5);
             let mut sorted = order.clone();
             sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(sorted.len(), 5, "duplicates in {order:?}");
-            assert_eq!(order[0], ring.route(&format!("key-{i}")).unwrap());
+            assert_eq!(sorted, vec![0, 1, 2, 3, 4], "every shard once: {order:?}");
         }
     }
 
     #[test]
     fn killing_a_shard_moves_only_its_keys() {
-        let ring = HashRing::new(4, 64);
-        let keys: Vec<String> = (0..500).map(|i| format!("key-{i}")).collect();
-        let before: Vec<u32> = keys.iter().map(|k| ring.route(k).unwrap()).collect();
         let dead = 2u32;
-        for (key, &home) in keys.iter().zip(&before) {
-            let rerouted = ring.route_alive(key, |s| s != dead).unwrap();
-            if home == dead {
-                assert_ne!(rerouted, dead);
+        for i in 0..500 {
+            let order = preference_order(key_point(i), 4);
+            let rerouted = order.iter().copied().find(|&s| s != dead).unwrap();
+            if order[0] == dead {
                 assert_eq!(
-                    rerouted,
-                    ring.preference_order(key)[1],
-                    "clockwise failover"
+                    rerouted, order[1],
+                    "a dead home's keys go to their second entry"
                 );
             } else {
-                assert_eq!(rerouted, home, "surviving shards keep their keys");
+                assert_eq!(rerouted, order[0], "surviving shards keep their keys");
             }
         }
-        assert!(ring.route_alive("key-0", |_| false).is_none());
     }
 }

@@ -6,17 +6,18 @@
 //!
 //! - [`wire`] — the length-prefixed framed protocol (version byte, frame
 //!   kinds, max-frame guard) and the JSON payload types that ride in it.
-//! - [`hash`] — the FNV-1a consistent-hash ring that maps a request's
-//!   semantic shape key to a shard, so repeated shapes always land where
-//!   the LRU cell cache is already warm.
+//! - [`hash`] — FNV-1a rendezvous hashing that ranks the shards for a
+//!   request's route key, so repeated shapes always land where the LRU
+//!   cell cache is already warm.
 //! - [`shard`] — [`ShardServer`]: one TCP worker wrapping a `GemmServer`
 //!   behind the shared event-loop frame server, simulating on the loop's
 //!   workers.
-//! - [`router`] — [`Router`]: consistent-hash routing across N shards with
+//! - [`router`] — [`Router`]: rendezvous routing across N shards with
 //!   per-shard bounded in-flight windows (the tier's [`AdmissionControl`])
 //!   and dead-shard failover. It relays bytes: a request frame goes to the
 //!   shard unchanged, and the shard's reply comes back unchanged once its
-//!   kind and id check out.
+//!   kind and id check out. It routes on the request alone and holds no
+//!   shard configuration.
 //! - [`client`] — [`NetClient`]: a blocking client library with bounded
 //!   retry/backoff and endpoint rotation. It and the library router decode
 //!   replies with one decoder, [`WireResponse::from_reply`].
@@ -47,7 +48,6 @@ mod sys;
 pub mod wire;
 
 pub use client::{ClientConfig, ClientStats, NetClient};
-pub use hash::HashRing;
 pub use router::{
     AdmissionControl, Router, RouterConfig, RouterHealth, RouterStats,
     DEFAULT_RESULT_CACHE_CAPACITY,

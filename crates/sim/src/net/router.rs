@@ -1,10 +1,12 @@
 //! Shard-warm request routing with per-shard bounded in-flight windows.
 //!
-//! A [`Router`] owns a [`HashRing`] over N shard addresses and forwards
-//! every request to the shard that owns its **semantic shape key** — the
-//! same key the shard's runner memoizes cells under — so repeated shapes
-//! always land where the LRU cell cache is already warm (see
-//! [`WireRequest::shape_key`]).
+//! A [`Router`] forwards every request to the home shard of its **route
+//! key** ([`WireRequest::route_key`]: design name, lowered GEMM shape and
+//! kernel override, as the client sent them), ranked by rendezvous hashing
+//! ([`preference_order`]). Repeated shapes therefore always land where the
+//! LRU cell cache is already warm. The router computes everything from the
+//! request itself: it holds no shard configuration and no placement
+//! structure.
 //!
 //! Two mechanisms bound and protect the fan-out:
 //!
@@ -16,34 +18,37 @@
 //!   therefore backpressures its own traffic instead of absorbing
 //!   unbounded connections.
 //! - **Dead-shard failover**: a transport failure marks the shard dead and
-//!   the request is retried on the next shard in the ring's clockwise
-//!   [`preference order`](HashRing::preference_order) — deterministic, and
+//!   the request is retried on the next shard in the key's
+//!   [`preference order`](preference_order) — deterministic, and
 //!   minimal-churn (only the dead shard's keys move). Requests are
 //!   idempotent pure simulations, so retrying on another shard can never
 //!   produce a different answer, only a colder cache.
-//!   [`Router::revive_dead`] probes dead shards and puts recovered ones
-//!   back on the ring.
+//!   [`Router::health`] probes every shard, dead ones included, and a
+//!   shard that answers with its health is alive again.
 //!
 //! The router relays bytes. It decodes a client's request only to compute
-//! its ring key, forwards the request frame unchanged, and returns the
+//! its route key, forwards the request frame unchanged, and returns the
 //! shard's Response or Error frame unchanged once the frame kind and the
 //! Response's canonical `{"id":<id>,` prefix check out. A reply that fails
 //! the check is a [`NetError::Protocol`], and its connection is dropped
 //! instead of pooled. The result cache holds a shard's Response payload
-//! after that prefix, keyed by cell key and workload name, so a hit
-//! splices in the new id and answers the shard's own bytes.
+//! after that prefix, keyed by route key and workload name, so a hit
+//! splices in the new id and answers the shard's own bytes. Equal route
+//! keys name the same design, shape and kernel override, so the cached
+//! bytes are correct whatever default cap the shards run with, as long as
+//! the shards agree on it.
 //!
 //! [`Router::bind`] additionally exposes the router itself as a frame
 //! server (the `rasa-router` binary), answering health probes with a
-//! [`RouterHealth`] aggregate that nests every live shard's
-//! [`HealthStatus`] — the per-shard cache-churn view the distributed soak
-//! reports.
+//! [`RouterHealth`] aggregate that nests the [`HealthStatus`] of every
+//! shard that answered — the per-shard cache-churn view the distributed
+//! soak reports.
 
 use crate::cache::LruCache;
-use crate::json::{FromJson, JsonError, JsonValue, ToJson};
+use crate::json::{array_member, member, u64_member, FromJson, JsonError, JsonValue, ToJson};
 use crate::key::CellKey;
 use crate::net::event_loop::EventLoop;
-use crate::net::hash::HashRing;
+use crate::net::hash::preference_order;
 use crate::net::wire::{
     ErrorCode, Frame, FrameKind, HealthStatus, WireFailure, WireRequest, WireResponse,
 };
@@ -70,22 +75,15 @@ pub enum AdmissionControl {
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Virtual nodes per shard on the consistent-hash ring.
-    pub vnodes: usize,
     /// Maximum requests concurrently outstanding to one shard.
     pub inflight_per_shard: usize,
     /// What happens when a shard's window is full: block the caller until
     /// a slot frees, or reject with a retryable `overloaded` error.
     pub admission: AdmissionControl,
-    /// The default matmul cap the shards run with. Must match the shards'
-    /// [`ServeConfig::matmul_cap`](crate::serve::ServeConfig::matmul_cap)
-    /// so the routing key equals the shard's memoization key.
-    pub matmul_cap: Option<usize>,
-    /// Bound on the router's own result cache (LRU over cell keys and
+    /// Bound on the router's own result cache (LRU over route keys and
     /// workload names), probed before any shard is contacted. `0` disables
-    /// the cache. Cells are
-    /// deterministic pure functions of their key (see DETERMINISM.md), so
-    /// cached results never need invalidation.
+    /// the cache. Cells are deterministic pure functions of their key (see
+    /// DETERMINISM.md), so cached results never need invalidation.
     pub result_cache_capacity: usize,
 }
 
@@ -95,10 +93,8 @@ pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 256;
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            vnodes: 64,
             inflight_per_shard: 32,
             admission: AdmissionControl::Block,
-            matmul_cap: crate::serve::ServeConfig::default().matmul_cap,
             result_cache_capacity: DEFAULT_RESULT_CACHE_CAPACITY,
         }
     }
@@ -193,33 +189,20 @@ impl ToJson for RouterStats {
 
 impl FromJson for RouterStats {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| JsonError::decode(format!("field '{name}' is not a u64")))
-        };
-        let per_shard = value
-            .get("per_shard")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("field 'per_shard' is not an array"))?
-            .iter()
-            .map(|n| {
+        Ok(RouterStats {
+            routed: u64_member(value, "routed")?,
+            remote_errors: u64_member(value, "remote_errors")?,
+            failovers: u64_member(value, "failovers")?,
+            dead_marked: u64_member(value, "dead_marked")?,
+            revived: u64_member(value, "revived")?,
+            window_blocked: u64_member(value, "window_blocked")?,
+            window_rejected: u64_member(value, "window_rejected")?,
+            cache_hits: u64_member(value, "cache_hits")?,
+            cache_misses: u64_member(value, "cache_misses")?,
+            per_shard: array_member(value, "per_shard", |n| {
                 n.as_u64()
                     .ok_or_else(|| JsonError::decode("per_shard entry is not a u64"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RouterStats {
-            routed: field("routed")?,
-            remote_errors: field("remote_errors")?,
-            failovers: field("failovers")?,
-            dead_marked: field("dead_marked")?,
-            revived: field("revived")?,
-            window_blocked: field("window_blocked")?,
-            window_rejected: field("window_rejected")?,
-            cache_hits: field("cache_hits")?,
-            cache_misses: field("cache_misses")?,
-            per_shard,
+            })?,
         })
     }
 }
@@ -259,32 +242,14 @@ impl ToJson for RouterHealth {
 
 impl FromJson for RouterHealth {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let dead = value
-            .get("dead")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("field 'dead' is not an array"))?
-            .iter()
-            .map(|n| {
+        Ok(RouterHealth {
+            stats: RouterStats::from_json(member(value, "stats")?)?,
+            dead: array_member(value, "dead", |n| {
                 n.as_u64()
                     .and_then(|v| u32::try_from(v).ok())
                     .ok_or_else(|| JsonError::decode("dead entry is not a u32"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let shards = value
-            .get("shards")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("field 'shards' is not an array"))?
-            .iter()
-            .map(HealthStatus::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(RouterHealth {
-            stats: RouterStats::from_json(
-                value
-                    .get("stats")
-                    .ok_or_else(|| JsonError::decode("missing field 'stats'"))?,
-            )?,
-            dead,
-            shards,
+            })?,
+            shards: array_member(value, "shards", HealthStatus::from_json)?,
         })
     }
 }
@@ -400,20 +365,19 @@ struct Counters {
 
 struct RouterCore {
     config: RouterConfig,
-    ring: HashRing,
     backends: Vec<Backend>,
     counters: Counters,
     /// The router's own result cache, probed before any shard: a shard's
-    /// Response payload after its `{"id":<id>,` prefix, keyed by cell key
+    /// Response payload after its `{"id":<id>,` prefix, keyed by route key
     /// and workload name. `None` when disabled by configuration.
     result_cache: Option<Mutex<LruCache<ReplyKey, Arc<[u8]>>>>,
 }
 
-/// What a shard's answer depends on: the cell and the workload name its
-/// report carries.
+/// What a shard's answer depends on: the request's route key and the
+/// workload name its report carries.
 type ReplyKey = (CellKey, String);
 
-/// A consistent-hashing request router over N shard backends.
+/// A rendezvous-hashing request router over N shard backends.
 pub struct Router {
     core: Arc<RouterCore>,
     server: Option<EventLoop>,
@@ -443,7 +407,6 @@ impl Router {
                 reason: "a router needs at least one shard address".to_string(),
             });
         }
-        let ring = HashRing::new(shard_addrs.len(), config.vnodes);
         let backends = shard_addrs
             .iter()
             .enumerate()
@@ -460,7 +423,6 @@ impl Router {
         Ok(Router {
             core: Arc::new(RouterCore {
                 config,
-                ring,
                 backends,
                 counters: Counters {
                     routed: AtomicU64::new(0),
@@ -521,11 +483,11 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// [`NetError::Remote`] for shard-reported failures, window rejection
-    /// in reject mode (a retryable `overloaded`) and unknown designs (no
-    /// key can be computed); [`NetError::Unavailable`] when every shard is
-    /// dead; [`NetError::Protocol`] when a shard answers with the wrong
-    /// frame kind or id.
+    /// [`NetError::Remote`] for shard-reported failures (an unknown design
+    /// among them) and window rejection in reject mode (a retryable
+    /// `overloaded`); [`NetError::Unavailable`] when every shard is dead;
+    /// [`NetError::Protocol`] when a shard answers with the wrong frame
+    /// kind or id.
     pub fn route(&self, request: &WireRequest) -> Result<WireResponse, NetError> {
         let reply = self.core.relay(
             request,
@@ -539,20 +501,9 @@ impl Router {
     ///
     /// # Errors
     ///
-    /// [`NetError::Remote`] when the named design does not exist.
+    /// None: every request has a route key, so this always returns `Ok`.
     pub fn home_shard(&self, request: &WireRequest) -> Result<u32, NetError> {
-        let key = request.shape_key(self.core.config.matmul_cap)?;
-        Ok(self
-            .core
-            .ring
-            .route_point(key.hash64())
-            .expect("constructor guarantees a non-empty ring"))
-    }
-
-    /// Probes every dead shard with a health frame and revives the ones
-    /// that answer. Returns the revived shard ids.
-    pub fn revive_dead(&self) -> Vec<u32> {
-        self.core.revive_dead()
+        Ok(preference_order(request.route_key().hash64(), self.core.backends.len())[0])
     }
 
     /// A point-in-time snapshot of the router's counters.
@@ -562,8 +513,10 @@ impl Router {
     }
 
     /// The router's health aggregate: its counters plus a fresh snapshot
-    /// from every shard that answers a probe (a shard that fails the
-    /// probe is marked dead and omitted).
+    /// from every shard that answers a probe. Every shard is probed, dead
+    /// ones included: a health reply marks a shard alive (reviving a dead
+    /// one), a transport failure marks it dead, and any other failure
+    /// leaves its state alone; only shards that answered are listed.
     #[must_use]
     pub fn health(&self) -> RouterHealth {
         self.core.health()
@@ -581,13 +534,10 @@ impl Router {
 impl RouterCore {
     /// Relays one request to its shard, with failover, and returns the
     /// shard's Response or Error frame unchanged. `request` is `frame`
-    /// decoded; the router uses it only for the ring key, the cache key
+    /// decoded; the router uses it only for the route key, the cache key
     /// and the id check.
     fn relay(&self, request: &WireRequest, frame: &Frame) -> Result<Frame, NetError> {
-        let key: ReplyKey = (
-            request.shape_key(self.config.matmul_cap)?,
-            request.workload.name().to_string(),
-        );
+        let key: ReplyKey = (request.route_key(), request.workload.name().to_string());
         let prefix = WireResponse::payload_prefix(request.id);
         if let Some(tail) = self.probe_result_cache(&key) {
             return Ok(Frame {
@@ -595,7 +545,7 @@ impl RouterCore {
                 payload: [prefix.as_bytes(), &tail].concat(),
             });
         }
-        let order = self.ring.preference_order_point(key.0.hash64());
+        let order = preference_order(key.0.hash64(), self.backends.len());
         let mut last_io: Option<NetError> = None;
         for (attempt, &shard) in order.iter().enumerate() {
             let backend = &self.backends[shard as usize];
@@ -635,10 +585,10 @@ impl RouterCore {
                     return Ok(reply);
                 }
                 // Transport failure: the shard is gone (or unreachable).
-                // Mark it dead and fail over clockwise. The request never
-                // reached a simulation, or reached one whose answer is a
-                // pure function of the request — either way the retry is
-                // safe.
+                // Mark it dead and fail over to the next shard in the
+                // preference order. The request never reached a
+                // simulation, or reached one whose answer is a pure
+                // function of the request — either way the retry is safe.
                 Err(NetError::Io { .. }) => {
                     if backend.alive.swap(false, Ordering::SeqCst) {
                         self.counters.dead_marked.fetch_add(1, Ordering::SeqCst);
@@ -693,22 +643,6 @@ impl RouterCore {
         }
     }
 
-    fn revive_dead(&self) -> Vec<u32> {
-        let mut revived = Vec::new();
-        for backend in &self.backends {
-            if backend.alive.load(Ordering::SeqCst) {
-                continue;
-            }
-            // Only a Health reply proves a shard is back.
-            if backend.probe().is_ok() {
-                backend.alive.store(true, Ordering::SeqCst);
-                self.counters.revived.fetch_add(1, Ordering::SeqCst);
-                revived.push(backend.shard);
-            }
-        }
-        revived
-    }
-
     fn stats(&self) -> RouterStats {
         RouterStats {
             routed: self.counters.routed.load(Ordering::SeqCst),
@@ -731,19 +665,23 @@ impl RouterCore {
     fn health(&self) -> RouterHealth {
         let mut shards = Vec::new();
         for backend in &self.backends {
-            if !backend.alive.load(Ordering::SeqCst) {
-                continue;
-            }
             match backend.probe().and_then(|reply| {
                 HealthStatus::from_json(&reply.payload_json()?).map_err(|e| NetError::Frame {
                     reason: format!("undecodable health payload: {e}"),
                 })
             }) {
-                Ok(health) => shards.push(health),
+                // Only a Health reply proves a shard is (back) up.
+                Ok(health) => {
+                    if !backend.alive.swap(true, Ordering::SeqCst) {
+                        self.counters.revived.fetch_add(1, Ordering::SeqCst);
+                    }
+                    shards.push(health);
+                }
                 Err(NetError::Io { .. }) => {
                     if backend.alive.swap(false, Ordering::SeqCst) {
                         self.counters.dead_marked.fetch_add(1, Ordering::SeqCst);
                     }
+                    backend.clear_pool();
                 }
                 Err(_) => {}
             }
@@ -827,36 +765,46 @@ mod tests {
     use rasa_numeric::ConvShape;
     use rasa_workloads::LayerSpec;
 
-    fn spawn_shards(count: u32) -> (Vec<ShardServer>, Vec<String>) {
+    /// A shard serving BASELINE and RASA-DMDB-WLS at default cap `cap`.
+    fn bind_shard(addr: &str, shard_id: u32, cap: usize) -> ShardServer {
         let designs = vec![DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
-        let mut shards = Vec::new();
-        let mut addrs = Vec::new();
-        for shard_id in 0..count {
-            let config = ShardConfig {
-                shard_id,
-                serve: ServeConfig {
-                    matmul_cap: Some(8),
-                    ..ServeConfig::default()
-                },
-            };
-            let shard = ShardServer::bind("127.0.0.1:0", config, &designs).unwrap();
-            addrs.push(shard.local_addr().to_string());
-            shards.push(shard);
-        }
+        let config = ShardConfig {
+            shard_id,
+            serve: ServeConfig {
+                matmul_cap: Some(cap),
+                ..ServeConfig::default()
+            },
+        };
+        ShardServer::bind(addr, config, &designs).unwrap()
+    }
+
+    fn spawn_shards(count: u32) -> (Vec<ShardServer>, Vec<String>) {
+        let shards: Vec<ShardServer> = (0..count)
+            .map(|shard_id| bind_shard("127.0.0.1:0", shard_id, 8))
+            .collect();
+        let addrs = shards.iter().map(|s| s.local_addr().to_string()).collect();
         (shards, addrs)
     }
 
-    fn router_config() -> RouterConfig {
+    fn uncached() -> RouterConfig {
         RouterConfig {
-            matmul_cap: Some(8),
+            result_cache_capacity: 0,
             ..RouterConfig::default()
         }
+    }
+
+    /// One request frame over `conn`, and its decoded answer.
+    fn exchange(conn: &mut TcpStream, request: &WireRequest) -> Result<WireResponse, NetError> {
+        Frame::json(FrameKind::Request, &request.to_json())
+            .write_to(conn)
+            .unwrap();
+        WireResponse::from_reply(&Frame::read_from(conn).unwrap(), request.id)
     }
 
     #[test]
     fn router_routes_to_the_home_shard() {
         let (shards, addrs) = spawn_shards(3);
-        let router = Router::new(&addrs, router_config()).unwrap();
+        let router = Router::new(&addrs, RouterConfig::default()).unwrap();
         for pass in 0..2 {
             for i in 0..6 {
                 let request = WireRequest::new(
@@ -903,7 +851,7 @@ mod tests {
         )
         .unwrap();
         let addrs = vec![rogue.local_addr().to_string()];
-        let router = Router::new(&addrs, router_config()).unwrap();
+        let router = Router::new(&addrs, RouterConfig::default()).unwrap();
 
         let request = WireRequest::new(7, "BASELINE", LayerSpec::fc("L", 64, 64, 128));
         let err = router.route(&request).unwrap_err();
@@ -934,19 +882,23 @@ mod tests {
         )
         .unwrap();
         let addrs = vec![rogue.local_addr().to_string()];
-        let router = Router::new(&addrs, router_config()).unwrap();
+        let router = Router::new(&addrs, RouterConfig::default()).unwrap();
         let backend = &router.core.backends[0];
         let pooled = || backend.pool.lock().expect("router pool lock").len();
 
-        // A health aggregate skips the rogue and drops its connection.
+        // A health aggregate skips the rogue and drops its connection, but
+        // a protocol failure is no transport failure: it stays alive.
         let health = router.health();
         assert!(health.shards.is_empty());
+        assert!(health.dead.is_empty());
         assert_eq!(pooled(), 0, "a wrong-kind probe reply must clear the pool");
 
         // Marked dead (as a transport failure would), the rogue now holds
         // the shard's address: its reply is no proof of a revived shard.
         backend.alive.store(false, Ordering::SeqCst);
-        assert!(router.revive_dead().is_empty());
+        let health = router.health();
+        assert!(health.shards.is_empty());
+        assert_eq!(health.dead, vec![0]);
         assert!(!backend.alive.load(Ordering::SeqCst));
         assert_eq!(router.stats().revived, 0);
         assert_eq!(pooled(), 0);
@@ -955,15 +907,8 @@ mod tests {
     #[test]
     fn result_cache_hits_replay_shard_identical_bytes() {
         let (shards, addrs) = spawn_shards(2);
-        let caching = Router::new(&addrs, router_config()).unwrap();
-        let direct = Router::new(
-            &addrs,
-            RouterConfig {
-                result_cache_capacity: 0,
-                ..router_config()
-            },
-        )
-        .unwrap();
+        let caching = Router::new(&addrs, RouterConfig::default()).unwrap();
+        let direct = Router::new(&addrs, uncached()).unwrap();
 
         // Warm the caching router, then compare a cache hit against a real
         // shard round trip for the same request: byte-identical JSON.
@@ -1007,13 +952,42 @@ mod tests {
         }
     }
 
+    /// The router caches under the kernel as sent, not under a kernel it
+    /// resolved with a cap of its own: a request with no kernel and one
+    /// with an explicit 4 096-capped default kernel are different cells on
+    /// a shard running cap 1 024, and the second must not be answered with
+    /// the first's bytes.
+    #[test]
+    fn result_cache_keys_on_the_kernel_as_sent() {
+        let shard = bind_shard("127.0.0.1:0", 0, 1024);
+        let addr = shard.local_addr().to_string();
+        let router = Router::new(std::slice::from_ref(&addr), RouterConfig::default()).unwrap();
+        let layer = LayerSpec::fc("DLRM-1", 512, 1024, 1024);
+        let implicit = WireRequest::new(1, "BASELINE", layer.clone());
+        let explicit = WireRequest::new(2, "BASELINE", layer)
+            .with_kernel(rasa_trace::GemmKernelConfig::default().with_max_matmuls(4096));
+
+        let first = router.route(&implicit).unwrap();
+        let second = router.route(&explicit).unwrap();
+        let direct = exchange(&mut TcpStream::connect(&addr).unwrap(), &explicit).unwrap();
+        assert_eq!(first.report.simulated_matmuls, 1024, "the shard's own cap");
+        assert_eq!(direct.report.simulated_matmuls, 4096, "the request's cap");
+        assert_eq!(
+            second.to_json().to_string_compact(),
+            direct.to_json().to_string_compact()
+        );
+        let stats = router.stats();
+        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
+        shard.shutdown();
+    }
+
     /// One request frame through a bound router and straight to a shard:
     /// the router forwards the shard's Response bytes, on a cache miss and
     /// on a cache hit that carries a new id.
     #[test]
     fn bound_router_forwards_shard_reply_bytes() {
         let (shards, addrs) = spawn_shards(1);
-        let router = Router::bind("127.0.0.1:0", &addrs, router_config()).unwrap();
+        let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
         let mut via_router = TcpStream::connect(router.local_addr().unwrap()).unwrap();
         let mut direct = TcpStream::connect(&addrs[0]).unwrap();
         let exchange = |conn: &mut TcpStream, request: &WireRequest| {
@@ -1067,7 +1041,7 @@ mod tests {
         let router = Router::bind(
             "127.0.0.1:0",
             &[rogue.local_addr().to_string()],
-            router_config(),
+            RouterConfig::default(),
         )
         .unwrap();
         let pooled = || router.core.backends[0].pool.lock().unwrap().len();
@@ -1113,7 +1087,7 @@ mod tests {
         let router = Router::bind(
             "127.0.0.1:0",
             &[rogue.local_addr().to_string()],
-            router_config(),
+            RouterConfig::default(),
         )
         .unwrap();
         let request = WireRequest::new(7, "BASELINE", LayerSpec::fc("L", 64, 64, 128));
@@ -1140,14 +1114,7 @@ mod tests {
         // The same request is routed repeatedly and must reach a shard
         // every time for the failover machinery to engage — disable the
         // result cache, which would otherwise answer the replays itself.
-        let router = Router::new(
-            &addrs,
-            RouterConfig {
-                result_cache_capacity: 0,
-                ..router_config()
-            },
-        )
-        .unwrap();
+        let router = Router::new(&addrs, uncached()).unwrap();
         let request = WireRequest::new(1, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
         let home = router.home_shard(&request).unwrap();
 
@@ -1163,24 +1130,48 @@ mod tests {
         assert_eq!(router.health().dead, vec![home]);
 
         // Nothing to revive while the shard is down...
-        assert!(router.revive_dead().is_empty());
-        // ...but a resurrected shard at the same address comes back.
-        let designs = vec![DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
-        let resurrected = ShardServer::bind(
-            &addrs[home as usize],
-            ShardConfig {
-                shard_id: home,
-                serve: ServeConfig {
-                    matmul_cap: Some(8),
-                    ..ServeConfig::default()
-                },
-            },
-            &designs,
-        )
-        .unwrap();
-        assert_eq!(router.revive_dead(), vec![home]);
+        assert_eq!(router.health().dead, vec![home]);
+        assert_eq!(router.stats().revived, 0);
+        // ...but a resurrected shard at the same address comes back on the
+        // next health probe.
+        let resurrected = bind_shard(&addrs[home as usize], home, 8);
+        let health = router.health();
+        assert!(health.dead.is_empty());
+        assert_eq!(health.shards.len(), 2);
+        let stats = router.stats();
+        assert_eq!((stats.revived, stats.dead_marked), (1, 1));
         let response = router.route(&request).unwrap();
         assert_eq!(response.shard, home, "revived shard gets its keys back");
+        resurrected.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    /// A bound router that marked its shard dead takes it back on the next
+    /// health frame a client sends it, and routes to it again.
+    #[test]
+    fn health_frames_revive_a_recovered_shard() {
+        let (mut shards, addrs) = spawn_shards(2);
+        let router = Router::bind("127.0.0.1:0", &addrs, uncached()).unwrap();
+        let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        let request = WireRequest::new(1, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+        let home = router.home_shard(&request).unwrap();
+
+        shards.remove(home as usize).shutdown();
+        assert_ne!(exchange(&mut conn, &request).unwrap().shard, home);
+        assert_eq!(router.stats().dead_marked, 1);
+
+        let resurrected = bind_shard(&addrs[home as usize], home, 8);
+        Frame::health_probe().write_to(&mut conn).unwrap();
+        let reply = Frame::read_from(&mut conn).unwrap();
+        assert_eq!(reply.kind, FrameKind::Health);
+        let health = RouterHealth::from_json(&reply.payload_json().unwrap()).unwrap();
+        assert!(health.dead.is_empty(), "dead: {:?}", health.dead);
+        assert_eq!(health.stats.revived, 1);
+        assert_eq!(exchange(&mut conn, &request).unwrap().shard, home);
+
+        router.shutdown();
         resurrected.shutdown();
         for shard in shards {
             shard.shutdown();
@@ -1190,9 +1181,10 @@ mod tests {
     #[test]
     fn router_surfaces_remote_errors_and_unavailability() {
         let (shards, addrs) = spawn_shards(2);
-        let router = Router::new(&addrs, router_config()).unwrap();
+        let router = Router::new(&addrs, RouterConfig::default()).unwrap();
         let bad = WireRequest::new(5, "NO-SUCH", LayerSpec::fc("DLRM-1", 64, 128, 128));
-        // An unknown design never reaches a shard: no key can be computed.
+        // The router does not resolve designs: an unknown one reaches its
+        // home shard, whose `unknown_design` error comes back unchanged.
         let err = router.route(&bad).unwrap_err();
         assert!(matches!(
             err,
@@ -1201,6 +1193,8 @@ mod tests {
                 ..
             }
         ));
+        let stats = router.stats();
+        assert_eq!((stats.remote_errors, stats.routed), (1, 0));
         for shard in shards {
             shard.shutdown();
         }
@@ -1214,7 +1208,7 @@ mod tests {
     #[test]
     fn bound_router_serves_frames() {
         let (shards, addrs) = spawn_shards(2);
-        let router = Router::bind("127.0.0.1:0", &addrs, router_config()).unwrap();
+        let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
         let addr = router.local_addr().unwrap();
         let mut conn = TcpStream::connect(addr).unwrap();
 
@@ -1250,10 +1244,10 @@ mod tests {
 
     #[test]
     fn bound_router_answers_invalid_conv_shapes_with_bad_request() {
-        // Routing renders the cell key, which lowers the conv: a stride-0
+        // Routing renders the route key, which lowers the conv: a stride-0
         // shape once divided by zero there and panicked the worker.
         let (shards, addrs) = spawn_shards(1);
-        let router = Router::bind("127.0.0.1:0", &addrs, router_config()).unwrap();
+        let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
         let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
         let stride_zero = ConvShape::new(1, 3, 8, 8, 4, 3, 3, 0, 1);
         let filter_too_large = ConvShape::new(1, 3, 4, 4, 4, 7, 7, 1, 1);
@@ -1297,7 +1291,7 @@ mod tests {
 
     #[test]
     fn empty_shard_list_is_rejected() {
-        let err = Router::new(&[], router_config()).unwrap_err();
+        let err = Router::new(&[], RouterConfig::default()).unwrap_err();
         assert!(matches!(err, SimError::InvalidExperiment { .. }));
     }
 }

@@ -6,7 +6,7 @@
 //! [`GemmServer::submit`] call on the loop worker that decoded it: one hop,
 //! no further queue. The loop runs one worker per available core, because
 //! its handlers simulate. The server's bounded LRU cell cache is what
-//! makes a shard "warm": the router keeps sending the same shape keys
+//! makes a shard "warm": the router keeps sending the same route keys
 //! here, and they keep hitting this shard's cache.
 //!
 //! The `rasa-shardd` binary is a thin wrapper over this type.

@@ -23,7 +23,10 @@
 //! [`Frame::append_to`] is the one encoder. The full byte-level spec with a
 //! worked hex example lives in `docs/WIRE_PROTOCOL.md`.
 
-use crate::json::{FromJson, JsonError, JsonValue, ToJson};
+use crate::json::{
+    array_member, member, string_member, u64_member, usize_member, FromJson, JsonError, JsonValue,
+    ToJson,
+};
 use crate::key::CellKey;
 use crate::net::NetError;
 use crate::prof::{self, Stage};
@@ -418,7 +421,8 @@ impl WireRequest {
         self
     }
 
-    /// Resolves the named design and builds the corresponding [`SimJob`].
+    /// Resolves the named design and builds the corresponding [`SimJob`]:
+    /// the shard's design lookup (a router never resolves designs).
     ///
     /// # Errors
     ///
@@ -436,18 +440,22 @@ impl WireRequest {
         Ok(job)
     }
 
-    /// The interned semantic shape key the router consistent-hashes on —
-    /// identical to the cell key the shard's runner memoizes under (see
-    /// [`SimJob::cell_key`]), so a shape always lands on the shard whose
-    /// LRU cell cache is warm for it. The key carries its precomputed
-    /// 64-bit ring point ([`CellKey::hash64`]), so routing never re-hashes
-    /// the rendered text.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`to_job`](Self::to_job).
-    pub fn shape_key(&self, default_matmul_cap: Option<usize>) -> Result<CellKey, NetError> {
-        Ok(self.to_job()?.cell_key(default_matmul_cap))
+    /// The interned key the router routes and caches under:
+    /// `"{design}|{gemm_shape:?}|{kernel:?}"` — the design *name*, the
+    /// lowered GEMM shape and the kernel override *as sent* (`None` and an
+    /// explicit default kernel are different keys). Equal keys name the
+    /// same design, shape and override, so every shard running the same
+    /// default cap answers them with the same numbers; the router needs no
+    /// shard configuration to compute it. The key carries its precomputed
+    /// 64-bit routing point ([`CellKey::hash64`]).
+    #[must_use]
+    pub fn route_key(&self) -> CellKey {
+        CellKey::new(format!(
+            "{}|{:?}|{:?}",
+            self.design,
+            self.workload.gemm_shape(),
+            self.kernel
+        ))
     }
 }
 
@@ -474,20 +482,9 @@ impl FromJson for WireRequest {
             Some(node) => Some(GemmKernelConfig::from_json(node)?),
         };
         Ok(WireRequest {
-            id: value
-                .get("id")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| JsonError::decode("field 'id' is not a u64"))?,
-            design: value
-                .get("design")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| JsonError::decode("field 'design' is not a string"))?
-                .to_string(),
-            workload: LayerSpec::from_json(
-                value
-                    .get("workload")
-                    .ok_or_else(|| JsonError::decode("missing field 'workload'"))?,
-            )?,
+            id: u64_member(value, "id")?,
+            design: string_member(value, "design")?,
+            workload: LayerSpec::from_json(member(value, "workload")?)?,
             kernel,
         })
     }
@@ -582,28 +579,19 @@ impl ToJson for WireResponse {
 
 impl FromJson for WireResponse {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let shard_u64 = value
-            .get("shard")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| JsonError::decode("field 'shard' is not a u64"))?;
         Ok(WireResponse {
-            id: value
-                .get("id")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| JsonError::decode("field 'id' is not a u64"))?,
-            shard: u32::try_from(shard_u64)
-                .map_err(|_| JsonError::decode("field 'shard' exceeds u32"))?,
-            batch_size: value
-                .get("batch_size")
-                .and_then(JsonValue::as_usize)
-                .ok_or_else(|| JsonError::decode("field 'batch_size' is not a usize"))?,
-            report: SimReport::from_json(
-                value
-                    .get("report")
-                    .ok_or_else(|| JsonError::decode("missing field 'report'"))?,
-            )?,
+            id: u64_member(value, "id")?,
+            shard: shard_member(value)?,
+            batch_size: usize_member(value, "batch_size")?,
+            report: SimReport::from_json(member(value, "report")?)?,
         })
     }
+}
+
+/// The `shard` member of a response or health payload: a `u32` shard id.
+fn shard_member(value: &JsonValue) -> Result<u32, JsonError> {
+    u32::try_from(u64_member(value, "shard")?)
+        .map_err(|_| JsonError::decode("field 'shard' exceeds u32"))
 }
 
 /// The payload of an error frame.
@@ -643,21 +631,9 @@ impl ToJson for WireFailure {
 impl FromJson for WireFailure {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
         Ok(WireFailure {
-            id: value
-                .get("id")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| JsonError::decode("field 'id' is not a u64"))?,
-            code: ErrorCode::from_str_lossy(
-                value
-                    .get("code")
-                    .and_then(JsonValue::as_str)
-                    .ok_or_else(|| JsonError::decode("field 'code' is not a string"))?,
-            ),
-            message: value
-                .get("message")
-                .and_then(JsonValue::as_str)
-                .ok_or_else(|| JsonError::decode("field 'message' is not a string"))?
-                .to_string(),
+            id: u64_member(value, "id")?,
+            code: ErrorCode::from_str_lossy(&string_member(value, "code")?),
+            message: string_member(value, "message")?,
         })
     }
 }
@@ -699,39 +675,16 @@ impl ToJson for HealthStatus {
 
 impl FromJson for HealthStatus {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let shard_u64 = value
-            .get("shard")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| JsonError::decode("field 'shard' is not a u64"))?;
-        let designs = value
-            .get("designs")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("field 'designs' is not an array"))?
-            .iter()
-            .map(|d| {
+        Ok(HealthStatus {
+            shard: shard_member(value)?,
+            designs: array_member(value, "designs", |d| {
                 d.as_str()
                     .map(str::to_string)
                     .ok_or_else(|| JsonError::decode("design entry is not a string"))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(HealthStatus {
-            shard: u32::try_from(shard_u64)
-                .map_err(|_| JsonError::decode("field 'shard' exceeds u32"))?,
-            designs,
-            served: value
-                .get("served")
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| JsonError::decode("field 'served' is not a u64"))?,
-            serve: ServeStats::from_json(
-                value
-                    .get("serve")
-                    .ok_or_else(|| JsonError::decode("missing field 'serve'"))?,
-            )?,
-            cache: CacheStats::from_json(
-                value
-                    .get("cache")
-                    .ok_or_else(|| JsonError::decode("missing field 'cache'"))?,
-            )?,
+            })?,
+            served: u64_member(value, "served")?,
+            serve: ServeStats::from_json(member(value, "serve")?)?,
+            cache: CacheStats::from_json(member(value, "cache")?)?,
         })
     }
 }
@@ -864,22 +817,33 @@ mod tests {
     }
 
     #[test]
-    fn shape_key_matches_the_runners_cell_key() {
-        let request = WireRequest::new(9, "BASELINE", LayerSpec::fc("DLRM-1", 512, 1024, 1024));
-        let runner = crate::ExperimentRunner::builder()
-            .with_matmul_cap(Some(64))
-            .build()
-            .unwrap();
-        let key = request.shape_key(Some(64)).unwrap();
-        assert_eq!(key, runner.job_key(&request.to_job().unwrap()));
+    fn route_keys_follow_the_request_as_sent() {
+        let layer = LayerSpec::fc("DLRM-1", 512, 1024, 1024);
+        let request = WireRequest::new(9, "BASELINE", layer.clone());
+        let key = request.route_key();
+        assert_eq!(
+            key.as_str(),
+            "BASELINE|GemmShape { m: 512, k: 1024, n: 1024 }|None"
+        );
         // Re-batched layers at the same lowered shape share the key — the
-        // property shard-warm routing relies on.
+        // property shard-warm routing relies on — whatever their name.
         let rebatched = WireRequest::new(
             10,
             "BASELINE",
-            LayerSpec::fc("DLRM-1", 512, 1024, 1024).with_batch(512),
+            LayerSpec::fc("DLRM-1-b512", 64, 1024, 1024).with_batch(512),
         );
-        assert_eq!(rebatched.shape_key(Some(64)).unwrap(), key);
+        assert_eq!(rebatched.route_key(), key);
+        // Different kernels are different keys, and an explicit default
+        // kernel is not the same key as no kernel: the shard resolves
+        // `None` with its own cap.
+        let default_kernel = request.clone().with_kernel(GemmKernelConfig::default());
+        let capped = request.with_kernel(GemmKernelConfig::default().with_max_matmuls(64));
+        assert_ne!(default_kernel.route_key(), key);
+        assert_ne!(capped.route_key(), key);
+        assert_ne!(capped.route_key(), default_kernel.route_key());
+        // The design travels by name: an unknown one still has a key.
+        let unknown = WireRequest::new(11, "NOT-A-DESIGN", layer);
+        assert!(unknown.route_key().as_str().starts_with("NOT-A-DESIGN|"));
     }
 
     #[test]

@@ -90,9 +90,9 @@ impl SimJob {
     /// default matmul cap: design + lowered GEMM shape + resolved kernel.
     ///
     /// This is the key [`ExperimentRunner`] memoizes under, computable
-    /// without a runner — the network
-    /// router uses it to consistent-hash a request onto the shard whose
-    /// cell cache is warm for the shape.
+    /// without a runner. (The network router routes on the request as
+    /// sent instead — see
+    /// [`WireRequest::route_key`](crate::net::WireRequest::route_key).)
     ///
     /// The kernel half of the key is the kernel's `Debug` rendering, which
     /// covers every scheme axis (two kernels differing only in register
@@ -111,8 +111,7 @@ impl SimJob {
 
     /// The interned form of [`semantic_key`](Self::semantic_key): the same
     /// bytes, rendered and hashed exactly once. This is what the runner
-    /// memoizes under and the router consistent-hashes — one rendering
-    /// per request end-to-end.
+    /// memoizes under — one rendering per cell probe.
     #[must_use]
     pub fn cell_key(&self, default_matmul_cap: Option<usize>) -> CellKey {
         CellKey::new(self.semantic_key(default_matmul_cap))

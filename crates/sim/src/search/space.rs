@@ -12,10 +12,7 @@
 //! pre-filter additionally discards kernel combinations whose
 //! instruction-class costs are dominated by another combination destined
 //! for the same hardware genotype, so obviously wasteful kernels never
-//! reach full simulation; an opt-in cache-aware widening
-//! ([`SearchSpaceBuilder::with_cache_aware_kernel_filter`]) adds A/B-panel
-//! traffic proxies for a concrete GEMM shape to the dominance test, letting
-//! shape-matched blocks survive. The surviving [`Genotype`]s are enumerated once,
+//! reach full simulation. The surviving [`Genotype`]s are enumerated once,
 //! in a deterministic axis-major order, so every strategy (and every
 //! seeded random draw) indexes the same list.
 
@@ -24,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rasa_cpu::CpuConfig;
 use rasa_isa::IsaConfig;
-use rasa_numeric::{GemmShape, RegisterBlock};
+use rasa_numeric::RegisterBlock;
 use rasa_systolic::{ControlScheme, PeVariant, SystolicConfig};
 use rasa_trace::{GemmKernelConfig, KernelSchemeBuilder, LoopOrder, MatmulOrder};
 use std::fmt;
@@ -124,46 +121,6 @@ impl KernelGenotype {
         let (mem_a, scalar_a) = self.cost_proxies();
         let (mem_b, scalar_b) = other.cost_proxies();
         mem_b <= mem_a && scalar_b <= scalar_a && (mem_b < mem_a || scalar_b < scalar_a)
-    }
-
-    /// Cache-hierarchy traffic proxies per useful `rasa_mm` for a concrete
-    /// GEMM shape: `(a_traffic, b_traffic)`, the fraction of the A
-    /// (respectively B) register-tile grid re-fetched per unit of matrix
-    /// work when this block streams the AMX-like tile grid.
-    ///
-    /// A block holding `n` live B tiles sweeps the whole A panel once per
-    /// N block column — `ceil(Nt / n)` passes over `Nt` columns of useful
-    /// work — and symmetrically `ceil(Mt / m)` passes over the B panel.
-    /// The ceiling is what makes the model shape-dependent: a block whose
-    /// extent does not divide the tile grid pays a ragged final pass, so
-    /// rankings can flip between shapes where the shape-blind
-    /// [`cost_proxies`](Self::cost_proxies) model must abstain.
-    #[must_use]
-    pub fn cache_traffic_proxies(&self, shape: GemmShape) -> (f64, f64) {
-        let tile = GemmKernelConfig::amx_like().tiling;
-        let (mt, _, nt) = shape.tile_counts(tile.tm, tile.tk, tile.tn);
-        let (mt, nt) = (mt.max(1), nt.max(1));
-        let a_passes = nt.div_ceil(self.block.n);
-        let b_passes = mt.div_ceil(self.block.m);
-        (a_passes as f64 / nt as f64, b_passes as f64 / mt as f64)
-    }
-
-    /// Shape-aware widening of
-    /// [`is_cost_dominated_by`](Self::is_cost_dominated_by): dominance
-    /// additionally requires `other` to be at least as cheap in A- and
-    /// B-panel cache traffic for `shape`, and strictly cheaper in at least
-    /// one of the four proxies. More dimensions mean *fewer* prunes — a
-    /// kernel that loses on instruction counts can survive by touching
-    /// less memory for this particular shape.
-    #[must_use]
-    pub fn is_cache_cost_dominated_by(&self, other: &KernelGenotype, shape: GemmShape) -> bool {
-        let (mem_a, scalar_a) = self.cost_proxies();
-        let (mem_b, scalar_b) = other.cost_proxies();
-        let (at_a, bt_a) = self.cache_traffic_proxies(shape);
-        let (at_b, bt_b) = other.cache_traffic_proxies(shape);
-        let no_worse = mem_b <= mem_a && scalar_b <= scalar_a && at_b <= at_a && bt_b <= bt_a;
-        let better = mem_b < mem_a || scalar_b < scalar_a || at_b < at_a || bt_b < bt_a;
-        no_worse && better
     }
 
     /// Materializes the kernel genotype into a validated
@@ -657,7 +614,6 @@ pub struct SearchSpaceBuilder {
     in_flight_depths: Option<Vec<usize>>,
     clock_ratio: Option<u32>,
     kernel_axes: Option<KernelAxes>,
-    cache_filter_shape: Option<GemmShape>,
 }
 
 impl SearchSpaceBuilder {
@@ -710,22 +666,6 @@ impl SearchSpaceBuilder {
     #[must_use]
     pub fn with_custom_kernel_axes(mut self, axes: KernelAxes) -> Self {
         self.kernel_axes = Some(axes);
-        self
-    }
-
-    /// Widens the joint-mode cost-model pre-filter with the
-    /// cache-hierarchy traffic proxies evaluated for `shape`
-    /// ([`KernelGenotype::is_cache_cost_dominated_by`]): kernels then also
-    /// survive by touching less A- or B-panel memory on that shape, even
-    /// when their instruction-class counts lose.
-    ///
-    /// Opt-in: without this call the pre-filter uses only the shape-blind
-    /// instruction-class proxies, so existing spaces (and the goldens
-    /// pinned to them) are unchanged. Has no effect on hardware-only
-    /// spaces.
-    #[must_use]
-    pub fn with_cache_aware_kernel_filter(mut self, shape: GemmShape) -> Self {
-        self.cache_filter_shape = Some(shape);
         self
     }
 
@@ -818,14 +758,9 @@ impl SearchSpaceBuilder {
             // never beat it on any candidate and is dropped here, before
             // any simulation.
             let combos = axes.enumerate();
-            let cache_shape = self.cache_filter_shape;
-            let dominated = |combo: &KernelGenotype, other: &KernelGenotype| match cache_shape {
-                Some(shape) => combo.is_cache_cost_dominated_by(other, shape),
-                None => combo.is_cost_dominated_by(other),
-            };
             kernel_candidates = combos
                 .iter()
-                .filter(|combo| !combos.iter().any(|other| dominated(combo, other)))
+                .filter(|combo| !combos.iter().any(|other| combo.is_cost_dominated_by(other)))
                 .copied()
                 .collect();
         }
@@ -1099,67 +1034,6 @@ mod tests {
         assert!(!base.is_cost_dominated_by(&interleaved));
         // A kernel never dominates itself.
         assert!(!base.is_cost_dominated_by(&base));
-    }
-
-    #[test]
-    fn cache_aware_filter_widens_the_dlrm2_survivor_set() {
-        // DLRM-2's fc GEMM (M=512, K=1024, N=64) covers Mt=32 x Nt=4
-        // register tiles, so a 3x1 block sweeps the B panel in
-        // ceil(32/3)=11 passes against the 2x2 block's 16: cheaper B
-        // traffic that the shape-blind model cannot see. The widened
-        // filter must let it through while still pruning everything that
-        // loses on every axis.
-        let shape = GemmShape::new(512, 1024, 64);
-        let tall = KernelGenotype {
-            block: RegisterBlock { m: 3, n: 1 },
-            unroll: true,
-            ..KernelGenotype::default()
-        };
-        let square = KernelGenotype {
-            unroll: true,
-            ..KernelGenotype::default()
-        };
-        assert!(tall.is_cost_dominated_by(&square), "shape-blind prunes 3x1");
-        assert!(
-            !tall.is_cache_cost_dominated_by(&square, shape),
-            "3x1 touches less B-panel memory on DLRM-2, so it survives"
-        );
-        let (_, b_tall) = tall.cache_traffic_proxies(shape);
-        let (_, b_square) = square.cache_traffic_proxies(shape);
-        assert!((b_tall - 11.0 / 32.0).abs() < 1e-12);
-        assert!((b_square - 0.5).abs() < 1e-12);
-
-        let space = SearchSpace::builder()
-            .with_kernel_axes()
-            .with_cache_aware_kernel_filter(shape)
-            .build()
-            .expect("cache-aware joint space is valid");
-        let survivors = space.kernel_candidates();
-        let shapes: Vec<(usize, usize, MatmulOrder)> = survivors
-            .iter()
-            .map(|k| (k.block.m, k.block.n, k.matmul_order))
-            .collect();
-        assert_eq!(
-            shapes,
-            vec![
-                (2, 2, MatmulOrder::WeightPaired),
-                (2, 2, MatmulOrder::Interleaved),
-                (3, 1, MatmulOrder::WeightPaired),
-                (3, 1, MatmulOrder::Interleaved),
-            ],
-            "survivors: {survivors:?}"
-        );
-        for kernel in survivors {
-            assert_eq!(kernel.loop_order, LoopOrder::KInnermost);
-            assert!(kernel.unroll, "rolled kernels still lose on every axis");
-        }
-        assert_eq!(space.kernel_cost_pruned(), 36);
-        assert!(space.to_string().contains("4 kernel schemes"));
-        assert!(space.to_string().contains("36 cost-dominated pruned"));
-
-        // The default (shape-blind) joint space is untouched by the new
-        // machinery: 2 survivors, exactly as the goldens pin.
-        assert_eq!(SearchSpace::explorer_joint().kernel_candidates().len(), 2);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Serving-side counters and latency aggregation.
 
-use crate::json::{FromJson, JsonError, JsonValue, ToJson};
+use crate::json::{u64_member, FromJson, JsonError, JsonValue, ToJson};
 
 /// Monotonic counters of a [`GemmServer`](crate::serve::GemmServer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -32,16 +32,10 @@ impl ToJson for ServeStats {
 
 impl FromJson for ServeStats {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let field = |name: &str| {
-            value
-                .get(name)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| JsonError::decode(format!("field '{name}' is not a u64")))
-        };
         Ok(ServeStats {
-            submitted: field("submitted")?,
-            completed: field("completed")?,
-            batches: field("batches")?,
+            submitted: u64_member(value, "submitted")?,
+            completed: u64_member(value, "completed")?,
+            batches: u64_member(value, "batches")?,
         })
     }
 }

@@ -28,6 +28,13 @@ fn arb_stream() -> impl Strategy<Value = Vec<(u8, bool, u64)>> {
     proptest::collection::vec(((4u8..8), any::<bool>(), 0u64..40), 1..60)
 }
 
+/// A random event stream over the weight registers: a write to a register
+/// (`true`, reported through `note_tile_write`) or a `rasa_mm` using it as
+/// its weight operand (`false`).
+fn arb_events() -> impl Strategy<Value = Vec<(u8, bool)>> {
+    proptest::collection::vec(((4u8..8), any::<bool>()), 1..80)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -89,6 +96,36 @@ proptest! {
             stats.weight_bypasses + stats.weight_prefetches + stats.full_weight_loads,
             stats.matmuls
         );
+    }
+
+    /// The weight-bypass rule (RASA-WLBP's dirty bit): a `submit` skips
+    /// Weight Load exactly when the scheme supports bypass, the previous
+    /// `submit` used the same weight register, and no `note_tile_write` on
+    /// that register came in between. Writes to other registers do not
+    /// matter.
+    #[test]
+    fn weight_bypass_follows_the_dirty_bit_rule(config in arb_config(), events in arb_events()) {
+        let mut engine = MatrixEngine::new(config);
+        let tile = TileDims::full(&config);
+        let supported = config.control().supports_weight_bypass();
+        // The previous submit's weight register, forgotten once rewritten.
+        let mut reusable: Option<TileReg> = None;
+        for (reg, is_write) in events {
+            let reg = TileReg::new(reg).unwrap();
+            if is_write {
+                engine.note_tile_write(reg);
+                if reusable == Some(reg) {
+                    reusable = None;
+                }
+            } else {
+                let timing = engine
+                    .submit(MmRequest::ready_at(reg, tile, 0))
+                    .expect("full tiles always fit the paper configurations")
+                    .timing;
+                prop_assert_eq!(timing.weight_bypassed, supported && reusable == Some(reg));
+                reusable = Some(reg);
+            }
+        }
     }
 
     /// More aggressive control schemes never produce a later busy horizon

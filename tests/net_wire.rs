@@ -1,13 +1,14 @@
 //! Cross-crate checks of the networked serving tier through the public
-//! facade: property tests of the framed wire protocol, consistent-hash
-//! ring behaviour, and a loopback shard/router/client integration proving
+//! facade: property tests of the framed wire protocol, rendezvous
+//! routing, and a loopback shard/router/client integration proving
 //! distributed answers are byte-identical to in-process serving — the
 //! wire adds transport, never meaning.
 
 use proptest::prelude::*;
 use rasa::prelude::*;
+use rasa::sim::net::hash::{preference_order, ring_point};
 use rasa::sim::net::{
-    AdmissionControl, ErrorCode, Frame, FrameDecoder, FrameKind, HashRing, NetError, RouterConfig,
+    AdmissionControl, ErrorCode, Frame, FrameDecoder, FrameKind, NetError, RouterConfig,
     ShardConfig, WireFailure, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,
 };
 use std::io::Write;
@@ -132,23 +133,32 @@ proptest! {
         prop_assert_eq!(decoded, expected);
     }
 
-    /// Ring routing is deterministic and total: the same key always lands
-    /// on the same shard, and every shard id is in range.
+    /// Rendezvous routing is deterministic and total: the same request
+    /// always ranks the shards the same way, on any router over the same
+    /// shard count, the order visits every shard exactly once, and it
+    /// starts at the router's home shard.
     #[test]
-    fn hash_ring_routes_deterministically(
-        shards in 1usize..8,
-        vnodes in 1usize..96,
-        key_seed in any::<u64>(),
+    fn rendezvous_order_is_deterministic(
+        shards in 1usize..9,
+        m in 1usize..96,
+        design_index in 0usize..2,
     ) {
-        let ring = HashRing::new(shards, vnodes);
-        let key = format!("cell-{key_seed:x}");
-        let shard = ring.route(&key).expect("non-empty ring always routes");
-        prop_assert!((shard as usize) < shards);
-        prop_assert_eq!(ring.route(&key), Some(shard), "routing must be stable");
+        let design = ["BASELINE", "RASA-DMDB-WLS"][design_index];
+        let request = WireRequest::new(0, design, small_layer(m, 64, 32));
+        let point = request.route_key().hash64();
+        let order = preference_order(point, shards);
+        prop_assert_eq!(&preference_order(point, shards), &order, "routing must be stable");
+        let mut sorted = order.clone();
+        sorted.sort_unstable();
+        prop_assert_eq!(sorted, (0..shards as u32).collect::<Vec<_>>());
 
-        let order = ring.preference_order(&key);
-        prop_assert_eq!(order.len(), shards, "failover order visits every shard once");
-        prop_assert_eq!(order[0], shard, "preference order starts at the home shard");
+        // Routers hold no placement state: two of them agree, and their
+        // home shard is the order's first entry. No shard is dialled.
+        let addrs: Vec<String> = (0..shards).map(|s| format!("127.0.0.1:{}", 1 + s)).collect();
+        for _ in 0..2 {
+            let router = Router::new(&addrs, RouterConfig::default()).unwrap();
+            prop_assert_eq!(router.home_shard(&request).unwrap(), order[0]);
+        }
     }
 }
 
@@ -169,19 +179,20 @@ fn oversized_frames_are_rejected_before_allocation() {
 
 #[test]
 fn killing_a_shard_moves_only_its_keys() {
-    let ring = HashRing::new(4, 64);
-    let keys: Vec<String> = (0..400).map(|i| format!("cell-{i}")).collect();
-    let homes: Vec<u32> = keys
-        .iter()
-        .map(|k| ring.route(k).expect("non-empty ring"))
+    let orders: Vec<Vec<u32>> = (0..400)
+        .map(|i| preference_order(ring_point(format!("cell-{i}").as_bytes()), 4))
         .collect();
-    let dead = homes[0];
-    for (key, home) in keys.iter().zip(&homes) {
-        let rerouted = ring.route_alive(key, |shard| shard != dead);
-        if *home == dead {
-            assert_ne!(rerouted, Some(dead), "dead shard must not be chosen");
+    let dead = orders[0][0];
+    for order in &orders {
+        let rerouted = order.iter().copied().find(|&shard| shard != dead);
+        if order[0] == dead {
+            assert_eq!(
+                rerouted,
+                Some(order[1]),
+                "a dead home's keys go to their second entry"
+            );
         } else {
-            assert_eq!(rerouted, Some(*home), "living shards keep their keys");
+            assert_eq!(rerouted, Some(order[0]), "living shards keep their keys");
         }
     }
 }
@@ -215,10 +226,8 @@ fn distributed_serving_is_byte_identical_and_survives_a_shard_death() {
     let router = Router::new(
         &addrs,
         RouterConfig {
-            vnodes: 32,
             inflight_per_shard: 4,
             admission: AdmissionControl::Block,
-            matmul_cap: serve.matmul_cap,
             // The post-kill pass must actually reach the shards to prove
             // failover re-simulation; a result cache would answer the
             // replays without touching a socket.
