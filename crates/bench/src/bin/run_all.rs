@@ -163,7 +163,10 @@ fn timing_comparison(
 /// The deterministic slice of the evaluation, as a JSON document: every
 /// metric here depends only on the simulated configuration (wall-clock
 /// times and cache hit counts — which vary with thread scheduling — are
-/// deliberately excluded, so CI can diff this file across commits).
+/// deliberately excluded, so CI can diff this file across commits). It
+/// records what was simulated, not how: no execution diagnostics and no
+/// fast-forward setting, so runs with and without fast-forward write the
+/// same bytes.
 fn results_document(
     options: &rasa_bench::BinOptions,
     results: &EvaluationResults,
@@ -270,7 +273,6 @@ fn results_document(
                     "fig7_max_batch".into(),
                     JsonValue::number_from_usize(options.fig7_max_batch),
                 ),
-                ("speculation".into(), JsonValue::Bool(options.speculation)),
                 (
                     "layers".into(),
                     options
@@ -377,25 +379,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.evictions,
         stats.entries,
         stats.capacity,
-    );
-    // Aggregate trace-pipeline footprint across the Fig. 5 grid cells.
-    let reports = || results.fig5.runs.iter().flat_map(|run| run.reports.iter());
-    let segments: u64 = reports().map(|r| r.pipeline.segments).sum();
-    let peak = reports()
-        .map(|r| r.pipeline.peak_resident_instructions)
-        .max()
-        .unwrap_or(0);
-    let fed = reports()
-        .map(|r| r.pipeline.fed_instructions)
-        .max()
-        .unwrap_or(0);
-    println!(
-        "trace pipeline: streamed across {} cells ({} segments of ~{} instructions, peak resident {} of a largest trace of {})",
-        results.fig5.runs.len() * results.fig5.designs.len(),
-        segments,
-        rasa_sim::DEFAULT_SEGMENT_SIZE,
-        peak,
-        fed,
     );
 
     if let Some(path) = &options.json_path {

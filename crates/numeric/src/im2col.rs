@@ -81,7 +81,10 @@ impl ConvShape {
     /// # Errors
     ///
     /// Returns [`NumericError::InvalidConvShape`] if any dimension is zero,
-    /// the stride is zero, or the filter does not fit in the padded input.
+    /// the stride is zero, the filter does not fit in the padded input, or
+    /// the padded input or the lowered GEMM overflows `usize`. A valid
+    /// shape's [`out_y`](Self::out_y), [`out_x`](Self::out_x) and
+    /// [`to_gemm`](Self::to_gemm) never overflow.
     pub fn validate(&self) -> Result<(), NumericError> {
         if self.n == 0
             || self.c == 0
@@ -100,15 +103,32 @@ impl ConvShape {
                 reason: "stride must be non-zero".to_string(),
             });
         }
-        if self.y + 2 * self.pad < self.r || self.x + 2 * self.pad < self.s {
+        let padded = |extent: usize| self.pad.checked_mul(2)?.checked_add(extent);
+        let (Some(padded_y), Some(padded_x)) = (padded(self.y), padded(self.x)) else {
+            return Err(NumericError::InvalidConvShape {
+                reason: format!("padding {} overflows the padded input", self.pad),
+            });
+        };
+        if padded_y < self.r || padded_x < self.s {
             return Err(NumericError::InvalidConvShape {
                 reason: format!(
                     "filter {}x{} larger than padded input {}x{}",
-                    self.r,
-                    self.s,
-                    self.y + 2 * self.pad,
-                    self.x + 2 * self.pad
+                    self.r, self.s, padded_y, padded_x
                 ),
+            });
+        }
+        let out = |padded: usize, filter: usize| (padded - filter) / self.stride + 1;
+        let m = self
+            .n
+            .checked_mul(out(padded_y, self.r))
+            .and_then(|m| m.checked_mul(out(padded_x, self.s)));
+        let k = self
+            .c
+            .checked_mul(self.r)
+            .and_then(|k| k.checked_mul(self.s));
+        if m.is_none() || k.is_none() {
+            return Err(NumericError::InvalidConvShape {
+                reason: format!("lowered GEMM of {self} overflows usize"),
             });
         }
         Ok(())
@@ -307,6 +327,27 @@ mod tests {
             .validate()
             .is_err());
         assert!(ConvShape::new(1, 3, 8, 8, 4, 3, 3, 1, 1).validate().is_ok());
+    }
+
+    #[test]
+    fn validation_rejects_overflowing_shapes() {
+        // Unchecked, each one wraps (release) or panics (debug) while
+        // lowering: the padded input, M = N·outY·outX and K = C·R·S.
+        let big = 1usize << 63;
+        for (shape, what) in [
+            (ConvShape::new(1, 3, 8, 8, 4, 3, 3, 1, big), "padding"),
+            (ConvShape::new(big, 3, 8, 8, 4, 3, 3, 1, 1), "lowered GEMM"),
+            (ConvShape::new(1, big, 8, 8, 4, 3, 3, 1, 1), "lowered GEMM"),
+            (ConvShape::new(1, 3, big, 8, 4, 3, 3, 1, 1), "lowered GEMM"),
+        ] {
+            let err = shape.validate().unwrap_err();
+            assert!(err.to_string().contains(what), "{shape}: {err}");
+        }
+        // The largest padding that fits still validates and lowers.
+        let quarter = usize::MAX / 4;
+        let wide = ConvShape::new(1, 1, 1, 1, 1, 1, 1, quarter, quarter);
+        assert!(wide.validate().is_ok());
+        assert_eq!(wide.to_gemm(), GemmShape::new(9, 1, 1));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! implementations for the result types the serving layer and the CI
 //! regression harness persist ([`SimReport`], [`CacheStats`] and their
 //! nested breakdowns; [`SimSummary`] rows are written, never read back).
+//! A report's document is what was simulated: its execution diagnostics
+//! ([`SimReport::sched`], [`SimReport::pipeline`]) are never written.
 //!
 //! ## Byte-identical round trips
 //!
@@ -758,81 +760,6 @@ impl FromJson for CpuStats {
     }
 }
 
-impl ToJson for SchedStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "visited_cycles".into(),
-                JsonValue::number_from_u64(self.visited_cycles),
-            ),
-            (
-                "skipped_cycles".into(),
-                JsonValue::number_from_u64(self.skipped_cycles),
-            ),
-            (
-                "completion_events".into(),
-                JsonValue::number_from_u64(self.completion_events),
-            ),
-            ("wakeups".into(), JsonValue::number_from_u64(self.wakeups)),
-        ])
-    }
-}
-
-impl FromJson for SchedStats {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(SchedStats {
-            visited_cycles: u64_member(value, "visited_cycles")?,
-            skipped_cycles: u64_member(value, "skipped_cycles")?,
-            completion_events: u64_member(value, "completion_events")?,
-            wakeups: u64_member(value, "wakeups")?,
-        })
-    }
-}
-
-impl ToJson for PipelineStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("streamed".into(), JsonValue::Bool(self.streamed)),
-            ("segments".into(), JsonValue::number_from_u64(self.segments)),
-            (
-                "fed_instructions".into(),
-                JsonValue::number_from_u64(self.fed_instructions),
-            ),
-            (
-                "peak_resident_instructions".into(),
-                JsonValue::number_from_u64(self.peak_resident_instructions),
-            ),
-            (
-                "spec_forks".into(),
-                JsonValue::number_from_u64(self.spec_forks),
-            ),
-            (
-                "spec_commits".into(),
-                JsonValue::number_from_u64(self.spec_commits),
-            ),
-        ])
-    }
-}
-
-impl FromJson for PipelineStats {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let streamed = member(value, "streamed")?
-            .as_bool()
-            .ok_or_else(|| JsonError::decode("field 'streamed' is not a bool"))?;
-        // The `spec_*` counters are absent in documents written before
-        // they existed; default them to zero.
-        let optional = |key: &str| value.get(key).and_then(JsonValue::as_u64).unwrap_or(0);
-        Ok(PipelineStats {
-            streamed,
-            segments: u64_member(value, "segments")?,
-            fed_instructions: u64_member(value, "fed_instructions")?,
-            peak_resident_instructions: u64_member(value, "peak_resident_instructions")?,
-            spec_forks: optional("spec_forks"),
-            spec_commits: optional("spec_commits"),
-        })
-    }
-}
-
 impl ToJson for AreaBreakdown {
     fn to_json(&self) -> JsonValue {
         JsonValue::Object(vec![
@@ -942,14 +869,15 @@ impl ToJson for SimReport {
                 JsonValue::number_from_f64(self.runtime_seconds),
             ),
             ("cpu".into(), self.cpu.to_json()),
-            ("sched".into(), self.sched.to_json()),
-            ("pipeline".into(), self.pipeline.to_json()),
             ("power".into(), self.power.to_json()),
         ])
     }
 }
 
 impl FromJson for SimReport {
+    /// Reads the nine simulated members. A `sched` or `pipeline` member,
+    /// which older documents and peers carry, is ignored; the in-process
+    /// diagnostics default.
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
         Ok(SimReport {
             design: string_member(value, "design")?,
@@ -960,14 +888,8 @@ impl FromJson for SimReport {
             total_matmuls: u64_member(value, "total_matmuls")?,
             runtime_seconds: f64_member(value, "runtime_seconds")?,
             cpu: CpuStats::from_json(member(value, "cpu")?)?,
-            sched: SchedStats::from_json(member(value, "sched")?)?,
-            // Absent in documents written before the streaming pipeline;
-            // default the diagnostics so old warm-start dumps still load.
-            pipeline: value
-                .get("pipeline")
-                .map(PipelineStats::from_json)
-                .transpose()?
-                .unwrap_or_default(),
+            sched: SchedStats::default(),
+            pipeline: PipelineStats::default(),
             power: PowerReport::from_json(member(value, "power")?)?,
         })
     }
@@ -1003,27 +925,6 @@ impl ToJson for SimSummary {
             (
                 "energy_joules".into(),
                 JsonValue::number_from_f64(self.energy_joules),
-            ),
-            (
-                "sched_events".into(),
-                JsonValue::number_from_u64(self.sched_events),
-            ),
-            (
-                "visited_cycles".into(),
-                JsonValue::number_from_u64(self.visited_cycles),
-            ),
-            ("segments".into(), JsonValue::number_from_u64(self.segments)),
-            (
-                "peak_resident_instructions".into(),
-                JsonValue::number_from_u64(self.peak_resident_instructions),
-            ),
-            (
-                "spec_forks".into(),
-                JsonValue::number_from_u64(self.spec_forks),
-            ),
-            (
-                "spec_commits".into(),
-                JsonValue::number_from_u64(self.spec_commits),
             ),
         ])
     }
@@ -1266,7 +1167,7 @@ impl FromJson for CacheStats {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::{DesignPoint, SimJob, Simulator};
     use rasa_workloads::WorkloadSuite;
@@ -1433,17 +1334,114 @@ mod tests {
             .unwrap()
             .run_layer(&layer)
             .unwrap();
-        let json = report.to_json();
-        let text = json.to_string_pretty();
+        let text = report.to_json().to_string_pretty();
         let back = SimReport::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
-        assert_eq!(back, report, "full report must survive the round trip");
+        assert_eq!(back, report, "the simulated result survives the round trip");
         // Byte-identity: reload + re-serialize is exactly the same file.
-        assert_eq!(JsonValue::parse(&text).unwrap().to_string_pretty(), text);
-        // The scheduler counters are part of the document.
+        assert_eq!(back.to_json().to_string_pretty(), text);
+        // The execution diagnostics stay in process: the simulator filled
+        // them in, the decoded report carries the defaults.
         assert!(report.sched.completion_events > 0);
-        assert_eq!(back.sched, report.sched);
-        let sched = SchedStats::from_json(member(&json, "sched").unwrap()).unwrap();
-        assert_eq!(sched, report.sched);
+        assert!(report.pipeline.streamed);
+        assert_eq!(back.sched, SchedStats::default());
+        assert_eq!(back.pipeline, PipelineStats::default());
+    }
+
+    /// The member names of an object node, in document order.
+    fn member_names(value: &JsonValue) -> Vec<&str> {
+        match value {
+            JsonValue::Object(members) => members.iter().map(|(k, _)| k.as_str()).collect(),
+            other => panic!("not an object: {other}"),
+        }
+    }
+
+    #[test]
+    fn report_and_summary_documents_carry_only_the_simulated_result() {
+        let report = Simulator::new(DesignPoint::rasa_wlbp())
+            .unwrap()
+            .with_matmul_cap(Some(64))
+            .unwrap()
+            .run_gemm(rasa_numeric::GemmShape::new(256, 64, 256))
+            .unwrap();
+        assert!(report.pipeline.spec_forks > 0, "the cell fast-forwarded");
+        assert_eq!(
+            member_names(&report.to_json()),
+            [
+                "design",
+                "workload",
+                "core_cycles",
+                "simulated_core_cycles",
+                "simulated_matmuls",
+                "total_matmuls",
+                "runtime_seconds",
+                "cpu",
+                "power",
+            ]
+        );
+        // Exactly the members the benchmark digests, in the same order.
+        assert_eq!(
+            member_names(&report.summary().to_json()),
+            [
+                "design",
+                "workload",
+                "core_cycles",
+                "simulated_matmuls",
+                "total_matmuls",
+                "runtime_seconds",
+                "ipc",
+                "engine_bypass_rate",
+                "area_mm2",
+                "energy_joules",
+            ]
+        );
+        assert_eq!(
+            SimSummary::csv_header().split(',').collect::<Vec<_>>(),
+            member_names(&report.summary().to_json())
+        );
+    }
+
+    #[test]
+    fn report_documents_written_with_diagnostics_still_decode() {
+        // One cell of the results document as written before the
+        // diagnostics left the JSON (BASELINE on DLRM-2 at cap 256), byte
+        // for byte: the same report with `sched` and `pipeline` members.
+        let legacy = JsonValue::parse(LEGACY_DLRM2_REPORT).unwrap();
+        assert!(legacy.get("sched").is_some() && legacy.get("pipeline").is_some());
+        let stripped = legacy_report_without_diagnostics();
+        let report = SimReport::from_json(&legacy).unwrap();
+        assert_eq!(
+            report,
+            SimReport::from_json(&JsonValue::parse(&stripped).unwrap()).unwrap()
+        );
+        assert_eq!(report.sched, SchedStats::default());
+        assert_eq!(report.pipeline, PipelineStats::default());
+        assert_eq!(report.to_json().to_string_compact(), stripped);
+        // And it is still the answer the simulator gives for that cell.
+        let layer = WorkloadSuite::mlperf().layer("DLRM-2").unwrap().clone();
+        let fresh = Simulator::new(DesignPoint::baseline())
+            .unwrap()
+            .with_matmul_cap(Some(256))
+            .unwrap()
+            .run_layer(&layer)
+            .unwrap();
+        assert_eq!(fresh, report);
+    }
+
+    /// A report document as written before the execution diagnostics left
+    /// the JSON: BASELINE on DLRM-2 at cap 256, one cell of that era's
+    /// `golden/results.json`.
+    pub(crate) const LEGACY_DLRM2_REPORT: &str = r#"{"design":"BASELINE","workload":"DLRM-2","core_cycles":1557440,"simulated_core_cycles":97340,"simulated_matmuls":256,"total_matmuls":4096,"runtime_seconds":0.00077872,"cpu":{"cycles":97340,"retired_instructions":784,"retired_matmuls":256,"retired_tile_memory_ops":272,"rob_full_stalls":811,"rs_full_stalls":0,"engine":{"matmuls":256,"weight_bypasses":0,"weight_prefetches":0,"full_weight_loads":256,"occupancy_cycles":24320,"last_completion_cycle":24332,"total_macs":2097152,"operand_stall_cycles":0,"structural_stall_cycles":8204}},"sched":{"visited_cycles":969,"skipped_cycles":96356,"completion_events":784,"wakeups":566},"pipeline":{"streamed":true,"segments":1,"fed_instructions":784,"peak_resident_instructions":784,"spec_forks":0,"spec_commits":0},"power":{"design":"BASELINE","area":{"multipliers":0.28672,"adders":0.22016,"weight_buffers":0.014336,"pipeline":0.23808,"control":0.044},"energy":{"mac":0.00000016777216,"weight_load":0.00000000262144,"tile_io":0.0000001048576,"static_clock":0.0000469099158528},"core_cycles":97340}}"#;
+
+    /// [`LEGACY_DLRM2_REPORT`] with its `sched` and `pipeline` members cut:
+    /// what the same report serializes to now.
+    pub(crate) fn legacy_report_without_diagnostics() -> String {
+        let from = LEGACY_DLRM2_REPORT.find(",\"sched\":").unwrap();
+        let to = LEGACY_DLRM2_REPORT.find(",\"power\":").unwrap();
+        format!(
+            "{}{}",
+            &LEGACY_DLRM2_REPORT[..from],
+            &LEGACY_DLRM2_REPORT[to..]
+        )
     }
 
     #[test]

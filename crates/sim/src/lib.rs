@@ -72,7 +72,3 @@ pub use serve::{
     ServeConfig, ServeStats,
 };
 pub use simulator::Simulator;
-
-/// Target size (in instructions) of a streamed trace segment, unless the
-/// kernel scheme pins its own (re-exported from `rasa-trace`).
-pub use rasa_trace::DEFAULT_SEGMENT_SIZE;

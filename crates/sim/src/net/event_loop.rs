@@ -74,6 +74,13 @@ const PENDING_LIMIT: usize = 64;
 /// interest is dropped: one maximum frame plus framing headroom.
 const WRITE_BACKLOG_LIMIT: usize = MAX_FRAME_LEN + 64;
 
+/// Accept-queue depth of every listener. `TcpListener::bind` listens with
+/// a backlog of 128; a burst of a few hundred connects overflows that, and
+/// every client whose SYN the kernel drops waits out a 1 s retransmit.
+/// The kernel clamps the value to `net.core.somaxconn`.
+#[cfg(target_os = "linux")]
+const LISTEN_BACKLOG: i32 = 1024;
+
 /// Epoll token of the accept socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
 /// Epoll token of the waker's read end.
@@ -293,6 +300,18 @@ impl Slab {
     }
 }
 
+/// Binds a listener on `addr`; on Linux its accept queue is
+/// [`LISTEN_BACKLOG`] deep.
+fn listen(addr: &str) -> Result<TcpListener, NetError> {
+    let listener = TcpListener::bind(addr).map_err(|e| NetError::Io {
+        kind: e.kind(),
+        reason: format!("bind {addr}: {e}"),
+    })?;
+    #[cfg(target_os = "linux")]
+    sys::listen(listener.as_raw_fd(), LISTEN_BACKLOG).map_err(NetError::from)?;
+    Ok(listener)
+}
+
 /// A bound readiness-based frame server: the event-loop thread, its
 /// worker pool, and the shared shutdown machinery.
 pub(crate) struct EventLoop {
@@ -316,10 +335,7 @@ impl EventLoop {
         worker_count: usize,
         force_fallback: bool,
     ) -> Result<EventLoop, NetError> {
-        let listener = TcpListener::bind(addr).map_err(|e| NetError::Io {
-            kind: e.kind(),
-            reason: format!("bind {addr}: {e}"),
-        })?;
+        let listener = listen(addr)?;
         listener.set_nonblocking(true).map_err(NetError::from)?;
         let local = listener.local_addr().map_err(NetError::from)?;
 
@@ -828,6 +844,22 @@ mod tests {
     /// Both pollers: epoll (where available) and the forced portable
     /// fallback, the only transport off Linux.
     const FORCE_FALLBACK: [bool; 2] = [false, true];
+
+    #[test]
+    fn listener_queues_a_burst_of_connects() {
+        // Nothing accepts, so every completed handshake waits in the
+        // accept queue; a queue of the standard library's 128 drops the
+        // SYNs past it and those connects time out.
+        let listener = listen("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        // Hold every connection open until the last one is made.
+        let _streams: Vec<TcpStream> = (0..300)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(200))
+                    .unwrap_or_else(|e| panic!("connect {i} failed: {e}"))
+            })
+            .collect();
+    }
 
     #[test]
     fn every_transport_answers_framed_requests() {

@@ -55,7 +55,7 @@ pub use router::{
 pub use shard::{ShardConfig, ShardServer};
 pub use wire::{
     ErrorCode, Frame, FrameDecoder, FrameKind, HealthStatus, WireFailure, WireRequest,
-    WireResponse, MAX_FRAME_LEN, WIRE_VERSION,
+    WireResponse, MAX_FRAME_LEN, MAX_NAME_LEN, WIRE_VERSION,
 };
 
 use crate::SimError;

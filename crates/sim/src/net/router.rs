@@ -762,7 +762,6 @@ mod tests {
     use crate::net::shard::{ShardConfig, ShardServer};
     use crate::serve::ServeConfig;
     use crate::DesignPoint;
-    use rasa_numeric::ConvShape;
     use rasa_workloads::LayerSpec;
 
     /// A shard serving BASELINE and RASA-DMDB-WLS at default cap `cap`.
@@ -1245,14 +1244,13 @@ mod tests {
     #[test]
     fn bound_router_answers_invalid_conv_shapes_with_bad_request() {
         // Routing renders the route key, which lowers the conv: a stride-0
-        // shape once divided by zero there and panicked the worker.
+        // shape once divided by zero there and panicked the worker, and
+        // overflowing shapes panicked (debug) or wrapped (release).
         let (shards, addrs) = spawn_shards(1);
         let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
         let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
-        let stride_zero = ConvShape::new(1, 3, 8, 8, 4, 3, 3, 0, 1);
-        let filter_too_large = ConvShape::new(1, 3, 4, 4, 4, 7, 7, 1, 1);
-        for shape in [stride_zero, filter_too_large] {
-            let request = WireRequest::new(3, "BASELINE", LayerSpec::conv("bad", shape));
+        for (layer, what) in crate::net::wire::undecodable_layers() {
+            let request = WireRequest::new(3, "BASELINE", layer);
             Frame::json(FrameKind::Request, &request.to_json())
                 .write_to(&mut conn)
                 .unwrap();
@@ -1260,16 +1258,45 @@ mod tests {
             assert_eq!(reply.kind, FrameKind::Error);
             let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
             assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
-            assert!(
-                failure.message.contains("conv shape"),
-                "{}",
-                failure.message
-            );
+            assert!(failure.message.contains(what), "{}", failure.message);
             Frame::health_probe().write_to(&mut conn).unwrap();
             let reply = Frame::read_from(&mut conn).unwrap();
             assert_eq!(reply.kind, FrameKind::Health);
         }
         assert_eq!(router.stats().routed, 0, "nothing reached a shard");
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    #[test]
+    fn bound_router_answers_oversized_names_with_bad_request() {
+        // The result cache keys on, and holds, the workload name: a name
+        // the decoder lets through is memory the cache pins.
+        use crate::net::wire::MAX_NAME_LEN;
+        let (shards, addrs) = spawn_shards(1);
+        let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
+        let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        let long = "n".repeat(64 * 1024);
+        for request in [
+            WireRequest::new(4, long.clone(), LayerSpec::fc("DLRM-1", 64, 128, 128)),
+            WireRequest::new(4, "BASELINE", LayerSpec::fc(long, 64, 128, 128)),
+        ] {
+            match exchange(&mut conn, &request) {
+                Err(NetError::Remote { code, message }) => {
+                    assert_eq!(code, ErrorCode::BadRequest, "{message}");
+                }
+                other => panic!("expected bad_request, got {other:?}"),
+            }
+        }
+        assert_eq!(router.stats().routed, 0, "nothing reached a shard");
+        let at_cap = "n".repeat(MAX_NAME_LEN);
+        let request = WireRequest::new(5, "BASELINE", LayerSpec::fc(at_cap.clone(), 64, 128, 128));
+        assert_eq!(
+            exchange(&mut conn, &request).unwrap().report.workload,
+            at_cap
+        );
         router.shutdown();
         for shard in shards {
             shard.shutdown();

@@ -206,7 +206,6 @@ fn answer_request(request: &WireRequest, shared: &Arc<ShardShared>) -> Frame {
 mod tests {
     use super::*;
     use crate::json::JsonValue;
-    use rasa_numeric::ConvShape;
     use rasa_workloads::LayerSpec;
     use std::net::TcpStream;
 
@@ -298,15 +297,14 @@ mod tests {
     #[test]
     fn invalid_conv_shapes_are_bad_requests_not_panics() {
         // A stride-0 conv once divided by zero while the worker rendered
-        // its cell key: the worker panicked and the client never got a
-        // reply. Both shapes must now be rejected by the decoder.
+        // its cell key, and overflowing shapes panicked there (debug) or
+        // simulated a wrapped-around shape (release). Every one must now
+        // be rejected by the decoder.
         let designs = vec![DesignPoint::baseline()];
         let shard = ShardServer::bind("127.0.0.1:0", tiny_config(), &designs).unwrap();
         let mut conn = TcpStream::connect(shard.local_addr()).unwrap();
-        let stride_zero = ConvShape::new(1, 3, 8, 8, 4, 3, 3, 0, 1);
-        let filter_too_large = ConvShape::new(1, 3, 4, 4, 4, 7, 7, 1, 1);
-        for shape in [stride_zero, filter_too_large] {
-            let request = WireRequest::new(5, "BASELINE", LayerSpec::conv("bad", shape));
+        for (layer, what) in crate::net::wire::undecodable_layers() {
+            let request = WireRequest::new(5, "BASELINE", layer);
             let reply = request_over(
                 &mut conn,
                 &Frame::json(FrameKind::Request, &request.to_json()),
@@ -314,15 +312,42 @@ mod tests {
             assert_eq!(reply.kind, FrameKind::Error);
             let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
             assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
-            assert!(
-                failure.message.contains("conv shape"),
-                "{}",
-                failure.message
-            );
+            assert!(failure.message.contains(what), "{}", failure.message);
             // The worker survived and the connection is still in sync.
             let reply = request_over(&mut conn, &Frame::health_probe());
             assert_eq!(reply.kind, FrameKind::Health);
         }
+        shard.shutdown();
+    }
+
+    #[test]
+    fn oversized_names_are_bad_requests() {
+        use crate::net::wire::MAX_NAME_LEN;
+        let designs = vec![DesignPoint::baseline()];
+        let shard = ShardServer::bind("127.0.0.1:0", tiny_config(), &designs).unwrap();
+        let mut conn = TcpStream::connect(shard.local_addr()).unwrap();
+        let long = "n".repeat(64 * 1024);
+        for request in [
+            WireRequest::new(6, long.clone(), LayerSpec::fc("DLRM-1", 64, 128, 128)),
+            WireRequest::new(6, "BASELINE", LayerSpec::fc(long, 64, 128, 128)),
+        ] {
+            let reply = request_over(
+                &mut conn,
+                &Frame::json(FrameKind::Request, &request.to_json()),
+            );
+            assert_eq!(reply.kind, FrameKind::Error);
+            let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+            assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
+        }
+        // A name of exactly the cap still simulates, and comes back.
+        let at_cap = "n".repeat(MAX_NAME_LEN);
+        let request = WireRequest::new(7, "BASELINE", LayerSpec::fc(at_cap.clone(), 64, 128, 128));
+        let reply = request_over(
+            &mut conn,
+            &Frame::json(FrameKind::Request, &request.to_json()),
+        );
+        let response = WireResponse::from_reply(&reply, 7).unwrap();
+        assert_eq!(response.report.workload, at_cap);
         shard.shutdown();
     }
 

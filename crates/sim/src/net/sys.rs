@@ -1,11 +1,13 @@
-//! Hand-rolled Linux `epoll` bindings for the readiness event loop.
+//! Hand-rolled Linux `epoll` and `listen` bindings for the readiness event
+//! loop.
 //!
 //! The crate takes no dependencies, so the bindings are direct
 //! `extern "C"` declarations against the C library that is already linked
 //! into every Rust binary — no `libc` crate, no new vendored stand-in.
-//! Only the four calls the event loop needs are declared
-//! (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `close`), wrapped in a
-//! safe [`Epoll`] type that owns the instance fd.
+//! Only the five calls the event loop needs are declared
+//! (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `close`, `listen`): the
+//! first four wrapped in a safe [`Epoll`] type that owns the instance fd,
+//! the last in [`listen`].
 //!
 //! Everything here is Linux-only; other platforms use the portable
 //! level-triggered poll fallback in `net::event_loop`, which needs no
@@ -56,6 +58,20 @@ extern "C" {
     fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
     fn epoll_wait(epfd: c_int, events: *mut EpollEvent, maxevents: c_int, timeout: c_int) -> c_int;
     fn close(fd: c_int) -> c_int;
+    #[link_name = "listen"]
+    fn c_listen(fd: c_int, backlog: c_int) -> c_int;
+}
+
+/// Calls `listen` again on an already listening socket, which on Linux
+/// resizes its accept queue to `backlog` (clamped by the kernel to
+/// `net.core.somaxconn`).
+pub(crate) fn listen(fd: RawFd, backlog: c_int) -> io::Result<()> {
+    // SAFETY: listen takes an fd and a count and returns 0 or -1; no
+    // pointers are involved.
+    if unsafe { c_listen(fd, backlog) } < 0 {
+        return Err(io::Error::last_os_error());
+    }
+    Ok(())
 }
 
 /// A safe owner of one epoll instance.

@@ -46,6 +46,13 @@ pub const MAX_FRAME_LEN: usize = 8 * 1024 * 1024;
 /// Bytes of framing before the payload: length prefix + version + kind.
 pub const HEADER_LEN: usize = 6;
 
+/// Longest `design` or workload `name`, in bytes, a request may carry.
+/// Every name this workspace generates is under 32 bytes (for example
+/// `ResNet50-3@b4096`). The router's result cache and the runner's cell
+/// cache hold the names of the requests they answered, so only this cap
+/// keeps their memory proportional to their entry counts.
+pub const MAX_NAME_LEN: usize = 256;
+
 /// What a frame carries; the sixth byte of the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FrameKind {
@@ -390,6 +397,14 @@ impl ErrorCode {
 /// designs via [`DesignPoint::by_name`] on the shard); the workload and
 /// the optional kernel override travel structurally. `id` is echoed back
 /// in the response so a client can detect protocol desync.
+///
+/// The decoder turns away, as a decode error (`bad_request` on the
+/// wire), a request whose design or workload name is longer than
+/// [`MAX_NAME_LEN`] bytes, an invalid conv shape (including one whose
+/// padded input or lowered GEMM overflows), and a layer whose lowered
+/// GEMM has more MACs (m·k·n) than a `u64` counts. Every accepted request
+/// can therefore be keyed ([`route_key`](Self::route_key)) without
+/// overflow.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireRequest {
     /// Client-chosen correlation id, echoed in the answer.
@@ -481,12 +496,33 @@ impl FromJson for WireRequest {
             None | Some(JsonValue::Null) => None,
             Some(node) => Some(GemmKernelConfig::from_json(node)?),
         };
-        Ok(WireRequest {
+        let request = WireRequest {
             id: u64_member(value, "id")?,
             design: string_member(value, "design")?,
             workload: LayerSpec::from_json(member(value, "workload")?)?,
             kernel,
-        })
+        };
+        for (what, name) in [
+            ("design", request.design.as_str()),
+            ("workload name", request.workload.name()),
+        ] {
+            if name.len() > MAX_NAME_LEN {
+                return Err(JsonError::decode(format!(
+                    "{what} is {} bytes, over the {MAX_NAME_LEN}-byte cap",
+                    name.len()
+                )));
+            }
+        }
+        let gemm = request.workload.gemm_shape();
+        let macs = (gemm.m as u64)
+            .checked_mul(gemm.k as u64)
+            .and_then(|mk| mk.checked_mul(gemm.n as u64));
+        if macs.is_none() {
+            return Err(JsonError::decode(format!(
+                "lowered GEMM {gemm} has more MACs than a u64 counts"
+            )));
+        }
+        Ok(request)
     }
 }
 
@@ -689,6 +725,24 @@ impl FromJson for HealthStatus {
     }
 }
 
+/// Layers the request decoder must turn away, each with a fragment of its
+/// rejection message: conv shapes that divide by zero, do not fit, or
+/// overflow while lowering, and an fc layer whose MAC count overflows.
+/// Unchecked, lowering them panics (debug) or wraps (release).
+#[cfg(test)]
+pub(crate) fn undecodable_layers() -> Vec<(LayerSpec, &'static str)> {
+    use rasa_numeric::ConvShape;
+    let big = 1usize << 63;
+    let conv = |shape| (LayerSpec::conv("bad", shape), "conv shape");
+    vec![
+        conv(ConvShape::new(1, 3, 8, 8, 4, 3, 3, 0, 1)),
+        conv(ConvShape::new(1, 3, 4, 4, 4, 7, 7, 1, 1)),
+        conv(ConvShape::new(1, 3, 8, 8, 4, 3, 3, 1, big)),
+        conv(ConvShape::new(big, 3, 8, 8, 4, 3, 3, 1, 1)),
+        (LayerSpec::fc("bad", big, big, 16), "MACs"),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -798,6 +852,49 @@ mod tests {
                 request.workload.gemm_shape(),
                 "lowered shape must survive the wire"
             );
+        }
+    }
+
+    /// Encodes `request` and decodes it again, as a shard or router does.
+    fn redecode(request: &WireRequest) -> Result<WireRequest, JsonError> {
+        let text = request.to_json().to_string_compact();
+        WireRequest::from_json(&JsonValue::parse(&text).unwrap())
+    }
+
+    #[test]
+    fn request_decoder_rejects_layers_that_cannot_lower() {
+        for (layer, what) in undecodable_layers() {
+            let err = redecode(&WireRequest::new(1, "BASELINE", layer.clone())).unwrap_err();
+            assert!(err.message.contains(what), "{layer}: {err}");
+        }
+        // 3·2^62 MACs fit in a u64 and 2^64 do not.
+        let edge = WireRequest::new(1, "BASELINE", LayerSpec::fc("edge", 1 << 62, 3, 1));
+        assert_eq!(redecode(&edge).unwrap(), edge);
+        assert!(edge.route_key().as_str().contains("m: 4611686018427387904"));
+        let over = WireRequest::new(1, "BASELINE", LayerSpec::fc("over", 1 << 62, 2, 2));
+        assert!(redecode(&over).unwrap_err().message.contains("MACs"));
+    }
+
+    #[test]
+    fn request_decoder_caps_name_lengths() {
+        let layer = |name: &str| LayerSpec::fc(name, 64, 64, 64);
+        let at_cap = "n".repeat(MAX_NAME_LEN);
+        let over_cap = "n".repeat(MAX_NAME_LEN + 1);
+        let fits = WireRequest::new(1, at_cap.clone(), layer(&at_cap));
+        assert_eq!(redecode(&fits).unwrap(), fits);
+        for (request, what) in [
+            (
+                WireRequest::new(1, over_cap.clone(), layer("DLRM-1")),
+                "design",
+            ),
+            (
+                WireRequest::new(1, "BASELINE", layer(&over_cap)),
+                "workload name",
+            ),
+        ] {
+            let err = redecode(&request).unwrap_err();
+            assert!(err.message.contains(what), "{err}");
+            assert!(err.message.contains("257 bytes"), "{err}");
         }
     }
 
@@ -960,6 +1057,39 @@ mod tests {
         };
         let err = WireResponse::from_reply(&truncated, 7).unwrap_err();
         assert!(matches!(err, NetError::Frame { .. }), "{err}");
+    }
+
+    #[test]
+    fn responses_written_with_diagnostics_still_decode() {
+        // A Response payload as a peer from before the diagnostics left
+        // the wire writes it.
+        use crate::json::tests::{legacy_report_without_diagnostics, LEGACY_DLRM2_REPORT};
+        let payload =
+            |report: &str| format!("{{\"id\":7,\"shard\":0,\"batch_size\":1,\"report\":{report}}}");
+        let legacy = Frame {
+            kind: FrameKind::Response,
+            payload: payload(LEGACY_DLRM2_REPORT).into_bytes(),
+        };
+        let response = WireResponse::from_reply(&legacy, 7).unwrap();
+        let stripped = payload(&legacy_report_without_diagnostics());
+        assert_eq!(
+            response,
+            WireResponse::from_json(&JsonValue::parse(&stripped).unwrap()).unwrap()
+        );
+        assert_eq!(response.to_json().to_string_compact(), stripped);
+        // The report is still the one a shard simulates for that cell.
+        let runner = crate::ExperimentRunner::builder()
+            .with_matmul_cap(Some(256))
+            .build()
+            .unwrap();
+        let layer = rasa_workloads::WorkloadSuite::mlperf()
+            .layer("DLRM-2")
+            .unwrap()
+            .clone();
+        let fresh = runner
+            .run_job(&SimJob::new(DesignPoint::baseline(), layer))
+            .unwrap();
+        assert_eq!(response.report, *fresh);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use std::fmt;
 /// These are diagnostics of the *pipeline*, not of the simulated core —
 /// deterministic for a given configuration (segment boundaries derive from
 /// the shape and kernel alone), but carrying no architectural meaning. The
-/// simulated statistics ([`SimReport::cpu`], [`SimReport::sched`]) are
-/// bit-identical either way.
+/// simulated statistics ([`SimReport::cpu`]) are bit-identical either way.
+/// They stay in process: no document or wire payload carries them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineStats {
     /// Whether the trace was streamed segment by segment (`false` for a
@@ -45,46 +45,19 @@ impl PipelineStats {
             self.peak_resident_instructions as f64 / self.fed_instructions as f64
         }
     }
-
-    /// Fraction of skipped strides whose statistics were folded in (1
-    /// whenever fast-forward ran, 0 when it did not).
-    #[must_use]
-    pub fn spec_commit_rate(&self) -> f64 {
-        if self.spec_forks == 0 {
-            0.0
-        } else {
-            self.spec_commits as f64 / self.spec_forks as f64
-        }
-    }
-}
-
-impl fmt::Display for PipelineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} via {} segment(s), peak {} of {} instructions resident",
-            if self.streamed {
-                "streamed"
-            } else {
-                "materialized"
-            },
-            self.segments,
-            self.peak_resident_instructions,
-            self.fed_instructions
-        )?;
-        if self.spec_forks > 0 {
-            write!(
-                f,
-                ", {} strides fast-forwarded ({} committed)",
-                self.spec_forks, self.spec_commits
-            )?;
-        }
-        Ok(())
-    }
 }
 
 /// The result of simulating one workload on one design point.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A report is what was simulated: its JSON form (wire Responses, result
+/// and warm-start documents) carries every field except [`sched`] and
+/// [`pipeline`], which describe how this process executed the cell and
+/// stay in process. Equality follows the JSON: two reports are equal when
+/// they simulated the same result, however each was executed.
+///
+/// [`sched`]: SimReport::sched
+/// [`pipeline`]: SimReport::pipeline
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Design name (e.g. `RASA-DMDB-WLS`).
     pub design: String,
@@ -105,13 +78,44 @@ pub struct SimReport {
     /// Detailed CPU statistics of the simulated portion.
     pub cpu: CpuStats,
     /// Event-scheduler counters of the simulating core (all zero when the
-    /// cycle-stepping reference core produced the report).
+    /// cycle-stepping reference core produced the report, or when the
+    /// report was decoded from JSON). In process only.
     pub sched: SchedStats,
     /// Trace-transport diagnostics: streamed vs materialized, segment count
-    /// and peak resident instructions.
+    /// and peak resident instructions (default when the report was decoded
+    /// from JSON). In process only.
     pub pipeline: PipelineStats,
     /// Area/energy report of the simulated portion.
     pub power: PowerReport,
+}
+
+impl PartialEq for SimReport {
+    fn eq(&self, other: &Self) -> bool {
+        // Every field is named, so a new one must be classified here: a
+        // simulated result (compared) or an execution diagnostic (not).
+        let Self {
+            design,
+            workload,
+            core_cycles,
+            simulated_core_cycles,
+            simulated_matmuls,
+            total_matmuls,
+            runtime_seconds,
+            cpu,
+            sched: _,
+            pipeline: _,
+            power,
+        } = self;
+        *design == other.design
+            && *workload == other.workload
+            && *core_cycles == other.core_cycles
+            && *simulated_core_cycles == other.simulated_core_cycles
+            && *simulated_matmuls == other.simulated_matmuls
+            && *total_matmuls == other.total_matmuls
+            && *runtime_seconds == other.runtime_seconds
+            && *cpu == other.cpu
+            && *power == other.power
+    }
 }
 
 impl SimReport {
@@ -156,12 +160,6 @@ impl SimReport {
             engine_bypass_rate: self.cpu.engine.bypass_rate(),
             area_mm2: self.power.area.total(),
             energy_joules: self.power.energy.total(),
-            sched_events: self.sched.completion_events,
-            visited_cycles: self.sched.visited_cycles,
-            segments: self.pipeline.segments,
-            peak_resident_instructions: self.pipeline.peak_resident_instructions,
-            spec_forks: self.pipeline.spec_forks,
-            spec_commits: self.pipeline.spec_commits,
         }
     }
 }
@@ -208,33 +206,20 @@ pub struct SimSummary {
     pub area_mm2: f64,
     /// Estimated energy of the simulated portion in joules.
     pub energy_joules: f64,
-    /// Completion events processed by the event-driven core scheduler.
-    pub sched_events: u64,
-    /// Cycles the event-driven scheduler actually simulated (the rest of
-    /// the timeline was jumped over).
-    pub visited_cycles: u64,
-    /// Trace segments fed to the core (1 for a materialized run).
-    pub segments: u64,
-    /// Peak instructions resident in the core's fetch buffer.
-    pub peak_resident_instructions: u64,
-    /// Strides skipped by fast-forward.
-    pub spec_forks: u64,
-    /// Skipped strides whose statistics were folded in (= `spec_forks`).
-    pub spec_commits: u64,
 }
 
 impl SimSummary {
     /// The CSV header matching [`SimSummary::to_csv_row`].
     #[must_use]
     pub fn csv_header() -> &'static str {
-        "design,workload,core_cycles,simulated_matmuls,total_matmuls,runtime_seconds,ipc,engine_bypass_rate,area_mm2,energy_joules,sched_events,visited_cycles,segments,peak_resident_instructions,spec_forks,spec_commits"
+        "design,workload,core_cycles,simulated_matmuls,total_matmuls,runtime_seconds,ipc,engine_bypass_rate,area_mm2,energy_joules"
     }
 
     /// One CSV row (no trailing newline).
     #[must_use]
     pub fn to_csv_row(&self) -> String {
         format!(
-            "{},{},{},{},{},{:.6e},{:.4},{:.4},{:.4},{:.6e},{},{},{},{},{},{}",
+            "{},{},{},{},{},{:.6e},{:.4},{:.4},{:.4},{:.6e}",
             self.design,
             self.workload,
             self.core_cycles,
@@ -244,13 +229,7 @@ impl SimSummary {
             self.ipc,
             self.engine_bypass_rate,
             self.area_mm2,
-            self.energy_joules,
-            self.sched_events,
-            self.visited_cycles,
-            self.segments,
-            self.peak_resident_instructions,
-            self.spec_forks,
-            self.spec_commits
+            self.energy_joules
         )
     }
 }
@@ -309,19 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_stats_residency_and_display() {
+    fn pipeline_stats_residency() {
         let streamed = PipelineStats {
             streamed: true,
             segments: 10,
             fed_instructions: 1000,
             peak_resident_instructions: 120,
             spec_forks: 8,
-            spec_commits: 6,
+            spec_commits: 8,
         };
         assert!((streamed.residency() - 0.12).abs() < 1e-12);
-        assert!(streamed.to_string().contains("streamed"));
-        assert!(streamed.to_string().contains("8 strides fast-forwarded"));
-        assert!((streamed.spec_commit_rate() - 0.75).abs() < 1e-12);
         let materialized = PipelineStats {
             streamed: false,
             segments: 1,
@@ -330,10 +306,30 @@ mod tests {
             ..PipelineStats::default()
         };
         assert!((materialized.residency() - 1.0).abs() < 1e-12);
-        assert!(materialized.to_string().contains("materialized"));
-        assert!(!materialized.to_string().contains("fast-forwarded"));
         assert_eq!(PipelineStats::default().residency(), 0.0);
-        assert_eq!(PipelineStats::default().spec_commit_rate(), 0.0);
+    }
+
+    #[test]
+    fn equality_ignores_execution_diagnostics() {
+        let base = report("RASA-PIPE", "BERT-1", 1000);
+        let mut executed = base.clone();
+        executed.sched.completion_events = 77;
+        executed.sched.visited_cycles = 500;
+        executed.pipeline = PipelineStats {
+            streamed: true,
+            segments: 3,
+            fed_instructions: 900,
+            peak_resident_instructions: 300,
+            spec_forks: 2,
+            spec_commits: 2,
+        };
+        assert_eq!(executed, base, "diagnostics are not part of the result");
+        let mut other = base.clone();
+        other.cpu.cycles += 1;
+        assert_ne!(other, base, "a simulated statistic is");
+        let mut renamed = base.clone();
+        renamed.workload = "BERT-2".to_string();
+        assert_ne!(renamed, base);
     }
 
     #[test]

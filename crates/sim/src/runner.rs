@@ -788,6 +788,13 @@ mod tests {
         assert_eq!(stats.misses, 0, "warm-started grid must be fully cached");
         assert_eq!(stats.hits, 4);
         assert_eq!(first, second);
+        // The document carries no execution diagnostics, so warmed cells
+        // hold the defaults.
+        for report in second.iter().flat_map(|run| &run.reports) {
+            assert_eq!(report.sched, rasa_cpu::SchedStats::default());
+            assert_eq!(report.pipeline, crate::PipelineStats::default());
+        }
+        assert!(first[0].reports[0].pipeline.streamed);
 
         // The bare array form loads too, and insertions respect the LRU
         // capacity bound.
@@ -890,6 +897,53 @@ mod tests {
         let p = parallel.run_grid(&workloads, &designs).unwrap();
         let s = serial.run_grid(&workloads, &designs).unwrap();
         assert_eq!(p, s);
+        // Report equality skips the diagnostics; they agree as well.
+        for (p, s) in p.iter().zip(&s) {
+            for (p, s) in p.reports.iter().zip(&s.reports) {
+                assert_eq!((p.sched, p.pipeline), (s.sched, s.pipeline));
+            }
+        }
+    }
+
+    #[test]
+    fn warm_start_accepts_documents_written_with_diagnostics() {
+        // A cache document from before the diagnostics left the JSON:
+        // one cell whose report carries `sched` and `pipeline`.
+        use crate::json::tests::{legacy_report_without_diagnostics, LEGACY_DLRM2_REPORT};
+        let runner = || {
+            ExperimentRunner::builder()
+                .with_matmul_cap(Some(256))
+                .build()
+                .unwrap()
+        };
+        let layer = WorkloadSuite::mlperf().layer("DLRM-2").unwrap().clone();
+        let job = SimJob::new(DesignPoint::baseline(), layer);
+        let warmed = runner();
+        let cell = |report: &str| {
+            format!(
+                "{{\"cache\":{{\"cells\":[{{\"key\":{},\"report\":{report}}}]}}}}",
+                JsonValue::string(warmed.job_key(&job).as_str())
+            )
+        };
+        let legacy = JsonValue::parse(&cell(LEGACY_DLRM2_REPORT)).unwrap();
+        assert_eq!(warmed.warm_start_json(&legacy).unwrap(), 1);
+        let report = warmed.run_job(&job).unwrap();
+        assert_eq!(warmed.cache_stats().hits, 1, "answered from the document");
+        let cold = runner();
+        assert_eq!(*report, *cold.run_job(&job).unwrap());
+        // Dumped again, the cell is what a cold runner writes.
+        let stripped = JsonValue::parse(&cell(&legacy_report_without_diagnostics())).unwrap();
+        let dumped = warmed.dump_cache_json().to_string_compact();
+        assert_eq!(dumped, cold.dump_cache_json().to_string_compact());
+        assert_eq!(
+            dumped,
+            stripped
+                .get("cache")
+                .unwrap()
+                .get("cells")
+                .unwrap()
+                .to_string_compact()
+        );
     }
 
     #[test]

@@ -471,10 +471,6 @@ mod tests {
             assert!(event.sched.completion_events > 0);
             assert!(event.sched.skip_rate() > 0.0);
             assert_eq!(reference.sched, rasa_cpu::SchedStats::default());
-            // The flat summary surfaces the event counts.
-            let summary = event.summary();
-            assert_eq!(summary.sched_events, event.sched.completion_events);
-            assert_eq!(summary.visited_cycles, event.sched.visited_cycles);
         }
     }
 
@@ -601,6 +597,24 @@ mod tests {
     }
 
     #[test]
+    fn fast_forwarded_and_sequential_reports_are_equal_results() {
+        // The two executions of one cell differ only in how they ran, so
+        // the reports compare equal while their pipelines differ.
+        let sim = Simulator::new(DesignPoint::rasa_dmdb_wls())
+            .unwrap()
+            .with_kernel(segmented(128, None))
+            .unwrap();
+        let shape = GemmShape::new(256, 64, 512);
+        let fast = sim.run_gemm(shape).unwrap();
+        let sequential = sim.with_speculation(false).run_gemm(shape).unwrap();
+        assert_ne!(fast.pipeline, sequential.pipeline);
+        assert_eq!(fast, sequential);
+        let mut drifted = sequential;
+        drifted.cpu.cycles += 1;
+        assert_ne!(fast, drifted);
+    }
+
+    #[test]
     fn four_paths_are_bit_identical_on_a_non_default_kernel_scheme() {
         // Satellite of the kernel-scheme refactor: the fast-forwarded,
         // sequential-streamed, one-shot materialized and cycle-stepping
@@ -655,6 +669,9 @@ mod tests {
         let a = sim.run_gemm(shape).unwrap();
         let b = sim.run_gemm(shape).unwrap();
         assert_eq!(a, b);
+        // Report equality skips the diagnostics; they must agree as well.
+        assert_eq!(a.sched, b.sched);
+        assert_eq!(a.pipeline, b.pipeline);
         assert!(a.pipeline.spec_forks > 0);
     }
 
@@ -726,6 +743,9 @@ mod tests {
         let a = sim.run_gemm(shape).unwrap();
         let b = sim.run_gemm(shape).unwrap();
         assert_eq!(a, b);
+        // Report equality skips the diagnostics; they must agree as well.
+        assert_eq!(a.sched, b.sched);
+        assert_eq!(a.pipeline, b.pipeline);
         assert!(a.pipeline.segments > 1);
     }
 

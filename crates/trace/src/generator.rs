@@ -1,6 +1,6 @@
 use crate::{GemmKernelConfig, LoopOrder, MatmulOrder, TraceError};
 use rasa_isa::{GprReg, IsaConfig, MemRef, Program, ProgramBuilder, TileReg};
-use rasa_numeric::{ConvShape, GemmShape, TileGrid};
+use rasa_numeric::{ConvShape, GemmShape, NumericError, TileGrid};
 
 /// Base addresses used for the three operand matrices in generated traces.
 /// The exact values are irrelevant to the timing model (memory never
@@ -98,10 +98,11 @@ impl TraceGenerator {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM.
+    /// Returns [`TraceError::Shape`] for an empty GEMM, or one with more
+    /// register tiles than `usize` counts.
     pub fn matmul_count(&self, shape: GemmShape) -> Result<usize, TraceError> {
-        let grid = TileGrid::new(shape, self.kernel.tiling)?;
-        Ok(grid.total_tiles())
+        let (mt, kt, nt) = self.tile_dims(shape)?;
+        Ok(mt * kt * nt)
     }
 
     fn a_addr(&self, mi: usize, ki: usize, k_tiles: usize) -> u64 {
@@ -117,9 +118,13 @@ impl TraceGenerator {
     }
 
     /// The (mt, kt, nt) tile grid of a shape under this generator's tiling.
+    /// Its tile count `mt·kt·nt` is checked to fit in `usize`, so every
+    /// product of fewer grid dimensions fits too.
     pub(crate) fn tile_dims(&self, shape: GemmShape) -> Result<(usize, usize, usize), TraceError> {
         let grid = TileGrid::new(shape, self.kernel.tiling)?;
-        Ok((grid.m_tiles(), grid.k_tiles(), grid.n_tiles()))
+        let dims = (grid.m_tiles(), grid.k_tiles(), grid.n_tiles());
+        checked_product(shape, &[dims.0, dims.1, dims.2])?;
+        Ok(dims)
     }
 
     /// The number of register blocks a trace of `shape` walks: every
@@ -135,7 +140,8 @@ impl TraceGenerator {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM.
+    /// Returns [`TraceError::Shape`] for an empty GEMM, or one whose tile
+    /// counts overflow `usize`.
     pub fn block_count(&self, shape: GemmShape) -> Result<usize, TraceError> {
         let (mt, kt, nt) = self.tile_dims(shape)?;
         let block = self.kernel.scheme.block;
@@ -146,13 +152,14 @@ impl TraceGenerator {
         };
         // The full-width columns the cap covers whole, then the rows of the
         // next column up to the block that reaches it.
-        let column_matmuls = kt * mt * block.n;
+        let column_matmuls = checked_product(shape, &[kt, mt, block.n])?;
         let columns = (cap / column_matmuls).min(nt / block.n);
         let width = (nt - columns * block.n).min(block.n);
         if width == 0 {
             return Ok(walk);
         }
-        let rows = (cap - columns * column_matmuls).div_ceil(kt * width * block.m);
+        let rows = (cap - columns * column_matmuls)
+            .div_ceil(checked_product(shape, &[kt, width, block.m])?);
         Ok(columns * column + rows.min(column))
     }
 
@@ -371,6 +378,19 @@ impl Default for TraceGenerator {
     }
 }
 
+/// The product of `factors`, or a [`TraceError::Shape`] naming `shape`
+/// when it overflows `usize`.
+fn checked_product(shape: GemmShape, factors: &[usize]) -> Result<usize, TraceError> {
+    factors
+        .iter()
+        .try_fold(1usize, |product, &factor| product.checked_mul(factor))
+        .ok_or_else(|| {
+            TraceError::Shape(NumericError::InvalidTiling {
+                reason: format!("the tile counts of {shape} overflow usize"),
+            })
+        })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -512,6 +532,33 @@ mod tests {
         let g = TraceGenerator::amx_like();
         assert!(g.gemm(GemmShape::new(0, 32, 16), "empty").is_err());
         assert!(g.matmul_count(GemmShape::new(0, 32, 16)).is_err());
+    }
+
+    #[test]
+    fn overflowing_tile_counts_are_shape_errors() {
+        // 2^59 M tiles × 2^58 K tiles: the tile count, and a capped
+        // column's matmul count, wrap to 0 in release arithmetic.
+        let huge = GemmShape::new(1 << 63, 1 << 63, 16);
+        let capped = TraceGenerator::amx_like()
+            .with_kernel(GemmKernelConfig::amx_like().with_max_matmuls(4096))
+            .unwrap();
+        for g in [TraceGenerator::amx_like(), capped] {
+            for result in [
+                g.matmul_count(huge),
+                g.block_count(huge),
+                g.uniform_blocks(huge).map(|(period, _)| period),
+            ] {
+                let err = result.unwrap_err();
+                assert!(matches!(err, TraceError::Shape(_)), "{err}");
+                assert!(err.to_string().contains("overflow"), "{err}");
+            }
+        }
+        // The largest grid that fits still counts.
+        let edge = GemmShape::new(1 << 35, 1 << 37, 16);
+        assert_eq!(
+            TraceGenerator::amx_like().matmul_count(edge).unwrap(),
+            1 << 63
+        );
     }
 
     #[test]

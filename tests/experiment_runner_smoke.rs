@@ -78,6 +78,13 @@ fn cached_parallel_results_are_bit_identical_to_a_fresh_serial_run() {
         first, fresh,
         "parallel and serial results must be identical"
     );
+    // Report equality skips the execution diagnostics; they are
+    // deterministic too.
+    for (a, b) in first.iter().zip(&fresh) {
+        for (a, b) in a.reports.iter().zip(&b.reports) {
+            assert_eq!((a.sched, a.pipeline), (b.sched, b.pipeline));
+        }
+    }
 }
 
 #[test]

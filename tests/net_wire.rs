@@ -19,6 +19,97 @@ fn small_layer(m: usize, k: usize, n: usize) -> LayerSpec {
     LayerSpec::fc(format!("GEMM-{m}x{k}x{n}"), m, k, n)
 }
 
+/// Canonical Request payloads: an fc and a conv layer, each plain and
+/// with a kernel override (the fc one with a non-default scheme, so every
+/// numeric member a request can carry appears in one of them).
+fn canonical_request_payloads() -> Vec<String> {
+    let fc = WireRequest::new(7, "BASELINE", LayerSpec::fc("DLRM-1", 512, 1024, 1024));
+    let conv = WireRequest::new(
+        8,
+        "RASA-DMDB-WLS",
+        LayerSpec::conv("ResNet50-2", ConvShape::new(32, 64, 56, 56, 64, 3, 3, 1, 1)),
+    );
+    let scheme = rasa::trace::KernelSchemeBuilder::new()
+        .with_block(1, 3)
+        .with_scalar_ops_per_step(1)
+        .with_segment_size(128)
+        .build()
+        .unwrap()
+        .with_max_matmuls(64);
+    [
+        fc.clone(),
+        fc.with_kernel(scheme),
+        conv.clone(),
+        conv.with_kernel(GemmKernelConfig::amx_like().with_max_matmuls(64)),
+    ]
+    .iter()
+    .map(|request| request.to_json().to_string_compact())
+    .collect()
+}
+
+/// The byte range of every number token in a compact JSON document.
+fn number_spans(text: &str) -> Vec<std::ops::Range<usize>> {
+    let bytes = text.as_bytes();
+    let (mut spans, mut at, mut in_string) = (Vec::new(), 0, false);
+    while at < bytes.len() {
+        let byte = bytes[at];
+        if in_string {
+            match byte {
+                b'\\' => at += 1,
+                b'"' => in_string = false,
+                _ => {}
+            }
+        } else if byte == b'"' {
+            in_string = true;
+        } else if byte == b'-' || byte.is_ascii_digit() {
+            let start = at;
+            while at < bytes.len()
+                && matches!(bytes[at], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
+            {
+                at += 1;
+            }
+            spans.push(start..at);
+            continue;
+        }
+        at += 1;
+    }
+    spans
+}
+
+/// Runs the decoders a shard and a router run on a request payload. None
+/// may panic, whatever the bytes; an accepted request must also key.
+fn decode_hostile_payload(payload: &[u8]) {
+    let Ok(text) = std::str::from_utf8(payload) else {
+        return;
+    };
+    let Ok(document) = JsonValue::parse(text) else {
+        return;
+    };
+    if let Ok(request) = WireRequest::from_json(&document) {
+        let _ = request.route_key();
+    }
+}
+
+/// Every numeric member of every canonical request, set in turn to each
+/// boundary value: the decoder rejects what cannot lower or key (a conv
+/// padding of 2^63 once overflowed inside conv validation) and never
+/// panics.
+#[test]
+fn request_decoder_survives_boundary_numbers() {
+    const BOUNDARY: [u64; 5] = [0, 1, 1 << 32, 1 << 63, u64::MAX];
+    let mut cases = 0;
+    for text in canonical_request_payloads() {
+        for span in number_spans(&text) {
+            for value in BOUNDARY {
+                let mutated = format!("{}{value}{}", &text[..span.start], &text[span.end..]);
+                decode_hostile_payload(mutated.as_bytes());
+                cases += 1;
+            }
+        }
+    }
+    assert!(cases > 150, "only {cases} cases");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -46,6 +137,25 @@ proptest! {
         let reparsed = WireRequest::from_json(&decoded.payload_json().expect("payload is JSON"))
             .expect("payload decodes as a request");
         prop_assert_eq!(reparsed, request);
+    }
+
+    /// A canonical request with one byte flipped or the payload cut short
+    /// never panics a decoder.
+    #[test]
+    fn request_decoder_survives_corrupted_bytes(
+        which in 0usize..4,
+        site in any::<usize>(),
+        bit in 0u32..8,
+        truncate in any::<bool>(),
+    ) {
+        let mut payload = canonical_request_payloads().swap_remove(which).into_bytes();
+        let at = site % payload.len();
+        if truncate {
+            payload.truncate(at);
+        } else {
+            payload[at] ^= 1 << bit;
+        }
+        decode_hostile_payload(&payload);
     }
 
     /// Corrupting the version byte is always rejected, and truncating a
