@@ -3,11 +3,12 @@
 //!
 //! Binds a frame server (see `docs/WIRE_PROTOCOL.md`) and forwards every
 //! request to the home shard of its route key (the design name, lowered
-//! shape and kernel override the client sent), with per-shard bounded
-//! in-flight windows and dead-shard failover (see
-//! [`rasa_sim::net::Router`]). Shard backends are passed as repeated
-//! `--shard ADDR` flags in shard-id order. The router holds no shard
-//! configuration: the matmul cap is the shards' business alone.
+//! shape and kernel override the client sent), with dead-shard failover
+//! (see [`rasa_sim::net::Router`]). Its event-loop workers bound the
+//! requests in flight; the rest wait in the loop's queue. Shard backends
+//! are passed as repeated `--shard ADDR` flags in shard-id order. The
+//! router holds no shard configuration: the matmul cap is the shards'
+//! business alone.
 //!
 //! Like `rasa-shardd`, the process prints `LISTENING <addr>` as its first
 //! stdout line and runs until stdin reaches EOF.
@@ -22,8 +23,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         std::process::exit(2);
     }
     let config = RouterConfig {
-        inflight_per_shard: options.inflight,
-        admission: options.admission,
         result_cache_capacity: options.router_cache,
     };
     let router = Router::bind(&options.listen, &options.shard_addrs, config)?;
@@ -39,12 +38,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let stats = router.stats();
     eprintln!(
-        "rasa-router routed={} failovers={} dead_marked={} window_blocked={} window_rejected={} cache_hits={} cache_misses={} per_shard={:?}",
+        "rasa-router routed={} failovers={} dead_marked={} cache_hits={} cache_misses={} per_shard={:?}",
         stats.routed,
         stats.failovers,
         stats.dead_marked,
-        stats.window_blocked,
-        stats.window_rejected,
         stats.cache_hits,
         stats.cache_misses,
         stats.per_shard,

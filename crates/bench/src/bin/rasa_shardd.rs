@@ -42,13 +42,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let health = shard.health();
     eprintln!(
-        "rasa-shardd shard={} served={} completed={} cache hits={} misses={} evictions={}",
-        health.shard,
-        health.served,
-        health.serve.completed,
-        health.cache.hits,
-        health.cache.misses,
-        health.cache.evictions,
+        "rasa-shardd shard={} served={} cache hits={} misses={} evictions={}",
+        health.shard, health.served, health.cache.hits, health.cache.misses, health.cache.evictions,
     );
     shard.shutdown();
     Ok(())

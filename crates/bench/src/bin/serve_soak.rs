@@ -28,7 +28,7 @@
 use rasa_bench::BinOptions;
 use rasa_sim::net::{ClientStats, NetClient, RouterHealth, WireRequest};
 use rasa_sim::serve::{GemmRequest, GemmServer, LatencySummary, ServeConfig};
-use rasa_sim::{prof, AdmissionControl, DesignPoint, FromJson, JsonValue, SimSummary, ToJson};
+use rasa_sim::{prof, DesignPoint, FromJson, JsonValue, SimSummary, ToJson};
 use rasa_workloads::{bert_layers, dlrm_layers, LayerSpec, TrafficGenerator};
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
@@ -346,10 +346,6 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let shardd_exe = sibling("rasa-shardd")?;
     let router_exe = sibling("rasa-router")?;
 
-    let admission = match options.admission {
-        AdmissionControl::Block => "block",
-        AdmissionControl::Reject => "reject",
-    };
     let mut serve_flags: Vec<String> = vec![
         "--listen".into(),
         "127.0.0.1:0".into(),
@@ -374,12 +370,8 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let mut router_args: Vec<String> = vec![
         "--listen".into(),
         "127.0.0.1:0".into(),
-        "--inflight".into(),
-        options.inflight.to_string(),
         "--router-cache".into(),
         options.router_cache.to_string(),
-        "--admission".into(),
-        admission.into(),
     ];
     for worker in &workers {
         router_args.extend(["--shard".into(), worker.addr.clone()]);
@@ -392,13 +384,12 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let total = options.clients * options.requests_per_client;
 
     println!(
-        "serve_soak --distributed: router {router_addr} over {} shards; {} clients x {} requests over {} shapes x {} designs; inflight {} per shard, seed {}{}",
+        "serve_soak --distributed: router {router_addr} over {} shards; {} clients x {} requests over {} shapes x {} designs; seed {}{}",
         options.shards,
         options.clients,
         options.requests_per_client,
         layers.len() * batch_sizes.len(),
         designs.len(),
-        options.inflight,
         options.seed,
         if options.kill_worker {
             " (killing one worker mid-run)"
@@ -584,10 +575,9 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     let health = RouterHealth::from_json(&health_json)?;
     for shard in &health.shards {
         println!(
-            "shard {}: served {}, completed {}, cache {} hits / {} misses / {} evictions, {}/{} resident",
+            "shard {}: served {}, cache {} hits / {} misses / {} evictions, {}/{} resident",
             shard.shard,
             shard.served,
-            shard.serve.completed,
             shard.cache.hits,
             shard.cache.misses,
             shard.cache.evictions,
@@ -599,12 +589,10 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
         println!("dead shards: {:?}", health.dead);
     }
     println!(
-        "router: {} routed, {} failovers, {} marked dead, {} window-blocked, {} window-rejected, result cache {} hits / {} misses ({:.0}% hit rate), per-shard {:?}",
+        "router: {} routed, {} failovers, {} marked dead, result cache {} hits / {} misses ({:.0}% hit rate), per-shard {:?}",
         health.stats.routed,
         health.stats.failovers,
         health.stats.dead_marked,
-        health.stats.window_blocked,
-        health.stats.window_rejected,
         health.stats.cache_hits,
         health.stats.cache_misses,
         health.stats.cache_hit_rate() * 100.0,
@@ -671,18 +659,10 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                         JsonValue::number_from_usize(options.cache_capacity),
                     ),
                     (
-                        "admission".into(),
-                        JsonValue::string(format!("{:?}", options.admission)),
-                    ),
-                    (
                         "matmul_cap".into(),
                         options
                             .matmul_cap
                             .map_or(JsonValue::Null, JsonValue::number_from_usize),
-                    ),
-                    (
-                        "inflight_per_shard".into(),
-                        JsonValue::number_from_usize(options.inflight),
                     ),
                     ("seed".into(), JsonValue::number_from_u64(options.seed)),
                     ("kill_worker".into(), JsonValue::Bool(options.kill_worker)),

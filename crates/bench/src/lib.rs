@@ -17,7 +17,7 @@
 #![deny(missing_docs)]
 
 use rasa_sim::search::{Evolutionary, ExhaustiveGrid, RandomSampling, SearchStrategy};
-use rasa_sim::{AdmissionControl, ExperimentSuite};
+use rasa_sim::ExperimentSuite;
 
 /// The paper's reported average runtime reductions (Fig. 5), as fractions.
 pub const PAPER_FIG5_REDUCTIONS: [(&str, f64); 5] = [
@@ -68,9 +68,6 @@ pub struct BinOptions {
     pub cache_capacity: usize,
     /// For `serve_soak`: base seed of the deterministic traffic mix.
     pub seed: u64,
-    /// For `rasa-router` / `serve_soak --distributed`: what a full
-    /// per-shard in-flight window does to new requests.
-    pub admission: AdmissionControl,
     /// For `run_all`: warm-start the runner's cell cache from a previous
     /// `--json` results document before evaluating.
     pub warm_start_path: Option<String>,
@@ -123,9 +120,6 @@ pub struct BinOptions {
     /// For `rasa-router`: shard backend addresses in shard-id order
     /// (`--shard ADDR`, repeatable).
     pub shard_addrs: Vec<String>,
-    /// For `rasa-router` / `serve_soak --distributed`: per-shard bound on
-    /// in-flight requests (`--inflight`).
-    pub inflight: usize,
     /// For `rasa-router` / `serve_soak --distributed`: bound on the
     /// router's own result cache, probed before any shard is contacted
     /// (`--router-cache`; 0 disables it).
@@ -148,7 +142,6 @@ impl Default for BinOptions {
             requests_per_client: 32,
             cache_capacity: 1024,
             seed: 42,
-            admission: AdmissionControl::default(),
             warm_start_path: None,
             timing_layer: "ResNet50-2".to_string(),
             timing_only: false,
@@ -166,7 +159,6 @@ impl Default for BinOptions {
             kill_worker: false,
             listen: "127.0.0.1:0".to_string(),
             shard_addrs: Vec::new(),
-            inflight: 32,
             router_cache: rasa_sim::net::DEFAULT_RESULT_CACHE_CAPACITY,
             shard_id: 0,
             help: false,
@@ -227,13 +219,6 @@ impl BinOptions {
                 "--requests" => options.requests_per_client = number(spec, &value)?,
                 "--cache-capacity" => options.cache_capacity = number(spec, &value)?,
                 "--seed" => options.seed = number(spec, &value)?,
-                "--admission" => {
-                    options.admission = if value == "reject" {
-                        AdmissionControl::Reject
-                    } else {
-                        AdmissionControl::Block
-                    };
-                }
                 "--warm-start" => options.warm_start_path = Some(value),
                 "--speculation" => options.speculation = value == "on",
                 "--layers" => options.layers = Some(value),
@@ -251,7 +236,6 @@ impl BinOptions {
                 "--kill-worker" => options.kill_worker = true,
                 "--listen" => options.listen = value,
                 "--shard" => options.shard_addrs.push(value),
-                "--inflight" => options.inflight = number(spec, &value)?,
                 "--router-cache" => options.router_cache = number(spec, &value)?,
                 "--shard-id" => options.shard_id = number(spec, &value)?,
                 other => unreachable!("FLAGS registers {other}, which parse does not handle"),
@@ -491,12 +475,6 @@ pub const FLAGS: &[FlagSpec] = &[
         binaries: &["serve_soak", "rasa-shardd"],
     },
     FlagSpec {
-        flag: "--admission",
-        value: "block|reject",
-        description: "behaviour when a router in-flight window is full",
-        binaries: &["serve_soak", "rasa-router"],
-    },
-    FlagSpec {
         flag: "--cap",
         value: "N",
         description: "default matmul cap per cell — must match across shards",
@@ -525,12 +503,6 @@ pub const FLAGS: &[FlagSpec] = &[
         value: "",
         description: "kill one worker mid-run and prove zero lost requests",
         binaries: &["serve_soak"],
-    },
-    FlagSpec {
-        flag: "--inflight",
-        value: "N",
-        description: "per-shard bound on in-flight requests at the router",
-        binaries: &["serve_soak", "rasa-router"],
     },
     FlagSpec {
         flag: "--router-cache",
@@ -731,7 +703,6 @@ mod tests {
         assert_eq!(o.requests_per_client, 32);
         assert_eq!(o.cache_capacity, 1024);
         assert_eq!(o.seed, 42);
-        assert_eq!(o.admission, AdmissionControl::Block);
         assert_eq!(o.warm_start_path, None);
         assert_eq!(o.timing_layer, "ResNet50-2");
         assert!(!o.timing_only);
@@ -739,10 +710,13 @@ mod tests {
 
     #[test]
     fn parse_backpressure_and_timing_flags() {
-        let o = parse("serve_soak", &["--admission", "reject"]).unwrap();
-        assert_eq!(o.admission, AdmissionControl::Reject);
-        // Shards have no admission control of their own.
-        assert!(parse("rasa-shardd", &["--admission", "reject"]).is_err());
+        // The router's workers are the tier's admission control: neither
+        // the router nor the soak takes a window size or admission mode.
+        for binary in ["rasa-router", "serve_soak", "rasa-shardd"] {
+            assert!(parse(binary, &["--admission", "reject"]).is_err());
+            assert!(parse(binary, &["--admission", "block"]).is_err());
+            assert!(parse(binary, &["--inflight", "1"]).is_err());
+        }
         let args = [
             "--warm-start",
             "prev.json",
@@ -756,9 +730,6 @@ mod tests {
         assert!(o.timing_only);
         assert!(!o.no_timing);
         assert!(parse("run_all", &["--no-timing"]).unwrap().no_timing);
-        // Admission values outside block|reject are errors.
-        let error = parse("serve_soak", &["--admission", "banana"]).unwrap_err();
-        assert!(error.contains("block|reject"), "{error}");
     }
 
     #[test]
@@ -851,23 +822,14 @@ mod tests {
         assert!(!o.kill_worker);
         assert_eq!(o.listen, "127.0.0.1:0");
         assert!(o.shard_addrs.is_empty());
-        assert_eq!(o.inflight, 32);
         assert_eq!(o.shard_id, 0);
         assert!(!o.help);
 
-        let args = [
-            "--distributed",
-            "--shards",
-            "6",
-            "--kill-worker",
-            "--inflight",
-            "8",
-        ];
+        let args = ["--distributed", "--shards", "6", "--kill-worker"];
         let o = parse("serve_soak", &args).unwrap();
         assert!(o.distributed);
         assert_eq!(o.shards, 6);
         assert!(o.kill_worker);
-        assert_eq!(o.inflight, 8);
         assert!(parse("serve_soak", &["--vnodes", "16"]).is_err());
         let args = [
             "--listen",
@@ -908,10 +870,17 @@ mod tests {
         let router = usage("rasa-router");
         assert!(router.contains("--shard ADDR"));
         assert!(!router.contains("--shard-id"));
-        // The router routes on the request alone: no shard configuration.
-        for flag in ["--cap", "--full", "--vnodes"] {
+        // The router routes on the request alone: no shard configuration,
+        // and its workers are its admission control.
+        for flag in ["--cap", "--full", "--vnodes", "--inflight", "--admission"] {
             assert!(!router.contains(flag), "rasa-router lists {flag}");
         }
+        let flags: Vec<&str> = router
+            .lines()
+            .filter_map(|line| line.trim_start().strip_prefix("--"))
+            .map(|line| line.split([' ', ',']).next().unwrap())
+            .collect();
+        assert_eq!(flags, ["router-cache", "listen", "shard", "help"]);
 
         let fig5 = usage("fig5_runtime");
         assert!(fig5.contains("--cap"));

@@ -36,10 +36,9 @@ struct Node<K, V> {
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     capacity: usize,
-    /// Slab of nodes; freed slots are recycled through `free`.
+    /// Slab of nodes. It grows to `capacity` and no further: eviction
+    /// recycles the least-recently-used slot in place.
     nodes: Vec<Node<K, V>>,
-    /// Indices of vacant slab slots.
-    free: Vec<usize>,
     /// Key -> slab index.
     index: HashMap<K, usize>,
     /// Most-recently-used node, or `NIL` when empty.
@@ -61,7 +60,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         LruCache {
             capacity,
             nodes: Vec::new(),
-            free: Vec::new(),
             index: HashMap::new(),
             head: NIL,
             tail: NIL,
@@ -169,13 +167,8 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
             self.link_front(lru);
             return InsertOutcome::Evicted(old.key, old.value);
         }
-        let i = if let Some(slot) = self.free.pop() {
-            self.nodes[slot] = node;
-            slot
-        } else {
-            self.nodes.push(node);
-            self.nodes.len() - 1
-        };
+        self.nodes.push(node);
+        let i = self.nodes.len() - 1;
         self.index.insert(key, i);
         self.link_front(i);
         InsertOutcome::Inserted
@@ -184,7 +177,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
     /// Drops every entry (capacity is unchanged).
     pub fn clear(&mut self) {
         self.nodes.clear();
-        self.free.clear();
         self.index.clear();
         self.head = NIL;
         self.tail = NIL;
@@ -292,7 +284,7 @@ mod tests {
             cache.insert(i, i * 10);
             assert_eq!(cache.len(), 1);
         }
-        // Only one slab slot plus no free-list growth: the slab never
+        // Eviction recycles the one slab slot in place: the slab never
         // exceeds the capacity.
         assert!(cache.nodes.len() <= 1);
         assert_eq!(cache.peek(&99), Some(&990));

@@ -55,9 +55,7 @@ pub use experiments::{
 };
 pub use json::{FromJson, JsonError, JsonValue, ToJson};
 pub use key::CellKey;
-pub use net::{
-    AdmissionControl, NetClient, NetError, Router, ShardServer, WireRequest, WireResponse,
-};
+pub use net::{NetClient, NetError, Router, ShardServer, WireRequest, WireResponse};
 pub use report::{PipelineStats, SimReport, SimSummary, WorkloadRun};
 pub use runner::{
     CacheStats, ExperimentRunner, ExperimentRunnerBuilder, ExperimentSpec, SimJob,

@@ -3,13 +3,13 @@
 //! [`NetClient`] keeps one connection to one of its configured endpoints
 //! (normally a single router; a list of shard addresses also works for
 //! router-less deployments). On a transport failure it reconnects and
-//! transparently retries the request with exponential backoff, up to
-//! [`ClientConfig::max_retries`] times. Redials prefer the endpoint that
-//! last worked — after a transient drop the client goes straight back to
-//! the peer that was just serving it — and rotate to the next endpoint
-//! only when a dial itself fails.
-//! Only **retryable** failures are retried (transport errors, `overloaded`
-//! and `unavailable` remote codes — see [`NetError::is_retryable`]); a
+//! transparently retries the request up to four times, sleeping 20 ms
+//! before the first retry and doubling the backoff before each next one.
+//! Redials prefer the endpoint that last worked — after a transient drop
+//! the client goes straight back to the peer that was just serving it —
+//! and rotate to the next endpoint only when a dial itself fails.
+//! Only **retryable** failures are retried (transport errors and the
+//! `unavailable` remote code — see [`NetError::is_retryable`]); a
 //! simulation error or protocol violation is returned immediately. Replies
 //! decode through [`WireResponse::from_reply`], the decoder
 //! [`Router::route`](crate::net::Router::route) uses too.
@@ -25,23 +25,11 @@ use crate::net::NetError;
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Configuration of a [`NetClient`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientConfig {
-    /// Transparent retries per request after the first attempt.
-    pub max_retries: usize,
-    /// Backoff before the first retry; doubles per subsequent retry.
-    pub base_backoff: Duration,
-}
+/// Transparent retries per request after the first attempt.
+const MAX_RETRIES: usize = 4;
 
-impl Default for ClientConfig {
-    fn default() -> Self {
-        ClientConfig {
-            max_retries: 4,
-            base_backoff: Duration::from_millis(20),
-        }
-    }
-}
+/// Backoff before the first retry; doubles per subsequent retry.
+const BASE_BACKOFF: Duration = Duration::from_millis(20);
 
 /// Monotonic counters of one [`NetClient`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -64,29 +52,18 @@ pub struct NetClient {
     /// when a dial fails.
     next_endpoint: usize,
     conn: Option<TcpStream>,
-    config: ClientConfig,
     stats: ClientStats,
 }
 
 impl NetClient {
-    /// A client over the given endpoints with default retry behaviour.
-    /// Connections are established lazily on the first request.
+    /// A client over the given endpoints. Connections are established
+    /// lazily on the first request.
     ///
     /// # Panics
     ///
     /// When `endpoints` is empty.
     #[must_use]
     pub fn new(endpoints: Vec<String>) -> NetClient {
-        NetClient::with_config(endpoints, ClientConfig::default())
-    }
-
-    /// A client with explicit retry configuration.
-    ///
-    /// # Panics
-    ///
-    /// When `endpoints` is empty.
-    #[must_use]
-    pub fn with_config(endpoints: Vec<String>, config: ClientConfig) -> NetClient {
         assert!(
             !endpoints.is_empty(),
             "a client needs at least one endpoint"
@@ -95,7 +72,6 @@ impl NetClient {
             endpoints,
             next_endpoint: 0,
             conn: None,
-            config,
             stats: ClientStats::default(),
         }
     }
@@ -161,30 +137,27 @@ impl NetClient {
     /// **transport** failures and retryable error frames. Error frames
     /// are returned (not unwrapped) so the caller keeps the typed code.
     fn exchange_with_retry(&mut self, frame: &Frame) -> Result<Frame, NetError> {
-        let mut backoff = self.config.base_backoff;
+        let mut backoff = BASE_BACKOFF;
         let mut last = None;
-        for attempt in 0..=self.config.max_retries {
+        for attempt in 0..=MAX_RETRIES {
             if attempt > 0 {
                 self.stats.retries += 1;
-                if !backoff.is_zero() {
-                    std::thread::sleep(backoff);
-                    backoff = backoff.saturating_mul(2);
-                }
+                std::thread::sleep(backoff);
+                backoff *= 2;
             }
             match self.exchange_once(frame) {
                 Ok(reply) => {
-                    // A retryable error frame (e.g. overloaded) is retried
+                    // A retryable error frame (`unavailable`) is retried
                     // like a transport failure; any other reply returns.
-                    let retryable =
-                        if reply.kind == FrameKind::Error && attempt < self.config.max_retries {
-                            reply
-                                .payload_json()
-                                .ok()
-                                .and_then(|json| WireFailure::from_json(&json).ok())
-                                .filter(|failure| failure.code.is_retryable())
-                        } else {
-                            None
-                        };
+                    let retryable = if reply.kind == FrameKind::Error && attempt < MAX_RETRIES {
+                        reply
+                            .payload_json()
+                            .ok()
+                            .and_then(|json| WireFailure::from_json(&json).ok())
+                            .filter(|failure| failure.code.is_retryable())
+                    } else {
+                        None
+                    };
                     match retryable {
                         Some(failure) => {
                             last = Some(NetError::Remote {
@@ -206,7 +179,7 @@ impl NetClient {
             reason: match last {
                 Some(error) => format!(
                     "{} attempts exhausted; last failure: {error}",
-                    self.config.max_retries + 1
+                    MAX_RETRIES + 1
                 ),
                 None => "no attempt could be made".to_string(),
             },
@@ -303,13 +276,7 @@ mod tests {
             let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             dead.local_addr().unwrap().to_string()
         };
-        let mut client = NetClient::with_config(
-            vec![dead_addr, shard.local_addr().to_string()],
-            ClientConfig {
-                max_retries: 2,
-                base_backoff: Duration::ZERO,
-            },
-        );
+        let mut client = NetClient::new(vec![dead_addr, shard.local_addr().to_string()]);
         let request = WireRequest::new(1, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
         let response = client.request(&request).unwrap();
         assert_eq!(response.id, 1);
@@ -388,16 +355,11 @@ mod tests {
             let dead = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
             dead.local_addr().unwrap().to_string()
         };
-        let mut client = NetClient::with_config(
-            vec![dead_addr],
-            ClientConfig {
-                max_retries: 1,
-                base_backoff: Duration::ZERO,
-            },
-        );
+        let mut client = NetClient::new(vec![dead_addr]);
         let request = WireRequest::new(3, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
         let err = client.request(&request).unwrap_err();
         assert!(matches!(err, NetError::Unavailable { .. }), "{err}");
         assert_eq!(client.stats().failed, 1);
+        assert_eq!(client.stats().retries, MAX_RETRIES as u64);
     }
 }

@@ -13,11 +13,12 @@
 //!   behind the shared event-loop frame server, simulating on the loop's
 //!   workers.
 //! - [`router`] — [`Router`]: rendezvous routing across N shards with
-//!   per-shard bounded in-flight windows (the tier's [`AdmissionControl`])
-//!   and dead-shard failover. It relays bytes: a request frame goes to the
+//!   dead-shard failover. It relays bytes: a request frame goes to the
 //!   shard unchanged, and the shard's reply comes back unchanged once its
 //!   kind and id check out. It routes on the request alone and holds no
-//!   shard configuration.
+//!   shard configuration. A bound router's event-loop workers are the
+//!   tier's admission control: requests beyond them wait in the loop's
+//!   queue.
 //! - [`client`] — [`NetClient`]: a blocking client library with bounded
 //!   retry/backoff and endpoint rotation. It and the library router decode
 //!   replies with one decoder, [`WireResponse::from_reply`].
@@ -47,11 +48,8 @@ pub mod shard;
 mod sys;
 pub mod wire;
 
-pub use client::{ClientConfig, ClientStats, NetClient};
-pub use router::{
-    AdmissionControl, Router, RouterConfig, RouterHealth, RouterStats,
-    DEFAULT_RESULT_CACHE_CAPACITY,
-};
+pub use client::{ClientStats, NetClient};
+pub use router::{Router, RouterConfig, RouterHealth, RouterStats, DEFAULT_RESULT_CACHE_CAPACITY};
 pub use shard::{ShardConfig, ShardServer};
 pub use wire::{
     ErrorCode, Frame, FrameDecoder, FrameKind, HealthStatus, WireFailure, WireRequest,
@@ -180,8 +178,8 @@ mod tests {
         assert!(io_err.is_retryable());
 
         let remote = NetError::Remote {
-            code: wire::ErrorCode::Overloaded,
-            message: "queue full".into(),
+            code: wire::ErrorCode::Unavailable,
+            message: "every shard is marked dead".into(),
         };
         assert!(remote.is_retryable());
         let remote = NetError::Remote {

@@ -1,4 +1,4 @@
-//! Shard-warm request routing with per-shard bounded in-flight windows.
+//! Shard-warm request routing with dead-shard failover.
 //!
 //! A [`Router`] forwards every request to the home shard of its **route
 //! key** ([`WireRequest::route_key`]: design name, lowered GEMM shape and
@@ -8,23 +8,19 @@
 //! request itself: it holds no shard configuration and no placement
 //! structure.
 //!
-//! Two mechanisms bound and protect the fan-out:
+//! A transport failure marks the shard dead and the request is retried on
+//! the next shard in the key's [`preference order`](preference_order) —
+//! deterministic, and minimal-churn (only the dead shard's keys move).
+//! Requests are idempotent pure simulations, so retrying on another shard
+//! can never produce a different answer, only a colder cache.
+//! [`Router::health`] probes every shard, dead ones included, and a shard
+//! that answers with its health is alive again.
 //!
-//! - **Per-shard in-flight windows** are the tier's admission control: at
-//!   most `inflight_per_shard` requests may be outstanding to one shard;
-//!   excess callers either block until a slot frees
-//!   ([`AdmissionControl::Block`]) or are turned away with a retryable
-//!   `overloaded` error ([`AdmissionControl::Reject`]). A slow shard
-//!   therefore backpressures its own traffic instead of absorbing
-//!   unbounded connections.
-//! - **Dead-shard failover**: a transport failure marks the shard dead and
-//!   the request is retried on the next shard in the key's
-//!   [`preference order`](preference_order) — deterministic, and
-//!   minimal-churn (only the dead shard's keys move). Requests are
-//!   idempotent pure simulations, so retrying on another shard can never
-//!   produce a different answer, only a colder cache.
-//!   [`Router::health`] probes every shard, dead ones included, and a
-//!   shard that answers with its health is alive again.
+//! A bound router's admission control is its event loop: a fixed set of
+//! workers relays requests, each connection has one frame in flight, and
+//! excess requests wait in the loop's queue. A relaying worker blocks on
+//! its shard round trip, so a stalled shard parks every worker that
+//! reaches it; exchanges have no deadline yet.
 //!
 //! The router relays bytes. It decodes a client's request only to compute
 //! its route key, forwards the request frame unchanged, and returns the
@@ -57,29 +53,12 @@ use crate::prof::{self, Stage};
 use crate::SimError;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::thread;
-
-/// What a caller does when its shard's in-flight window is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionControl {
-    /// Block the caller until an in-flight request to that shard finishes.
-    /// Backpressure propagates to the client.
-    #[default]
-    Block,
-    /// Fail fast with a retryable `overloaded` error; the request never
-    /// reaches the shard and is counted in [`RouterStats::window_rejected`].
-    Reject,
-}
 
 /// Configuration of a [`Router`].
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Maximum requests concurrently outstanding to one shard.
-    pub inflight_per_shard: usize,
-    /// What happens when a shard's window is full: block the caller until
-    /// a slot frees, or reject with a retryable `overloaded` error.
-    pub admission: AdmissionControl,
     /// Bound on the router's own result cache (LRU over route keys and
     /// workload names), probed before any shard is contacted. `0` disables
     /// the cache. Cells are deterministic pure functions of their key (see
@@ -93,8 +72,6 @@ pub const DEFAULT_RESULT_CACHE_CAPACITY: usize = 256;
 impl Default for RouterConfig {
     fn default() -> Self {
         RouterConfig {
-            inflight_per_shard: 32,
-            admission: AdmissionControl::Block,
             result_cache_capacity: DEFAULT_RESULT_CACHE_CAPACITY,
         }
     }
@@ -113,10 +90,13 @@ pub struct RouterStats {
     pub dead_marked: u64,
     /// Times a dead shard answered a probe and was revived.
     pub revived: u64,
-    /// Requests that waited for a full in-flight window (block mode).
+    /// Always 0: the per-shard in-flight windows whose waits it counted
+    /// are gone. The member stays, here and in the JSON, because perfbench
+    /// reports it as `router.window_blocked`, and that metric read 0 on
+    /// `tier_cold` before the windows went too: at most 2 clients never
+    /// filled a 32-slot window behind 8 router workers. The next benchmark
+    /// change retires it.
     pub window_blocked: u64,
-    /// Requests turned away by a full in-flight window (reject mode).
-    pub window_rejected: u64,
     /// Requests answered from the router's own result cache — no shard
     /// was contacted (these still count as `routed`).
     pub cache_hits: u64,
@@ -163,10 +143,6 @@ impl ToJson for RouterStats {
                 JsonValue::number_from_u64(self.window_blocked),
             ),
             (
-                "window_rejected".into(),
-                JsonValue::number_from_u64(self.window_rejected),
-            ),
-            (
                 "cache_hits".into(),
                 JsonValue::number_from_u64(self.cache_hits),
             ),
@@ -196,7 +172,6 @@ impl FromJson for RouterStats {
             dead_marked: u64_member(value, "dead_marked")?,
             revived: u64_member(value, "revived")?,
             window_blocked: u64_member(value, "window_blocked")?,
-            window_rejected: u64_member(value, "window_rejected")?,
             cache_hits: u64_member(value, "cache_hits")?,
             cache_misses: u64_member(value, "cache_misses")?,
             per_shard: array_member(value, "per_shard", |n| {
@@ -254,55 +229,11 @@ impl FromJson for RouterHealth {
     }
 }
 
-/// The in-flight window of one backend: a counting semaphore with
-/// [`AdmissionControl`] semantics.
-struct Window {
-    in_flight: Mutex<usize>,
-    space: Condvar,
-    capacity: usize,
-}
-
-impl Window {
-    fn new(capacity: usize) -> Window {
-        Window {
-            in_flight: Mutex::new(0),
-            space: Condvar::new(),
-            capacity: capacity.max(1),
-        }
-    }
-
-    /// Takes a slot. Returns whether the caller had to wait, or `None`
-    /// when the window is full and `admission` is `Reject`.
-    fn acquire(&self, admission: AdmissionControl) -> Option<bool> {
-        let mut in_flight = self.in_flight.lock().expect("router window lock");
-        let mut waited = false;
-        while *in_flight >= self.capacity {
-            match admission {
-                AdmissionControl::Reject => return None,
-                AdmissionControl::Block => {
-                    waited = true;
-                    in_flight = self.space.wait(in_flight).expect("router window wait");
-                }
-            }
-        }
-        *in_flight += 1;
-        Some(waited)
-    }
-
-    fn release(&self) {
-        let mut in_flight = self.in_flight.lock().expect("router window lock");
-        *in_flight = in_flight.saturating_sub(1);
-        drop(in_flight);
-        self.space.notify_one();
-    }
-}
-
-/// One shard backend: its address, liveness, window and connection pool.
+/// One shard backend: its address, liveness and connection pool.
 struct Backend {
     shard: u32,
     addr: String,
     alive: AtomicBool,
-    window: Window,
     /// Idle connections to the shard. A request pops one (or dials a new
     /// one), uses it exclusively, and returns it once the reply checks out.
     pool: Mutex<Vec<TcpStream>>,
@@ -357,8 +288,6 @@ struct Counters {
     failovers: AtomicU64,
     dead_marked: AtomicU64,
     revived: AtomicU64,
-    window_blocked: AtomicU64,
-    window_rejected: AtomicU64,
     cache_hits: AtomicU64,
     cache_misses: AtomicU64,
 }
@@ -414,7 +343,6 @@ impl Router {
                 shard: u32::try_from(shard).expect("shard count fits in u32"),
                 addr: addr.clone(),
                 alive: AtomicBool::new(true),
-                window: Window::new(config.inflight_per_shard),
                 pool: Mutex::new(Vec::new()),
                 routed: AtomicU64::new(0),
             })
@@ -430,8 +358,6 @@ impl Router {
                     failovers: AtomicU64::new(0),
                     dead_marked: AtomicU64::new(0),
                     revived: AtomicU64::new(0),
-                    window_blocked: AtomicU64::new(0),
-                    window_rejected: AtomicU64::new(0),
                     cache_hits: AtomicU64::new(0),
                     cache_misses: AtomicU64::new(0),
                 },
@@ -456,14 +382,11 @@ impl Router {
     ) -> Result<Router, SimError> {
         let mut router = Router::new(shard_addrs, config)?;
         let core = Arc::clone(&router.core);
-        // Handlers block on shard round trips rather than compute, so the
-        // router runs more workers than cores.
-        let workers = thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32));
         let server = EventLoop::bind(
             addr,
             "rasa-router",
             Arc::new(move |frame| answer(frame, &core)),
-            workers,
+            bound_workers(),
             false,
         )
         .map_err(SimError::from)?;
@@ -484,8 +407,7 @@ impl Router {
     /// # Errors
     ///
     /// [`NetError::Remote`] for shard-reported failures (an unknown design
-    /// among them) and window rejection in reject mode (a retryable
-    /// `overloaded`); [`NetError::Unavailable`] when every shard is dead;
+    /// among them); [`NetError::Unavailable`] when every shard is dead;
     /// [`NetError::Protocol`] when a shard answers with the wrong frame
     /// kind or id.
     pub fn route(&self, request: &WireRequest) -> Result<WireResponse, NetError> {
@@ -552,24 +474,7 @@ impl RouterCore {
             if !backend.alive.load(Ordering::SeqCst) {
                 continue;
             }
-            match backend.window.acquire(self.config.admission) {
-                Some(true) => {
-                    self.counters.window_blocked.fetch_add(1, Ordering::SeqCst);
-                }
-                Some(false) => {}
-                None => {
-                    self.counters.window_rejected.fetch_add(1, Ordering::SeqCst);
-                    return Err(NetError::Remote {
-                        code: ErrorCode::Overloaded,
-                        message: format!(
-                            "router in-flight window for shard {shard} is at capacity {}",
-                            self.config.inflight_per_shard
-                        ),
-                    });
-                }
-            }
             let outcome = backend.exchange(frame, |reply| check_reply(reply, &prefix));
-            backend.window.release();
             if attempt > 0 && matches!(outcome, Ok(_) | Err(NetError::Protocol { .. })) {
                 self.counters.failovers.fetch_add(1, Ordering::SeqCst);
             }
@@ -650,8 +555,7 @@ impl RouterCore {
             failovers: self.counters.failovers.load(Ordering::SeqCst),
             dead_marked: self.counters.dead_marked.load(Ordering::SeqCst),
             revived: self.counters.revived.load(Ordering::SeqCst),
-            window_blocked: self.counters.window_blocked.load(Ordering::SeqCst),
-            window_rejected: self.counters.window_rejected.load(Ordering::SeqCst),
+            window_blocked: 0,
             cache_hits: self.counters.cache_hits.load(Ordering::SeqCst),
             cache_misses: self.counters.cache_misses.load(Ordering::SeqCst),
             per_shard: self
@@ -697,6 +601,13 @@ impl RouterCore {
             shards,
         }
     }
+}
+
+/// The event-loop workers of a bound router: twice the core count,
+/// clamped to 8–32. Handlers block on shard round trips rather than
+/// compute, so the router runs more workers than cores.
+fn bound_workers() -> usize {
+    thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32))
 }
 
 /// Accepts a shard's reply to the request whose Response payloads start
@@ -788,7 +699,6 @@ mod tests {
     fn uncached() -> RouterConfig {
         RouterConfig {
             result_cache_capacity: 0,
-            ..RouterConfig::default()
         }
     }
 
@@ -1202,6 +1112,46 @@ mod tests {
         let err = router.route(&request).unwrap_err();
         assert!(matches!(err, NetError::Unavailable { .. }), "{err}");
         assert_eq!(router.stats().dead_marked, 2);
+        // Once every shard is marked dead, a bound router answers with the
+        // error frame WIRE_PROTOCOL.md dumps byte for byte.
+        let request = WireRequest::new(7, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+        let reply = answer(
+            &Frame::json(FrameKind::Request, &request.to_json()),
+            &router.core,
+        );
+        let failure = WireFailure::new(
+            7,
+            ErrorCode::Unavailable,
+            "no shard available: every shard is marked dead",
+        );
+        assert_eq!(reply, Frame::json(FrameKind::Error, &failure.to_json()));
+    }
+
+    /// Health payloads from before `serve` left a shard's health and
+    /// `window_rejected` left the router's stats still decode: the
+    /// decoders ignore both members.
+    #[test]
+    fn health_payloads_with_dropped_members_still_decode() {
+        let shard = r#"{"shard":0,"designs":["BASELINE"],"served":5,"serve":{"submitted":4,"completed":4,"batches":4},"cache":{"hits":1,"misses":3,"entries":3,"evictions":0,"capacity":24}}"#;
+        let legacy = format!(
+            r#"{{"stats":{{"routed":4,"remote_errors":0,"failovers":0,"dead_marked":1,"revived":0,"window_blocked":0,"window_rejected":2,"cache_hits":0,"cache_misses":4,"per_shard":[4,0]}},"dead":[1],"shards":[{shard}]}}"#
+        );
+        let health = RouterHealth::from_json(&JsonValue::parse(&legacy).unwrap()).unwrap();
+        assert_eq!(health.stats.routed, 4);
+        assert_eq!(health.stats.per_shard, vec![4, 0]);
+        assert_eq!(health.dead, vec![1]);
+        let status = &health.shards[0];
+        assert_eq!(
+            *status,
+            HealthStatus::from_json(&JsonValue::parse(shard).unwrap()).unwrap()
+        );
+        assert_eq!(
+            (status.served, status.cache.hits + status.cache.misses),
+            (5, 4)
+        );
+        let written = health.to_json().to_string_compact();
+        assert!(!written.contains("serve\""), "{written}");
+        assert!(!written.contains("window_rejected"), "{written}");
     }
 
     #[test]
@@ -1303,17 +1253,35 @@ mod tests {
         }
     }
 
+    /// The router's workers are its admission control: three times as many
+    /// concurrent clients as a bound router has workers, all on one shard,
+    /// wait in the event loop's queue and every one gets its Response.
     #[test]
-    fn reject_mode_windows_turn_requests_away() {
-        // A window of capacity 1 in reject mode: a concurrent second
-        // request must be rejected, not queued. Exercise the window
-        // directly (deterministic, no timing).
-        let window = Window::new(1);
-        assert_eq!(window.acquire(AdmissionControl::Reject), Some(false));
-        assert_eq!(window.acquire(AdmissionControl::Reject), None);
-        window.release();
-        assert_eq!(window.acquire(AdmissionControl::Reject), Some(false));
-        window.release();
+    fn bound_router_queues_excess_clients_on_its_workers() {
+        let (shards, addrs) = spawn_shards(1);
+        let router = Router::bind("127.0.0.1:0", &addrs, uncached()).unwrap();
+        let conns: Vec<TcpStream> = (0..3 * bound_workers())
+            .map(|_| TcpStream::connect(router.local_addr().unwrap()).unwrap())
+            .collect();
+        let start = std::sync::Barrier::new(conns.len());
+        thread::scope(|scope| {
+            for (id, mut conn) in (0..).zip(conns) {
+                let start = &start;
+                scope.spawn(move || {
+                    let layer = LayerSpec::fc(format!("L{id}"), 64, 64 + 32 * (id % 4), 128);
+                    let request = WireRequest::new(id as u64, "BASELINE", layer);
+                    start.wait();
+                    assert_eq!(exchange(&mut conn, &request).unwrap().id, id as u64);
+                });
+            }
+        });
+        let stats = router.stats();
+        assert_eq!(stats.routed, 3 * bound_workers() as u64);
+        assert_eq!(stats.window_blocked, 0);
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
     }
 
     #[test]

@@ -30,7 +30,6 @@ use crate::json::{
 use crate::key::CellKey;
 use crate::net::NetError;
 use crate::prof::{self, Stage};
-use crate::serve::ServeStats;
 use crate::{CacheStats, DesignPoint, SimJob, SimReport};
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
@@ -345,9 +344,6 @@ pub enum ErrorCode {
     BadRequest,
     /// The request named a design the shard does not serve.
     UnknownDesign,
-    /// A router's in-flight window turned the request away; retrying later
-    /// is safe.
-    Overloaded,
     /// The simulation itself failed.
     Simulation,
     /// No shard is reachable for the request's shape.
@@ -363,7 +359,6 @@ impl ErrorCode {
         match self {
             ErrorCode::BadRequest => "bad_request",
             ErrorCode::UnknownDesign => "unknown_design",
-            ErrorCode::Overloaded => "overloaded",
             ErrorCode::Simulation => "simulation",
             ErrorCode::Unavailable => "unavailable",
             ErrorCode::Internal => "internal",
@@ -377,7 +372,6 @@ impl ErrorCode {
         match s {
             "bad_request" => ErrorCode::BadRequest,
             "unknown_design" => ErrorCode::UnknownDesign,
-            "overloaded" => ErrorCode::Overloaded,
             "simulation" => ErrorCode::Simulation,
             "unavailable" => ErrorCode::Unavailable,
             _ => ErrorCode::Internal,
@@ -387,7 +381,7 @@ impl ErrorCode {
     /// Whether a client may transparently retry after this code.
     #[must_use]
     pub const fn is_retryable(self) -> bool {
-        matches!(self, ErrorCode::Overloaded | ErrorCode::Unavailable)
+        matches!(self, ErrorCode::Unavailable)
     }
 }
 
@@ -682,12 +676,12 @@ pub struct HealthStatus {
     pub shard: u32,
     /// The designs the shard serves, in construction order.
     pub designs: Vec<String>,
-    /// Requests answered over the wire since start.
+    /// Frames answered over the wire since start.
     pub served: u64,
-    /// The wrapped server's serving counters.
-    pub serve: ServeStats,
     /// The wrapped server's cell-cache counters (hits, misses, evictions —
     /// the per-shard cache-churn numbers the distributed soak reports).
+    /// Every request the shard answers is one hit or one miss, so
+    /// `hits + misses` counts its answers.
     pub cache: CacheStats,
 }
 
@@ -703,7 +697,6 @@ impl ToJson for HealthStatus {
                 JsonValue::Array(self.designs.iter().map(JsonValue::string).collect()),
             ),
             ("served".into(), JsonValue::number_from_u64(self.served)),
-            ("serve".into(), self.serve.to_json()),
             ("cache".into(), self.cache.to_json()),
         ])
     }
@@ -719,7 +712,6 @@ impl FromJson for HealthStatus {
                     .ok_or_else(|| JsonError::decode("design entry is not a string"))
             })?,
             served: u64_member(value, "served")?,
-            serve: ServeStats::from_json(member(value, "serve")?)?,
             cache: CacheStats::from_json(member(value, "cache")?)?,
         })
     }
@@ -771,6 +763,25 @@ mod tests {
             payload: b"ok".to_vec(),
         };
         assert_eq!(frame.encode(), vec![0, 0, 0, 4, 0x01, 0x04, b'o', b'k']);
+    }
+
+    /// The book's full error frame: what a bound router answers request 7
+    /// with when every shard is marked dead.
+    #[test]
+    fn error_frame_is_the_documented_bytes() {
+        let failure = WireFailure::new(
+            7,
+            ErrorCode::Unavailable,
+            "no shard available: every shard is marked dead",
+        );
+        let mut expected = vec![0, 0, 0, 0x5a, 0x01, 0x03];
+        expected.extend_from_slice(
+            br#"{"id":7,"code":"unavailable","message":"no shard available: every shard is marked dead"}"#,
+        );
+        assert_eq!(
+            Frame::json(FrameKind::Error, &failure.to_json()).encode(),
+            expected
+        );
     }
 
     #[test]
@@ -1116,23 +1127,21 @@ mod tests {
 
     #[test]
     fn failure_and_health_payloads_round_trip() {
-        let failure = WireFailure::new(3, ErrorCode::Overloaded, "queue full");
+        let failure = WireFailure::new(3, ErrorCode::Unavailable, "every shard is marked dead");
         let text = failure.to_json().to_string_compact();
         let back = WireFailure::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back, failure);
         assert!(failure.code.is_retryable());
         assert!(!ErrorCode::Simulation.is_retryable());
         assert_eq!(ErrorCode::from_str_lossy("warp_drive"), ErrorCode::Internal);
+        // An older router's `overloaded` is no code any more: not retried.
+        assert_eq!(ErrorCode::from_str_lossy("overloaded"), ErrorCode::Internal);
+        assert!(!ErrorCode::Internal.is_retryable());
 
         let health = HealthStatus {
             shard: 2,
             designs: vec!["BASELINE".into(), "RASA-DMDB-WLS".into()],
             served: 41,
-            serve: ServeStats {
-                submitted: 41,
-                completed: 41,
-                batches: 41,
-            },
             cache: CacheStats {
                 hits: 30,
                 misses: 11,

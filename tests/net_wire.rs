@@ -1,18 +1,21 @@
 //! Cross-crate checks of the networked serving tier through the public
-//! facade: property tests of the framed wire protocol, rendezvous
-//! routing, and a loopback shard/router/client integration proving
-//! distributed answers are byte-identical to in-process serving — the
-//! wire adds transport, never meaning.
+//! facade: property tests of the framed wire protocol, fuzzes of the
+//! request and reply decoders, rendezvous routing, and a loopback
+//! shard/router/client integration proving distributed answers are
+//! byte-identical to in-process serving — the wire adds transport, never
+//! meaning.
 
 use proptest::prelude::*;
 use rasa::prelude::*;
 use rasa::sim::net::hash::{preference_order, ring_point};
 use rasa::sim::net::{
-    AdmissionControl, ErrorCode, Frame, FrameDecoder, FrameKind, NetError, RouterConfig,
-    ShardConfig, WireFailure, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,
+    ErrorCode, Frame, FrameDecoder, FrameKind, HealthStatus, NetError, RouterConfig, RouterHealth,
+    RouterStats, ShardConfig, WireFailure, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,
 };
+use rasa::sim::CacheStats;
 use std::io::Write;
 use std::net::TcpStream;
+use std::sync::OnceLock;
 use std::time::Duration;
 
 fn small_layer(m: usize, k: usize, n: usize) -> LayerSpec {
@@ -90,24 +93,159 @@ fn decode_hostile_payload(payload: &[u8]) {
     }
 }
 
+/// The values every numeric member of a canonical payload is set to in
+/// turn by the boundary fuzzes.
+const BOUNDARY: [u64; 5] = [0, 1, 1 << 32, 1 << 63, u64::MAX];
+
+/// `text` with the number token at `span` replaced by each boundary value.
+fn boundary_mutations(text: &str) -> Vec<String> {
+    number_spans(text)
+        .into_iter()
+        .flat_map(|span| {
+            BOUNDARY.map(|value| format!("{}{value}{}", &text[..span.start], &text[span.end..]))
+        })
+        .collect()
+}
+
 /// Every numeric member of every canonical request, set in turn to each
 /// boundary value: the decoder rejects what cannot lower or key (a conv
 /// padding of 2^63 once overflowed inside conv validation) and never
 /// panics.
 #[test]
 fn request_decoder_survives_boundary_numbers() {
-    const BOUNDARY: [u64; 5] = [0, 1, 1 << 32, 1 << 63, u64::MAX];
     let mut cases = 0;
     for text in canonical_request_payloads() {
-        for span in number_spans(&text) {
-            for value in BOUNDARY {
-                let mutated = format!("{}{value}{}", &text[..span.start], &text[span.end..]);
-                decode_hostile_payload(mutated.as_bytes());
-                cases += 1;
-            }
+        for mutated in boundary_mutations(&text) {
+            decode_hostile_payload(mutated.as_bytes());
+            cases += 1;
         }
     }
     assert!(cases > 150, "only {cases} cases");
+}
+
+/// Canonical reply payloads, one of each kind a client or router decodes:
+/// a shard's Response to request 7 (a real capped simulation), an Error,
+/// a shard's Health and a router's Health nesting it.
+fn canonical_reply_payloads() -> &'static [String; 4] {
+    static PAYLOADS: OnceLock<[String; 4]> = OnceLock::new();
+    PAYLOADS.get_or_init(|| {
+        let design = DesignPoint::baseline();
+        let server = GemmServer::new(
+            ServeConfig {
+                cache_capacity: 4,
+                matmul_cap: Some(64),
+            },
+            std::slice::from_ref(&design),
+        )
+        .unwrap();
+        let layer = LayerSpec::fc("DLRM-1", 512, 1024, 1024);
+        let report = server
+            .submit(GemmRequest::new(design, layer))
+            .unwrap()
+            .wait()
+            .unwrap()
+            .report;
+        let response = WireResponse {
+            id: 7,
+            shard: 2,
+            batch_size: 1,
+            report: (*report).clone(),
+        };
+        let failure = WireFailure::new(7, ErrorCode::Unavailable, "every shard is marked dead");
+        let health = HealthStatus {
+            shard: 2,
+            designs: vec!["BASELINE".into(), "RASA-DMDB-WLS".into()],
+            served: 41,
+            cache: CacheStats {
+                hits: 30,
+                misses: 11,
+                entries: 11,
+                evictions: 2,
+                capacity: 64,
+            },
+        };
+        let router = RouterHealth {
+            stats: RouterStats {
+                routed: 9,
+                remote_errors: 1,
+                failovers: 2,
+                dead_marked: 1,
+                revived: 1,
+                window_blocked: 0,
+                cache_hits: 3,
+                cache_misses: 6,
+                per_shard: vec![4, 2],
+            },
+            dead: vec![1],
+            shards: vec![health.clone()],
+        };
+        [
+            response.to_json(),
+            failure.to_json(),
+            health.to_json(),
+            router.to_json(),
+        ]
+        .map(|document| document.to_string_compact())
+    })
+}
+
+/// Runs every reply-side decoder on a payload: the reply decoder of the
+/// client and the library router (on a Response and on an Error frame),
+/// then the failure and both health decoders. None may panic, whatever
+/// the bytes.
+fn decode_hostile_reply(payload: &[u8]) {
+    for kind in [FrameKind::Response, FrameKind::Error] {
+        let frame = Frame {
+            kind,
+            payload: payload.to_vec(),
+        };
+        let _ = WireResponse::from_reply(&frame, 7);
+    }
+    let Ok(text) = std::str::from_utf8(payload) else {
+        return;
+    };
+    let Ok(document) = JsonValue::parse(text) else {
+        return;
+    };
+    let _ = WireFailure::from_json(&document);
+    let _ = HealthStatus::from_json(&document);
+    let _ = RouterHealth::from_json(&document);
+}
+
+/// Every numeric member of every canonical reply, set in turn to each
+/// boundary value, through every reply-side decoder: none panics.
+#[test]
+fn reply_decoders_survive_boundary_numbers() {
+    let [response, failure, health, router] = canonical_reply_payloads();
+    // The unmutated payloads are valid, each for its own decoder.
+    let reply = |kind, payload: &String| Frame {
+        kind,
+        payload: payload.clone().into_bytes(),
+    };
+    let json = |payload: &String| JsonValue::parse(payload).unwrap();
+    WireResponse::from_reply(&reply(FrameKind::Response, response), 7).unwrap();
+    let err = WireResponse::from_reply(&reply(FrameKind::Error, failure), 7).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            NetError::Remote {
+                code: ErrorCode::Unavailable,
+                ..
+            }
+        ),
+        "{err}"
+    );
+    HealthStatus::from_json(&json(health)).unwrap();
+    RouterHealth::from_json(&json(router)).unwrap();
+
+    let mut cases = 0;
+    for text in canonical_reply_payloads() {
+        for mutated in boundary_mutations(text) {
+            decode_hostile_reply(mutated.as_bytes());
+            cases += 1;
+        }
+    }
+    assert!(cases > 250, "only {cases} cases");
 }
 
 proptest! {
@@ -156,6 +294,25 @@ proptest! {
             payload[at] ^= 1 << bit;
         }
         decode_hostile_payload(&payload);
+    }
+
+    /// A canonical reply with one byte flipped or the payload cut short
+    /// never panics a reply-side decoder.
+    #[test]
+    fn reply_decoders_survive_corrupted_bytes(
+        which in 0usize..4,
+        site in any::<usize>(),
+        bit in 0u32..8,
+        truncate in any::<bool>(),
+    ) {
+        let mut payload = canonical_reply_payloads()[which].clone().into_bytes();
+        let at = site % payload.len();
+        if truncate {
+            payload.truncate(at);
+        } else {
+            payload[at] ^= 1 << bit;
+        }
+        decode_hostile_reply(&payload);
     }
 
     /// Corrupting the version byte is always rejected, and truncating a
@@ -336,8 +493,6 @@ fn distributed_serving_is_byte_identical_and_survives_a_shard_death() {
     let router = Router::new(
         &addrs,
         RouterConfig {
-            inflight_per_shard: 4,
-            admission: AdmissionControl::Block,
             // The post-kill pass must actually reach the shards to prove
             // failover re-simulation; a result cache would answer the
             // replays without touching a socket.
