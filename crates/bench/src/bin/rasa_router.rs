@@ -2,8 +2,8 @@
 //! serving tier.
 //!
 //! Binds a frame server (see `docs/WIRE_PROTOCOL.md`) and forwards every
-//! request to the home shard of its route key (the design name, lowered
-//! shape and kernel override the client sent), with dead-shard failover
+//! request to the home shard of its route key (the design name and the
+//! lowered shape the client sent), with dead-shard failover
 //! (see [`rasa_sim::net::Router`]). Its event-loop workers bound the
 //! requests in flight; the rest wait in the loop's queue. Shard backends
 //! are passed as repeated `--shard ADDR` flags in shard-id order. The

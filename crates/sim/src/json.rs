@@ -26,11 +26,9 @@
 
 use crate::{CacheStats, PipelineStats, SimError, SimReport, SimSummary};
 use rasa_cpu::{CpuStats, SchedStats};
-use rasa_numeric::RegisterBlock;
-use rasa_numeric::{ConvShape, TilingConfig};
+use rasa_numeric::ConvShape;
 use rasa_power::{AreaBreakdown, EnergyBreakdown, PowerReport};
 use rasa_systolic::EngineStats;
-use rasa_trace::{GemmKernelConfig, KernelScheme, LoopOrder, MatmulOrder};
 use rasa_workloads::{LayerKind, LayerSpec};
 use std::fmt;
 
@@ -1000,139 +998,6 @@ impl FromJson for LayerSpec {
             Some(other) => Err(JsonError::decode(format!("unknown layer kind '{other}'"))),
             None => Err(JsonError::decode("field 'kind' is not a string")),
         }
-    }
-}
-
-impl ToJson for GemmKernelConfig {
-    fn to_json(&self) -> JsonValue {
-        let mut members = vec![
-            ("tm".into(), JsonValue::number_from_usize(self.tiling.tm)),
-            ("tk".into(), JsonValue::number_from_usize(self.tiling.tk)),
-            ("tn".into(), JsonValue::number_from_usize(self.tiling.tn)),
-            (
-                "emit_scalar_overhead".into(),
-                JsonValue::Bool(self.emit_scalar_overhead),
-            ),
-            (
-                "max_matmuls".into(),
-                self.max_matmuls
-                    .map_or(JsonValue::Null, JsonValue::number_from_usize),
-            ),
-            (
-                "matmul_order".into(),
-                JsonValue::string(self.matmul_order.label()),
-            ),
-        ];
-        // Scheme axes travel as one additive member, emitted only for
-        // non-default schemes so default-kernel documents (wire requests,
-        // pinned goldens) keep their pre-scheme bytes.
-        if !self.scheme.is_default() {
-            members.push((
-                "scheme".into(),
-                JsonValue::Object(vec![
-                    (
-                        "block_m".into(),
-                        JsonValue::number_from_usize(self.scheme.block.m),
-                    ),
-                    (
-                        "block_n".into(),
-                        JsonValue::number_from_usize(self.scheme.block.n),
-                    ),
-                    (
-                        "loop_order".into(),
-                        JsonValue::string(self.scheme.loop_order.label()),
-                    ),
-                    (
-                        "scalar_ops_per_step".into(),
-                        JsonValue::number_from_usize(self.scheme.scalar_ops_per_step as usize),
-                    ),
-                    (
-                        "segment_size".into(),
-                        self.scheme
-                            .segment_size
-                            .map_or(JsonValue::Null, JsonValue::number_from_usize),
-                    ),
-                ]),
-            ));
-        }
-        JsonValue::Object(members)
-    }
-}
-
-impl FromJson for GemmKernelConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let tiling = TilingConfig::new(
-            usize_member(value, "tm")?,
-            usize_member(value, "tk")?,
-            usize_member(value, "tn")?,
-        )
-        .map_err(|e| JsonError::decode(format!("invalid tiling: {e}")))?;
-        let emit_scalar_overhead = member(value, "emit_scalar_overhead")?
-            .as_bool()
-            .ok_or_else(|| JsonError::decode("field 'emit_scalar_overhead' is not a bool"))?;
-        let max_matmuls = match member(value, "max_matmuls")? {
-            JsonValue::Null => None,
-            node => Some(
-                node.as_usize()
-                    .ok_or_else(|| JsonError::decode("field 'max_matmuls' is not a usize"))?,
-            ),
-        };
-        let matmul_order = match member(value, "matmul_order")?.as_str() {
-            Some("weight-paired") => MatmulOrder::WeightPaired,
-            Some("interleaved") => MatmulOrder::Interleaved,
-            Some(other) => {
-                return Err(JsonError::decode(format!("unknown matmul order '{other}'")))
-            }
-            None => return Err(JsonError::decode("field 'matmul_order' is not a string")),
-        };
-        // The scheme member is additive: documents written before kernel
-        // schemes existed (or for default-scheme kernels) simply omit it.
-        let scheme = match value.get("scheme") {
-            None | Some(JsonValue::Null) => KernelScheme::default(),
-            Some(node) => {
-                let block = RegisterBlock::new(
-                    usize_member(node, "block_m")?,
-                    usize_member(node, "block_n")?,
-                )
-                .map_err(|e| JsonError::decode(format!("invalid register block: {e}")))?;
-                let loop_order = match member(node, "loop_order")?.as_str() {
-                    Some("k-innermost") => LoopOrder::KInnermost,
-                    Some("n-innermost") => LoopOrder::NInnermost,
-                    Some(other) => {
-                        return Err(JsonError::decode(format!("unknown loop order '{other}'")))
-                    }
-                    None => return Err(JsonError::decode("field 'loop_order' is not a string")),
-                };
-                let scalar_ops = usize_member(node, "scalar_ops_per_step")?;
-                let scalar_ops_per_step = u8::try_from(scalar_ops).map_err(|_| {
-                    JsonError::decode(format!("scalar_ops_per_step {scalar_ops} exceeds u8"))
-                })?;
-                let segment_size =
-                    match member(node, "segment_size")? {
-                        JsonValue::Null => None,
-                        seg => Some(seg.as_usize().ok_or_else(|| {
-                            JsonError::decode("field 'segment_size' is not a usize")
-                        })?),
-                    };
-                KernelScheme {
-                    block,
-                    loop_order,
-                    scalar_ops_per_step,
-                    segment_size,
-                }
-            }
-        };
-        let kernel = GemmKernelConfig {
-            tiling,
-            emit_scalar_overhead,
-            max_matmuls,
-            matmul_order,
-            scheme,
-        };
-        kernel
-            .validate()
-            .map_err(|e| JsonError::decode(format!("invalid kernel: {e}")))?;
-        Ok(kernel)
     }
 }
 

@@ -3,7 +3,8 @@
 //! The runner identifies a simulation cell by one semantic string —
 //! `"{design:?}|{shape:?}|{kernel:?}"`, rendered by
 //! [`SimJob::semantic_key`](crate::SimJob::semantic_key) — and the router
-//! identifies a request by a shorter one rendered from the request as sent
+//! identifies a request by a shorter one, `"{design}|{shape:?}"`, rendered
+//! from the request alone
 //! ([`WireRequest::route_key`](crate::net::WireRequest::route_key)).
 //!
 //! [`CellKey`] renders a key **once** and carries a precomputed 64-bit

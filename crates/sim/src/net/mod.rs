@@ -6,6 +6,9 @@
 //!
 //! - [`wire`] — the length-prefixed framed protocol (version byte, frame
 //!   kinds, max-frame guard) and the JSON payload types that ride in it.
+//!   A request is a design name and a layer: shards simulate it with
+//!   their default kernel at their configured fidelity, and kernel
+//!   overrides stay in process ([`SimJob::with_kernel`](crate::SimJob::with_kernel)).
 //! - [`hash`] — FNV-1a rendezvous hashing that ranks the shards for a
 //!   request's route key, so repeated shapes always land where the LRU
 //!   cell cache is already warm.
@@ -13,10 +16,11 @@
 //!   behind the shared event-loop frame server, simulating on the loop's
 //!   workers.
 //! - [`router`] — [`Router`]: rendezvous routing across N shards with
-//!   dead-shard failover. It relays bytes: a request frame goes to the
-//!   shard unchanged, and the shard's reply comes back unchanged once its
-//!   kind and id check out. It routes on the request alone and holds no
-//!   shard configuration. A bound router's event-loop workers are the
+//!   dead-shard failover (a stale pooled connection is redialled once
+//!   before a shard counts as dead). It relays bytes: a request frame
+//!   goes to the shard unchanged, and the shard's reply comes back
+//!   unchanged once its kind and id check out. It routes on the request
+//!   alone and holds no shard configuration. A bound router's event-loop workers are the
 //!   tier's admission control: requests beyond them wait in the loop's
 //!   queue.
 //! - [`client`] — [`NetClient`]: a blocking client library with bounded
@@ -53,7 +57,7 @@ pub use router::{Router, RouterConfig, RouterHealth, RouterStats, DEFAULT_RESULT
 pub use shard::{ShardConfig, ShardServer};
 pub use wire::{
     ErrorCode, Frame, FrameDecoder, FrameKind, HealthStatus, WireFailure, WireRequest,
-    WireResponse, MAX_FRAME_LEN, MAX_NAME_LEN, WIRE_VERSION,
+    WireResponse, MAX_FRAME_LEN, MAX_GEMM_K, MAX_NAME_LEN, WIRE_VERSION,
 };
 
 use crate::SimError;

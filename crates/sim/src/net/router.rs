@@ -1,18 +1,20 @@
 //! Shard-warm request routing with dead-shard failover.
 //!
 //! A [`Router`] forwards every request to the home shard of its **route
-//! key** ([`WireRequest::route_key`]: design name, lowered GEMM shape and
-//! kernel override, as the client sent them), ranked by rendezvous hashing
-//! ([`preference_order`]). Repeated shapes therefore always land where the
-//! LRU cell cache is already warm. The router computes everything from the
-//! request itself: it holds no shard configuration and no placement
-//! structure.
+//! key** ([`WireRequest::route_key`]: the design name and the lowered GEMM
+//! shape), ranked by rendezvous hashing ([`preference_order`]). Repeated
+//! shapes therefore always land where the LRU cell cache is already warm.
+//! The router computes everything from the request itself: it holds no
+//! shard configuration and no placement structure.
 //!
-//! A transport failure marks the shard dead and the request is retried on
-//! the next shard in the key's [`preference order`](preference_order) —
-//! deterministic, and minimal-churn (only the dead shard's keys move).
-//! Requests are idempotent pure simulations, so retrying on another shard
-//! can never produce a different answer, only a colder cache.
+//! A transport failure on a fresh connection marks the shard dead and the
+//! request is retried on the next shard in the key's
+//! [`preference order`](preference_order) — deterministic, and
+//! minimal-churn (only the dead shard's keys move). Requests are
+//! idempotent pure simulations, so retrying on another shard can never
+//! produce a different answer, only a colder cache. A pooled connection
+//! that fails is redialled once first, because a shard that restarted on
+//! its address leaves every pooled connection stale.
 //! [`Router::health`] probes every shard, dead ones included, and a shard
 //! that answers with its health is alive again.
 //!
@@ -30,9 +32,8 @@
 //! instead of pooled. The result cache holds a shard's Response payload
 //! after that prefix, keyed by route key and workload name, so a hit
 //! splices in the new id and answers the shard's own bytes. Equal route
-//! keys name the same design, shape and kernel override, so the cached
-//! bytes are correct whatever default cap the shards run with, as long as
-//! the shards agree on it.
+//! keys name the same design and shape, so the cached bytes are correct
+//! whatever fidelity the shards run at, as long as they agree on it.
 //!
 //! [`Router::bind`] additionally exposes the router itself as a frame
 //! server (the `rasa-router` binary), answering health probes with a
@@ -241,25 +242,30 @@ struct Backend {
 }
 
 impl Backend {
-    /// One request/reply exchange on a pooled or fresh connection. The
-    /// connection goes back to the pool only when `check` accepts the
-    /// reply: a reply of the wrong kind or for another id means the stream
-    /// is desynced, so it is dropped instead of serving the next request.
+    /// One request/reply exchange. A pooled connection is tried first; a
+    /// transport failure on it (the shard may have restarted since it was
+    /// pooled) is retried once on a fresh connection, and only a failure
+    /// there is the shard's. The connection goes back to the pool only
+    /// when `check` accepts the reply: a reply of the wrong kind or for
+    /// another id means the stream is desynced, so it is dropped instead
+    /// of serving the next request.
     fn exchange(
         &self,
         frame: &Frame,
         check: impl FnOnce(&Frame) -> Result<(), NetError>,
     ) -> Result<Frame, NetError> {
         let pooled = self.pool.lock().expect("router pool lock").pop();
-        let mut stream = match pooled {
-            Some(stream) => stream,
-            None => TcpStream::connect(&self.addr).map_err(|e| NetError::Io {
-                kind: e.kind(),
-                reason: format!("connect {}: {e}", self.addr),
-            })?,
+        let (stream, reply) = match pooled.map(|stream| round_trip(stream, frame)) {
+            Some(Ok(answered)) => answered,
+            None | Some(Err(NetError::Io { .. })) => {
+                let stream = TcpStream::connect(&self.addr).map_err(|e| NetError::Io {
+                    kind: e.kind(),
+                    reason: format!("connect {}: {e}", self.addr),
+                })?;
+                round_trip(stream, frame)?
+            }
+            Some(Err(other)) => return Err(other),
         };
-        frame.write_to(&mut stream)?;
-        let reply = Frame::read_from(&mut stream)?;
         check(&reply)?;
         self.pool.lock().expect("router pool lock").push(stream);
         Ok(reply)
@@ -610,6 +616,13 @@ fn bound_workers() -> usize {
     thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32))
 }
 
+/// Writes `frame` to `stream` and reads one reply frame back.
+fn round_trip(mut stream: TcpStream, frame: &Frame) -> Result<(TcpStream, Frame), NetError> {
+    frame.write_to(&mut stream)?;
+    let reply = Frame::read_from(&mut stream)?;
+    Ok((stream, reply))
+}
+
 /// Accepts a shard's reply to the request whose Response payloads start
 /// with `prefix`: a Response for that id, or an Error frame.
 fn check_reply(reply: &Frame, prefix: &str) -> Result<(), NetError> {
@@ -861,33 +874,68 @@ mod tests {
         }
     }
 
-    /// The router caches under the kernel as sent, not under a kernel it
-    /// resolved with a cap of its own: a request with no kernel and one
-    /// with an explicit 4 096-capped default kernel are different cells on
-    /// a shard running cap 1 024, and the second must not be answered with
-    /// the first's bytes.
+    /// A request is a design and a layer: a bound router answers a kernel
+    /// override with `bad_request` and routes nothing, and relays a request
+    /// whose `kernel` is `null` exactly like one without.
     #[test]
-    fn result_cache_keys_on_the_kernel_as_sent() {
-        let shard = bind_shard("127.0.0.1:0", 0, 1024);
-        let addr = shard.local_addr().to_string();
-        let router = Router::new(std::slice::from_ref(&addr), RouterConfig::default()).unwrap();
-        let layer = LayerSpec::fc("DLRM-1", 512, 1024, 1024);
-        let implicit = WireRequest::new(1, "BASELINE", layer.clone());
-        let explicit = WireRequest::new(2, "BASELINE", layer)
-            .with_kernel(rasa_trace::GemmKernelConfig::default().with_max_matmuls(4096));
+    fn bound_router_answers_kernel_overrides_with_bad_request() {
+        use crate::net::wire::{request_frame_with_kernel, LEGACY_UNCAPPED_KERNEL};
+        let (shards, addrs) = spawn_shards(1);
+        let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
+        let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        let mut send = |frame: &Frame| {
+            frame.write_to(&mut conn).unwrap();
+            Frame::read_from(&mut conn).unwrap()
+        };
+        let request = WireRequest::new(2, "BASELINE", LayerSpec::fc("DLRM-1", 512, 1024, 1024));
 
-        let first = router.route(&implicit).unwrap();
-        let second = router.route(&explicit).unwrap();
-        let direct = exchange(&mut TcpStream::connect(&addr).unwrap(), &explicit).unwrap();
-        assert_eq!(first.report.simulated_matmuls, 1024, "the shard's own cap");
-        assert_eq!(direct.report.simulated_matmuls, 4096, "the request's cap");
-        assert_eq!(
-            second.to_json().to_string_compact(),
-            direct.to_json().to_string_compact()
-        );
+        let reply = send(&request_frame_with_kernel(&request, LEGACY_UNCAPPED_KERNEL));
+        assert_eq!(reply.kind, FrameKind::Error);
+        let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+        assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
         let stats = router.stats();
-        assert_eq!((stats.cache_hits, stats.cache_misses), (0, 2));
-        shard.shutdown();
+        assert_eq!((stats.routed, stats.cache_misses), (0, 0), "nothing routed");
+        assert_eq!(shards[0].health().served, 0);
+
+        let with_null = send(&request_frame_with_kernel(&request, "null"));
+        assert_eq!(with_null.kind, FrameKind::Response);
+        let mut direct = TcpStream::connect(&addrs[0]).unwrap();
+        Frame::json(FrameKind::Request, &request.to_json())
+            .write_to(&mut direct)
+            .unwrap();
+        assert_eq!(with_null, Frame::read_from(&mut direct).unwrap());
+        assert_eq!(router.stats().routed, 1);
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    /// A layer that reduces deeper than `MAX_GEMM_K` is a `bad_request` at
+    /// the router and never reaches a shard; one at the bound is answered.
+    #[test]
+    fn bound_router_answers_deep_reductions_with_bad_request() {
+        use crate::net::wire::MAX_GEMM_K;
+        let (shards, addrs) = spawn_shards(1);
+        let router = Router::bind("127.0.0.1:0", &addrs, RouterConfig::default()).unwrap();
+        let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        let deep = |k| WireRequest::new(6, "BASELINE", LayerSpec::fc("deep", 1, k, 1));
+        match exchange(&mut conn, &deep(MAX_GEMM_K + 1)) {
+            Err(NetError::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::BadRequest, "{message}");
+                assert!(message.contains("K = 32769"), "{message}");
+            }
+            other => panic!("expected bad_request, got {other:?}"),
+        }
+        let stats = router.stats();
+        assert_eq!((stats.routed, stats.cache_misses), (0, 0), "nothing routed");
+        assert_eq!(shards[0].health().served, 0);
+        let response = exchange(&mut conn, &deep(MAX_GEMM_K)).unwrap();
+        assert_eq!(response.report.workload, "deep");
+        router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
     }
 
     /// One request frame through a bound router and straight to a shard:
@@ -1085,6 +1133,37 @@ mod tests {
         for shard in shards {
             shard.shutdown();
         }
+    }
+
+    /// A shard restarted on its address is not dead: the router's pooled
+    /// connection to the old process fails, the exchange redials once, and
+    /// the new process answers. Only a failed fresh dial marks a shard
+    /// dead, so no health probe is needed.
+    #[test]
+    fn a_restarted_shard_is_redialled_not_marked_dead() {
+        let (mut shards, addrs) = spawn_shards(1);
+        let router = Router::bind("127.0.0.1:0", &addrs, uncached()).unwrap();
+        let mut conn = TcpStream::connect(router.local_addr().unwrap()).unwrap();
+        let request = |id| WireRequest::new(id, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+        assert_eq!(exchange(&mut conn, &request(1)).unwrap().id, 1);
+
+        shards.remove(0).shutdown();
+        let restarted = bind_shard(&addrs[0], 0, 8);
+        for id in 2..5 {
+            assert_eq!(exchange(&mut conn, &request(id)).unwrap().id, id);
+        }
+        let stats = router.stats();
+        assert_eq!(
+            (stats.routed, stats.dead_marked, stats.failovers),
+            (4, 0, 0)
+        );
+        assert_eq!(
+            restarted.health().cache.misses,
+            1,
+            "the new process answered"
+        );
+        router.shutdown();
+        restarted.shutdown();
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::net::wire::{
     ErrorCode, Frame, FrameKind, HealthStatus, WireFailure, WireRequest, WireResponse,
 };
 use crate::net::NetError;
-use crate::serve::{GemmRequest, GemmServer, ServeConfig};
+use crate::serve::{GemmServer, ServeConfig};
 use crate::{DesignPoint, SimError};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -134,8 +134,8 @@ impl ShardShared {
 fn answer(frame: &Frame, shared: &Arc<ShardShared>) -> Frame {
     match frame.kind {
         FrameKind::Health => Frame::json(FrameKind::Health, &shared.health().to_json()),
-        FrameKind::Request => match decode_request(frame) {
-            Ok(request) => answer_request(&request, shared),
+        FrameKind::Request => match decode_request(frame).and_then(|r| simulate(&r, shared)) {
+            Ok(response) => Frame::json(FrameKind::Response, &response.to_json()),
             Err(failure) => Frame::json(FrameKind::Error, &failure.to_json()),
         },
         // A shard only ever receives requests and probes.
@@ -159,46 +159,28 @@ fn decode_request(frame: &Frame) -> Result<WireRequest, WireFailure> {
         .map_err(|e| WireFailure::new(0, ErrorCode::BadRequest, e.to_string()))
 }
 
-fn answer_request(request: &WireRequest, shared: &Arc<ShardShared>) -> Frame {
-    let job = match request.to_job() {
-        Ok(job) => job,
-        Err(NetError::Remote { code, message }) => {
-            return Frame::json(
-                FrameKind::Error,
-                &WireFailure::new(request.id, code, message).to_json(),
-            );
-        }
-        Err(other) => {
-            return Frame::json(
-                FrameKind::Error,
-                &WireFailure::new(request.id, ErrorCode::Internal, other.to_string()).to_json(),
-            );
-        }
-    };
-    let mut gemm = GemmRequest::new(job.design, job.workload);
-    if let Some(kernel) = job.kernel {
-        gemm = gemm.with_kernel(kernel);
-    }
-    let outcome = shared
+/// Answers one decoded request through the shard's server.
+fn simulate(request: &WireRequest, shared: &ShardShared) -> Result<WireResponse, WireFailure> {
+    let fail = |code, message| WireFailure::new(request.id, code, message);
+    let job = request.to_job().map_err(|error| match error {
+        NetError::Remote { code, message } => fail(code, message),
+        other => fail(ErrorCode::Internal, other.to_string()),
+    })?;
+    let response = shared
         .server
-        .submit(gemm)
-        .and_then(crate::serve::ResponseHandle::wait);
-    match outcome {
-        Ok(response) => Frame::json(
-            FrameKind::Response,
-            &WireResponse {
-                id: request.id,
-                shard: shared.shard_id,
-                batch_size: 1,
-                report: (*response.report).clone(),
-            }
-            .to_json(),
-        ),
-        Err(error) => Frame::json(
-            FrameKind::Error,
-            &WireFailure::new(request.id, ErrorCode::Simulation, error.to_string()).to_json(),
-        ),
-    }
+        .submit(job)
+        .and_then(crate::serve::ResponseHandle::wait)
+        .map_err(|error| match error {
+            // The server's one `Serve` error: a design it does not serve.
+            SimError::Serve { .. } => fail(ErrorCode::UnknownDesign, error.to_string()),
+            _ => fail(ErrorCode::Simulation, error.to_string()),
+        })?;
+    Ok(WireResponse {
+        id: request.id,
+        shard: shared.shard_id,
+        batch_size: 1,
+        report: (*response.report).clone(),
+    })
 }
 
 #[cfg(test)]
@@ -258,6 +240,21 @@ mod tests {
         let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
         assert_eq!(failure.id, 43);
         assert_eq!(failure.code, ErrorCode::UnknownDesign);
+
+        // So is a paper design this shard does not serve.
+        let unserved = WireRequest::new(44, "RASA-PIPE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+        let reply = request_over(
+            &mut conn,
+            &Frame::json(FrameKind::Request, &unserved.to_json()),
+        );
+        let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+        assert_eq!(failure.id, 44);
+        assert_eq!(
+            failure.code,
+            ErrorCode::UnknownDesign,
+            "{}",
+            failure.message
+        );
 
         // A structurally broken request is BadRequest.
         let reply = request_over(
@@ -347,6 +344,35 @@ mod tests {
         );
         let response = WireResponse::from_reply(&reply, 7).unwrap();
         assert_eq!(response.report.workload, at_cap);
+        shard.shutdown();
+    }
+
+    /// A request is a design and a layer: a kernel override is a
+    /// `bad_request` and simulates nothing, and a `null` kernel is
+    /// answered exactly like no kernel.
+    #[test]
+    fn kernel_overrides_are_bad_requests() {
+        use crate::net::wire::{request_frame_with_kernel, LEGACY_UNCAPPED_KERNEL};
+        let designs = vec![DesignPoint::baseline()];
+        let shard = ShardServer::bind("127.0.0.1:0", tiny_config(), &designs).unwrap();
+        let mut conn = TcpStream::connect(shard.local_addr()).unwrap();
+        let request = WireRequest::new(8, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+        let reply = request_over(
+            &mut conn,
+            &request_frame_with_kernel(&request, LEGACY_UNCAPPED_KERNEL),
+        );
+        assert_eq!(reply.kind, FrameKind::Error);
+        let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
+        assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
+        assert_eq!(shard.health().cache.misses, 0, "nothing was simulated");
+
+        let with_null = request_over(&mut conn, &request_frame_with_kernel(&request, "null"));
+        assert_eq!(with_null.kind, FrameKind::Response);
+        let without = request_over(
+            &mut conn,
+            &Frame::json(FrameKind::Request, &request.to_json()),
+        );
+        assert_eq!(with_null, without);
         shard.shutdown();
     }
 

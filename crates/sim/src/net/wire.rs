@@ -31,7 +31,6 @@ use crate::key::CellKey;
 use crate::net::NetError;
 use crate::prof::{self, Stage};
 use crate::{CacheStats, DesignPoint, SimJob, SimReport};
-use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
 use std::io::{Read, Write};
 
@@ -51,6 +50,14 @@ pub const HEADER_LEN: usize = 6;
 /// cache hold the names of the requests they answered, so only this cap
 /// keeps their memory proportional to their entry counts.
 pub const MAX_NAME_LEN: usize = 256;
+
+/// Deepest reduction (the lowered GEMM's K) a request may ask for. The
+/// matmul cap counts register blocks, and one block spans the whole K
+/// reduction, so a capped shard simulates up to its cap plus one block,
+/// and a block grows with K. At this K one default 2×2 block holds
+/// exactly the default cap of 4 096 `rasa_mm`; it is 10× the deepest
+/// Table I layer (BERT-2, K = 3 072).
+pub const MAX_GEMM_K: usize = 32_768;
 
 /// What a frame carries; the sixth byte of the frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -387,18 +394,23 @@ impl ErrorCode {
 
 /// A simulation request as shipped over the wire.
 ///
-/// Designs travel **by name** (resolved against the eight named paper
-/// designs via [`DesignPoint::by_name`] on the shard); the workload and
-/// the optional kernel override travel structurally. `id` is echoed back
-/// in the response so a client can detect protocol desync.
+/// A request is a design and a layer. Designs travel **by name**
+/// (resolved against the eight named paper designs via
+/// [`DesignPoint::by_name`] on the shard) and the workload travels
+/// structurally; the shard simulates it with its default kernel at its
+/// configured fidelity. `id` is echoed back in the response so a client
+/// can detect protocol desync.
 ///
 /// The decoder turns away, as a decode error (`bad_request` on the
-/// wire), a request whose design or workload name is longer than
-/// [`MAX_NAME_LEN`] bytes, an invalid conv shape (including one whose
-/// padded input or lowered GEMM overflows), and a layer whose lowered
-/// GEMM has more MACs (m·k·n) than a `u64` counts. Every accepted request
-/// can therefore be keyed ([`route_key`](Self::route_key)) without
-/// overflow.
+/// wire), a request that carries a non-null `kernel` (kernel overrides
+/// stay in process, on [`SimJob::with_kernel`]), a design or workload
+/// name longer than [`MAX_NAME_LEN`] bytes, an invalid conv shape
+/// (including one whose padded input or lowered GEMM overflows), a layer
+/// whose lowered GEMM has more MACs (m·k·n) than a `u64` counts, and one
+/// whose lowered K exceeds [`MAX_GEMM_K`]. Every accepted request can
+/// therefore be keyed ([`route_key`](Self::route_key)) without overflow,
+/// and a capped shard simulates at most its cap plus one block of at most
+/// 4 096 `rasa_mm` for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WireRequest {
     /// Client-chosen correlation id, echoed in the answer.
@@ -407,8 +419,6 @@ pub struct WireRequest {
     pub design: String,
     /// The workload to simulate.
     pub workload: LayerSpec,
-    /// Kernel override (`None` = the shard's default kernel and cap).
-    pub kernel: Option<GemmKernelConfig>,
 }
 
 impl WireRequest {
@@ -419,15 +429,7 @@ impl WireRequest {
             id,
             design: design.into(),
             workload,
-            kernel: None,
         }
-    }
-
-    /// Overrides the kernel configuration.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: GemmKernelConfig) -> Self {
-        self.kernel = Some(kernel);
-        self
     }
 
     /// Resolves the named design and builds the corresponding [`SimJob`]:
@@ -442,29 +444,19 @@ impl WireRequest {
             code: ErrorCode::UnknownDesign,
             message: format!("'{}' is not a paper design point", self.design),
         })?;
-        let mut job = SimJob::new(design, self.workload.clone());
-        if let Some(kernel) = self.kernel {
-            job = job.with_kernel(kernel);
-        }
-        Ok(job)
+        Ok(SimJob::new(design, self.workload.clone()))
     }
 
     /// The interned key the router routes and caches under:
-    /// `"{design}|{gemm_shape:?}|{kernel:?}"` — the design *name*, the
-    /// lowered GEMM shape and the kernel override *as sent* (`None` and an
-    /// explicit default kernel are different keys). Equal keys name the
-    /// same design, shape and override, so every shard running the same
-    /// default cap answers them with the same numbers; the router needs no
-    /// shard configuration to compute it. The key carries its precomputed
-    /// 64-bit routing point ([`CellKey::hash64`]).
+    /// `"{design}|{gemm_shape:?}"` — the design *name* and the lowered
+    /// GEMM shape. Equal keys name the same design and shape, so every
+    /// shard running at the same fidelity answers them with the same
+    /// numbers; the router needs no shard configuration to compute it. The
+    /// key carries its precomputed 64-bit routing point
+    /// ([`CellKey::hash64`]).
     #[must_use]
     pub fn route_key(&self) -> CellKey {
-        CellKey::new(format!(
-            "{}|{:?}|{:?}",
-            self.design,
-            self.workload.gemm_shape(),
-            self.kernel
-        ))
+        CellKey::new(format!("{}|{:?}", self.design, self.workload.gemm_shape()))
     }
 }
 
@@ -474,27 +466,21 @@ impl ToJson for WireRequest {
             ("id".into(), JsonValue::number_from_u64(self.id)),
             ("design".into(), JsonValue::string(&self.design)),
             ("workload".into(), self.workload.to_json()),
-            (
-                "kernel".into(),
-                self.kernel
-                    .as_ref()
-                    .map_or(JsonValue::Null, ToJson::to_json),
-            ),
         ])
     }
 }
 
 impl FromJson for WireRequest {
     fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let kernel = match value.get("kernel") {
-            None | Some(JsonValue::Null) => None,
-            Some(node) => Some(GemmKernelConfig::from_json(node)?),
-        };
+        if !matches!(value.get("kernel"), None | Some(JsonValue::Null)) {
+            return Err(JsonError::decode(
+                "kernel overrides are not served: a request is a design and a layer",
+            ));
+        }
         let request = WireRequest {
             id: u64_member(value, "id")?,
             design: string_member(value, "design")?,
             workload: LayerSpec::from_json(member(value, "workload")?)?,
-            kernel,
         };
         for (what, name) in [
             ("design", request.design.as_str()),
@@ -514,6 +500,12 @@ impl FromJson for WireRequest {
         if macs.is_none() {
             return Err(JsonError::decode(format!(
                 "lowered GEMM {gemm} has more MACs than a u64 counts"
+            )));
+        }
+        if gemm.k > MAX_GEMM_K {
+            return Err(JsonError::decode(format!(
+                "lowered GEMM {gemm} reduces over K = {}, deeper than the {MAX_GEMM_K} bound",
+                gemm.k
             )));
         }
         Ok(request)
@@ -719,8 +711,10 @@ impl FromJson for HealthStatus {
 
 /// Layers the request decoder must turn away, each with a fragment of its
 /// rejection message: conv shapes that divide by zero, do not fit, or
-/// overflow while lowering, and an fc layer whose MAC count overflows.
-/// Unchecked, lowering them panics (debug) or wraps (release).
+/// overflow while lowering, an fc layer whose MAC count overflows, and an
+/// fc and a conv layer that reduce deeper than [`MAX_GEMM_K`]. Unchecked,
+/// lowering the first five panics (debug) or wraps (release), and the
+/// last two cost a capped shard more than its cap plus one default block.
 #[cfg(test)]
 pub(crate) fn undecodable_layers() -> Vec<(LayerSpec, &'static str)> {
     use rasa_numeric::ConvShape;
@@ -732,12 +726,36 @@ pub(crate) fn undecodable_layers() -> Vec<(LayerSpec, &'static str)> {
         conv(ConvShape::new(1, 3, 8, 8, 4, 3, 3, 1, big)),
         conv(ConvShape::new(big, 3, 8, 8, 4, 3, 3, 1, 1)),
         (LayerSpec::fc("bad", big, big, 16), "MACs"),
+        (LayerSpec::fc("deep", 1, MAX_GEMM_K + 1, 1), "K = "),
+        // K = c·r·s = 3 641 · 3 · 3 = 32 769.
+        (
+            LayerSpec::conv("deep", ConvShape::new(1, 3_641, 8, 8, 4, 3, 3, 1, 1)),
+            "K = ",
+        ),
     ]
+}
+
+/// The default kernel as requests wrote it while they could carry one: an
+/// uncapped simulation of whatever layer the request names.
+#[cfg(test)]
+pub(crate) const LEGACY_UNCAPPED_KERNEL: &str = r#"{"tm":16,"tk":32,"tn":16,"emit_scalar_overhead":true,"max_matmuls":null,"matmul_order":"weight-paired"}"#;
+
+/// A Request frame for `request` with a `kernel` member holding the JSON
+/// text `kernel`.
+#[cfg(test)]
+pub(crate) fn request_frame_with_kernel(request: &WireRequest, kernel: &str) -> Frame {
+    let text = request.to_json().to_string_compact();
+    let payload = format!("{},\"kernel\":{kernel}}}", &text[..text.len() - 1]);
+    Frame {
+        kind: FrameKind::Request,
+        payload: payload.into_bytes(),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rasa_numeric::ConvShape;
 
     #[test]
@@ -846,14 +864,13 @@ mod tests {
     }
 
     #[test]
-    fn wire_request_json_round_trips_fc_conv_and_kernel() {
+    fn wire_request_json_round_trips_fc_and_conv() {
         let fc = WireRequest::new(1, "RASA-DMDB-WLS", LayerSpec::fc("BERT-1", 256, 768, 3072));
         let conv = WireRequest::new(
             2,
             "BASELINE",
             LayerSpec::conv("ResNet50-2", ConvShape::new(32, 64, 56, 56, 64, 3, 3, 1, 1)),
-        )
-        .with_kernel(GemmKernelConfig::amx_like().with_max_matmuls(64));
+        );
         for request in [fc, conv] {
             let text = request.to_json().to_string_compact();
             let back = WireRequest::from_json(&JsonValue::parse(&text).unwrap()).unwrap();
@@ -863,6 +880,38 @@ mod tests {
                 request.workload.gemm_shape(),
                 "lowered shape must survive the wire"
             );
+        }
+    }
+
+    /// The book's Request frame: the complete payload WIRE_PROTOCOL.md
+    /// shows under `WireRequest`, and its length prefix.
+    #[test]
+    fn request_frame_is_the_documented_bytes() {
+        let request =
+            WireRequest::new(7, "RASA-DMDB-WLS", LayerSpec::fc("DLRM-1", 512, 1024, 1024));
+        let payload = br#"{"id":7,"design":"RASA-DMDB-WLS","workload":{"name":"DLRM-1","kind":"fc","batch":512,"input_neurons":1024,"output_neurons":1024}}"#;
+        assert_eq!(request.to_json().to_string_compact().as_bytes(), payload);
+        let mut expected = vec![0, 0, 0, 0x83, 0x01, 0x01];
+        expected.extend_from_slice(payload);
+        assert_eq!(
+            Frame::json(FrameKind::Request, &request.to_json()).encode(),
+            expected
+        );
+    }
+
+    /// A kernel override is a decode error, whatever it holds, and a
+    /// `null` kernel is the same request as none.
+    #[test]
+    fn request_decoder_rejects_kernel_overrides() {
+        let request = WireRequest::new(7, "BASELINE", LayerSpec::fc("DLRM-1", 512, 1024, 1024));
+        let decode = |kernel| {
+            let frame = request_frame_with_kernel(&request, kernel);
+            WireRequest::from_json(&frame.payload_json().unwrap())
+        };
+        assert_eq!(decode("null").unwrap(), request);
+        for kernel in [LEGACY_UNCAPPED_KERNEL, "{}", "0"] {
+            let err = decode(kernel).unwrap_err();
+            assert!(err.message.contains("kernel"), "{kernel}: {err}");
         }
     }
 
@@ -884,6 +933,9 @@ mod tests {
         assert!(edge.route_key().as_str().contains("m: 4611686018427387904"));
         let over = WireRequest::new(1, "BASELINE", LayerSpec::fc("over", 1 << 62, 2, 2));
         assert!(redecode(&over).unwrap_err().message.contains("MACs"));
+        // A reduction of exactly MAX_GEMM_K is accepted.
+        let deepest = WireRequest::new(1, "BASELINE", LayerSpec::fc("deep", 1, MAX_GEMM_K, 1));
+        assert_eq!(redecode(&deepest).unwrap(), deepest);
     }
 
     #[test]
@@ -931,7 +983,7 @@ mod tests {
         let key = request.route_key();
         assert_eq!(
             key.as_str(),
-            "BASELINE|GemmShape { m: 512, k: 1024, n: 1024 }|None"
+            "BASELINE|GemmShape { m: 512, k: 1024, n: 1024 }"
         );
         // Re-batched layers at the same lowered shape share the key — the
         // property shard-warm routing relies on — whatever their name.
@@ -941,14 +993,8 @@ mod tests {
             LayerSpec::fc("DLRM-1-b512", 64, 1024, 1024).with_batch(512),
         );
         assert_eq!(rebatched.route_key(), key);
-        // Different kernels are different keys, and an explicit default
-        // kernel is not the same key as no kernel: the shard resolves
-        // `None` with its own cap.
-        let default_kernel = request.clone().with_kernel(GemmKernelConfig::default());
-        let capped = request.with_kernel(GemmKernelConfig::default().with_max_matmuls(64));
-        assert_ne!(default_kernel.route_key(), key);
-        assert_ne!(capped.route_key(), key);
-        assert_ne!(capped.route_key(), default_kernel.route_key());
+        let other = WireRequest::new(9, "RASA-DMDB-WLS", layer.clone());
+        assert_ne!(other.route_key(), key);
         // The design travels by name: an unknown one still has a key.
         let unknown = WireRequest::new(11, "NOT-A-DESIGN", layer);
         assert!(unknown.route_key().as_str().starts_with("NOT-A-DESIGN|"));
@@ -1123,6 +1169,104 @@ mod tests {
         bytes[5] = 0x7f;
         let err = FrameDecoder::new().feed(&bytes).unwrap_err();
         assert!(matches!(err, NetError::Frame { .. }), "{err}");
+    }
+
+    /// What the one-shot parser makes of a whole stream: its frames, and
+    /// whether a bad header (rather than the end of the bytes) stopped it.
+    fn one_shot_frames(stream: &[u8]) -> (Vec<Frame>, bool) {
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while let Ok((frame, consumed)) = Frame::decode(&stream[at..]) {
+            frames.push(frame);
+            at += consumed;
+        }
+        let bad_header = stream
+            .get(at..at + HEADER_LEN)
+            .is_some_and(|header| parse_header(header.try_into().unwrap()).is_err());
+        (frames, bad_header)
+    }
+
+    /// A piece of a hostile stream: a frame header followed by raw bytes.
+    /// Most headers are valid and declare a short payload, sometimes
+    /// exactly as long as the bytes that follow (a whole frame); the rest
+    /// declare an arbitrary length, a length at the cap, a wrong version
+    /// or a wrong kind, or are left out, so raw bytes stand where a header
+    /// belongs.
+    fn stream_piece() -> impl Strategy<Value = Vec<u8>> {
+        let tail = proptest::collection::vec(any::<u8>(), 0..48);
+        (0u8..8, (0u32..48, any::<u32>()), any::<u8>(), tail).prop_map(
+            |(shape, (short, word), byte, mut tail)| {
+                let cap = u32::try_from(MAX_FRAME_LEN).unwrap();
+                let (mut body_len, mut version, mut kind) = (2 + short, WIRE_VERSION, 1 + byte % 4);
+                match shape {
+                    0 => return tail,
+                    1 => body_len = word,
+                    // Payloads of MAX_FRAME_LEN - 2 ..= MAX_FRAME_LEN + 1.
+                    2 => body_len = cap + word % 4,
+                    3 => version = byte,
+                    4 => kind = byte,
+                    5 => tail.resize(short as usize, byte),
+                    _ => {}
+                }
+                let mut piece = body_len.to_be_bytes().to_vec();
+                piece.extend_from_slice(&[version, kind]);
+                piece.extend_from_slice(&tail);
+                piece
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// One decoder fed arbitrary bytes in arbitrary chunks, as one
+        /// connection's reads would feed it: it never panics, always makes
+        /// progress, never sizes a payload buffer past `MAX_FRAME_LEN`,
+        /// fails only with a header error (after which the connection
+        /// closes), and yields exactly the one-shot parser's frames.
+        #[test]
+        fn decoder_survives_arbitrary_bytes(
+            pieces in proptest::collection::vec(stream_piece(), 1..6),
+            chunk_sizes in proptest::collection::vec(1usize..40, 1..16),
+        ) {
+            let stream = pieces.concat();
+            let mut decoder = FrameDecoder::new();
+            let (mut frames, mut failed) = (Vec::new(), false);
+            let mut chunks = chunk_sizes.iter().cycle();
+            let mut offset = 0;
+            'read: while offset < stream.len() {
+                let end = (offset + chunks.next().unwrap()).min(stream.len());
+                let mut bytes = &stream[offset..end];
+                offset = end;
+                while !bytes.is_empty() {
+                    match decoder.feed(bytes) {
+                        Ok((consumed, frame)) => {
+                            prop_assert!((1..=bytes.len()).contains(&consumed));
+                            bytes = &bytes[consumed..];
+                            match frame {
+                                Some(frame) => frames.push(frame),
+                                None => prop_assert!(bytes.is_empty(), "a partial frame drains"),
+                            }
+                        }
+                        Err(error) => {
+                            prop_assert!(
+                                matches!(
+                                    error,
+                                    NetError::Frame { .. }
+                                        | NetError::FrameTooLarge { .. }
+                                        | NetError::BadVersion { .. }
+                                ),
+                                "{error}"
+                            );
+                            failed = true;
+                            break 'read;
+                        }
+                    }
+                    prop_assert!(decoder.payload.capacity() <= MAX_FRAME_LEN);
+                }
+            }
+            prop_assert_eq!((frames, failed), one_shot_frames(&stream));
+        }
     }
 
     #[test]

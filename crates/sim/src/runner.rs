@@ -90,8 +90,8 @@ impl SimJob {
     /// default matmul cap: design + lowered GEMM shape + resolved kernel.
     ///
     /// This is the key [`ExperimentRunner`] memoizes under, computable
-    /// without a runner. (The network router routes on the request as
-    /// sent instead — see
+    /// without a runner. (The network router routes on the design name
+    /// and lowered shape instead — see
     /// [`WireRequest::route_key`](crate::net::WireRequest::route_key).)
     ///
     /// The kernel half of the key is the kernel's `Debug` rendering, which

@@ -18,6 +18,12 @@
 //!   there are no queues, worker pools or reply channels, and the handle
 //!   it returns already holds the answer. A networked shard therefore
 //!   simulates on the event-loop worker that decoded the request.
+//! * **A request is a job** — [`GemmRequest`] is the runner's
+//!   [`SimJob`](crate::SimJob), and `submit` hands it straight to
+//!   [`ExperimentRunner::run_job`](crate::ExperimentRunner::run_job). A
+//!   kernel override ([`SimJob::with_kernel`](crate::SimJob::with_kernel))
+//!   is an in-process option: a networked shard builds its jobs from a
+//!   design and a layer only, so it always runs its default kernel.
 //! * **Shared cells** — requests are keyed by the runner's semantic cell
 //!   key (design + lowered GEMM shape + kernel), so equal shapes share
 //!   one simulation through the bounded LRU cell cache, and a hit is
@@ -32,6 +38,10 @@ mod request;
 mod server;
 mod stats;
 
-pub use request::{GemmRequest, GemmResponse, RequestLatency, ResponseHandle};
+/// One served query: a workload on a design point, optionally under a
+/// kernel override. A query is exactly a simulation job, so the serving
+/// layer takes [`SimJob`](crate::SimJob) under this name.
+pub use crate::SimJob as GemmRequest;
+pub use request::{GemmResponse, RequestLatency, ResponseHandle};
 pub use server::{GemmServer, ServeConfig};
 pub use stats::{LatencySummary, ServeStats};

@@ -1,50 +1,7 @@
 //! Request/response types of the serving layer.
 
-use crate::{DesignPoint, SimError, SimJob, SimReport};
-use rasa_trace::GemmKernelConfig;
-use rasa_workloads::LayerSpec;
+use crate::{SimError, SimReport};
 use std::sync::Arc;
-
-/// One GEMM query: a workload to run on a design point, optionally under a
-/// non-default kernel. The serving analogue of a [`SimJob`].
-#[derive(Debug, Clone)]
-pub struct GemmRequest {
-    /// The design point that must serve the request.
-    pub design: DesignPoint,
-    /// The workload to simulate.
-    pub workload: LayerSpec,
-    /// Kernel override (`None` uses the server's default kernel).
-    pub kernel: Option<GemmKernelConfig>,
-}
-
-impl GemmRequest {
-    /// A request for `workload` on `design` with the default kernel.
-    #[must_use]
-    pub fn new(design: DesignPoint, workload: LayerSpec) -> Self {
-        GemmRequest {
-            design,
-            workload,
-            kernel: None,
-        }
-    }
-
-    /// Overrides the kernel configuration.
-    #[must_use]
-    pub fn with_kernel(mut self, kernel: GemmKernelConfig) -> Self {
-        self.kernel = Some(kernel);
-        self
-    }
-
-    /// The simulation job this request resolves to.
-    #[must_use]
-    pub fn into_job(self) -> SimJob {
-        SimJob {
-            design: self.design,
-            workload: self.workload,
-            kernel: self.kernel,
-        }
-    }
-}
 
 /// Wall-clock latency breakdown of one served request, in seconds.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -105,7 +105,7 @@ impl GemmServer {
         }
         self.submitted.fetch_add(1, Ordering::Relaxed);
         let simulating = Instant::now();
-        let result = self.runner.run_job(&request.into_job());
+        let result = self.runner.run_job(&request);
         let simulate_seconds = simulating.elapsed().as_secs_f64();
         self.completed.fetch_add(1, Ordering::Relaxed);
         Ok(ResponseHandle {

@@ -10,7 +10,7 @@ use rasa::prelude::*;
 use rasa::sim::net::hash::{preference_order, ring_point};
 use rasa::sim::net::{
     ErrorCode, Frame, FrameDecoder, FrameKind, HealthStatus, NetError, RouterConfig, RouterHealth,
-    RouterStats, ShardConfig, WireFailure, WireResponse, MAX_FRAME_LEN, WIRE_VERSION,
+    RouterStats, ShardConfig, WireFailure, WireResponse, MAX_FRAME_LEN, MAX_GEMM_K, WIRE_VERSION,
 };
 use rasa::sim::CacheStats;
 use std::io::Write;
@@ -22,28 +22,16 @@ fn small_layer(m: usize, k: usize, n: usize) -> LayerSpec {
     LayerSpec::fc(format!("GEMM-{m}x{k}x{n}"), m, k, n)
 }
 
-/// Canonical Request payloads: an fc and a conv layer, each plain and
-/// with a kernel override (the fc one with a non-default scheme, so every
-/// numeric member a request can carry appears in one of them).
+/// Canonical Request payloads: an fc and a conv layer, so every numeric
+/// member a request can carry appears in one of them.
 fn canonical_request_payloads() -> Vec<String> {
-    let fc = WireRequest::new(7, "BASELINE", LayerSpec::fc("DLRM-1", 512, 1024, 1024));
-    let conv = WireRequest::new(
-        8,
-        "RASA-DMDB-WLS",
-        LayerSpec::conv("ResNet50-2", ConvShape::new(32, 64, 56, 56, 64, 3, 3, 1, 1)),
-    );
-    let scheme = rasa::trace::KernelSchemeBuilder::new()
-        .with_block(1, 3)
-        .with_scalar_ops_per_step(1)
-        .with_segment_size(128)
-        .build()
-        .unwrap()
-        .with_max_matmuls(64);
     [
-        fc.clone(),
-        fc.with_kernel(scheme),
-        conv.clone(),
-        conv.with_kernel(GemmKernelConfig::amx_like().with_max_matmuls(64)),
+        WireRequest::new(7, "BASELINE", LayerSpec::fc("DLRM-1", 512, 1024, 1024)),
+        WireRequest::new(
+            8,
+            "RASA-DMDB-WLS",
+            LayerSpec::conv("ResNet50-2", ConvShape::new(32, 64, 56, 56, 64, 3, 3, 1, 1)),
+        ),
     ]
     .iter()
     .map(|request| request.to_json().to_string_compact())
@@ -79,48 +67,61 @@ fn number_spans(text: &str) -> Vec<std::ops::Range<usize>> {
     spans
 }
 
-/// Runs the decoders a shard and a router run on a request payload. None
-/// may panic, whatever the bytes; an accepted request must also key.
-fn decode_hostile_payload(payload: &[u8]) {
+/// Runs the decoders a shard and a router run on a request payload and
+/// returns whether the request was accepted. None may panic, whatever the
+/// bytes; an accepted request must also key, and reduce over at most
+/// `MAX_GEMM_K`.
+fn decode_hostile_payload(payload: &[u8]) -> bool {
     let Ok(text) = std::str::from_utf8(payload) else {
-        return;
+        return false;
     };
     let Ok(document) = JsonValue::parse(text) else {
-        return;
+        return false;
     };
-    if let Ok(request) = WireRequest::from_json(&document) {
-        let _ = request.route_key();
-    }
+    let Ok(request) = WireRequest::from_json(&document) else {
+        return false;
+    };
+    let _ = request.route_key();
+    let gemm = request.workload.gemm_shape();
+    assert!(gemm.k <= MAX_GEMM_K, "accepted {gemm} from {text}");
+    true
 }
 
 /// The values every numeric member of a canonical payload is set to in
 /// turn by the boundary fuzzes.
 const BOUNDARY: [u64; 5] = [0, 1, 1 << 32, 1 << 63, u64::MAX];
 
-/// `text` with the number token at `span` replaced by each boundary value.
-fn boundary_mutations(text: &str) -> Vec<String> {
+/// `text` with the number token at each span replaced by each of `values`.
+fn boundary_mutations(text: &str, values: &[u64]) -> Vec<String> {
     number_spans(text)
         .into_iter()
         .flat_map(|span| {
-            BOUNDARY.map(|value| format!("{}{value}{}", &text[..span.start], &text[span.end..]))
+            values
+                .iter()
+                .map(move |value| format!("{}{value}{}", &text[..span.start], &text[span.end..]))
         })
         .collect()
 }
 
 /// Every numeric member of every canonical request, set in turn to each
-/// boundary value: the decoder rejects what cannot lower or key (a conv
+/// boundary value and to either side of the reduction bound: the decoder
+/// rejects what cannot lower, key or stay within `MAX_GEMM_K` (a conv
 /// padding of 2^63 once overflowed inside conv validation) and never
 /// panics.
 #[test]
 fn request_decoder_survives_boundary_numbers() {
-    let mut cases = 0;
+    let bound = MAX_GEMM_K as u64;
+    let values = [&BOUNDARY[..], &[bound, bound + 1]].concat();
+    let (mut cases, mut accepted) = (0, 0);
     for text in canonical_request_payloads() {
-        for mutated in boundary_mutations(&text) {
-            decode_hostile_payload(mutated.as_bytes());
+        for mutated in boundary_mutations(&text, &values) {
+            accepted += usize::from(decode_hostile_payload(mutated.as_bytes()));
             cases += 1;
         }
     }
-    assert!(cases > 150, "only {cases} cases");
+    // Four fc members and ten conv members, each at every value.
+    assert_eq!(cases, 14 * values.len());
+    assert!(accepted > 0 && accepted < cases, "{accepted} of {cases}");
 }
 
 /// Canonical reply payloads, one of each kind a client or router decodes:
@@ -240,7 +241,7 @@ fn reply_decoders_survive_boundary_numbers() {
 
     let mut cases = 0;
     for text in canonical_reply_payloads() {
-        for mutated in boundary_mutations(text) {
+        for mutated in boundary_mutations(text, &BOUNDARY) {
             decode_hostile_reply(mutated.as_bytes());
             cases += 1;
         }
@@ -281,7 +282,7 @@ proptest! {
     /// never panics a decoder.
     #[test]
     fn request_decoder_survives_corrupted_bytes(
-        which in 0usize..4,
+        which in 0usize..2,
         site in any::<usize>(),
         bit in 0u32..8,
         truncate in any::<bool>(),
@@ -293,7 +294,7 @@ proptest! {
         } else {
             payload[at] ^= 1 << bit;
         }
-        decode_hostile_payload(&payload);
+        let _ = decode_hostile_payload(&payload);
     }
 
     /// A canonical reply with one byte flipped or the payload cut short
