@@ -145,9 +145,10 @@ fn timing_comparison(
             spec_speedup,
         );
         println!(
-            "  {:<14} {} strides fast-forwarded; {} segments fed (sequential streamed: {})",
+            "  {:<14} {} strides fast-forwarded ({} of them reduction steps inside blocks); {} segments fed (sequential streamed: {})",
             "",
             speculative.pipeline.spec_forks,
+            speculative.pipeline.spec_step_forks,
             speculative.pipeline.segments,
             streamed.pipeline.segments,
         );

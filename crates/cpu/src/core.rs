@@ -12,7 +12,7 @@ use std::collections::{HashMap, VecDeque};
 const NUM_VEC_REGS: usize = 32;
 
 /// A reorder-buffer entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 struct RobEntry {
     kind: InstructionKind,
     issued: bool,
@@ -53,7 +53,7 @@ struct RsEntry {
 
 /// Events handed to the matrix engine in program order: tile-register
 /// writes (for dirty-bit maintenance) and `rasa_mm` submissions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum EngineEvent {
     Write(TileReg),
     Matmul {
@@ -64,7 +64,7 @@ enum EngineEvent {
 }
 
 /// Where a paused streaming run resumes inside its current cycle.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 enum RunPhase {
     /// At the top of a not-yet-simulated cycle.
     TopOfCycle,
@@ -243,22 +243,51 @@ impl CoreRun {
     }
 }
 
-/// Compares two ROB windows for scheduling equivalence at `cycle`: exact
-/// equality except that the `complete_cycle` of *dead* entries (issued,
-/// complete by `cycle`, waiters drained) is normalized away — its only
-/// remaining use is a `complete_cycle <= cycle` test that stays true
-/// forever, so any two dead timestamps are interchangeable.
-fn rob_eq(a: &VecDeque<RobEntry>, b: &VecDeque<RobEntry>, cycle: u64) -> bool {
-    let dead = |e: &RobEntry| e.issued && e.complete_cycle <= cycle && e.waiters.is_empty();
-    a.len() == b.len()
-        && a.iter().zip(b.iter()).all(|(x, y)| {
-            x.kind == y.kind
-                && x.issued == y.issued
-                && x.retired == y.retired
-                && x.pending == y.pending
-                && x.waiters == y.waiters
-                && (x.complete_cycle == y.complete_cycle || (dead(x) && dead(y)))
-        })
+/// A paused boundary as [`CpuCore::fingerprint`] writes it, with the
+/// scratch its event heap is sorted in. Refilled from checkpoint to
+/// checkpoint, so writing one allocates nothing once its buffers have
+/// grown. Equality compares the written words.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Fingerprint {
+    words: Vec<u64>,
+    events: Vec<(u64, u64)>,
+}
+
+impl PartialEq for Fingerprint {
+    fn eq(&self, other: &Self) -> bool {
+        self.words == other.words
+    }
+}
+
+/// Tags of [`CpuCore::fingerprint`]: one per field and case, so no two
+/// cases share an encoding. A tag fills the top byte of a word
+/// ([`tagged`]).
+mod tag {
+    pub const TOP_OF_CYCLE: u64 = 1;
+    pub const RENAME: u64 = 2;
+    pub const FLAGS: u64 = 3;
+    pub const RS_READY: u64 = 4;
+    pub const ROB: u64 = 5;
+    /// A ROB entry whose completion time is moot (see the fingerprint).
+    pub const DEAD: u64 = 6;
+    /// A ROB entry that has not issued (no completion time yet).
+    pub const UNISSUED: u64 = 7;
+    /// A ROB entry whose completion time follows in the next word.
+    pub const COMPLETES: u64 = 8;
+    pub const RS: u64 = 9;
+    pub const ENGINE_EVENTS: u64 = 10;
+    pub const WRITE: u64 = 11;
+    pub const MATMUL: u64 = 12;
+    pub const EVENTS: u64 = 13;
+    pub const LIVE_WRITER: u64 = 14;
+    pub const RETIRED_WRITER: u64 = 15;
+}
+
+/// One fingerprint word: `tag` in the top byte over `value`, which must
+/// fit below it. Relative times, which may wrap, get words of their own.
+fn tagged(tag: u64, value: u64) -> u64 {
+    debug_assert!(value >> 56 == 0, "{value:#x} reaches into its tag");
+    tag << 56 | value
 }
 
 /// The trace-driven out-of-order core.
@@ -489,8 +518,8 @@ impl CpuCore {
     ///
     /// Folding the returned intervals in order with the `accumulate`
     /// methods reproduces the unsegmented counters bit for bit; this is
-    /// what lets a fast-forward measure one stride's statistics and fold
-    /// in repeats of them without double-counting.
+    /// what lets a checkpoint record the run's cumulative statistics,
+    /// whose differences are the fast-forward's deltas.
     pub(crate) fn take_interval_stats(
         &mut self,
         run: &mut CoreRun,
@@ -512,9 +541,9 @@ impl CpuCore {
     /// Shifts the paused boundary state of `(self, run)` forward by
     /// `cycles` core cycles, `seqs` rename sequences and `matmuls` engine
     /// submissions — the state a perfectly periodic execution would reach
-    /// after that much more identical work. A probe checks one shift bit
-    /// for bit against the real next boundary
-    /// ([`CpuCore::boundary_matches`]) before a fast-forward trusts it.
+    /// after that much more identical work. A probe confirms one such
+    /// translation between two real boundaries ([`CpuCore::fingerprint`])
+    /// before a fast-forward trusts it.
     ///
     /// Time-valued fields move by `cycles` (the `u64::MAX` not-yet-issued
     /// sentinel excepted), sequence-valued fields by `seqs`, and the hosted
@@ -570,12 +599,18 @@ impl CpuCore {
         self.engine.shift_state(cycles / run.clock_ratio, matmuls);
     }
 
-    /// Whether `(self, run)` and `(other, other_run)` are paused at exactly
-    /// the same pipeline boundary: equal *dynamics* — everything that can
-    /// influence any future scheduling decision — with statistics excluded.
+    /// Writes the paused boundary state of `(self, run)` into `into`
+    /// (replacing what it held) in a form that does not change under
+    /// translation: times relative to the run's cycle, engine times
+    /// relative to `cycle / clock_ratio`, sequences relative to the next
+    /// rename and the engine's submission count. Everything that can influence a future scheduling
+    /// decision is written; statistics are not. Two boundaries of one run
+    /// have equal fingerprints exactly when the later one is the earlier
+    /// one shifted by their position delta ([`CpuCore::shift_boundary`]),
+    /// which is the periodicity test a fast-forward probe runs.
     ///
-    /// Two classes of semantically dead values are normalized rather than
-    /// compared exactly:
+    /// Every value carries a tag. Two classes of semantically dead values
+    /// are normalized to a bare tag rather than written:
     ///
     /// * writer-map slots whose producer has retired — `None` and any
     ///   retired sequence are interchangeable, because rename treats both
@@ -586,48 +621,106 @@ impl CpuCore {
     ///   exact timestamp (often dating from a long-gone pipeline-fill
     ///   transient) cannot influence anything.
     ///
-    /// The event heaps are compared through their canonical sorted view
-    /// (heap layout is insertion-order dependent and has no semantic
-    /// meaning).
-    pub(crate) fn boundary_matches(
-        &self,
-        run: &CoreRun,
-        other: &CpuCore,
-        other_run: &CoreRun,
-    ) -> bool {
-        fn writers_eq<const N: usize>(
-            a: &[Option<u64>; N],
-            b: &[Option<u64>; N],
-            rob_base: u64,
-        ) -> bool {
-            a.iter().zip(b.iter()).all(|(x, y)| {
-                let complete = |slot: &Option<u64>| match slot {
-                    None => true,
-                    Some(seq) => *seq < rob_base,
-                };
-                x == y || (complete(x) && complete(y))
-            })
+    /// The event heap is written in its canonical sorted order (heap layout
+    /// is insertion-order dependent and has no semantic meaning).
+    pub(crate) fn fingerprint(&self, run: &CoreRun, into: &mut Fingerprint) {
+        debug_assert!(
+            run.pending.is_empty(),
+            "fingerprint only at a starved-rename boundary"
+        );
+        debug_assert_eq!(
+            run.retired as u64, run.rob_base,
+            "every retirement pops the ROB"
+        );
+        let out = &mut into.words;
+        out.clear();
+        // At most two words per ROB entry and its event, one per queued or
+        // mapped item, plus waiters, headers and the engine's few dozen.
+        out.reserve(
+            64 + 4 * run.rob.len()
+                + run.rs_slots.len()
+                + run.engine_events.len()
+                + NUM_TILE_REGS
+                + NUM_GPR_REGS
+                + NUM_VEC_REGS,
+        );
+        let (now, next) = (run.cycle, run.next_seq);
+        let time = |t: u64| t.wrapping_sub(now);
+        let seq = |s: u64| next.wrapping_sub(s);
+        out.push(match run.phase {
+            RunPhase::TopOfCycle => tagged(tag::TOP_OF_CYCLE, 0),
+            RunPhase::Rename { progress, renamed } => {
+                tagged(tag::RENAME, u64::from(progress) | (renamed as u64) << 1)
+            }
+        });
+        out.push(tagged(
+            tag::FLAGS,
+            u64::from(run.finalized)
+                | u64::from(run.done) << 1
+                | u64::from(run.rs_unsorted) << 2
+                | (run.pending.len() as u64) << 3,
+        ));
+        out.push(tagged(tag::RS_READY, run.rs_ready as u64));
+        out.push(tagged(tag::ROB, run.rob.len() as u64));
+        for entry in &run.rob {
+            // Kind, issue state, whether waiters follow, and outstanding
+            // producer references.
+            let head = entry.kind as u64
+                | u64::from(entry.issued) << 8
+                | u64::from(entry.retired) << 9
+                | u64::from(!entry.waiters.is_empty()) << 10
+                | u64::from(entry.pending) << 16;
+            if entry.issued && entry.complete_cycle <= now && entry.waiters.is_empty() {
+                out.push(tagged(tag::DEAD, head));
+            } else if entry.complete_cycle == u64::MAX {
+                out.push(tagged(tag::UNISSUED, head));
+            } else {
+                out.extend([tagged(tag::COMPLETES, head), time(entry.complete_cycle)]);
+            }
+            if !entry.waiters.is_empty() {
+                out.push(entry.waiters.len() as u64);
+                out.extend(entry.waiters.iter().map(|&w| seq(w)));
+            }
         }
-        run.cycle == other_run.cycle
-            && run.rob_base == other_run.rob_base
-            && run.next_seq == other_run.next_seq
-            && run.fed == other_run.fed
-            && run.retired == other_run.retired
-            && run.phase == other_run.phase
-            && run.finalized == other_run.finalized
-            && run.done == other_run.done
-            && run.pending.is_empty()
-            && other_run.pending.is_empty()
-            && run.rs_ready == other_run.rs_ready
-            && run.rs_unsorted == other_run.rs_unsorted
-            && run.rs_slots == other_run.rs_slots
-            && rob_eq(&run.rob, &other_run.rob, run.cycle)
-            && run.engine_events == other_run.engine_events
-            && run.events.events_eq(&other_run.events)
-            && writers_eq(&run.tile_writer, &other_run.tile_writer, run.rob_base)
-            && writers_eq(&run.gpr_writer, &other_run.gpr_writer, run.rob_base)
-            && writers_eq(&run.vec_writer, &other_run.vec_writer, run.rob_base)
-            && self.engine.scheduling_state_eq(&other.engine)
+        // Each reservation-station slot: its kind over its sequence.
+        out.push(tagged(tag::RS, run.rs_slots.len() as u64));
+        out.extend(
+            run.rs_slots
+                .iter()
+                .map(|&(s, kind)| tagged(kind as u64, seq(s))),
+        );
+        out.push(tagged(tag::ENGINE_EVENTS, run.engine_events.len() as u64));
+        for event in &run.engine_events {
+            out.push(match *event {
+                EngineEvent::Write(reg) => tagged(tag::WRITE, reg.index() as u64),
+                // Every rasa_mm carries the run's full tile, so only its
+                // sequence and weight register vary.
+                EngineEvent::Matmul {
+                    rob_seq,
+                    weight,
+                    tile,
+                } => {
+                    debug_assert_eq!(tile, run.full_tile);
+                    tagged(tag::MATMUL, seq(rob_seq) << 8 | weight.index() as u64)
+                }
+            });
+        }
+        run.events.relative_events(now, next, &mut into.events);
+        out.push(tagged(tag::EVENTS, into.events.len() as u64));
+        for &(due, renamed) in &into.events {
+            out.extend([due, renamed]);
+        }
+        out.extend(
+            run.tile_writer
+                .iter()
+                .chain(&run.gpr_writer)
+                .chain(&run.vec_writer)
+                .map(|slot| match *slot {
+                    Some(s) if s >= run.rob_base => tagged(tag::LIVE_WRITER, seq(s)),
+                    _ => tagged(tag::RETIRED_WRITER, 0),
+                }),
+        );
+        self.engine.fingerprint(now / run.clock_ratio, out);
     }
 
     /// The streaming pipeline loop: simulates cycles until the run
@@ -1758,6 +1851,97 @@ mod tests {
         let resumed = c2.run_to_quiescence(run2).unwrap();
         assert_eq!(original, resumed);
         assert_eq!(original, c.run(&p).unwrap(), "and both match one-shot");
+    }
+
+    /// The boundary fingerprint of a paused run.
+    fn fingerprint(c: &CpuCore, run: &CoreRun) -> Fingerprint {
+        let mut out = Fingerprint::default();
+        c.fingerprint(run, &mut out);
+        out
+    }
+
+    #[test]
+    fn translated_boundaries_share_a_fingerprint_and_any_field_changes_it() {
+        // Feed the accumulator loads, then one k-step per feed, until two
+        // consecutive boundaries fingerprint alike: the steady state.
+        let p = microkernel_program(32);
+        let mut c = core(PeVariant::Dmdb, ControlScheme::Wls);
+        let mut run = c.begin_run(p.isa()).unwrap();
+        c.feed_instructions(&mut run, &p.instructions()[..4])
+            .unwrap();
+        let mut previous = (run.cycle, fingerprint(&c, &run));
+        let mut steady = false;
+        for step in p.instructions()[4..4 + 8 * 24].chunks(8) {
+            c.feed_instructions(&mut run, step).unwrap();
+            let boundary = (run.cycle, fingerprint(&c, &run));
+            if boundary.1 == previous.1 {
+                assert_eq!((boundary.0 - previous.0) % 4, 0, "whole engine cycles");
+                steady = true;
+                break;
+            }
+            previous = boundary;
+        }
+        assert!(steady, "no two k-step boundaries translate each other");
+        let base = fingerprint(&c, &run);
+
+        // A translated copy of the boundary fingerprints alike.
+        let (mut moved, mut moved_run) = (c.clone(), run.clone());
+        moved.shift_boundary(&mut moved_run, 4 * 1000, 77, 9);
+        assert_ne!(moved_run.cycle, run.cycle);
+        assert_eq!(fingerprint(&moved, &moved_run), base);
+
+        let differs = |edit: &dyn Fn(&mut CpuCore, &mut CoreRun)| {
+            let (mut c2, mut run2) = (c.clone(), run.clone());
+            edit(&mut c2, &mut run2);
+            fingerprint(&c2, &run2) != base
+        };
+        let now = run.cycle;
+        // Changing any one scheduling field changes it: a live ROB
+        // completion time, a tile-writer slot, a queued event, the engine.
+        let live = run
+            .rob
+            .iter()
+            .position(|e| e.issued && e.complete_cycle > now)
+            .expect("an instruction in flight");
+        assert!(differs(&|_, r| r.rob[live].complete_cycle += 4));
+        let writer = run
+            .tile_writer
+            .iter()
+            .position(|slot| slot.is_some_and(|seq| seq >= run.rob_base))
+            .expect("an unretired tile writer");
+        assert!(differs(&|_, r| r.tile_writer[writer] = None));
+        assert!(differs(&|_, r| r.events.push(now + 1, r.next_seq - 1)));
+        assert!(differs(&|c, _| {
+            c.engine
+                .submit(MmRequest::ready_at(treg(4), TileDims::new(16, 32, 16), 0))
+                .unwrap();
+        }));
+        // The engine's part, its weight-load channel included (tested in
+        // `rasa-systolic`, which owns that field), closes the fingerprint at
+        // the engine clock's origin.
+        let mut engine = Vec::new();
+        c.engine.fingerprint(now / run.clock_ratio, &mut engine);
+        assert!(base.words.ends_with(&engine));
+
+        // Dead values are normalized: a retired writer is as good as none,
+        // and a drained, completed entry's exact completion time is moot.
+        let retired = run
+            .tile_writer
+            .iter()
+            .chain(&run.gpr_writer)
+            .position(|slot| slot.is_none_or(|seq| seq < run.rob_base))
+            .expect("a retired or unused writer slot");
+        assert!(!differs(&|_, r| {
+            let mut slots = r.tile_writer.iter_mut().chain(r.gpr_writer.iter_mut());
+            *slots.nth(retired).unwrap() = Some(r.rob_base - 1);
+        }));
+        if let Some(dead) = run
+            .rob
+            .iter()
+            .position(|e| e.issued && e.complete_cycle <= now && e.waiters.is_empty())
+        {
+            assert!(!differs(&|_, r| r.rob[dead].complete_cycle = 0));
+        }
     }
 
     #[test]

@@ -53,6 +53,18 @@ impl SchedStats {
         self.wakeups += interval.wakeups;
     }
 
+    /// The counters a run accumulated between `earlier`, a snapshot of the
+    /// same run, and this later snapshot (all counters are additive).
+    #[must_use]
+    pub fn since(&self, earlier: &SchedStats) -> SchedStats {
+        SchedStats {
+            visited_cycles: self.visited_cycles - earlier.visited_cycles,
+            skipped_cycles: self.skipped_cycles - earlier.skipped_cycles,
+            completion_events: self.completion_events - earlier.completion_events,
+            wakeups: self.wakeups - earlier.wakeups,
+        }
+    }
+
     /// The counters of `strides` further executions of this interval (all
     /// counters are additive, so each scales by `strides`).
     #[must_use]
@@ -106,24 +118,19 @@ impl EventHeap {
         self.heap.peek().map(|Reverse((time, _))| *time)
     }
 
-    /// The pending events as a `(time, sequence)`-sorted list.
-    ///
-    /// Two heaps holding the same events can differ in internal layout
-    /// (insertion-order dependent), so state comparison must go through
-    /// this canonical view rather than the raw heap.
-    pub fn sorted_events(&self) -> Vec<(u64, u64)> {
-        let mut events: Vec<(u64, u64)> = self.heap.iter().map(|Reverse(event)| *event).collect();
-        events.sort_unstable();
-        events
-    }
-
-    /// Whether two heaps hold exactly the same event set, compared through
-    /// the canonical sorted view. Length and earliest-event mismatches
-    /// short-circuit before any sorted view is materialized.
-    pub fn events_eq(&self, other: &EventHeap) -> bool {
-        self.heap.len() == other.heap.len()
-            && self.next_time() == other.next_time()
-            && self.sorted_events() == other.sorted_events()
+    /// Fills `into` with the pending events as `(cycles until due, renames
+    /// since)` pairs relative to `now` and `next_seq`, sorted: two heaps
+    /// holding the same events can differ in internal layout
+    /// (insertion-order dependent), which has no meaning. `into` is the
+    /// caller's reused buffer, so nothing is allocated once it has grown.
+    pub fn relative_events(&self, now: u64, next_seq: u64, into: &mut Vec<(u64, u64)>) {
+        into.clear();
+        into.extend(
+            self.heap
+                .iter()
+                .map(|Reverse((time, seq))| (time.wrapping_sub(now), next_seq.wrapping_sub(*seq))),
+        );
+        into.sort_unstable();
     }
 
     /// Rebuilds the heap with every event displaced `cycles` later and

@@ -1,126 +1,127 @@
 //! Fast-forward of a streaming core run through its periodic steady state.
 //!
-//! The interior of a tiled GEMM trace is a long run of identical strides of
-//! register blocks: the same instructions stride after stride, with only
-//! their memory addresses changed — and the timing model never reads an
-//! address. A [`crate::CoreRun`] is `Clone` and pauses at exact pipeline
-//! boundaries, so a run can be checkpointed between strides
-//! ([`SpeculativeRun::checkpoint`]). Past the warm-up transient, consecutive
-//! boundaries differ by a constant translation: every time-valued field
-//! advanced by the same number of cycles, every sequence-valued field by the
-//! same number of instructions and `rasa_mm`s ([`SpecDelta`]). A probe
-//! confirms this bit for bit ([`SpecCheckpoint::shifted_matches`]).
+//! The interior of a tiled GEMM trace repeats at two levels: the reduction
+//! steps inside each register block, and strides of whole register blocks.
+//! Each repeat is the same instructions as the last with only their memory
+//! addresses changed — and the timing model never reads an address. A
+//! [`crate::CoreRun`] pauses at exact pipeline boundaries, so a run can be
+//! checkpointed between repeats ([`SpeculativeRun::checkpoint`]). A
+//! [`SpecCheckpoint`] holds the boundary's position, the run's cumulative
+//! statistics and a fingerprint of the boundary state that does not change
+//! under translation: times relative to the run's cycle, engine times
+//! relative to the engine clock, sequences relative to the next rename and
+//! the engine's submission count, dead values normalized. Past the warm-up
+//! transient, consecutive boundaries differ by a constant translation:
+//! every time-valued field advanced by the same number of cycles, every
+//! sequence-valued field by the same number of instructions and `rasa_mm`s
+//! ([`SpecDelta`]). Equal fingerprints confirm this bit for bit
+//! ([`SpecCheckpoint::shifted_matches`]).
 //!
 //! Because the core model's scheduling is translation-covariant, a
-//! confirmed delta then describes every further stride of the same work:
+//! confirmed delta then describes every further repeat of the same work:
 //! each advances the boundary by the same delta and accumulates the same
-//! statistics. [`SpeculativeRun::fast_forward`] therefore skips `n` strides
+//! statistics. [`SpeculativeRun::fast_forward`] therefore skips `n` repeats
 //! in O(1) — it shifts the boundary state by `n` deltas
 //! ([`CpuCore::shift_boundary`](crate::CpuCore)) and folds in `n` copies of
-//! the confirmed stride's statistics. The result is exact, not sampled: it
-//! is bit-identical to feeding those strides one by one.
+//! the confirmed repeat's statistics. The result is exact, not sampled: it
+//! is bit-identical to feeding that work instruction by instruction.
 //!
-//! Where the uniform strides lie is a property of the trace, so that policy
+//! A delta is taken between any two checkpoints of a run
+//! ([`SpecDelta::between`]), from their cumulative statistics, so the
+//! levels nest: a block stride measured around the reduction steps it
+//! fast-forwarded inside is as exact as one fed step by step, because the
+//! boundaries it starts and ends at are the sequential run's.
+//!
+//! Where the repeating work lies is a property of the trace, so that policy
 //! lives in the simulator crate; this module provides the mechanism and its
 //! accounting.
 
-use crate::core::{CoreRun, CpuCore};
+use crate::core::{CoreRun, CpuCore, Fingerprint};
 use crate::{CpuError, CpuStats, SchedStats, StreamStats};
 use rasa_isa::{IsaConfig, ProgramSegment};
 
-/// A cloned boundary state of a [`SpeculativeRun`], together with the
-/// statistics the run accumulated since its previous checkpoint.
-#[derive(Debug, Clone)]
+/// A paused boundary of a [`SpeculativeRun`]: where it lies, what the run
+/// had accumulated by then, and a translation-invariant fingerprint of the
+/// boundary state. [`SpeculativeRun::checkpoint`] refills one in place, so
+/// a prober reuses its buffers instead of cloning the core.
+#[derive(Debug, Clone, Default)]
 pub struct SpecCheckpoint {
-    core: CpuCore,
-    run: CoreRun,
-    /// Position in the run's sequence of checkpoints (the first is 1).
-    ordinal: u64,
-    /// Architectural statistics of the work since the previous checkpoint.
+    /// `(core cycle, rename sequence, engine submissions)` of the boundary.
+    position: (u64, u64, u64),
+    /// Core cycles per engine cycle of the run.
+    clock_ratio: u64,
+    /// The run's architectural statistics up to the boundary.
     cpu: CpuStats,
-    /// Scheduler counters of the work since the previous checkpoint.
+    /// The run's scheduler counters up to the boundary.
     sched: SchedStats,
+    /// The boundary state, relative to the position.
+    fingerprint: Fingerprint,
 }
 
 impl SpecCheckpoint {
-    /// `(core cycle, rename sequence, engine submissions)` position of the
-    /// checkpointed boundary.
-    fn position(&self) -> (u64, u64, u64) {
-        (
-            self.run.current_cycle(),
-            self.run.next_sequence(),
-            self.core.engine().submitted(),
-        )
-    }
-
-    /// Whether advancing this checkpoint by `delta` reproduces `other`'s
-    /// boundary state bit for bit — the periodicity test a probe runs
-    /// before trusting a delta.
+    /// Whether `other`, a later checkpoint of the same run, is paused at an
+    /// exact translation of this boundary: every time advanced by the
+    /// cycles of [`SpecDelta::between`] the two, every sequence by its
+    /// instructions and `rasa_mm`s — the periodicity test a probe runs
+    /// before trusting a delta. It is fingerprint equality.
     ///
-    /// When this holds, `other` is an exact translation of `self`; and
-    /// because the core model's scheduling is translation-covariant,
-    /// feeding both the same uniform work keeps them translated copies. So
-    /// every further stride of that work advances the state by `delta` and
-    /// accumulates `delta`'s statistics, which is what makes
-    /// [`SpeculativeRun::fast_forward`] exact.
+    /// When this holds, and because the core model's scheduling is
+    /// translation-covariant, feeding both boundaries the same uniform work
+    /// keeps them translated copies. So every further repeat of that work
+    /// advances the state by the delta and accumulates the delta's
+    /// statistics, which is what makes [`SpeculativeRun::fast_forward`]
+    /// exact.
     #[must_use]
-    pub fn shifted_matches(&self, delta: &SpecDelta, other: &SpecCheckpoint) -> bool {
-        let mut core = self.core.clone();
-        let mut run = self.run.clone();
-        core.shift_boundary(&mut run, delta.cycles, delta.instructions, delta.matmuls);
-        core.boundary_matches(&run, &other.core, &other.run)
+    pub fn shifted_matches(&self, other: &SpecCheckpoint) -> bool {
+        self.fingerprint == other.fingerprint
     }
 }
 
-/// One stride of a periodic steady state: how far the boundary state
-/// advances per stride of identical work, and what the stride accumulates.
+/// One repeat of a periodic steady state: how far the boundary state
+/// advances per repeat of identical work, and what the repeat accumulates.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpecDelta {
-    /// Core cycles per stride.
+    /// Core cycles per repeat.
     pub cycles: u64,
-    /// Rename sequences (instructions) per stride.
+    /// Rename sequences (instructions) per repeat.
     pub instructions: u64,
-    /// Engine submissions (`rasa_mm`s) per stride.
+    /// Engine submissions (`rasa_mm`s) per repeat.
     pub matmuls: u64,
-    /// Architectural statistics of one stride.
+    /// Architectural statistics of one repeat.
     pub cpu: CpuStats,
-    /// Scheduler counters of one stride.
+    /// Scheduler counters of one repeat.
     pub sched: SchedStats,
 }
 
 impl SpecDelta {
-    /// The stride from `from` to `to`, or `None` when the pair cannot
-    /// describe one: `to` must be the checkpoint taken right after `from`
-    /// (so its statistics cover exactly the work between them) and strictly
-    /// later in both time and sequence, and the cycle delta must be a whole
-    /// number of engine cycles (otherwise engine-clock state cannot shift
-    /// exactly).
+    /// The repeat from `from` to `to`, two checkpoints of one run, or
+    /// `None` when the pair cannot describe one: `to` must be strictly
+    /// later in both time and sequence, and the cycle delta a whole number
+    /// of engine cycles (otherwise engine-clock state cannot shift
+    /// exactly). Its statistics are everything the run accumulated between
+    /// the two, whatever lay in between: other checkpoints, or the
+    /// fast-forwards of a nested level.
     #[must_use]
     pub fn between(from: &SpecCheckpoint, to: &SpecCheckpoint) -> Option<SpecDelta> {
-        debug_assert_eq!(
-            from.run.clock_ratio(),
-            to.run.clock_ratio(),
-            "checkpoints of the same run share a clock ratio"
-        );
-        let (from_cycle, from_seq, from_mm) = from.position();
-        let (to_cycle, to_seq, to_mm) = to.position();
-        if to.ordinal != from.ordinal + 1
-            || to_cycle <= from_cycle
-            || to_seq <= from_seq
-            || to_mm < from_mm
-        {
+        let (from_cycle, from_seq, from_mm) = from.position;
+        let (to_cycle, to_seq, to_mm) = to.position;
+        if to_cycle <= from_cycle || to_seq <= from_seq || to_mm < from_mm {
             return None;
         }
+        debug_assert_eq!(
+            from.clock_ratio, to.clock_ratio,
+            "checkpoints of the same run share a clock ratio"
+        );
         let cycles = to_cycle - from_cycle;
-        if cycles % from.run.clock_ratio() != 0 {
+        if cycles % to.clock_ratio != 0 {
             return None;
         }
         Some(SpecDelta {
             cycles,
             instructions: to_seq - from_seq,
             matmuls: to_mm - from_mm,
-            cpu: to.cpu,
-            sched: to.sched,
+            cpu: to.cpu.since(&from.cpu),
+            sched: to.sched.since(&from.sched),
         })
     }
 }
@@ -130,8 +131,8 @@ impl SpecDelta {
 ///
 /// Owns the `(CpuCore, CoreRun)` pair and the fold-in-order statistics
 /// accumulators. Its statistics are **bit-identical** to feeding the same
-/// instruction stream sequentially, however many strides it skips. See the
-/// module docs for the argument.
+/// instruction stream sequentially, however much it skips. See the module
+/// docs for the argument.
 #[derive(Debug)]
 pub struct SpeculativeRun {
     core: CpuCore,
@@ -139,7 +140,6 @@ pub struct SpeculativeRun {
     cpu: CpuStats,
     sched: SchedStats,
     stream: StreamStats,
-    checkpoints: u64,
 }
 
 impl SpeculativeRun {
@@ -156,7 +156,6 @@ impl SpeculativeRun {
             cpu: CpuStats::default(),
             sched: SchedStats::default(),
             stream: StreamStats::default(),
-            checkpoints: 0,
         })
     }
 
@@ -169,36 +168,38 @@ impl SpeculativeRun {
         self.core.feed_segment(&mut self.run, segment)
     }
 
-    /// Captures the current boundary, folding the statistics accumulated
-    /// since the previous checkpoint into the run's totals and recording
-    /// them in the checkpoint.
-    pub fn checkpoint(&mut self) -> SpecCheckpoint {
+    /// Captures the current boundary into `into`, reusing its buffer: the
+    /// boundary's position, the run's statistics so far and the boundary's
+    /// fingerprint. The run must be paused between feeds.
+    pub fn checkpoint(&mut self, into: &mut SpecCheckpoint) {
         let (cpu, sched, stream) = self.core.take_interval_stats(&mut self.run);
         self.cpu.accumulate(&cpu);
         self.sched.accumulate(&sched);
         self.stream.accumulate(&stream);
-        self.checkpoints += 1;
-        SpecCheckpoint {
-            core: self.core.clone(),
-            run: self.run.clone(),
-            ordinal: self.checkpoints,
-            cpu,
-            sched,
-        }
+        into.position = (
+            self.run.current_cycle(),
+            self.run.next_sequence(),
+            self.core.engine().submitted(),
+        );
+        into.clock_ratio = self.run.clock_ratio();
+        into.cpu = self.cpu;
+        into.sched = self.sched;
+        self.core.fingerprint(&self.run, &mut into.fingerprint);
     }
 
-    /// Skips `strides` further strides of the work `delta` was measured on,
+    /// Skips `strides` further repeats of the work `delta` was measured on,
     /// in O(1).
     ///
     /// The run must be paused at the checkpoint `delta` ends at (the `to`
     /// of [`SpecDelta::between`], confirmed by
     /// [`SpecCheckpoint::shifted_matches`]), with nothing fed since, and the
-    /// next `strides` strides of the stream must be that same work: the
+    /// next `strides` repeats of the stream must be that same work: the
     /// same instructions up to memory addresses. Feeding them would then
     /// advance the boundary by `strides` deltas and accumulate `strides`
-    /// copies of the stride's statistics, so this shifts the boundary state
+    /// copies of the repeat's statistics, so this shifts the boundary state
     /// and folds those statistics directly. The skipped instructions count
-    /// as fed, so `fed_instructions` matches a sequential run.
+    /// as fed, so `fed_instructions` matches a sequential run, and each
+    /// skipped repeat counts as one fast-forwarded stride.
     pub fn fast_forward(&mut self, delta: &SpecDelta, strides: u64) {
         debug_assert_eq!(
             self.run.stream_stats().fed_instructions,
@@ -280,9 +281,33 @@ mod tests {
         out
     }
 
-    /// Warms up eight blocks, probes block by block for a confirmed delta,
-    /// fast-forwards to `tail` blocks before the end, feeds those and
-    /// returns the run's statistics plus the strides it skipped.
+    /// Warms up eight blocks, then probes block by block until one block's
+    /// boundary translates the previous one, leaving `seed` and `cp` at
+    /// the two. Returns the confirmed delta and the first block not fed.
+    fn probe(
+        spec: &mut SpeculativeRun,
+        blocks: &[ProgramSegment],
+        seed: &mut SpecCheckpoint,
+        cp: &mut SpecCheckpoint,
+    ) -> (SpecDelta, usize) {
+        for block in &blocks[..8] {
+            spec.feed_segment(block).unwrap();
+        }
+        spec.checkpoint(seed);
+        for (next, block) in blocks.iter().enumerate().take(16).skip(8) {
+            spec.feed_segment(block).unwrap();
+            spec.checkpoint(cp);
+            if let Some(delta) = SpecDelta::between(seed, cp).filter(|_| seed.shifted_matches(cp)) {
+                return (delta, next + 1);
+            }
+            std::mem::swap(seed, cp);
+        }
+        panic!("no periodic delta within 16 blocks");
+    }
+
+    /// Probes for a confirmed delta, fast-forwards to `tail` blocks before
+    /// the end, feeds those and returns the run's statistics plus the
+    /// strides it skipped.
     fn fast_forwarded(
         pe: PeVariant,
         scheme: ControlScheme,
@@ -290,23 +315,8 @@ mod tests {
         tail: usize,
     ) -> (CpuStats, SchedStats, StreamStats, usize) {
         let mut spec = SpeculativeRun::begin(core(pe, scheme), &IsaConfig::amx_like()).unwrap();
-        for block in &blocks[..8] {
-            spec.feed_segment(block).unwrap();
-        }
-        let mut seed = spec.checkpoint();
-        let mut next = 8;
-        let delta = loop {
-            spec.feed_segment(&blocks[next]).unwrap();
-            next += 1;
-            let cp = spec.checkpoint();
-            if let Some(delta) = SpecDelta::between(&seed, &cp) {
-                if seed.shifted_matches(&delta, &cp) {
-                    break delta;
-                }
-            }
-            assert!(next < 16, "no periodic delta on {pe:?}/{scheme:?}");
-            seed = cp;
-        };
+        let (mut seed, mut cp) = (SpecCheckpoint::default(), SpecCheckpoint::default());
+        let (delta, next) = probe(&mut spec, blocks, &mut seed, &mut cp);
         let strides = blocks.len() - tail - next;
         spec.fast_forward(&delta, strides as u64);
         for block in &blocks[next + strides..] {
@@ -352,24 +362,61 @@ mod tests {
             &IsaConfig::amx_like(),
         )
         .unwrap();
+        let (mut a, mut b) = (SpecCheckpoint::default(), SpecCheckpoint::default());
         spec.feed_segment(&blocks[0]).unwrap();
-        let a = spec.checkpoint();
+        spec.checkpoint(&mut a);
         // Same checkpoint twice: no advance, no delta.
         assert!(SpecDelta::between(&a, &a.clone()).is_none());
         spec.feed_segment(&blocks[1]).unwrap();
-        let b = spec.checkpoint();
+        spec.checkpoint(&mut b);
         // Reversed order is rejected.
         assert!(SpecDelta::between(&b, &a).is_none());
-        if let Some(delta) = SpecDelta::between(&a, &b) {
-            assert!(delta.cycles > 0 && delta.instructions > 0);
-            assert_eq!(delta.cycles % 4, 0, "paper configs run a 4:1 clock ratio");
-            // A paused run has renamed everything it was fed.
-            assert_eq!(delta.instructions, blocks[1].len() as u64);
+        match SpecDelta::between(&a, &b) {
+            Some(delta) => {
+                assert!(delta.cycles > 0 && delta.instructions > 0);
+                assert_eq!(delta.cycles % 4, 0, "paper configs run a 4:1 clock ratio");
+                // A paused run has renamed everything it was fed.
+                assert_eq!(delta.instructions, blocks[1].len() as u64);
+            }
+            // A ragged pair: not a whole number of engine cycles apart.
+            None => assert_ne!(b.position.0 % 4, a.position.0 % 4),
         }
-        // A checkpoint that skips one in between covers two strides of
-        // statistics, so it cannot describe one.
-        spec.feed_segment(&blocks[2]).unwrap();
-        let c = spec.checkpoint();
-        assert!(SpecDelta::between(&a, &c).is_none());
+    }
+
+    #[test]
+    fn deltas_span_any_two_checkpoints() {
+        // A delta between checkpoints two repeats apart is two repeats'
+        // worth: positions and additive counters double, and the engine's
+        // completion horizon is the later checkpoint's — however many
+        // checkpoints were taken in between.
+        let blocks = trace_blocks(24);
+        let mut spec = SpeculativeRun::begin(
+            core(PeVariant::Dmdb, ControlScheme::Wls),
+            &IsaConfig::amx_like(),
+        )
+        .unwrap();
+        let (mut seed, mut cp) = (SpecCheckpoint::default(), SpecCheckpoint::default());
+        let (one, next) = probe(&mut spec, &blocks, &mut seed, &mut cp);
+        spec.feed_segment(&blocks[next]).unwrap();
+        let mut later = SpecCheckpoint::default();
+        spec.checkpoint(&mut later);
+        assert!(cp.shifted_matches(&later), "the steady state holds");
+        let two = SpecDelta::between(&seed, &later).unwrap();
+        // The next repeat is the same work, its horizon one period on.
+        let mut next_one = one;
+        next_one.cpu.engine.last_completion_cycle += one.cycles / 4;
+        assert_eq!(SpecDelta::between(&cp, &later), Some(next_one));
+        assert_eq!(
+            (two.cycles, two.instructions, two.matmuls),
+            (2 * one.cycles, 2 * one.instructions, 2 * one.matmuls)
+        );
+        let mut doubled = one.cpu.repeated(2, 0);
+        doubled.engine.last_completion_cycle = later.cpu.engine.last_completion_cycle;
+        assert_eq!(two.cpu, doubled);
+        assert_eq!(two.sched, one.sched.repeated(2));
+        assert_eq!(
+            two.cpu.engine.last_completion_cycle,
+            one.cpu.engine.last_completion_cycle + one.cycles / 4
+        );
     }
 }

@@ -70,6 +70,23 @@ impl CpuStats {
         self.engine.accumulate(&interval.engine);
     }
 
+    /// The counters a run accumulated between `earlier`, a snapshot of the
+    /// same run, and this later snapshot: additive counters subtract,
+    /// `cycles` (a timeline position) is this snapshot's, and the engine
+    /// counters follow [`EngineStats::since`].
+    #[must_use]
+    pub fn since(&self, earlier: &CpuStats) -> CpuStats {
+        CpuStats {
+            cycles: self.cycles,
+            retired_instructions: self.retired_instructions - earlier.retired_instructions,
+            retired_matmuls: self.retired_matmuls - earlier.retired_matmuls,
+            retired_tile_memory_ops: self.retired_tile_memory_ops - earlier.retired_tile_memory_ops,
+            rob_full_stalls: self.rob_full_stalls - earlier.rob_full_stalls,
+            rs_full_stalls: self.rs_full_stalls - earlier.rs_full_stalls,
+            engine: self.engine.since(&earlier.engine),
+        }
+    }
+
     /// The counters of `strides` further executions of this interval, each
     /// `engine_period` engine cycles after the one before (see
     /// [`EngineStats::repeated`]). `cycles` is a timeline position, not a

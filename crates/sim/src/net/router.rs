@@ -407,8 +407,9 @@ impl Router {
     }
 
     /// Routes one request to its shard (with failover) and returns the
-    /// shard's answer: the request is serialized once, relayed exactly as
-    /// the bound router relays a client's frame, and the reply decoded.
+    /// shard's answer: relayed exactly as the bound router relays a
+    /// client's frame, and the reply decoded. The request is serialized
+    /// only on a result-cache miss, once, for the shard.
     ///
     /// # Errors
     ///
@@ -417,10 +418,7 @@ impl Router {
     /// [`NetError::Protocol`] when a shard answers with the wrong frame
     /// kind or id.
     pub fn route(&self, request: &WireRequest) -> Result<WireResponse, NetError> {
-        let reply = self.core.relay(
-            request,
-            &Frame::json(FrameKind::Request, &request.to_json()),
-        )?;
+        let reply = self.core.relay(request, None)?;
         WireResponse::from_reply(&reply, request.id)
     }
 
@@ -461,10 +459,13 @@ impl Router {
 
 impl RouterCore {
     /// Relays one request to its shard, with failover, and returns the
-    /// shard's Response or Error frame unchanged. `request` is `frame`
-    /// decoded; the router uses it only for the route key, the cache key
-    /// and the id check.
-    fn relay(&self, request: &WireRequest, frame: &Frame) -> Result<Frame, NetError> {
+    /// shard's Response or Error frame unchanged. `frame` is the client's
+    /// Request frame when there is one (the bound router's), and `request`
+    /// that frame decoded; the router uses `request` only for the route
+    /// key, the cache key and the id check. Without a frame, `request` is
+    /// serialized into one after a result-cache miss, so a hit pays for no
+    /// serialization it would never send.
+    fn relay(&self, request: &WireRequest, frame: Option<&Frame>) -> Result<Frame, NetError> {
         let key: ReplyKey = (request.route_key(), request.workload.name().to_string());
         let prefix = WireResponse::payload_prefix(request.id);
         if let Some(tail) = self.probe_result_cache(&key) {
@@ -473,6 +474,14 @@ impl RouterCore {
                 payload: [prefix.as_bytes(), &tail].concat(),
             });
         }
+        let rendered;
+        let frame = match frame {
+            Some(frame) => frame,
+            None => {
+                rendered = Frame::json(FrameKind::Request, &request.to_json());
+                &rendered
+            }
+        };
         let order = preference_order(key.0.hash64(), self.backends.len());
         let mut last_io: Option<NetError> = None;
         for (attempt, &shard) in order.iter().enumerate() {
@@ -656,7 +665,7 @@ fn answer(frame: &Frame, core: &Arc<RouterCore>) -> Frame {
                     );
                 }
             };
-            core.relay(&request, frame).unwrap_or_else(|error| {
+            core.relay(&request, Some(frame)).unwrap_or_else(|error| {
                 let code = match &error {
                     NetError::Remote { code, .. } => *code,
                     NetError::Unavailable { .. } | NetError::Io { .. } => ErrorCode::Unavailable,

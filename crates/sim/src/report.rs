@@ -27,11 +27,17 @@ pub struct PipelineStats {
     /// two.
     pub peak_resident_instructions: u64,
     /// Strides skipped by fast-forwarding through the periodic steady
-    /// state (zero when fast-forward was off or not applicable).
+    /// state, at either level: one per skipped stride of register blocks
+    /// and one per reduction step skipped inside a fed block (zero when
+    /// fast-forward was off or not applicable). The steps inside skipped
+    /// block strides are not counted again.
     pub spec_forks: u64,
     /// Skipped strides whose statistics were folded in — always equal to
     /// `spec_forks`, since a confirmed delta is exact.
     pub spec_commits: u64,
+    /// The reduction steps among `spec_forks`: those skipped inside fed
+    /// register blocks.
+    pub spec_step_forks: u64,
 }
 
 impl PipelineStats {
@@ -296,6 +302,7 @@ mod tests {
             peak_resident_instructions: 120,
             spec_forks: 8,
             spec_commits: 8,
+            spec_step_forks: 6,
         };
         assert!((streamed.residency() - 0.12).abs() < 1e-12);
         let materialized = PipelineStats {
@@ -322,6 +329,7 @@ mod tests {
             peak_resident_instructions: 300,
             spec_forks: 2,
             spec_commits: 2,
+            spec_step_forks: 0,
         };
         assert_eq!(executed, base, "diagnostics are not part of the result");
         let mut other = base.clone();

@@ -1,11 +1,13 @@
 use crate::prof::{self, Stage};
 use crate::{DesignPoint, PipelineStats, SimError, SimReport};
-use rasa_cpu::{CpuCore, CpuStats, SchedStats, SpecDelta, SpeculativeRun};
-use rasa_isa::Program;
+use rasa_cpu::{CpuCore, CpuStats, SchedStats, SpecCheckpoint, SpecDelta, SpeculativeRun};
+use rasa_isa::{Program, ProgramSegment};
 use rasa_numeric::GemmShape;
 use rasa_power::{EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
-use rasa_trace::{GemmKernelConfig, TraceGenerator, DEFAULT_SEGMENT_SIZE};
+use rasa_trace::{
+    GemmKernelConfig, GemmTraceStream, TraceError, TraceGenerator, DEFAULT_SEGMENT_SIZE,
+};
 use rasa_workloads::LayerSpec;
 use std::ops::Range;
 
@@ -16,8 +18,9 @@ use std::ops::Range;
 /// [`SimReport`] records both numbers).
 pub(crate) const DEFAULT_MATMUL_CAP: usize = 4096;
 
-/// Strides the fast-forward probe tries for a confirmed periodic state
-/// delta before giving up and running the rest of the cell sequentially.
+/// Repeats (block strides, or reduction steps inside a block) a
+/// fast-forward probe tries for a confirmed periodic state delta before it
+/// gives up and feeds the rest of that level's uniform run sequentially.
 const SPEC_PROBE_STRIDES: usize = 8;
 
 /// The deterministic fast-forward schedule of a cell: how many register
@@ -43,16 +46,36 @@ struct SpecPlan {
 /// Every cell runs on **one synchronous path** on the calling thread: the
 /// trace is generated as bounded instruction segments, each fed into the
 /// resumable core as soon as it exists, so the resident trace stays
-/// O(segment) instead of O(workload). Cells whose block walk settles into
-/// a periodic steady state skip it exactly by fast-forward
+/// O(segment) instead of O(workload). Cells whose work settles into a
+/// periodic steady state — strides of register blocks, and the reduction
+/// steps inside every block — skip it exactly by fast-forward
 /// ([`Simulator::with_speculation`]); the simulated statistics are
 /// bit-identical either way. [`SimReport::pipeline`] records what the run
-/// kept resident and how many strides it skipped.
+/// kept resident and how many strides and steps it skipped.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     design: DesignPoint,
     generator: TraceGenerator,
     speculation: bool,
+}
+
+/// One cell in flight: its streaming run, the walk it feeds, and the
+/// checkpoints the in-block probe refills from block to block.
+struct CellRun<'a> {
+    sim: &'a Simulator,
+    shape: GemmShape,
+    name: &'a str,
+    run: SpeculativeRun,
+    /// The reduction steps every block of the cell repeats identically.
+    uniform_steps: Range<usize>,
+    /// Whether blocks are fed step by step to fast-forward their uniform
+    /// reduction steps: fast-forward is on and the widest block's steps
+    /// hold a warm-up, a probe and one skipped step.
+    in_block: bool,
+    /// The in-block probe's seed and probe checkpoints.
+    step_checkpoints: [SpecCheckpoint; 2],
+    /// Reduction steps skipped inside blocks.
+    skipped_steps: u64,
 }
 
 impl Simulator {
@@ -219,25 +242,54 @@ impl Simulator {
     }
 
     /// Generates and simulates `shape` on the calling thread: an optional
-    /// fast-forward prefix, then every remaining register block generated
-    /// segment by segment straight into the core.
+    /// block-level fast-forward prefix, then every remaining register block
+    /// generated segment by segment straight into the core.
     ///
     /// Capped or not, the run covers exactly the blocks of
-    /// [`TraceGenerator::block_count`]; without a fast-forward it feeds the
-    /// segments of [`TraceGenerator::gemm_blocks`] over
-    /// `0..block_count`.
+    /// [`TraceGenerator::block_count`]; without fast-forward it feeds the
+    /// segments of [`TraceGenerator::gemm_blocks`] over `0..block_count`.
+    /// With it, two levels skip work:
+    ///
+    /// * **blocks** ([`TraceGenerator::uniform_blocks`]): warm up one
+    ///   stride, probe stride by stride until one stride boundary is an
+    ///   exact translation of its predecessor, then skip the remaining
+    ///   whole strides of the uniform run;
+    /// * **reduction steps** ([`TraceGenerator::uniform_steps`]): inside
+    ///   every block that is fed — the warm-up and probe strides, and every
+    ///   block after the skip — warm up about ⌈`rob_size` / instructions
+    ///   per step⌉ steps, probe step by step, then skip the rest of the
+    ///   block's uniform steps.
+    ///
+    /// Each probe tries at most `SPEC_PROBE_STRIDES` repeats. The schedule
+    /// derives only from the shape, the kernel and the core configuration,
+    /// so the statistics, fast-forward counters included, are
+    /// deterministic; and the architectural statistics are bit-identical
+    /// to feeding every instruction, because the core model's scheduling
+    /// is translation-covariant and its timing never reads an address.
     fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
         let total_matmuls = self.generator.matmul_count(shape)? as u64;
         let blocks = self.generator.block_count(shape)?;
         let engine = MatrixEngine::new(*self.design.systolic());
         let core = CpuCore::new(*self.design.cpu(), engine);
-        let mut run = SpeculativeRun::begin(core, self.generator.isa())?;
+        let uniform_steps = self.generator.uniform_steps(shape)?;
+        let widest_step = self.generator.step_instructions(shape)?;
+        let mut cell = CellRun {
+            sim: self,
+            shape,
+            name,
+            run: SpeculativeRun::begin(core, self.generator.isa())?,
+            in_block: self.speculation && self.holds_step_probe(&uniform_steps, widest_step),
+            uniform_steps,
+            step_checkpoints: Default::default(),
+            skipped_steps: 0,
+        };
         let next = match self.spec_plan(shape)? {
-            Some(plan) => self.fast_forward_prefix(&mut run, shape, name, plan)?,
+            Some(plan) => cell.fast_forward_prefix(plan)?,
             None => 0,
         };
-        self.feed_blocks(&mut run, shape, name, next..blocks)?;
-        let (cpu_stats, sched, stream) = run.finish()?;
+        cell.feed_blocks(next..blocks)?;
+        let skipped_steps = cell.skipped_steps;
+        let (cpu_stats, sched, stream) = cell.run.finish()?;
         let pipeline = PipelineStats {
             streamed: true,
             segments: stream.segments,
@@ -245,15 +297,34 @@ impl Simulator {
             peak_resident_instructions: stream.peak_resident as u64,
             spec_forks: stream.fast_forwarded_strides,
             spec_commits: stream.fast_forwarded_strides,
+            spec_step_forks: skipped_steps,
         };
         Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, name))
     }
 
-    /// The deterministic fast-forward schedule for `shape`, or `None` when
-    /// the cell must run sequentially: fast-forward is off, or the uniform
-    /// block region is too short to hold a warm-up stride, a probe and a
-    /// skipped stride. One stride is one period of the block walk, capped
-    /// or not.
+    /// The first reduction step a block's in-block probe measures: past
+    /// the warm-up of about ⌈`rob_size` / `step_len`⌉ steps, and inside the
+    /// uniform range.
+    fn first_probe_step(&self, uniform: &Range<usize>, step_len: usize) -> usize {
+        self.design
+            .cpu()
+            .rob_size
+            .div_ceil(step_len.max(1))
+            .max(uniform.start)
+    }
+
+    /// Whether a block whose uniform steps are `uniform`, `step_len`
+    /// instructions each, holds a warm-up, a probe step and one skipped
+    /// step.
+    fn holds_step_probe(&self, uniform: &Range<usize>, step_len: usize) -> bool {
+        self.first_probe_step(uniform, step_len) + 2 <= uniform.end
+    }
+
+    /// The deterministic block-level fast-forward schedule for `shape`, or
+    /// `None` when no block stride is skipped: fast-forward is off, or the
+    /// uniform block region is too short to hold a warm-up stride, a probe
+    /// and a skipped stride. One stride is one period of the block walk,
+    /// capped or not.
     fn spec_plan(&self, shape: GemmShape) -> Result<Option<SpecPlan>, SimError> {
         if !self.speculation {
             return Ok(None);
@@ -269,90 +340,6 @@ impl Simulator {
             stride_blocks,
             uniform_end,
         }))
-    }
-
-    /// Generates register blocks `blocks` of `shape` segment by segment and
-    /// feeds each into the run as soon as it exists.
-    fn feed_blocks(
-        &self,
-        run: &mut SpeculativeRun,
-        shape: GemmShape,
-        name: &str,
-        blocks: Range<usize>,
-    ) -> Result<(), SimError> {
-        let mut stream = self
-            .generator
-            .gemm_blocks(shape, name, blocks, DEFAULT_SEGMENT_SIZE)?;
-        loop {
-            let gen = prof::time(Stage::TraceGen);
-            let segment = stream.next_segment()?;
-            drop(gen);
-            let Some(segment) = segment else {
-                return Ok(());
-            };
-            run.feed_segment(&segment)?;
-        }
-    }
-
-    /// The fast-forward prefix of a cell; returns the first register block
-    /// still to be fed.
-    ///
-    /// Protocol (mechanism in `rasa_cpu::SpeculativeRun`): warm up one
-    /// stride, then probe stride by stride until one stride boundary is an
-    /// exact translation of its predecessor — a *confirmed* periodic
-    /// [`SpecDelta`]. Every remaining whole stride of the uniform region is
-    /// then the same work with only its addresses changed, so the run skips
-    /// them in O(1): it shifts the boundary state by that many deltas and
-    /// folds in that many copies of the confirmed stride's statistics. The
-    /// rest of the walk past the uniform region — a ragged column, or the
-    /// columns after a ragged first one — is left to the sequential feed.
-    ///
-    /// The schedule derives only from the shape and the kernel, so the
-    /// statistics, including the fast-forward counters, are deterministic;
-    /// and the architectural statistics are bit-identical to feeding every
-    /// block, because the core model's scheduling is translation-covariant
-    /// and its timing never reads an address.
-    fn fast_forward_prefix(
-        &self,
-        run: &mut SpeculativeRun,
-        shape: GemmShape,
-        name: &str,
-        plan: SpecPlan,
-    ) -> Result<usize, SimError> {
-        let stride = plan.stride_blocks;
-
-        // Warm-up: one stride to move the pipeline off the cold-start
-        // transient before probing.
-        self.feed_blocks(run, shape, name, 0..stride)?;
-        let mut next = stride;
-
-        // Probe: slide stride by stride until a boundary is an exact
-        // translation of its predecessor (see
-        // `SpecCheckpoint::shifted_matches`).
-        let mut seed = run.checkpoint();
-        let mut delta = None;
-        for _ in 0..SPEC_PROBE_STRIDES {
-            if next + stride > plan.uniform_end {
-                break;
-            }
-            self.feed_blocks(run, shape, name, next..next + stride)?;
-            next += stride;
-            let cp = run.checkpoint();
-            delta = SpecDelta::between(&seed, &cp).filter(|d| seed.shifted_matches(d, &cp));
-            if delta.is_some() {
-                break;
-            }
-            seed = cp;
-        }
-
-        // Fast-forward over every remaining whole stride of the uniform
-        // region.
-        if let Some(delta) = delta {
-            let strides = (plan.uniform_end - next) / stride;
-            run.fast_forward(&delta, strides as u64);
-            next += strides * stride;
-        }
-        Ok(next)
     }
 
     fn report(
@@ -389,6 +376,138 @@ impl Simulator {
             pipeline,
             power,
         }
+    }
+}
+
+impl CellRun<'_> {
+    /// Feeds register blocks `blocks` of the cell, generated as they are
+    /// fed: whole blocks per segment, or, when the cell fast-forwards
+    /// inside blocks, block by block.
+    fn feed_blocks(&mut self, blocks: Range<usize>) -> Result<(), SimError> {
+        let mut stream =
+            self.sim
+                .generator
+                .gemm_blocks(self.shape, self.name, blocks, DEFAULT_SEGMENT_SIZE)?;
+        if !self.in_block {
+            while self.feed(GemmTraceStream::next_segment, &mut stream)? {}
+            return Ok(());
+        }
+        while stream.blocks_remaining() > 0 {
+            self.feed_block(&mut stream)?;
+        }
+        Ok(())
+    }
+
+    /// Generates one segment with `next` and feeds it; `false` once the
+    /// stream had nothing left to emit.
+    fn feed(
+        &mut self,
+        next: impl FnOnce(&mut GemmTraceStream) -> Result<Option<ProgramSegment>, TraceError>,
+        stream: &mut GemmTraceStream,
+    ) -> Result<bool, SimError> {
+        let gen = prof::time(Stage::TraceGen);
+        let segment = next(stream)?;
+        drop(gen);
+        match segment {
+            Some(segment) => {
+                self.run.feed_segment(&segment)?;
+                Ok(true)
+            }
+            None => Ok(false),
+        }
+    }
+
+    /// Probes repeat by repeat for a confirmed periodic [`SpecDelta`]:
+    /// checkpoints the run into the seed, then, at most
+    /// `SPEC_PROBE_STRIDES` times and while `feed_repeat` still feeds one,
+    /// feeds a repeat and checkpoints it, until a boundary is an exact
+    /// translation of its predecessor (`SpecCheckpoint::shifted_matches`).
+    /// The run is then paused at the checkpoint the delta ends at, ready
+    /// for `SpeculativeRun::fast_forward`.
+    fn probe(
+        &mut self,
+        [seed, probe]: &mut [SpecCheckpoint; 2],
+        mut feed_repeat: impl FnMut(&mut Self) -> Result<bool, SimError>,
+    ) -> Result<Option<SpecDelta>, SimError> {
+        self.run.checkpoint(seed);
+        for _ in 0..SPEC_PROBE_STRIDES {
+            if !feed_repeat(self)? {
+                break;
+            }
+            self.run.checkpoint(probe);
+            let delta = SpecDelta::between(seed, probe).filter(|_| seed.shifted_matches(probe));
+            if delta.is_some() {
+                return Ok(delta);
+            }
+            std::mem::swap(seed, probe);
+        }
+        Ok(None)
+    }
+
+    /// Feeds the register block at the stream's cursor, fast-forwarding
+    /// through its uniform reduction steps when they hold a warm-up, a
+    /// probe and one skipped step: the block is fed up to its first probe
+    /// step, probed step by step, skipped to the end of its uniform steps
+    /// and finished with its last step, which stores the accumulators.
+    fn feed_block(&mut self, stream: &mut GemmTraceStream) -> Result<(), SimError> {
+        let uniform = self.uniform_steps.clone();
+        let step_len = stream.step_instructions();
+        let end = stream.block_steps();
+        if self.sim.holds_step_probe(&uniform, step_len) {
+            let mut next = self.sim.first_probe_step(&uniform, step_len);
+            self.feed(|s| s.steps_to(next), stream)?;
+            let mut checkpoints = std::mem::take(&mut self.step_checkpoints);
+            let delta = self.probe(&mut checkpoints, |cell| {
+                // Leave at least one uniform step to skip.
+                if next + 1 >= uniform.end {
+                    return Ok(false);
+                }
+                next += 1;
+                cell.feed(|s| s.steps_to(next), stream)
+            })?;
+            self.step_checkpoints = checkpoints;
+            if let Some(delta) = delta {
+                let skipped = uniform.end - next;
+                stream.skip_to(uniform.end)?;
+                self.run.fast_forward(&delta, skipped as u64);
+                self.skipped_steps += skipped as u64;
+            }
+        }
+        self.feed(|s| s.steps_to(end), stream)?;
+        Ok(())
+    }
+
+    /// The block-level fast-forward prefix of a cell; returns the first
+    /// register block still to be fed.
+    ///
+    /// Warm up one stride to move the pipeline off the cold-start
+    /// transient, then probe stride by stride. Once a delta is confirmed,
+    /// every remaining whole stride of the uniform region is the same work
+    /// with only its addresses changed, so the run skips them in O(1): it
+    /// shifts the boundary state by that many deltas and folds in that
+    /// many copies of the confirmed stride's statistics. The rest of the
+    /// walk past the uniform region — a ragged column, or the columns after
+    /// a ragged first one — is left to the sequential feed. Every block
+    /// fed here fast-forwards inside itself too; the stride's delta, the
+    /// difference of two cumulative checkpoints, spans those skips.
+    fn fast_forward_prefix(&mut self, plan: SpecPlan) -> Result<usize, SimError> {
+        let stride = plan.stride_blocks;
+        self.feed_blocks(0..stride)?;
+        let mut next = stride;
+        let delta = self.probe(&mut Default::default(), |cell| {
+            if next + stride > plan.uniform_end {
+                return Ok(false);
+            }
+            cell.feed_blocks(next..next + stride)?;
+            next += stride;
+            Ok(true)
+        })?;
+        if let Some(delta) = delta {
+            let strides = (plan.uniform_end - next) / stride;
+            self.run.fast_forward(&delta, strides as u64);
+            next += strides * stride;
+        }
+        Ok(next)
     }
 }
 
@@ -719,6 +838,64 @@ mod tests {
         for short in [GemmShape::new(32, 64, 96), GemmShape::new(32, 64, 112)] {
             assert!(sim.spec_plan(short).unwrap().is_none(), "{short:?}");
         }
+    }
+
+    #[test]
+    fn blocks_fast_forward_their_uniform_reduction_steps() {
+        // 96 reduction steps per block (BERT-2's K) on a walk of two full
+        // columns and a ragged one: the block level skips the full
+        // columns' interior, and every fed block — the warm-up and probe
+        // strides, then the ragged column's narrower blocks — skips its
+        // uniform steps. The statistics equal the sequential and
+        // materialized runs bit for bit.
+        let shape = GemmShape::new(64, 3072, 80);
+        for design in [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()] {
+            let sim = Simulator::new(design)
+                .unwrap()
+                .with_matmul_cap(None)
+                .unwrap();
+            let fast = sim.run_gemm(shape).unwrap();
+            let sequential = sim.clone().with_speculation(false).run_gemm(shape).unwrap();
+            let materialized = materialized(&sim, shape);
+            for oracle in [&sequential, &materialized] {
+                assert_eq!(fast.cpu, oracle.cpu);
+                assert_eq!(
+                    fast.pipeline.fed_instructions,
+                    oracle.pipeline.fed_instructions
+                );
+            }
+            assert_eq!(fast.sched, sequential.sched);
+            // Two full blocks and two ragged ones are fed, each skipping
+            // all but the warm-up, one or more probes and the last step of
+            // its 94 uniform ones; the skipped block stride adds one.
+            let steps = fast.pipeline.spec_step_forks;
+            assert!((4 * 70..=4 * 85).contains(&steps), "{steps} steps skipped");
+            assert_eq!(fast.pipeline.spec_forks, steps + 2);
+            assert_eq!(sequential.pipeline.spec_step_forks, 0);
+            // The fed trace is a few steps per block, never a whole block.
+            assert!(fast.pipeline.peak_resident_instructions < 200);
+        }
+    }
+
+    #[test]
+    fn step_plan_needs_warm_up_probe_and_one_skipped_step() {
+        // The default core's 97-entry ROB holds about nine 12-instruction
+        // 2×2 steps, so the first probe measures step 9 and a block needs
+        // uniform steps 1..11 (twelve steps) to skip one; a ragged block's
+        // 9-instruction steps need two more.
+        let sim = Simulator::new(DesignPoint::baseline()).unwrap();
+        assert_eq!(sim.first_probe_step(&(1..11), 12), 9);
+        assert!(sim.holds_step_probe(&(1..11), 12));
+        assert!(!sim.holds_step_probe(&(1..10), 12));
+        assert!(sim.holds_step_probe(&(1..13), 9));
+        assert!(!sim.holds_step_probe(&(1..12), 9));
+        // A block too short to skip a step is fed whole.
+        let sim = sim.with_matmul_cap(None).unwrap();
+        let short = sim.run_gemm(GemmShape::new(32, 352, 32)).unwrap();
+        assert_eq!(short.pipeline.spec_forks, 0);
+        let deep = sim.run_gemm(GemmShape::new(32, 3072, 32)).unwrap();
+        assert!(deep.pipeline.spec_step_forks > 0);
+        assert_eq!(deep.pipeline.spec_forks, deep.pipeline.spec_step_forks);
     }
 
     #[test]

@@ -5,6 +5,19 @@ use crate::{
 use rasa_isa::{TileReg, NUM_TILE_REGS};
 use std::collections::VecDeque;
 
+/// Tags of [`MatrixEngine::fingerprint`]: one per field and case.
+mod tag {
+    pub const NO_PREV: u64 = 1;
+    pub const PREV: u64 = 2;
+    pub const NO_WEIGHTS: u64 = 3;
+    pub const WEIGHTS: u64 = 4;
+    pub const DIRTY: u64 = 5;
+    pub const CHANNEL_UNUSED: u64 = 6;
+    pub const CHANNEL_FREE: u64 = 7;
+    pub const IN_FLIGHT: u64 = 8;
+    pub const COMPLETIONS: u64 = 9;
+}
+
 /// One `rasa_mm` handed to the matrix engine.
 ///
 /// The CPU model resolves register dependencies and tells the engine, in
@@ -229,22 +242,59 @@ impl MatrixEngine {
         }
     }
 
-    /// Whether another engine is in exactly the same *scheduling* state as
-    /// this one: same position in the instruction stream, same resolved
-    /// previous schedule, weight-plane installation, dirty bits, channel and
-    /// in-flight occupancy, and same undrained completion events.
-    /// Accumulated statistics are deliberately excluded — two engines that
-    /// agree on this predicate schedule all future submissions identically.
-    #[must_use]
-    pub fn scheduling_state_eq(&self, other: &Self) -> bool {
-        self.config == other.config
-            && self.sequence == other.sequence
-            && self.prev == other.prev
-            && self.installed_weights == other.installed_weights
-            && self.dirty == other.dirty
-            && self.wl_channel_free == other.wl_channel_free
-            && self.in_flight == other.in_flight
-            && self.pending_completions == other.pending_completions
+    /// Writes the engine's scheduling state to `out` in a form that does
+    /// not change under translation: times relative to `now` (an engine
+    /// cycle), sequences relative to the submission count. Two engines
+    /// whose fingerprints at origins `now` and `now + d` are equal schedule
+    /// every future submission identically, `d` cycles apart: their
+    /// resolved previous schedule, weight-plane installation, dirty bits,
+    /// channel, in-flight occupancy and undrained completion events agree
+    /// once the translation is taken out. Statistics and the configuration
+    /// are not written.
+    ///
+    /// Every value carries a tag. A never-used weight-load channel (0,
+    /// which [`MatrixEngine::shift_state`] keeps at 0) is its own case,
+    /// distinct from any channel time, however close to `now`.
+    pub fn fingerprint(&self, now: u64, out: &mut Vec<u64>) {
+        let time = |t: u64| t.wrapping_sub(now);
+        let seq = |s: u64| self.sequence.wrapping_sub(s);
+        match self.prev {
+            None => out.push(tag::NO_PREV),
+            Some(t) => out.extend([
+                tag::PREV,
+                seq(t.sequence),
+                time(t.wl.start),
+                time(t.wl.end),
+                time(t.ff.start),
+                time(t.ff.end),
+                time(t.fs.start),
+                time(t.fs.end),
+                time(t.dr.start),
+                time(t.dr.end),
+                u64::from(t.weight_bypassed) | u64::from(t.weight_prefetched) << 1,
+            ]),
+        }
+        match self.installed_weights {
+            None => out.push(tag::NO_WEIGHTS),
+            Some(reg) => out.extend([tag::WEIGHTS, reg.index() as u64]),
+        }
+        let dirty = self
+            .dirty
+            .iter()
+            .enumerate()
+            .fold(0u64, |bits, (i, &d)| bits | u64::from(d) << i);
+        out.extend([tag::DIRTY, dirty]);
+        if self.wl_channel_free == 0 {
+            out.push(tag::CHANNEL_UNUSED);
+        } else {
+            out.extend([tag::CHANNEL_FREE, time(self.wl_channel_free)]);
+        }
+        out.extend([tag::IN_FLIGHT, self.in_flight.len() as u64]);
+        out.extend(self.in_flight.iter().map(|&c| time(c)));
+        out.extend([tag::COMPLETIONS, self.pending_completions.len() as u64]);
+        for event in &self.pending_completions {
+            out.extend([seq(event.sequence), time(event.complete_cycle)]);
+        }
     }
 
     /// Drains the completion events recorded since the last call, in
@@ -693,20 +743,45 @@ mod tests {
         }
     }
 
+    /// The fingerprint of `engine` at engine cycle `now`.
+    fn fingerprint(engine: &MatrixEngine, now: u64) -> Vec<u64> {
+        let mut out = Vec::new();
+        engine.fingerprint(now, &mut out);
+        out
+    }
+
     #[test]
-    fn scheduling_state_eq_ignores_stats_only() {
+    fn fingerprint_ignores_stats_and_translation_but_not_the_channel() {
         let mut a = engine(PeVariant::Dmdb, ControlScheme::Wls);
         run_pattern(&mut a, 6, &[4, 5], 2);
+        let now = a.busy_horizon() - 40;
         let mut b = a.clone();
-        assert!(a.scheduling_state_eq(&b));
-        // Statistics are excluded: zeroing them does not break equality.
+        assert_eq!(fingerprint(&a, now), fingerprint(&b, now));
+        // Statistics are excluded: zeroing them keeps the fingerprint.
         b.reset_stats();
-        assert!(a.scheduling_state_eq(&b));
+        assert_eq!(fingerprint(&a, now), fingerprint(&b, now));
         assert_eq!(*b.stats(), EngineStats::default());
-        // Any scheduling divergence does break it.
-        b.submit(MmRequest::ready_at(treg(4), FULL, 0)).unwrap();
-        assert!(!a.scheduling_state_eq(&b));
-        assert_eq!(b.submitted(), a.submitted() + 1);
+        // A translated engine has the same fingerprint at a translated
+        // origin, and no other.
+        b.shift_state(1000, 7);
+        assert_eq!(fingerprint(&a, now), fingerprint(&b, now + 1000));
+        assert_ne!(fingerprint(&a, now), fingerprint(&b, now + 999));
+        // Any scheduling divergence changes it: one more submission, or
+        // the weight-load channel alone.
+        let mut c = a.clone();
+        c.submit(MmRequest::ready_at(treg(4), FULL, 0)).unwrap();
+        assert_ne!(fingerprint(&a, now), fingerprint(&c, now));
+        assert_eq!(c.submitted(), a.submitted() + 1);
+        let mut d = a.clone();
+        assert!(d.wl_channel_free > 0, "the WLS pattern prefetched");
+        d.wl_channel_free += 1;
+        assert_ne!(fingerprint(&a, now), fingerprint(&d, now));
+        // A never-used channel is not a channel that became free one cycle
+        // before now, which a clamped relative time would confuse.
+        let (mut unused, mut recent) = (a.clone(), a);
+        unused.wl_channel_free = 0;
+        recent.wl_channel_free = now - 1;
+        assert_ne!(fingerprint(&unused, now), fingerprint(&recent, now));
     }
 
     #[test]

@@ -79,6 +79,34 @@ impl EngineStats {
         }
     }
 
+    /// The counters a run accumulated between `earlier`, a snapshot of the
+    /// same run, and this later snapshot: what [`EngineStats::accumulate`]
+    /// folds onto `earlier` to give `self`. Additive counters subtract. The
+    /// horizon is a maximum, not a count: it is this snapshot's when the
+    /// interval submitted a `rasa_mm` (submissions of one tile shape
+    /// complete in submission order, so a run's horizon is its latest
+    /// submission's) and 0 when it submitted none, as in
+    /// [`EngineStats::repeated`].
+    #[must_use]
+    pub fn since(&self, earlier: &EngineStats) -> EngineStats {
+        let matmuls = self.matmuls - earlier.matmuls;
+        EngineStats {
+            matmuls,
+            weight_bypasses: self.weight_bypasses - earlier.weight_bypasses,
+            weight_prefetches: self.weight_prefetches - earlier.weight_prefetches,
+            full_weight_loads: self.full_weight_loads - earlier.full_weight_loads,
+            occupancy_cycles: self.occupancy_cycles - earlier.occupancy_cycles,
+            last_completion_cycle: if matmuls == 0 {
+                0
+            } else {
+                self.last_completion_cycle
+            },
+            total_macs: self.total_macs - earlier.total_macs,
+            operand_stall_cycles: self.operand_stall_cycles - earlier.operand_stall_cycles,
+            structural_stall_cycles: self.structural_stall_cycles - earlier.structural_stall_cycles,
+        }
+    }
+
     /// Fraction of `rasa_mm` instructions that skipped Weight Load via the
     /// dirty-bit bypass.
     #[must_use]
@@ -203,5 +231,33 @@ mod tests {
             EngineStats::default().repeated(3, 64),
             EngineStats::default()
         );
+    }
+
+    #[test]
+    fn since_takes_the_interval_back_out_of_a_fold() {
+        let earlier = EngineStats {
+            matmuls: 4,
+            weight_bypasses: 2,
+            full_weight_loads: 2,
+            occupancy_cycles: 300,
+            last_completion_cycle: 1000,
+            total_macs: 4 * 8192,
+            ..EngineStats::default()
+        };
+        let interval = EngineStats {
+            matmuls: 2,
+            weight_prefetches: 2,
+            occupancy_cycles: 140,
+            last_completion_cycle: 1064,
+            total_macs: 2 * 8192,
+            operand_stall_cycles: 3,
+            ..EngineStats::default()
+        };
+        let mut later = earlier;
+        later.accumulate(&interval);
+        assert_eq!(later.since(&earlier), interval);
+        // The horizon is a maximum: an interval with no submission has
+        // none, whatever the run's horizon is.
+        assert_eq!(later.since(&later), EngineStats::default());
     }
 }

@@ -1,6 +1,7 @@
 use crate::{GemmKernelConfig, LoopOrder, MatmulOrder, TraceError};
 use rasa_isa::{GprReg, IsaConfig, MemRef, Program, ProgramBuilder, TileReg};
 use rasa_numeric::{ConvShape, GemmShape, NumericError, TileGrid};
+use std::ops::Range;
 
 /// Base addresses used for the three operand matrices in generated traces.
 /// The exact values are irrelevant to the timing model (memory never
@@ -197,133 +198,166 @@ impl TraceGenerator {
         }
     }
 
-    /// Emits one register block (accumulator loads, the K reduction loop,
-    /// accumulator stores) for the block at `(nb, mb)`. The block shape, loop
-    /// order and scalar-overhead model all come from the kernel scheme; the
-    /// default scheme reproduces the pre-scheme 2×2 Algorithm-1 sequence
-    /// byte for byte. Shared by the materialized [`TraceGenerator::gemm`]
-    /// path and the streaming segmenter, so both emit the identical
-    /// instruction sequence.
-    pub(crate) fn emit_register_block(
+    /// The reduction steps every register block of `shape` repeats
+    /// identically up to memory addresses: all but the first and the last.
+    /// Step `k` is iteration `k` of the block's K loop. Under K-innermost
+    /// the first step also loads the block's accumulators and the last one
+    /// stores them; with scalar overhead the last step's loop branch is the
+    /// one not taken. The range is the same for every block, ragged edge
+    /// blocks included (theirs repeat a narrower step), and empty when the
+    /// block has fewer than three steps.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Shape`] for an empty GEMM.
+    pub fn uniform_steps(&self, shape: GemmShape) -> Result<Range<usize>, TraceError> {
+        let (_, kt, _) = self.tile_dims(shape)?;
+        Ok(uniform_step_range(kt))
+    }
+
+    /// Instructions one uniform reduction step of `shape`'s widest register
+    /// block emits — the most any block of the walk repeats per step; a
+    /// ragged edge block repeats fewer
+    /// ([`crate::GemmTraceStream::step_instructions`]).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Shape`] for an empty GEMM.
+    pub fn step_instructions(&self, shape: GemmShape) -> Result<usize, TraceError> {
+        let (mt, _, nt) = self.tile_dims(shape)?;
+        let block = self.kernel.scheme.block;
+        Ok(self.block_step_instructions(block.m.min(mt), block.n.min(nt)))
+    }
+
+    /// Instructions one uniform reduction step emits in a block of `rows`
+    /// row tiles by `cols` column tiles: its A and B tile loads and
+    /// `rasa_mm`s, the accumulator loads and stores N-innermost spills
+    /// around every step, and the scalar overhead with its branch.
+    pub(crate) fn block_step_instructions(&self, rows: usize, cols: usize) -> usize {
+        let scheme = &self.kernel.scheme;
+        let spills = match scheme.loop_order {
+            LoopOrder::KInnermost => 0,
+            LoopOrder::NInnermost => 2 * rows * cols,
+        };
+        let scalar = if self.kernel.emit_scalar_overhead {
+            usize::from(scheme.scalar_ops_per_step) + 1
+        } else {
+            0
+        };
+        rows + cols + rows * cols + spills + scalar
+    }
+
+    /// Emits reduction steps `steps` of the register block at `(nb, mb)`;
+    /// `0..kt` is the whole block (accumulator loads, the K reduction loop,
+    /// accumulator stores). The block shape, loop order and scalar-overhead
+    /// model all come from the kernel scheme; the default scheme reproduces
+    /// the pre-scheme 2×2 Algorithm-1 sequence byte for byte. Shared by the
+    /// materialized [`TraceGenerator::gemm`] path and the streaming
+    /// segmenter, so both emit the identical instruction sequence.
+    pub(crate) fn emit_steps(
         &self,
         b: &mut ProgramBuilder,
         (mt, kt, nt): (usize, usize, usize),
-        nb: usize,
-        mb: usize,
+        (nb, mb): (usize, usize),
+        steps: Range<usize>,
     ) {
         // Register allocation generalizing Algorithm 1: accumulators first,
         // then the weight (B) tiles, then the activation (A) tiles — for the
         // default 2×2 block exactly C=treg0..3, B=treg4..5, A=treg6..7.
         let block = self.kernel.scheme.block;
-        let acc = block.m * block.n;
-        let c_regs: Vec<usize> = (0..acc).collect();
-        let b_regs: Vec<usize> = (acc..acc + block.n).collect();
-        let a_regs: Vec<usize> = (acc + block.n..acc + block.n + block.m).collect();
+        let n_here = block.n * nb..(block.n * nb + block.n).min(nt);
+        let m_here = block.m * mb..(block.m * mb + block.m).min(mt);
         let treg =
             |i: usize| TileReg::new(i as u8).expect("validated register blocks fit the tile file");
+        let c_reg = |m_idx: usize, n_idx: usize| treg(m_idx * n_here.len() + n_idx);
+        let b_reg = |n_idx: usize| treg(block.m * block.n + n_idx);
+        let a_reg = |m_idx: usize| treg(block.m * block.n + block.n + m_idx);
         let a_ptr = GprReg::new(1).expect("valid gpr");
         let b_ptr = GprReg::new(2).expect("valid gpr");
         let k_counter = GprReg::new(3).expect("valid gpr");
         let scalar_regs = [a_ptr, b_ptr, k_counter];
 
-        let n_here: Vec<usize> = (block.n * nb..(block.n * nb + block.n).min(nt)).collect();
-        let m_here: Vec<usize> = (block.m * mb..(block.m * mb + block.m).min(mt)).collect();
-        let c_reg_of = |m_idx: usize, n_idx: usize| treg(c_regs[m_idx * n_here.len() + n_idx]);
-
-        // Accumulator-residency windows: K-innermost keeps the block's C
-        // tiles live across the whole reduction (one window); N-innermost
-        // spills and reloads them around every K step (kt one-step windows).
-        let windows: Vec<(usize, usize)> = match self.kernel.scheme.loop_order {
-            LoopOrder::KInnermost => vec![(0, kt)],
-            LoopOrder::NInnermost => (0..kt).map(|k| (k, k + 1)).collect(),
-        };
-
-        for (k_begin, k_end) in windows {
-            // Load the accumulator tiles for this residency window.
-            for (m_idx, &mi) in m_here.iter().enumerate() {
-                for (n_idx, &ni) in n_here.iter().enumerate() {
-                    b.tile_load(
-                        c_reg_of(m_idx, n_idx),
-                        MemRef::tile(self.c_addr(mi, ni, nt), TILE_STRIDE),
-                    );
+        // Accumulator residency: K-innermost keeps the block's C tiles live
+        // across the whole reduction; N-innermost spills and reloads them
+        // around every K step.
+        let resident = self.kernel.scheme.loop_order == LoopOrder::KInnermost;
+        for ki in steps {
+            if !resident || ki == 0 {
+                for (m_idx, mi) in m_here.clone().enumerate() {
+                    for (n_idx, ni) in n_here.clone().enumerate() {
+                        b.tile_load(
+                            c_reg(m_idx, n_idx),
+                            MemRef::tile(self.c_addr(mi, ni, nt), TILE_STRIDE),
+                        );
+                    }
                 }
             }
 
-            // Reduction loop: each iteration consumes one K tile.
-            for ki in k_begin..k_end {
-                match self.kernel.matmul_order {
-                    MatmulOrder::WeightPaired => {
-                        // Algorithm 1: each weight register feeds a run of
-                        // consecutive rasa_mm instructions, and the A tiles
-                        // loaded under the first weight are reused by all
-                        // later weights.
-                        for (n_idx, &ni) in n_here.iter().enumerate() {
-                            b.tile_load(
-                                treg(b_regs[n_idx]),
-                                MemRef::tile(self.b_addr(ki, ni, nt), TILE_STRIDE),
-                            );
-                            for (m_idx, &mi) in m_here.iter().enumerate() {
-                                if n_idx == 0 {
-                                    b.tile_load(
-                                        treg(a_regs[m_idx]),
-                                        MemRef::tile(self.a_addr(mi, ki, kt), TILE_STRIDE),
-                                    );
-                                }
-                                b.matmul(
-                                    c_reg_of(m_idx, n_idx),
-                                    treg(a_regs[m_idx]),
-                                    treg(b_regs[n_idx]),
+            // One iteration of the reduction loop consumes one K tile.
+            match self.kernel.matmul_order {
+                MatmulOrder::WeightPaired => {
+                    // Algorithm 1: each weight register feeds a run of
+                    // consecutive rasa_mm instructions, and the A tiles
+                    // loaded under the first weight are reused by all later
+                    // weights.
+                    for (n_idx, ni) in n_here.clone().enumerate() {
+                        b.tile_load(
+                            b_reg(n_idx),
+                            MemRef::tile(self.b_addr(ki, ni, nt), TILE_STRIDE),
+                        );
+                        for (m_idx, mi) in m_here.clone().enumerate() {
+                            if n_idx == 0 {
+                                b.tile_load(
+                                    a_reg(m_idx),
+                                    MemRef::tile(self.a_addr(mi, ki, kt), TILE_STRIDE),
                                 );
                             }
-                        }
-                    }
-                    MatmulOrder::Interleaved => {
-                        // Load every operand tile up front, then emit the
-                        // rasa_mm instructions alternating weight
-                        // registers (no consecutive reuse).
-                        for (n_idx, &ni) in n_here.iter().enumerate() {
-                            b.tile_load(
-                                treg(b_regs[n_idx]),
-                                MemRef::tile(self.b_addr(ki, ni, nt), TILE_STRIDE),
-                            );
-                        }
-                        for (m_idx, &mi) in m_here.iter().enumerate() {
-                            b.tile_load(
-                                treg(a_regs[m_idx]),
-                                MemRef::tile(self.a_addr(mi, ki, kt), TILE_STRIDE),
-                            );
-                            #[allow(clippy::needless_range_loop)]
-                            // b_regs and c_reg_of share the index
-                            for n_idx in 0..n_here.len() {
-                                b.matmul(
-                                    c_reg_of(m_idx, n_idx),
-                                    treg(a_regs[m_idx]),
-                                    treg(b_regs[n_idx]),
-                                );
-                            }
+                            b.matmul(c_reg(m_idx, n_idx), a_reg(m_idx), b_reg(n_idx));
                         }
                     }
                 }
-
-                if self.kernel.emit_scalar_overhead {
-                    // Pointer bumps for the A/B streams and the loop
-                    // bookkeeping of the K loop, sized by the scheme's
-                    // scalar-overhead model.
-                    for op in 0..self.kernel.scheme.scalar_ops_per_step as usize {
-                        let r = scalar_regs[op % scalar_regs.len()];
-                        b.scalar_alu(r, &[r]);
+                MatmulOrder::Interleaved => {
+                    // Load every operand tile up front, then emit the
+                    // rasa_mm instructions alternating weight registers (no
+                    // consecutive reuse).
+                    for (n_idx, ni) in n_here.clone().enumerate() {
+                        b.tile_load(
+                            b_reg(n_idx),
+                            MemRef::tile(self.b_addr(ki, ni, nt), TILE_STRIDE),
+                        );
                     }
-                    b.branch(ki + 1 != kt);
+                    for (m_idx, mi) in m_here.clone().enumerate() {
+                        b.tile_load(
+                            a_reg(m_idx),
+                            MemRef::tile(self.a_addr(mi, ki, kt), TILE_STRIDE),
+                        );
+                        for n_idx in 0..n_here.len() {
+                            b.matmul(c_reg(m_idx, n_idx), a_reg(m_idx), b_reg(n_idx));
+                        }
+                    }
                 }
             }
 
-            // Write the window's accumulators back.
-            for (m_idx, &mi) in m_here.iter().enumerate() {
-                for (n_idx, &ni) in n_here.iter().enumerate() {
-                    b.tile_store(
-                        MemRef::tile(self.c_addr(mi, ni, nt), TILE_STRIDE),
-                        c_reg_of(m_idx, n_idx),
-                    );
+            if self.kernel.emit_scalar_overhead {
+                // Pointer bumps for the A/B streams and the loop bookkeeping
+                // of the K loop, sized by the scheme's scalar-overhead
+                // model.
+                for op in 0..self.kernel.scheme.scalar_ops_per_step as usize {
+                    let r = scalar_regs[op % scalar_regs.len()];
+                    b.scalar_alu(r, &[r]);
+                }
+                b.branch(ki + 1 != kt);
+            }
+
+            if !resident || ki + 1 == kt {
+                // Write the accumulators back.
+                for (m_idx, mi) in m_here.clone().enumerate() {
+                    for (n_idx, ni) in n_here.clone().enumerate() {
+                        b.tile_store(
+                            MemRef::tile(self.c_addr(mi, ni, nt), TILE_STRIDE),
+                            c_reg(m_idx, n_idx),
+                        );
+                    }
                 }
             }
         }
@@ -353,7 +387,7 @@ impl TraceGenerator {
         b.set_name(name);
 
         for block in 0..self.block_count(shape)? {
-            self.emit_register_block(&mut b, dims, block / column, block % column);
+            self.emit_steps(&mut b, dims, (block / column, block % column), 0..dims.1);
         }
 
         Ok(b.finish()?)
@@ -376,6 +410,12 @@ impl Default for TraceGenerator {
     fn default() -> Self {
         TraceGenerator::amx_like()
     }
+}
+
+/// The uniform reduction steps of a block of `kt` steps (see
+/// [`TraceGenerator::uniform_steps`]).
+pub(crate) fn uniform_step_range(kt: usize) -> Range<usize> {
+    1..kt.saturating_sub(1).max(1)
 }
 
 /// The product of `factors`, or a [`TraceError::Shape`] naming `shape`
@@ -733,10 +773,11 @@ mod tests {
 
     #[test]
     fn uniform_strides_differ_only_in_memory_addresses() {
-        // The premise of the simulator's steady-state fast-forward: every
-        // stride-aligned window of the uniform region emits the same
-        // instructions up to memory addresses, which the timing model
-        // never reads.
+        // The premise of the simulator's steady-state fast-forward, at both
+        // of its levels: every stride-aligned window of the uniform block
+        // region, and every step of each block's uniform step range, emits
+        // the same instructions up to memory addresses, which the timing
+        // model never reads.
         use crate::KernelSchemeBuilder;
         use rasa_isa::Instruction;
         fn strip(inst: Instruction) -> Instruction {
@@ -755,16 +796,18 @@ mod tests {
             }
         }
         // Even in every dimension, then ragged in M, in N and K, and in M
-        // and N for some block shapes only; the last has a ragged M with
-        // long columns, so its first column's interior is the longer run.
+        // and N for some block shapes only; the fifth has a ragged M with
+        // long columns, so its first column's interior is the longer run;
+        // the last has eight reduction steps per block, ragged in M and N.
         let shapes = [
             GemmShape::new(192, 64, 192),
             GemmShape::new(200, 64, 192),
             GemmShape::new(192, 70, 200),
             GemmShape::new(150, 40, 130),
             GemmShape::new(400, 64, 40),
+            GemmShape::new(40, 250, 40),
         ];
-        let (mut compared, mut first_column_runs) = (0, 0);
+        let (mut compared, mut first_column_runs, mut compared_steps) = (0, 0, 0);
         for (m, n) in [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)] {
             for loop_order in [LoopOrder::KInnermost, LoopOrder::NInnermost] {
                 for matmul_order in [MatmulOrder::WeightPaired, MatmulOrder::Interleaved] {
@@ -782,6 +825,7 @@ mod tests {
                         kernel.max_matmuls = cap;
                         let g = TraceGenerator::new(IsaConfig::amx_like(), kernel).unwrap();
                         for shape in shapes {
+                            compared_steps += uniform_steps_repeat(&g, shape, strip);
                             let (period, uniform_end) = g.uniform_blocks(shape).unwrap();
                             assert_eq!(uniform_end % period, 0);
                             assert!(uniform_end <= g.block_count(shape).unwrap());
@@ -790,6 +834,9 @@ mod tests {
                                 first_column_runs += 1;
                             }
                             for stride in [period, 2 * period, 3 * period] {
+                                if stride > uniform_end {
+                                    continue;
+                                }
                                 let window = |lo: usize| -> Vec<Instruction> {
                                     g.gemm_blocks(shape, "window", lo..lo + stride, usize::MAX)
                                         .unwrap()
@@ -821,6 +868,62 @@ mod tests {
             first_column_runs >= 100,
             "only {first_column_runs} first-column runs"
         );
+        assert!(
+            compared_steps > 5_000,
+            "only {compared_steps} steps compared"
+        );
+    }
+
+    /// Checks that every step of each block's uniform step range emits the
+    /// same instructions up to memory addresses (`strip`), as many as
+    /// `GemmTraceStream::step_instructions` reports, and never the
+    /// not-taken loop branch or, under K-innermost, an accumulator load or
+    /// store. Returns how many steps it compared.
+    fn uniform_steps_repeat(
+        g: &TraceGenerator,
+        shape: GemmShape,
+        strip: fn(rasa_isa::Instruction) -> rasa_isa::Instruction,
+    ) -> usize {
+        use rasa_isa::Instruction;
+        let uniform = g.uniform_steps(shape).unwrap();
+        let (_, kt, _) = g.tile_dims(shape).unwrap();
+        assert!(
+            uniform.end < kt || uniform.is_empty(),
+            "{uniform:?} of {kt}"
+        );
+        let resident = g.kernel().scheme.loop_order == LoopOrder::KInnermost;
+        let mut compared = 0;
+        for block in 0..g.block_count(shape).unwrap() {
+            let mut stream = g
+                .gemm_blocks(shape, "steps", block..block + 1, usize::MAX)
+                .unwrap();
+            let step_len = stream.step_instructions();
+            let steps: Vec<Vec<Instruction>> = (1..=kt)
+                .map(|end| {
+                    let segment = stream.steps_to(end).unwrap().unwrap();
+                    segment.instructions().iter().copied().map(strip).collect()
+                })
+                .collect();
+            assert_eq!(stream.blocks_remaining(), 0);
+            let what = format!("kernel {}, {shape:?}, block {block}", g.kernel());
+            for k in uniform.clone() {
+                assert_eq!(steps[k], steps[uniform.start], "{what}, step {k}");
+                assert_eq!(steps[k].len(), step_len, "{what}, step {k}");
+                for inst in &steps[k] {
+                    assert_ne!(*inst, Instruction::Branch { taken: false }, "{what}");
+                    let accumulator = match inst {
+                        Instruction::TileStore { .. } => true,
+                        Instruction::TileLoad { dst, .. } => {
+                            dst.index() < g.kernel().scheme.block.m * g.kernel().scheme.block.n
+                        }
+                        _ => false,
+                    };
+                    assert!(!(resident && accumulator), "{what}, step {k}: {inst}");
+                }
+                compared += 1;
+            }
+        }
+        compared
     }
 
     #[test]

@@ -29,8 +29,17 @@
 //! the whole walk). Shards partition the block walk, so
 //! generating `[0..b1)`, `[b1..b2)`, … and concatenating the results in
 //! order reproduces the full sequence — the granularity at which
-//! `rasa-sim` feeds a run around the steady-state stretch it fast-forwards.
+//! `rasa-sim` feeds a run around the block strides it fast-forwards.
+//!
+//! Inside a block the stream is a **step cursor**: [`GemmTraceStream::steps_to`]
+//! emits the block's reduction steps up to a given one as a segment, and
+//! [`GemmTraceStream::skip_to`] moves past steps of the block's uniform
+//! range ([`TraceGenerator::uniform_steps`]) without emitting them — what
+//! `rasa-sim` does for the steps it fast-forwards. One builder carries the
+//! whole block, so the steps after a skip still validate against the
+//! accumulator and operand loads of the block's first step.
 
+use crate::generator::uniform_step_range;
 use crate::{TraceError, TraceGenerator};
 use rasa_isa::{IsaConfig, ProgramBuilder, ProgramSegment};
 use rasa_numeric::GemmShape;
@@ -52,7 +61,11 @@ pub struct GemmTraceStream {
     name: String,
     dims: (usize, usize, usize),
     mb_count: usize,
+    /// Blocks not yet emitted whole; the cursor is in the first of them.
     blocks: Range<usize>,
+    /// The cursor's next reduction step in block `blocks.start` (0 at a
+    /// block boundary).
+    step: usize,
     emitted: usize,
     segment_size: usize,
     builder: ProgramBuilder,
@@ -95,6 +108,7 @@ impl GemmTraceStream {
             dims,
             mb_count: generator.kernel().scheme.block.m_blocks(mt),
             blocks,
+            step: 0,
             emitted: 0,
             segment_size,
             builder: ProgramBuilder::new(*generator.isa()),
@@ -114,7 +128,8 @@ impl GemmTraceStream {
         self.emitted
     }
 
-    /// Register blocks not yet emitted (0 once the walk has finished).
+    /// Register blocks not yet emitted whole, the cursor's included (0 once
+    /// the walk has finished).
     #[must_use]
     pub fn blocks_remaining(&self) -> usize {
         self.blocks.len()
@@ -132,29 +147,117 @@ impl GemmTraceStream {
         &self.name
     }
 
-    /// Produces the next segment, or `None` when the stream is exhausted.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Emit`] when a segment fails ISA validation
-    /// (a generator bug, surfaced rather than panicking).
-    pub fn next_segment(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
-        // Emit whole register blocks until the segment target is reached
-        // or the block range is exhausted.
-        while !self.blocks.is_empty() && self.builder.len() < self.segment_size {
-            let block = self.blocks.start;
-            self.blocks.start += 1;
-            let nb = block / self.mb_count;
-            let mb = block % self.mb_count;
-            self.generator
-                .emit_register_block(&mut self.builder, self.dims, nb, mb);
+    /// Reduction steps per register block (the K tile count).
+    #[must_use]
+    pub const fn block_steps(&self) -> usize {
+        self.dims.1
+    }
+
+    /// Instructions one uniform reduction step of the cursor's block emits
+    /// (fewer in a ragged edge block; 0 once the walk has finished).
+    #[must_use]
+    pub fn step_instructions(&self) -> usize {
+        if self.blocks.is_empty() {
+            return 0;
         }
+        let (mt, _, nt) = self.dims;
+        let block = self.generator.kernel().scheme.block;
+        let (nb, mb) = self.block();
+        let rows = (mt - block.m * mb).min(block.m);
+        let cols = (nt - block.n * nb).min(block.n);
+        self.generator.block_step_instructions(rows, cols)
+    }
+
+    /// The cursor's block as `(n-block, m-block)` coordinates.
+    const fn block(&self) -> (usize, usize) {
+        (
+            self.blocks.start / self.mb_count,
+            self.blocks.start % self.mb_count,
+        )
+    }
+
+    /// Emits the cursor's block up to reduction step `end` (clamped to the
+    /// block) into the builder, moving to the next block at its end.
+    fn emit_to(&mut self, end: usize) {
+        let end = end.min(self.dims.1);
+        if self.step < end {
+            let block = self.block();
+            self.generator
+                .emit_steps(&mut self.builder, self.dims, block, self.step..end);
+            self.step = end;
+        }
+        if self.step == self.dims.1 {
+            self.blocks.start += 1;
+            self.step = 0;
+        }
+    }
+
+    /// Drains the builder into a validated segment, if it holds any
+    /// instruction.
+    fn flush(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
         if self.builder.is_empty() {
             return Ok(None);
         }
         let segment = self.builder.finish_segment()?;
         self.emitted += segment.count_matmuls();
         Ok(Some(segment))
+    }
+
+    /// Produces the next segment, or `None` when the stream is exhausted:
+    /// the rest of the cursor's block, then whole blocks until the segment
+    /// target is reached.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Emit`] when a segment fails ISA validation
+    /// (a generator bug, surfaced rather than panicking).
+    pub fn next_segment(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
+        while !self.blocks.is_empty() && self.builder.len() < self.segment_size {
+            self.emit_to(self.dims.1);
+        }
+        self.flush()
+    }
+
+    /// Emits the cursor's block from its next step up to reduction step
+    /// `end` (clamped to [`GemmTraceStream::block_steps`]) as one segment;
+    /// `None` when that is no step. Reaching the block's end moves the
+    /// cursor to step 0 of the next block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Emit`] when the segment fails ISA validation.
+    pub fn steps_to(&mut self, end: usize) -> Result<Option<ProgramSegment>, TraceError> {
+        if !self.blocks.is_empty() {
+            self.emit_to(end);
+        }
+        self.flush()
+    }
+
+    /// Moves the cursor to reduction step `step` of its block without
+    /// emitting the steps in between, all of which must lie in the block's
+    /// uniform range. Their tile writes go to registers the block's first
+    /// step already wrote, so the carried validation state stays exact.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Stream`] when the walk has finished or the
+    /// skipped steps leave the uniform range.
+    pub fn skip_to(&mut self, step: usize) -> Result<(), TraceError> {
+        let uniform = uniform_step_range(self.dims.1);
+        if self.blocks.is_empty()
+            || step < self.step
+            || self.step < uniform.start
+            || step > uniform.end
+        {
+            return Err(TraceError::Stream {
+                reason: format!(
+                    "cannot skip from step {} to step {step}: only steps {}..{} of a block repeat",
+                    self.step, uniform.start, uniform.end
+                ),
+            });
+        }
+        self.step = step;
+        Ok(())
     }
 }
 
@@ -404,6 +507,63 @@ mod tests {
         assert!(g
             .gemm_blocks(GemmShape::new(0, 1, 1), "bad", 0..0, 64)
             .is_err());
+    }
+
+    #[test]
+    fn skipped_steps_leave_the_rest_of_the_walk_unchanged() {
+        // A cursor that skips part of a block's uniform steps emits exactly
+        // what the unskipped stream emits after them — validated against
+        // the block's first-step loads — and then the later blocks whole.
+        let g = TraceGenerator::amx_like();
+        let shape = GemmShape::new(40, 250, 40);
+        let full = g.gemm(shape, "full").unwrap();
+        let mut stream = whole(&g, shape, "skip", 1 << 20).unwrap();
+        assert_eq!(stream.block_steps(), 8);
+        assert_eq!(g.uniform_steps(shape).unwrap(), 1..7);
+        // Default 2×2 step: 2 B and 2 A loads, 4 rasa_mm, 3 scalar ops and
+        // the loop branch.
+        let step = stream.step_instructions();
+        assert_eq!(step, 12);
+        let head = stream.steps_to(3).unwrap().unwrap();
+        assert_eq!(head.len(), 4 + 3 * step);
+        stream.skip_to(6).unwrap();
+        let tail = stream.steps_to(stream.block_steps()).unwrap().unwrap();
+        assert_eq!(stream.blocks_remaining(), 3);
+        let rest = stream.next_segment().unwrap().unwrap();
+        assert!(stream.next_segment().unwrap().is_none());
+        let skipped = head.len() + 3 * step;
+        let block_end = skipped + tail.len();
+        assert_eq!(head.instructions(), &full.instructions()[..head.len()]);
+        assert_eq!(
+            tail.instructions(),
+            &full.instructions()[skipped..block_end]
+        );
+        assert_eq!(rest.instructions(), &full.instructions()[block_end..]);
+        // A ragged block repeats a narrower step: 1 row by 2 columns.
+        let mut edge = g.gemm_blocks(shape, "edge", 1..2, 1 << 20).unwrap();
+        assert_eq!(edge.step_instructions(), 2 + 1 + 2 + 3 + 1);
+        edge.steps_to(8).unwrap();
+        assert_eq!(edge.step_instructions(), 0, "the walk has finished");
+    }
+
+    #[test]
+    fn skips_outside_the_uniform_steps_are_rejected() {
+        let g = TraceGenerator::amx_like();
+        let shape = GemmShape::new(40, 250, 40);
+        let mut stream = whole(&g, shape, "skip", 1 << 20).unwrap();
+        // Step 0 loads the accumulators, so no skip may start there…
+        assert!(matches!(stream.skip_to(3), Err(TraceError::Stream { .. })));
+        stream.steps_to(2).unwrap();
+        // …nor run backwards or into the last step, which stores them.
+        assert!(stream.skip_to(1).is_err());
+        assert!(stream.skip_to(8).is_err());
+        stream.skip_to(7).unwrap();
+        stream.skip_to(7).unwrap();
+        assert_eq!(stream.steps_to(8).unwrap().unwrap().len(), 12 + 4);
+        // Nor past the end of the walk.
+        let mut one = g.gemm_blocks(shape, "one", 0..1, 1 << 20).unwrap();
+        one.steps_to(8).unwrap();
+        assert!(one.skip_to(0).is_err());
     }
 
     #[test]

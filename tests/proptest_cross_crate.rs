@@ -311,20 +311,33 @@ proptest! {
 /// designs and segment sizes, the fast-forwarded run's `CpuStats` and
 /// `SchedStats` equal both the sequential streamed run's and those of the
 /// materialized trace on the one-shot core, bit for bit, and it counts every
-/// skipped instruction as fed. At least four fifths of the drawn cases must
-/// actually fast-forward, so the property cannot hold vacuously.
+/// skipped instruction as fed. Every other case is deep — K in the low
+/// thousands, so each block has 32–125 reduction steps, with M and N under
+/// 100 to keep the oracles cheap — to reach the in-block level. At least
+/// four fifths of all cases must fast-forward, and three quarters of the
+/// deep ones must skip reduction steps inside a block, so the property
+/// cannot hold vacuously at either level.
 #[test]
 fn fast_forward_matches_sequential_and_materialized_runs() {
     const CASES: usize = 64;
     let mut rng = proptest::rng_for("fast_forward_matches_sequential_and_materialized_runs");
-    let mut engaged = 0;
+    let (mut engaged, mut skipped_steps) = (0, 0);
     for case in 0..CASES {
+        let deep = case % 2 == 1;
         let design = arb_design().sample(&mut rng);
-        let shape = GemmShape::new(
-            (1usize..400).sample(&mut rng),
-            (1usize..130).sample(&mut rng),
-            (1usize..400).sample(&mut rng),
-        );
+        let shape = if deep {
+            GemmShape::new(
+                (1usize..100).sample(&mut rng),
+                (1000usize..4000).sample(&mut rng),
+                (1usize..100).sample(&mut rng),
+            )
+        } else {
+            GemmShape::new(
+                (1usize..400).sample(&mut rng),
+                (1usize..130).sample(&mut rng),
+                (1usize..400).sample(&mut rng),
+            )
+        };
         let (bm, bn) = [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)][(0usize..5).sample(&mut rng)];
         let builder = KernelSchemeBuilder::new()
             .with_block(bm, bn)
@@ -373,13 +386,22 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
             "{what}"
         );
         assert_eq!(fast.pipeline.spec_commits, fast.pipeline.spec_forks);
+        assert!(fast.pipeline.spec_step_forks <= fast.pipeline.spec_forks);
         assert_eq!(sequential.pipeline.spec_forks, 0);
         if fast.pipeline.spec_forks > 0 {
             engaged += 1;
+        }
+        if deep && fast.pipeline.spec_step_forks > 0 {
+            skipped_steps += 1;
         }
     }
     assert!(
         engaged * 5 >= CASES * 4,
         "only {engaged} of {CASES} cases fast-forwarded"
+    );
+    assert!(
+        skipped_steps * 4 >= CASES / 2 * 3,
+        "only {skipped_steps} of {} deep cases skipped reduction steps",
+        CASES / 2
     );
 }
