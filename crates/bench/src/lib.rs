@@ -17,7 +17,7 @@
 #![deny(missing_docs)]
 
 use rasa_sim::search::{Evolutionary, ExhaustiveGrid, RandomSampling, SearchStrategy};
-use rasa_sim::ExperimentSuite;
+use rasa_sim::{ExperimentSuite, JsonValue, SimError};
 
 /// The paper's reported average runtime reductions (Fig. 5), as fractions.
 pub const PAPER_FIG5_REDUCTIONS: [(&str, f64); 5] = [
@@ -583,6 +583,73 @@ pub fn write_verified_json(
 /// Returns I/O errors and JSON parse errors.
 pub fn read_json(path: &str) -> Result<rasa_sim::JsonValue, Box<dyn std::error::Error>> {
     Ok(rasa_sim::JsonValue::parse(&std::fs::read_to_string(path)?)?)
+}
+
+/// The measured-vs-paper gap of `suite`'s evaluation, the document
+/// `golden/paper_gap.json` pins at full fidelity (no matmul cap): under
+/// `ratios`, measured / paper for every figure of
+/// [`PAPER_FIG5_REDUCTIONS`], [`PAPER_AREA_OVERHEADS`] and
+/// [`PAPER_ENERGY_EFFICIENCY`]; under `normalized_runtime`, every design's
+/// runtime on every Table I layer, normalized to the baseline (Fig. 5).
+///
+/// # Errors
+///
+/// Propagates simulation errors.
+pub fn paper_gap(suite: &ExperimentSuite) -> Result<JsonValue, SimError> {
+    let fig5 = suite.fig5_runtime()?;
+    let table = suite.area_energy_from(&fig5);
+    let object = |members: Vec<(String, JsonValue)>| JsonValue::Object(members);
+    let ratios = |paper: &[(&str, f64)], measured: &dyn Fn(&str) -> Option<f64>| {
+        object(
+            paper
+                .iter()
+                .filter_map(|&(design, paper)| {
+                    let ratio = measured(design)? / paper;
+                    Some((design.to_string(), JsonValue::number_from_f64(ratio)))
+                })
+                .collect(),
+        )
+    };
+    let row = |design: &str| table.row(design).cloned();
+    let runtimes = fig5
+        .designs
+        .iter()
+        .skip(1)
+        .map(|design| {
+            let layers = fig5
+                .rows
+                .iter()
+                .filter_map(|row| {
+                    let normalized = fig5.normalized(&row.workload, design)?;
+                    Some((row.workload.clone(), JsonValue::number_from_f64(normalized)))
+                })
+                .collect();
+            (design.clone(), object(layers))
+        })
+        .collect();
+    Ok(object(vec![
+        ("schema".into(), JsonValue::string("rasa-paper-gap/1")),
+        (
+            "ratios".into(),
+            object(vec![
+                (
+                    "fig5_reduction".into(),
+                    ratios(&PAPER_FIG5_REDUCTIONS, &|d| fig5.average_reduction(d)),
+                ),
+                (
+                    "area_overhead".into(),
+                    ratios(&PAPER_AREA_OVERHEADS, &|d| row(d).map(|r| r.area_overhead)),
+                ),
+                (
+                    "energy_efficiency".into(),
+                    ratios(&PAPER_ENERGY_EFFICIENCY, &|d| {
+                        row(d).map(|r| r.energy_efficiency)
+                    }),
+                ),
+            ]),
+        ),
+        ("normalized_runtime".into(), object(runtimes)),
+    ]))
 }
 
 /// Formats a `measured vs paper` comparison line used by the binaries.

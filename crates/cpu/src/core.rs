@@ -259,6 +259,23 @@ impl PartialEq for Fingerprint {
     }
 }
 
+impl Fingerprint {
+    /// The written words.
+    pub(crate) fn words(&self) -> &[u64] {
+        &self.words
+    }
+
+    /// Copies `other`'s words, reusing this buffer.
+    pub(crate) fn copy_from(&mut self, other: &Fingerprint) {
+        self.words.clone_from(&other.words);
+    }
+
+    /// Forgets the written words.
+    pub(crate) fn clear(&mut self) {
+        self.words.clear();
+    }
+}
+
 /// Tags of [`CpuCore::fingerprint`]: one per field and case, so no two
 /// cases share an encoding. A tag fills the top byte of a word
 /// ([`tagged`]).
@@ -281,6 +298,7 @@ mod tag {
     pub const EVENTS: u64 = 13;
     pub const LIVE_WRITER: u64 = 14;
     pub const RETIRED_WRITER: u64 = 15;
+    pub const CLOCK_PHASE: u64 = 16;
 }
 
 /// One fingerprint word: `tag` in the top byte over `value`, which must
@@ -609,6 +627,11 @@ impl CpuCore {
     /// one shifted by their position delta ([`CpuCore::shift_boundary`]),
     /// which is the periodicity test a fast-forward probe runs.
     ///
+    /// The cycle's phase against the engine clock (`cycle % clock_ratio`)
+    /// is written too: engine times are relative to a whole engine cycle,
+    /// so only boundaries a whole number of engine cycles apart can be
+    /// translations of each other.
+    ///
     /// Every value carries a tag. Two classes of semantically dead values
     /// are normalized to a bare tag rather than written:
     ///
@@ -660,6 +683,7 @@ impl CpuCore {
                 | u64::from(run.rs_unsorted) << 2
                 | (run.pending.len() as u64) << 3,
         ));
+        out.push(tagged(tag::CLOCK_PHASE, now % run.clock_ratio));
         out.push(tagged(tag::RS_READY, run.rs_ready as u64));
         out.push(tagged(tag::ROB, run.rob.len() as u64));
         for entry in &run.rob {

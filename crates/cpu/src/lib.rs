@@ -67,5 +67,7 @@ pub use config::CpuConfig;
 pub use core::{CoreRun, CpuCore};
 pub use error::CpuError;
 pub use sched::SchedStats;
-pub use spec::{SpecCheckpoint, SpecDelta, SpeculativeRun};
+pub use spec::{
+    MemoStats, SpecCheckpoint, SpecDelta, SpecMemo, SpeculativeRun, MEMO_STATES, MEMO_TRANSITIONS,
+};
 pub use stats::{CpuStats, StreamStats};

@@ -35,10 +35,396 @@
 //! Where the repeating work lies is a property of the trace, so that policy
 //! lives in the simulator crate; this module provides the mechanism and its
 //! accounting.
+//!
+//! # Recall
+//!
+//! The same argument holds across runs of one machine. Every run of a
+//! configuration starts at the same boundary, and a fingerprint pins the
+//! boundary state up to translation; so feeding the same instructions (up to
+//! addresses) at two boundaries with equal fingerprints does the same thing
+//! up to translation: it advances the position by the same amount, adds the
+//! same statistics and ends at boundaries with equal fingerprints. A
+//! [`SpecMemo`] records that transition once, keyed by the interned start
+//! fingerprint and a *piece* key the caller supplies for what it fed
+//! (`rasa-sim` uses the trace's `PieceKey`), and a later run recalls it
+//! instead of simulating it:
+//!
+//! * a recalling run ([`SpeculativeRun::recall`]) has no core at all. It
+//!   advances piece by piece from the memo ([`SpeculativeRun::recall_piece`]),
+//!   and its checkpoints, deltas and fast-forwards work on interned states
+//!   exactly as a core's do on fingerprints. When the memo lacks a piece, the
+//!   caller reruns the cell with a core;
+//! * a run with a core feeds every piece and records it
+//!   ([`SpeculativeRun::feed_piece`], [`SpeculativeRun::finish_with`] for the
+//!   drain). A piece whose recorded transition ends where it started (a
+//!   *fixed point*, a confirmed delta) it shifts past instead of feeding.
+//!
+//! Either way the run's statistics, and its [`StreamStats`], are the ones
+//! feeding every piece would give. Engine horizons and a drain's final cycle
+//! are stored relative to the piece's start, the fingerprint includes the
+//! cycle's phase against the engine clock, and lookups compare whole
+//! fingerprint words. A memo holds at most [`MEMO_STATES`] fingerprints and
+//! [`MEMO_TRANSITIONS`] transitions; once full it records nothing more, and
+//! runs stay exact. The fingerprint does not encode the configuration, so a
+//! memo must serve one machine (core, engine and kernel) only.
 
 use crate::core::{CoreRun, CpuCore, Fingerprint};
-use crate::{CpuError, CpuStats, SchedStats, StreamStats};
+use crate::{CpuConfig, CpuError, CpuStats, SchedStats, StreamStats};
 use rasa_isa::{IsaConfig, ProgramSegment};
+use rasa_systolic::SystolicConfig;
+use std::collections::HashMap;
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Distinct boundary fingerprints a [`SpecMemo`] interns at most.
+pub const MEMO_STATES: usize = 256;
+
+/// Transitions a [`SpecMemo`] records at most.
+pub const MEMO_TRANSITIONS: usize = 4 * MEMO_STATES;
+
+/// A boundary interned in a [`SpecMemo`]. Ids are never reused, not even
+/// after the memo is cleared, so an id names one fingerprint for good.
+type StateId = u32;
+
+/// The boundary every run of a machine starts at, before anything is fed.
+const START: StateId = 0;
+
+/// Where a drain ends: the run is over.
+const DRAINED: StateId = StateId::MAX;
+
+/// What a recorded transition fed: a piece, or the drain that ends the run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Step<K> {
+    Feed(K),
+    Drain,
+}
+
+/// What one piece did to a run, relative to the boundary it started at.
+#[derive(Debug, Clone, Copy)]
+struct Transition {
+    /// The interned boundary it ended at ([`DRAINED`] for the drain).
+    end: StateId,
+    /// Core cycles, rename sequences and engine submissions it advanced.
+    advance: (u64, u64, u64),
+    /// Its architectural statistics. The engine horizon counts from the
+    /// start's engine cycle, and a drain's final cycle from the start's
+    /// core cycle.
+    cpu: CpuStats,
+    /// Its scheduler counters.
+    sched: SchedStats,
+    /// Its feed counters.
+    stream: StreamStats,
+}
+
+impl Transition {
+    /// The transition from a boundary at `from` to one at `to`, `clock_ratio`
+    /// core cycles per engine cycle, that accumulated the given interval.
+    fn between(
+        from: (u64, u64, u64),
+        to: (u64, u64, u64),
+        clock_ratio: u64,
+        (mut cpu, sched, stream): (CpuStats, SchedStats, StreamStats),
+        end: StateId,
+    ) -> Transition {
+        if cpu.engine.matmuls > 0 {
+            cpu.engine.last_completion_cycle = cpu
+                .engine
+                .last_completion_cycle
+                .wrapping_sub(from.0 / clock_ratio);
+        }
+        if end == DRAINED {
+            cpu.cycles = cpu.cycles.wrapping_sub(from.0);
+        }
+        Transition {
+            end,
+            advance: (
+                to.0.wrapping_sub(from.0),
+                to.1.wrapping_sub(from.1),
+                to.2.wrapping_sub(from.2),
+            ),
+            cpu,
+            sched,
+            stream,
+        }
+    }
+}
+
+/// A word-at-a-time multiplicative hasher for memo keys. Fingerprints run to
+/// hundreds of bytes, and a lookup compares whole keys anyway. Keys are the
+/// simulator's own states and piece shapes, and a memo holds a bounded
+/// number of them, so colliding keys cost a bounded probe at worst.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for word in &mut words {
+            let mut le = [0; 8];
+            le.copy_from_slice(word);
+            self.add(u64::from_le_bytes(le));
+        }
+        for &byte in words.remainder() {
+            self.add(u64::from(byte));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.add(word);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type WordHash = BuildHasherDefault<WordHasher>;
+
+/// Writes `words` into `out` in the compact form a [`SpecMemo`] interns
+/// fingerprints in: each word rotated so its tag byte comes last,
+/// zigzag-folded so that small negative offsets stay small, and
+/// LEB128-encoded. Every step is a bijection and LEB128 is prefix-free, so
+/// two encodings are equal exactly when the word sequences are — a lookup
+/// still compares whole fingerprints — at a third of the size.
+fn encode(words: &[u64], out: &mut Vec<u8>) {
+    out.clear();
+    for &word in words {
+        let rotated = word.rotate_left(8) as i64;
+        let mut folded = ((rotated << 1) ^ (rotated >> 63)) as u64;
+        while folded >= 0x80 {
+            out.push(folded as u8 | 0x80);
+            folded >>= 7;
+        }
+        out.push(folded as u8);
+    }
+}
+
+/// The tables behind a [`SpecMemo`]'s lock.
+struct Tables<K> {
+    /// Each distinct fingerprint once, in its compact form ([`encode`]),
+    /// found by comparing that form whole.
+    states: HashMap<Box<[u8]>, StateId, WordHash>,
+    /// Transitions by start boundary and what was fed.
+    transitions: HashMap<(StateId, Step<K>), Transition, WordHash>,
+    /// The id the last interned fingerprint got. Ids go on from it after a
+    /// clear, so an id handed out before never names a later state.
+    last: StateId,
+}
+
+impl<K> Tables<K> {
+    /// The id of the fingerprint `encoded` ([`encode`]), interning it when
+    /// there is room.
+    fn intern(&mut self, encoded: &[u8]) -> Option<StateId> {
+        if let Some(&id) = self.states.get(encoded) {
+            return Some(id);
+        }
+        if self.states.len() >= MEMO_STATES {
+            return None;
+        }
+        self.last += 1;
+        self.states.insert(encoded.into(), self.last);
+        Some(self.last)
+    }
+}
+
+/// What a [`SpecMemo`] holds, roughly what that occupies, and how the
+/// recalling runs that used it fared.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct MemoStats {
+    /// Interned boundary fingerprints.
+    pub states: usize,
+    /// Recorded transitions.
+    pub transitions: usize,
+    /// Heap bytes of both tables: encoded fingerprints plus table slots.
+    pub bytes: usize,
+    /// Recalling runs that recalled every transition through the drain.
+    pub recalls: u64,
+    /// Recalling runs that met a transition the memo lacked.
+    pub misses: u64,
+    /// Of those, the runs that had recalled at least one piece first.
+    pub midway_misses: u64,
+}
+
+impl std::iter::Sum for MemoStats {
+    fn sum<I: Iterator<Item = MemoStats>>(memos: I) -> MemoStats {
+        memos.fold(MemoStats::default(), |sum, memo| MemoStats {
+            states: sum.states + memo.states,
+            transitions: sum.transitions + memo.transitions,
+            bytes: sum.bytes + memo.bytes,
+            recalls: sum.recalls + memo.recalls,
+            misses: sum.misses + memo.misses,
+            midway_misses: sum.midway_misses + memo.midway_misses,
+        })
+    }
+}
+
+/// The transitions one machine has already simulated: what feeding a piece
+/// from a given boundary did. See the [module docs](self) for why a recalled
+/// transition is exact, and [`SpeculativeRun`] for the runs that record and
+/// recall them.
+///
+/// The memo is shared by reference between concurrent runs of its machine;
+/// its lock recovers from a panic by clearing the memo, which only ever
+/// costs re-simulation.
+pub struct SpecMemo<K> {
+    tables: Mutex<Tables<K>>,
+    /// Set when a holder of the tables panicked; the next lock clears them.
+    /// Written and read only while `tables` is locked, which orders it.
+    torn: AtomicBool,
+    /// [`MemoStats::recalls`].
+    recalls: AtomicU64,
+    /// [`MemoStats::misses`].
+    misses: AtomicU64,
+    /// [`MemoStats::midway_misses`].
+    midway_misses: AtomicU64,
+}
+
+impl<K> Default for SpecMemo<K> {
+    fn default() -> Self {
+        SpecMemo {
+            tables: Mutex::new(Tables {
+                states: HashMap::default(),
+                transitions: HashMap::default(),
+                last: START,
+            }),
+            torn: AtomicBool::new(false),
+            recalls: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+            midway_misses: AtomicU64::new(0),
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> SpecMemo<K> {
+    /// An empty memo.
+    #[must_use]
+    pub fn new() -> Self {
+        SpecMemo::default()
+    }
+
+    /// The tables, cleared first if their last holder panicked.
+    fn tables(&self) -> TablesGuard<'_, K> {
+        let mut tables = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.torn.swap(false, Ordering::Relaxed) {
+            tables.states.clear();
+            tables.transitions.clear();
+        }
+        TablesGuard {
+            tables,
+            torn: &self.torn,
+        }
+    }
+
+    /// The transition recorded for `step` from `from`.
+    fn transition(&self, from: StateId, step: Step<K>) -> Option<Transition> {
+        self.tables().transitions.get(&(from, step)).copied()
+    }
+
+    /// Counts a recalling run that ended: recalled whole, or missed at
+    /// `from`.
+    fn count(&self, recalled: bool, from: Option<StateId>) {
+        let counter = if recalled {
+            &self.recalls
+        } else {
+            if from != Some(START) {
+                self.midway_misses.fetch_add(1, Ordering::Relaxed);
+            }
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Interns the boundary a step ended at (its encoded fingerprint, or
+    /// `None` for the drain) and, when the boundary it started from is
+    /// known and there is room, records the step. Returns the end's id, if
+    /// it has one.
+    fn record(
+        &self,
+        from: Option<StateId>,
+        step: Step<K>,
+        end: Option<&[u8]>,
+        transition: impl FnOnce(StateId) -> Transition,
+    ) -> Option<StateId> {
+        let mut tables = self.tables();
+        let end = match end {
+            Some(encoded) => tables.intern(encoded)?,
+            None => DRAINED,
+        };
+        if let Some(from) = from {
+            if tables.transitions.len() < MEMO_TRANSITIONS {
+                tables.transitions.insert((from, step), transition(end));
+            }
+        }
+        Some(end)
+    }
+
+    /// What the memo holds.
+    #[must_use]
+    pub fn stats(&self) -> MemoStats {
+        let tables = self.tables();
+        let encoded: usize = tables.states.keys().map(|state| state.len()).sum();
+        MemoStats {
+            states: tables.states.len(),
+            transitions: tables.transitions.len(),
+            bytes: encoded
+                + tables.states.capacity() * (std::mem::size_of::<(Box<[u8]>, StateId)>() + 1)
+                + tables.transitions.capacity()
+                    * (std::mem::size_of::<((StateId, Step<K>), Transition)>() + 1),
+            recalls: self.recalls.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            midway_misses: self.midway_misses.load(Ordering::Relaxed),
+        }
+    }
+}
+
+/// Locked [`SpecMemo`] tables. A panic while they are held marks them
+/// torn, so the next holder finds them cleared.
+struct TablesGuard<'a, K> {
+    tables: MutexGuard<'a, Tables<K>>,
+    torn: &'a AtomicBool,
+}
+
+impl<K> Deref for TablesGuard<'_, K> {
+    type Target = Tables<K>;
+
+    fn deref(&self) -> &Tables<K> {
+        &self.tables
+    }
+}
+
+impl<K> DerefMut for TablesGuard<'_, K> {
+    fn deref_mut(&mut self) -> &mut Tables<K> {
+        &mut self.tables
+    }
+}
+
+impl<K> Drop for TablesGuard<'_, K> {
+    fn drop(&mut self) {
+        // Runs before the lock is released, so the next holder sees it.
+        if std::thread::panicking() {
+            self.torn.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+impl<K: Copy + Eq + Hash> fmt::Debug for SpecMemo<K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let stats = self.stats();
+        f.debug_struct("SpecMemo")
+            .field("states", &stats.states)
+            .field("transitions", &stats.transitions)
+            .finish()
+    }
+}
 
 /// A paused boundary of a [`SpeculativeRun`]: where it lies, what the run
 /// had accumulated by then, and a translation-invariant fingerprint of the
@@ -54,7 +440,10 @@ pub struct SpecCheckpoint {
     cpu: CpuStats,
     /// The run's scheduler counters up to the boundary.
     sched: SchedStats,
-    /// The boundary state, relative to the position.
+    /// The boundary's interned memo state, when the run knows it.
+    state: Option<StateId>,
+    /// The boundary state, relative to the position; empty in a recalling
+    /// run, whose boundaries are their interned states.
     fingerprint: Fingerprint,
 }
 
@@ -63,7 +452,9 @@ impl SpecCheckpoint {
     /// exact translation of this boundary: every time advanced by the
     /// cycles of [`SpecDelta::between`] the two, every sequence by its
     /// instructions and `rasa_mm`s — the periodicity test a probe runs
-    /// before trusting a delta. It is fingerprint equality.
+    /// before trusting a delta. It is fingerprint equality, or in a
+    /// recalling run the equality of the interned states that stand for
+    /// the fingerprints.
     ///
     /// When this holds, and because the core model's scheduling is
     /// translation-covariant, feeding both boundaries the same uniform work
@@ -73,7 +464,11 @@ impl SpecCheckpoint {
     /// exact.
     #[must_use]
     pub fn shifted_matches(&self, other: &SpecCheckpoint) -> bool {
-        self.fingerprint == other.fingerprint
+        if self.fingerprint.words().is_empty() || other.fingerprint.words().is_empty() {
+            self.state.is_some() && self.state == other.state
+        } else {
+            self.fingerprint == other.fingerprint
+        }
     }
 }
 
@@ -127,16 +522,33 @@ impl SpecDelta {
 }
 
 /// A streaming core run that can fast-forward through its periodic steady
-/// state.
+/// state, and record or recall its transitions in a [`SpecMemo`].
 ///
-/// Owns the `(CpuCore, CoreRun)` pair and the fold-in-order statistics
-/// accumulators. Its statistics are **bit-identical** to feeding the same
-/// instruction stream sequentially, however much it skips. See the module
-/// docs for the argument.
+/// A run either owns a `(CpuCore, CoreRun)` pair ([`SpeculativeRun::begin`])
+/// or advances by recall alone ([`SpeculativeRun::recall`]); both keep the
+/// fold-in-order statistics accumulators and the boundary's position. Its
+/// statistics are **bit-identical** to feeding the same instruction stream
+/// sequentially, however much it skips or recalls. See the module docs for
+/// the argument.
 #[derive(Debug)]
 pub struct SpeculativeRun {
-    core: CpuCore,
-    run: CoreRun,
+    /// The core and its paused run; `None` in a recalling run.
+    core: Option<(CpuCore, CoreRun)>,
+    /// `(core cycle, rename sequence, engine submissions)` of the boundary.
+    position: (u64, u64, u64),
+    /// Core cycles per engine cycle.
+    clock_ratio: u64,
+    /// The boundary's memo state: [`START`] before the first feed, `None`
+    /// once the run passed a boundary no memo interned.
+    state: Option<StateId>,
+    /// Whether the statistics fed since the last boundary are taken and
+    /// its fingerprint written (always, in a recalling run).
+    settled: bool,
+    /// The boundary's fingerprint, once settled (runs with a core).
+    fingerprint: Fingerprint,
+    /// A reused buffer for the fingerprint's compact form, which the memo
+    /// interns.
+    encoded: Vec<u8>,
     cpu: CpuStats,
     sched: SchedStats,
     stream: StreamStats,
@@ -151,40 +563,98 @@ impl SpeculativeRun {
     pub fn begin(mut core: CpuCore, isa: &IsaConfig) -> Result<Self, CpuError> {
         let run = core.begin_run(isa)?;
         Ok(SpeculativeRun {
-            core,
-            run,
+            position: (run.current_cycle(), run.next_sequence(), 0),
+            clock_ratio: run.clock_ratio(),
+            core: Some((core, run)),
+            state: Some(START),
+            settled: false,
+            fingerprint: Fingerprint::default(),
+            encoded: Vec::new(),
             cpu: CpuStats::default(),
             sched: SchedStats::default(),
             stream: StreamStats::default(),
         })
     }
 
+    /// Opens a run with no core on the machine of `config` and `systolic`,
+    /// at the boundary [`CpuCore::begin_run`] opens every run at. It
+    /// advances only by recall from a memo of that machine.
+    #[must_use]
+    pub fn recall(config: &CpuConfig, systolic: &SystolicConfig) -> Self {
+        SpeculativeRun {
+            core: None,
+            position: (config.frontend_depth, 0, 0),
+            clock_ratio: u64::from(systolic.clock_ratio()),
+            state: Some(START),
+            settled: true,
+            fingerprint: Fingerprint::default(),
+            encoded: Vec::new(),
+            cpu: CpuStats::default(),
+            sched: SchedStats::default(),
+            stream: StreamStats::default(),
+        }
+    }
+
+    /// Whether the run advances by recall alone (it has no core).
+    #[must_use]
+    pub const fn is_recalling(&self) -> bool {
+        self.core.is_none()
+    }
+
     /// Feeds one validated segment into the run.
     ///
     /// # Errors
     ///
-    /// Propagates [`CpuCore::feed_segment`] errors.
+    /// Propagates [`CpuCore::feed_segment`] errors, and returns
+    /// [`CpuError::Stream`] for a recalling run, which has no core to feed.
     pub fn feed_segment(&mut self, segment: &ProgramSegment) -> Result<(), CpuError> {
-        self.core.feed_segment(&mut self.run, segment)
+        let (core, run) = self.core.as_mut().ok_or_else(|| CpuError::Stream {
+            reason: "a recalling run has no core to feed".to_string(),
+        })?;
+        self.settled = false;
+        self.state = None;
+        core.feed_segment(run, segment)
+    }
+
+    /// Takes the statistics fed since the last boundary into the
+    /// accumulators and writes the boundary's position and fingerprint.
+    /// Returns what it took: the interval's statistics.
+    fn settle(&mut self) -> (CpuStats, SchedStats, StreamStats) {
+        let Some((core, run)) = self.core.as_mut() else {
+            return Default::default();
+        };
+        let interval = core.take_interval_stats(run);
+        self.cpu.accumulate(&interval.0);
+        self.sched.accumulate(&interval.1);
+        self.stream.accumulate(&interval.2);
+        self.position = (
+            run.current_cycle(),
+            run.next_sequence(),
+            core.engine().submitted(),
+        );
+        core.fingerprint(run, &mut self.fingerprint);
+        self.settled = true;
+        interval
     }
 
     /// Captures the current boundary into `into`, reusing its buffer: the
     /// boundary's position, the run's statistics so far and the boundary's
-    /// fingerprint. The run must be paused between feeds.
+    /// fingerprint (in a recalling run, its interned state). The run must be
+    /// paused between feeds.
     pub fn checkpoint(&mut self, into: &mut SpecCheckpoint) {
-        let (cpu, sched, stream) = self.core.take_interval_stats(&mut self.run);
-        self.cpu.accumulate(&cpu);
-        self.sched.accumulate(&sched);
-        self.stream.accumulate(&stream);
-        into.position = (
-            self.run.current_cycle(),
-            self.run.next_sequence(),
-            self.core.engine().submitted(),
-        );
-        into.clock_ratio = self.run.clock_ratio();
+        if !self.settled {
+            self.settle();
+        }
+        into.position = self.position;
+        into.clock_ratio = self.clock_ratio;
         into.cpu = self.cpu;
         into.sched = self.sched;
-        self.core.fingerprint(&self.run, &mut into.fingerprint);
+        into.state = self.state;
+        if self.is_recalling() {
+            into.fingerprint.clear();
+        } else {
+            into.fingerprint.copy_from(&self.fingerprint);
+        }
     }
 
     /// Skips `strides` further repeats of the work `delta` was measured on,
@@ -199,25 +669,109 @@ impl SpeculativeRun {
     /// copies of the repeat's statistics, so this shifts the boundary state
     /// and folds those statistics directly. The skipped instructions count
     /// as fed, so `fed_instructions` matches a sequential run, and each
-    /// skipped repeat counts as one fast-forwarded stride.
+    /// skipped repeat counts as one fast-forwarded stride. The shifted
+    /// boundary is a translation of the checkpoint, so its fingerprint and
+    /// memo state stay the checkpoint's.
     pub fn fast_forward(&mut self, delta: &SpecDelta, strides: u64) {
-        debug_assert_eq!(
-            self.run.stream_stats().fed_instructions,
-            0,
-            "fast-forward starts right at a checkpoint"
-        );
-        let engine_period = delta.cycles / self.run.clock_ratio();
-        self.core.shift_boundary(
-            &mut self.run,
+        debug_assert!(self.settled, "fast-forward starts right at a checkpoint");
+        let (cycles, instructions, matmuls) = (
             delta.cycles * strides,
             delta.instructions * strides,
             delta.matmuls * strides,
         );
+        if let Some((core, run)) = self.core.as_mut() {
+            core.shift_boundary(run, cycles, instructions, matmuls);
+        }
+        let (cycle, seq, submitted) = self.position;
+        self.position = (cycle + cycles, seq + instructions, submitted + matmuls);
+        let engine_period = delta.cycles / self.clock_ratio;
         self.cpu
             .accumulate(&delta.cpu.repeated(strides, engine_period));
         self.sched.accumulate(&delta.sched.repeated(strides));
-        self.stream.fed_instructions += delta.instructions * strides;
+        self.stream.fed_instructions += instructions;
         self.stream.fast_forwarded_strides += strides;
+    }
+
+    /// Advances past `piece` by recall when `memo` holds what feeding it
+    /// from the current boundary did, and returns whether it did. A
+    /// recalling run recalls any recorded transition; a run with a core
+    /// only a fixed point — one that ends at the boundary it started from —
+    /// which it applies by shifting its core instead of feeding it. The
+    /// statistics, feed counters included, are those of feeding the piece.
+    ///
+    /// `memo` must be the one every piece of this run was recorded in.
+    pub fn recall_piece<K: Copy + Eq + Hash>(&mut self, memo: &SpecMemo<K>, piece: K) -> bool {
+        let recalled = self
+            .state
+            .and_then(|from| memo.transition(from, Step::Feed(piece)));
+        let Some(transition) = recalled else {
+            if self.is_recalling() {
+                memo.count(false, self.state);
+            }
+            return false;
+        };
+        let from = self.state.unwrap_or(START);
+        if let Some((core, run)) = self.core.as_mut() {
+            if transition.end != from {
+                return false;
+            }
+            let (cycles, instructions, matmuls) = transition.advance;
+            core.shift_boundary(run, cycles, instructions, matmuls);
+        }
+        self.apply(&transition);
+        true
+    }
+
+    /// Feeds `segment`, the instructions of `piece`, into a run with a core
+    /// and records the transition in `memo` when both its boundaries are
+    /// interned there.
+    ///
+    /// # Errors
+    ///
+    /// As [`SpeculativeRun::feed_segment`].
+    pub fn feed_piece<K: Copy + Eq + Hash>(
+        &mut self,
+        memo: &SpecMemo<K>,
+        piece: K,
+        segment: &ProgramSegment,
+    ) -> Result<(), CpuError> {
+        let (from, start) = (self.state, self.position);
+        if !self.settled {
+            self.settle();
+        }
+        self.feed_segment(segment)?;
+        let interval = self.settle();
+        let (to, ratio) = (self.position, self.clock_ratio);
+        encode(self.fingerprint.words(), &mut self.encoded);
+        self.state = memo.record(from, Step::Feed(piece), Some(&self.encoded), |end| {
+            Transition::between(start, to, ratio, interval, end)
+        });
+        Ok(())
+    }
+
+    /// Folds a recalled transition into the run.
+    fn apply(&mut self, transition: &Transition) {
+        let (cycle, seq, submitted) = self.position;
+        let mut cpu = transition.cpu;
+        if cpu.engine.matmuls > 0 {
+            cpu.engine.last_completion_cycle = cpu
+                .engine
+                .last_completion_cycle
+                .wrapping_add(cycle / self.clock_ratio);
+        }
+        if transition.end == DRAINED {
+            cpu.cycles = cpu.cycles.wrapping_add(cycle);
+        }
+        self.cpu.accumulate(&cpu);
+        self.sched.accumulate(&transition.sched);
+        self.stream.accumulate(&transition.stream);
+        let (cycles, instructions, matmuls) = transition.advance;
+        self.position = (
+            cycle.wrapping_add(cycles),
+            seq.wrapping_add(instructions),
+            submitted.wrapping_add(matmuls),
+        );
+        self.state = Some(transition.end);
     }
 
     /// Finalizes the run, drains the pipeline to quiescence and returns the
@@ -227,13 +781,59 @@ impl SpeculativeRun {
     ///
     /// # Errors
     ///
+    /// Propagates [`CpuCore::run_to_quiescence`] errors, and returns
+    /// [`CpuError::Stream`] for a recalling run, which drains only by
+    /// recall ([`SpeculativeRun::finish_with`]).
+    pub fn finish(self) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
+        self.drain(None::<&SpecMemo<()>>)?
+            .ok_or_else(|| CpuError::Stream {
+                reason: "a recalling run drains only from a memo".to_string(),
+            })
+    }
+
+    /// [`SpeculativeRun::finish`] through `memo`: a recalling run recalls
+    /// the drain from its final boundary, or returns `None` when `memo`
+    /// does not hold it; a run with a core drains and records the drain.
+    ///
+    /// # Errors
+    ///
     /// Propagates [`CpuCore::run_to_quiescence`] errors.
-    pub fn finish(mut self) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
-        let tail = self.core.run_to_quiescence(self.run)?;
-        self.cpu.accumulate(&tail);
-        self.sched.accumulate(self.core.sched_stats());
-        self.stream.accumulate(self.core.stream_stats());
-        Ok((self.cpu, self.sched, self.stream))
+    pub fn finish_with<K: Copy + Eq + Hash>(
+        self,
+        memo: &SpecMemo<K>,
+    ) -> Result<Option<(CpuStats, SchedStats, StreamStats)>, CpuError> {
+        self.drain(Some(memo))
+    }
+
+    fn drain<K: Copy + Eq + Hash>(
+        mut self,
+        memo: Option<&SpecMemo<K>>,
+    ) -> Result<Option<(CpuStats, SchedStats, StreamStats)>, CpuError> {
+        let Some((mut core, run)) = self.core.take() else {
+            let Some(memo) = memo else {
+                return Ok(None);
+            };
+            let drain = self
+                .state
+                .and_then(|from| memo.transition(from, Step::Drain));
+            memo.count(drain.is_some(), self.state);
+            return Ok(drain.map(|drain| {
+                self.apply(&drain);
+                (self.cpu, self.sched, self.stream)
+            }));
+        };
+        let tail = core.run_to_quiescence(run)?;
+        let interval = (tail, *core.sched_stats(), *core.stream_stats());
+        if let (Some(memo), Some(from), true) = (memo, self.state, self.settled) {
+            let (start, ratio) = (self.position, self.clock_ratio);
+            memo.record(Some(from), Step::Drain, None, |end| {
+                Transition::between(start, start, ratio, interval, end)
+            });
+        }
+        self.cpu.accumulate(&interval.0);
+        self.sched.accumulate(&interval.1);
+        self.stream.accumulate(&interval.2);
+        Ok(Some((self.cpu, self.sched, self.stream)))
     }
 }
 
@@ -352,6 +952,190 @@ mod tests {
                 assert_eq!(stream.fed_instructions, total_instructions as u64);
             }
         }
+    }
+
+    type Stats = (CpuStats, SchedStats, StreamStats);
+
+    /// Walks `blocks` piece by piece through `memo`, as a cell of the
+    /// simulator does: eight warm-up blocks, a probe of at most eight more,
+    /// a fast-forward to four blocks before the end, then those four and
+    /// the drain. A block's piece key is 0 for the first (which loads the
+    /// accumulators), `last` for the last and 1 for the others. `None` when
+    /// a recalling run misses.
+    fn walk(
+        mut spec: SpeculativeRun,
+        memo: &SpecMemo<u8>,
+        blocks: &[ProgramSegment],
+        last: u8,
+    ) -> Option<Stats> {
+        let feed = |spec: &mut SpeculativeRun, k: usize| {
+            let piece = match k {
+                0 => 0,
+                _ if k + 1 == blocks.len() => last,
+                _ => 1,
+            };
+            if spec.recall_piece(memo, piece) {
+                return true;
+            }
+            if spec.is_recalling() {
+                return false;
+            }
+            spec.feed_piece(memo, piece, &blocks[k]).unwrap();
+            true
+        };
+        for k in 0..8 {
+            if !feed(&mut spec, k) {
+                return None;
+            }
+        }
+        let (mut seed, mut cp) = (SpecCheckpoint::default(), SpecCheckpoint::default());
+        spec.checkpoint(&mut seed);
+        let (mut next, mut delta) = (8, None);
+        while next < 16 && delta.is_none() {
+            if !feed(&mut spec, next) {
+                return None;
+            }
+            next += 1;
+            spec.checkpoint(&mut cp);
+            delta = SpecDelta::between(&seed, &cp).filter(|_| seed.shifted_matches(&cp));
+            std::mem::swap(&mut seed, &mut cp);
+        }
+        let strides = blocks.len() - 4 - next;
+        spec.fast_forward(
+            &delta.expect("a steady state within 16 blocks"),
+            strides as u64,
+        );
+        for k in next + strides..blocks.len() {
+            if !feed(&mut spec, k) {
+                return None;
+            }
+        }
+        spec.finish_with(memo).unwrap()
+    }
+
+    /// The sequential oracle: every block fed to one core.
+    fn sequential(
+        pe: PeVariant,
+        scheme: ControlScheme,
+        blocks: &[ProgramSegment],
+    ) -> (CpuStats, SchedStats) {
+        let mut golden = core(pe, scheme);
+        let mut run = golden.begin_run(&IsaConfig::amx_like()).unwrap();
+        for block in blocks {
+            golden.feed_segment(&mut run, block).unwrap();
+        }
+        (
+            golden.run_to_quiescence(run).unwrap(),
+            *golden.sched_stats(),
+        )
+    }
+
+    fn recalling(pe: PeVariant, scheme: ControlScheme) -> SpeculativeRun {
+        let config = SystolicConfig::paper(pe, scheme).unwrap();
+        SpeculativeRun::recall(&CpuConfig::skylake_like(), &config)
+    }
+
+    fn begun(pe: PeVariant, scheme: ControlScheme) -> SpeculativeRun {
+        SpeculativeRun::begin(core(pe, scheme), &IsaConfig::amx_like()).unwrap()
+    }
+
+    #[test]
+    fn recalled_and_fixed_point_runs_reproduce_the_recorded_run() {
+        let blocks = trace_blocks(48);
+        for (pe, scheme) in [
+            (PeVariant::Baseline, ControlScheme::Base),
+            (PeVariant::Dmdb, ControlScheme::Wls),
+        ] {
+            let memo = SpecMemo::new();
+            // Nothing recorded yet: a recalling run misses at once.
+            assert!(walk(recalling(pe, scheme), &memo, &blocks, 1).is_none());
+            let recorded = walk(begun(pe, scheme), &memo, &blocks, 1).unwrap();
+            assert_eq!((recorded.0, recorded.1), sequential(pe, scheme, &blocks));
+            let held = memo.stats();
+            assert!(held.states > 0 && held.transitions > held.states && held.bytes > 0);
+            // The recalling run never touches a core, and a second run with
+            // one shifts past the fixed points it meets: both are the
+            // recorded run, feed counters included, and record nothing new.
+            let recalled = walk(recalling(pe, scheme), &memo, &blocks, 1).unwrap();
+            assert_eq!(recalled, recorded, "{pe:?}/{scheme:?}");
+            let replayed = walk(begun(pe, scheme), &memo, &blocks, 1).unwrap();
+            assert_eq!(replayed, recorded, "{pe:?}/{scheme:?}");
+            let after = memo.stats();
+            assert_eq!(
+                (after.states, after.transitions),
+                (held.states, held.transitions)
+            );
+            assert_eq!(
+                (after.recalls, after.misses, after.midway_misses),
+                (1, 1, 0)
+            );
+            // A longer walk of the same work is the same pieces, only more
+            // of them fast-forwarded, so it is recalled whole and equals
+            // the sequential run; one whose last piece is new recalls its
+            // first pieces, then misses midway.
+            let longer = trace_blocks(64);
+            let recalled = walk(recalling(pe, scheme), &memo, &longer, 1).unwrap();
+            assert_eq!((recalled.0, recalled.1), sequential(pe, scheme, &longer));
+            assert!(walk(recalling(pe, scheme), &memo, &blocks, 2).is_none());
+            let after = memo.stats();
+            assert_eq!(
+                (after.recalls, after.misses, after.midway_misses),
+                (2, 2, 1)
+            );
+        }
+    }
+
+    #[test]
+    fn a_full_memo_records_nothing_more_and_stays_exact() {
+        let (pe, scheme) = (PeVariant::Dmdb, ControlScheme::Wls);
+        let blocks = trace_blocks(40);
+        let memo = SpecMemo::new();
+        {
+            let mut tables = memo.tables();
+            let mut encoded = Vec::new();
+            for word in 0..MEMO_STATES as u64 {
+                encode(&[u64::MAX - word], &mut encoded);
+                tables.intern(&encoded).unwrap();
+            }
+            assert!(tables.intern(&[]).is_none(), "full");
+        }
+        let full = memo.stats();
+        assert_eq!((full.states, full.transitions), (MEMO_STATES, 0));
+        let exact = walk(begun(pe, scheme), &memo, &blocks, 1).unwrap();
+        assert_eq!((exact.0, exact.1), sequential(pe, scheme, &blocks));
+        assert_eq!(memo.stats(), full, "a full memo records nothing");
+        assert!(walk(recalling(pe, scheme), &memo, &blocks, 1).is_none());
+        assert_eq!(memo.stats().misses, 1);
+    }
+
+    #[test]
+    fn a_poisoned_memo_is_cleared_and_records_again() {
+        let (pe, scheme) = (PeVariant::Baseline, ControlScheme::Wlbp);
+        let blocks = trace_blocks(40);
+        let memo = SpecMemo::new();
+        let recorded = walk(begun(pe, scheme), &memo, &blocks, 1).unwrap();
+        assert!(memo.stats().states > 0);
+        std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _tables = memo.tables();
+                panic!("a panic while the memo is held");
+            });
+            assert!(holder.join().is_err());
+        });
+        assert!(memo.tables.is_poisoned());
+        // The next use clears it: nothing to recall, and a run with a core
+        // records afresh.
+        assert!(walk(recalling(pe, scheme), &memo, &blocks, 1).is_none());
+        let cleared = memo.stats();
+        assert_eq!((cleared.states, cleared.transitions), (0, 0));
+        assert_eq!(
+            walk(begun(pe, scheme), &memo, &blocks, 1).unwrap(),
+            recorded
+        );
+        assert_eq!(
+            walk(recalling(pe, scheme), &memo, &blocks, 1).unwrap(),
+            recorded
+        );
     }
 
     #[test]

@@ -16,6 +16,9 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
+use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Sentinel index meaning "no node".
 const NIL: usize = usize::MAX;
@@ -212,6 +215,86 @@ impl<K, V> InsertOutcome<K, V> {
     pub fn is_eviction(&self) -> bool {
         matches!(self, InsertOutcome::Evicted(..))
     }
+}
+
+/// An [`LruCache`] shared between threads that a panic cannot break for
+/// good. A thread that panics while holding it may leave its links half
+/// updated, so the next thread to lock it finds it cleared — a cache only
+/// memoizes, so clearing it is always safe — instead of a poisoned lock.
+#[derive(Debug)]
+pub(crate) struct SharedLru<K, V> {
+    cache: Mutex<LruCache<K, V>>,
+    /// Set when a holder panicked; the next lock clears the cache. Written
+    /// and read only while `cache` is locked, which orders it.
+    torn: AtomicBool,
+}
+
+/// A locked [`SharedLru`]: the cache, until the guard drops.
+pub(crate) struct LruGuard<'a, K, V> {
+    cache: MutexGuard<'a, LruCache<K, V>>,
+    torn: &'a AtomicBool,
+}
+
+impl<K: Eq + Hash + Clone, V> SharedLru<K, V> {
+    /// An empty shared cache holding at most `capacity` entries.
+    ///
+    /// # Panics
+    ///
+    /// As [`LruCache::new`], when `capacity` is zero.
+    #[must_use]
+    pub(crate) fn new(capacity: usize) -> Self {
+        SharedLru {
+            cache: Mutex::new(LruCache::new(capacity)),
+            torn: AtomicBool::new(false),
+        }
+    }
+
+    /// Locks the cache, cleared first if its last holder panicked.
+    pub(crate) fn lock(&self) -> LruGuard<'_, K, V> {
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.torn.swap(false, Ordering::Relaxed) {
+            cache.clear();
+        }
+        LruGuard {
+            cache,
+            torn: &self.torn,
+        }
+    }
+}
+
+impl<K, V> Deref for LruGuard<'_, K, V> {
+    type Target = LruCache<K, V>;
+
+    fn deref(&self) -> &LruCache<K, V> {
+        &self.cache
+    }
+}
+
+impl<K, V> DerefMut for LruGuard<'_, K, V> {
+    fn deref_mut(&mut self) -> &mut LruCache<K, V> {
+        &mut self.cache
+    }
+}
+
+impl<K, V> Drop for LruGuard<'_, K, V> {
+    fn drop(&mut self) {
+        // Runs before the lock is released, so the next holder sees it.
+        if std::thread::panicking() {
+            self.torn.store(true, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Panics on another thread while holding what `lock` returns.
+#[cfg(test)]
+pub(crate) fn panic_holding<G>(lock: impl FnOnce() -> G + Send) {
+    std::thread::scope(|scope| {
+        let holder = scope.spawn(|| {
+            let _held = lock();
+            panic!("a panic while a lock is held");
+        });
+        assert!(holder.join().is_err());
+    });
 }
 
 #[cfg(test)]

@@ -26,11 +26,39 @@
 //! string form is still what every JSON document and wire frame carries —
 //! golden files and the wire protocol are byte-identical to the
 //! pre-interning encoding.
+//!
+//! A runner's cell key is held in parts: about 95% of its text is the
+//! design and kernel of its *machine*, which [`CellKey::cell`] shares
+//! between every cell of that machine, so a cached cell keeps only its
+//! shape's few dozen bytes. The parts hash and compare as their
+//! concatenation, so a key held in parts equals the same text held whole.
 
-use crate::net::hash::ring_point;
+use crate::net::hash::{fnv1a_64_from, mix64, ring_point, FNV_OFFSET_BASIS};
+use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
+
+/// The parts of a cell key's text that every cell of one machine shares:
+/// `"{design:?}|"` before the cell's shape and `"|{kernel:?}"` after it.
+#[derive(Debug)]
+pub(crate) struct MachineKey {
+    /// The design's part, up to and including the first separator.
+    pub(crate) design: String,
+    /// The kernel's part, from the second separator on.
+    pub(crate) kernel: String,
+}
+
+/// A key's text: rendered whole, or a cell's shape between its machine's
+/// shared parts.
+#[derive(Debug, Clone)]
+enum KeyText {
+    Whole(Arc<str>),
+    Cell {
+        machine: Arc<MachineKey>,
+        shape: Box<str>,
+    },
+}
 
 /// An interned cell or route key: the rendered key text plus its
 /// precomputed 64-bit hash (which doubles as the routing point). Cheap to
@@ -38,7 +66,7 @@ use std::sync::Arc;
 /// re-probe (no re-hashing).
 #[derive(Debug, Clone)]
 pub struct CellKey {
-    text: Arc<str>,
+    text: KeyText,
     hash: u64,
 }
 
@@ -46,16 +74,48 @@ impl CellKey {
     /// Interns a rendered semantic key, hashing it exactly once.
     #[must_use]
     pub fn new(text: impl Into<Arc<str>>) -> CellKey {
-        let text = text.into();
+        let text: Arc<str> = text.into();
         let hash = ring_point(text.as_bytes());
-        CellKey { text, hash }
+        CellKey {
+            text: KeyText::Whole(text),
+            hash,
+        }
+    }
+
+    /// The key of a cell whose rendered shape is `shape` on `machine`:
+    /// the same text, hash and equality as the whole key
+    /// `"{design:?}|{shape}|{kernel:?}"`, sharing the machine's parts.
+    pub(crate) fn cell(machine: &Arc<MachineKey>, shape: String) -> CellKey {
+        let hash = [&machine.design, &shape, &machine.kernel]
+            .iter()
+            .fold(FNV_OFFSET_BASIS, |hash, part| {
+                fnv1a_64_from(hash, part.as_bytes())
+            });
+        CellKey {
+            text: KeyText::Cell {
+                machine: Arc::clone(machine),
+                shape: shape.into(),
+            },
+            hash: mix64(hash),
+        }
+    }
+
+    /// The key text in its parts, in order (a whole key is one part).
+    fn parts(&self) -> [&str; 3] {
+        match &self.text {
+            KeyText::Whole(text) => [text, "", ""],
+            KeyText::Cell { machine, shape } => [&machine.design, shape, &machine.kernel],
+        }
     }
 
     /// The rendered key text — exactly the legacy string key, byte for
     /// byte; this is what JSON documents and wire frames serialize.
     #[must_use]
-    pub fn as_str(&self) -> &str {
-        &self.text
+    pub fn text(&self) -> Cow<'_, str> {
+        match &self.text {
+            KeyText::Whole(text) => Cow::Borrowed(text),
+            KeyText::Cell { .. } => Cow::Owned(self.parts().concat()),
+        }
     }
 
     /// The precomputed 64-bit hash: `mix64(fnv1a_64(text))`, identical to
@@ -72,7 +132,25 @@ impl PartialEq for CellKey {
         // The hash check rejects almost all non-equal pairs in one
         // comparison; the byte comparison keeps colliding keys distinct
         // (no aliasing on hash collisions).
-        self.hash == other.hash && (Arc::ptr_eq(&self.text, &other.text) || self.text == other.text)
+        if self.hash != other.hash {
+            return false;
+        }
+        match (&self.text, &other.text) {
+            (KeyText::Whole(a), KeyText::Whole(b)) => Arc::ptr_eq(a, b) || a == b,
+            (
+                KeyText::Cell { machine, shape },
+                KeyText::Cell {
+                    machine: other_machine,
+                    shape: other_shape,
+                },
+            ) if Arc::ptr_eq(machine, other_machine) => shape == other_shape,
+            _ => {
+                let (a, b) = (self.parts(), other.parts());
+                a.iter()
+                    .flat_map(|part| part.bytes())
+                    .eq(b.iter().flat_map(|part| part.bytes()))
+            }
+        }
     }
 }
 
@@ -86,7 +164,7 @@ impl Hash for CellKey {
 
 impl fmt::Display for CellKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.text)
+        self.parts().iter().try_for_each(|part| f.write_str(part))
     }
 }
 
@@ -110,10 +188,10 @@ mod tests {
     #[test]
     fn interning_preserves_the_text_and_precomputes_the_ring_point() {
         let key = CellKey::new("BASELINE|Gemm { m: 512 }|Kernel");
-        assert_eq!(key.as_str(), "BASELINE|Gemm { m: 512 }|Kernel");
-        assert_eq!(key.hash64(), ring_point(key.as_str().as_bytes()));
-        assert_eq!(key.to_string(), key.as_str());
-        let again = CellKey::from(key.as_str().to_string());
+        assert_eq!(key.text(), "BASELINE|Gemm { m: 512 }|Kernel");
+        assert_eq!(key.hash64(), ring_point(key.text().as_bytes()));
+        assert_eq!(key.to_string(), key.text());
+        let again = CellKey::from(key.text().to_string());
         assert_eq!(key, again);
         assert_eq!(key.hash64(), again.hash64());
     }
@@ -125,7 +203,7 @@ mod tests {
         assert_ne!(a, b);
         // A forged collision must still compare unequal on the text.
         let forged = CellKey {
-            text: Arc::from("cell-x"),
+            text: KeyText::Whole(Arc::from("cell-x")),
             hash: a.hash64(),
         };
         assert_ne!(a, forged, "hash collisions must not alias");
@@ -145,6 +223,37 @@ mod tests {
     }
 
     #[test]
+    fn a_key_in_parts_is_its_whole_text() {
+        // Same text, same hash, equal both ways; the machine's parts are
+        // shared, and texts that differ anywhere, or only split
+        // differently into parts, compare as their bytes.
+        let machine = Arc::new(MachineKey {
+            design: "BASELINE {…}|".to_string(),
+            kernel: "|Kernel { cap: 96 }".to_string(),
+        });
+        let whole = "BASELINE {…}|Gemm { m: 512 }|Kernel { cap: 96 }";
+        let cell = CellKey::cell(&machine, "Gemm { m: 512 }".to_string());
+        assert_eq!(cell.text(), whole);
+        assert_eq!(cell.to_string(), whole);
+        assert_eq!(cell.hash64(), CellKey::new(whole).hash64());
+        assert_eq!(cell, CellKey::new(whole));
+        assert_eq!(CellKey::new(whole), cell);
+        assert_eq!(cell, CellKey::cell(&machine, "Gemm { m: 512 }".to_string()));
+        let other = CellKey::cell(&machine, "Gemm { m: 511 }".to_string());
+        assert_ne!(cell, other);
+        let resplit = Arc::new(MachineKey {
+            design: "BASELINE {…}|Gemm".to_string(),
+            kernel: machine.kernel.clone(),
+        });
+        assert_eq!(cell, CellKey::cell(&resplit, " { m: 512 }".to_string()));
+        let forged = CellKey {
+            text: KeyText::Whole(Arc::from("BASELINE {…}|Gemm { m: 513 }|Kernel { cap: 96 }")),
+            hash: cell.hash64(),
+        };
+        assert_ne!(cell, forged, "a collision in parts must not alias");
+    }
+
+    #[test]
     fn cell_keys_index_lru_caches() {
         let mut cache = crate::LruCache::new(2);
         cache.insert(CellKey::new("a"), 1);
@@ -156,7 +265,7 @@ mod tests {
             cache
                 .keys_by_recency()
                 .iter()
-                .map(CellKey::as_str)
+                .map(CellKey::to_string)
                 .collect::<Vec<_>>(),
             vec!["c", "a"]
         );

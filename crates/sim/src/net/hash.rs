@@ -23,9 +23,16 @@
 /// placement hash, not a cryptographic one).
 #[must_use]
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_64_from(FNV_OFFSET_BASIS, bytes)
+}
+
+/// The FNV-1a 64 offset basis: the hash of no bytes.
+pub(crate) const FNV_OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// FNV-1a 64 of `bytes` continued from `hash`, so hashing a text in parts
+/// from [`FNV_OFFSET_BASIS`] gives the hash of their concatenation.
+pub(crate) fn fnv1a_64_from(mut hash: u64, bytes: &[u8]) -> u64 {
     const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET_BASIS;
     for &byte in bytes {
         hash ^= u64::from(byte);
         hash = hash.wrapping_mul(PRIME);

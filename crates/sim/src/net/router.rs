@@ -41,7 +41,7 @@
 //! shard that answered — the per-shard cache-churn view the distributed
 //! soak reports.
 
-use crate::cache::LruCache;
+use crate::cache::SharedLru;
 use crate::json::{array_member, member, u64_member, FromJson, JsonError, JsonValue, ToJson};
 use crate::key::CellKey;
 use crate::net::event_loop::EventLoop;
@@ -54,7 +54,7 @@ use crate::prof::{self, Stage};
 use crate::SimError;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 
 /// Configuration of a [`Router`].
@@ -254,7 +254,7 @@ impl Backend {
         frame: &Frame,
         check: impl FnOnce(&Frame) -> Result<(), NetError>,
     ) -> Result<Frame, NetError> {
-        let pooled = self.pool.lock().expect("router pool lock").pop();
+        let pooled = self.pool().pop();
         let (stream, reply) = match pooled.map(|stream| round_trip(stream, frame)) {
             Some(Ok(answered)) => answered,
             None | Some(Err(NetError::Io { .. })) => {
@@ -267,7 +267,7 @@ impl Backend {
             Some(Err(other)) => return Err(other),
         };
         check(&reply)?;
-        self.pool.lock().expect("router pool lock").push(stream);
+        self.pool().push(stream);
         Ok(reply)
     }
 
@@ -284,7 +284,14 @@ impl Backend {
 
     /// Drops every pooled connection to a shard that failed.
     fn clear_pool(&self) {
-        self.pool.lock().expect("router pool lock").clear();
+        self.pool().clear();
+    }
+
+    /// The idle connections. A panic while they were held cannot have left
+    /// the list half updated (a push, pop or clear), so a poisoned lock is
+    /// recovered as it stands.
+    fn pool(&self) -> MutexGuard<'_, Vec<TcpStream>> {
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
@@ -305,7 +312,7 @@ struct RouterCore {
     /// The router's own result cache, probed before any shard: a shard's
     /// Response payload after its `{"id":<id>,` prefix, keyed by route key
     /// and workload name. `None` when disabled by configuration.
-    result_cache: Option<Mutex<LruCache<ReplyKey, Arc<[u8]>>>>,
+    result_cache: Option<SharedLru<ReplyKey, Arc<[u8]>>>,
 }
 
 /// What a shard's answer depends on: the request's route key and the
@@ -368,7 +375,7 @@ impl Router {
                     cache_misses: AtomicU64::new(0),
                 },
                 result_cache: (config_cache_capacity > 0)
-                    .then(|| Mutex::new(LruCache::new(config_cache_capacity))),
+                    .then(|| SharedLru::new(config_cache_capacity)),
             }),
             server: None,
         })
@@ -537,11 +544,7 @@ impl RouterCore {
     fn probe_result_cache(&self, key: &ReplyKey) -> Option<Arc<[u8]>> {
         let cache = self.result_cache.as_ref()?;
         let probe = prof::time(Stage::CacheProbe);
-        let cached = cache
-            .lock()
-            .expect("router result cache lock")
-            .get(key)
-            .map(Arc::clone);
+        let cached = cache.lock().get(key).map(Arc::clone);
         drop(probe);
         if cached.is_some() {
             self.counters.cache_hits.fetch_add(1, Ordering::SeqCst);
@@ -556,10 +559,7 @@ impl RouterCore {
     /// cache.
     fn store_result(&self, key: ReplyKey, tail: &[u8]) {
         if let Some(cache) = &self.result_cache {
-            cache
-                .lock()
-                .expect("router result cache lock")
-                .insert(key, Arc::from(tail));
+            cache.lock().insert(key, Arc::from(tail));
         }
     }
 
@@ -878,6 +878,40 @@ mod tests {
             miss.to_json().to_string_compact(),
             round_trip.to_json().to_string_compact()
         );
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    #[test]
+    fn poisoned_locks_leave_routing_correct() {
+        // A panic while a router lock is held must not fail every later
+        // request: the result cache is cleared and used again, and the
+        // connection pool is used as it stands.
+        use crate::cache::panic_holding;
+        let (shards, addrs) = spawn_shards(1);
+        let router = Router::new(&addrs, RouterConfig::default()).unwrap();
+        let direct = Router::new(&addrs, uncached()).unwrap();
+        let answer = |router: &Router, id, n| {
+            let request = WireRequest::new(id, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, n));
+            router
+                .route(&request)
+                .unwrap()
+                .to_json()
+                .to_string_compact()
+        };
+        let expected = answer(&direct, 21, 128);
+        assert_eq!(answer(&router, 21, 128), expected);
+        let cache = router.core.result_cache.as_ref().unwrap();
+        panic_holding(|| cache.lock());
+        assert_eq!(answer(&router, 21, 128), expected);
+        assert_eq!(router.stats().cache_hits, 0, "the cleared cache missed");
+        assert_eq!(answer(&router, 21, 128), expected);
+        assert_eq!(router.stats().cache_hits, 1, "and caches again");
+
+        panic_holding(|| router.core.backends[0].pool.lock());
+        assert_eq!(answer(&router, 22, 96), answer(&direct, 22, 96));
+        assert_eq!(router.core.backends[0].pool().len(), 1, "pooled again");
         for shard in shards {
             shard.shutdown();
         }

@@ -930,7 +930,7 @@ mod tests {
         // 3·2^62 MACs fit in a u64 and 2^64 do not.
         let edge = WireRequest::new(1, "BASELINE", LayerSpec::fc("edge", 1 << 62, 3, 1));
         assert_eq!(redecode(&edge).unwrap(), edge);
-        assert!(edge.route_key().as_str().contains("m: 4611686018427387904"));
+        assert!(edge.route_key().text().contains("m: 4611686018427387904"));
         let over = WireRequest::new(1, "BASELINE", LayerSpec::fc("over", 1 << 62, 2, 2));
         assert!(redecode(&over).unwrap_err().message.contains("MACs"));
         // A reduction of exactly MAX_GEMM_K is accepted.
@@ -982,7 +982,7 @@ mod tests {
         let request = WireRequest::new(9, "BASELINE", layer.clone());
         let key = request.route_key();
         assert_eq!(
-            key.as_str(),
+            key.text(),
             "BASELINE|GemmShape { m: 512, k: 1024, n: 1024 }"
         );
         // Re-batched layers at the same lowered shape share the key — the
@@ -997,7 +997,7 @@ mod tests {
         assert_ne!(other.route_key(), key);
         // The design travels by name: an unknown one still has a key.
         let unknown = WireRequest::new(11, "NOT-A-DESIGN", layer);
-        assert!(unknown.route_key().as_str().starts_with("NOT-A-DESIGN|"));
+        assert!(unknown.route_key().text().starts_with("NOT-A-DESIGN|"));
     }
 
     #[test]

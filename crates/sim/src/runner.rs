@@ -16,6 +16,9 @@
 //! * **Memoization** — each cell result is cached under a key derived from
 //!   the complete (design, workload, kernel) configuration, so a cell is
 //!   simulated at most once per runner, however many experiments need it.
+//!   Below the cells, the runner keeps one [`Simulator`] per machine
+//!   (design and resolved kernel), whose memo of simulated transitions lets
+//!   a new cell that repeats known work be recalled instead of simulated.
 //! * **Declarative specs** — an [`ExperimentSpec`] names a workload set, a
 //!   design set and an optional kernel override; the runner expands the
 //!   cross product and returns one [`WorkloadRun`] per workload. Experiment
@@ -25,17 +28,18 @@
 //! (`ExperimentRunner::builder()`), mirroring the typed config-builder
 //! idiom of kubecl's `TilingScheme`.
 
-use crate::cache::{InsertOutcome, LruCache};
+use crate::cache::{InsertOutcome, SharedLru};
 use crate::json::{FromJson, JsonValue, ToJson};
-use crate::key::CellKey;
+use crate::key::{CellKey, MachineKey};
 use crate::prof::{self, Stage};
 use crate::simulator::DEFAULT_MATMUL_CAP;
 use crate::{DesignPoint, SimError, SimReport, Simulator, WorkloadRun};
+use rasa_cpu::MemoStats;
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
 use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Default bound on the number of memoized cells a runner keeps resident.
 ///
@@ -43,6 +47,19 @@ use std::sync::{Arc, Mutex};
 /// matters under serving traffic, where distinct shapes churn through the
 /// cache and the LRU policy keeps the hot set resident.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
+
+/// Machines (design and resolved kernel) a runner keeps; the oldest goes
+/// first. The paper evaluation runs eight.
+const MACHINES: usize = 16;
+
+/// One machine — a design under a resolved kernel — as a runner keeps it:
+/// the simulator that owns its memo of transitions, and the text its
+/// cells' keys share.
+#[derive(Debug, Clone)]
+struct Machine {
+    sim: Arc<Simulator>,
+    key: Arc<MachineKey>,
+}
 
 /// One simulation cell: a workload on a design point, optionally under a
 /// non-default kernel configuration.
@@ -209,7 +226,9 @@ pub struct ExperimentRunner {
     matmul_cap: Option<usize>,
     parallel: bool,
     speculation: bool,
-    cache: Mutex<LruCache<CellKey, Arc<SimReport>>>,
+    cache: SharedLru<CellKey, Arc<SimReport>>,
+    /// The machines the runner has run, oldest first.
+    machines: Mutex<Vec<Machine>>,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -250,11 +269,55 @@ impl ExperimentRunner {
         self.speculation
     }
 
+    /// The machines. A panic while they were held is recovered as it
+    /// stands: a push or a removal cannot leave the list half updated.
+    fn machines(&self) -> MutexGuard<'_, Vec<Machine>> {
+        self.machines.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// `job`'s machine under `kernel`, built on first use.
+    fn machine(&self, job: &SimJob, kernel: GemmKernelConfig) -> Result<Machine, SimError> {
+        let mut machines = self.machines();
+        if let Some(machine) = machines
+            .iter()
+            .find(|machine| *machine.sim.kernel() == kernel && *machine.sim.design() == job.design)
+        {
+            return Ok(machine.clone());
+        }
+        let sim = Simulator::new(job.design.clone())?
+            .with_kernel(kernel)?
+            .with_speculation(self.speculation);
+        let machine = Machine {
+            sim: Arc::new(sim),
+            key: Arc::new(MachineKey {
+                design: format!("{:?}|", job.design),
+                kernel: format!("|{kernel:?}"),
+            }),
+        };
+        if machines.len() == MACHINES {
+            machines.remove(0);
+        }
+        machines.push(machine.clone());
+        Ok(machine)
+    }
+
+    /// The memos of the machines the runner holds: how many machines,
+    /// and the memos' summed [`MemoStats`].
+    #[must_use]
+    pub fn memo_stats(&self) -> (usize, MemoStats) {
+        let machines = self.machines();
+        let total = machines
+            .iter()
+            .map(|machine| machine.sim.memo_stats())
+            .sum();
+        (machines.len(), total)
+    }
+
     /// Cache effectiveness counters since construction (or the last
     /// [`clear_cache`](Self::clear_cache)).
     #[must_use]
     pub fn cache_stats(&self) -> CacheStats {
-        let cache = self.cache.lock().expect("cache lock");
+        let cache = self.cache.lock();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -267,12 +330,12 @@ impl ExperimentRunner {
     /// The maximum number of memoized cells kept resident.
     #[must_use]
     pub fn cache_capacity(&self) -> usize {
-        self.cache.lock().expect("cache lock").capacity()
+        self.cache.lock().capacity()
     }
 
     /// Drops every cached cell and resets the hit/miss/eviction counters.
     pub fn clear_cache(&self) {
-        self.cache.lock().expect("cache lock").clear();
+        self.cache.lock().clear();
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
@@ -289,25 +352,25 @@ impl ExperimentRunner {
     /// cache.
     #[must_use]
     pub fn dump_cache_json(&self) -> JsonValue {
-        let cache = self.cache.lock().expect("cache lock");
-        let mut cells: Vec<(CellKey, JsonValue)> = cache
+        let cache = self.cache.lock();
+        // Keys serialize as their text, so the document is byte-identical
+        // to the pre-interning encoding.
+        let mut cells: Vec<(String, JsonValue)> = cache
             .keys_by_recency()
             .into_iter()
             .map(|key| {
                 let report = cache.peek(&key).expect("listed key is resident");
-                (key, report.to_json())
+                (key.to_string(), report.to_json())
             })
             .collect();
         drop(cache);
-        // Keys serialize as their interned string form, so the document
-        // is byte-identical to the pre-interning encoding.
-        cells.sort_by(|a, b| a.0.as_str().cmp(b.0.as_str()));
+        cells.sort_by(|a, b| a.0.cmp(&b.0));
         JsonValue::Array(
             cells
                 .into_iter()
                 .map(|(key, report)| {
                     JsonValue::Object(vec![
-                        ("key".into(), JsonValue::string(key.as_str())),
+                        ("key".into(), JsonValue::string(key)),
                         ("report".into(), report),
                     ])
                 })
@@ -366,7 +429,6 @@ impl ExperimentRunner {
             let outcome = self
                 .cache
                 .lock()
-                .expect("cache lock")
                 .insert(CellKey::new(key), Arc::new(report));
             if matches!(outcome, InsertOutcome::Evicted(..)) {
                 self.evictions.fetch_add(1, Ordering::Relaxed);
@@ -395,10 +457,21 @@ impl ExperimentRunner {
     ///
     /// The key comes back interned ([`CellKey`]): rendered and hashed
     /// once, reusable for cache probes and ring placement without
-    /// re-hashing.
+    /// re-hashing. It equals [`SimJob::cell_key`] under the runner's cap,
+    /// but shares its design and kernel text with every cell of its
+    /// machine.
     #[must_use]
     pub fn job_key(&self, job: &SimJob) -> CellKey {
-        job.cell_key(self.matmul_cap)
+        self.machine_key(job, &self.machine(job, self.resolve_kernel(job)))
+    }
+
+    /// The key of `job` on `machine`, the machine its design and resolved
+    /// kernel name (or a whole key when it has none: an invalid kernel).
+    fn machine_key(&self, job: &SimJob, machine: &Result<Machine, SimError>) -> CellKey {
+        match machine {
+            Ok(machine) => CellKey::cell(&machine.key, format!("{:?}", job.workload.gemm_shape())),
+            Err(_) => job.cell_key(self.matmul_cap),
+        }
     }
 
     /// Runs (or recalls) one cell. A cache hit is restamped with the
@@ -408,13 +481,11 @@ impl ExperimentRunner {
     ///
     /// Propagates simulation errors from the underlying [`Simulator`].
     pub fn run_job(&self, job: &SimJob) -> Result<Arc<SimReport>, SimError> {
-        let key = self.job_key(job);
-        let kernel = self.resolve_kernel(job);
+        let machine = self.machine(job, self.resolve_kernel(job));
+        let key = self.machine_key(job, &machine);
         {
             let probe = prof::time(Stage::CacheProbe);
-            let mut cache = self.cache.lock().expect("cache lock");
-            let hit = cache.get(&key).map(Arc::clone);
-            drop(cache);
+            let hit = self.cache.lock().get(&key).map(Arc::clone);
             drop(probe);
             if let Some(report) = hit {
                 self.hits.fetch_add(1, Ordering::Relaxed);
@@ -431,18 +502,9 @@ impl ExperimentRunner {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let simulate = prof::time(Stage::Simulate);
-        let report = Arc::new(
-            Simulator::new(job.design.clone())?
-                .with_kernel(kernel)?
-                .with_speculation(self.speculation)
-                .run_layer(&job.workload)?,
-        );
+        let report = Arc::new(machine?.sim.run_layer(&job.workload)?);
         drop(simulate);
-        let outcome = self
-            .cache
-            .lock()
-            .expect("cache lock")
-            .insert(key, Arc::clone(&report));
+        let outcome = self.cache.lock().insert(key, Arc::clone(&report));
         if matches!(outcome, InsertOutcome::Evicted(..)) {
             self.evictions.fetch_add(1, Ordering::Relaxed);
         }
@@ -589,7 +651,8 @@ impl ExperimentRunnerBuilder {
             matmul_cap,
             parallel: self.parallel.unwrap_or(true),
             speculation: self.speculation.unwrap_or(true),
-            cache: Mutex::new(LruCache::new(cache_capacity)),
+            cache: SharedLru::new(cache_capacity),
+            machines: Mutex::new(Vec::new()),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -883,6 +946,28 @@ mod tests {
     }
 
     #[test]
+    fn job_keys_are_the_jobs_cell_keys() {
+        // A runner's key shares its machine's text, yet it is the job's
+        // own key: same text, same hash, equal either way round.
+        let (workloads, designs) = small_grid();
+        let runner = ExperimentRunner::builder()
+            .with_matmul_cap(Some(96))
+            .build()
+            .unwrap();
+        for layer in &workloads {
+            for design in &designs {
+                let job = SimJob::new(design.clone(), layer.clone());
+                let (key, whole) = (runner.job_key(&job), job.cell_key(Some(96)));
+                assert_eq!(key.text(), job.semantic_key(Some(96)));
+                assert_eq!(key.hash64(), whole.hash64());
+                assert_eq!(key, whole);
+                assert_eq!(whole, key);
+            }
+        }
+        assert_eq!(runner.memo_stats().0, 2, "one machine per design");
+    }
+
+    #[test]
     fn parallel_and_serial_results_are_bit_identical() {
         let (workloads, designs) = small_grid();
         let parallel = ExperimentRunner::builder()
@@ -922,7 +1007,7 @@ mod tests {
         let cell = |report: &str| {
             format!(
                 "{{\"cache\":{{\"cells\":[{{\"key\":{},\"report\":{report}}}]}}}}",
-                JsonValue::string(warmed.job_key(&job).as_str())
+                JsonValue::string(warmed.job_key(&job).to_string())
             )
         };
         let legacy = JsonValue::parse(&cell(LEGACY_DLRM2_REPORT)).unwrap();
@@ -992,6 +1077,99 @@ mod tests {
         assert_eq!(runner.cache_stats().hits, 2);
         assert_eq!(c, a);
         assert_eq!(c, d);
+    }
+
+    #[test]
+    fn poisoned_locks_leave_jobs_correct() {
+        // A panic while the cell cache or the machine list is held must
+        // not fail every later job: the cache is cleared and used again,
+        // the list used as it stands, and every answer is a fresh
+        // runner's.
+        use crate::cache::panic_holding;
+        let (workloads, designs) = small_grid();
+        let runner = || {
+            ExperimentRunner::builder()
+                .with_matmul_cap(Some(96))
+                .serial()
+                .build()
+                .unwrap()
+        };
+        let job = |i: usize| SimJob::new(designs[i % 2].clone(), workloads[i / 2].clone());
+        let (poisoned, fresh) = (runner(), runner());
+        for i in 0..2 {
+            assert_eq!(
+                *poisoned.run_job(&job(i)).unwrap(),
+                *fresh.run_job(&job(i)).unwrap()
+            );
+        }
+        panic_holding(|| poisoned.cache.lock());
+        assert_eq!(
+            *poisoned.run_job(&job(0)).unwrap(),
+            *fresh.run_job(&job(0)).unwrap()
+        );
+        let stats = poisoned.cache_stats();
+        assert_eq!(
+            (stats.misses, stats.entries),
+            (3, 1),
+            "the cleared cache re-simulated"
+        );
+        panic_holding(|| poisoned.machines.lock());
+        assert_eq!(
+            *poisoned.run_job(&job(3)).unwrap(),
+            *fresh.run_job(&job(3)).unwrap()
+        );
+        assert_eq!(poisoned.memo_stats().0, 2, "one simulator per design");
+    }
+
+    #[test]
+    fn one_simulator_serves_every_cell_of_a_machine() {
+        // Cells of one design and kernel share a simulator, so a cell that
+        // repeats known transitions is recalled: its report, diagnostics
+        // included, is what a fresh simulator computes.
+        let suite = WorkloadSuite::mlperf();
+        let runner = ExperimentRunner::builder()
+            .with_matmul_cap(None)
+            .serial()
+            .build()
+            .unwrap();
+        let design = DesignPoint::rasa_dmdb_wls();
+        for (i, name) in ["BERT-1", "BERT-2", "BERT-3", "DLRM-2"].iter().enumerate() {
+            let layer = suite.layer(name).unwrap().with_batch(4);
+            let report = runner
+                .run_job(&SimJob::new(design.clone(), layer.clone()))
+                .unwrap();
+            let fresh = Simulator::new(design.clone())
+                .unwrap()
+                .with_matmul_cap(None)
+                .unwrap()
+                .run_layer(&layer)
+                .unwrap();
+            assert_eq!(*report, fresh, "{name}");
+            assert_eq!(
+                (report.sched, report.pipeline),
+                (fresh.sched, fresh.pipeline)
+            );
+            let (machines, memo) = runner.memo_stats();
+            assert_eq!(machines, 1);
+            assert!(memo.states > 0, "{name}: the memo records after cell {i}");
+        }
+        let other = SimJob::new(
+            DesignPoint::baseline(),
+            suite.layer("BERT-1").unwrap().clone(),
+        );
+        runner.run_job(&other).unwrap();
+        assert_eq!(runner.memo_stats().0, 2, "a second design, a second memo");
+        let off = ExperimentRunner::builder()
+            .with_speculation(false)
+            .build()
+            .unwrap();
+        off.run_job(&other).unwrap();
+        let (machines, memo) = off.memo_stats();
+        assert_eq!(
+            (machines, memo.states, memo.transitions),
+            (1, 0, 0),
+            "off touches no memo"
+        );
     }
 
     #[test]

@@ -1,15 +1,19 @@
 use crate::prof::{self, Stage};
 use crate::{DesignPoint, PipelineStats, SimError, SimReport};
-use rasa_cpu::{CpuCore, CpuStats, SchedStats, SpecCheckpoint, SpecDelta, SpeculativeRun};
-use rasa_isa::{Program, ProgramSegment};
+use rasa_cpu::{
+    CpuCore, CpuStats, MemoStats, SchedStats, SpecCheckpoint, SpecDelta, SpecMemo, SpeculativeRun,
+    StreamStats,
+};
+use rasa_isa::Program;
 use rasa_numeric::GemmShape;
 use rasa_power::{EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
 use rasa_trace::{
-    GemmKernelConfig, GemmTraceStream, TraceError, TraceGenerator, DEFAULT_SEGMENT_SIZE,
+    GemmKernelConfig, GemmTraceStream, PieceKey, TraceGenerator, DEFAULT_SEGMENT_SIZE,
 };
 use rasa_workloads::LayerSpec;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Default cap on the number of `rasa_mm` instructions simulated per
 /// workload. The Table I layers contain up to hundreds of thousands of
@@ -52,26 +56,43 @@ struct SpecPlan {
 /// ([`Simulator::with_speculation`]); the simulated statistics are
 /// bit-identical either way. [`SimReport::pipeline`] records what the run
 /// kept resident and how many strides and steps it skipped.
+///
+/// With fast-forward on, the simulator also remembers what its machine
+/// did: a [`SpecMemo`] of every transition its cells simulated, so a cell
+/// that walks only known transitions is recalled instead of simulated,
+/// with the same report. Clones share the memo; a builder call that
+/// changes the kernel starts an empty one, and [`Simulator::memo_stats`]
+/// reports its size.
 #[derive(Debug, Clone)]
 pub struct Simulator {
     design: DesignPoint,
     generator: TraceGenerator,
     speculation: bool,
+    memo: Arc<SpecMemo<PieceKey>>,
 }
 
-/// One cell in flight: its streaming run, the walk it feeds, and the
-/// checkpoints the in-block probe refills from block to block.
+/// Why a cell's walk stopped before its report.
+enum Halt {
+    /// A recalling walk met a transition its memo does not hold.
+    Missed,
+    /// Trace generation or the core failed.
+    Failed(SimError),
+}
+
+impl<E: Into<SimError>> From<E> for Halt {
+    fn from(error: E) -> Self {
+        Halt::Failed(error.into())
+    }
+}
+
+/// One cell in flight: its run, the trace stream whose cursor it walks,
+/// and the checkpoints the in-block probe refills from block to block.
 struct CellRun<'a> {
     sim: &'a Simulator,
-    shape: GemmShape,
-    name: &'a str,
     run: SpeculativeRun,
+    stream: GemmTraceStream,
     /// The reduction steps every block of the cell repeats identically.
     uniform_steps: Range<usize>,
-    /// Whether blocks are fed step by step to fast-forward their uniform
-    /// reduction steps: fast-forward is on and the widest block's steps
-    /// hold a warm-up, a probe and one skipped step.
-    in_block: bool,
     /// The in-block probe's seed and probe checkpoints.
     step_checkpoints: [SpecCheckpoint; 2],
     /// Reduction steps skipped inside blocks.
@@ -95,6 +116,7 @@ impl Simulator {
             design,
             generator,
             speculation: true,
+            memo: Arc::default(),
         })
     }
 
@@ -109,11 +131,10 @@ impl Simulator {
     ///
     /// Returns [`SimError::Trace`] if the resulting kernel configuration is
     /// invalid (a cap of zero).
-    pub fn with_matmul_cap(mut self, cap: Option<usize>) -> Result<Self, SimError> {
+    pub fn with_matmul_cap(self, cap: Option<usize>) -> Result<Self, SimError> {
         let mut kernel = *self.generator.kernel();
         kernel.max_matmuls = cap;
-        self.generator = self.generator.with_kernel(kernel)?;
-        Ok(self)
+        self.with_kernel(kernel)
     }
 
     /// Overrides the full kernel configuration (tiling, scalar overhead,
@@ -126,6 +147,8 @@ impl Simulator {
     /// the ISA.
     pub fn with_kernel(mut self, kernel: GemmKernelConfig) -> Result<Self, SimError> {
         self.generator = self.generator.with_kernel(kernel)?;
+        // Another kernel is another machine: its transitions start afresh.
+        self.memo = Arc::default();
         Ok(self)
     }
 
@@ -156,6 +179,18 @@ impl Simulator {
     #[must_use]
     pub fn matmul_cap(&self) -> Option<usize> {
         self.generator.kernel().max_matmuls
+    }
+
+    /// The kernel configuration traces are generated with.
+    #[must_use]
+    pub fn kernel(&self) -> &GemmKernelConfig {
+        self.generator.kernel()
+    }
+
+    /// What the memo of simulated transitions holds (shared with clones).
+    #[must_use]
+    pub fn memo_stats(&self) -> MemoStats {
+        self.memo.stats()
     }
 
     /// Simulates an arbitrary GEMM.
@@ -248,7 +283,9 @@ impl Simulator {
     /// Capped or not, the run covers exactly the blocks of
     /// [`TraceGenerator::block_count`]; without fast-forward it feeds the
     /// segments of [`TraceGenerator::gemm_blocks`] over `0..block_count`.
-    /// With it, two levels skip work:
+    /// With it, every feed is one *piece* — a range of one block's
+    /// reduction steps ([`GemmTraceStream::steps_to`]) — and two levels
+    /// skip work:
     ///
     /// * **blocks** ([`TraceGenerator::uniform_blocks`]): warm up one
     ///   stride, probe stride by stride until one stride boundary is an
@@ -258,7 +295,7 @@ impl Simulator {
     ///   every block that is fed — the warm-up and probe strides, and every
     ///   block after the skip — warm up about ⌈`rob_size` / instructions
     ///   per step⌉ steps, probe step by step, then skip the rest of the
-    ///   block's uniform steps.
+    ///   block's uniform steps. A block too short for that is one piece.
     ///
     /// Each probe tries at most `SPEC_PROBE_STRIDES` repeats. The schedule
     /// derives only from the shape, the kernel and the core configuration,
@@ -266,30 +303,54 @@ impl Simulator {
     /// deterministic; and the architectural statistics are bit-identical
     /// to feeding every instruction, because the core model's scheduling
     /// is translation-covariant and its timing never reads an address.
+    ///
+    /// **Recall.** With fast-forward on, the cell first walks that same
+    /// schedule with no core: every piece, and the final drain, is recalled
+    /// from the simulator's memo of transitions ([`SpeculativeRun::recall`]),
+    /// and no trace is generated. Only if the memo lacks one does the cell
+    /// rerun from its start with a core, recording every piece it feeds and
+    /// shifting past the recorded fixed points it meets. The walk, and so
+    /// the report, `sched` and `pipeline` included, is the same either way.
     fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
-        let total_matmuls = self.generator.matmul_count(shape)? as u64;
-        let blocks = self.generator.block_count(shape)?;
+        if self.speculation {
+            let recall = SpeculativeRun::recall(self.design.cpu(), self.design.systolic());
+            if let Some(report) = self.walk(shape, name, recall)? {
+                return Ok(report);
+            }
+        }
         let engine = MatrixEngine::new(*self.design.systolic());
         let core = CpuCore::new(*self.design.cpu(), engine);
-        let uniform_steps = self.generator.uniform_steps(shape)?;
-        let widest_step = self.generator.step_instructions(shape)?;
-        let mut cell = CellRun {
+        let run = SpeculativeRun::begin(core, self.generator.isa())?;
+        Ok(self
+            .walk(shape, name, run)?
+            .expect("a run with a core never misses"))
+    }
+
+    /// Walks the cell of `shape` on `run`; `None` when a recalling run
+    /// missed a transition.
+    fn walk(
+        &self,
+        shape: GemmShape,
+        name: &str,
+        run: SpeculativeRun,
+    ) -> Result<Option<SimReport>, SimError> {
+        let total_matmuls = self.generator.matmul_count(shape)? as u64;
+        let blocks = self.generator.block_count(shape)?;
+        let cell = CellRun {
             sim: self,
-            shape,
-            name,
-            run: SpeculativeRun::begin(core, self.generator.isa())?,
-            in_block: self.speculation && self.holds_step_probe(&uniform_steps, widest_step),
-            uniform_steps,
+            run,
+            stream: self
+                .generator
+                .gemm_blocks(shape, name, 0..blocks, DEFAULT_SEGMENT_SIZE)?,
+            uniform_steps: self.generator.uniform_steps(shape)?,
             step_checkpoints: Default::default(),
             skipped_steps: 0,
         };
-        let next = match self.spec_plan(shape)? {
-            Some(plan) => cell.fast_forward_prefix(plan)?,
-            None => 0,
+        let (cpu_stats, sched, stream, skipped_steps) = match cell.execute(self.spec_plan(shape)?) {
+            Ok(stats) => stats,
+            Err(Halt::Missed) => return Ok(None),
+            Err(Halt::Failed(error)) => return Err(error),
         };
-        cell.feed_blocks(next..blocks)?;
-        let skipped_steps = cell.skipped_steps;
-        let (cpu_stats, sched, stream) = cell.run.finish()?;
         let pipeline = PipelineStats {
             streamed: true,
             segments: stream.segments,
@@ -299,7 +360,13 @@ impl Simulator {
             spec_commits: stream.fast_forwarded_strides,
             spec_step_forks: skipped_steps,
         };
-        Ok(self.report(cpu_stats, sched, pipeline, total_matmuls, name))
+        Ok(Some(self.report(
+            cpu_stats,
+            sched,
+            pipeline,
+            total_matmuls,
+            name,
+        )))
     }
 
     /// The first reduction step a block's in-block probe measures: past
@@ -380,41 +447,70 @@ impl Simulator {
 }
 
 impl CellRun<'_> {
-    /// Feeds register blocks `blocks` of the cell, generated as they are
-    /// fed: whole blocks per segment, or, when the cell fast-forwards
-    /// inside blocks, block by block.
-    fn feed_blocks(&mut self, blocks: Range<usize>) -> Result<(), SimError> {
-        let mut stream =
-            self.sim
-                .generator
-                .gemm_blocks(self.shape, self.name, blocks, DEFAULT_SEGMENT_SIZE)?;
-        if !self.in_block {
-            while self.feed(GemmTraceStream::next_segment, &mut stream)? {}
-            return Ok(());
+    /// Walks the whole cell — the block-level fast-forward prefix of
+    /// `plan`, the remaining blocks, the drain — and returns its
+    /// statistics and the reduction steps it skipped inside blocks.
+    fn execute(
+        mut self,
+        plan: Option<SpecPlan>,
+    ) -> Result<(CpuStats, SchedStats, StreamStats, u64), Halt> {
+        if let Some(plan) = plan {
+            self.fast_forward_prefix(plan)?;
         }
-        while stream.blocks_remaining() > 0 {
-            self.feed_block(&mut stream)?;
+        let blocks = self.stream.cursor_block() + self.stream.blocks_remaining();
+        self.feed_blocks_to(blocks)?;
+        let stats = if self.sim.speculation {
+            self.run.finish_with(&self.sim.memo)?.ok_or(Halt::Missed)?
+        } else {
+            self.run.finish()?
+        };
+        Ok((stats.0, stats.1, stats.2, self.skipped_steps))
+    }
+
+    /// Feeds the register blocks from the stream's cursor up to block
+    /// `end`: as whole-block segments straight into the core without
+    /// fast-forward, else block by block, piece by piece.
+    fn feed_blocks_to(&mut self, end: usize) -> Result<(), Halt> {
+        if !self.sim.speculation {
+            loop {
+                let gen = prof::time(Stage::TraceGen);
+                let segment = self.stream.next_segment()?;
+                drop(gen);
+                let Some(segment) = segment else {
+                    return Ok(());
+                };
+                self.run.feed_segment(&segment)?;
+            }
+        }
+        while self.stream.cursor_block() < end {
+            self.feed_block()?;
         }
         Ok(())
     }
 
-    /// Generates one segment with `next` and feeds it; `false` once the
-    /// stream had nothing left to emit.
-    fn feed(
-        &mut self,
-        next: impl FnOnce(&mut GemmTraceStream) -> Result<Option<ProgramSegment>, TraceError>,
-        stream: &mut GemmTraceStream,
-    ) -> Result<bool, SimError> {
-        let gen = prof::time(Stage::TraceGen);
-        let segment = next(stream)?;
-        drop(gen);
-        match segment {
-            Some(segment) => {
-                self.run.feed_segment(&segment)?;
-                Ok(true)
-            }
-            None => Ok(false),
+    /// Advances the cell through the cursor block's steps up to `end` as
+    /// one piece — recalled from the memo when the run can, else generated
+    /// and fed — and returns whether there was a step to feed. A run with
+    /// a core recalls only pieces that leave its trace builder whole: a
+    /// piece that opens a block without closing it is always fed.
+    fn feed(&mut self, end: usize) -> Result<bool, Halt> {
+        let Some(piece) = self.stream.piece_to(end) else {
+            return Ok(false);
+        };
+        let memo = &*self.sim.memo;
+        let passable = self.run.is_recalling() || !piece.opens_block || piece.closes_block;
+        if passable && self.run.recall_piece(memo, piece) {
+            self.stream.pass_to(end);
+            return Ok(true);
         }
+        if self.run.is_recalling() {
+            return Err(Halt::Missed);
+        }
+        let gen = prof::time(Stage::TraceGen);
+        let segment = self.stream.steps_to(end)?.expect("a piece holds a step");
+        drop(gen);
+        self.run.feed_piece(memo, piece, &segment)?;
+        Ok(true)
     }
 
     /// Probes repeat by repeat for a confirmed periodic [`SpecDelta`]:
@@ -427,8 +523,8 @@ impl CellRun<'_> {
     fn probe(
         &mut self,
         [seed, probe]: &mut [SpecCheckpoint; 2],
-        mut feed_repeat: impl FnMut(&mut Self) -> Result<bool, SimError>,
-    ) -> Result<Option<SpecDelta>, SimError> {
+        mut feed_repeat: impl FnMut(&mut Self) -> Result<bool, Halt>,
+    ) -> Result<Option<SpecDelta>, Halt> {
         self.run.checkpoint(seed);
         for _ in 0..SPEC_PROBE_STRIDES {
             if !feed_repeat(self)? {
@@ -449,13 +545,14 @@ impl CellRun<'_> {
     /// probe and one skipped step: the block is fed up to its first probe
     /// step, probed step by step, skipped to the end of its uniform steps
     /// and finished with its last step, which stores the accumulators.
-    fn feed_block(&mut self, stream: &mut GemmTraceStream) -> Result<(), SimError> {
+    /// A shorter block is one piece.
+    fn feed_block(&mut self) -> Result<(), Halt> {
         let uniform = self.uniform_steps.clone();
-        let step_len = stream.step_instructions();
-        let end = stream.block_steps();
+        let step_len = self.stream.step_instructions();
+        let end = self.stream.block_steps();
         if self.sim.holds_step_probe(&uniform, step_len) {
             let mut next = self.sim.first_probe_step(&uniform, step_len);
-            self.feed(|s| s.steps_to(next), stream)?;
+            self.feed(next)?;
             let mut checkpoints = std::mem::take(&mut self.step_checkpoints);
             let delta = self.probe(&mut checkpoints, |cell| {
                 // Leave at least one uniform step to skip.
@@ -463,22 +560,22 @@ impl CellRun<'_> {
                     return Ok(false);
                 }
                 next += 1;
-                cell.feed(|s| s.steps_to(next), stream)
-            })?;
+                cell.feed(next)
+            });
             self.step_checkpoints = checkpoints;
-            if let Some(delta) = delta {
+            if let Some(delta) = delta? {
                 let skipped = uniform.end - next;
-                stream.skip_to(uniform.end)?;
+                self.stream.skip_to(uniform.end)?;
                 self.run.fast_forward(&delta, skipped as u64);
                 self.skipped_steps += skipped as u64;
             }
         }
-        self.feed(|s| s.steps_to(end), stream)?;
+        self.feed(end)?;
         Ok(())
     }
 
-    /// The block-level fast-forward prefix of a cell; returns the first
-    /// register block still to be fed.
+    /// The block-level fast-forward prefix of a cell, leaving the stream's
+    /// cursor at the first register block still to be fed.
     ///
     /// Warm up one stride to move the pipeline off the cold-start
     /// transient, then probe stride by stride. Once a delta is confirmed,
@@ -490,24 +587,24 @@ impl CellRun<'_> {
     /// a ragged first one — is left to the sequential feed. Every block
     /// fed here fast-forwards inside itself too; the stride's delta, the
     /// difference of two cumulative checkpoints, spans those skips.
-    fn fast_forward_prefix(&mut self, plan: SpecPlan) -> Result<usize, SimError> {
+    fn fast_forward_prefix(&mut self, plan: SpecPlan) -> Result<(), Halt> {
         let stride = plan.stride_blocks;
-        self.feed_blocks(0..stride)?;
+        self.feed_blocks_to(stride)?;
         let mut next = stride;
         let delta = self.probe(&mut Default::default(), |cell| {
             if next + stride > plan.uniform_end {
                 return Ok(false);
             }
-            cell.feed_blocks(next..next + stride)?;
             next += stride;
+            cell.feed_blocks_to(next)?;
             Ok(true)
         })?;
         if let Some(delta) = delta {
             let strides = (plan.uniform_end - next) / stride;
             self.run.fast_forward(&delta, strides as u64);
-            next += strides * stride;
+            self.stream.skip_blocks(strides * stride)?;
         }
-        Ok(next)
+        Ok(())
     }
 }
 
@@ -896,6 +993,84 @@ mod tests {
         let deep = sim.run_gemm(GemmShape::new(32, 3072, 32)).unwrap();
         assert!(deep.pipeline.spec_step_forks > 0);
         assert_eq!(deep.pipeline.spec_forks, deep.pipeline.spec_step_forks);
+    }
+
+    #[test]
+    fn recalled_cells_report_what_simulated_cells_report() {
+        // Repeated and near-repeated cells on one simulator walk known
+        // transitions, so they are recalled from its memo; each report,
+        // diagnostics included, is what a fresh simulator computes.
+        let sim = Simulator::new(DesignPoint::rasa_dmdb_wls())
+            .unwrap()
+            .with_matmul_cap(None)
+            .unwrap();
+        for shape in [
+            GemmShape::new(64, 3072, 80),
+            GemmShape::new(64, 3072, 80),
+            GemmShape::new(64, 2048, 80),
+            GemmShape::new(200, 64, 192),
+            GemmShape::new(200, 96, 192),
+        ] {
+            let report = sim.run_gemm(shape).unwrap();
+            let fresh = Simulator::new(DesignPoint::rasa_dmdb_wls())
+                .unwrap()
+                .with_matmul_cap(None)
+                .unwrap()
+                .run_gemm(shape)
+                .unwrap();
+            assert_eq!(report, fresh, "{shape:?}");
+            assert_eq!(
+                (report.sched, report.pipeline),
+                (fresh.sched, fresh.pipeline)
+            );
+        }
+        let memo = sim.memo_stats();
+        assert_eq!((memo.recalls, memo.misses), (2, 3), "{memo:?}");
+    }
+
+    #[test]
+    fn a_changed_kernel_never_recalls_the_old_kernels_transitions() {
+        // A memo serves one machine: clones share it, `--speculation off`
+        // leaves it alone, and a changed kernel or cap starts an empty one,
+        // so nothing recorded under the old kernel is ever recalled.
+        use rasa_trace::{KernelSchemeBuilder, MatmulOrder};
+        let sim = Simulator::new(DesignPoint::rasa_wlbp())
+            .unwrap()
+            .with_matmul_cap(None)
+            .unwrap();
+        let shape = GemmShape::new(64, 3072, 80);
+        sim.run_gemm(shape).unwrap();
+        sim.clone().with_speculation(true).run_gemm(shape).unwrap();
+        sim.clone().with_speculation(false).run_gemm(shape).unwrap();
+        let held = sim.memo_stats();
+        assert!(held.states > 0 && held.transitions > 0);
+        assert_eq!((held.recalls, held.misses), (1, 1), "the clone recalled");
+        let interleaved = KernelSchemeBuilder::new()
+            .with_matmul_order(MatmulOrder::Interleaved)
+            .build()
+            .unwrap();
+        for changed in [
+            sim.clone().with_matmul_cap(Some(64)).unwrap(),
+            sim.clone().with_kernel(interleaved).unwrap(),
+        ] {
+            assert_eq!(changed.memo_stats(), MemoStats::default());
+            let report = changed.run_gemm(shape).unwrap();
+            let memo = changed.memo_stats();
+            assert_eq!((memo.recalls, memo.misses), (0, 1), "{}", changed.kernel());
+            let fresh = Simulator::new(DesignPoint::rasa_wlbp())
+                .unwrap()
+                .with_kernel(*changed.kernel())
+                .unwrap()
+                .with_speculation(false)
+                .run_gemm(shape)
+                .unwrap();
+            assert_eq!((report.cpu, report.sched), (fresh.cpu, fresh.sched));
+        }
+        assert_eq!(
+            sim.memo_stats(),
+            held,
+            "the old machine's memo is untouched"
+        );
     }
 
     #[test]

@@ -435,6 +435,7 @@ fn checked_product(shape: GemmShape, factors: &[usize]) -> Result<usize, TraceEr
 mod tests {
     use super::*;
     use rasa_isa::InstructionKind;
+    use std::collections::HashMap;
 
     #[test]
     fn exact_shape_matmul_count() {
@@ -808,6 +809,7 @@ mod tests {
             GemmShape::new(40, 250, 40),
         ];
         let (mut compared, mut first_column_runs, mut compared_steps) = (0, 0, 0);
+        let (mut compared_pieces, mut shared_pieces) = (0, 0);
         for (m, n) in [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)] {
             for loop_order in [LoopOrder::KInnermost, LoopOrder::NInnermost] {
                 for matmul_order in [MatmulOrder::WeightPaired, MatmulOrder::Interleaved] {
@@ -824,8 +826,15 @@ mod tests {
                         let mut kernel = builder.build().unwrap();
                         kernel.max_matmuls = cap;
                         let g = TraceGenerator::new(IsaConfig::amx_like(), kernel).unwrap();
+                        // Pieces are compared across every shape and cap of
+                        // the block shape, loop order, matmul order and
+                        // scalar model.
+                        let mut pieces = HashMap::new();
                         for shape in shapes {
                             compared_steps += uniform_steps_repeat(&g, shape, strip);
+                            let (cmp, shared) = pieces_repeat(&g, shape, strip, &mut pieces);
+                            compared_pieces += cmp;
+                            shared_pieces += shared;
                             let (period, uniform_end) = g.uniform_blocks(shape).unwrap();
                             assert_eq!(uniform_end % period, 0);
                             assert!(uniform_end <= g.block_count(shape).unwrap());
@@ -872,6 +881,78 @@ mod tests {
             compared_steps > 5_000,
             "only {compared_steps} steps compared"
         );
+        assert!(
+            compared_pieces > 20_000 && shared_pieces > 10_000,
+            "only {compared_pieces} pieces compared, {shared_pieces} across shapes"
+        );
+    }
+
+    /// Checks the premise of the simulator's memo of fed pieces: every
+    /// piece a walk feeds — a whole block, a run of its first steps, one
+    /// step, or the rest of a block after a skip — emits the same
+    /// instructions up to memory addresses (`strip`) as every earlier piece
+    /// with the same [`crate::PieceKey`] in `seen`, which spans the shapes
+    /// and caps of one kernel. Covers the first blocks, the ragged last
+    /// block of the first column, the first block of the last column and
+    /// the last block of the walk. Returns how many pieces it compared, and
+    /// how many of them matched a piece of another shape.
+    fn pieces_repeat(
+        g: &TraceGenerator,
+        shape: GemmShape,
+        strip: fn(rasa_isa::Instruction) -> rasa_isa::Instruction,
+        seen: &mut HashMap<crate::PieceKey, (GemmShape, Vec<rasa_isa::Instruction>)>,
+    ) -> (usize, usize) {
+        let (mt, kt, _) = g.tile_dims(shape).unwrap();
+        let uniform = g.uniform_steps(shape).unwrap();
+        let walk = g.block_count(shape).unwrap();
+        let column = g.kernel().scheme.block.m_blocks(mt);
+        let last_column = (walk - 1) / column * column;
+        let mut blocks = vec![0, 1, column - 1, last_column, walk - 1];
+        blocks.retain(|&block| block < walk);
+        blocks.dedup();
+        // Cuts of one block: its steps up to each cut are fed as one piece,
+        // and `Some(skip)` moves the cursor to step `skip` of the uniform
+        // range first.
+        let mut plans: Vec<Vec<(Option<usize>, usize)>> =
+            vec![vec![(None, kt)], (1..=kt).map(|end| (None, end)).collect()];
+        for head in [2, kt / 2, 9, 11] {
+            if head > 0 && head < kt {
+                plans.push(vec![(None, head), (None, kt)]);
+                if head >= uniform.start && head < uniform.end {
+                    plans.push(vec![(None, head), (Some(uniform.end), kt)]);
+                }
+            }
+        }
+        let (mut compared, mut shared) = (0, 0);
+        for block in blocks {
+            for plan in &plans {
+                let mut stream = g
+                    .gemm_blocks(shape, "pieces", block..block + 1, usize::MAX)
+                    .unwrap();
+                for &(skip, end) in plan {
+                    if let Some(step) = skip {
+                        stream.skip_to(step).unwrap();
+                    }
+                    let key = stream.piece_to(end).unwrap();
+                    let segment = stream.steps_to(end).unwrap().unwrap();
+                    let stripped: Vec<_> =
+                        segment.instructions().iter().copied().map(strip).collect();
+                    let (first, instructions) =
+                        seen.entry(key).or_insert((shape, stripped.clone()));
+                    assert_eq!(
+                        *instructions,
+                        stripped,
+                        "kernel {}, {key:?}: {shape:?} block {block} differs from {first:?}",
+                        g.kernel()
+                    );
+                    compared += 1;
+                    shared += usize::from(*first != shape);
+                }
+                assert_eq!(stream.blocks_remaining(), 0);
+                assert!(stream.piece_to(kt).is_none(), "the walk has finished");
+            }
+        }
+        (compared, shared)
     }
 
     /// Checks that every step of each block's uniform step range emits the

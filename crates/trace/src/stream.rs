@@ -38,6 +38,14 @@
 //! `rasa-sim` does for the steps it fast-forwards. One builder carries the
 //! whole block, so the steps after a skip still validate against the
 //! accumulator and operand loads of the block's first step.
+//!
+//! Every `steps_to` feed has a [`PieceKey`] ([`GemmTraceStream::piece_to`]):
+//! the block's shape in tiles, the number of steps and whether the piece
+//! opens or closes the block. Two feeds with equal keys emit the same
+//! instructions up to memory addresses, whatever block, shape or cap of one
+//! kernel they come from — so `rasa-sim` can recall what feeding a piece did
+//! instead of generating it again, and [`GemmTraceStream::pass_to`] moves
+//! the cursor past a recalled piece without emitting it.
 
 use crate::generator::uniform_step_range;
 use crate::{TraceError, TraceGenerator};
@@ -52,6 +60,28 @@ use std::ops::Range;
 /// largest Table I layer keeps three orders of magnitude less trace
 /// resident than the materialized path.
 pub const DEFAULT_SEGMENT_SIZE: usize = 8192;
+
+/// What one [`GemmTraceStream::steps_to`] feed emits, up to memory
+/// addresses: a run of reduction steps of one register block.
+///
+/// A step emits the block's A and B tile loads, its `rasa_mm`s and its
+/// scalar overhead, all sized by the block's rows and columns; the block's
+/// first step also loads the accumulators, and its last one takes the loop
+/// branch not taken and stores them. Under one kernel, two feeds with equal
+/// keys therefore emit the same instructions once addresses are stripped,
+/// across the blocks of a walk and across shapes and caps.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct PieceKey {
+    /// Row tiles × column tiles of the block (fewer in a ragged edge
+    /// block).
+    pub block: (usize, usize),
+    /// Reduction steps emitted.
+    pub steps: usize,
+    /// Whether the piece starts at the block's first step.
+    pub opens_block: bool,
+    /// Whether the piece ends with the block's last step.
+    pub closes_block: bool,
+}
 
 /// A resumable walk over a GEMM trace's register blocks, emitting bounded
 /// segments in program order. Created by [`TraceGenerator::gemm_blocks`].
@@ -160,12 +190,78 @@ impl GemmTraceStream {
         if self.blocks.is_empty() {
             return 0;
         }
+        let (rows, cols) = self.block_tiles();
+        self.generator.block_step_instructions(rows, cols)
+    }
+
+    /// The index of the cursor's block in the stream's block range (its
+    /// end once the walk has finished).
+    #[must_use]
+    pub const fn cursor_block(&self) -> usize {
+        self.blocks.start
+    }
+
+    /// The key of the piece [`GemmTraceStream::steps_to`] would emit up to
+    /// reduction step `end`, or `None` when it would emit no step.
+    #[must_use]
+    pub fn piece_to(&self, end: usize) -> Option<PieceKey> {
+        let end = end.min(self.dims.1);
+        if self.blocks.is_empty() || end <= self.step {
+            return None;
+        }
+        Some(PieceKey {
+            block: self.block_tiles(),
+            steps: end - self.step,
+            opens_block: self.step == 0,
+            closes_block: end == self.dims.1,
+        })
+    }
+
+    /// Moves the cursor exactly as [`GemmTraceStream::steps_to`] would,
+    /// without emitting the steps. The builder then never sees them: a
+    /// stream that passes the start of a block without its end cannot emit
+    /// the rest of that block, whose steps read the accumulators it would
+    /// have loaded.
+    pub fn pass_to(&mut self, end: usize) {
+        if !self.blocks.is_empty() {
+            self.step = self.step.max(end.min(self.dims.1));
+            if self.step == self.dims.1 {
+                self.blocks.start += 1;
+                self.step = 0;
+            }
+        }
+    }
+
+    /// Moves the cursor from a block boundary past the next `blocks`
+    /// register blocks without emitting them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Stream`] when the cursor is inside a block or
+    /// fewer blocks remain.
+    pub fn skip_blocks(&mut self, blocks: usize) -> Result<(), TraceError> {
+        if self.step != 0 || blocks > self.blocks.len() {
+            return Err(TraceError::Stream {
+                reason: format!(
+                    "cannot skip {blocks} blocks from step {} with {} blocks left",
+                    self.step,
+                    self.blocks.len()
+                ),
+            });
+        }
+        self.blocks.start += blocks;
+        Ok(())
+    }
+
+    /// Row tiles × column tiles of the cursor's block.
+    fn block_tiles(&self) -> (usize, usize) {
         let (mt, _, nt) = self.dims;
         let block = self.generator.kernel().scheme.block;
         let (nb, mb) = self.block();
-        let rows = (mt - block.m * mb).min(block.m);
-        let cols = (nt - block.n * nb).min(block.n);
-        self.generator.block_step_instructions(rows, cols)
+        (
+            (mt - block.m * mb).min(block.m),
+            (nt - block.n * nb).min(block.n),
+        )
     }
 
     /// The cursor's block as `(n-block, m-block)` coordinates.
@@ -564,6 +660,49 @@ mod tests {
         let mut one = g.gemm_blocks(shape, "one", 0..1, 1 << 20).unwrap();
         one.steps_to(8).unwrap();
         assert!(one.skip_to(0).is_err());
+    }
+
+    #[test]
+    fn passed_pieces_and_skipped_blocks_move_the_cursor_like_emitting() {
+        // `piece_to` keys what `steps_to` would emit, `pass_to` moves the
+        // cursor exactly as it would, and `skip_blocks` passes whole blocks
+        // from a boundary; emitting resumes on the walk's own instructions.
+        let g = TraceGenerator::amx_like();
+        let shape = GemmShape::new(40, 250, 40);
+        let full = g.gemm(shape, "full").unwrap();
+        let mut stream = whole(&g, shape, "pass", 1 << 20).unwrap();
+        let head = PieceKey {
+            block: (2, 2),
+            steps: 3,
+            opens_block: true,
+            closes_block: false,
+        };
+        assert_eq!(stream.piece_to(3), Some(head));
+        let block = 4 + 8 * 12 + 4;
+        assert_eq!(stream.steps_to(3).unwrap().unwrap().len(), 4 + 3 * 12);
+        stream.pass_to(8);
+        assert_eq!(stream.cursor_block(), 1);
+        // Block 1 is the ragged one-row block of the first column.
+        let edge = stream.piece_to(8).unwrap();
+        assert_eq!(
+            (edge.block, edge.steps, edge.opens_block, edge.closes_block),
+            ((1, 2), 8, true, true)
+        );
+        assert!(stream.skip_blocks(1).is_ok());
+        assert_eq!(stream.cursor_block(), 2);
+        stream.steps_to(1).unwrap();
+        assert!(stream.skip_blocks(1).is_err(), "not at a block boundary");
+        stream.pass_to(8);
+        assert!(stream.skip_blocks(2).is_err(), "past the end of the walk");
+        let last = stream.next_segment().unwrap().unwrap();
+        assert!(stream.next_segment().unwrap().is_none());
+        // The two edge blocks before it: 2 accumulators, 8 steps of 9.
+        let edge_len = 2 + 8 * 9 + 2;
+        assert_eq!(
+            last.instructions(),
+            &full.instructions()[block + 2 * edge_len..]
+        );
+        assert_eq!(stream.piece_to(8), None, "the walk has finished");
     }
 
     #[test]

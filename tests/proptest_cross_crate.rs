@@ -264,7 +264,7 @@ proptest! {
         // Byte-identity with the legacy string rendering, at every cap.
         let legacy = job.semantic_key(cap);
         let interned = job.cell_key(cap);
-        prop_assert_eq!(interned.as_str(), legacy.as_str());
+        prop_assert_eq!(interned.text(), legacy.as_str());
         prop_assert_eq!(interned.to_string(), legacy.as_str());
 
         // The precomputed hash is the routing point of the text, so a
@@ -278,6 +278,14 @@ proptest! {
         prop_assert_eq!(again.hash64(), interned.hash64());
         let perturbed = CellKey::new(format!("{legacy}|x"));
         prop_assert_ne!(&perturbed, &interned);
+
+        // A runner's key shares its machine's text but is the same key.
+        let runner = ExperimentRunner::builder().with_matmul_cap(cap).build().unwrap();
+        let shared = runner.job_key(&SimJob::new(job.design.clone(), job.workload.clone()));
+        let default_kernel = SimJob::new(job.design.clone(), job.workload.clone()).cell_key(cap);
+        prop_assert_eq!(shared.text(), default_kernel.text());
+        prop_assert_eq!(shared.hash64(), default_kernel.hash64());
+        prop_assert_eq!(&runner.job_key(&job), &interned);
     }
 
     /// Functional correctness of the systolic array holds for random
@@ -403,5 +411,106 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
         skipped_steps * 4 >= CASES / 2 * 3,
         "only {skipped_steps} of {} deep cases skipped reduction steps",
         CASES / 2
+    );
+}
+
+/// The memo of simulated transitions: one serial runner, whose cell cache
+/// holds a single cell (so repeats reach the memo, not the cache), runs a
+/// seeded sequence of layers on BASELINE and RASA-DMDB-WLS. A quarter are
+/// fresh shapes — deep ones (K in the low thousands, so blocks fast-forward
+/// their reduction steps) and shallow ones (whole-block pieces), ragged in
+/// M and N — and the rest revisit an earlier case: exactly, with another K
+/// in the same range, or with M or N moved by a few rows. Half of the cases
+/// run uncapped, half under a capped kernel override. Every report must be
+/// what fresh simulators compute: `cpu` and `sched` a sequential
+/// (`--speculation off`) run's, `pipeline` a fast-forwarded run's on an
+/// empty memo. At least half the cells must be recalled whole and at least
+/// one must miss midway and replay, so the property cannot hold vacuously.
+#[test]
+fn recalled_cells_match_fresh_sequential_and_fast_forwarded_runs() {
+    const CASES: usize = 64;
+    let mut rng =
+        proptest::rng_for("recalled_cells_match_fresh_sequential_and_fast_forwarded_runs");
+    let runner = ExperimentRunner::builder()
+        .with_matmul_cap(None)
+        .with_cache_capacity(1)
+        .serial()
+        .build()
+        .unwrap();
+    let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
+    let mut cases: Vec<(usize, GemmShape, Option<usize>)> = Vec::new();
+    for case in 0..CASES {
+        let deep = |rng: &mut proptest::TestRng| (1000usize..4000).sample(rng);
+        let (design, shape, cap) = if case % 4 == 0 || cases.is_empty() {
+            let shape = if any::<bool>().sample(&mut rng) {
+                GemmShape::new(
+                    (1usize..100).sample(&mut rng),
+                    deep(&mut rng),
+                    (1usize..100).sample(&mut rng),
+                )
+            } else {
+                GemmShape::new(
+                    (1usize..400).sample(&mut rng),
+                    (1usize..130).sample(&mut rng),
+                    (1usize..400).sample(&mut rng),
+                )
+            };
+            let cap = any::<bool>().sample(&mut rng).then_some(1500);
+            ((0usize..2).sample(&mut rng), shape, cap)
+        } else {
+            let (design, mut shape, cap) = cases[(0..cases.len()).sample(&mut rng)];
+            match (0u8..3).sample(&mut rng) {
+                0 => {}
+                1 if shape.k >= 1000 => shape.k = deep(&mut rng),
+                _ => {
+                    let moved = (1usize..17).sample(&mut rng);
+                    if any::<bool>().sample(&mut rng) {
+                        shape.m += moved;
+                    } else {
+                        shape.n += moved;
+                    }
+                }
+            }
+            (design, shape, cap)
+        };
+        cases.push((design, shape, cap));
+        let layer = LayerSpec::fc(format!("case{case}"), shape.m, shape.k, shape.n);
+        let mut job = SimJob::new(designs[design].clone(), layer.clone());
+        if let Some(cap) = cap {
+            job = job.with_kernel(GemmKernelConfig::default().with_max_matmuls(cap));
+        }
+        let what = format!(
+            "case {case}: {} on {shape:?}, cap {cap:?}",
+            designs[design].name()
+        );
+        let report = runner.run_job(&job).unwrap();
+        let fresh = Simulator::new(designs[design].clone())
+            .unwrap()
+            .with_kernel(job.resolved_kernel(None))
+            .unwrap();
+        let sequential = fresh
+            .clone()
+            .with_speculation(false)
+            .run_layer(&layer)
+            .unwrap();
+        let fast = fresh.run_layer(&layer).unwrap();
+        assert_eq!(report.cpu, sequential.cpu, "{what}");
+        assert_eq!(report.sched, sequential.sched, "{what}");
+        assert_eq!(report.pipeline, fast.pipeline, "{what}");
+        assert_eq!(*report, fast, "{what}");
+    }
+    let (machines, memo) = runner.memo_stats();
+    assert_eq!(machines, 4, "two designs, uncapped and capped");
+    // A repeat of the case just before it is the one cell the cache holds.
+    let walked = memo.recalls + memo.misses;
+    assert_eq!(walked + runner.cache_stats().hits, CASES as u64);
+    assert!(
+        memo.recalls * 2 >= walked,
+        "only {} of {walked} cells recalled whole",
+        memo.recalls
+    );
+    assert!(
+        memo.midway_misses >= 1,
+        "no cell missed midway and replayed"
     );
 }
