@@ -4,8 +4,9 @@
 //! Binds a frame server (see `docs/WIRE_PROTOCOL.md`) and forwards every
 //! request to the home shard of its route key (the design name and the
 //! lowered shape the client sent), with dead-shard failover
-//! (see [`rasa_sim::net::Router`]). Its event-loop workers bound the
-//! requests in flight; the rest wait in the loop's queue. Shard backends
+//! (see [`rasa_sim::net::Router`]). Its follower threads, each relaying
+//! the request it read, bound the requests in flight; the rest wait in
+//! their sockets. Shard backends
 //! are passed as repeated `--shard ADDR` flags in shard-id order. The
 //! router holds no shard configuration: the matmul cap is the shards'
 //! business alone.

@@ -2,7 +2,7 @@
 //!
 //! Wraps a [`rasa_sim::serve::GemmServer`] (all eight paper designs) in a
 //! [`rasa_sim::net::ShardServer`], which simulates each request on the
-//! event-loop worker that decoded it (one worker per available core). It
+//! follower thread that read it (one follower per available core). It
 //! runs until stdin reaches EOF, so a parent process that spawned it with
 //! a piped stdin stops it by closing the pipe (or by dying — the pipe
 //! closes either way, so no orphaned worker outlives the harness).

@@ -268,9 +268,9 @@ impl std::iter::Sum for MemoStats {
 }
 
 /// The transitions one machine has already simulated: what feeding a piece
-/// from a given boundary did. See the [module docs](self) for why a recalled
-/// transition is exact, and [`SpeculativeRun`] for the runs that record and
-/// recall them.
+/// from a given boundary did. See the module docs of `rasa_cpu::spec` for
+/// why a recalled transition is exact, and [`SpeculativeRun`] for the runs
+/// that record and recall them.
 ///
 /// The memo is shared by reference between concurrent runs of its machine;
 /// its lock recovers from a panic by clearing the memo, which only ever

@@ -1,32 +1,36 @@
 //! The frame-server front end shared by [`ShardServer`] and [`Router`]:
-//! one event-loop thread multiplexing every connection over non-blocking
-//! sockets, plus a worker pool, sized by its owner, answering each inbound
-//! frame through a [`FrameHandler`].
+//! a fixed set of follower threads, sized by the owner, sharing one
+//! readiness poller over non-blocking sockets. The follower that takes a
+//! connection's event owns the connection until it re-arms it: it reads
+//! what arrived, answers each complete frame through the owner's
+//! [`FrameHandler`] on its own thread, writes the replies and re-arms. A
+//! frame is answered on the thread that read it, with no hand-off.
 //!
-//! On Linux the loop blocks in `epoll_wait` (via the hand-rolled bindings
-//! in [`crate::net::sys`]); elsewhere it falls back to a portable
-//! level-triggered tick that attempts non-blocking I/O on every registered
-//! socket. Both paths share all connection logic:
+//! On Linux every follower waits in one `epoll` instance (via the
+//! hand-rolled bindings in [`crate::net::sys`]) for one event at a time,
+//! and every socket, the listener included, is registered `EPOLLONESHOT`:
+//! an event goes to one follower, and its socket stays disarmed until
+//! that follower re-arms it. Elsewhere a portable fallback keeps the
+//! tokens of the armed sockets in a queue that followers take round-robin,
+//! trying non-blocking I/O, and ticks after a pass that moved nothing.
+//! Both pollers share one service path:
 //!
 //! - Each connection owns a [`FrameDecoder`], so partial header or payload
-//!   bytes survive across readiness events — a slow writer straddling a
-//!   poll timeout mid-frame cannot desync the framing.
-//! - Replies accumulate in a per-connection write buffer and drain as the
-//!   socket accepts them; the buffer is bounded, and a connection that
+//!   bytes survive across readiness events — a slow writer straddling
+//!   wake-ups mid-frame cannot desync the framing.
+//! - Frames are answered in order, one connection's by one follower at a
+//!   time, which preserves the wire protocol's request/response lockstep.
+//!   Replies accumulate in a per-connection write buffer and drain as the
+//!   socket accepts them. The buffer is bounded: a connection that
 //!   backlogs past the bound (or pipelines more than [`PENDING_LIMIT`]
-//!   frames) has its read interest dropped until it drains — backpressure
-//!   instead of unbounded memory.
-//! - Complete frames are handed to the worker pool; exactly one frame per
-//!   connection is in flight at a time, which preserves the wire
-//!   protocol's request/response lockstep. Replies return to the loop via
-//!   a channel and a wakeup.
-//! - A handler that panics is contained at the worker boundary: its frame
-//!   is answered with an `internal` error frame (id 0) and the worker
-//!   keeps serving, so the connection never waits on a reply that will
-//!   not come.
+//!   frames) is not read until it drains — backpressure instead of
+//!   unbounded memory.
+//! - A handler that panics is contained: its frame is answered with an
+//!   `internal` error frame (id 0) and the follower keeps serving, so the
+//!   connection never waits on a reply that will not come.
 //!
-//! The loop never blocks on a socket and workers never touch sockets, so
-//! one slow or dead peer cannot stall any other connection.
+//! No follower ever blocks on a socket, so one slow or dead peer holds no
+//! follower; only a handler holds one, for as long as it runs.
 //!
 //! [`ShardServer`]: crate::net::ShardServer
 //! [`Router`]: crate::net::Router
@@ -41,7 +45,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread;
 use std::time::Duration;
 
@@ -52,26 +56,21 @@ use std::os::unix::io::AsRawFd;
 #[cfg(target_os = "linux")]
 use std::os::unix::net::UnixStream;
 
-/// How long one `epoll_wait` blocks before re-checking the shutdown flag.
-#[cfg(target_os = "linux")]
-const POLL_TIMEOUT_MS: i32 = 50;
-
-/// The portable fallback's tick: the loop sleeps at most this long (in
-/// the completion channel's `recv_timeout`) before re-scanning every
-/// socket. Short enough to keep reply latency low without epoll.
+/// The portable fallback's tick: a follower whose pass over every armed
+/// socket moved nothing sleeps this long before the next pass.
 const FALLBACK_TICK: Duration = Duration::from_millis(2);
 
-/// Size of the shared read scratch buffer — one read burst per readiness
-/// event lands here before being fed to the connection's decoder.
-const READ_CHUNK: usize = 64 * 1024;
+/// Size of each follower's read buffer, on its own stack: one read lands
+/// here before being fed to the connection's decoder.
+const READ_CHUNK: usize = 8 * 1024;
 
-/// Maximum decoded-but-undispatched frames per connection before its read
-/// interest is dropped (a lockstep client keeps this at ≤ 1; only a
-/// pipelining or misbehaving peer ever approaches the bound).
+/// Maximum decoded-but-unanswered frames per connection before it is no
+/// longer read (a lockstep client keeps this at ≤ 1; only a pipelining or
+/// misbehaving peer ever approaches the bound).
 const PENDING_LIMIT: usize = 64;
 
-/// Maximum buffered unsent reply bytes per connection before its read
-/// interest is dropped: one maximum frame plus framing headroom.
+/// Maximum buffered unsent reply bytes per connection before it is no
+/// longer read or answered: one maximum frame plus framing headroom.
 const WRITE_BACKLOG_LIMIT: usize = MAX_FRAME_LEN + 64;
 
 /// Accept-queue depth of every listener. `TcpListener::bind` listens with
@@ -81,26 +80,55 @@ const WRITE_BACKLOG_LIMIT: usize = MAX_FRAME_LEN + 64;
 #[cfg(target_os = "linux")]
 const LISTEN_BACKLOG: i32 = 1024;
 
-/// Epoll token of the accept socket.
+/// Token of the accept socket.
 const LISTENER_TOKEN: u64 = u64::MAX;
-/// Epoll token of the waker's read end.
-const WAKER_TOKEN: u64 = u64::MAX - 1;
+/// Epoll token of the shutdown signal's read end.
+#[cfg(target_os = "linux")]
+const SHUTDOWN_TOKEN: u64 = u64::MAX - 1;
 
-/// Abstract interest bit: the loop wants to read from the connection.
+/// Abstract interest bit: the connection can take more frames.
 const WANT_READ: u32 = 0b01;
-/// Abstract interest bit: the loop has unsent bytes for the connection.
+/// Abstract interest bit: the connection has unsent bytes.
 const WANT_WRITE: u32 = 0b10;
 
-/// Packs a slab index and its generation into an epoll token.
+/// Packs a slab index and its generation into a token.
 const fn token(index: usize, generation: u32) -> u64 {
     ((generation as u64) << 32) | (index as u64)
+}
+
+/// Splits a token into its slab index and generation.
+const fn untoken(token: u64) -> (usize, u32) {
+    ((token & u32::MAX as u64) as usize, (token >> 32) as u32)
+}
+
+/// What a socket is armed by: its descriptor under epoll; the fallback
+/// arms by token alone.
+#[cfg(target_os = "linux")]
+type Fd = std::os::unix::io::RawFd;
+#[cfg(not(target_os = "linux"))]
+struct Fd;
+
+#[cfg(target_os = "linux")]
+fn fd(socket: &impl AsRawFd) -> Fd {
+    socket.as_raw_fd()
+}
+
+#[cfg(not(target_os = "linux"))]
+fn fd<T>(_: &T) -> Fd {
+    Fd
+}
+
+/// Locks a mutex, recovering it from a holder that panicked: every update
+/// under these locks leaves the data valid.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The frame→frame request handler a server plugs into the loop.
 pub(crate) type FrameHandler = Arc<dyn Fn(&Frame) -> Frame + Send + Sync>;
 
 /// Runs the handler on one frame, turning a panic into an `internal`
-/// error frame so the worker thread survives it.
+/// error frame so the follower survives it.
 fn answer_contained(handler: &FrameHandler, frame: &Frame) -> Frame {
     panic::catch_unwind(AssertUnwindSafe(|| handler(frame))).unwrap_or_else(|payload| {
         let cause = payload
@@ -114,92 +142,46 @@ fn answer_contained(handler: &FrameHandler, frame: &Frame) -> Frame {
     })
 }
 
-/// A complete request frame handed to the worker pool.
-struct Work {
-    index: usize,
-    generation: u32,
-    frame: Frame,
+/// What one service pass did to a connection.
+#[derive(PartialEq, Eq)]
+enum Served {
+    /// Bytes moved or frames were answered: re-arm.
+    Progress,
+    /// Nothing was ready: re-arm.
+    Idle,
+    /// The peer left, the transport failed, or a closing connection
+    /// drained: close.
+    Close,
 }
 
-/// A handler reply returning to the loop.
-struct Done {
-    index: usize,
-    generation: u32,
-    reply: Frame,
-}
-
-/// Wakes the loop out of its readiness wait when a worker finishes.
-struct Waker {
-    inner: WakerInner,
-}
-
-enum WakerInner {
-    /// One byte written to a socketpair registered in epoll.
-    #[cfg(target_os = "linux")]
-    Socket(UnixStream),
-    /// The fallback loop ticks on its own; no wakeup needed.
-    Tick,
-}
-
-impl Waker {
-    fn wake(&self) {
-        match &self.inner {
-            #[cfg(target_os = "linux")]
-            WakerInner::Socket(stream) => {
-                // A full pipe means a wakeup is already pending — ignore.
-                let _ = (&*stream).write(&[1u8][..]);
-            }
-            WakerInner::Tick => {}
-        }
-    }
-}
-
-/// The readiness source: epoll on Linux, a plain tick elsewhere (or when
-/// the fallback is forced for testing).
-enum Poller {
-    #[cfg(target_os = "linux")]
-    Epoll(EpollPoller),
-    Fallback,
-}
-
-#[cfg(target_os = "linux")]
-struct EpollPoller {
-    epoll: sys::Epoll,
-    /// Read end of the waker socketpair, drained on [`WAKER_TOKEN`].
-    waker_read: UnixStream,
-}
-
-/// One registered connection.
+/// One registered connection. Only the follower that took its event
+/// touches it, until that follower re-arms it.
 struct Conn {
     stream: TcpStream,
-    generation: u32,
     /// Incremental decoder — partial frames survive across events.
     decoder: FrameDecoder,
-    /// Decoded frames waiting for a worker slot.
+    /// Decoded frames not answered yet.
     pending: VecDeque<Frame>,
-    /// Whether a frame is currently with the worker pool.
-    inflight: bool,
     /// Unsent reply bytes (drained from `out_pos`).
     out: Vec<u8>,
     out_pos: usize,
-    /// Set after a protocol violation: stop reading, flush, then close.
+    /// The error frame owed for a framing violation, sent after the
+    /// replies to every frame decoded before it.
+    violation: Option<Frame>,
+    /// Set after a framing violation: stop reading, flush, then close.
     closing: bool,
-    /// The interest mask currently registered with the poller.
-    registered: u32,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, generation: u32) -> Conn {
+    fn new(stream: TcpStream) -> Conn {
         Conn {
             stream,
-            generation,
             decoder: FrameDecoder::new(),
             pending: VecDeque::new(),
-            inflight: false,
             out: Vec::new(),
             out_pos: 0,
+            violation: None,
             closing: false,
-            registered: WANT_READ,
         }
     }
 
@@ -212,8 +194,92 @@ impl Conn {
         self.out.len() - self.out_pos
     }
 
-    fn has_backlog(&self) -> bool {
-        self.out_pos < self.out.len()
+    /// One service pass, the path both pollers share: read a burst, then
+    /// answer the pending frames in order while flushes keep the write
+    /// backlog under its bound.
+    fn serve(&mut self, handler: &FrameHandler, scratch: &mut [u8]) -> Served {
+        let io = prof::time(Stage::NetIo);
+        let Some(mut moved) = self.read_burst(scratch) else {
+            return Served::Close;
+        };
+        drop(io);
+        loop {
+            while self.backlog() < WRITE_BACKLOG_LIMIT {
+                let Some(reply) = self
+                    .pending
+                    .pop_front()
+                    .map(|frame| answer_contained(handler, &frame))
+                    .or_else(|| self.violation.take())
+                else {
+                    break;
+                };
+                reply.append_to(&mut self.out);
+                moved += 1;
+            }
+            let _io = prof::time(Stage::NetIo);
+            let backlog = self.backlog();
+            if !self.try_flush() {
+                return Served::Close;
+            }
+            moved += backlog - self.backlog();
+            let owed = !self.pending.is_empty() || self.violation.is_some();
+            if !owed || self.backlog() >= WRITE_BACKLOG_LIMIT {
+                break;
+            }
+        }
+        if self.closing && self.wanted_interest() == 0 {
+            Served::Close
+        } else if moved > 0 {
+            Served::Progress
+        } else {
+            Served::Idle
+        }
+    }
+
+    /// Reads until the socket would block, a short read, or backpressure,
+    /// feeding the decoder. Returns how many bytes arrived, or `None` once
+    /// the peer has closed or the transport failed.
+    fn read_burst(&mut self, scratch: &mut [u8]) -> Option<usize> {
+        let mut total = 0;
+        while !self.closing && !self.paused() {
+            match self.stream.read(scratch) {
+                Ok(0) => return None,
+                Ok(n) => {
+                    total += n;
+                    self.ingest(&scratch[..n]);
+                    if n < scratch.len() {
+                        // A short read usually means the socket is drained;
+                        // the re-armed socket is ready again if it is not.
+                        break;
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(_) => return None,
+            }
+        }
+        Some(total)
+    }
+
+    /// Feeds fresh bytes to the decoder, queueing complete frames. A
+    /// framing violation queues its error reply and ends reading for good.
+    fn ingest(&mut self, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            match self.decoder.feed(bytes) {
+                Ok((used, frame)) => {
+                    self.pending.extend(frame);
+                    bytes = &bytes[used..];
+                }
+                Err(error) => {
+                    // After a framing violation the stream cannot be
+                    // resynced: answer what came before it, then close.
+                    let failure = WireFailure::new(0, ErrorCode::BadRequest, error.to_string());
+                    self.violation = Some(Frame::json(FrameKind::Error, &failure.to_json()));
+                    self.closing = true;
+                    return;
+                }
+            }
+        }
     }
 
     /// Writes as much buffered output as the socket accepts right now.
@@ -236,13 +302,15 @@ impl Conn {
         true
     }
 
-    /// The interest mask the connection's state calls for.
+    /// The interest the connection's state calls for. Empty only for a
+    /// closing connection that has sent everything: one that is paused,
+    /// or closing with replies still owed, has a full write backlog.
     fn wanted_interest(&self) -> u32 {
         let mut want = 0;
         if !self.closing && !self.paused() {
             want |= WANT_READ;
         }
-        if self.has_backlog() {
+        if self.backlog() > 0 {
             want |= WANT_WRITE;
         }
         want
@@ -250,53 +318,48 @@ impl Conn {
 }
 
 /// Generation-checked connection storage: slots are reused, tokens are
-/// not — a stale epoll event or worker reply for a closed connection
-/// fails its generation check and is dropped.
+/// not — a stale token for a closed connection fails its generation check.
+/// Its lock is held only to look up, insert or remove a connection, never
+/// while one is served.
+#[derive(Default)]
 struct Slab {
-    slots: Vec<Option<Conn>>,
+    slots: Vec<Option<(u32, Arc<Mutex<Conn>>)>>,
     free: Vec<usize>,
     next_generation: u32,
 }
 
 impl Slab {
-    fn new() -> Slab {
-        Slab {
-            slots: Vec::new(),
-            free: Vec::new(),
-            next_generation: 0,
-        }
-    }
-
-    fn insert(&mut self, stream: TcpStream) -> (usize, u32) {
+    fn insert(&mut self, stream: TcpStream) -> u64 {
         let generation = self.next_generation;
-        self.next_generation = self.next_generation.wrapping_add(1);
-        let conn = Conn::new(stream, generation);
-        match self.free.pop() {
-            Some(index) => {
-                self.slots[index] = Some(conn);
-                (index, generation)
-            }
-            None => {
-                self.slots.push(Some(conn));
-                (self.slots.len() - 1, generation)
-            }
+        self.next_generation = generation.wrapping_add(1);
+        let entry = Some((generation, Arc::new(Mutex::new(Conn::new(stream)))));
+        let index = if let Some(index) = self.free.pop() {
+            self.slots[index] = entry;
+            index
+        } else {
+            self.slots.push(entry);
+            self.slots.len() - 1
+        };
+        token(index, generation)
+    }
+
+    fn get(&self, token: u64) -> Option<Arc<Mutex<Conn>>> {
+        let (index, generation) = untoken(token);
+        match self.slots.get(index) {
+            Some(Some((live, conn))) if *live == generation => Some(Arc::clone(conn)),
+            _ => None,
         }
     }
 
-    fn get_mut(&mut self, index: usize) -> Option<&mut Conn> {
-        self.slots.get_mut(index).and_then(Option::as_mut)
-    }
-
-    fn remove(&mut self, index: usize) -> Option<Conn> {
-        let conn = self.slots.get_mut(index).and_then(Option::take);
-        if conn.is_some() {
+    /// Forgets a connection; returns whether the token was live.
+    fn remove(&mut self, token: u64) -> bool {
+        let (index, generation) = untoken(token);
+        let live = matches!(self.slots.get(index), Some(Some((g, _))) if *g == generation);
+        if live {
+            self.slots[index] = None;
             self.free.push(index);
         }
-        conn
-    }
-
-    fn slot_count(&self) -> usize {
-        self.slots.len()
+        live
     }
 }
 
@@ -312,125 +375,238 @@ fn listen(addr: &str) -> Result<TcpListener, NetError> {
     Ok(listener)
 }
 
-/// A bound readiness-based frame server: the event-loop thread, its
-/// worker pool, and the shared shutdown machinery.
-pub(crate) struct EventLoop {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    waker: Arc<Waker>,
-    loop_thread: Option<thread::JoinHandle<()>>,
-    workers: Vec<thread::JoinHandle<()>>,
-    open_connections: Arc<AtomicUsize>,
+/// How a follower gets its next armed socket.
+enum Poller {
+    /// One epoll instance that every follower waits in.
+    #[cfg(target_os = "linux")]
+    Epoll {
+        epoll: sys::Epoll,
+        /// The shutdown signal. Its read end is registered level-triggered
+        /// and never drained, so one byte written here wakes every
+        /// follower.
+        signal: UnixStream,
+        _signalled: UnixStream,
+    },
+    /// The portable fallback: the tokens of the armed sockets, taken
+    /// round-robin.
+    Fallback(Mutex<VecDeque<u64>>),
 }
 
-impl EventLoop {
-    /// Binds `addr` and starts the loop thread plus `worker_count` handler
-    /// threads (at least one, or no frame is ever answered). With
-    /// `force_fallback` the portable tick poller is used even where epoll
-    /// is available (exercised in tests so the fallback stays honest).
-    pub(crate) fn bind(
-        addr: &str,
-        name: &str,
-        handler: FrameHandler,
-        worker_count: usize,
-        force_fallback: bool,
-    ) -> Result<EventLoop, NetError> {
-        let listener = listen(addr)?;
-        listener.set_nonblocking(true).map_err(NetError::from)?;
-        let local = listener.local_addr().map_err(NetError::from)?;
-
-        let (poller, waker) = Self::build_poller(force_fallback)?;
-        #[cfg(target_os = "linux")]
-        if let Poller::Epoll(ep) = &poller {
-            ep.epoll
-                .add(listener.as_raw_fd(), LISTENER_TOKEN, sys::EPOLLIN)
-                .map_err(NetError::from)?;
-        }
-
-        let shutdown = Arc::new(AtomicBool::new(false));
-        let open_connections = Arc::new(AtomicUsize::new(0));
-        let (work_tx, work_rx) = mpsc::channel::<Work>();
-        let (done_tx, done_rx) = mpsc::channel::<Done>();
-        let work_rx = Arc::new(Mutex::new(work_rx));
-
-        let mut workers = Vec::with_capacity(worker_count);
-        for i in 0..worker_count {
-            let rx = Arc::clone(&work_rx);
-            let tx = done_tx.clone();
-            let worker_handler = Arc::clone(&handler);
-            let worker_waker = Arc::clone(&waker);
-            let handle = thread::Builder::new()
-                .name(format!("{name}-worker-{i}"))
-                .spawn(move || loop {
-                    let work = {
-                        let Ok(guard) = rx.lock() else { break };
-                        guard.recv()
-                    };
-                    let Ok(work) = work else { break };
-                    let done = Done {
-                        index: work.index,
-                        generation: work.generation,
-                        reply: answer_contained(&worker_handler, &work.frame),
-                    };
-                    if tx.send(done).is_err() {
-                        break;
-                    }
-                    worker_waker.wake();
-                })
-                .map_err(NetError::from)?;
-            workers.push(handle);
-        }
-        drop(done_tx);
-
-        let state = LoopState {
-            listener,
-            poller,
-            slab: Slab::new(),
-            scratch: vec![0u8; READ_CHUNK],
-            work_tx,
-            open_connections: Arc::clone(&open_connections),
-        };
-        let loop_shutdown = Arc::clone(&shutdown);
-        let loop_thread = thread::Builder::new()
-            .name(format!("{name}-loop"))
-            .spawn(move || run(state, &loop_shutdown, &done_rx))
-            .map_err(NetError::from)?;
-
-        Ok(EventLoop {
-            addr: local,
-            shutdown,
-            waker,
-            loop_thread: Some(loop_thread),
-            workers,
-            open_connections,
-        })
-    }
-
-    fn build_poller(force_fallback: bool) -> Result<(Poller, Arc<Waker>), NetError> {
+impl Poller {
+    fn new(force_fallback: bool) -> io::Result<Poller> {
         #[cfg(target_os = "linux")]
         if !force_fallback {
             if let Ok(epoll) = sys::Epoll::new() {
-                let (waker_read, waker_write) = UnixStream::pair().map_err(NetError::from)?;
-                waker_read.set_nonblocking(true).map_err(NetError::from)?;
-                waker_write.set_nonblocking(true).map_err(NetError::from)?;
-                epoll
-                    .add(waker_read.as_raw_fd(), WAKER_TOKEN, sys::EPOLLIN)
-                    .map_err(NetError::from)?;
-                let poller = Poller::Epoll(EpollPoller { epoll, waker_read });
-                let waker = Arc::new(Waker {
-                    inner: WakerInner::Socket(waker_write),
+                let (signal, signalled) = UnixStream::pair()?;
+                epoll.add(signalled.as_raw_fd(), SHUTDOWN_TOKEN, sys::EPOLLIN)?;
+                return Ok(Poller::Epoll {
+                    epoll,
+                    signal,
+                    _signalled: signalled,
                 });
-                return Ok((poller, waker));
             }
         }
         #[cfg(not(target_os = "linux"))]
         let _ = force_fallback;
-        Ok((
-            Poller::Fallback,
-            Arc::new(Waker {
-                inner: WakerInner::Tick,
-            }),
-        ))
+        Ok(Poller::Fallback(Mutex::default()))
+    }
+}
+
+/// Everything the followers share. Dropping it closes the listener, the
+/// poller and every connection.
+struct Shared {
+    listener: TcpListener,
+    poller: Poller,
+    slab: Mutex<Slab>,
+    handler: FrameHandler,
+    shutdown: AtomicBool,
+    open_connections: AtomicUsize,
+}
+
+impl Shared {
+    /// A follower's life: take the next armed socket, serve it, and
+    /// repeat until shutdown.
+    fn follow(&self) {
+        let mut scratch = [0u8; READ_CHUNK];
+        let mut fruitless = 0;
+        while !self.shutdown.load(Ordering::SeqCst) {
+            match &self.poller {
+                #[cfg(target_os = "linux")]
+                Poller::Epoll { epoll, .. } => {
+                    // One event at a time: a follower never holds another
+                    // socket's event while it runs a handler.
+                    let mut event = [sys::EpollEvent::zeroed()];
+                    let poll = prof::time(Stage::NetPoll);
+                    let ready = epoll.wait(&mut event, -1);
+                    drop(poll);
+                    let token = event[0].data;
+                    match ready {
+                        Ok(1) if token != SHUTDOWN_TOKEN => {
+                            self.take(token, &mut scratch);
+                        }
+                        Ok(_) => {}
+                        // A failing wait would otherwise spin; back off.
+                        Err(_) => thread::sleep(Duration::from_millis(1)),
+                    }
+                }
+                Poller::Fallback(armed) => {
+                    let (next, count) = {
+                        let mut armed = lock(armed);
+                        (armed.pop_front(), armed.len() + 1)
+                    };
+                    let progress = next.is_some_and(|token| self.take(token, &mut scratch));
+                    fruitless = if progress { 0 } else { fruitless + 1 };
+                    if fruitless >= count {
+                        fruitless = 0;
+                        let _poll = prof::time(Stage::NetPoll);
+                        thread::sleep(FALLBACK_TICK);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Handles the event of one armed socket, which this follower now
+    /// owns, and re-arms it. Returns whether anything moved.
+    fn take(&self, token: u64, scratch: &mut [u8]) -> bool {
+        if token != LISTENER_TOKEN {
+            return self.serve(token, scratch);
+        }
+        let accepted = self.accept_burst();
+        // A listener that cannot be re-armed accepts nothing more, and
+        // nothing here could mend it.
+        let _ = self.arm(LISTENER_TOKEN, fd(&self.listener), WANT_READ, false);
+        accepted > 0
+    }
+
+    /// Accepts until the listener would block, arming each new connection
+    /// for its first frame. Returns how many were accepted.
+    fn accept_burst(&self) -> usize {
+        let _io = prof::time(Stage::NetIo);
+        let mut accepted = 0;
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    if stream.set_nonblocking(true).is_err() {
+                        continue;
+                    }
+                    let fd = fd(&stream);
+                    let token = lock(&self.slab).insert(stream);
+                    self.open_connections.fetch_add(1, Ordering::SeqCst);
+                    if self.arm(token, fd, WANT_READ, true).is_err() {
+                        self.close(token);
+                    }
+                    accepted += 1;
+                }
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                // WouldBlock, or a failure the next readiness retries.
+                Err(_) => return accepted,
+            }
+        }
+    }
+
+    /// Serves one connection, then re-arms or closes it. Returns whether
+    /// anything moved.
+    fn serve(&self, token: u64, scratch: &mut [u8]) -> bool {
+        let Some(entry) = lock(&self.slab).get(token) else {
+            return false;
+        };
+        let mut conn = lock(&entry);
+        let served = conn.serve(&self.handler, scratch);
+        let rearmed = served != Served::Close
+            && self
+                .arm(token, fd(&conn.stream), conn.wanted_interest(), false)
+                .is_ok();
+        drop(conn);
+        if !rearmed {
+            self.close(token);
+        }
+        served == Served::Progress
+    }
+
+    /// Arms one socket for its next event: under epoll one-shot, with
+    /// `interest` (registering the socket first when `fresh`); on the
+    /// fallback, back into the queue.
+    #[cfg_attr(not(target_os = "linux"), allow(unused_variables))]
+    fn arm(&self, token: u64, fd: Fd, interest: u32, fresh: bool) -> io::Result<()> {
+        match &self.poller {
+            #[cfg(target_os = "linux")]
+            Poller::Epoll { epoll, .. } => {
+                let mut bits = sys::EPOLLONESHOT;
+                if interest & WANT_READ != 0 {
+                    bits |= sys::EPOLLIN;
+                }
+                if interest & WANT_WRITE != 0 {
+                    bits |= sys::EPOLLOUT;
+                }
+                if fresh {
+                    epoll.add(fd, token, bits)
+                } else {
+                    epoll.modify(fd, token, bits)
+                }
+            }
+            Poller::Fallback(armed) => {
+                lock(armed).push_back(token);
+                Ok(())
+            }
+        }
+    }
+
+    /// Forgets one connection. Its socket closes, which also deregisters
+    /// it from epoll, once the last reference drops.
+    fn close(&self, token: u64) {
+        if lock(&self.slab).remove(token) {
+            self.open_connections.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+}
+
+/// A bound frame server: its followers and what they share.
+pub(crate) struct EventLoop {
+    addr: SocketAddr,
+    shared: Arc<Shared>,
+    followers: Vec<thread::JoinHandle<()>>,
+}
+
+impl EventLoop {
+    /// Binds `addr` and starts `followers` threads (at least one, or no
+    /// frame is ever answered). With `force_fallback` the portable poller
+    /// is used even where epoll is available (exercised in tests so the
+    /// fallback stays honest).
+    pub(crate) fn bind(
+        addr: &str,
+        name: &str,
+        handler: FrameHandler,
+        followers: usize,
+        force_fallback: bool,
+    ) -> Result<EventLoop, NetError> {
+        let listener = listen(addr)?;
+        listener.set_nonblocking(true).map_err(NetError::from)?;
+        let shared = Arc::new(Shared {
+            poller: Poller::new(force_fallback).map_err(NetError::from)?,
+            listener,
+            slab: Mutex::default(),
+            handler,
+            shutdown: AtomicBool::new(false),
+            open_connections: AtomicUsize::new(0),
+        });
+        shared
+            .arm(LISTENER_TOKEN, fd(&shared.listener), WANT_READ, true)
+            .map_err(NetError::from)?;
+        let mut server = EventLoop {
+            addr: shared.listener.local_addr().map_err(NetError::from)?,
+            shared,
+            followers: Vec::with_capacity(followers),
+        };
+        for i in 0..followers {
+            let shared = Arc::clone(&server.shared);
+            let follower = thread::Builder::new()
+                .name(format!("{name}-{i}"))
+                .spawn(move || shared.follow())
+                .map_err(NetError::from)?;
+            server.followers.push(follower);
+        }
+        Ok(server)
     }
 
     /// The bound address (with the resolved port when binding port 0).
@@ -438,24 +614,24 @@ impl EventLoop {
         self.addr
     }
 
-    /// How many connections the loop currently holds open. (Read by the
+    /// How many connections the server currently holds open. (Read by the
     /// tests; production callers observe connection counts from the
     /// client side.)
     #[cfg_attr(not(test), allow(dead_code))]
     pub(crate) fn open_connections(&self) -> usize {
-        self.open_connections.load(Ordering::SeqCst)
+        self.shared.open_connections.load(Ordering::SeqCst)
     }
 
-    /// Stops the loop and joins every thread. Idempotent; dropping the
-    /// loop calls it too.
+    /// Stops every follower and joins it. Idempotent; dropping the server
+    /// calls it too, then closes the listener and every connection.
     pub(crate) fn stop_and_join(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-        self.waker.wake();
-        if let Some(handle) = self.loop_thread.take() {
-            let _ = handle.join();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        #[cfg(target_os = "linux")]
+        if let Poller::Epoll { signal, .. } = &self.shared.poller {
+            let _ = (&*signal).write(&[1u8][..]);
         }
-        for handle in self.workers.drain(..) {
-            let _ = handle.join();
+        for follower in self.followers.drain(..) {
+            let _ = follower.join();
         }
     }
 }
@@ -463,360 +639,6 @@ impl EventLoop {
 impl Drop for EventLoop {
     fn drop(&mut self) {
         self.stop_and_join();
-    }
-}
-
-/// Everything the loop thread owns. Dropping it (on loop exit) closes
-/// every connection, the listener, and the work channel — which is what
-/// tells the workers to exit.
-struct LoopState {
-    listener: TcpListener,
-    poller: Poller,
-    slab: Slab,
-    scratch: Vec<u8>,
-    work_tx: mpsc::Sender<Work>,
-    open_connections: Arc<AtomicUsize>,
-}
-
-fn run(mut state: LoopState, shutdown: &AtomicBool, done_rx: &mpsc::Receiver<Done>) {
-    #[cfg(target_os = "linux")]
-    let mut events = vec![sys::EpollEvent::zeroed(); 256];
-    while !shutdown.load(Ordering::SeqCst) {
-        // Absorb every finished handler reply first: completions unblock
-        // dispatch slots and un-pause backpressured connections.
-        while let Ok(done) = done_rx.try_recv() {
-            state.complete(done);
-        }
-        if shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        #[cfg(target_os = "linux")]
-        if matches!(state.poller, Poller::Epoll(_)) {
-            let n = state.wait_events(&mut events);
-            let io_work = prof::time(Stage::NetIo);
-            for event in &events[..n] {
-                let (bits, tok) = (event.events, event.data);
-                if tok == LISTENER_TOKEN {
-                    state.accept_burst();
-                } else if tok == WAKER_TOKEN {
-                    state.drain_waker();
-                } else {
-                    let index = (tok & u64::from(u32::MAX)) as usize;
-                    let generation = (tok >> 32) as u32;
-                    let hangup = bits & (sys::EPOLLERR | sys::EPOLLHUP) != 0;
-                    let readable = bits & (sys::EPOLLIN | sys::EPOLLERR | sys::EPOLLHUP) != 0;
-                    let writable = bits & sys::EPOLLOUT != 0;
-                    state.service(index, generation, readable, writable, hangup);
-                }
-            }
-            drop(io_work);
-            continue;
-        }
-        // Portable fallback: block briefly on the completion channel (the
-        // tick doubles as the poll timeout), then scan every socket.
-        let poll = prof::time(Stage::NetPoll);
-        let first = done_rx.recv_timeout(FALLBACK_TICK);
-        drop(poll);
-        if let Ok(done) = first {
-            state.complete(done);
-            while let Ok(done) = done_rx.try_recv() {
-                state.complete(done);
-            }
-        }
-        let io_work = prof::time(Stage::NetIo);
-        state.scan_all();
-        drop(io_work);
-    }
-}
-
-impl LoopState {
-    /// Blocks in `epoll_wait` for up to [`POLL_TIMEOUT_MS`].
-    #[cfg(target_os = "linux")]
-    fn wait_events(&mut self, events: &mut [sys::EpollEvent]) -> usize {
-        let Poller::Epoll(ep) = &self.poller else {
-            return 0;
-        };
-        let poll = prof::time(Stage::NetPoll);
-        match ep.epoll.wait(events, POLL_TIMEOUT_MS) {
-            Ok(n) => n,
-            Err(_) => {
-                // A failing wait would otherwise spin; back off briefly.
-                drop(poll);
-                thread::sleep(Duration::from_millis(1));
-                0
-            }
-        }
-    }
-
-    /// Drains the waker socketpair so it can signal again.
-    fn drain_waker(&mut self) {
-        #[cfg(target_os = "linux")]
-        if let Poller::Epoll(ep) = &self.poller {
-            let mut buf = [0u8; 64];
-            while matches!((&ep.waker_read).read(&mut buf), Ok(n) if n > 0) {}
-        }
-    }
-
-    /// Accepts until the listener would block.
-    fn accept_burst(&mut self) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    let (index, generation) = self.slab.insert(stream);
-                    self.open_connections.fetch_add(1, Ordering::SeqCst);
-                    #[cfg(target_os = "linux")]
-                    if let Poller::Epoll(ep) = &self.poller {
-                        let conn = self.slab.get_mut(index).expect("just inserted");
-                        if ep
-                            .epoll
-                            .add(
-                                conn.stream.as_raw_fd(),
-                                token(index, generation),
-                                sys::EPOLLIN,
-                            )
-                            .is_err()
-                        {
-                            self.close(index);
-                        }
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Handles one readiness event for a connection, generation-checked.
-    fn service(
-        &mut self,
-        index: usize,
-        generation: u32,
-        readable: bool,
-        writable: bool,
-        hangup: bool,
-    ) {
-        {
-            let Some(conn) = self.slab.get_mut(index) else {
-                return;
-            };
-            if conn.generation != generation {
-                return;
-            }
-            // A hung-up peer that can make no read progress (reads paused
-            // or already closing) would re-fire forever: close it now.
-            if hangup && (conn.closing || conn.paused()) {
-                self.close(index);
-                return;
-            }
-        }
-        if readable {
-            self.read_burst(index);
-        }
-        if readable || writable {
-            self.flush_and_settle(index);
-        }
-    }
-
-    /// Reads until the socket would block, feeding the decoder and
-    /// dispatching complete frames. Stops early under backpressure.
-    fn read_burst(&mut self, index: usize) {
-        loop {
-            enum Outcome {
-                Close,
-                Stop,
-                Progress(usize),
-            }
-            let outcome = {
-                let Some(conn) = self.slab.get_mut(index) else {
-                    return;
-                };
-                if conn.closing || conn.paused() {
-                    Outcome::Stop
-                } else {
-                    match conn.stream.read(&mut self.scratch) {
-                        Ok(0) => Outcome::Close,
-                        Ok(n) => Outcome::Progress(n),
-                        Err(e) if e.kind() == io::ErrorKind::WouldBlock => Outcome::Stop,
-                        Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                        Err(_) => Outcome::Close,
-                    }
-                }
-            };
-            match outcome {
-                Outcome::Close => {
-                    self.close(index);
-                    return;
-                }
-                Outcome::Stop => return,
-                Outcome::Progress(n) => {
-                    self.ingest(index, n);
-                    if n < self.scratch.len() {
-                        // A short read usually means the socket is drained;
-                        // level-triggered polling re-fires if it is not.
-                        return;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Feeds `n` fresh scratch bytes to the connection's decoder, queueing
-    /// complete frames and answering protocol violations with an error
-    /// frame before flagging the connection for close.
-    fn ingest(&mut self, index: usize, n: usize) {
-        let mut off = 0;
-        while off < n {
-            let step = {
-                let Some(conn) = self.slab.get_mut(index) else {
-                    return;
-                };
-                match conn.decoder.feed(&self.scratch[off..n]) {
-                    Ok((used, frame)) => {
-                        if let Some(frame) = frame {
-                            conn.pending.push_back(frame);
-                        }
-                        Ok(used)
-                    }
-                    Err(error) => Err(error),
-                }
-            };
-            match step {
-                Ok(used) => off += used,
-                Err(error) => {
-                    // After a framing violation the stream cannot be
-                    // resynced: answer what can be answered, then close
-                    // once queued work and the write buffer drain.
-                    let Some(conn) = self.slab.get_mut(index) else {
-                        return;
-                    };
-                    let failure = WireFailure::new(0, ErrorCode::BadRequest, error.to_string());
-                    Frame::json(FrameKind::Error, &failure.to_json()).append_to(&mut conn.out);
-                    conn.closing = true;
-                    break;
-                }
-            }
-        }
-        self.dispatch(index);
-    }
-
-    /// Hands the next pending frame to the worker pool if the
-    /// connection's single in-flight slot is free.
-    fn dispatch(&mut self, index: usize) {
-        let Some(conn) = self.slab.get_mut(index) else {
-            return;
-        };
-        if conn.inflight {
-            return;
-        }
-        let Some(frame) = conn.pending.pop_front() else {
-            return;
-        };
-        conn.inflight = true;
-        let generation = conn.generation;
-        let _ = self.work_tx.send(Work {
-            index,
-            generation,
-            frame,
-        });
-    }
-
-    /// Applies a worker's reply: queue the encoded reply, free the
-    /// in-flight slot, dispatch the next frame.
-    fn complete(&mut self, done: Done) {
-        {
-            let Some(conn) = self.slab.get_mut(done.index) else {
-                return;
-            };
-            if conn.generation != done.generation {
-                return;
-            }
-            done.reply.append_to(&mut conn.out);
-            conn.inflight = false;
-        }
-        self.dispatch(done.index);
-        self.flush_and_settle(done.index);
-    }
-
-    /// Flushes what the socket accepts, closes drained closing
-    /// connections, and reconciles the registered interest mask.
-    fn flush_and_settle(&mut self, index: usize) {
-        let flushed = {
-            let Some(conn) = self.slab.get_mut(index) else {
-                return;
-            };
-            conn.try_flush()
-        };
-        if !flushed {
-            self.close(index);
-            return;
-        }
-        let finished = {
-            let Some(conn) = self.slab.get_mut(index) else {
-                return;
-            };
-            conn.closing && !conn.inflight && conn.pending.is_empty() && !conn.has_backlog()
-        };
-        if finished {
-            self.close(index);
-            return;
-        }
-        self.update_interest(index);
-    }
-
-    /// Re-registers the connection when its wanted interest mask changed
-    /// (read dropped under backpressure, write added for a backlog).
-    fn update_interest(&mut self, index: usize) {
-        let Some(conn) = self.slab.get_mut(index) else {
-            return;
-        };
-        let want = conn.wanted_interest();
-        if want == conn.registered {
-            return;
-        }
-        conn.registered = want;
-        #[cfg(target_os = "linux")]
-        {
-            let mut bits = 0;
-            if want & WANT_READ != 0 {
-                bits |= sys::EPOLLIN;
-            }
-            if want & WANT_WRITE != 0 {
-                bits |= sys::EPOLLOUT;
-            }
-            let generation = conn.generation;
-            let fd = conn.stream.as_raw_fd();
-            if let Poller::Epoll(ep) = &self.poller {
-                let _ = ep.epoll.modify(fd, token(index, generation), bits);
-            }
-        }
-    }
-
-    /// Removes and closes one connection.
-    fn close(&mut self, index: usize) {
-        if let Some(conn) = self.slab.remove(index) {
-            #[cfg(target_os = "linux")]
-            if let Poller::Epoll(ep) = &self.poller {
-                let _ = ep.epoll.delete(conn.stream.as_raw_fd());
-            }
-            self.open_connections.fetch_sub(1, Ordering::SeqCst);
-            drop(conn);
-        }
-    }
-
-    /// Fallback path: accept, then attempt I/O on every live connection.
-    fn scan_all(&mut self) {
-        self.accept_burst();
-        for index in 0..self.slab.slot_count() {
-            if self.slab.get_mut(index).is_none() {
-                continue;
-            }
-            self.read_burst(index);
-            self.flush_and_settle(index);
-        }
     }
 }
 
@@ -844,6 +666,16 @@ mod tests {
     /// Both pollers: epoll (where available) and the forced portable
     /// fallback, the only transport off Linux.
     const FORCE_FALLBACK: [bool; 2] = [false, true];
+
+    /// A client connection whose reads fail after 10 s instead of
+    /// hanging on a reply that will not come.
+    fn connect(addr: SocketAddr) -> TcpStream {
+        let stream = TcpStream::connect(addr).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        stream
+    }
 
     #[test]
     fn listener_queues_a_burst_of_connects() {
@@ -879,8 +711,8 @@ mod tests {
         }
     }
 
-    /// A handler panic is contained at the worker boundary: the frame gets
-    /// an `internal` error reply and the one worker keeps serving the same
+    /// A handler panic is contained in the follower: the frame gets an
+    /// `internal` error reply and the one follower keeps serving the same
     /// connection.
     #[test]
     fn handler_panics_become_internal_errors() {
@@ -922,11 +754,12 @@ mod tests {
         }
     }
 
-    /// The mid-frame desync regression: one frame written a byte at a time
-    /// with gaps well past the 50 ms epoll timeout, placed to straddle the
-    /// length prefix, the kind byte and the payload. The decoder keeps
-    /// every partial byte across wakeups, so the reply is correct and the
-    /// connection stays in sync.
+    /// The mid-frame desync regression: one frame written a byte at a time,
+    /// with 70 ms gaps (far past the fallback's tick) placed to straddle
+    /// the length prefix, the kind byte and the payload, so the frame
+    /// arrives over several wake-ups. The decoder keeps every partial byte
+    /// across them, so the reply is correct and the connection stays in
+    /// sync.
     #[test]
     fn slow_writers_straddling_poll_timeouts_do_not_desync() {
         for fallback in FORCE_FALLBACK {
@@ -937,7 +770,7 @@ mod tests {
             let bytes = frame.encode();
             // Gaps after the 2nd byte (mid length prefix), the 5th byte
             // (between version and kind) and the 8th byte (mid payload):
-            // every gap exceeds the poll timeout.
+            // every gap exceeds the fallback's tick.
             for (at, byte) in bytes.iter().enumerate() {
                 stream.write_all(std::slice::from_ref(byte)).unwrap();
                 stream.flush().unwrap();
@@ -959,19 +792,25 @@ mod tests {
         }
     }
 
-    /// A corrupt frame gets an error-frame answer, then the connection is
-    /// closed.
+    /// A corrupt frame gets an error-frame answer after the replies to the
+    /// frames before it, then the connection is closed.
     #[test]
     fn event_loop_answers_corrupt_frames_then_closes() {
         for fallback in FORCE_FALLBACK {
             let mut server =
                 EventLoop::bind("127.0.0.1:0", "test-corrupt", echo_handler(), 2, fallback)
                     .unwrap();
-            let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-            // A frame with a bad version byte.
-            let mut bytes = request_frame("{}").encode();
-            bytes[4] = 9;
+            let mut stream = connect(server.local_addr());
+            // A good frame, then one with a bad version byte, in one write.
+            let good = request_frame("{\"before\":1}");
+            let mut bytes = good.encode();
+            let mut corrupt = request_frame("{}").encode();
+            corrupt[4] = 9;
+            bytes.extend_from_slice(&corrupt);
             stream.write_all(&bytes).unwrap();
+            // Replies keep request order: the good frame's answer first.
+            let reply = Frame::read_from(&mut stream).unwrap();
+            assert_eq!(reply.payload, good.payload, "fallback {fallback}");
             let reply = Frame::read_from(&mut stream).unwrap();
             assert_eq!(reply.kind, FrameKind::Error, "fallback {fallback}");
             // ... then EOF: the server closed the connection.
@@ -982,8 +821,8 @@ mod tests {
         }
     }
 
-    /// The event loop serves many concurrent connections from one thread;
-    /// open_connections tracks the population and returns to zero.
+    /// Two followers serve many more open connections; open_connections
+    /// tracks the population and returns to zero.
     #[test]
     fn event_loop_counts_open_connections() {
         for fallback in FORCE_FALLBACK {
@@ -1002,13 +841,219 @@ mod tests {
             }
             assert_eq!(server.open_connections(), 20, "fallback {fallback}");
             drop(streams);
-            // The loop notices the EOFs within a few poll intervals.
+            // The followers notice the EOFs within a few wake-ups.
             let deadline = std::time::Instant::now() + Duration::from_secs(5);
             while server.open_connections() > 0 && std::time::Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(10));
             }
             assert_eq!(server.open_connections(), 0, "fallback {fallback}");
             server.stop_and_join();
+        }
+    }
+
+    /// Lockstep under concurrency: eight connections, started together
+    /// by a barrier, each send 50 frames to a handler that sleeps about a
+    /// millisecond, and each gets exactly its own replies, in order.
+    #[test]
+    fn concurrent_lockstep_connections_get_their_own_replies_in_order() {
+        const CONNECTIONS: usize = 8;
+        let handler: FrameHandler = Arc::new(|frame: &Frame| {
+            thread::sleep(Duration::from_millis(1));
+            Frame {
+                kind: FrameKind::Response,
+                payload: frame.payload.clone(),
+            }
+        });
+        for fallback in FORCE_FALLBACK {
+            let mut server = EventLoop::bind(
+                "127.0.0.1:0",
+                "test-lockstep",
+                Arc::clone(&handler),
+                2,
+                fallback,
+            )
+            .unwrap();
+            let addr = server.local_addr();
+            let start = std::sync::Barrier::new(CONNECTIONS);
+            thread::scope(|scope| {
+                for conn in 0..CONNECTIONS {
+                    let start = &start;
+                    scope.spawn(move || {
+                        let mut stream = connect(addr);
+                        start.wait();
+                        for seq in 0..50 {
+                            let frame =
+                                request_frame(&format!("{{\"conn\":{conn},\"seq\":{seq}}}"));
+                            frame.write_to(&mut stream).unwrap();
+                            let reply = Frame::read_from(&mut stream).unwrap();
+                            assert_eq!(reply.payload, frame.payload, "fallback {fallback}");
+                        }
+                    });
+                }
+            });
+            server.stop_and_join();
+        }
+    }
+
+    /// A pipelining peer: 100 frames of about 1 KiB in one write span
+    /// many reads, so reading stops at `PENDING_LIMIT` and resumes once
+    /// the pending frames are answered. Every reply arrives, in order.
+    #[test]
+    fn pipelined_frames_past_the_pending_limit_are_answered_in_order() {
+        const FRAMES: usize = 100;
+        const _: () = assert!(FRAMES > PENDING_LIMIT);
+        for fallback in FORCE_FALLBACK {
+            let mut server =
+                EventLoop::bind("127.0.0.1:0", "test-pipeline", echo_handler(), 1, fallback)
+                    .unwrap();
+            let mut stream = connect(server.local_addr());
+            let frames: Vec<Frame> = (0..FRAMES)
+                .map(|i| request_frame(&format!("{i:01024}")))
+                .collect();
+            let mut burst = Vec::new();
+            for frame in &frames {
+                frame.append_to(&mut burst);
+            }
+            stream.write_all(&burst).unwrap();
+            for frame in &frames {
+                let reply = Frame::read_from(&mut stream).unwrap();
+                assert_eq!(reply.kind, FrameKind::Response, "fallback {fallback}");
+                assert_eq!(reply.payload, frame.payload, "fallback {fallback}");
+            }
+            server.stop_and_join();
+        }
+    }
+
+    /// A peer that pipelines requests for 24 MiB of replies and reads none
+    /// fills its socket and the write backlog bound. The one follower is
+    /// not held by it: another connection is still answered, and the slow
+    /// peer gets every reply, in order, once it reads.
+    #[test]
+    fn a_slow_reader_holds_no_follower() {
+        const REPLY_LEN: usize = 1024 * 1024;
+        const REQUESTS: usize = 24;
+        let handler: FrameHandler = Arc::new(|frame: &Frame| {
+            let mut payload = frame.payload.clone();
+            if payload.starts_with(b"big") {
+                payload.resize(REPLY_LEN, b'.');
+            }
+            Frame {
+                kind: FrameKind::Response,
+                payload,
+            }
+        });
+        for fallback in FORCE_FALLBACK {
+            let mut server = EventLoop::bind(
+                "127.0.0.1:0",
+                "test-slow-reader",
+                Arc::clone(&handler),
+                1,
+                fallback,
+            )
+            .unwrap();
+            let mut slow = connect(server.local_addr());
+            let mut burst = Vec::new();
+            for i in 0..REQUESTS {
+                request_frame(&format!("big{i:03}")).append_to(&mut burst);
+            }
+            slow.write_all(&burst).unwrap();
+
+            let mut other = connect(server.local_addr());
+            for i in 0..3 {
+                let frame = request_frame(&format!("{{\"other\":{i}}}"));
+                frame.write_to(&mut other).unwrap();
+                let reply = Frame::read_from(&mut other).unwrap();
+                assert_eq!(reply.payload, frame.payload, "fallback {fallback}");
+            }
+
+            for i in 0..REQUESTS {
+                let reply = Frame::read_from(&mut slow).unwrap();
+                assert_eq!(reply.payload.len(), REPLY_LEN, "fallback {fallback}");
+                assert!(reply.payload.starts_with(format!("big{i:03}").as_bytes()));
+            }
+            server.stop_and_join();
+        }
+    }
+
+    /// A follower held in a handler answers nothing else, but no wake-up
+    /// is lost: with one follower, a frame on another connection is
+    /// answered once the follower is free; with two, while the first is
+    /// still held.
+    #[test]
+    fn busy_followers_lose_no_wakeups() {
+        use std::sync::mpsc;
+        let wait = Duration::from_secs(10);
+        // Longer than any read's timeout, so a follower still held shows
+        // up as a failed read, not as a late answer.
+        let give_up = 3 * wait;
+        for fallback in FORCE_FALLBACK {
+            for followers in [1, 2] {
+                // The handler reports that it holds a follower, then waits
+                // for the test's release (or gives up, so a failing test
+                // cannot wedge the server's shutdown).
+                let (entered, held_now) = mpsc::channel();
+                let (release, released) = mpsc::channel::<()>();
+                let released = Mutex::new(released);
+                let handler: FrameHandler = Arc::new(move |frame: &Frame| {
+                    if frame.payload == b"hold" {
+                        entered.send(()).unwrap();
+                        let _ = lock(&released).recv_timeout(give_up);
+                    }
+                    Frame {
+                        kind: FrameKind::Response,
+                        payload: frame.payload.clone(),
+                    }
+                });
+                let mut server =
+                    EventLoop::bind("127.0.0.1:0", "test-busy", handler, followers, fallback)
+                        .unwrap();
+                let mut held = connect(server.local_addr());
+                let mut other = connect(server.local_addr());
+                request_frame("hold").write_to(&mut held).unwrap();
+                held_now.recv_timeout(wait).unwrap();
+                let next = request_frame("next");
+                next.write_to(&mut other).unwrap();
+                let context = format!("fallback {fallback}, {followers} follower(s)");
+                if followers == 1 {
+                    other
+                        .set_read_timeout(Some(Duration::from_millis(100)))
+                        .unwrap();
+                    assert!(Frame::read_from(&mut other).is_err(), "{context}");
+                    release.send(()).unwrap();
+                    other.set_read_timeout(Some(wait)).unwrap();
+                }
+                let reply = Frame::read_from(&mut other).unwrap();
+                assert_eq!(reply.payload, next.payload, "{context}");
+                if followers == 2 {
+                    release.send(()).unwrap();
+                }
+                assert_eq!(Frame::read_from(&mut held).unwrap().payload, b"hold");
+                server.stop_and_join();
+            }
+        }
+    }
+
+    /// Idle open connections do not hold shutdown: every follower wakes
+    /// and exits at once.
+    #[test]
+    fn stop_and_join_is_prompt_with_idle_connections_open() {
+        for fallback in FORCE_FALLBACK {
+            let mut server =
+                EventLoop::bind("127.0.0.1:0", "test-stop", echo_handler(), 4, fallback).unwrap();
+            let mut used = connect(server.local_addr());
+            request_frame("{}").write_to(&mut used).unwrap();
+            Frame::read_from(&mut used).unwrap();
+            let _silent = connect(server.local_addr());
+            // Stop on another thread, so a follower that never wakes fails
+            // the test instead of hanging it.
+            let (stopped, done) = std::sync::mpsc::channel();
+            let stopper = thread::spawn(move || {
+                server.stop_and_join();
+                stopped.send(()).unwrap();
+            });
+            done.recv_timeout(Duration::from_secs(1))
+                .unwrap_or_else(|_| panic!("fallback {fallback}: stop_and_join took over 1 s"));
+            stopper.join().unwrap();
         }
     }
 }

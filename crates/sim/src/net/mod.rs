@@ -13,34 +13,36 @@
 //!   request's route key, so repeated shapes always land where the LRU
 //!   cell cache is already warm.
 //! - [`shard`] — [`ShardServer`]: one TCP worker wrapping a `GemmServer`
-//!   behind the shared event-loop frame server, simulating on the loop's
-//!   workers.
+//!   behind the shared frame server, simulating on the follower that read
+//!   the request.
 //! - [`router`] — [`Router`]: rendezvous routing across N shards with
 //!   dead-shard failover (a stale pooled connection is redialled once
 //!   before a shard counts as dead). It relays bytes: a request frame
 //!   goes to the shard unchanged, and the shard's reply comes back
 //!   unchanged once its kind and id check out. It routes on the request
-//!   alone and holds no shard configuration. A bound router's event-loop workers are the
-//!   tier's admission control: requests beyond them wait in the loop's
-//!   queue.
+//!   alone and holds no shard configuration. A bound router's followers
+//!   are the tier's admission control: requests beyond them wait in their
+//!   sockets.
 //! - [`client`] — [`NetClient`]: a blocking client library with bounded
 //!   retry/backoff and endpoint rotation. It and the library router decode
 //!   replies with one decoder, [`WireResponse::from_reply`].
 //!
-//! Servers run on a **readiness-based event loop**: one thread multiplexes
-//! every connection over non-blocking sockets (a hand-rolled epoll binding
-//! on Linux, a portable level-triggered poll fallback elsewhere), each
-//! connection carrying an incremental [`wire::FrameDecoder`] so partial
-//! frames survive across readiness events, with complete frames dispatched
-//! to a worker pool whose size the owning server picks and whose handler
-//! panics become `internal` error frames. There is no async runtime and no
-//! new dependency — the crate keeps its zero-dependency stance. Responses
+//! Servers answer each frame on the thread that reads it: a fixed set of
+//! **follower threads**, sized by the owning server, shares one readiness
+//! poller over non-blocking sockets (a hand-rolled one-shot epoll binding
+//! on Linux, a portable poll fallback elsewhere). The follower that takes
+//! a connection's event reads it, runs the handler, writes the reply and
+//! re-arms the connection. Each connection carries an incremental
+//! [`wire::FrameDecoder`], so partial frames survive across readiness
+//! events, and handler panics become `internal` error frames. There is no
+//! async runtime and no new dependency — the crate keeps its
+//! zero-dependency stance. Responses
 //! carry full [`SimReport`](crate::SimReport)s whose JSON is
 //! byte-identical to what the same job produces in process
 //! (`tests/net_wire.rs` proves it).
 //!
 //! See `docs/ARCHITECTURE.md` for where this tier sits in the crate map
-//! (including the transport section: event loop, buffer lifecycle,
+//! (including the transport section: followers, buffer lifecycle,
 //! fallback matrix) and `docs/WIRE_PROTOCOL.md` for the byte-level frame
 //! spec.
 

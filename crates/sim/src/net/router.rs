@@ -18,11 +18,12 @@
 //! [`Router::health`] probes every shard, dead ones included, and a shard
 //! that answers with its health is alive again.
 //!
-//! A bound router's admission control is its event loop: a fixed set of
-//! workers relays requests, each connection has one frame in flight, and
-//! excess requests wait in the loop's queue. A relaying worker blocks on
-//! its shard round trip, so a stalled shard parks every worker that
-//! reaches it; exchanges have no deadline yet.
+//! A bound router's admission control is its set of followers: each
+//! reads a client's request and relays it itself, each connection has one
+//! frame in flight, and requests beyond the followers wait in their
+//! sockets. A relaying follower blocks on its shard round trip, so a
+//! stalled shard parks every follower that reaches it; exchanges have no
+//! deadline yet.
 //!
 //! The router relays bytes. It decodes a client's request only to compute
 //! its route key, forwards the request frame unchanged, and returns the
@@ -618,9 +619,9 @@ impl RouterCore {
     }
 }
 
-/// The event-loop workers of a bound router: twice the core count,
-/// clamped to 8–32. Handlers block on shard round trips rather than
-/// compute, so the router runs more workers than cores.
+/// The followers of a bound router: twice the core count, clamped to
+/// 8–32. Handlers block on shard round trips rather than compute, so the
+/// router runs more followers than cores.
 fn bound_workers() -> usize {
     thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32))
 }
@@ -1375,9 +1376,9 @@ mod tests {
         }
     }
 
-    /// The router's workers are its admission control: three times as many
-    /// concurrent clients as a bound router has workers, all on one shard,
-    /// wait in the event loop's queue and every one gets its Response.
+    /// The router's followers are its admission control: three times as
+    /// many concurrent clients as a bound router has followers, all on one
+    /// shard, wait in their sockets and every one gets its Response.
     #[test]
     fn bound_router_queues_excess_clients_on_its_workers() {
         let (shards, addrs) = spawn_shards(1);

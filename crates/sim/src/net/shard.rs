@@ -1,13 +1,13 @@
-//! One TCP shard worker: a [`GemmServer`] behind the event-loop frame
-//! server.
+//! One TCP shard worker: a [`GemmServer`] behind the shared frame server.
 //!
-//! A [`ShardServer`] binds a listener, multiplexes every connection on one
-//! event-loop thread, and answers each decoded request frame with a
-//! [`GemmServer::submit`] call on the loop worker that decoded it: one hop,
-//! no further queue. The loop runs one worker per available core, because
-//! its handlers simulate. The server's bounded LRU cell cache is what
-//! makes a shard "warm": the router keeps sending the same route keys
-//! here, and they keep hitting this shard's cache.
+//! A [`ShardServer`] binds a listener and runs one follower thread per
+//! available core, because its handlers simulate. The follower that reads
+//! a request frame answers it with a [`GemmServer::submit`] call and
+//! writes the reply itself: no queue and no other thread between the
+//! socket and the simulation. Frames that arrive while every follower is
+//! busy wait in their sockets. The server's bounded LRU cell cache is
+//! what makes a shard "warm": the router keeps sending the same route
+//! keys here, and they keep hitting this shard's cache.
 //!
 //! The `rasa-shardd` binary is a thin wrapper over this type.
 
@@ -42,8 +42,8 @@ struct ShardShared {
 }
 
 /// A running TCP shard worker. Dropping it (or calling
-/// [`shutdown`](ShardServer::shutdown)) stops the event loop and joins its
-/// threads.
+/// [`shutdown`](ShardServer::shutdown)) stops its followers and joins
+/// them.
 pub struct ShardServer {
     shared: Arc<ShardShared>,
     server: EventLoop,
@@ -111,8 +111,8 @@ impl ShardServer {
         self.shared.health()
     }
 
-    /// Stops accepting and joins the event loop's threads (the explicit
-    /// form of drop).
+    /// Stops accepting and joins the followers (the explicit form of
+    /// drop).
     pub fn shutdown(mut self) {
         self.server.stop_and_join();
     }
@@ -309,7 +309,7 @@ mod tests {
             let failure = WireFailure::from_json(&reply.payload_json().unwrap()).unwrap();
             assert_eq!(failure.code, ErrorCode::BadRequest, "{}", failure.message);
             assert!(failure.message.contains(what), "{}", failure.message);
-            // The worker survived and the connection is still in sync.
+            // The follower survived and the connection is still in sync.
             let reply = request_over(&mut conn, &Frame::health_probe());
             assert_eq!(reply.kind, FrameKind::Health);
         }

@@ -1,17 +1,17 @@
-//! Hand-rolled Linux `epoll` and `listen` bindings for the readiness event
-//! loop.
+//! Hand-rolled Linux `epoll` and `listen` bindings for the followers of
+//! the frame server.
 //!
 //! The crate takes no dependencies, so the bindings are direct
 //! `extern "C"` declarations against the C library that is already linked
 //! into every Rust binary — no `libc` crate, no new vendored stand-in.
-//! Only the five calls the event loop needs are declared
+//! Only the five calls the frame server needs are declared
 //! (`epoll_create1`, `epoll_ctl`, `epoll_wait`, `close`, `listen`): the
 //! first four wrapped in a safe [`Epoll`] type that owns the instance fd,
 //! the last in [`listen`].
 //!
 //! Everything here is Linux-only; other platforms use the portable
-//! level-triggered poll fallback in `net::event_loop`, which needs no
-//! syscall bindings at all.
+//! poll fallback in `net::event_loop`, which needs no syscall bindings at
+//! all.
 
 #![cfg(target_os = "linux")]
 
@@ -23,13 +23,11 @@ use std::os::unix::io::RawFd;
 pub(crate) const EPOLLIN: u32 = 0x001;
 /// Readiness flag: the fd can accept writes without blocking.
 pub(crate) const EPOLLOUT: u32 = 0x004;
-/// Readiness flag: the fd is in an error state.
-pub(crate) const EPOLLERR: u32 = 0x008;
-/// Readiness flag: the peer hung up.
-pub(crate) const EPOLLHUP: u32 = 0x010;
+/// Registration flag: deliver one event, then disarm the fd until
+/// `EPOLL_CTL_MOD` re-arms it.
+pub(crate) const EPOLLONESHOT: u32 = 1 << 30;
 
 const EPOLL_CTL_ADD: c_int = 1;
-const EPOLL_CTL_DEL: c_int = 2;
 const EPOLL_CTL_MOD: c_int = 3;
 const EPOLL_CLOEXEC: c_int = 0o2000000;
 
@@ -100,13 +98,6 @@ impl Epoll {
     /// Replaces the interest mask of an already registered `fd`.
     pub(crate) fn modify(&self, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
         self.ctl(EPOLL_CTL_MOD, fd, token, interest)
-    }
-
-    /// Deregisters `fd`. Safe to call on an fd that is about to close.
-    pub(crate) fn delete(&self, fd: RawFd) -> io::Result<()> {
-        // Pre-2.6.9 kernels required a non-null event for DEL; passing one
-        // keeps the call portable across anything still running.
-        self.ctl(EPOLL_CTL_DEL, fd, 0, 0)
     }
 
     fn ctl(&self, op: c_int, fd: RawFd, token: u64, interest: u32) -> io::Result<()> {
@@ -186,8 +177,24 @@ mod tests {
         let (token, bits) = (events[0].data, events[0].events);
         assert_eq!(token, 7);
         assert_ne!(bits & EPOLLOUT, 0);
+    }
 
-        epoll.delete(b.as_raw_fd()).unwrap();
+    #[test]
+    fn oneshot_registrations_fire_once_until_rearmed() {
+        let epoll = Epoll::new().unwrap();
+        let (mut a, b) = UnixStream::pair().unwrap();
+        epoll.add(b.as_raw_fd(), 9, EPOLLIN | EPOLLONESHOT).unwrap();
+        a.write_all(b"x").unwrap();
+        let mut events = [EpollEvent::zeroed(); 8];
+        assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
+        // The byte is still unread, but the fd is disarmed.
         assert_eq!(epoll.wait(&mut events, 0).unwrap(), 0);
+        // Re-arming a still-ready fd fires at once.
+        epoll
+            .modify(b.as_raw_fd(), 9, EPOLLIN | EPOLLONESHOT)
+            .unwrap();
+        assert_eq!(epoll.wait(&mut events, 1000).unwrap(), 1);
+        let token = events[0].data;
+        assert_eq!(token, 9);
     }
 }

@@ -214,9 +214,10 @@ impl Frame {
     /// Appends the frame's encoded bytes — 4-byte big-endian length,
     /// version byte, kind byte, payload — to `out` without flushing
     /// anything. This is the one frame encoder: [`encode`](Self::encode)
-    /// and [`write_to`](Self::write_to) build on it, and the event loop
+    /// and [`write_to`](Self::write_to) build on it, and the frame server
     /// appends replies to a per-connection write buffer that drains as the
-    /// socket reports writability, so a slow reader never blocks the loop.
+    /// socket reports writability, so a slow reader never blocks a
+    /// follower.
     pub fn append_to(&self, out: &mut Vec<u8>) {
         let _encode = prof::time(Stage::FrameEncode);
         let body_len = u32::try_from(2 + self.payload.len()).expect("frame fits in u32");

@@ -36,10 +36,13 @@ pub enum Stage {
     /// Probing a cell cache (runner memoization or router result cache).
     CacheProbe,
     /// Blocking in the readiness poller (epoll_wait or the portable
-    /// fallback's tick) waiting for sockets to become ready.
+    /// fallback's tick) waiting for sockets to become ready. Summed over
+    /// a server's followers, which wait side by side, so it can exceed
+    /// wall time.
     NetPoll,
-    /// Non-blocking socket work in the event loop: accepting, reading
-    /// bursts into the frame decoders, flushing write buffers.
+    /// Non-blocking socket work in the frame server: accepting, reading
+    /// bursts into the frame decoders, flushing write buffers. Summed over
+    /// the followers; a handler's own time is not part of it.
     NetIo,
 }
 

@@ -17,7 +17,7 @@
 //! * **One hop** — [`GemmServer::submit`] answers on the calling thread:
 //!   there are no queues, worker pools or reply channels, and the handle
 //!   it returns already holds the answer. A networked shard therefore
-//!   simulates on the event-loop worker that decoded the request.
+//!   simulates on the follower thread that read the request.
 //! * **A request is a job** — [`GemmRequest`] is the runner's
 //!   [`SimJob`](crate::SimJob), and `submit` hands it straight to
 //!   [`ExperimentRunner::run_job`](crate::ExperimentRunner::run_job). A

@@ -340,8 +340,9 @@ proptest! {
     /// The incremental decoder is split-point-invariant: a multi-frame
     /// byte stream chopped at arbitrary boundaries (including mid-header
     /// and mid-payload) decodes to exactly the frames the one-shot parser
-    /// sees, in order — the invariant the readiness event loop rests on,
-    /// since TCP readiness events deliver bytes at arbitrary boundaries.
+    /// sees, in order — the invariant the readiness-based frame server
+    /// rests on, since TCP readiness events deliver bytes at arbitrary
+    /// boundaries.
     #[test]
     fn incremental_decoder_matches_one_shot_parser_at_any_split(
         id in any::<u64>(),
@@ -617,7 +618,7 @@ fn corrupt_streams_are_answered_then_closed() {
     shard.shutdown();
 }
 
-/// High-fanout loopback: one shard's event loop holds several hundred
+/// High-fanout loopback: one shard's frame server holds several hundred
 /// concurrent connections at once — far beyond what thread-per-connection
 /// could sustain cheaply — and every one of them gets a correct answer
 /// while all the others stay open.
@@ -637,7 +638,7 @@ fn one_event_loop_sustains_hundreds_of_concurrent_connections() {
     .unwrap();
 
     // Open every connection before exchanging a single frame, so the full
-    // fanout is concurrently resident in the event loop's slab.
+    // fanout is concurrently resident in the frame server's slab.
     let mut streams: Vec<TcpStream> = (0..CONNECTIONS)
         .map(|i| {
             let stream = TcpStream::connect(shard.local_addr())
