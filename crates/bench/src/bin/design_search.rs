@@ -15,11 +15,11 @@
 //! unroll) that survive the cost-model pre-filter, searching the joint
 //! hardware × kernel space.
 //!
-//! Candidates are evaluated in parallel through the memoizing
-//! `ExperimentRunner`, so revisited genotypes are cell-cache hits. The run
-//! is fully deterministic for a fixed seed: `--json PATH` writes a
-//! byte-stable document (same seed ⇒ identical bytes — the property the CI
-//! golden diff enforces), excluding every scheduling-dependent observation.
+//! Candidates are evaluated through the memoizing `ExperimentRunner`, so
+//! revisited genotypes are cell-cache hits. The run is fully deterministic
+//! for a fixed seed: `--json PATH` writes a byte-stable document (same
+//! seed ⇒ identical bytes — the property the CI golden diff enforces),
+//! excluding every execution-dependent observation.
 
 use rasa_sim::search::{DesignSearch, SearchSpace};
 use rasa_sim::{ExperimentRunner, JsonValue, ToJson};
@@ -39,7 +39,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let strategy = options.search_strategy()?;
     let runner = ExperimentRunner::builder()
         .with_matmul_cap(options.matmul_cap)
-        .with_parallel(options.parallel)
         .with_speculation(options.speculation)
         .build()?;
     let space = if options.kernel_axes {
@@ -63,21 +62,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("{outcome}");
     let stats = runner.cache_stats();
     println!(
-        "search in {elapsed:.2} s ({}); {} cells simulated, {} served from cache ({:.0}% hit rate)",
-        if runner.is_parallel() {
-            "parallel"
-        } else {
-            "serial"
-        },
+        "search in {elapsed:.2} s; {} cells simulated, {} served from cache ({:.0}% hit rate)",
         stats.misses,
         stats.hits,
         stats.hit_rate() * 100.0,
     );
 
     if let Some(path) = &options.json_path {
-        // Only configuration-determined data enters the document (the
-        // cache counters above vary with thread scheduling and stay out),
-        // so a repeated run with the same seed rewrites identical bytes.
+        // Only configuration-determined data enters the document (the wall
+        // clock and cache counters above stay out), so a repeated run with
+        // the same seed rewrites identical bytes.
         let mut option_members = vec![
             ("strategy".into(), JsonValue::string(&options.strategy)),
             ("workload".into(), JsonValue::string(&options.workload)),

@@ -19,16 +19,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let elapsed = start.elapsed();
     println!("{fig5}");
     let stats = suite.runner().cache_stats();
-    println!(
-        "({} cells in {:.2} s, {})",
-        stats.misses,
-        elapsed.as_secs_f64(),
-        if suite.runner().is_parallel() {
-            "parallel"
-        } else {
-            "serial"
-        }
-    );
+    println!("({} cells in {:.2} s)", stats.misses, elapsed.as_secs_f64());
 
     println!("Average runtime reduction, measured vs paper:");
     for (design, paper) in rasa_bench::PAPER_FIG5_REDUCTIONS {

@@ -16,15 +16,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
     let stats = suite.runner().cache_stats();
-    println!(
-        "({} cells in {:.2} s, {})",
-        stats.misses,
-        elapsed.as_secs_f64(),
-        if suite.runner().is_parallel() {
-            "parallel"
-        } else {
-            "serial"
-        }
-    );
+    println!("({} cells in {:.2} s)", stats.misses, elapsed.as_secs_f64());
     Ok(())
 }

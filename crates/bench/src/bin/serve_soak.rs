@@ -588,14 +588,22 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     if !health.dead.is_empty() {
         println!("dead shards: {:?}", health.dead);
     }
+    // A disabled result cache is never probed, so its counters say nothing.
+    let result_cache = if options.router_cache == 0 {
+        "result cache off".to_string()
+    } else {
+        format!(
+            "result cache {} hits / {} misses ({:.0}% hit rate)",
+            health.stats.cache_hits,
+            health.stats.cache_misses,
+            health.stats.cache_hit_rate() * 100.0,
+        )
+    };
     println!(
-        "router: {} routed, {} failovers, {} marked dead, result cache {} hits / {} misses ({:.0}% hit rate), per-shard {:?}",
+        "router: {} routed, {} failovers, {} marked dead, {result_cache}, per-shard {:?}",
         health.stats.routed,
         health.stats.failovers,
         health.stats.dead_marked,
-        health.stats.cache_hits,
-        health.stats.cache_misses,
-        health.stats.cache_hit_rate() * 100.0,
         health.stats.per_shard,
     );
     if options.kill_worker && health.stats.dead_marked == 0 {

@@ -53,11 +53,6 @@ pub struct BinOptions {
     pub matmul_cap: Option<usize>,
     /// Largest batch size for the Fig. 7 sweep.
     pub fig7_max_batch: usize,
-    /// Run the experiment matrix on all cores (default) or serially.
-    pub parallel: bool,
-    /// For `run_all`: skip the serial re-run that cross-checks the parallel
-    /// results and measures the speedup.
-    pub skip_serial_check: bool,
     /// For `run_all` / `serve_soak`: write the JSON results document here.
     pub json_path: Option<String>,
     /// For `serve_soak`: number of concurrent closed-loop clients.
@@ -135,8 +130,6 @@ impl Default for BinOptions {
         BinOptions {
             matmul_cap: Some(4096),
             fig7_max_batch: 1024,
-            parallel: true,
-            skip_serial_check: false,
             json_path: None,
             clients: 8,
             requests_per_client: 32,
@@ -212,8 +205,6 @@ impl BinOptions {
                 "--cap" => options.matmul_cap = Some(number(spec, &value)?),
                 "--full" => options.matmul_cap = None,
                 "--max-batch" => options.fig7_max_batch = number(spec, &value)?,
-                "--serial" => options.parallel = false,
-                "--no-serial-check" => options.skip_serial_check = true,
                 "--json" => options.json_path = Some(value),
                 "--clients" => options.clients = number(spec, &value)?,
                 "--requests" => options.requests_per_client = number(spec, &value)?,
@@ -299,7 +290,6 @@ impl BinOptions {
         ExperimentSuite::builder()
             .with_matmul_cap(self.matmul_cap)
             .with_fig7_max_batch(self.fig7_max_batch)
-            .with_parallel(self.parallel)
             .with_speculation(self.speculation)
             .with_layer_filter(self.layers.clone())
             .build()
@@ -326,7 +316,7 @@ pub struct FlagSpec {
 }
 
 /// The binaries that run an [`ExperimentSuite`] and therefore honour the
-/// shared simulation flags (`--cap`, `--serial`, `--speculation`…).
+/// shared simulation flags (`--cap`, `--full`, `--speculation`…).
 pub const SUITE_BINARIES: &[&str] = &[
     "fig1_toy",
     "fig2_utilization",
@@ -355,12 +345,6 @@ pub const FLAGS: &[FlagSpec] = &[
         binaries: SUITE_BINARIES,
     },
     FlagSpec {
-        flag: "--serial",
-        value: "",
-        description: "run the experiment matrix single-threaded",
-        binaries: SUITE_BINARIES,
-    },
-    FlagSpec {
         flag: "--speculation",
         value: "on|off",
         description: "fast-forward through the periodic steady state (default on)",
@@ -377,12 +361,6 @@ pub const FLAGS: &[FlagSpec] = &[
         value: "N",
         description: "largest batch size of the Fig. 7 sweep",
         binaries: &["fig7_batch", "run_all"],
-    },
-    FlagSpec {
-        flag: "--no-serial-check",
-        value: "",
-        description: "skip the serial re-run that cross-checks the parallel results",
-        binaries: &["run_all"],
     },
     FlagSpec {
         flag: "--warm-start",
@@ -678,8 +656,6 @@ mod tests {
         let o = BinOptions::default();
         assert_eq!(o.matmul_cap, Some(4096));
         assert_eq!(o.fig7_max_batch, 1024);
-        assert!(o.parallel);
-        assert!(!o.skip_serial_check);
     }
 
     #[test]
@@ -736,11 +712,14 @@ mod tests {
 
     #[test]
     fn parse_execution_flags() {
-        let o = parse("run_all", &["--serial"]).unwrap();
-        assert!(!o.parallel);
-        let o = parse("run_all", &["--no-serial-check"]).unwrap();
-        assert!(o.skip_serial_check);
-        assert!(o.parallel);
+        // The retired execution flags are errors, not silent no-ops.
+        for flag in ["serial", "no-serial-check"] {
+            let flag = format!("--{flag}");
+            for binary in SUITE_BINARIES {
+                let error = parse(binary, &[&flag]).unwrap_err();
+                assert!(error.contains(&flag), "{binary}: {error}");
+            }
+        }
     }
 
     #[test]
@@ -999,14 +978,11 @@ mod tests {
         let o = BinOptions {
             matmul_cap: Some(64),
             fig7_max_batch: 32,
-            parallel: false,
-            skip_serial_check: false,
             ..BinOptions::default()
         };
         let s = o.suite().unwrap();
         assert_eq!(s.matmul_cap(), Some(64));
         assert_eq!(s.fig7_max_batch(), 32);
-        assert!(!s.runner().is_parallel());
     }
 
     #[test]

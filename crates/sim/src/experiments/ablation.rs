@@ -146,7 +146,7 @@ pub(super) fn run_cpu(runner: &ExperimentRunner) -> Result<CpuAblationResult, Si
     let layers = ablation_layers();
 
     // Declare the full (host config × design × layer) job list up front so
-    // the runner executes the whole ablation as one parallel batch.
+    // the runner executes the whole ablation as one batch.
     let mut jobs = Vec::new();
     for rob_size in CPU_ABLATION_ROBS {
         for clock_ratio in CPU_ABLATION_RATIOS {

@@ -3,8 +3,7 @@
 //!
 //! The module is a declarative spec against the shared
 //! [`ExperimentRunner`]: the nine Table I layers × the eight paper designs,
-//! default kernel. All iteration, parallelism and caching live in the
-//! runner.
+//! default kernel. All iteration and caching live in the runner.
 
 use crate::{DesignPoint, ExperimentRunner, ExperimentSpec, SimError, WorkloadRun};
 use rasa_workloads::LayerSpec;

@@ -7,9 +7,9 @@
 //! simulate, under which kernel) plus post-processing of the resulting
 //! [`WorkloadRun`](crate::WorkloadRun)s into a plain-data result struct with
 //! a `Display` implementation that prints a paper-style table. The runner
-//! owns iteration, parallelism and per-cell memoization, so results shared
-//! between figures (Fig. 5 feeds Fig. 6 and the area/energy table; Fig. 7
-//! re-uses baseline cells across batch sizes) are simulated exactly once.
+//! owns iteration and per-cell memoization, so results shared between
+//! figures (Fig. 5 feeds Fig. 6 and the area/energy table; Fig. 7 re-uses
+//! baseline cells across batch sizes) are simulated exactly once.
 
 mod ablation;
 mod area_energy;
@@ -80,8 +80,7 @@ pub struct ExperimentSuite {
 }
 
 impl ExperimentSuite {
-    /// Creates the suite with the default per-run matmul cap, executing in
-    /// parallel.
+    /// Creates the suite with the default per-run matmul cap.
     #[must_use]
     pub fn new() -> Self {
         ExperimentSuite::builder()
@@ -107,7 +106,6 @@ impl ExperimentSuite {
         ExperimentSuite::builder()
             .with_matmul_cap(cap)
             .with_fig7_max_batch(self.fig7_max_batch)
-            .with_parallel(self.runner.is_parallel())
             .with_speculation(self.runner.is_speculative())
             .with_layer_filter(self.layer_filter.clone())
             .build()
@@ -253,7 +251,6 @@ impl Default for ExperimentSuite {
 pub struct ExperimentSuiteBuilder {
     matmul_cap: Option<Option<usize>>,
     fig7_max_batch: Option<usize>,
-    parallel: Option<bool>,
     speculation: Option<bool>,
     layer_filter: Option<String>,
 }
@@ -272,19 +269,6 @@ impl ExperimentSuiteBuilder {
     pub fn with_fig7_max_batch(mut self, max_batch: usize) -> Self {
         self.fig7_max_batch = Some(max_batch);
         self
-    }
-
-    /// Selects parallel (default) or serial execution.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Forces strict serial execution.
-    #[must_use]
-    pub fn serial(self) -> Self {
-        self.with_parallel(false)
     }
 
     /// Enables (default) or disables steady-state fast-forward.
@@ -311,8 +295,7 @@ impl ExperimentSuiteBuilder {
     /// Returns [`SimError::InvalidExperiment`] for a zero matmul cap or a
     /// layer filter matching no Table I layer.
     pub fn build(self) -> Result<ExperimentSuite, SimError> {
-        let parallel = self.parallel.unwrap_or(true);
-        let mut runner_builder = ExperimentRunner::builder().with_parallel(parallel);
+        let mut runner_builder = ExperimentRunner::builder();
         if let Some(cap) = self.matmul_cap {
             runner_builder = runner_builder.with_matmul_cap(cap);
         }
@@ -351,7 +334,6 @@ mod tests {
         let s = ExperimentSuite::new();
         assert_eq!(s.matmul_cap(), Some(4096));
         assert_eq!(s.fig7_max_batch(), 1024);
-        assert!(s.runner().is_parallel());
         let s = s.with_matmul_cap(Some(128)).with_fig7_max_batch(64);
         assert_eq!(s.matmul_cap(), Some(128));
         assert_eq!(s.fig7_max_batch(), 64);
@@ -366,12 +348,10 @@ mod tests {
         let s = ExperimentSuite::builder()
             .with_matmul_cap(Some(96))
             .with_fig7_max_batch(32)
-            .serial()
             .build()
             .unwrap();
         assert_eq!(s.matmul_cap(), Some(96));
         assert_eq!(s.fig7_max_batch(), 32);
-        assert!(!s.runner().is_parallel());
         assert!(matches!(
             ExperimentSuite::builder().with_matmul_cap(Some(0)).build(),
             Err(SimError::InvalidExperiment { .. })

@@ -1316,7 +1316,6 @@ pub(crate) mod tests {
         let runner = crate::ExperimentRunner::builder()
             .with_matmul_cap(Some(64))
             .with_cache_capacity(4)
-            .serial()
             .build()
             .unwrap();
         let report = runner

@@ -102,16 +102,17 @@ pub struct RouterStats {
     /// Requests answered from the router's own result cache — no shard
     /// was contacted (these still count as `routed`).
     pub cache_hits: u64,
-    /// Requests that missed the router's result cache (or found it
-    /// disabled) and went to a shard.
+    /// Requests that missed the router's result cache and went to a
+    /// shard. A disabled cache is never probed, so with it off this and
+    /// `cache_hits` both stay 0.
     pub cache_misses: u64,
     /// Responses attributed to each shard, by shard id.
     pub per_shard: Vec<u64>,
 }
 
 impl RouterStats {
-    /// Fraction of routed requests answered from the router's result
-    /// cache; `0.0` when nothing was probed.
+    /// Fraction of probed requests answered from the router's result
+    /// cache; `0.0` when nothing was probed, as with the cache disabled.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
         let probes = self.cache_hits + self.cache_misses;

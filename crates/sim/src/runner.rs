@@ -10,9 +10,6 @@
 //!
 //! [`ExperimentRunner`] centralizes the execution:
 //!
-//! * **Parallelism** — independent cells run concurrently on all cores via
-//!   `rayon`-style parallel iterators; the simulation itself is
-//!   deterministic, so parallel results are bit-identical to serial ones.
 //! * **Memoization** — each cell result is cached under a key derived from
 //!   the complete (design, workload, kernel) configuration, so a cell is
 //!   simulated at most once per runner, however many experiments need it.
@@ -37,7 +34,6 @@ use crate::{DesignPoint, SimError, SimReport, Simulator, WorkloadRun};
 use rasa_cpu::MemoStats;
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
-use rayon::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
@@ -139,8 +135,8 @@ impl SimJob {
 /// an optional kernel override shared by every cell.
 ///
 /// Experiment modules build one of these and hand it to
-/// [`ExperimentRunner::run_spec`]; the runner owns iteration order,
-/// parallelism and caching, so the modules keep no loops of their own.
+/// [`ExperimentRunner::run_spec`]; the runner owns iteration order and
+/// caching, so the modules keep no loops of their own.
 #[derive(Debug, Clone)]
 pub struct ExperimentSpec {
     /// Human-readable experiment name (used in logs and error messages).
@@ -213,18 +209,19 @@ impl CacheStats {
     }
 }
 
-/// Parallel, memoizing executor for (workload × design) simulation
-/// matrices. See the [crate docs](crate) for the motivation.
+/// Memoizing executor for (workload × design) simulation matrices. See the
+/// [crate docs](crate) for the motivation.
 ///
-/// The runner is `Sync`: one runner can be shared by concurrent experiment
-/// calls, and all of them share the cell cache. Two threads racing on the
-/// same uncached cell may both simulate it; the simulation is
-/// deterministic, so either result is valid and the duplicate work is
-/// bounded by one cell.
+/// A runner runs a batch's cells one after another on the calling thread,
+/// so one evaluation's cache and memo use is the same on every run. The
+/// runner is `Sync`: a shard's follower threads call
+/// [`run_job`](Self::run_job) concurrently on one shared runner, and all of
+/// them share the cell cache. Two threads racing on the same uncached cell
+/// may both simulate it; the simulation is deterministic, so either result
+/// is valid and the duplicate work is bounded by one cell.
 #[derive(Debug)]
 pub struct ExperimentRunner {
     matmul_cap: Option<usize>,
-    parallel: bool,
     speculation: bool,
     cache: SharedLru<CellKey, Arc<SimReport>>,
     /// The machines the runner has run, oldest first.
@@ -235,7 +232,7 @@ pub struct ExperimentRunner {
 }
 
 impl ExperimentRunner {
-    /// A parallel runner with the default matmul cap.
+    /// A runner with the default matmul cap.
     #[must_use]
     pub fn new() -> Self {
         ExperimentRunner::builder()
@@ -253,12 +250,6 @@ impl ExperimentRunner {
     #[must_use]
     pub const fn matmul_cap(&self) -> Option<usize> {
         self.matmul_cap
-    }
-
-    /// Whether cells run concurrently (`false` = strict serial execution).
-    #[must_use]
-    pub const fn is_parallel(&self) -> bool {
-        self.parallel
     }
 
     /// Whether cells may fast-forward through their periodic steady state
@@ -342,9 +333,8 @@ impl ExperimentRunner {
     }
 
     /// Serializes the resident memoization cache as a JSON node: an array
-    /// of `{"key", "report"}` objects sorted by key (so the document is
-    /// deterministic even after parallel runs filled the cache in
-    /// scheduler-dependent order).
+    /// of `{"key", "report"}` objects sorted by key (so the document does
+    /// not depend on the order the cells were run or warm-started in).
     ///
     /// The `run_all` binary embeds this under `"cache": {"cells": ...}` in
     /// its `--json` results document; a later run can hand that document to
@@ -511,18 +501,13 @@ impl ExperimentRunner {
         Ok(report)
     }
 
-    /// Runs a batch of cells, in parallel when the runner is parallel, and
-    /// returns the reports in job order.
+    /// Runs a batch of cells in job order and returns their reports.
     ///
     /// # Errors
     ///
     /// Returns the first simulation error in job order.
     pub fn run_jobs(&self, jobs: &[SimJob]) -> Result<Vec<Arc<SimReport>>, SimError> {
-        if self.parallel {
-            jobs.par_iter().map(|job| self.run_job(job)).collect()
-        } else {
-            jobs.iter().map(|job| self.run_job(job)).collect()
-        }
+        jobs.iter().map(|job| self.run_job(job)).collect()
     }
 
     /// Runs the full (workload × design) matrix of a spec and groups the
@@ -585,7 +570,6 @@ impl Default for ExperimentRunner {
 #[derive(Debug, Default)]
 pub struct ExperimentRunnerBuilder {
     matmul_cap: Option<Option<usize>>,
-    parallel: Option<bool>,
     speculation: Option<bool>,
     cache_capacity: Option<usize>,
 }
@@ -597,20 +581,6 @@ impl ExperimentRunnerBuilder {
     pub fn with_matmul_cap(mut self, cap: Option<usize>) -> Self {
         self.matmul_cap = Some(cap);
         self
-    }
-
-    /// Selects parallel (default) or serial execution.
-    #[must_use]
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
-    /// Forces strict serial execution (for determinism checks and
-    /// debugging).
-    #[must_use]
-    pub fn serial(self) -> Self {
-        self.with_parallel(false)
     }
 
     /// Enables (default) or disables steady-state fast-forward.
@@ -649,7 +619,6 @@ impl ExperimentRunnerBuilder {
         }
         Ok(ExperimentRunner {
             matmul_cap,
-            parallel: self.parallel.unwrap_or(true),
             speculation: self.speculation.unwrap_or(true),
             cache: SharedLru::new(cache_capacity),
             machines: Mutex::new(Vec::new()),
@@ -679,14 +648,11 @@ mod tests {
     fn builder_validates_and_defaults() {
         let runner = ExperimentRunner::new();
         assert_eq!(runner.matmul_cap(), Some(4096));
-        assert!(runner.is_parallel());
-        let serial = ExperimentRunner::builder()
+        let capped = ExperimentRunner::builder()
             .with_matmul_cap(Some(64))
-            .serial()
             .build()
             .unwrap();
-        assert_eq!(serial.matmul_cap(), Some(64));
-        assert!(!serial.is_parallel());
+        assert_eq!(capped.matmul_cap(), Some(64));
         assert!(matches!(
             ExperimentRunner::builder().with_matmul_cap(Some(0)).build(),
             Err(SimError::InvalidExperiment { .. })
@@ -784,7 +750,6 @@ mod tests {
         let runner = ExperimentRunner::builder()
             .with_matmul_cap(Some(64))
             .with_cache_capacity(2)
-            .serial()
             .build()
             .unwrap();
         assert_eq!(runner.cache_capacity(), 2);
@@ -967,27 +932,90 @@ mod tests {
         assert_eq!(runner.memo_stats().0, 2, "one machine per design");
     }
 
+    /// Uncapped small-batch cells, three per machine, so later cells of a
+    /// machine recall what earlier ones simulated.
+    fn recalling_jobs() -> Vec<SimJob> {
+        let suite = WorkloadSuite::mlperf();
+        let layers =
+            ["BERT-1", "BERT-2", "DLRM-2"].map(|name| suite.layer(name).unwrap().with_batch(4));
+        let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
+        designs
+            .iter()
+            .flat_map(|design| {
+                layers
+                    .iter()
+                    .map(|layer| SimJob::new(design.clone(), layer.clone()))
+            })
+            .collect()
+    }
+
+    fn uncapped_runner() -> ExperimentRunner {
+        ExperimentRunner::builder()
+            .with_matmul_cap(None)
+            .build()
+            .unwrap()
+    }
+
     #[test]
-    fn parallel_and_serial_results_are_bit_identical() {
-        let (workloads, designs) = small_grid();
-        let parallel = ExperimentRunner::builder()
-            .with_matmul_cap(Some(96))
-            .build()
-            .unwrap();
-        let serial = ExperimentRunner::builder()
-            .with_matmul_cap(Some(96))
-            .serial()
-            .build()
-            .unwrap();
-        let p = parallel.run_grid(&workloads, &designs).unwrap();
-        let s = serial.run_grid(&workloads, &designs).unwrap();
-        assert_eq!(p, s);
-        // Report equality skips the diagnostics; they agree as well.
-        for (p, s) in p.iter().zip(&s) {
-            for (p, s) in p.reports.iter().zip(&s.reports) {
-                assert_eq!((p.sched, p.pipeline), (s.sched, s.pipeline));
-            }
+    fn concurrent_callers_get_a_single_callers_reports() {
+        // Shard followers call `run_job` on one shared runner at once; each
+        // of them must get what one caller gets from a fresh runner,
+        // diagnostics included. Callers start every step together, and
+        // their rotations put two cells of one machine in each step.
+        const CALLERS: usize = 3;
+        let jobs = recalling_jobs();
+        let single = uncapped_runner().run_jobs(&jobs).unwrap();
+        let shared = uncapped_runner();
+        let step = std::sync::Barrier::new(CALLERS);
+        let answers: Vec<Vec<(usize, Arc<SimReport>)>> = std::thread::scope(|scope| {
+            let callers: Vec<_> = (0..CALLERS)
+                .map(|caller| {
+                    let (shared, jobs, step) = (&shared, &jobs, &step);
+                    scope.spawn(move || {
+                        (0..jobs.len())
+                            .map(|i| (i + caller * 2) % jobs.len())
+                            .map(|i| {
+                                step.wait();
+                                (i, shared.run_job(&jobs[i]).unwrap())
+                            })
+                            .collect()
+                    })
+                })
+                .collect();
+            callers
+                .into_iter()
+                .map(|caller| caller.join().unwrap())
+                .collect()
+        });
+        for (i, report) in answers.iter().flatten() {
+            let expected = &single[*i];
+            assert_eq!(**report, **expected, "{}", jobs[*i].workload.name());
+            assert_eq!(
+                (report.sched, report.pipeline),
+                (expected.sched, expected.pipeline)
+            );
         }
+        assert_eq!(answers.iter().flatten().count(), CALLERS * jobs.len());
+    }
+
+    #[test]
+    fn memo_use_is_the_same_on_every_run() {
+        // A batch runs its cells in order, so which cells a machine's memo
+        // recalls, and what the cache counts, never depends on timing:
+        // each machine simulates its first cell and recalls the other two.
+        let jobs = recalling_jobs();
+        let runs: Vec<_> = (0..2)
+            .map(|_| {
+                let runner = uncapped_runner();
+                runner.run_jobs(&jobs).unwrap();
+                (runner.memo_stats(), runner.cache_stats())
+            })
+            .collect();
+        assert_eq!(runs[0], runs[1]);
+        let ((machines, memo), cache) = runs[0];
+        assert_eq!(machines, 2);
+        assert_eq!((memo.recalls, memo.misses, memo.midway_misses), (4, 2, 0));
+        assert_eq!((cache.hits, cache.misses), (0, 6));
     }
 
     #[test]
@@ -1090,7 +1118,6 @@ mod tests {
         let runner = || {
             ExperimentRunner::builder()
                 .with_matmul_cap(Some(96))
-                .serial()
                 .build()
                 .unwrap()
         };
@@ -1127,11 +1154,7 @@ mod tests {
         // repeats known transitions is recalled: its report, diagnostics
         // included, is what a fresh simulator computes.
         let suite = WorkloadSuite::mlperf();
-        let runner = ExperimentRunner::builder()
-            .with_matmul_cap(None)
-            .serial()
-            .build()
-            .unwrap();
+        let runner = uncapped_runner();
         let design = DesignPoint::rasa_dmdb_wls();
         for (i, name) in ["BERT-1", "BERT-2", "BERT-3", "DLRM-2"].iter().enumerate() {
             let layer = suite.layer(name).unwrap().with_batch(4);

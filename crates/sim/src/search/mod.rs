@@ -16,9 +16,8 @@
 //!   [`RandomSampling`] and a seeded [`Evolutionary`] loop (per-axis
 //!   mutation + tournament selection);
 //! * evaluation through the shared, memoizing
-//!   [`ExperimentRunner`](crate::ExperimentRunner): batches run in
-//!   parallel, and revisited genotypes are answered by the cell cache
-//!   instead of re-simulated;
+//!   [`ExperimentRunner`](crate::ExperimentRunner): revisited genotypes
+//!   are answered by the cell cache instead of re-simulated;
 //! * a multi-objective [`ParetoFrontier`] over (normalized runtime,
 //!   area mm², energy joules) with dominance pruning and deterministic
 //!   tie-breaking.
@@ -27,7 +26,7 @@
 //! configuration and workload, repeated runs produce identical
 //! [`SearchOutcome`]s and byte-identical JSON documents
 //! ([`SearchOutcome::to_json`](crate::ToJson) excludes every
-//! scheduling-dependent observation), which is what lets the `design_search`
+//! execution-dependent observation), which is what lets the `design_search`
 //! binary join the CI golden-results regression scheme.
 
 mod outcome;

@@ -2,8 +2,9 @@
 //!
 //! A [`SearchOutcome`] contains only configuration-determined data — the
 //! strategy, the space, the baseline anchor, per-generation progress and
-//! the final frontier. Scheduling-dependent observations (wall-clock
-//! times, cache hit counters) are deliberately excluded, so the JSON
+//! the final frontier. Execution-dependent observations (wall-clock
+//! times, and cache hit counters, which depend on what the runner already
+//! held) are deliberately excluded, so the JSON
 //! rendering is byte-identical across runs with the same seed: the
 //! property the CI golden diff and the determinism proptest lock down.
 

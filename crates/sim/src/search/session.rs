@@ -4,8 +4,8 @@
 //! [`ExperimentRunner`]; running a [`SearchStrategy`] opens a
 //! [`SearchSession`] the strategy drives. The session owns candidate
 //! evaluation: batches are deduplicated, materialized into
-//! [`SimJob`](crate::SimJob)s and fanned out through the runner's parallel,
-//! memoizing pipeline — so a genotype revisited in a later generation is a
+//! [`SimJob`](crate::SimJob)s and run through the runner's memoizing
+//! pipeline — so a genotype revisited in a later generation is a
 //! cell-cache hit, never a re-simulation — and every result feeds the
 //! [`ParetoFrontier`].
 
@@ -179,8 +179,10 @@ impl<'a> SearchSession<'a> {
     /// order.
     ///
     /// Duplicates *within* the batch are collapsed before submission (so
-    /// parallel workers never race on one uncached cell), while genotypes
-    /// revisited *across* batches are looked up through the runner again —
+    /// each distinct genotype costs one runner lookup and one frontier
+    /// insertion, and a batch larger than the runner's LRU bound never
+    /// re-simulates a duplicate it evicted), while genotypes revisited
+    /// *across* batches are looked up through the runner again —
     /// deliberately, so the memoizing cell cache (not a session-private
     /// shortcut) serves the repeat and its [`crate::CacheStats`] hit
     /// counters record the reuse.
@@ -388,7 +390,6 @@ mod tests {
     fn within_batch_duplicates_are_collapsed() {
         let runner = ExperimentRunner::builder()
             .with_matmul_cap(Some(32))
-            .serial()
             .build()
             .unwrap();
         let space = SearchSpace::paper();

@@ -40,7 +40,7 @@ pub trait SearchStrategy: std::fmt::Debug {
 }
 
 /// Evaluates every valid candidate of the space, in enumeration order, as
-/// one parallel batch — the ground truth the sampling strategies are
+/// one batch — the ground truth the sampling strategies are
 /// judged against (tractable thanks to the runner's memoizing cache and
 /// the capped steady-state simulation).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -60,7 +60,7 @@ impl SearchStrategy for ExhaustiveGrid {
 }
 
 /// Seeded uniform sampling: `samples` independent draws from the
-/// candidate list, evaluated as one parallel batch (duplicates collapse
+/// candidate list, evaluated as one batch (duplicates collapse
 /// in-batch, so the distinct count may be lower).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RandomSampling {
@@ -110,7 +110,7 @@ impl SearchStrategy for RandomSampling {
 /// scalar fitness as the tie-break — see [`SearchSession::compare`])
 /// followed by per-axis mutation with validity repair
 /// ([`super::SearchSpace::mutate`]). Children are evaluated as one
-/// parallel batch per generation; revisited genotypes are answered by the
+/// batch per generation; revisited genotypes are answered by the
 /// runner's cell cache rather than re-simulated.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Evolutionary {

@@ -6,8 +6,7 @@
 //! batches approach the 16/95 ≈ 0.168 perfect-pipelining asymptote.
 //!
 //! Both tables run through one memoizing [`ExperimentRunner`], so the whole
-//! example is two parallel grid calls rather than a dozen serial
-//! simulations.
+//! example is two grid calls rather than a dozen separate simulations.
 //!
 //! Run with: `cargo run --release --example mlp_recommender`
 

@@ -16,10 +16,9 @@ fn tiny_layer() -> LayerSpec {
     LayerSpec::fc("TINY-FC", 32, 64, 64)
 }
 
-fn capped_runner(parallel: bool) -> ExperimentRunner {
+fn capped_runner() -> ExperimentRunner {
     ExperimentRunner::builder()
         .with_matmul_cap(Some(32))
-        .with_parallel(parallel)
         .build()
         .unwrap()
 }
@@ -45,12 +44,10 @@ proptest! {
         };
         let space = SearchSpace::explorer();
         let layer = tiny_layer();
-        // One parallel runner and one serial runner: the outcome must not
-        // depend on scheduling either.
-        let first = DesignSearch::new(&capped_runner(true), space.clone(), layer.clone())
+        let first = DesignSearch::new(&capped_runner(), space.clone(), layer.clone())
             .run(strategy.as_ref())
             .unwrap();
-        let second = DesignSearch::new(&capped_runner(false), space, layer)
+        let second = DesignSearch::new(&capped_runner(), space, layer)
             .run(strategy.as_ref())
             .unwrap();
         prop_assert_eq!(&first.frontier, &second.frontier);
@@ -72,11 +69,7 @@ fn evolutionary_revisits_hit_the_cell_cache() {
         .build()
         .unwrap();
     assert_eq!(space.len(), 2);
-    let runner = ExperimentRunner::builder()
-        .with_matmul_cap(Some(32))
-        .serial()
-        .build()
-        .unwrap();
+    let runner = capped_runner();
     let outcome = DesignSearch::new(&runner, space, tiny_layer())
         .run(&Evolutionary::new(4, 3, 9))
         .unwrap();
@@ -108,14 +101,14 @@ fn evolutionary_revisits_hit_the_cell_cache() {
 fn sampled_frontiers_are_consistent_with_the_exhaustive_grid() {
     let space = SearchSpace::explorer();
     let layer = tiny_layer();
-    let grid = DesignSearch::new(&capped_runner(true), space.clone(), layer.clone())
+    let grid = DesignSearch::new(&capped_runner(), space.clone(), layer.clone())
         .run(&ExhaustiveGrid)
         .unwrap();
     for strategy in [
         Box::new(RandomSampling::new(24, 5)) as Box<dyn SearchStrategy>,
         Box::new(Evolutionary::new(6, 3, 5)) as Box<dyn SearchStrategy>,
     ] {
-        let sampled = DesignSearch::new(&capped_runner(true), space.clone(), layer.clone())
+        let sampled = DesignSearch::new(&capped_runner(), space.clone(), layer.clone())
             .run(strategy.as_ref())
             .unwrap();
         for member in &sampled.frontier {
@@ -136,8 +129,8 @@ fn sampled_frontiers_are_consistent_with_the_exhaustive_grid() {
     }
 }
 
-/// Joint hardware × kernel search is deterministic (two fresh runs —
-/// one parallel, one serial — produce byte-identical JSON) and pays off:
+/// Joint hardware × kernel search is deterministic (two runs on fresh
+/// runners produce byte-identical JSON) and pays off:
 /// the joint frontier contains a co-designed point that strictly
 /// dominates a point on the hardware-only frontier over the same
 /// hardware axes, which is the whole argument for searching the two
@@ -146,14 +139,14 @@ fn sampled_frontiers_are_consistent_with_the_exhaustive_grid() {
 fn joint_search_is_deterministic_and_dominates_hardware_only_points() {
     let layer = tiny_layer();
     let first = DesignSearch::new(
-        &capped_runner(true),
+        &capped_runner(),
         SearchSpace::explorer_joint(),
         layer.clone(),
     )
     .run(&ExhaustiveGrid)
     .unwrap();
     let second = DesignSearch::new(
-        &capped_runner(false),
+        &capped_runner(),
         SearchSpace::explorer_joint(),
         layer.clone(),
     )
@@ -166,7 +159,7 @@ fn joint_search_is_deterministic_and_dominates_hardware_only_points() {
         "joint-search JSON must be byte-identical across runs"
     );
 
-    let hardware_only = DesignSearch::new(&capped_runner(true), SearchSpace::explorer(), layer)
+    let hardware_only = DesignSearch::new(&capped_runner(), SearchSpace::explorer(), layer)
         .run(&ExhaustiveGrid)
         .unwrap();
     let dominating = first.frontier.iter().find(|joint| {
@@ -193,7 +186,7 @@ fn joint_search_is_deterministic_and_dominates_hardware_only_points() {
 /// every write).
 #[test]
 fn search_json_survives_a_parse_reserialize_round_trip() {
-    let outcome = DesignSearch::new(&capped_runner(true), SearchSpace::paper(), tiny_layer())
+    let outcome = DesignSearch::new(&capped_runner(), SearchSpace::paper(), tiny_layer())
         .run(&RandomSampling::new(8, 3))
         .unwrap();
     let text = outcome.to_json().to_string_pretty();

@@ -1,7 +1,7 @@
 //! Cross-crate smoke tests for the shared `ExperimentRunner` pipeline,
 //! exercised through the public facade crate: every built-in design point
-//! runs a 128³ GEMM, parallel cached execution is bit-identical to a fresh
-//! serial run, and the prelude re-exports the runner types.
+//! runs a 128³ GEMM, cached results are bit-identical to a fresh runner's,
+//! and the prelude re-exports the runner types.
 
 use rasa::prelude::*;
 use rasa::workloads::LayerSpec;
@@ -41,43 +41,37 @@ fn every_builtin_design_runs_a_128_cubed_gemm() {
 }
 
 #[test]
-fn cached_parallel_results_are_bit_identical_to_a_fresh_serial_run() {
+fn cached_results_are_bit_identical_to_a_fresh_run() {
     let workloads: Vec<LayerSpec> = rasa::workloads::dlrm_layers();
     let designs = vec![
         DesignPoint::baseline(),
         DesignPoint::rasa_wlbp(),
         DesignPoint::rasa_dmdb_wls(),
     ];
+    let runner = || {
+        ExperimentRunner::builder()
+            .with_matmul_cap(Some(128))
+            .build()
+            .expect("valid runner")
+    };
 
-    let parallel = ExperimentRunner::builder()
-        .with_matmul_cap(Some(128))
-        .with_parallel(true)
-        .build()
-        .expect("valid runner");
-    let serial = ExperimentRunner::builder()
-        .with_matmul_cap(Some(128))
-        .serial()
-        .build()
-        .expect("valid runner");
-
-    // First parallel pass populates the cache; the second must be served
+    // The first pass populates the cache; the second must be served
     // entirely from it and return the same values.
-    let first = parallel
+    let cached_runner = runner();
+    let first = cached_runner
         .run_grid(&workloads, &designs)
-        .expect("parallel run");
-    let cached = parallel.run_grid(&workloads, &designs).expect("cached run");
-    let stats = parallel.cache_stats();
+        .expect("first run");
+    let cached = cached_runner
+        .run_grid(&workloads, &designs)
+        .expect("cached run");
+    let stats = cached_runner.cache_stats();
     assert_eq!(stats.misses as usize, workloads.len() * designs.len());
     assert_eq!(stats.hits as usize, workloads.len() * designs.len());
     assert_eq!(first, cached, "cache must return identical reports");
 
-    // And a fresh serial runner reproduces them bit-for-bit.
-    let fresh = serial.run_grid(&workloads, &designs).expect("serial run");
-    assert!(!serial.is_parallel() && parallel.is_parallel());
-    assert_eq!(
-        first, fresh,
-        "parallel and serial results must be identical"
-    );
+    // And a fresh runner reproduces them bit-for-bit.
+    let fresh = runner().run_grid(&workloads, &designs).expect("fresh run");
+    assert_eq!(first, fresh, "a fresh runner must reproduce the results");
     // Report equality skips the execution diagnostics; they are
     // deterministic too.
     for (a, b) in first.iter().zip(&fresh) {

@@ -414,7 +414,7 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
     );
 }
 
-/// The memo of simulated transitions: one serial runner, whose cell cache
+/// The memo of simulated transitions: one runner, whose cell cache
 /// holds a single cell (so repeats reach the memo, not the cache), runs a
 /// seeded sequence of layers on BASELINE and RASA-DMDB-WLS. A quarter are
 /// fresh shapes — deep ones (K in the low thousands, so blocks fast-forward
@@ -434,7 +434,6 @@ fn recalled_cells_match_fresh_sequential_and_fast_forwarded_runs() {
     let runner = ExperimentRunner::builder()
         .with_matmul_cap(None)
         .with_cache_capacity(1)
-        .serial()
         .build()
         .unwrap();
     let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
