@@ -57,12 +57,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let start = Instant::now();
     let search = DesignSearch::new(&runner, space, layer.clone());
     let outcome = search.run(strategy.as_ref())?;
-    let elapsed = start.elapsed().as_secs_f64();
+    let elapsed_ms = start.elapsed().as_secs_f64() * 1e3;
 
     println!("{outcome}");
     let stats = runner.cache_stats();
     println!(
-        "search in {elapsed:.2} s; {} cells simulated, {} served from cache ({:.0}% hit rate)",
+        "search in {elapsed_ms:.1} ms; {} cells simulated, {} served from cache ({:.0}% hit rate)",
         stats.misses,
         stats.hits,
         stats.hit_rate() * 100.0,
@@ -73,37 +73,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // clock and cache counters above stay out), so a repeated run with
         // the same seed rewrites identical bytes.
         let mut option_members = vec![
-            ("strategy".into(), JsonValue::string(&options.strategy)),
-            ("workload".into(), JsonValue::string(&options.workload)),
-            ("seed".into(), JsonValue::number_from_u64(options.seed)),
-            (
-                "population".into(),
-                JsonValue::number_from_usize(options.population),
-            ),
-            (
-                "generations".into(),
-                JsonValue::number_from_usize(options.generations),
-            ),
-            (
-                "samples".into(),
-                JsonValue::number_from_usize(options.samples),
-            ),
-            (
-                "matmul_cap".into(),
-                options
-                    .matmul_cap
-                    .map_or(JsonValue::Null, JsonValue::number_from_usize),
-            ),
+            ("strategy".into(), options.strategy.to_json()),
+            ("workload".into(), options.workload.to_json()),
+            ("seed".into(), options.seed.to_json()),
+            ("population".into(), options.population.to_json()),
+            ("generations".into(), options.generations.to_json()),
+            ("samples".into(), options.samples.to_json()),
+            ("matmul_cap".into(), options.matmul_cap.to_json()),
         ];
         if options.kernel_axes {
             // Gated so the default hardware-only document — and the pinned
             // golden/search.json — keeps its exact bytes.
             option_members.push(("kernel_axes".into(), JsonValue::Bool(true)));
         }
-        let document = JsonValue::Object(vec![
-            ("schema".into(), JsonValue::string("rasa-design-search/1")),
-            ("options".into(), JsonValue::Object(option_members)),
-            ("search".into(), outcome.to_json()),
+        let document = JsonValue::object([
+            ("schema", "rasa-design-search/1".to_json()),
+            ("options", JsonValue::Object(option_members)),
+            ("search", outcome.to_json()),
         ]);
         rasa_bench::write_verified_json(path, &document)?;
         println!("results written to {path} (round-trip verified)");

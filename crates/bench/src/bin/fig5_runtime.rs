@@ -19,7 +19,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let elapsed = start.elapsed();
     println!("{fig5}");
     let stats = suite.runner().cache_stats();
-    println!("({} cells in {:.2} s)", stats.misses, elapsed.as_secs_f64());
+    let ms = elapsed.as_secs_f64() * 1e3;
+    println!("({} cells in {ms:.1} ms)", stats.misses);
 
     println!("Average runtime reduction, measured vs paper:");
     for (design, paper) in rasa_bench::PAPER_FIG5_REDUCTIONS {

@@ -16,6 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         )
     );
     let stats = suite.runner().cache_stats();
-    println!("({} cells in {:.2} s)", stats.misses, elapsed.as_secs_f64());
+    let ms = elapsed.as_secs_f64() * 1e3;
+    println!("({} cells in {ms:.1} ms)", stats.misses);
     Ok(())
 }

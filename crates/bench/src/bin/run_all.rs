@@ -15,7 +15,7 @@
 //! is printed. `--timing-only` skips the evaluation and runs just this
 //! comparison — the CI smoke step for the `--full` path.
 
-use rasa_sim::{DesignPoint, ExperimentSuite, JsonValue, Simulator, ToJson};
+use rasa_sim::{DesignPoint, ExperimentSuite, JsonValue, SimReport, Simulator, ToJson};
 use rasa_workloads::WorkloadSuite;
 use std::time::{Duration, Instant};
 
@@ -171,161 +171,58 @@ fn results_document(
     results: &EvaluationResults,
     cache_cells: JsonValue,
 ) -> JsonValue {
-    let fig5_rows: Vec<JsonValue> = results
-        .fig5
-        .rows
-        .iter()
-        .map(|row| {
-            JsonValue::Object(vec![
-                ("workload".into(), JsonValue::string(&row.workload)),
-                (
-                    "normalized".into(),
-                    JsonValue::Array(
-                        row.normalized
-                            .iter()
-                            .map(|(design, value)| {
-                                JsonValue::Array(vec![
-                                    JsonValue::string(design),
-                                    JsonValue::number_from_f64(*value),
-                                ])
-                            })
-                            .collect(),
-                    ),
-                ),
-            ])
-        })
-        .collect();
-    let fig6_rows: Vec<JsonValue> = results
-        .fig6
-        .rows
-        .iter()
-        .map(|row| {
-            JsonValue::Object(vec![
-                ("design".into(), JsonValue::string(&row.design)),
-                ("speedup".into(), JsonValue::number_from_f64(row.speedup)),
-                (
-                    "area_ratio".into(),
-                    JsonValue::number_from_f64(row.area_ratio),
-                ),
-                (
-                    "performance_per_area".into(),
-                    JsonValue::number_from_f64(row.performance_per_area),
-                ),
-            ])
-        })
-        .collect();
-    let area_energy_rows: Vec<JsonValue> = results
-        .area_energy
-        .rows
-        .iter()
-        .map(|row| {
-            JsonValue::Object(vec![
-                ("design".into(), JsonValue::string(&row.design)),
-                ("area_mm2".into(), JsonValue::number_from_f64(row.area_mm2)),
-                (
-                    "area_overhead".into(),
-                    JsonValue::number_from_f64(row.area_overhead),
-                ),
-                (
-                    "energy_efficiency".into(),
-                    JsonValue::number_from_f64(row.energy_efficiency),
-                ),
-            ])
-        })
-        .collect();
-    let fig7_rows: Vec<JsonValue> = results
-        .fig7
-        .rows
-        .iter()
-        .map(|row| {
-            JsonValue::Object(vec![
-                ("layer".into(), JsonValue::string(&row.layer)),
-                ("batch".into(), JsonValue::number_from_usize(row.batch)),
-                (
-                    "normalized_runtime".into(),
-                    JsonValue::number_from_f64(row.normalized_runtime),
-                ),
-            ])
-        })
-        .collect();
     // One flat summary row per (workload, design) cell of the Fig. 5 grid:
     // the raw cycle/area/energy numbers behind every derived figure.
-    let summaries: Vec<JsonValue> = results
+    let summaries: Vec<_> = results
         .fig5
         .runs
         .iter()
-        .flat_map(|run| run.reports.iter())
-        .map(|report| report.summary().to_json())
+        .flat_map(|run| run.reports.iter().map(SimReport::summary))
         .collect();
-    JsonValue::Object(vec![
-        ("schema".into(), JsonValue::string("rasa-run-all/1")),
+    let (fig5, area_energy, fig7) = (&results.fig5, &results.area_energy, &results.fig7);
+    JsonValue::object([
+        ("schema", "rasa-run-all/1".to_json()),
         (
-            "options".into(),
-            JsonValue::Object(vec![
-                (
-                    "matmul_cap".into(),
-                    options
-                        .matmul_cap
-                        .map_or(JsonValue::Null, JsonValue::number_from_usize),
-                ),
-                (
-                    "fig7_max_batch".into(),
-                    JsonValue::number_from_usize(options.fig7_max_batch),
-                ),
-                (
-                    "layers".into(),
-                    options
-                        .layers
-                        .as_deref()
-                        .map_or(JsonValue::Null, JsonValue::string),
-                ),
+            "options",
+            JsonValue::object([
+                ("matmul_cap", options.matmul_cap.to_json()),
+                ("fig7_max_batch", options.fig7_max_batch.to_json()),
+                ("layers", options.layers.to_json()),
             ]),
         ),
         (
-            "fig5".into(),
-            JsonValue::Object(vec![
-                (
-                    "designs".into(),
-                    JsonValue::Array(results.fig5.designs.iter().map(JsonValue::string).collect()),
-                ),
-                ("rows".into(), JsonValue::Array(fig5_rows)),
+            "fig5",
+            JsonValue::object([
+                ("designs", fig5.designs.to_json()),
+                ("rows", fig5.rows.to_json()),
             ]),
         ),
         (
-            "fig6".into(),
-            JsonValue::Object(vec![("rows".into(), JsonValue::Array(fig6_rows))]),
+            "fig6",
+            JsonValue::object([("rows", results.fig6.rows.to_json())]),
         ),
         (
-            "area_energy".into(),
-            JsonValue::Object(vec![
+            "area_energy",
+            JsonValue::object([
+                ("baseline_area_mm2", area_energy.baseline_area_mm2.to_json()),
                 (
-                    "baseline_area_mm2".into(),
-                    JsonValue::number_from_f64(results.area_energy.baseline_area_mm2),
+                    "baseline_die_fraction",
+                    area_energy.baseline_die_fraction.to_json(),
                 ),
-                (
-                    "baseline_die_fraction".into(),
-                    JsonValue::number_from_f64(results.area_energy.baseline_die_fraction),
-                ),
-                ("rows".into(), JsonValue::Array(area_energy_rows)),
+                ("rows", area_energy.rows.to_json()),
             ]),
         ),
         (
-            "fig7".into(),
-            JsonValue::Object(vec![
-                (
-                    "asymptote".into(),
-                    JsonValue::number_from_f64(results.fig7.asymptote),
-                ),
-                ("rows".into(), JsonValue::Array(fig7_rows)),
+            "fig7",
+            JsonValue::object([
+                ("asymptote", fig7.asymptote.to_json()),
+                ("rows", fig7.rows.to_json()),
             ]),
         ),
-        ("summaries".into(), JsonValue::Array(summaries)),
+        ("summaries", summaries.to_json()),
         // Every memoized cell, keyed by its semantic identity: the input
         // of `--warm-start` on a later run.
-        (
-            "cache".into(),
-            JsonValue::Object(vec![("cells".into(), cache_cells)]),
-        ),
+        ("cache", JsonValue::object([("cells", cache_cells)])),
     ])
 }
 
@@ -362,8 +259,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let stats = suite.runner().cache_stats();
     println!("== Execution ==");
     println!(
-        "full evaluation in {:.2} s; {} cells simulated, {} served from cache ({:.0}% hit rate, {} evictions, {}/{} resident)",
-        seconds(elapsed),
+        "full evaluation in {:.1} ms; {} cells simulated, {} served from cache ({:.0}% hit rate, {} evictions, {}/{} resident)",
+        seconds(elapsed) * 1e3,
         stats.misses,
         stats.hits,
         stats.hit_rate() * 100.0,

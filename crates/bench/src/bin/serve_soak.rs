@@ -281,53 +281,26 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
     println!("prof: {}", stages.join(", "));
 
     if let Some(path) = &options.json_path {
-        let document = JsonValue::Object(vec![
-            ("schema".into(), JsonValue::string("rasa-serve-soak/1")),
+        let names: Vec<&str> = designs.iter().map(DesignPoint::name).collect();
+        let document = JsonValue::object([
+            ("schema", "rasa-serve-soak/1".to_json()),
             (
-                "config".into(),
-                JsonValue::Object(vec![
-                    (
-                        "clients".into(),
-                        JsonValue::number_from_usize(options.clients),
-                    ),
-                    (
-                        "requests_per_client".into(),
-                        JsonValue::number_from_usize(options.requests_per_client),
-                    ),
-                    (
-                        "cache_capacity".into(),
-                        JsonValue::number_from_usize(options.cache_capacity),
-                    ),
-                    (
-                        "matmul_cap".into(),
-                        options
-                            .matmul_cap
-                            .map_or(JsonValue::Null, JsonValue::number_from_usize),
-                    ),
-                    ("seed".into(), JsonValue::number_from_u64(options.seed)),
-                    (
-                        "designs".into(),
-                        JsonValue::Array(
-                            designs
-                                .iter()
-                                .map(|d| JsonValue::string(d.name()))
-                                .collect(),
-                        ),
-                    ),
+                "config",
+                JsonValue::object([
+                    ("clients", options.clients.to_json()),
+                    ("requests_per_client", options.requests_per_client.to_json()),
+                    ("cache_capacity", options.cache_capacity.to_json()),
+                    ("matmul_cap", options.matmul_cap.to_json()),
+                    ("seed", options.seed.to_json()),
+                    ("designs", names.to_json()),
                 ]),
             ),
-            (
-                "throughput_requests_per_second".into(),
-                JsonValue::number_from_f64(throughput),
-            ),
-            ("latency".into(), latency.to_json()),
-            ("simulate_latency".into(), simulate_latency.to_json()),
-            ("serving".into(), serving.to_json()),
-            ("cache".into(), cache.to_json()),
-            (
-                "cells".into(),
-                JsonValue::Array(cells.values().map(ToJson::to_json).collect()),
-            ),
+            ("throughput_requests_per_second", throughput.to_json()),
+            ("latency", latency.to_json()),
+            ("simulate_latency", simulate_latency.to_json()),
+            ("serving", serving.to_json()),
+            ("cache", cache.to_json()),
+            ("cells", cells.values().collect::<Vec<_>>().to_json()),
         ]);
         rasa_bench::write_verified_json(path, &document)?;
         println!("results written to {path} (round-trip verified)");
@@ -642,90 +615,37 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     println!("determinism: all {verified} distinct cells byte-identical to in-process serving");
 
     if let Some(path) = &options.json_path {
-        let document = JsonValue::Object(vec![
+        let names: Vec<&str> = designs.iter().map(DesignPoint::name).collect();
+        let summaries: Vec<_> = cells.values().map(|cell| &cell.summary).collect();
+        let document = JsonValue::object([
+            ("schema", "rasa-serve-soak-distributed/1".to_json()),
             (
-                "schema".into(),
-                JsonValue::string("rasa-serve-soak-distributed/1"),
-            ),
-            (
-                "config".into(),
-                JsonValue::Object(vec![
-                    (
-                        "clients".into(),
-                        JsonValue::number_from_usize(options.clients),
-                    ),
-                    (
-                        "requests_per_client".into(),
-                        JsonValue::number_from_usize(options.requests_per_client),
-                    ),
-                    (
-                        "shards".into(),
-                        JsonValue::number_from_usize(options.shards),
-                    ),
-                    (
-                        "cache_capacity".into(),
-                        JsonValue::number_from_usize(options.cache_capacity),
-                    ),
-                    (
-                        "matmul_cap".into(),
-                        options
-                            .matmul_cap
-                            .map_or(JsonValue::Null, JsonValue::number_from_usize),
-                    ),
-                    ("seed".into(), JsonValue::number_from_u64(options.seed)),
-                    ("kill_worker".into(), JsonValue::Bool(options.kill_worker)),
-                    (
-                        "designs".into(),
-                        JsonValue::Array(
-                            designs
-                                .iter()
-                                .map(|d| JsonValue::string(d.name()))
-                                .collect(),
-                        ),
-                    ),
+                "config",
+                JsonValue::object([
+                    ("clients", options.clients.to_json()),
+                    ("requests_per_client", options.requests_per_client.to_json()),
+                    ("shards", options.shards.to_json()),
+                    ("cache_capacity", options.cache_capacity.to_json()),
+                    ("matmul_cap", options.matmul_cap.to_json()),
+                    ("seed", options.seed.to_json()),
+                    ("kill_worker", options.kill_worker.to_json()),
+                    ("designs", names.to_json()),
                 ]),
             ),
+            ("throughput_requests_per_second", throughput.to_json()),
+            ("concurrent_client_connections", options.clients.to_json()),
+            ("latency", latency.to_json()),
+            ("completed", total.to_json()),
+            ("library_retries", client_stats.retries.to_json()),
             (
-                "throughput_requests_per_second".into(),
-                JsonValue::number_from_f64(throughput),
+                "reroute_retries",
+                reroutes.load(Ordering::Relaxed).to_json(),
             ),
-            (
-                "concurrent_client_connections".into(),
-                JsonValue::number_from_usize(options.clients),
-            ),
-            ("latency".into(), latency.to_json()),
-            ("completed".into(), JsonValue::number_from_usize(total)),
-            (
-                "library_retries".into(),
-                JsonValue::number_from_u64(client_stats.retries),
-            ),
-            (
-                "reroute_retries".into(),
-                JsonValue::number_from_u64(reroutes.load(Ordering::Relaxed)),
-            ),
-            ("router".into(), health.stats.to_json()),
-            (
-                "dead_shards".into(),
-                JsonValue::Array(
-                    health
-                        .dead
-                        .iter()
-                        .map(|&shard| JsonValue::number_from_usize(shard as usize))
-                        .collect(),
-                ),
-            ),
-            (
-                "shard_health".into(),
-                JsonValue::Array(health.shards.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "verified_cells".into(),
-                JsonValue::number_from_usize(verified),
-            ),
-            (
-                "cells".into(),
-                JsonValue::Array(cells.values().map(|c| c.summary.to_json()).collect()),
-            ),
+            ("router", health.stats.to_json()),
+            ("dead_shards", health.dead.to_json()),
+            ("shard_health", health.shards.to_json()),
+            ("verified_cells", verified.to_json()),
+            ("cells", summaries.to_json()),
         ]);
         rasa_bench::write_verified_json(path, &document)?;
         println!("results written to {path} (round-trip verified)");

@@ -605,28 +605,25 @@ pub fn paper_gap(suite: &ExperimentSuite) -> Result<JsonValue, SimError> {
             (design.clone(), object(layers))
         })
         .collect();
-    Ok(object(vec![
-        ("schema".into(), JsonValue::string("rasa-paper-gap/1")),
+    let area = |d: &str| row(d).map(|r| r.area_overhead);
+    let energy = |d: &str| row(d).map(|r| r.energy_efficiency);
+    Ok(JsonValue::object([
+        ("schema", JsonValue::string("rasa-paper-gap/1")),
         (
-            "ratios".into(),
-            object(vec![
+            "ratios",
+            JsonValue::object([
                 (
-                    "fig5_reduction".into(),
+                    "fig5_reduction",
                     ratios(&PAPER_FIG5_REDUCTIONS, &|d| fig5.average_reduction(d)),
                 ),
+                ("area_overhead", ratios(&PAPER_AREA_OVERHEADS, &area)),
                 (
-                    "area_overhead".into(),
-                    ratios(&PAPER_AREA_OVERHEADS, &|d| row(d).map(|r| r.area_overhead)),
-                ),
-                (
-                    "energy_efficiency".into(),
-                    ratios(&PAPER_ENERGY_EFFICIENCY, &|d| {
-                        row(d).map(|r| r.energy_efficiency)
-                    }),
+                    "energy_efficiency",
+                    ratios(&PAPER_ENERGY_EFFICIENCY, &energy),
                 ),
             ]),
         ),
-        ("normalized_runtime".into(), object(runtimes)),
+        ("normalized_runtime", object(runtimes)),
     ]))
 }
 

@@ -20,6 +20,13 @@ pub struct AreaEnergyRow {
     pub energy_efficiency: f64,
 }
 
+crate::json::json_document!(AreaEnergyRow: encode {
+    "design" => design,
+    "area_mm2" => area_mm2,
+    "area_overhead" => area_overhead,
+    "energy_efficiency" => energy_efficiency,
+});
+
 /// The §V area and energy comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AreaEnergyResult {

@@ -20,6 +20,11 @@ pub struct Fig5Row {
     pub normalized: Vec<(String, f64)>,
 }
 
+crate::json::json_document!(Fig5Row: encode {
+    "workload" => workload,
+    "normalized" => normalized,
+});
+
 /// The full Fig. 5 result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig5Result {

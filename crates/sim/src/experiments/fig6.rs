@@ -20,6 +20,13 @@ pub struct Fig6Row {
     pub performance_per_area: f64,
 }
 
+crate::json::json_document!(Fig6Row: encode {
+    "design" => design,
+    "speedup" => speedup,
+    "area_ratio" => area_ratio,
+    "performance_per_area" => performance_per_area,
+});
+
 /// The Fig. 6 comparison.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig6Result {

@@ -25,6 +25,12 @@ pub struct Fig7Row {
     pub normalized_runtime: f64,
 }
 
+crate::json::json_document!(Fig7Row: encode {
+    "layer" => layer,
+    "batch" => batch,
+    "normalized_runtime" => normalized_runtime,
+});
+
 /// The full Fig. 7 result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Fig7Result {

@@ -1,36 +1,49 @@
-//! Hand-rolled JSON serialization for simulation results.
+//! Hand-rolled JSON for simulation results and wire payloads.
 //!
 //! The vendored `serde` is a marker-trait stub (no registry access in the
-//! build environment), so persistent result files are produced by this
-//! module instead: a small JSON document model ([`JsonValue`]), a writer
-//! and a recursive-descent parser, plus [`ToJson`]/[`FromJson`]
-//! implementations for the result types the serving layer and the CI
-//! regression harness persist ([`SimReport`], [`CacheStats`] and their
-//! nested breakdowns; [`SimSummary`] rows are written, never read back).
-//! A report's document is what was simulated: its execution diagnostics
-//! ([`SimReport::sched`], [`SimReport::pipeline`]) are never written.
+//! build environment), so every document this workspace persists or sends
+//! is produced here: a document model ([`JsonValue`]), one writer, one pull
+//! reader, and one codec per document type.
 //!
-//! ## Byte-identical round trips
+//! A plain-struct document is declared once, with `json_document!`: one
+//! line per member, naming its key, field and type. The declaration
+//! generates both directions, so a member cannot be added to one and not
+//! the other:
 //!
-//! CI diffs result files across commits, so `parse(serialize(x))` must not
-//! drift. Two design choices guarantee that a parsed document re-serializes
-//! to the exact bytes it was parsed from:
+//! * the [`ToJson`] encoder writes into a [`JsonSink`]: compact text
+//!   straight into a frame's payload (`&'static str` keys, numbers
+//!   formatted in place, no tree), or a [`JsonValue`] tree
+//!   ([`ToJson::to_json`]) for goldens and result files;
+//! * the [`FromJson`] decoder visits members from a [`JsonSource`]: the pull
+//!   reader over a payload's bytes ([`from_slice`]), or a parsed tree
+//!   ([`FromJson::from_json`]). Both run the same decoder, so they accept
+//!   the same documents and decode them to the same values.
 //!
-//! * numbers keep their literal token text (`JsonValue::Number` stores the
-//!   digits, not an `f64`), so no reformatting can occur, and
-//! * objects preserve key order (`Vec<(String, JsonValue)>`, not a map).
+//! Hand-written codecs remain only for documents that are not plain
+//! structs: a layer's fc/conv union, a wire request's `kernel` rule, and
+//! the conditional members of search outcomes.
 //!
-//! Values serialized from Rust floats use the standard shortest
-//! round-trip `Display` formatting, so `f64 -> text -> f64` is lossless as
-//! well.
+//! The pull reader is the only JSON grammar; [`JsonValue::parse`] builds
+//! its tree with it. Members may come in any order, the first of duplicate
+//! members wins (as [`JsonValue::get`]), unknown members are ignored,
+//! nesting deeper than 128 levels is a parse error, and a document is
+//! validated whole, skipped members and trailing bytes included.
+//!
+//! CI diffs result files across commits, so a parsed document must
+//! re-serialize to the exact bytes it was parsed from: numbers keep their
+//! literal token text (`JsonValue::Number` stores the digits, not an
+//! `f64`), and objects keep their key order. Floats are written in Rust's
+//! shortest round-trip `Display` form, so `f64 -> text -> f64` is lossless.
 
-use crate::{CacheStats, PipelineStats, SimError, SimReport, SimSummary};
-use rasa_cpu::{CpuStats, SchedStats};
+use crate::{CacheStats, SimError, SimReport, SimSummary};
+use rasa_cpu::CpuStats;
 use rasa_numeric::ConvShape;
 use rasa_power::{AreaBreakdown, EnergyBreakdown, PowerReport};
 use rasa_systolic::EngineStats;
 use rasa_workloads::{LayerKind, LayerSpec};
+use std::borrow::Cow;
 use std::fmt;
+use std::io::Write as _;
 
 /// A parse or decode error, with a byte offset for parse errors.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,6 +145,12 @@ impl JsonValue {
         JsonValue::String(value.into())
     }
 
+    /// An object node with `members`, in order.
+    #[must_use]
+    pub fn object<const N: usize>(members: [(&str, JsonValue); N]) -> JsonValue {
+        JsonValue::Object(members.map(|(key, value)| (key.to_string(), value)).into())
+    }
+
     /// The value of an object member, if this is an object containing it.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
@@ -198,15 +217,7 @@ impl JsonValue {
     /// Serializes compactly (no whitespace).
     #[must_use]
     pub fn to_string_compact(&self) -> String {
-        let mut out = String::new();
-        self.write_compact(&mut out);
-        out
-    }
-
-    /// Appends the compact serialization to `out`, reusing the string's
-    /// capacity — the allocation-free path pooled wire buffers take.
-    pub fn write_compact(&self, out: &mut String) {
-        self.write(out, None, 0);
+        to_text(self, None)
     }
 
     /// Serializes with two-space indentation and a trailing newline — the
@@ -214,57 +225,9 @@ impl JsonValue {
     /// line-based diffing in CI).
     #[must_use]
     pub fn to_string_pretty(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, Some(2), 0);
-        out.push('\n');
-        out
-    }
-
-    fn write(&self, out: &mut String, indent: Option<usize>, depth: usize) {
-        match self {
-            JsonValue::Null => out.push_str("null"),
-            JsonValue::Bool(true) => out.push_str("true"),
-            JsonValue::Bool(false) => out.push_str("false"),
-            JsonValue::Number(text) => out.push_str(text),
-            JsonValue::String(s) => write_escaped(out, s),
-            JsonValue::Array(items) => {
-                if items.is_empty() {
-                    out.push_str("[]");
-                    return;
-                }
-                out.push('[');
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    item.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push(']');
-            }
-            JsonValue::Object(members) => {
-                if members.is_empty() {
-                    out.push_str("{}");
-                    return;
-                }
-                out.push('{');
-                for (i, (key, value)) in members.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    newline_indent(out, indent, depth + 1);
-                    write_escaped(out, key);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    value.write(out, indent, depth + 1);
-                }
-                newline_indent(out, indent, depth);
-                out.push('}');
-            }
-        }
+        let mut text = to_text(self, Some(2));
+        text.push('\n');
+        text
     }
 
     /// Parses a JSON document.
@@ -274,20 +237,9 @@ impl JsonValue {
     /// Returns a [`JsonError`] with a byte offset for malformed input
     /// (including trailing non-whitespace after the document).
     pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
-        let mut parser = Parser {
-            bytes: input.as_bytes(),
-            pos: 0,
-            depth: 0,
-        };
-        parser.skip_whitespace();
-        let value = parser.parse_value()?;
-        parser.skip_whitespace();
-        if parser.pos != parser.bytes.len() {
-            return Err(JsonError::parse(
-                "trailing characters after document",
-                parser.pos,
-            ));
-        }
+        let mut reader = JsonReader::new(input);
+        let value = reader.tree()?;
+        reader.finish()?;
         Ok(value)
     }
 }
@@ -298,61 +250,672 @@ impl fmt::Display for JsonValue {
     }
 }
 
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        for _ in 0..depth * width {
-            out.push(' ');
-        }
+/// `value`'s declared encoding as text: compact, or indented by `indent`
+/// spaces per level.
+fn to_text(value: &(impl ToJson + ?Sized), indent: Option<usize>) -> String {
+    let mut out = Vec::new();
+    value.write_json(&mut JsonWriter {
+        out: &mut out,
+        indent,
+        depth: 0,
+        slot: Slot::Value,
+    });
+    String::from_utf8(out).expect("the JSON writer writes UTF-8")
+}
+
+/// Runs `write` on a compact writer onto the end of `out`: the frame
+/// writer's path, which builds no tree.
+pub(crate) fn write_compact(out: &mut Vec<u8>, write: impl FnOnce(&mut JsonWriter<'_>)) {
+    write(&mut JsonWriter {
+        out,
+        indent: None,
+        depth: 0,
+        slot: Slot::Value,
+    });
+}
+
+/// Decodes a whole document with the pull reader: the decoder of every
+/// received payload. No tree is built, and a decode succeeds only once the
+/// whole input is validated, skipped members and trailing bytes included.
+///
+/// # Errors
+///
+/// A parse error with a byte offset for input that is not UTF-8 or not
+/// JSON; a decode error when the document does not match `T`.
+pub fn from_slice<T: FromJson>(bytes: &[u8]) -> Result<T, JsonError> {
+    let text = std::str::from_utf8(bytes)
+        .map_err(|e| JsonError::parse("input is not UTF-8", e.valid_up_to()))?;
+    let mut reader = JsonReader::new(text);
+    let value = T::read_json(&mut reader)?;
+    reader.finish()?;
+    value.ok_or_else(|| not_a("the document", T::EXPECTED))
+}
+
+/// Where a declared encoder writes a document: compact or indented text, or
+/// a [`JsonValue`] tree. Containers open and close explicitly; inside an
+/// object, [`member`](Self::member) names the value written next.
+pub trait JsonSink: Sized {
+    /// Opens an object.
+    fn begin_object(&mut self);
+    /// Closes the innermost open object.
+    fn end_object(&mut self);
+    /// Opens an array.
+    fn begin_array(&mut self);
+    /// Closes the innermost open array.
+    fn end_array(&mut self);
+    /// Starts an object member: the next value written is its value.
+    fn member(&mut self, key: &str);
+    /// Writes `null`.
+    fn null(&mut self);
+    /// Writes a bool.
+    fn bool(&mut self, value: bool);
+    /// Writes a number token: `value`'s `Display` text, which must be a
+    /// JSON number (an integer, a finite float in Rust's shortest
+    /// round-trip form, or a [`JsonValue::Number`]'s text).
+    fn number(&mut self, value: impl fmt::Display);
+    /// Writes a string.
+    fn str(&mut self, value: &str);
+
+    /// Writes the member `key` with `value`'s declared encoding.
+    fn field<T: ToJson + ?Sized>(&mut self, key: &str, value: &T) {
+        self.member(key);
+        value.write_json(self);
     }
 }
 
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{08}' => out.push_str("\\b"),
-            '\u{0c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+/// Types with a declared JSON encoding.
+pub trait ToJson {
+    /// Writes this value into `sink`.
+    fn write_json<S: JsonSink>(&self, sink: &mut S);
+
+    /// Builds the JSON document node for this value.
+    fn to_json(&self) -> JsonValue {
+        let mut tree = TreeBuilder {
+            entries: Vec::with_capacity(32),
+            open: Vec::with_capacity(8),
+            key: None,
+        };
+        self.write_json(&mut tree);
+        tree.entries.pop().expect("an encoder writes one value").1
+    }
+}
+
+/// One JSON value a decoder reads: the pull reader positioned at it, or a
+/// node of a parsed tree. Every accessor consumes the value, whatever its
+/// kind, so a decoder that finds the wrong kind can report it without
+/// losing its place; each fails only on malformed input or with the
+/// visitor's own error.
+pub trait JsonSource: Sized {
+    /// The value's number token, or `None` when it is not a number.
+    fn number(&mut self) -> Result<Option<&str>, JsonError>;
+    /// The value's (unescaped) string, or `None` when it is not a string.
+    fn string(&mut self) -> Result<Option<Cow<'_, str>>, JsonError>;
+    /// Whether the value is `null`.
+    fn null(&mut self) -> Result<bool, JsonError>;
+    /// Visits an object's members in document order; `false` when the
+    /// value is not an object. A member the visitor leaves unread is
+    /// skipped.
+    fn object<F>(&mut self, member: F) -> Result<bool, JsonError>
+    where
+        F: FnMut(&str, &mut Self) -> Result<(), JsonError>;
+    /// Visits an array's elements in order; `false` when the value is not
+    /// an array. An element the visitor leaves unread is skipped.
+    fn array<F>(&mut self, element: F) -> Result<bool, JsonError>
+    where
+        F: FnMut(&mut Self) -> Result<(), JsonError>;
+}
+
+/// Types with a declared JSON decoder.
+pub trait FromJson: Sized {
+    /// The JSON kind this type decodes from, for decode errors: `"a u64"`,
+    /// `"an object"`.
+    const EXPECTED: &'static str;
+
+    /// Reads one value from `source`: `Ok(None)` when it is not of the
+    /// kind [`EXPECTED`](Self::EXPECTED) names, and an error when it is
+    /// malformed or does not decode.
+    fn read_json<R: JsonSource>(source: &mut R) -> Result<Option<Self>, JsonError>;
+
+    /// Maps a document node back onto this type.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`JsonError`] when the document shape does not match.
+    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
+        Self::read_json(&mut TreeSource(value))?
+            .ok_or_else(|| not_a("the document", Self::EXPECTED))
+    }
+}
+
+fn not_a(what: &str, expected: &str) -> JsonError {
+    JsonError::decode(format!("{what} is not {expected}"))
+}
+
+/// Decodes the value of member `key`: a declared decoder's one read.
+pub(crate) fn member<T: FromJson, R: JsonSource>(key: &str, value: &mut R) -> Result<T, JsonError> {
+    T::read_json(value)?.ok_or_else(|| not_a(&format!("field '{key}'"), T::EXPECTED))
+}
+
+/// A declared decoder's member slot after the document: its value, or
+/// the error for a member the document left out.
+pub(crate) fn required<T>(slot: Option<T>, key: &str) -> Result<T, JsonError> {
+    slot.ok_or_else(|| JsonError::decode(format!("missing field '{key}'")))
+}
+
+/// Declares the JSON document of a plain struct, one line per member in
+/// document order: `"key" => field: Type`. It generates the struct's
+/// [`ToJson`] encoder and [`FromJson`] decoder. The decoder reads every
+/// listed member (the first of duplicates wins), ignores unknown members,
+/// and sets the fields listed after `..` to their defaults.
+///
+/// `Type => fn name { .. }` also generates `name(sink, &field, ..)`, the
+/// encoder over borrowed members, for a caller that holds the members but
+/// not the struct; `Type: encode { "key" => field, .. }` declares the
+/// encoder alone, for a document whose members have no decoder.
+macro_rules! json_document {
+    ($ty:ident => fn $writer:ident { $($key:literal => $field:ident: $fty:ty),+ $(,)? }) => {
+        /// Writes the document from borrowed members.
+        pub(crate) fn $writer<S: $crate::json::JsonSink>(sink: &mut S, $($field: &$fty),+) {
+            $crate::json::json_document!(@write sink, $($key => $field),+);
+        }
+        impl $crate::json::ToJson for $ty {
+            fn write_json<S: $crate::json::JsonSink>(&self, sink: &mut S) {
+                $writer(sink, $(&self.$field),+);
             }
-            c => out.push(c),
         }
-    }
-    out.push('"');
+        $crate::json::json_document!(@read $ty { $($key => $field: $fty),+ });
+    };
+    ($ty:ident: encode { $($key:literal => $field:ident),+ $(,)? }) => {
+        impl $crate::json::ToJson for $ty {
+            fn write_json<S: $crate::json::JsonSink>(&self, sink: &mut S) {
+                $crate::json::json_document!(@write sink, $($key => &self.$field),+);
+            }
+        }
+    };
+    (
+        $ty:ident { $($key:literal => $field:ident: $fty:ty),+ $(,)? }
+        $(.. $($default:ident),+)?
+    ) => {
+        impl $crate::json::ToJson for $ty {
+            fn write_json<S: $crate::json::JsonSink>(&self, sink: &mut S) {
+                $crate::json::json_document!(@write sink, $($key => &self.$field),+);
+            }
+        }
+        $crate::json::json_document!(@read $ty { $($key => $field: $fty),+ } $($($default),+)?);
+    };
+    (@write $sink:ident, $($key:literal => $value:expr),+) => {
+        $sink.begin_object();
+        $($sink.field($key, $value);)+
+        $sink.end_object();
+    };
+    (@read $ty:ident { $($key:literal => $field:ident: $fty:ty),+ } $($default:ident),*) => {
+        impl $crate::json::FromJson for $ty {
+            const EXPECTED: &'static str = "an object";
+
+            fn read_json<R: $crate::json::JsonSource>(
+                source: &mut R,
+            ) -> Result<Option<Self>, $crate::json::JsonError> {
+                $(let mut $field: Option<$fty> = None;)+
+                let object = source.object(|key, value| {
+                    match key {
+                        $($key if $field.is_none() => {
+                            $field = Some($crate::json::member(key, value)?);
+                        })+
+                        _ => {}
+                    }
+                    Ok(())
+                })?;
+                if !object {
+                    return Ok(None);
+                }
+                Ok(Some($ty {
+                    $($field: $crate::json::required($field, $key)?,)+
+                    $($default: Default::default(),)*
+                }))
+            }
+        }
+    };
+}
+pub(crate) use json_document;
+
+/// Scalars write themselves with one sink call.
+macro_rules! scalar_to_json {
+    ($($ty:ty => |$value:ident, $sink:ident| $write:expr;)+) => {$(
+        impl ToJson for $ty {
+            fn write_json<S: JsonSink>(&self, $sink: &mut S) {
+                let $value = self;
+                $write;
+            }
+        }
+    )+};
 }
 
-/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
-/// recurses once per level, so without a bound an untrusted frame of
-/// `[[[…` could overflow the stack; the documents this crate writes nest
-/// a handful of levels deep.
+scalar_to_json! {
+    u64 => |value, sink| sink.number(*value);
+    u32 => |value, sink| sink.number(*value);
+    usize => |value, sink| sink.number(*value);
+    // Non-finite values (which valid metrics never produce) serialize as
+    // `null` to keep the document well-formed.
+    f64 => |value, sink| if value.is_finite() { sink.number(*value) } else { sink.null() };
+    bool => |value, sink| sink.bool(*value);
+    str => |value, sink| sink.str(value);
+    String => |value, sink| sink.str(value);
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        (**self).write_json(sink);
+    }
+}
+
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        match self {
+            Some(value) => value.write_json(sink),
+            None => sink.null(),
+        }
+    }
+}
+
+impl<A: ToJson, B: ToJson> ToJson for (A, B) {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_array();
+        self.0.write_json(sink);
+        self.1.write_json(sink);
+        sink.end_array();
+    }
+}
+
+impl<T: ToJson> ToJson for [T] {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_array();
+        for item in self {
+            item.write_json(sink);
+        }
+        sink.end_array();
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        self.as_slice().write_json(sink);
+    }
+}
+
+impl ToJson for JsonValue {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        match self {
+            JsonValue::Null => sink.null(),
+            JsonValue::Bool(value) => sink.bool(*value),
+            JsonValue::Number(token) => sink.number(token),
+            JsonValue::String(value) => sink.str(value),
+            JsonValue::Array(items) => items.write_json(sink),
+            JsonValue::Object(members) => {
+                sink.begin_object();
+                for (key, value) in members {
+                    sink.field(key, value);
+                }
+                sink.end_object();
+            }
+        }
+    }
+
+    fn to_json(&self) -> JsonValue {
+        self.clone()
+    }
+}
+
+/// Number types decode from a number token that parses as the type.
+macro_rules! number_from_json {
+    ($($ty:ty => $expected:literal),+) => {$(
+        impl FromJson for $ty {
+            const EXPECTED: &'static str = $expected;
+
+            fn read_json<R: JsonSource>(source: &mut R) -> Result<Option<Self>, JsonError> {
+                Ok(source.number()?.and_then(|token| token.parse().ok()))
+            }
+        }
+    )+};
+}
+
+number_from_json!(u64 => "a u64", u32 => "a u32", usize => "a usize", f64 => "a number");
+
+impl FromJson for String {
+    const EXPECTED: &'static str = "a string";
+
+    fn read_json<R: JsonSource>(source: &mut R) -> Result<Option<Self>, JsonError> {
+        Ok(source.string()?.map(Cow::into_owned))
+    }
+}
+
+impl<T: FromJson> FromJson for Vec<T> {
+    const EXPECTED: &'static str = "an array";
+
+    fn read_json<R: JsonSource>(source: &mut R) -> Result<Option<Self>, JsonError> {
+        let mut items = Vec::new();
+        let array = source.array(|element| {
+            items.push(T::read_json(element)?.ok_or_else(|| not_a("an entry", T::EXPECTED))?);
+            Ok(())
+        })?;
+        Ok(array.then_some(items))
+    }
+}
+
+/// Where the [`JsonWriter`] stands: what precedes the next value or member.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Slot {
+    /// A value with no separator: the document itself, or a member's value.
+    Value,
+    /// The first entry of a container just opened.
+    First,
+    /// An entry after another: a comma first.
+    Next,
+}
+
+/// The one JSON text writer: every compact and indented document, and every
+/// payload written straight into a frame.
+pub(crate) struct JsonWriter<'a> {
+    out: &'a mut Vec<u8>,
+    /// Spaces per nesting level, or `None` for compact text.
+    indent: Option<usize>,
+    /// Containers open.
+    depth: usize,
+    slot: Slot,
+}
+
+impl JsonWriter<'_> {
+    /// Writes what separates the next entry from the one before it.
+    fn separate(&mut self) {
+        match self.slot {
+            Slot::Value => {}
+            Slot::First => self.newline(),
+            Slot::Next => {
+                self.out.push(b',');
+                self.newline();
+            }
+        }
+    }
+
+    fn newline(&mut self) {
+        if let Some(width) = self.indent {
+            self.out.push(b'\n');
+            self.out
+                .extend(std::iter::repeat(b' ').take(self.depth * width));
+        }
+    }
+
+    /// Writes a whole scalar value.
+    fn scalar(&mut self, text: &[u8]) {
+        self.separate();
+        self.out.extend_from_slice(text);
+        self.slot = Slot::Next;
+    }
+
+    fn open(&mut self, bracket: u8) {
+        self.separate();
+        self.out.push(bracket);
+        self.depth += 1;
+        self.slot = Slot::First;
+    }
+
+    fn close(&mut self, bracket: u8) {
+        self.depth -= 1;
+        if self.slot != Slot::First {
+            self.newline();
+        }
+        self.out.push(bracket);
+        self.slot = Slot::Next;
+    }
+}
+
+impl JsonSink for JsonWriter<'_> {
+    fn begin_object(&mut self) {
+        self.open(b'{');
+    }
+
+    fn end_object(&mut self) {
+        self.close(b'}');
+    }
+
+    fn begin_array(&mut self) {
+        self.open(b'[');
+    }
+
+    fn end_array(&mut self) {
+        self.close(b']');
+    }
+
+    fn member(&mut self, key: &str) {
+        self.separate();
+        write_escaped(self.out, key);
+        self.out.push(b':');
+        if self.indent.is_some() {
+            self.out.push(b' ');
+        }
+        self.slot = Slot::Value;
+    }
+
+    fn null(&mut self) {
+        self.scalar(b"null");
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.scalar(if value { b"true" } else { b"false" });
+    }
+
+    fn number(&mut self, value: impl fmt::Display) {
+        self.separate();
+        write!(self.out, "{value}").expect("writing to a Vec cannot fail");
+        self.slot = Slot::Next;
+    }
+
+    fn str(&mut self, value: &str) {
+        self.separate();
+        write_escaped(self.out, value);
+        self.slot = Slot::Next;
+    }
+}
+
+/// Writes `s` as a JSON string: runs of bytes that need no escape are
+/// copied whole.
+fn write_escaped(out: &mut Vec<u8>, s: &str) {
+    out.push(b'"');
+    let mut clean = 0;
+    for (at, &byte) in s.as_bytes().iter().enumerate() {
+        let escape: &[u8] = match byte {
+            b'"' => b"\\\"",
+            b'\\' => b"\\\\",
+            b'\n' => b"\\n",
+            b'\r' => b"\\r",
+            b'\t' => b"\\t",
+            0x08 => b"\\b",
+            0x0c => b"\\f",
+            0..=0x1f => b"",
+            _ => continue,
+        };
+        out.extend_from_slice(&s.as_bytes()[clean..at]);
+        if escape.is_empty() {
+            write!(out, "\\u{byte:04x}").expect("writing to a Vec cannot fail");
+        } else {
+            out.extend_from_slice(escape);
+        }
+        clean = at + 1;
+    }
+    out.extend_from_slice(&s.as_bytes()[clean..]);
+    out.push(b'"');
+}
+
+/// The sink behind [`ToJson::to_json`]: builds a [`JsonValue`] tree.
+/// The entries of open containers wait in one list, so closing a
+/// container allocates it once, at its exact size.
+#[derive(Default)]
+struct TreeBuilder {
+    /// Values written and not yet closed into a container, each with the
+    /// key it sits under; the finished document is the last one left.
+    entries: Vec<(Option<String>, JsonValue)>,
+    /// Each open container: whether it is an object, where its entries
+    /// start, and the key it sits under.
+    open: Vec<(bool, usize, Option<String>)>,
+    /// The key named for the next value.
+    key: Option<String>,
+}
+
+impl TreeBuilder {
+    fn place(&mut self, value: JsonValue) {
+        let key = self.key.take();
+        self.entries.push((key, value));
+    }
+
+    fn open(&mut self, object: bool) {
+        let key = self.key.take();
+        self.open.push((object, self.entries.len(), key));
+    }
+
+    fn close(&mut self) {
+        let (object, start, key) = self.open.pop().expect("a container is open");
+        let entries = self.entries.drain(start..);
+        let container = if object {
+            let named = |(key, value): (Option<String>, _)| {
+                (key.expect("an object member is named first"), value)
+            };
+            JsonValue::Object(entries.map(named).collect())
+        } else {
+            JsonValue::Array(entries.map(|(_, value)| value).collect())
+        };
+        self.key = key;
+        self.place(container);
+    }
+}
+
+impl JsonSink for TreeBuilder {
+    fn begin_object(&mut self) {
+        self.open(true);
+    }
+
+    fn end_object(&mut self) {
+        self.close();
+    }
+
+    fn begin_array(&mut self) {
+        self.open(false);
+    }
+
+    fn end_array(&mut self) {
+        self.close();
+    }
+
+    fn member(&mut self, key: &str) {
+        self.key = Some(key.to_string());
+    }
+
+    fn null(&mut self) {
+        self.place(JsonValue::Null);
+    }
+
+    fn bool(&mut self, value: bool) {
+        self.place(JsonValue::Bool(value));
+    }
+
+    fn number(&mut self, value: impl fmt::Display) {
+        self.place(JsonValue::Number(value.to_string()));
+    }
+
+    fn str(&mut self, value: &str) {
+        self.place(JsonValue::string(value));
+    }
+}
+
+/// A parsed tree as a decoder's source.
+struct TreeSource<'v>(&'v JsonValue);
+
+impl<'v> JsonSource for TreeSource<'v> {
+    fn number(&mut self) -> Result<Option<&str>, JsonError> {
+        Ok(match self.0 {
+            JsonValue::Number(token) => Some(token),
+            _ => None,
+        })
+    }
+
+    fn string(&mut self) -> Result<Option<Cow<'_, str>>, JsonError> {
+        Ok(self.0.as_str().map(Cow::Borrowed))
+    }
+
+    fn null(&mut self) -> Result<bool, JsonError> {
+        Ok(*self.0 == JsonValue::Null)
+    }
+
+    fn object<F>(&mut self, mut member: F) -> Result<bool, JsonError>
+    where
+        F: FnMut(&str, &mut Self) -> Result<(), JsonError>,
+    {
+        let node: &'v JsonValue = self.0;
+        let JsonValue::Object(members) = node else {
+            return Ok(false);
+        };
+        for (key, value) in members {
+            member(key, &mut TreeSource(value))?;
+        }
+        Ok(true)
+    }
+
+    fn array<F>(&mut self, mut element: F) -> Result<bool, JsonError>
+    where
+        F: FnMut(&mut Self) -> Result<(), JsonError>,
+    {
+        let node: &'v JsonValue = self.0;
+        let JsonValue::Array(items) = node else {
+            return Ok(false);
+        };
+        for item in items {
+            element(&mut TreeSource(item))?;
+        }
+        Ok(true)
+    }
+}
+
+/// Deepest array/object nesting the reader accepts. The reader recurses
+/// once per level, so without a bound an untrusted frame of `[[[…` could
+/// overflow the stack; the documents this crate writes nest a handful of
+/// levels deep.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// What a value is, from its first byte.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Literal,
+    Number,
+    String,
+    Array,
+    Object,
+}
+
+/// The pull reader: the crate's one JSON grammar. It reads one value at a
+/// time from the input, and builds nothing unless asked to
+/// ([`tree`](Self::tree)).
+struct JsonReader<'a> {
+    text: &'a str,
     pos: usize,
     /// Arrays and objects currently open.
     depth: usize,
 }
 
-impl Parser<'_> {
-    fn skip_whitespace(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+impl<'a> JsonReader<'a> {
+    fn new(text: &'a str) -> Self {
+        JsonReader {
+            text,
+            pos: 0,
+            depth: 0,
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    fn skip_whitespace(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
     }
 
     fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
@@ -368,7 +931,7 @@ impl Parser<'_> {
     }
 
     fn eat_literal(&mut self, literal: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(literal.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
             self.pos += literal.len();
             true
         } else {
@@ -376,104 +939,188 @@ impl Parser<'_> {
         }
     }
 
-    fn parse_value(&mut self) -> Result<JsonValue, JsonError> {
+    /// Skips whitespace and classifies the next value by its first byte.
+    fn kind(&mut self) -> Result<Kind, JsonError> {
+        self.skip_whitespace();
         match self.peek() {
-            Some(b'n') if self.eat_literal("null") => Ok(JsonValue::Null),
-            Some(b't') if self.eat_literal("true") => Ok(JsonValue::Bool(true)),
-            Some(b'f') if self.eat_literal("false") => Ok(JsonValue::Bool(false)),
-            Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
-            Some(b'[') => self.nested(Self::parse_array),
-            Some(b'{') => self.nested(Self::parse_object),
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
+            Some(b'n' | b't' | b'f') => Ok(Kind::Literal),
+            Some(b'"') => Ok(Kind::String),
+            Some(b'[') => Ok(Kind::Array),
+            Some(b'{') => Ok(Kind::Object),
+            Some(b'-' | b'0'..=b'9') => Ok(Kind::Number),
             _ => Err(JsonError::parse("expected a JSON value", self.pos)),
         }
     }
 
-    /// Runs `parse` one nesting level deeper, refusing to pass
+    /// Reads `null` (`None`), `true` or `false`.
+    fn literal(&mut self) -> Result<Option<bool>, JsonError> {
+        for (text, value) in [("null", None), ("true", Some(true)), ("false", Some(false))] {
+            if self.eat_literal(text) {
+                return Ok(value);
+            }
+        }
+        Err(JsonError::parse("expected a JSON value", self.pos))
+    }
+
+    /// Reads the document's one value and checks that only whitespace
+    /// follows it.
+    fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_whitespace();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(JsonError::parse(
+                "trailing characters after document",
+                self.pos,
+            ))
+        }
+    }
+
+    /// Skips one value, validating it.
+    fn skip(&mut self) -> Result<(), JsonError> {
+        match self.kind()? {
+            Kind::Literal => self.literal().map(drop),
+            Kind::Number => self.number_token().map(drop),
+            Kind::String => self.string_token().map(drop),
+            Kind::Array => self.read_array(Self::skip),
+            Kind::Object => self.read_object(|reader, _| reader.skip()),
+        }
+    }
+
+    /// Reads one value into a tree.
+    fn tree(&mut self) -> Result<JsonValue, JsonError> {
+        Ok(match self.kind()? {
+            Kind::Literal => self.literal()?.map_or(JsonValue::Null, JsonValue::Bool),
+            Kind::Number => JsonValue::Number(self.number_token()?.to_string()),
+            Kind::String => JsonValue::String(self.string_token()?.into_owned()),
+            Kind::Array => {
+                let mut items = Vec::new();
+                self.read_array(|reader| {
+                    items.push(reader.tree()?);
+                    Ok(())
+                })?;
+                JsonValue::Array(items)
+            }
+            Kind::Object => {
+                let mut members = Vec::new();
+                self.read_object(|reader, key| {
+                    members.push((key.to_string(), reader.tree()?));
+                    Ok(())
+                })?;
+                JsonValue::Object(members)
+            }
+        })
+    }
+
+    /// Enters one nesting level at an opening bracket, refusing to pass
     /// [`MAX_DEPTH`].
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self) -> Result<JsonValue, JsonError>,
-    ) -> Result<JsonValue, JsonError> {
+    fn enter(&mut self, bracket: u8) -> Result<(), JsonError> {
         if self.depth == MAX_DEPTH {
             return Err(JsonError::parse(
                 format!("nesting deeper than {MAX_DEPTH} levels"),
                 self.pos,
             ));
         }
+        self.expect(bracket)?;
         self.depth += 1;
-        let value = parse(self);
+        self.skip_whitespace();
+        Ok(())
+    }
+
+    /// Runs `visit` on the value at the reader, and skips the value if the
+    /// visitor left it unread.
+    fn visit_value(
+        &mut self,
+        visit: impl FnOnce(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.skip_whitespace();
+        let start = self.pos;
+        visit(self)?;
+        if self.pos == start {
+            self.skip()?;
+        }
+        self.skip_whitespace();
+        Ok(())
+    }
+
+    fn read_array(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.enter(b'[')?;
+        if self.peek() != Some(b']') {
+            loop {
+                self.visit_value(&mut element)?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b']') => break,
+                    _ => return Err(JsonError::parse("expected ',' or ']'", self.pos)),
+                }
+            }
+        }
+        self.pos += 1;
         self.depth -= 1;
-        value
+        Ok(())
     }
 
-    fn parse_array(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Array(items));
-        }
-        loop {
-            self.skip_whitespace();
-            items.push(self.parse_value()?);
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Array(items));
+    fn read_object(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        self.enter(b'{')?;
+        if self.peek() != Some(b'}') {
+            loop {
+                self.skip_whitespace();
+                let key = self.string_token()?;
+                self.skip_whitespace();
+                self.expect(b':')?;
+                self.visit_value(|reader| member(reader, &key))?;
+                match self.peek() {
+                    Some(b',') => self.pos += 1,
+                    Some(b'}') => break,
+                    _ => return Err(JsonError::parse("expected ',' or '}'", self.pos)),
                 }
-                _ => return Err(JsonError::parse("expected ',' or ']'", self.pos)),
             }
         }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(())
     }
 
-    fn parse_object(&mut self) -> Result<JsonValue, JsonError> {
-        self.expect(b'{')?;
-        let mut members = Vec::new();
-        self.skip_whitespace();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Object(members));
-        }
-        loop {
-            self.skip_whitespace();
-            let key = self.parse_string()?;
-            self.skip_whitespace();
-            self.expect(b':')?;
-            self.skip_whitespace();
-            let value = self.parse_value()?;
-            members.push((key, value));
-            self.skip_whitespace();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(JsonValue::Object(members));
-                }
-                _ => return Err(JsonError::parse("expected ',' or '}'", self.pos)),
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, JsonError> {
+    /// Reads a string token: borrowed from the input unless it holds
+    /// escapes.
+    fn string_token(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let text: &'a str = self.text;
+        let bytes = text.as_bytes();
+        let start = self.pos;
+        let mut owned: Option<String> = None;
+        let mut clean = start;
         loop {
-            let Some(b) = self.peek() else {
+            let Some(&byte) = bytes.get(self.pos) else {
                 return Err(JsonError::parse("unterminated string", self.pos));
             };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
+            match byte {
+                b'"' => {
+                    let tail = &text[clean..self.pos];
+                    self.pos += 1;
+                    return Ok(match owned {
+                        Some(mut out) => {
+                            out.push_str(tail);
+                            Cow::Owned(out)
+                        }
+                        None => Cow::Borrowed(tail),
+                    });
+                }
                 b'\\' => {
-                    let Some(esc) = self.peek() else {
+                    let out = owned.get_or_insert_with(String::new);
+                    out.push_str(&text[clean..self.pos]);
+                    self.pos += 1;
+                    let Some(escape) = self.peek() else {
                         return Err(JsonError::parse("unterminated escape", self.pos));
                     };
                     self.pos += 1;
-                    match esc {
+                    match escape {
                         b'"' => out.push('"'),
                         b'\\' => out.push('\\'),
                         b'/' => out.push('/'),
@@ -482,61 +1129,51 @@ impl Parser<'_> {
                         b't' => out.push('\t'),
                         b'b' => out.push('\u{08}'),
                         b'f' => out.push('\u{0c}'),
-                        b'u' => out.push(self.parse_unicode_escape()?),
-                        _ => {
-                            return Err(JsonError::parse("invalid escape", self.pos - 1));
-                        }
+                        b'u' => out.push(self.unicode_escape()?),
+                        _ => return Err(JsonError::parse("invalid escape", self.pos - 1)),
                     }
+                    clean = self.pos;
                 }
-                // Multi-byte UTF-8: copy the whole code point verbatim.
-                b if b >= 0x80 => {
-                    let start = self.pos - 1;
-                    let len =
-                        utf8_len(b).ok_or_else(|| JsonError::parse("invalid utf-8", start))?;
-                    let end = start + len;
-                    let slice = self
-                        .bytes
-                        .get(start..end)
-                        .ok_or_else(|| JsonError::parse("truncated utf-8", start))?;
-                    let s = std::str::from_utf8(slice)
-                        .map_err(|_| JsonError::parse("invalid utf-8", start))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
-                b if b < 0x20 => {
+                0..=0x1f => {
                     return Err(JsonError::parse(
                         "unescaped control character in string",
-                        self.pos - 1,
+                        self.pos,
                     ));
                 }
-                b => out.push(b as char),
+                // The input is UTF-8, so a multi-byte code point passes
+                // through byte by byte.
+                _ => self.pos += 1,
             }
         }
     }
 
-    fn parse_hex4(&mut self) -> Result<u32, JsonError> {
+    fn hex4(&mut self) -> Result<u32, JsonError> {
         let start = self.pos;
-        let slice = self
-            .bytes
+        let digits = self
+            .text
+            .as_bytes()
             .get(start..start + 4)
             .ok_or_else(|| JsonError::parse("truncated \\u escape", start))?;
-        let text = std::str::from_utf8(slice)
-            .map_err(|_| JsonError::parse("invalid \\u escape", start))?;
-        let code = u32::from_str_radix(text, 16)
-            .map_err(|_| JsonError::parse("invalid \\u escape", start))?;
+        let mut code = 0;
+        for &digit in digits {
+            let value = (digit as char)
+                .to_digit(16)
+                .ok_or_else(|| JsonError::parse("invalid \\u escape", start))?;
+            code = code * 16 + value;
+        }
         self.pos += 4;
         Ok(code)
     }
 
-    fn parse_unicode_escape(&mut self) -> Result<char, JsonError> {
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
         let at = self.pos;
-        let code = self.parse_hex4()?;
+        let code = self.hex4()?;
         // Surrogate pair: \uD8xx must be followed by \uDCxx.
         if (0xD800..0xDC00).contains(&code) {
             if !self.eat_literal("\\u") {
                 return Err(JsonError::parse("unpaired surrogate", at));
             }
-            let low = self.parse_hex4()?;
+            let low = self.hex4()?;
             if !(0xDC00..0xE000).contains(&low) {
                 return Err(JsonError::parse("invalid low surrogate", at));
             }
@@ -550,13 +1187,13 @@ impl Parser<'_> {
         char::from_u32(code).ok_or_else(|| JsonError::parse("invalid \\u escape", at))
     }
 
-    fn parse_number(&mut self) -> Result<JsonValue, JsonError> {
+    /// Reads a number token: `-`? digits (`.` digits)? ([eE] [+-]? digits)?
+    fn number_token(&mut self) -> Result<&'a str, JsonError> {
         let start = self.pos;
         if self.peek() == Some(b'-') {
             self.pos += 1;
         }
-        let int_digits = self.eat_digits();
-        if int_digits == 0 {
+        if self.eat_digits() == 0 {
             return Err(JsonError::parse("expected digits", self.pos));
         }
         if self.peek() == Some(b'.') {
@@ -574,10 +1211,7 @@ impl Parser<'_> {
                 return Err(JsonError::parse("expected exponent digits", self.pos));
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number tokens are ascii")
-            .to_string();
-        Ok(JsonValue::Number(text))
+        Ok(&self.text[start..self.pos])
     }
 
     fn eat_digits(&mut self) -> usize {
@@ -589,452 +1223,226 @@ impl Parser<'_> {
     }
 }
 
-fn utf8_len(first: u8) -> Option<usize> {
-    match first {
-        0xC0..=0xDF => Some(2),
-        0xE0..=0xEF => Some(3),
-        0xF0..=0xF7 => Some(4),
-        _ => None,
+impl JsonSource for JsonReader<'_> {
+    fn number(&mut self) -> Result<Option<&str>, JsonError> {
+        if self.kind()? == Kind::Number {
+            self.number_token().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    fn string(&mut self) -> Result<Option<Cow<'_, str>>, JsonError> {
+        if self.kind()? == Kind::String {
+            self.string_token().map(Some)
+        } else {
+            self.skip().map(|()| None)
+        }
+    }
+
+    fn null(&mut self) -> Result<bool, JsonError> {
+        if self.kind()? == Kind::Literal && self.eat_literal("null") {
+            return Ok(true);
+        }
+        self.skip().map(|()| false)
+    }
+
+    fn object<F>(&mut self, mut member: F) -> Result<bool, JsonError>
+    where
+        F: FnMut(&str, &mut Self) -> Result<(), JsonError>,
+    {
+        if self.kind()? != Kind::Object {
+            return self.skip().map(|()| false);
+        }
+        self.read_object(|reader, key| member(key, reader))
+            .map(|()| true)
+    }
+
+    fn array<F>(&mut self, element: F) -> Result<bool, JsonError>
+    where
+        F: FnMut(&mut Self) -> Result<(), JsonError>,
+    {
+        if self.kind()? != Kind::Array {
+            return self.skip().map(|()| false);
+        }
+        self.read_array(element).map(|()| true)
     }
 }
 
-/// Types that serialize to a [`JsonValue`].
-pub trait ToJson {
-    /// Builds the JSON document node for this value.
-    fn to_json(&self) -> JsonValue;
-}
+json_document!(EngineStats {
+    "matmuls" => matmuls: u64,
+    "weight_bypasses" => weight_bypasses: u64,
+    "weight_prefetches" => weight_prefetches: u64,
+    "full_weight_loads" => full_weight_loads: u64,
+    "occupancy_cycles" => occupancy_cycles: u64,
+    "last_completion_cycle" => last_completion_cycle: u64,
+    "total_macs" => total_macs: u64,
+    "operand_stall_cycles" => operand_stall_cycles: u64,
+    "structural_stall_cycles" => structural_stall_cycles: u64,
+});
 
-/// Types that reconstruct from a [`JsonValue`].
-pub trait FromJson: Sized {
-    /// Maps a document node back onto this type.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`JsonError`] when the document shape does not match.
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError>;
-}
+json_document!(CpuStats {
+    "cycles" => cycles: u64,
+    "retired_instructions" => retired_instructions: u64,
+    "retired_matmuls" => retired_matmuls: u64,
+    "retired_tile_memory_ops" => retired_tile_memory_ops: u64,
+    "rob_full_stalls" => rob_full_stalls: u64,
+    "rs_full_stalls" => rs_full_stalls: u64,
+    "engine" => engine: EngineStats,
+});
 
-pub(crate) fn member<'a>(value: &'a JsonValue, key: &str) -> Result<&'a JsonValue, JsonError> {
-    value
-        .get(key)
-        .ok_or_else(|| JsonError::decode(format!("missing field '{key}'")))
-}
+json_document!(AreaBreakdown {
+    "multipliers" => multipliers: f64,
+    "adders" => adders: f64,
+    "weight_buffers" => weight_buffers: f64,
+    "pipeline" => pipeline: f64,
+    "control" => control: f64,
+});
 
-pub(crate) fn u64_member(value: &JsonValue, key: &str) -> Result<u64, JsonError> {
-    member(value, key)?
-        .as_u64()
-        .ok_or_else(|| JsonError::decode(format!("field '{key}' is not a u64")))
-}
+json_document!(EnergyBreakdown {
+    "mac" => mac: f64,
+    "weight_load" => weight_load: f64,
+    "tile_io" => tile_io: f64,
+    "static_clock" => static_clock: f64,
+});
 
-pub(crate) fn usize_member(value: &JsonValue, key: &str) -> Result<usize, JsonError> {
-    member(value, key)?
-        .as_usize()
-        .ok_or_else(|| JsonError::decode(format!("field '{key}' is not a usize")))
-}
+json_document!(PowerReport {
+    "design" => design: String,
+    "area" => area: AreaBreakdown,
+    "energy" => energy: EnergyBreakdown,
+    "core_cycles" => core_cycles: u64,
+});
 
-pub(crate) fn f64_member(value: &JsonValue, key: &str) -> Result<f64, JsonError> {
-    member(value, key)?
-        .as_f64()
-        .ok_or_else(|| JsonError::decode(format!("field '{key}' is not a number")))
-}
+// A report's document is its nine simulated members. Its execution
+// diagnostics stay in process: a `sched` or `pipeline` member, which older
+// documents and peers carry, is ignored, and decoding defaults both.
+json_document!(SimReport {
+    "design" => design: String,
+    "workload" => workload: String,
+    "core_cycles" => core_cycles: u64,
+    "simulated_core_cycles" => simulated_core_cycles: u64,
+    "simulated_matmuls" => simulated_matmuls: u64,
+    "total_matmuls" => total_matmuls: u64,
+    "runtime_seconds" => runtime_seconds: f64,
+    "cpu" => cpu: CpuStats,
+    "power" => power: PowerReport,
+} .. sched, pipeline);
 
-pub(crate) fn string_member(value: &JsonValue, key: &str) -> Result<String, JsonError> {
-    Ok(member(value, key)?
-        .as_str()
-        .ok_or_else(|| JsonError::decode(format!("field '{key}' is not a string")))?
-        .to_string())
-}
+json_document!(SimSummary {
+    "design" => design: String,
+    "workload" => workload: String,
+    "core_cycles" => core_cycles: u64,
+    "simulated_matmuls" => simulated_matmuls: u64,
+    "total_matmuls" => total_matmuls: u64,
+    "runtime_seconds" => runtime_seconds: f64,
+    "ipc" => ipc: f64,
+    "engine_bypass_rate" => engine_bypass_rate: f64,
+    "area_mm2" => area_mm2: f64,
+    "energy_joules" => energy_joules: f64,
+});
 
-/// Decodes every element of the array member `key` with `element`.
-pub(crate) fn array_member<T>(
-    value: &JsonValue,
-    key: &str,
-    element: impl Fn(&JsonValue) -> Result<T, JsonError>,
-) -> Result<Vec<T>, JsonError> {
-    member(value, key)?
-        .as_array()
-        .ok_or_else(|| JsonError::decode(format!("field '{key}' is not an array")))?
-        .iter()
-        .map(element)
-        .collect()
-}
+json_document!(CacheStats {
+    "hits" => hits: u64,
+    "misses" => misses: u64,
+    "entries" => entries: usize,
+    "evictions" => evictions: u64,
+    "capacity" => capacity: usize,
+});
 
-impl ToJson for EngineStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("matmuls".into(), JsonValue::number_from_u64(self.matmuls)),
-            (
-                "weight_bypasses".into(),
-                JsonValue::number_from_u64(self.weight_bypasses),
-            ),
-            (
-                "weight_prefetches".into(),
-                JsonValue::number_from_u64(self.weight_prefetches),
-            ),
-            (
-                "full_weight_loads".into(),
-                JsonValue::number_from_u64(self.full_weight_loads),
-            ),
-            (
-                "occupancy_cycles".into(),
-                JsonValue::number_from_u64(self.occupancy_cycles),
-            ),
-            (
-                "last_completion_cycle".into(),
-                JsonValue::number_from_u64(self.last_completion_cycle),
-            ),
-            (
-                "total_macs".into(),
-                JsonValue::number_from_u64(self.total_macs),
-            ),
-            (
-                "operand_stall_cycles".into(),
-                JsonValue::number_from_u64(self.operand_stall_cycles),
-            ),
-            (
-                "structural_stall_cycles".into(),
-                JsonValue::number_from_u64(self.structural_stall_cycles),
-            ),
-        ])
-    }
-}
-
-impl FromJson for EngineStats {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(EngineStats {
-            matmuls: u64_member(value, "matmuls")?,
-            weight_bypasses: u64_member(value, "weight_bypasses")?,
-            weight_prefetches: u64_member(value, "weight_prefetches")?,
-            full_weight_loads: u64_member(value, "full_weight_loads")?,
-            occupancy_cycles: u64_member(value, "occupancy_cycles")?,
-            last_completion_cycle: u64_member(value, "last_completion_cycle")?,
-            total_macs: u64_member(value, "total_macs")?,
-            operand_stall_cycles: u64_member(value, "operand_stall_cycles")?,
-            structural_stall_cycles: u64_member(value, "structural_stall_cycles")?,
-        })
-    }
-}
-
-impl ToJson for CpuStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("cycles".into(), JsonValue::number_from_u64(self.cycles)),
-            (
-                "retired_instructions".into(),
-                JsonValue::number_from_u64(self.retired_instructions),
-            ),
-            (
-                "retired_matmuls".into(),
-                JsonValue::number_from_u64(self.retired_matmuls),
-            ),
-            (
-                "retired_tile_memory_ops".into(),
-                JsonValue::number_from_u64(self.retired_tile_memory_ops),
-            ),
-            (
-                "rob_full_stalls".into(),
-                JsonValue::number_from_u64(self.rob_full_stalls),
-            ),
-            (
-                "rs_full_stalls".into(),
-                JsonValue::number_from_u64(self.rs_full_stalls),
-            ),
-            ("engine".into(), self.engine.to_json()),
-        ])
-    }
-}
-
-impl FromJson for CpuStats {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(CpuStats {
-            cycles: u64_member(value, "cycles")?,
-            retired_instructions: u64_member(value, "retired_instructions")?,
-            retired_matmuls: u64_member(value, "retired_matmuls")?,
-            retired_tile_memory_ops: u64_member(value, "retired_tile_memory_ops")?,
-            rob_full_stalls: u64_member(value, "rob_full_stalls")?,
-            rs_full_stalls: u64_member(value, "rs_full_stalls")?,
-            engine: EngineStats::from_json(member(value, "engine")?)?,
-        })
-    }
-}
-
-impl ToJson for AreaBreakdown {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "multipliers".into(),
-                JsonValue::number_from_f64(self.multipliers),
-            ),
-            ("adders".into(), JsonValue::number_from_f64(self.adders)),
-            (
-                "weight_buffers".into(),
-                JsonValue::number_from_f64(self.weight_buffers),
-            ),
-            ("pipeline".into(), JsonValue::number_from_f64(self.pipeline)),
-            ("control".into(), JsonValue::number_from_f64(self.control)),
-        ])
-    }
-}
-
-impl FromJson for AreaBreakdown {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(AreaBreakdown {
-            multipliers: f64_member(value, "multipliers")?,
-            adders: f64_member(value, "adders")?,
-            weight_buffers: f64_member(value, "weight_buffers")?,
-            pipeline: f64_member(value, "pipeline")?,
-            control: f64_member(value, "control")?,
-        })
-    }
-}
-
-impl ToJson for EnergyBreakdown {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("mac".into(), JsonValue::number_from_f64(self.mac)),
-            (
-                "weight_load".into(),
-                JsonValue::number_from_f64(self.weight_load),
-            ),
-            ("tile_io".into(), JsonValue::number_from_f64(self.tile_io)),
-            (
-                "static_clock".into(),
-                JsonValue::number_from_f64(self.static_clock),
-            ),
-        ])
-    }
-}
-
-impl FromJson for EnergyBreakdown {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(EnergyBreakdown {
-            mac: f64_member(value, "mac")?,
-            weight_load: f64_member(value, "weight_load")?,
-            tile_io: f64_member(value, "tile_io")?,
-            static_clock: f64_member(value, "static_clock")?,
-        })
-    }
-}
-
-impl ToJson for PowerReport {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("design".into(), JsonValue::string(&self.design)),
-            ("area".into(), self.area.to_json()),
-            ("energy".into(), self.energy.to_json()),
-            (
-                "core_cycles".into(),
-                JsonValue::number_from_u64(self.core_cycles),
-            ),
-        ])
-    }
-}
-
-impl FromJson for PowerReport {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(PowerReport {
-            design: string_member(value, "design")?,
-            area: AreaBreakdown::from_json(member(value, "area")?)?,
-            energy: EnergyBreakdown::from_json(member(value, "energy")?)?,
-            core_cycles: u64_member(value, "core_cycles")?,
-        })
-    }
-}
-
-impl ToJson for SimReport {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("design".into(), JsonValue::string(&self.design)),
-            ("workload".into(), JsonValue::string(&self.workload)),
-            (
-                "core_cycles".into(),
-                JsonValue::number_from_u64(self.core_cycles),
-            ),
-            (
-                "simulated_core_cycles".into(),
-                JsonValue::number_from_u64(self.simulated_core_cycles),
-            ),
-            (
-                "simulated_matmuls".into(),
-                JsonValue::number_from_u64(self.simulated_matmuls),
-            ),
-            (
-                "total_matmuls".into(),
-                JsonValue::number_from_u64(self.total_matmuls),
-            ),
-            (
-                "runtime_seconds".into(),
-                JsonValue::number_from_f64(self.runtime_seconds),
-            ),
-            ("cpu".into(), self.cpu.to_json()),
-            ("power".into(), self.power.to_json()),
-        ])
-    }
-}
-
-impl FromJson for SimReport {
-    /// Reads the nine simulated members. A `sched` or `pipeline` member,
-    /// which older documents and peers carry, is ignored; the in-process
-    /// diagnostics default.
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(SimReport {
-            design: string_member(value, "design")?,
-            workload: string_member(value, "workload")?,
-            core_cycles: u64_member(value, "core_cycles")?,
-            simulated_core_cycles: u64_member(value, "simulated_core_cycles")?,
-            simulated_matmuls: u64_member(value, "simulated_matmuls")?,
-            total_matmuls: u64_member(value, "total_matmuls")?,
-            runtime_seconds: f64_member(value, "runtime_seconds")?,
-            cpu: CpuStats::from_json(member(value, "cpu")?)?,
-            sched: SchedStats::default(),
-            pipeline: PipelineStats::default(),
-            power: PowerReport::from_json(member(value, "power")?)?,
-        })
-    }
-}
-
-impl ToJson for SimSummary {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("design".into(), JsonValue::string(&self.design)),
-            ("workload".into(), JsonValue::string(&self.workload)),
-            (
-                "core_cycles".into(),
-                JsonValue::number_from_u64(self.core_cycles),
-            ),
-            (
-                "simulated_matmuls".into(),
-                JsonValue::number_from_u64(self.simulated_matmuls),
-            ),
-            (
-                "total_matmuls".into(),
-                JsonValue::number_from_u64(self.total_matmuls),
-            ),
-            (
-                "runtime_seconds".into(),
-                JsonValue::number_from_f64(self.runtime_seconds),
-            ),
-            ("ipc".into(), JsonValue::number_from_f64(self.ipc)),
-            (
-                "engine_bypass_rate".into(),
-                JsonValue::number_from_f64(self.engine_bypass_rate),
-            ),
-            ("area_mm2".into(), JsonValue::number_from_f64(self.area_mm2)),
-            (
-                "energy_joules".into(),
-                JsonValue::number_from_f64(self.energy_joules),
-            ),
-        ])
-    }
-}
+/// The dimensions of an fc and of a conv layer, in document order after
+/// `name` and `kind`.
+const FC_DIMENSIONS: [&str; 3] = ["batch", "input_neurons", "output_neurons"];
+const CONV_DIMENSIONS: [&str; 9] = ["n", "c", "y", "x", "k", "r", "s", "stride", "pad"];
 
 impl ToJson for LayerSpec {
-    fn to_json(&self) -> JsonValue {
-        let mut members = vec![("name".into(), JsonValue::string(self.name()))];
-        match self.kind() {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.field("name", self.name());
+        match *self.kind() {
             LayerKind::Fc {
                 batch,
                 input_neurons,
                 output_neurons,
             } => {
-                members.push(("kind".into(), JsonValue::string("fc")));
-                members.push(("batch".into(), JsonValue::number_from_usize(*batch)));
-                members.push((
-                    "input_neurons".into(),
-                    JsonValue::number_from_usize(*input_neurons),
-                ));
-                members.push((
-                    "output_neurons".into(),
-                    JsonValue::number_from_usize(*output_neurons),
-                ));
+                sink.field("kind", "fc");
+                let dims = [batch, input_neurons, output_neurons];
+                for (key, value) in FC_DIMENSIONS.iter().zip(&dims) {
+                    sink.field(key, value);
+                }
             }
-            LayerKind::Conv(conv) => {
-                members.push(("kind".into(), JsonValue::string("conv")));
-                members.push(("n".into(), JsonValue::number_from_usize(conv.n)));
-                members.push(("c".into(), JsonValue::number_from_usize(conv.c)));
-                members.push(("y".into(), JsonValue::number_from_usize(conv.y)));
-                members.push(("x".into(), JsonValue::number_from_usize(conv.x)));
-                members.push(("k".into(), JsonValue::number_from_usize(conv.k)));
-                members.push(("r".into(), JsonValue::number_from_usize(conv.r)));
-                members.push(("s".into(), JsonValue::number_from_usize(conv.s)));
-                members.push(("stride".into(), JsonValue::number_from_usize(conv.stride)));
-                members.push(("pad".into(), JsonValue::number_from_usize(conv.pad)));
+            LayerKind::Conv(c) => {
+                sink.field("kind", "conv");
+                let dims = [c.n, c.c, c.y, c.x, c.k, c.r, c.s, c.stride, c.pad];
+                for (key, value) in CONV_DIMENSIONS.iter().zip(&dims) {
+                    sink.field(key, value);
+                }
             }
         }
-        JsonValue::Object(members)
+        sink.end_object();
     }
 }
 
+/// A member read leniently: present, and of the `expected` kind.
+fn lenient<T>(slot: Option<Option<T>>, key: &str, expected: &str) -> Result<T, JsonError> {
+    required(slot, key)?.ok_or_else(|| not_a(&format!("field '{key}'"), expected))
+}
+
+/// A layer is a union: `kind` says which dimensions it carries. Every
+/// dimension of either kind is read, but only those of the layer's own
+/// kind must be present and numbers: a member of the other kind is
+/// ignored, whatever it holds.
 impl FromJson for LayerSpec {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        let name = string_member(value, "name")?;
-        match member(value, "kind")?.as_str() {
-            Some("fc") => Ok(LayerSpec::fc(
-                name,
-                usize_member(value, "batch")?,
-                usize_member(value, "input_neurons")?,
-                usize_member(value, "output_neurons")?,
-            )),
-            Some("conv") => {
-                let shape = ConvShape::new(
-                    usize_member(value, "n")?,
-                    usize_member(value, "c")?,
-                    usize_member(value, "y")?,
-                    usize_member(value, "x")?,
-                    usize_member(value, "k")?,
-                    usize_member(value, "r")?,
-                    usize_member(value, "s")?,
-                    usize_member(value, "stride")?,
-                    usize_member(value, "pad")?,
-                );
+    const EXPECTED: &'static str = "an object";
+
+    fn read_json<R: JsonSource>(source: &mut R) -> Result<Option<Self>, JsonError> {
+        // One slot per dimension: the fc ones, then the conv ones.
+        let (mut name, mut kind, mut dims) = (None, None, [None; 12]);
+        let object = source.object(|key, value| {
+            let dim = FC_DIMENSIONS
+                .iter()
+                .chain(&CONV_DIMENSIONS)
+                .position(|d| *d == key);
+            match (key, dim) {
+                ("name", _) if name.is_none() => name = Some(String::read_json(value)?),
+                ("kind", _) if kind.is_none() => kind = Some(String::read_json(value)?),
+                (_, Some(at)) if dims[at].is_none() => dims[at] = Some(usize::read_json(value)?),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        if !object {
+            return Ok(None);
+        }
+        let name = lenient(name, "name", String::EXPECTED)?;
+        match lenient(kind, "kind", String::EXPECTED)?.as_str() {
+            "fc" => {
+                let [batch, input, output] =
+                    std::array::from_fn(|at| lenient(dims[at], FC_DIMENSIONS[at], usize::EXPECTED));
+                Ok(Some(LayerSpec::fc(name, batch?, input?, output?)))
+            }
+            "conv" => {
+                let [n, c, y, x, k, r, s, stride, pad] = std::array::from_fn(|at| {
+                    lenient(dims[3 + at], CONV_DIMENSIONS[at], usize::EXPECTED)
+                });
+                let shape = ConvShape::new(n?, c?, y?, x?, k?, r?, s?, stride?, pad?);
                 // Lowering divides by the stride and subtracts the filter
                 // from the padded input, so an invalid shape must never
                 // leave the decoder.
                 shape
                     .validate()
                     .map_err(|e| JsonError::decode(format!("invalid conv shape: {e}")))?;
-                Ok(LayerSpec::conv(name, shape))
+                Ok(Some(LayerSpec::conv(name, shape)))
             }
-            Some(other) => Err(JsonError::decode(format!("unknown layer kind '{other}'"))),
-            None => Err(JsonError::decode("field 'kind' is not a string")),
+            other => Err(JsonError::decode(format!("unknown layer kind '{other}'"))),
         }
-    }
-}
-
-impl ToJson for CacheStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("hits".into(), JsonValue::number_from_u64(self.hits)),
-            ("misses".into(), JsonValue::number_from_u64(self.misses)),
-            ("entries".into(), JsonValue::number_from_usize(self.entries)),
-            (
-                "evictions".into(),
-                JsonValue::number_from_u64(self.evictions),
-            ),
-            (
-                "capacity".into(),
-                JsonValue::number_from_usize(self.capacity),
-            ),
-        ])
-    }
-}
-
-impl FromJson for CacheStats {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(CacheStats {
-            hits: u64_member(value, "hits")?,
-            misses: u64_member(value, "misses")?,
-            entries: usize_member(value, "entries")?,
-            evictions: u64_member(value, "evictions")?,
-            capacity: usize_member(value, "capacity")?,
-        })
     }
 }
 
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::{DesignPoint, SimJob, Simulator};
+    use crate::{DesignPoint, PipelineStats, SimJob, Simulator};
+    use rasa_cpu::SchedStats;
     use rasa_workloads::WorkloadSuite;
 
     #[test]

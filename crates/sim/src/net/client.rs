@@ -19,7 +19,7 @@
 //! but cache temperature. This is what lets the distributed soak lose a
 //! worker mid-run and still complete every request.
 
-use crate::json::{FromJson, JsonValue, ToJson};
+use crate::json::JsonValue;
 use crate::net::wire::{Frame, FrameKind, WireFailure, WireRequest, WireResponse};
 use crate::net::NetError;
 use std::net::TcpStream;
@@ -91,8 +91,7 @@ impl NetClient {
     /// non-retryable failures ([`NetError::Remote`] simulation errors,
     /// protocol violations, version mismatches).
     pub fn request(&mut self, request: &WireRequest) -> Result<WireResponse, NetError> {
-        let reply =
-            self.exchange_with_retry(&Frame::json(FrameKind::Request, &request.to_json()))?;
+        let reply = self.exchange_with_retry(&Frame::document(FrameKind::Request, request))?;
         match WireResponse::from_reply(&reply, request.id) {
             Ok(response) => {
                 self.stats.completed += 1;
@@ -151,9 +150,8 @@ impl NetClient {
                     // like a transport failure; any other reply returns.
                     let retryable = if reply.kind == FrameKind::Error && attempt < MAX_RETRIES {
                         reply
-                            .payload_json()
+                            .decode_payload::<WireFailure>()
                             .ok()
-                            .and_then(|json| WireFailure::from_json(&json).ok())
                             .filter(|failure| failure.code.is_retryable())
                     } else {
                         None
@@ -190,7 +188,9 @@ impl NetClient {
     /// when there is none. Redials go to the endpoint that last connected
     /// successfully; rotation to the next endpoint happens only when a
     /// dial fails — so a transient mid-exchange drop sends the client
-    /// straight back to the peer that was just serving it.
+    /// straight back to the peer that was just serving it. The reply is
+    /// read with [`Frame::read_reply`]: a peer that sends more than the one
+    /// reply it owes has its connection dropped.
     fn exchange_once(&mut self, frame: &Frame) -> Result<Frame, NetError> {
         if self.conn.is_none() {
             let endpoint = &self.endpoints[self.next_endpoint % self.endpoints.len()];
@@ -211,7 +211,7 @@ impl NetClient {
         }
         let stream = self.conn.as_mut().expect("connection just ensured");
         let outcome = match frame.write_to(stream) {
-            Ok(()) => Frame::read_from(stream),
+            Ok(()) => Frame::read_reply(stream),
             Err(error) => Err(error),
         };
         if outcome.is_err() {
@@ -229,12 +229,13 @@ impl NetClient {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::net::shard::{ShardConfig, ShardServer};
     use crate::serve::ServeConfig;
     use crate::DesignPoint;
     use rasa_workloads::LayerSpec;
+    use std::io::Write;
 
     fn spawn_shard(shard_id: u32) -> ShardServer {
         ShardServer::bind(
@@ -347,6 +348,80 @@ mod tests {
             0,
             "protocol violations are not retried"
         );
+    }
+
+    /// A peer in front of `shard` that serves `connections` connections
+    /// one after another, relaying each request frame to the shard and
+    /// writing the shard's encoded reply back with `reply`: the hook where
+    /// a test splits or repeats it.
+    pub(crate) fn relay_peer(
+        shard: std::net::SocketAddr,
+        connections: usize,
+        reply: fn(&mut TcpStream, &[u8]),
+    ) -> (String, std::thread::JoinHandle<()>) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let relay = std::thread::spawn(move || {
+            for client in listener.incoming().take(connections) {
+                let mut client = client.unwrap();
+                let mut upstream = TcpStream::connect(shard).unwrap();
+                while let Ok(request) = Frame::read_from(&mut client) {
+                    request.write_to(&mut upstream).unwrap();
+                    let answer = Frame::read_from(&mut upstream).unwrap().encode();
+                    reply(&mut client, &answer);
+                }
+            }
+        });
+        (addr, relay)
+    }
+
+    /// A reply that arrives in two pieces, split inside its header and
+    /// sent 50 ms apart, is read whole on the same connection.
+    #[test]
+    fn replies_written_in_pieces_are_read_whole() {
+        let shard = spawn_shard(4);
+        let (addr, relay) = relay_peer(shard.local_addr(), 1, |stream, reply| {
+            stream.write_all(&reply[..3]).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            stream.write_all(&reply[3..]).unwrap();
+        });
+        let mut client = NetClient::new(vec![addr]);
+        for id in [1, 2] {
+            let request = WireRequest::new(id, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+            let response = client.request(&request).unwrap();
+            assert_eq!((response.id, response.shard), (id, 4));
+        }
+        let stats = client.stats();
+        assert_eq!((stats.connects, stats.retries), (1, 0));
+        drop(client);
+        relay.join().unwrap();
+        shard.shutdown();
+    }
+
+    /// A lockstep peer owes one reply per request: a peer that answers
+    /// with two frames violates the protocol, its connection is dropped,
+    /// and the next request redials.
+    #[test]
+    fn a_second_reply_frame_drops_the_connection() {
+        let shard = spawn_shard(0);
+        let (addr, relay) = relay_peer(shard.local_addr(), 2, |stream, reply| {
+            stream.write_all(&[reply, reply].concat()).unwrap();
+        });
+        let mut client = NetClient::new(vec![addr]);
+        let request = WireRequest::new(9, "BASELINE", LayerSpec::fc("DLRM-1", 64, 128, 128));
+        for connects in 1..=2 {
+            let err = client.request(&request).unwrap_err();
+            assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+            assert_eq!(client.stats().connects, connects, "each request redials");
+        }
+        assert_eq!(
+            client.stats().retries,
+            0,
+            "protocol violations are not retried"
+        );
+        drop(client);
+        relay.join().unwrap();
+        shard.shutdown();
     }
 
     #[test]

@@ -36,7 +36,6 @@
 //! [`Router`]: crate::net::Router
 //! [`FrameDecoder`]: crate::net::wire::FrameDecoder
 
-use crate::json::ToJson;
 use crate::net::wire::{ErrorCode, Frame, FrameDecoder, FrameKind, WireFailure, MAX_FRAME_LEN};
 use crate::net::NetError;
 use crate::prof::{self, Stage};
@@ -138,7 +137,7 @@ fn answer_contained(handler: &FrameHandler, frame: &Frame) -> Frame {
             .unwrap_or("non-string panic payload");
         let failure =
             WireFailure::new(0, ErrorCode::Internal, format!("handler panicked: {cause}"));
-        Frame::json(FrameKind::Error, &failure.to_json())
+        Frame::document(FrameKind::Error, &failure)
     })
 }
 
@@ -274,7 +273,7 @@ impl Conn {
                     // After a framing violation the stream cannot be
                     // resynced: answer what came before it, then close.
                     let failure = WireFailure::new(0, ErrorCode::BadRequest, error.to_string());
-                    self.violation = Some(Frame::json(FrameKind::Error, &failure.to_json()));
+                    self.violation = Some(Frame::document(FrameKind::Error, &failure));
                     self.closing = true;
                     return;
                 }

@@ -43,7 +43,7 @@
 //! soak reports.
 
 use crate::cache::SharedLru;
-use crate::json::{array_member, member, u64_member, FromJson, JsonError, JsonValue, ToJson};
+use crate::json::json_document;
 use crate::key::CellKey;
 use crate::net::event_loop::EventLoop;
 use crate::net::hash::preference_order;
@@ -124,66 +124,17 @@ impl RouterStats {
     }
 }
 
-impl ToJson for RouterStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("routed".into(), JsonValue::number_from_u64(self.routed)),
-            (
-                "remote_errors".into(),
-                JsonValue::number_from_u64(self.remote_errors),
-            ),
-            (
-                "failovers".into(),
-                JsonValue::number_from_u64(self.failovers),
-            ),
-            (
-                "dead_marked".into(),
-                JsonValue::number_from_u64(self.dead_marked),
-            ),
-            ("revived".into(), JsonValue::number_from_u64(self.revived)),
-            (
-                "window_blocked".into(),
-                JsonValue::number_from_u64(self.window_blocked),
-            ),
-            (
-                "cache_hits".into(),
-                JsonValue::number_from_u64(self.cache_hits),
-            ),
-            (
-                "cache_misses".into(),
-                JsonValue::number_from_u64(self.cache_misses),
-            ),
-            (
-                "per_shard".into(),
-                JsonValue::Array(
-                    self.per_shard
-                        .iter()
-                        .map(|&n| JsonValue::number_from_u64(n))
-                        .collect(),
-                ),
-            ),
-        ])
-    }
-}
-
-impl FromJson for RouterStats {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(RouterStats {
-            routed: u64_member(value, "routed")?,
-            remote_errors: u64_member(value, "remote_errors")?,
-            failovers: u64_member(value, "failovers")?,
-            dead_marked: u64_member(value, "dead_marked")?,
-            revived: u64_member(value, "revived")?,
-            window_blocked: u64_member(value, "window_blocked")?,
-            cache_hits: u64_member(value, "cache_hits")?,
-            cache_misses: u64_member(value, "cache_misses")?,
-            per_shard: array_member(value, "per_shard", |n| {
-                n.as_u64()
-                    .ok_or_else(|| JsonError::decode("per_shard entry is not a u64"))
-            })?,
-        })
-    }
-}
+json_document!(RouterStats {
+    "routed" => routed: u64,
+    "remote_errors" => remote_errors: u64,
+    "failovers" => failovers: u64,
+    "dead_marked" => dead_marked: u64,
+    "revived" => revived: u64,
+    "window_blocked" => window_blocked: u64,
+    "cache_hits" => cache_hits: u64,
+    "cache_misses" => cache_misses: u64,
+    "per_shard" => per_shard: Vec<u64>,
+});
 
 /// What a router reports to a health probe: its own counters plus a fresh
 /// health snapshot of every shard that answered one.
@@ -197,40 +148,11 @@ pub struct RouterHealth {
     pub shards: Vec<HealthStatus>,
 }
 
-impl ToJson for RouterHealth {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("stats".into(), self.stats.to_json()),
-            (
-                "dead".into(),
-                JsonValue::Array(
-                    self.dead
-                        .iter()
-                        .map(|&s| JsonValue::number_from_u64(s.into()))
-                        .collect(),
-                ),
-            ),
-            (
-                "shards".into(),
-                JsonValue::Array(self.shards.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
-
-impl FromJson for RouterHealth {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(RouterHealth {
-            stats: RouterStats::from_json(member(value, "stats")?)?,
-            dead: array_member(value, "dead", |n| {
-                n.as_u64()
-                    .and_then(|v| u32::try_from(v).ok())
-                    .ok_or_else(|| JsonError::decode("dead entry is not a u32"))
-            })?,
-            shards: array_member(value, "shards", HealthStatus::from_json)?,
-        })
-    }
-}
+json_document!(RouterHealth {
+    "stats" => stats: RouterStats,
+    "dead" => dead: Vec<u32>,
+    "shards" => shards: Vec<HealthStatus>,
+});
 
 /// One shard backend: its address, liveness and connection pool.
 struct Backend {
@@ -487,7 +409,7 @@ impl RouterCore {
         let frame = match frame {
             Some(frame) => frame,
             None => {
-                rendered = Frame::json(FrameKind::Request, &request.to_json());
+                rendered = Frame::document(FrameKind::Request, request);
                 &rendered
             }
         };
@@ -587,7 +509,7 @@ impl RouterCore {
         let mut shards = Vec::new();
         for backend in &self.backends {
             match backend.probe().and_then(|reply| {
-                HealthStatus::from_json(&reply.payload_json()?).map_err(|e| NetError::Frame {
+                reply.decode_payload().map_err(|e| NetError::Frame {
                     reason: format!("undecodable health payload: {e}"),
                 })
             }) {
@@ -627,10 +549,10 @@ fn bound_workers() -> usize {
     thread::available_parallelism().map_or(8, |n| (n.get() * 2).clamp(8, 32))
 }
 
-/// Writes `frame` to `stream` and reads one reply frame back.
+/// Writes `frame` to `stream` and reads the one reply frame back.
 fn round_trip(mut stream: TcpStream, frame: &Frame) -> Result<(TcpStream, Frame), NetError> {
     frame.write_to(&mut stream)?;
-    let reply = Frame::read_from(&mut stream)?;
+    let reply = Frame::read_reply(&mut stream)?;
     Ok((stream, reply))
 }
 
@@ -651,21 +573,15 @@ fn check_reply(reply: &Frame, prefix: &str) -> Result<(), NetError> {
 
 /// The frame handler of a bound router: relay requests, aggregate health.
 fn answer(frame: &Frame, core: &Arc<RouterCore>) -> Frame {
+    let failure = |id, code, message: String| {
+        Frame::document(FrameKind::Error, &WireFailure::new(id, code, message))
+    };
     match frame.kind {
-        FrameKind::Health => Frame::json(FrameKind::Health, &core.health().to_json()),
+        FrameKind::Health => Frame::document(FrameKind::Health, &core.health()),
         FrameKind::Request => {
-            let request = match frame.payload_json().and_then(|json| {
-                WireRequest::from_json(&json).map_err(|e| NetError::Frame {
-                    reason: e.to_string(),
-                })
-            }) {
+            let request: WireRequest = match frame.decode_payload() {
                 Ok(request) => request,
-                Err(error) => {
-                    return Frame::json(
-                        FrameKind::Error,
-                        &WireFailure::new(0, ErrorCode::BadRequest, error.to_string()).to_json(),
-                    );
-                }
+                Err(error) => return failure(0, ErrorCode::BadRequest, error.to_string()),
             };
             core.relay(&request, Some(frame)).unwrap_or_else(|error| {
                 let code = match &error {
@@ -673,20 +589,13 @@ fn answer(frame: &Frame, core: &Arc<RouterCore>) -> Frame {
                     NetError::Unavailable { .. } | NetError::Io { .. } => ErrorCode::Unavailable,
                     _ => ErrorCode::Internal,
                 };
-                Frame::json(
-                    FrameKind::Error,
-                    &WireFailure::new(request.id, code, error.to_string()).to_json(),
-                )
+                failure(request.id, code, error.to_string())
             })
         }
-        FrameKind::Response | FrameKind::Error => Frame::json(
-            FrameKind::Error,
-            &WireFailure::new(
-                0,
-                ErrorCode::BadRequest,
-                format!("unexpected {:?} frame on a router", frame.kind),
-            )
-            .to_json(),
+        FrameKind::Response | FrameKind::Error => failure(
+            0,
+            ErrorCode::BadRequest,
+            format!("unexpected {:?} frame on a router", frame.kind),
         ),
     }
 }
@@ -694,6 +603,7 @@ fn answer(frame: &Frame, core: &Arc<RouterCore>) -> Frame {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::{FromJson, JsonValue, ToJson};
     use crate::net::shard::{ShardConfig, ShardServer};
     use crate::serve::ServeConfig;
     use crate::DesignPoint;
@@ -1064,6 +974,32 @@ mod tests {
         assert_eq!(pooled(), 0);
         assert_eq!(router.stats().routed, 0);
         router.shutdown();
+        for shard in shards {
+            shard.shutdown();
+        }
+    }
+
+    /// A shard that answers a request with two frames violates the
+    /// lockstep protocol: the router drops the connection instead of
+    /// pooling it, and the next request dials afresh.
+    #[test]
+    fn a_second_reply_frame_is_a_protocol_violation() {
+        use std::io::Write;
+        let (shards, addrs) = spawn_shards(1);
+        let shard = shards[0].local_addr();
+        let (addr, relay) = crate::net::client::tests::relay_peer(shard, 2, |stream, reply| {
+            stream.write_all(&[reply, reply].concat()).unwrap();
+        });
+        drop(addrs);
+        let router = Router::new(&[addr], uncached()).unwrap();
+        for id in [3, 4] {
+            let request = WireRequest::new(id, "BASELINE", LayerSpec::fc("L", 64, 64, 128));
+            let err = router.route(&request).unwrap_err();
+            assert!(matches!(err, NetError::Protocol { .. }), "{err}");
+            assert!(router.core.backends[0].pool().is_empty(), "never pooled");
+        }
+        assert_eq!(router.stats().dead_marked, 0);
+        relay.join().unwrap();
         for shard in shards {
             shard.shutdown();
         }

@@ -11,10 +11,9 @@
 //!
 //! The `rasa-shardd` binary is a thin wrapper over this type.
 
-use crate::json::{FromJson, ToJson};
 use crate::net::event_loop::EventLoop;
 use crate::net::wire::{
-    ErrorCode, Frame, FrameKind, HealthStatus, WireFailure, WireRequest, WireResponse,
+    write_response, ErrorCode, Frame, FrameKind, HealthStatus, WireFailure, WireRequest,
 };
 use crate::net::NetError;
 use crate::serve::{GemmServer, ServeConfig};
@@ -132,35 +131,25 @@ impl ShardShared {
 /// Builds the reply frame for one inbound frame. Never panics: every
 /// failure becomes an error frame.
 fn answer(frame: &Frame, shared: &Arc<ShardShared>) -> Frame {
-    match frame.kind {
-        FrameKind::Health => Frame::json(FrameKind::Health, &shared.health().to_json()),
-        FrameKind::Request => match decode_request(frame).and_then(|r| simulate(&r, shared)) {
-            Ok(response) => Frame::json(FrameKind::Response, &response.to_json()),
-            Err(failure) => Frame::json(FrameKind::Error, &failure.to_json()),
-        },
+    let reply = match frame.kind {
+        FrameKind::Health => return Frame::document(FrameKind::Health, &shared.health()),
+        FrameKind::Request => frame
+            .decode_payload()
+            .map_err(|e| WireFailure::new(0, ErrorCode::BadRequest, e.to_string()))
+            .and_then(|request| simulate(&request, shared)),
         // A shard only ever receives requests and probes.
-        FrameKind::Response | FrameKind::Error => Frame::json(
-            FrameKind::Error,
-            &WireFailure::new(
-                0,
-                ErrorCode::BadRequest,
-                format!("unexpected {:?} frame on a shard", frame.kind),
-            )
-            .to_json(),
-        ),
-    }
+        FrameKind::Response | FrameKind::Error => Err(WireFailure::new(
+            0,
+            ErrorCode::BadRequest,
+            format!("unexpected {:?} frame on a shard", frame.kind),
+        )),
+    };
+    reply.unwrap_or_else(|failure| Frame::document(FrameKind::Error, &failure))
 }
 
-fn decode_request(frame: &Frame) -> Result<WireRequest, WireFailure> {
-    let json = frame
-        .payload_json()
-        .map_err(|e| WireFailure::new(0, ErrorCode::BadRequest, e.to_string()))?;
-    WireRequest::from_json(&json)
-        .map_err(|e| WireFailure::new(0, ErrorCode::BadRequest, e.to_string()))
-}
-
-/// Answers one decoded request through the shard's server.
-fn simulate(request: &WireRequest, shared: &ShardShared) -> Result<WireResponse, WireFailure> {
+/// Answers one decoded request through the shard's server: the Response
+/// frame is written from the cached report, which is never cloned.
+fn simulate(request: &WireRequest, shared: &ShardShared) -> Result<Frame, WireFailure> {
     let fail = |code, message| WireFailure::new(request.id, code, message);
     let job = request.to_job().map_err(|error| match error {
         NetError::Remote { code, message } => fail(code, message),
@@ -175,18 +164,16 @@ fn simulate(request: &WireRequest, shared: &ShardShared) -> Result<WireResponse,
             SimError::Serve { .. } => fail(ErrorCode::UnknownDesign, error.to_string()),
             _ => fail(ErrorCode::Simulation, error.to_string()),
         })?;
-    Ok(WireResponse {
-        id: request.id,
-        shard: shared.shard_id,
-        batch_size: 1,
-        report: (*response.report).clone(),
-    })
+    Ok(Frame::written(FrameKind::Response, |sink| {
+        write_response(sink, &request.id, &shared.shard_id, &1, &response.report);
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::JsonValue;
+    use crate::json::{FromJson, JsonValue, ToJson};
+    use crate::net::wire::WireResponse;
     use rasa_workloads::LayerSpec;
     use std::net::TcpStream;
 

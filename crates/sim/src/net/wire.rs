@@ -19,12 +19,16 @@
 //! does not speak with [`NetError::BadVersion`] — the version is the first
 //! byte after the length precisely so that future protocol revisions can
 //! be detected before any payload parsing. Every decoder ([`Frame::decode`],
-//! [`Frame::read_from`], [`FrameDecoder`]) runs the same header check, and
-//! [`Frame::append_to`] is the one encoder. The full byte-level spec with a
-//! worked hex example lives in `docs/WIRE_PROTOCOL.md`.
+//! [`Frame::read_from`], [`Frame::read_reply`], [`FrameDecoder`]) runs the
+//! same header check, and [`Frame::append_to`] is the one encoder. Payloads
+//! are written by their documents' declared encoders straight into the
+//! frame ([`Frame::document`]) and read back in one pass by the pull
+//! decoder ([`Frame::decode_payload`]); no JSON tree is built on the
+//! request path. The full byte-level spec with a worked hex example lives
+//! in `docs/WIRE_PROTOCOL.md`.
 
 use crate::json::{
-    array_member, member, string_member, u64_member, usize_member, FromJson, JsonError, JsonValue,
+    self, json_document, member, required, FromJson, JsonError, JsonSink, JsonSource, JsonValue,
     ToJson,
 };
 use crate::key::CellKey;
@@ -111,11 +115,36 @@ impl Frame {
     /// A frame wrapping a JSON document of the given kind.
     #[must_use]
     pub fn json(kind: FrameKind, document: &JsonValue) -> Frame {
+        Frame::document(kind, document)
+    }
+
+    /// A frame carrying `document`, written by its declared encoder
+    /// straight into the payload: no tree is built.
+    #[must_use]
+    pub fn document(kind: FrameKind, document: &(impl ToJson + ?Sized)) -> Frame {
+        Frame::written(kind, |sink| document.write_json(sink))
+    }
+
+    /// A frame whose payload `write` encodes, compact, straight into the
+    /// payload buffer: the frame writer of every server reply.
+    pub(crate) fn written(kind: FrameKind, write: impl FnOnce(&mut json::JsonWriter<'_>)) -> Frame {
         let _serialize = prof::time(Stage::JsonSerialize);
-        Frame {
-            kind,
-            payload: document.to_string_compact().into_bytes(),
-        }
+        // Room for a Response payload (about 900 bytes) without regrowing.
+        let mut payload = Vec::with_capacity(1024);
+        json::write_compact(&mut payload, write);
+        Frame { kind, payload }
+    }
+
+    /// Decodes the payload as a `T` with the pull reader, building no
+    /// tree: the decoder of every payload a server or client receives.
+    ///
+    /// # Errors
+    ///
+    /// A [`JsonError`] when the payload is not UTF-8 JSON or does not
+    /// decode as a `T`.
+    pub fn decode_payload<T: FromJson>(&self) -> Result<T, JsonError> {
+        let _parse = prof::time(Stage::JsonParse);
+        json::from_slice(&self.payload)
     }
 
     /// An empty-payload health probe.
@@ -183,6 +212,36 @@ impl Frame {
         let mut payload = vec![0; len];
         reader.read_exact(&mut payload).map_err(NetError::from)?;
         Ok(Frame { kind, payload })
+    }
+
+    /// Reads the one reply a lockstep peer owes, with a single `read` when
+    /// the reply arrives whole: the bytes go through a [`FrameDecoder`],
+    /// which resumes across reads when a reply arrives in pieces.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Io`] when the stream ends or fails before the reply is
+    /// whole, the decoder's validation errors, and [`NetError::Protocol`]
+    /// when bytes follow the reply: a lockstep peer owes exactly one.
+    pub fn read_reply(reader: &mut impl Read) -> Result<Frame, NetError> {
+        let mut decoder = FrameDecoder::new();
+        let mut buffer = [0u8; 4096];
+        loop {
+            let read = match reader.read(&mut buffer) {
+                Ok(0) => return Err(std::io::Error::from(std::io::ErrorKind::UnexpectedEof).into()),
+                Ok(read) => read,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(NetError::from(e)),
+            };
+            if let (used, Some(frame)) = decoder.feed(&buffer[..read])? {
+                if used < read {
+                    return Err(NetError::Protocol {
+                        reason: format!("{} bytes followed the one reply owed", read - used),
+                    });
+                }
+                return Ok(frame);
+            }
+        }
     }
 
     /// Writes the frame to a stream and flushes it: the frame is encoded
@@ -461,27 +520,42 @@ impl WireRequest {
     }
 }
 
-impl ToJson for WireRequest {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("id".into(), JsonValue::number_from_u64(self.id)),
-            ("design".into(), JsonValue::string(&self.design)),
-            ("workload".into(), self.workload.to_json()),
-        ])
-    }
-}
+json_document!(WireRequest: encode {
+    "id" => id,
+    "design" => design,
+    "workload" => workload,
+});
 
+/// A request's members, plus its rules: a non-null `kernel` member is
+/// turned away, and so is a request that fails the checks in the type's
+/// docs.
 impl FromJson for WireRequest {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        if !matches!(value.get("kernel"), None | Some(JsonValue::Null)) {
+    const EXPECTED: &'static str = "an object";
+
+    fn read_json<R: JsonSource>(source: &mut R) -> Result<Option<Self>, JsonError> {
+        let (mut id, mut design, mut workload, mut kernel) = (None, None, None, None);
+        let object = source.object(|key, value| {
+            match key {
+                "id" if id.is_none() => id = Some(member(key, value)?),
+                "design" if design.is_none() => design = Some(member(key, value)?),
+                "workload" if workload.is_none() => workload = Some(member(key, value)?),
+                "kernel" if kernel.is_none() => kernel = Some(value.null()?),
+                _ => {}
+            }
+            Ok(())
+        })?;
+        if !object {
+            return Ok(None);
+        }
+        if kernel == Some(false) {
             return Err(JsonError::decode(
                 "kernel overrides are not served: a request is a design and a layer",
             ));
         }
         let request = WireRequest {
-            id: u64_member(value, "id")?,
-            design: string_member(value, "design")?,
-            workload: LayerSpec::from_json(member(value, "workload")?)?,
+            id: required(id, "id")?,
+            design: required(design, "design")?,
+            workload: required::<LayerSpec>(workload, "workload")?,
         };
         for (what, name) in [
             ("design", request.design.as_str()),
@@ -509,7 +583,7 @@ impl FromJson for WireRequest {
                 gemm.k
             )));
         }
-        Ok(request)
+        Ok(Some(request))
     }
 }
 
@@ -529,8 +603,8 @@ pub struct WireResponse {
 
 impl WireResponse {
     /// The first bytes of every Response payload that answers request
-    /// `id`: `{"id":<id>,`. [`ToJson`] writes `id` first and the compact
-    /// writer adds no whitespace, so a router can check a shard's reply,
+    /// `id`: `{"id":<id>,`. The declared encoder writes `id` first and the
+    /// compact writer adds no whitespace, so a router can check a shard's reply,
     /// and splice a cached one under a new id, without parsing it. The
     /// comma matters: request 7 must not accept an answer for id 70.
     pub(crate) fn payload_prefix(id: u64) -> String {
@@ -550,11 +624,10 @@ impl WireResponse {
     pub fn from_reply(reply: &Frame, id: u64) -> Result<WireResponse, NetError> {
         match reply.kind {
             FrameKind::Response => {
-                let response = WireResponse::from_json(&reply.payload_json()?).map_err(|e| {
-                    NetError::Frame {
+                let response: WireResponse =
+                    reply.decode_payload().map_err(|e| NetError::Frame {
                         reason: format!("undecodable response payload: {e}"),
-                    }
-                })?;
+                    })?;
                 if response.id != id {
                     return Err(NetError::Protocol {
                         reason: format!(
@@ -566,10 +639,8 @@ impl WireResponse {
                 Ok(response)
             }
             FrameKind::Error => {
-                let failure = WireFailure::from_json(&reply.payload_json()?).map_err(|e| {
-                    NetError::Frame {
-                        reason: format!("undecodable error payload: {e}"),
-                    }
+                let failure: WireFailure = reply.decode_payload().map_err(|e| NetError::Frame {
+                    reason: format!("undecodable error payload: {e}"),
                 })?;
                 Err(NetError::Remote {
                     code: failure.code,
@@ -583,39 +654,15 @@ impl WireResponse {
     }
 }
 
-impl ToJson for WireResponse {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("id".into(), JsonValue::number_from_u64(self.id)),
-            (
-                "shard".into(),
-                JsonValue::number_from_u64(self.shard.into()),
-            ),
-            (
-                "batch_size".into(),
-                JsonValue::number_from_usize(self.batch_size),
-            ),
-            ("report".into(), self.report.to_json()),
-        ])
-    }
-}
-
-impl FromJson for WireResponse {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(WireResponse {
-            id: u64_member(value, "id")?,
-            shard: shard_member(value)?,
-            batch_size: usize_member(value, "batch_size")?,
-            report: SimReport::from_json(member(value, "report")?)?,
-        })
-    }
-}
-
-/// The `shard` member of a response or health payload: a `u32` shard id.
-fn shard_member(value: &JsonValue) -> Result<u32, JsonError> {
-    u32::try_from(u64_member(value, "shard")?)
-        .map_err(|_| JsonError::decode("field 'shard' exceeds u32"))
-}
+// A shard answers from its cached report, which it does not own, so the
+// declaration also generates `write_response`, the encoder over borrowed
+// members. `id` comes first: see `WireResponse::payload_prefix`.
+json_document!(WireResponse => fn write_response {
+    "id" => id: u64,
+    "shard" => shard: u32,
+    "batch_size" => batch_size: usize,
+    "report" => report: SimReport,
+});
 
 /// The payload of an error frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -641,23 +688,25 @@ impl WireFailure {
     }
 }
 
-impl ToJson for WireFailure {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("id".into(), JsonValue::number_from_u64(self.id)),
-            ("code".into(), JsonValue::string(self.code.as_str())),
-            ("message".into(), JsonValue::string(&self.message)),
-        ])
+json_document!(WireFailure {
+    "id" => id: u64,
+    "code" => code: ErrorCode,
+    "message" => message: String,
+});
+
+impl ToJson for ErrorCode {
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        sink.str(self.as_str());
     }
 }
 
-impl FromJson for WireFailure {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(WireFailure {
-            id: u64_member(value, "id")?,
-            code: ErrorCode::from_str_lossy(&string_member(value, "code")?),
-            message: string_member(value, "message")?,
-        })
+impl FromJson for ErrorCode {
+    const EXPECTED: &'static str = "a string";
+
+    fn read_json<R: JsonSource>(source: &mut R) -> Result<Option<Self>, JsonError> {
+        Ok(source
+            .string()?
+            .map(|code| ErrorCode::from_str_lossy(&code)))
     }
 }
 
@@ -678,37 +727,12 @@ pub struct HealthStatus {
     pub cache: CacheStats,
 }
 
-impl ToJson for HealthStatus {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "shard".into(),
-                JsonValue::number_from_u64(self.shard.into()),
-            ),
-            (
-                "designs".into(),
-                JsonValue::Array(self.designs.iter().map(JsonValue::string).collect()),
-            ),
-            ("served".into(), JsonValue::number_from_u64(self.served)),
-            ("cache".into(), self.cache.to_json()),
-        ])
-    }
-}
-
-impl FromJson for HealthStatus {
-    fn from_json(value: &JsonValue) -> Result<Self, JsonError> {
-        Ok(HealthStatus {
-            shard: shard_member(value)?,
-            designs: array_member(value, "designs", |d| {
-                d.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| JsonError::decode("design entry is not a string"))
-            })?,
-            served: u64_member(value, "served")?,
-            cache: CacheStats::from_json(member(value, "cache")?)?,
-        })
-    }
-}
+json_document!(HealthStatus {
+    "shard" => shard: u32,
+    "designs" => designs: Vec<String>,
+    "served" => served: u64,
+    "cache" => cache: CacheStats,
+});
 
 /// Layers the request decoder must turn away, each with a fragment of its
 /// rejection message: conv shapes that divide by zero, do not fit, or

@@ -9,7 +9,7 @@
 //! stay in the hot paths permanently.
 //!
 //! The stages cover the end-to-end request pipeline: trace generation and
-//! core simulation (the cell itself), JSON serialization, wire-frame
+//! core simulation (the cell itself), JSON serialization and parsing, wire-frame
 //! encode/decode, cell-cache probes, and the readiness transport's
 //! poll-wait and socket-work phases. A harness enables the registry, runs
 //! its workload and reads the totals back with [`snapshot`]; `serve_soak`
@@ -28,6 +28,8 @@ pub enum Stage {
     Simulate,
     /// Rendering a JSON payload to text.
     JsonSerialize,
+    /// Decoding a received JSON payload with the pull reader.
+    JsonParse,
     /// Encoding a wire frame (header + payload bytes) into a buffer; never
     /// the socket write.
     FrameEncode,
@@ -47,10 +49,11 @@ pub enum Stage {
 }
 
 /// Every stage, in display order.
-pub const STAGES: [Stage; 8] = [
+pub const STAGES: [Stage; 9] = [
     Stage::TraceGen,
     Stage::Simulate,
     Stage::JsonSerialize,
+    Stage::JsonParse,
     Stage::FrameEncode,
     Stage::FrameDecode,
     Stage::CacheProbe,
@@ -67,6 +70,7 @@ impl Stage {
             Stage::TraceGen => "trace_gen",
             Stage::Simulate => "simulate",
             Stage::JsonSerialize => "json_serialize",
+            Stage::JsonParse => "json_parse",
             Stage::FrameEncode => "frame_encode",
             Stage::FrameDecode => "frame_decode",
             Stage::CacheProbe => "cache_probe",
@@ -80,11 +84,12 @@ impl Stage {
             Stage::TraceGen => 0,
             Stage::Simulate => 1,
             Stage::JsonSerialize => 2,
-            Stage::FrameEncode => 3,
-            Stage::FrameDecode => 4,
-            Stage::CacheProbe => 5,
-            Stage::NetPoll => 6,
-            Stage::NetIo => 7,
+            Stage::JsonParse => 3,
+            Stage::FrameEncode => 4,
+            Stage::FrameDecode => 5,
+            Stage::CacheProbe => 6,
+            Stage::NetPoll => 7,
+            Stage::NetIo => 8,
         }
     }
 }

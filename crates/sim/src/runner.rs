@@ -359,10 +359,7 @@ impl ExperimentRunner {
             cells
                 .into_iter()
                 .map(|(key, report)| {
-                    JsonValue::Object(vec![
-                        ("key".into(), JsonValue::string(key)),
-                        ("report".into(), report),
-                    ])
+                    JsonValue::object([("key", key.to_json()), ("report", report)])
                 })
                 .collect(),
         )

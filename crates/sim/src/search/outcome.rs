@@ -9,7 +9,7 @@
 //! property the CI golden diff and the determinism proptest lock down.
 
 use super::{EvaluatedDesign, SearchSpace};
-use crate::json::{JsonValue, ToJson};
+use crate::json::{json_document, JsonSink, ToJson};
 use std::fmt;
 
 /// One generation's snapshot in a [`SearchOutcome`].
@@ -118,246 +118,99 @@ impl fmt::Display for SearchOutcome {
 }
 
 impl ToJson for EvaluatedDesign {
-    fn to_json(&self) -> JsonValue {
-        let mut members = vec![
-            ("name".into(), JsonValue::string(&self.name)),
-            ("pe".into(), JsonValue::string(self.genotype.pe.label())),
-            (
-                "control".into(),
-                JsonValue::string(self.genotype.control.label()),
-            ),
-            (
-                "max_tk".into(),
-                JsonValue::number_from_usize(self.genotype.max_tk),
-            ),
-            (
-                "rows".into(),
-                JsonValue::number_from_usize(self.genotype.rows()),
-            ),
-            (
-                "cols".into(),
-                JsonValue::number_from_usize(self.genotype.cols),
-            ),
-            (
-                "max_in_flight".into(),
-                JsonValue::number_from_usize(self.genotype.max_in_flight),
-            ),
-        ];
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        let genotype = &self.genotype;
+        sink.begin_object();
+        sink.field("name", &self.name);
+        sink.field("pe", genotype.pe.label());
+        sink.field("control", genotype.control.label());
+        sink.field("max_tk", &genotype.max_tk);
+        sink.field("rows", &genotype.rows());
+        sink.field("cols", &genotype.cols);
+        sink.field("max_in_flight", &genotype.max_in_flight);
         // Joint-space designs carry their kernel axes; hardware-only
         // documents (including every pinned golden) stay byte-identical.
-        if let Some(kernel) = self.genotype.kernel {
-            members.push((
-                "kernel".into(),
-                JsonValue::Object(vec![
-                    (
-                        "block_m".into(),
-                        JsonValue::number_from_usize(kernel.block.m),
-                    ),
-                    (
-                        "block_n".into(),
-                        JsonValue::number_from_usize(kernel.block.n),
-                    ),
-                    (
-                        "matmul_order".into(),
-                        JsonValue::string(kernel.matmul_order.label()),
-                    ),
-                    (
-                        "loop_order".into(),
-                        JsonValue::string(kernel.loop_order.label()),
-                    ),
-                    ("unroll".into(), JsonValue::Bool(kernel.unroll)),
-                ]),
-            ));
+        if let Some(kernel) = genotype.kernel {
+            sink.member("kernel");
+            sink.begin_object();
+            sink.field("block_m", &kernel.block.m);
+            sink.field("block_n", &kernel.block.n);
+            sink.field("matmul_order", kernel.matmul_order.label());
+            sink.field("loop_order", kernel.loop_order.label());
+            sink.field("unroll", &kernel.unroll);
+            sink.end_object();
         }
-        members.extend([
-            (
-                "core_cycles".into(),
-                JsonValue::number_from_u64(self.core_cycles),
-            ),
-            (
-                "normalized_runtime".into(),
-                JsonValue::number_from_f64(self.objectives.normalized_runtime),
-            ),
-            (
-                "area_mm2".into(),
-                JsonValue::number_from_f64(self.objectives.area_mm2),
-            ),
-            (
-                "energy_joules".into(),
-                JsonValue::number_from_f64(self.objectives.energy_joules),
-            ),
-        ]);
-        JsonValue::Object(members)
+        sink.field("core_cycles", &self.core_cycles);
+        sink.field("normalized_runtime", &self.objectives.normalized_runtime);
+        sink.field("area_mm2", &self.objectives.area_mm2);
+        sink.field("energy_joules", &self.objectives.energy_joules);
+        sink.end_object();
     }
+}
+
+/// Writes `labels` as an array of strings.
+fn label_array<S: JsonSink, T: Copy>(sink: &mut S, labels: &[T], label: fn(T) -> &'static str) {
+    sink.begin_array();
+    for &item in labels {
+        sink.str(label(item));
+    }
+    sink.end_array();
 }
 
 impl ToJson for SearchSpace {
-    fn to_json(&self) -> JsonValue {
-        let mut members = vec![
-            (
-                "pe_variants".into(),
-                JsonValue::Array(
-                    self.pe_variants()
-                        .iter()
-                        .map(|pe| JsonValue::string(pe.label()))
-                        .collect(),
-                ),
-            ),
-            (
-                "control_schemes".into(),
-                JsonValue::Array(
-                    self.control_schemes()
-                        .iter()
-                        .map(|scheme| JsonValue::string(scheme.label()))
-                        .collect(),
-                ),
-            ),
-            (
-                "geometries".into(),
-                JsonValue::Array(
-                    self.geometries()
-                        .iter()
-                        .map(|&(max_tk, cols)| {
-                            JsonValue::Array(vec![
-                                JsonValue::number_from_usize(max_tk),
-                                JsonValue::number_from_usize(cols),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-            (
-                "in_flight_depths".into(),
-                JsonValue::Array(
-                    self.in_flight_depths()
-                        .iter()
-                        .map(|&depth| JsonValue::number_from_usize(depth))
-                        .collect(),
-                ),
-            ),
-            (
-                "clock_ratio".into(),
-                JsonValue::number_from_u64(u64::from(self.clock_ratio())),
-            ),
-        ];
+    fn write_json<S: JsonSink>(&self, sink: &mut S) {
+        sink.begin_object();
+        sink.member("pe_variants");
+        label_array(sink, self.pe_variants(), |pe| pe.label());
+        sink.member("control_schemes");
+        label_array(sink, self.control_schemes(), |scheme| scheme.label());
+        sink.field("geometries", self.geometries());
+        sink.field("in_flight_depths", self.in_flight_depths());
+        sink.field("clock_ratio", &u64::from(self.clock_ratio()));
         // The kernel axes appear only for joint spaces, so hardware-only
         // search documents (and the pinned golden) keep their exact bytes.
         if let Some(axes) = self.kernel_axes() {
-            members.push((
-                "kernel_axes".into(),
-                JsonValue::Object(vec![
-                    (
-                        "blocks".into(),
-                        JsonValue::Array(
-                            axes.blocks
-                                .iter()
-                                .map(|block| {
-                                    JsonValue::Array(vec![
-                                        JsonValue::number_from_usize(block.m),
-                                        JsonValue::number_from_usize(block.n),
-                                    ])
-                                })
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "matmul_orders".into(),
-                        JsonValue::Array(
-                            axes.matmul_orders
-                                .iter()
-                                .map(|order| JsonValue::string(order.label()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "loop_orders".into(),
-                        JsonValue::Array(
-                            axes.loop_orders
-                                .iter()
-                                .map(|order| JsonValue::string(order.label()))
-                                .collect(),
-                        ),
-                    ),
-                    (
-                        "unroll".into(),
-                        JsonValue::Array(axes.unroll.iter().map(|&u| JsonValue::Bool(u)).collect()),
-                    ),
-                    (
-                        "combinations".into(),
-                        JsonValue::number_from_usize(axes.combinations()),
-                    ),
-                    (
-                        "cost_pruned".into(),
-                        JsonValue::number_from_usize(self.kernel_cost_pruned()),
-                    ),
-                    (
-                        "survivors".into(),
-                        JsonValue::number_from_usize(self.kernel_candidates().len()),
-                    ),
-                ]),
-            ));
+            sink.member("kernel_axes");
+            sink.begin_object();
+            let blocks: Vec<_> = axes.blocks.iter().map(|block| (block.m, block.n)).collect();
+            sink.field("blocks", &blocks);
+            sink.member("matmul_orders");
+            label_array(sink, &axes.matmul_orders, |order| order.label());
+            sink.member("loop_orders");
+            label_array(sink, &axes.loop_orders, |order| order.label());
+            sink.field("unroll", &axes.unroll);
+            sink.field("combinations", &axes.combinations());
+            sink.field("cost_pruned", &self.kernel_cost_pruned());
+            sink.field("survivors", &self.kernel_candidates().len());
+            sink.end_object();
         }
-        members.push((
-            "candidates".into(),
-            JsonValue::number_from_usize(self.len()),
-        ));
-        JsonValue::Object(members)
+        sink.field("candidates", &self.len());
+        sink.end_object();
     }
 }
 
-impl ToJson for GenerationRecord {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "generation".into(),
-                JsonValue::number_from_usize(self.generation),
-            ),
-            (
-                "evaluations".into(),
-                JsonValue::number_from_usize(self.evaluations),
-            ),
-            (
-                "frontier_size".into(),
-                JsonValue::number_from_usize(self.frontier_size),
-            ),
-            (
-                "best_normalized_runtime".into(),
-                JsonValue::number_from_f64(self.best_normalized_runtime),
-            ),
-        ])
-    }
-}
+json_document!(GenerationRecord {
+    "generation" => generation: usize,
+    "evaluations" => evaluations: usize,
+    "frontier_size" => frontier_size: usize,
+    "best_normalized_runtime" => best_normalized_runtime: f64,
+});
 
-impl ToJson for SearchOutcome {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("strategy".into(), JsonValue::string(&self.strategy)),
-            ("workload".into(), JsonValue::string(&self.workload)),
-            ("space".into(), self.space.to_json()),
-            ("baseline".into(), self.baseline.to_json()),
-            (
-                "requested_evaluations".into(),
-                JsonValue::number_from_usize(self.requested_evaluations),
-            ),
-            (
-                "distinct_evaluated".into(),
-                JsonValue::number_from_usize(self.distinct_evaluated),
-            ),
-            (
-                "generations".into(),
-                JsonValue::Array(self.generations.iter().map(ToJson::to_json).collect()),
-            ),
-            (
-                "frontier".into(),
-                JsonValue::Array(self.frontier.iter().map(ToJson::to_json).collect()),
-            ),
-        ])
-    }
-}
+json_document!(SearchOutcome: encode {
+    "strategy" => strategy,
+    "workload" => workload,
+    "space" => space,
+    "baseline" => baseline,
+    "requested_evaluations" => requested_evaluations,
+    "distinct_evaluated" => distinct_evaluated,
+    "generations" => generations,
+    "frontier" => frontier,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
     use crate::search::{DesignSearch, ExhaustiveGrid};
     use crate::ExperimentRunner;
     use rasa_workloads::LayerSpec;

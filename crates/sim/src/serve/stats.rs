@@ -1,6 +1,6 @@
 //! Serving-side counters and latency aggregation.
 
-use crate::json::{JsonValue, ToJson};
+use crate::json::json_document;
 
 /// Monotonic counters of a [`GemmServer`](crate::serve::GemmServer).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -14,21 +14,11 @@ pub struct ServeStats {
     pub batches: u64,
 }
 
-impl ToJson for ServeStats {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "submitted".into(),
-                JsonValue::number_from_u64(self.submitted),
-            ),
-            (
-                "completed".into(),
-                JsonValue::number_from_u64(self.completed),
-            ),
-            ("batches".into(), JsonValue::number_from_u64(self.batches)),
-        ])
-    }
-}
+json_document!(ServeStats {
+    "submitted" => submitted: u64,
+    "completed" => completed: u64,
+    "batches" => batches: u64,
+});
 
 /// Order statistics over a set of latency samples, in seconds.
 ///
@@ -92,41 +82,20 @@ fn nearest_rank(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.clamp(1, sorted.len()) - 1]
 }
 
-impl ToJson for LatencySummary {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("count".into(), JsonValue::number_from_usize(self.count)),
-            (
-                "mean_seconds".into(),
-                JsonValue::number_from_f64(self.mean_seconds),
-            ),
-            (
-                "p50_seconds".into(),
-                JsonValue::number_from_f64(self.p50_seconds),
-            ),
-            (
-                "p90_seconds".into(),
-                JsonValue::number_from_f64(self.p90_seconds),
-            ),
-            (
-                "p99_seconds".into(),
-                JsonValue::number_from_f64(self.p99_seconds),
-            ),
-            (
-                "p999_seconds".into(),
-                JsonValue::number_from_f64(self.p999_seconds),
-            ),
-            (
-                "max_seconds".into(),
-                JsonValue::number_from_f64(self.max_seconds),
-            ),
-        ])
-    }
-}
+json_document!(LatencySummary {
+    "count" => count: usize,
+    "mean_seconds" => mean_seconds: f64,
+    "p50_seconds" => p50_seconds: f64,
+    "p90_seconds" => p90_seconds: f64,
+    "p99_seconds" => p99_seconds: f64,
+    "p999_seconds" => p999_seconds: f64,
+    "max_seconds" => max_seconds: f64,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::ToJson;
 
     #[test]
     fn empty_samples_have_no_summary() {

@@ -68,19 +68,31 @@ fn number_spans(text: &str) -> Vec<std::ops::Range<usize>> {
 }
 
 /// Runs the decoders a shard and a router run on a request payload and
-/// returns whether the request was accepted. None may panic, whatever the
-/// bytes; an accepted request must also key, and reduce over at most
-/// `MAX_GEMM_K`.
+/// returns whether the request was accepted: the pull decoder they use on
+/// a Request frame, and the tree decoder, which must accept exactly the
+/// same payloads and decode them to the same request. None may panic,
+/// whatever the bytes; an accepted request must also key, and reduce over
+/// at most `MAX_GEMM_K`.
 fn decode_hostile_payload(payload: &[u8]) -> bool {
+    let frame = Frame {
+        kind: FrameKind::Request,
+        payload: payload.to_vec(),
+    };
+    let pulled = frame.decode_payload::<WireRequest>().ok();
+    let rejected = |pulled: Option<WireRequest>| {
+        assert_eq!(pulled, None, "only the pull decoder accepted {payload:?}");
+        false
+    };
     let Ok(text) = std::str::from_utf8(payload) else {
-        return false;
+        return rejected(pulled);
     };
     let Ok(document) = JsonValue::parse(text) else {
-        return false;
+        return rejected(pulled);
     };
     let Ok(request) = WireRequest::from_json(&document) else {
-        return false;
+        return rejected(pulled);
     };
+    assert_eq!(pulled.as_ref(), Some(&request), "{text}");
     let _ = request.route_key();
     let gemm = request.workload.gemm_shape();
     assert!(gemm.k <= MAX_GEMM_K, "accepted {gemm} from {text}");
@@ -192,8 +204,10 @@ fn canonical_reply_payloads() -> &'static [String; 4] {
 
 /// Runs every reply-side decoder on a payload: the reply decoder of the
 /// client and the library router (on a Response and on an Error frame),
-/// then the failure and both health decoders. None may panic, whatever
-/// the bytes.
+/// then the Response, failure and both health decoders, each as the pull
+/// decoder the client and router use and as the tree decoder, which must
+/// accept exactly the same payloads and decode them to the same values.
+/// None may panic, whatever the bytes.
 fn decode_hostile_reply(payload: &[u8]) {
     for kind in [FrameKind::Response, FrameKind::Error] {
         let frame = Frame {
@@ -202,15 +216,31 @@ fn decode_hostile_reply(payload: &[u8]) {
         };
         let _ = WireResponse::from_reply(&frame, 7);
     }
+    let frame = Frame {
+        kind: FrameKind::Response,
+        payload: payload.to_vec(),
+    };
+    let pulled = (
+        frame.decode_payload::<WireResponse>().ok(),
+        frame.decode_payload::<WireFailure>().ok(),
+        frame.decode_payload::<HealthStatus>().ok(),
+        frame.decode_payload::<RouterHealth>().ok(),
+    );
     let Ok(text) = std::str::from_utf8(payload) else {
+        assert_eq!(pulled, (None, None, None, None), "{payload:?}");
         return;
     };
     let Ok(document) = JsonValue::parse(text) else {
+        assert_eq!(pulled, (None, None, None, None), "{text}");
         return;
     };
-    let _ = WireFailure::from_json(&document);
-    let _ = HealthStatus::from_json(&document);
-    let _ = RouterHealth::from_json(&document);
+    let tree = (
+        WireResponse::from_json(&document).ok(),
+        WireFailure::from_json(&document).ok(),
+        HealthStatus::from_json(&document).ok(),
+        RouterHealth::from_json(&document).ok(),
+    );
+    assert_eq!(pulled, tree, "{text}");
 }
 
 /// Every numeric member of every canonical reply, set in turn to each
