@@ -46,12 +46,12 @@ fn seconds(d: Duration) -> f64 {
 
 /// Runs one Table I layer at full fidelity (no matmul cap) three ways —
 /// the cycle-stepping reference core on a materialized trace, the
-/// event-driven core fed the trace segment by segment (sequential
-/// streamed), and the same with the periodic steady state fast-forwarded —
-/// asserts the architectural statistics are bit-identical across all of
-/// them (with a byte-identical CpuStats JSON cross-check for the CI parity
-/// step), and reports the measured wall-clock speedups, segment counts,
-/// peak resident instructions and fast-forwarded strides.
+/// event-driven core fed the trace one whole register block at a time
+/// (sequential streamed), and the same with the periodic steady state
+/// fast-forwarded — asserts the architectural statistics are bit-identical
+/// across all of them (with a byte-identical CpuStats JSON cross-check for
+/// the CI parity step), and reports the measured wall-clock speedups, the
+/// pieces fed, peak resident instructions and fast-forwarded strides.
 fn timing_comparison(
     layer_name: &str,
     options: &rasa_bench::BinOptions,
@@ -104,7 +104,7 @@ fn timing_comparison(
             streamed.sched.skip_rate() * 100.0,
         );
         println!(
-            "  {:<14} {} segments, peak resident {} of {} instructions ({:.2}% of the trace); CpuStats JSON byte-identical",
+            "  {:<14} {} blocks fed whole, peak resident {} of {} instructions ({:.2}% of the trace); CpuStats JSON byte-identical",
             "",
             streamed.pipeline.segments,
             streamed.pipeline.peak_resident_instructions,
@@ -143,7 +143,7 @@ fn timing_comparison(
             spec_speedup,
         );
         println!(
-            "  {:<14} {} strides fast-forwarded ({} of them reduction steps inside blocks); {} segments fed (sequential streamed: {})",
+            "  {:<14} {} strides fast-forwarded ({} of them reduction steps inside blocks); {} pieces fed (sequential streamed: {})",
             "",
             speculative.pipeline.spec_forks,
             speculative.pipeline.spec_step_forks,

@@ -244,9 +244,9 @@ fn run_local(options: &BinOptions) -> Result<(), Box<dyn std::error::Error>> {
         .collect();
 
     println!(
-        "completed {} requests in {:.2} s ({throughput:.0} req/s)",
+        "completed {} requests in {:.1} ms ({throughput:.0} req/s)",
         totals.len(),
-        wall_seconds,
+        wall_seconds * 1e3,
     );
     println!(
         "latency p50 {:.3} ms | p99 {:.3} ms | p99.9 {:.3} ms | max {:.3} ms (simulate p99 {:.3} ms)",
@@ -401,9 +401,9 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                         let seen = completed.load(Ordering::Relaxed);
                         daemon.kill();
                         eprintln!(
-                            "serve_soak: killed {} at {seen}/{total} completions ({:.2} s in)",
+                            "serve_soak: killed {} at {seen}/{total} completions ({:.1} ms in)",
                             daemon.name,
-                            soak_start.elapsed().as_secs_f64(),
+                            soak_start.elapsed().as_secs_f64() * 1e3,
                         );
                     }
                     return;
@@ -506,7 +506,8 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
         return Err(format!("lost requests: {} of {total} completed", completions.len()).into());
     }
     println!(
-        "zero lost requests: {total}/{total} completed in {wall_seconds:.2} s ({} library retries, {} re-route retries, {} connects)",
+        "zero lost requests: {total}/{total} completed in {:.1} ms ({} library retries, {} re-route retries, {} connects)",
+        wall_seconds * 1e3,
         client_stats.retries,
         reroutes.load(Ordering::Relaxed),
         client_stats.connects,

@@ -2029,7 +2029,7 @@ mod tests {
     #[test]
     fn feed_segment_accepts_builder_segments() {
         // Drive the core directly from ProgramSegments (as the simulator's
-        // producer/consumer pipeline does) and compare to one-shot.
+        // trace walk does) and compare to one-shot.
         let p = microkernel_program(6);
         let mut b = rasa_isa::ProgramBuilder::new(IsaConfig::amx_like());
         let mut segments = Vec::new();

@@ -77,17 +77,11 @@ impl fmt::Display for ProgramStats {
 /// validates the buffered instructions against the register state carried
 /// over from earlier segments, so a sequence of segments is exactly as
 /// well-formed as the equivalent one-shot [`Program`] — without any single
-/// owner ever holding the whole trace. Each segment carries stable metadata
-/// (its position in the stream, the global offset of its first instruction
-/// and its instruction-mix statistics) so consumers can account for the
-/// stream without reassembling it.
+/// owner ever holding the whole trace.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramSegment {
     isa: IsaConfig,
-    index: usize,
-    first_instruction: usize,
     instructions: Vec<Instruction>,
-    stats: ProgramStats,
 }
 
 impl ProgramSegment {
@@ -95,18 +89,6 @@ impl ProgramSegment {
     #[must_use]
     pub const fn isa(&self) -> &IsaConfig {
         &self.isa
-    }
-
-    /// Zero-based position of this segment in its stream.
-    #[must_use]
-    pub const fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Global (stream-wide) offset of this segment's first instruction.
-    #[must_use]
-    pub const fn first_instruction(&self) -> usize {
-        self.first_instruction
     }
 
     /// The instructions of this segment, in program order.
@@ -125,18 +107,6 @@ impl ProgramSegment {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.instructions.is_empty()
-    }
-
-    /// Instruction-mix statistics of this segment alone.
-    #[must_use]
-    pub const fn stats(&self) -> &ProgramStats {
-        &self.stats
-    }
-
-    /// Number of `rasa_mm` instructions in this segment.
-    #[must_use]
-    pub const fn count_matmuls(&self) -> usize {
-        self.stats.matmuls
     }
 
     /// Iterates over the instructions in program order.
@@ -239,90 +209,6 @@ impl Program {
         }
         reuse
     }
-
-    /// Concatenates two programs built against the same ISA configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsaError::InvalidProgram`] when the ISA configurations
-    /// differ.
-    pub fn concat(mut self, other: &Program) -> Result<Program, IsaError> {
-        if self.isa != other.isa {
-            return Err(IsaError::InvalidProgram {
-                index: 0,
-                reason: "cannot concatenate programs with different isa configurations".to_string(),
-            });
-        }
-        self.instructions.extend_from_slice(&other.instructions);
-        let mut stats = ProgramStats::default();
-        for inst in &self.instructions {
-            stats.record(inst.kind());
-        }
-        self.stats = stats;
-        self.name = format!("{}+{}", self.name, other.name);
-        Ok(self)
-    }
-
-    /// Reassembles a contiguous run of stream segments into one `Program`
-    /// (the inverse of segment-wise emission, used by parity tests that
-    /// prove a streamed trace equals its materialized counterpart).
-    ///
-    /// The segments must come from one stream, in order: identical ISA
-    /// configurations, consecutive indices and instruction offsets that tile
-    /// the stream without gaps. Each segment was already validated by its
-    /// producing builder (against the register state carried across
-    /// segments), so no re-validation happens here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`IsaError::InvalidProgram`] when the segments disagree on
-    /// the ISA or are not contiguous.
-    pub fn from_segments(
-        segments: impl IntoIterator<Item = ProgramSegment>,
-        name: impl Into<String>,
-    ) -> Result<Program, IsaError> {
-        let mut segments = segments.into_iter();
-        let Some(first) = segments.next() else {
-            return Err(IsaError::InvalidProgram {
-                index: 0,
-                reason: "cannot reassemble a program from zero segments".to_string(),
-            });
-        };
-        let isa = first.isa;
-        let mut stats = first.stats;
-        let mut instructions = first.instructions;
-        let mut next_offset = first.first_instruction + instructions.len();
-        for (next_index, segment) in (first.index + 1..).zip(segments) {
-            if segment.isa != isa {
-                return Err(IsaError::InvalidProgram {
-                    index: segment.first_instruction,
-                    reason: "cannot reassemble segments with different isa configurations"
-                        .to_string(),
-                });
-            }
-            if segment.index != next_index || segment.first_instruction != next_offset {
-                return Err(IsaError::InvalidProgram {
-                    index: segment.first_instruction,
-                    reason: format!(
-                        "segment {} at offset {} is not contiguous with the previous \
-                         segment (expected index {next_index} at offset {next_offset})",
-                        segment.index, segment.first_instruction
-                    ),
-                });
-            }
-            next_offset += segment.instructions.len();
-            for inst in &segment.instructions {
-                stats.record(inst.kind());
-            }
-            instructions.extend(segment.instructions);
-        }
-        Ok(Program {
-            isa,
-            instructions,
-            stats,
-            name: name.into(),
-        })
-    }
 }
 
 impl<'a> IntoIterator for &'a Program {
@@ -352,8 +238,6 @@ pub struct ProgramBuilder {
     instructions: Vec<Instruction>,
     live_in: [bool; NUM_TILE_REGS],
     name: String,
-    /// Segments emitted so far via [`ProgramBuilder::finish_segment`].
-    segments_emitted: usize,
     /// Instructions already flushed into segments (the global offset of the
     /// first buffered instruction).
     flushed_instructions: usize,
@@ -408,7 +292,6 @@ impl ProgramBuilder {
             instructions: Vec::new(),
             live_in: [false; NUM_TILE_REGS],
             name: "unnamed".to_string(),
-            segments_emitted: 0,
             flushed_instructions: 0,
         }
     }
@@ -438,15 +321,6 @@ impl ProgramBuilder {
             dst,
             src,
             base: None,
-        })
-    }
-
-    /// Emits `rasa_tl dst, [base + src]` with a register-carried base.
-    pub fn tile_load_indexed(&mut self, dst: TileReg, src: MemRef, base: GprReg) -> &mut Self {
-        self.push(Instruction::TileLoad {
-            dst,
-            src,
-            base: Some(base),
         })
     }
 
@@ -502,10 +376,8 @@ impl ProgramBuilder {
     /// Drains the buffered instructions into a validated [`ProgramSegment`],
     /// carrying the written-register state forward so later segments (or a
     /// final [`finish`](Self::finish)) may read registers defined here.
-    ///
-    /// Segment metadata (index and global instruction offset) advances
-    /// monotonically across calls. Flushing an empty buffer produces an
-    /// empty segment, which is valid but rarely useful.
+    /// Flushing an empty buffer produces an empty segment, which is valid
+    /// but rarely useful.
     ///
     /// # Errors
     ///
@@ -513,22 +385,16 @@ impl ProgramBuilder {
     /// [`finish`](Self::finish); error indices are global stream positions.
     pub fn finish_segment(&mut self) -> Result<ProgramSegment, IsaError> {
         let instructions = std::mem::take(&mut self.instructions);
-        let first_instruction = self.flushed_instructions;
-        let stats = validate_instructions(
+        validate_instructions(
             &self.isa,
             &mut self.live_in,
             &instructions,
-            first_instruction,
+            self.flushed_instructions,
         )?;
-        let index = self.segments_emitted;
-        self.segments_emitted += 1;
         self.flushed_instructions += instructions.len();
         Ok(ProgramSegment {
             isa: self.isa,
-            index,
-            first_instruction,
             instructions,
-            stats,
         })
     }
 
@@ -664,30 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn concat_merges_and_recounts() {
-        let p1 = algorithm_one();
-        let p2 = algorithm_one();
-        let joined = p1.concat(&p2).unwrap();
-        assert_eq!(joined.len(), 32);
-        assert_eq!(joined.count_matmuls(), 8);
-        assert!(joined.name().contains('+'));
-    }
-
-    #[test]
-    fn concat_rejects_mismatched_isa() {
-        let p1 = algorithm_one();
-        let isa2 = IsaConfig::new(
-            crate::TileGeometry::new(8, 64).unwrap(),
-            8,
-            crate::DataType::Bf16,
-            crate::DataType::Fp32,
-        )
-        .unwrap();
-        let p2 = ProgramBuilder::new(isa2).finish().unwrap();
-        assert!(p1.concat(&p2).is_err());
-    }
-
-    #[test]
     fn program_iteration() {
         let p = algorithm_one();
         assert_eq!(p.iter().count(), p.len());
@@ -712,22 +554,16 @@ mod tests {
         }
         segments.push(b.finish_segment().unwrap());
         assert_eq!(segments.len(), 4);
-        // Metadata tiles the stream: indices and offsets are contiguous.
-        let mut offset = 0;
-        for (i, s) in segments.iter().enumerate() {
-            assert_eq!(s.index(), i);
-            assert_eq!(s.first_instruction(), offset);
-            offset += s.len();
+        for s in &segments {
             assert_eq!(s.isa(), &isa);
             assert_eq!(s.iter().count(), s.len());
         }
-        assert_eq!(offset, whole.len());
-        // Per-segment stats sum to the whole program's stats.
-        let mm: usize = segments.iter().map(ProgramSegment::count_matmuls).sum();
-        assert_eq!(mm, whole.count_matmuls());
-        // Reassembly reproduces the materialized program exactly.
-        let rebuilt = Program::from_segments(segments, "algorithm-1").unwrap();
-        assert_eq!(rebuilt, whole);
+        // Concatenated in order, the segments are the materialized program.
+        let rebuilt: Vec<Instruction> = segments
+            .iter()
+            .flat_map(|s| s.instructions().iter().copied())
+            .collect();
+        assert_eq!(rebuilt.as_slice(), whole.instructions());
     }
 
     #[test]
@@ -760,36 +596,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_and_mismatched_segment_streams_are_rejected() {
-        assert!(Program::from_segments(Vec::new(), "empty").is_err());
-        // Two independent streams both start at index 0 / offset 0: not
-        // contiguous.
-        let isa = IsaConfig::amx_like();
-        let mut a = ProgramBuilder::new(isa);
-        a.tile_load(treg(0), MemRef::tile(0, 64));
-        let s0 = a.finish_segment().unwrap();
-        let mut b = ProgramBuilder::new(isa);
-        b.tile_load(treg(1), MemRef::tile(0x400, 64));
-        let s1 = b.finish_segment().unwrap();
-        assert!(Program::from_segments([s0.clone(), s1], "dup").is_err());
-        // A lone segment (even mid-streamish) reassembles fine.
-        let lone = Program::from_segments([s0], "lone").unwrap();
-        assert_eq!(lone.len(), 1);
-        assert!(!lone.is_empty());
-    }
-
-    #[test]
     fn empty_segment_is_valid() {
         let mut b = ProgramBuilder::new(IsaConfig::amx_like());
         let s = b.finish_segment().unwrap();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert_eq!(s.stats().total(), 0);
-        // The next segment continues the numbering.
         b.tile_load(treg(0), MemRef::tile(0, 64));
         let s = b.finish_segment().unwrap();
-        assert_eq!(s.index(), 1);
-        assert_eq!(s.first_instruction(), 0);
         assert_eq!((&s).into_iter().count(), 1);
     }
 

@@ -121,12 +121,6 @@ impl JsonValue {
         JsonValue::Number(value.to_string())
     }
 
-    /// A number node for a `usize`.
-    #[must_use]
-    pub fn number_from_usize(value: usize) -> JsonValue {
-        JsonValue::Number(value.to_string())
-    }
-
     /// A number node for a finite float, formatted with Rust's shortest
     /// round-trip representation. Non-finite values (which valid metrics
     /// never produce) serialize as `null` to keep the document well-formed.

@@ -3,28 +3,31 @@ use rasa_power::PowerReport;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// How the trace reached the simulating core: as a stream of bounded
-/// segments (every `run_gemm`/`run_layer` cell) or as one materialized
-/// program (the `run_program` and reference-core oracles).
+/// How the trace reached the simulating core: piece by piece, at most one
+/// register block at a time (every `run_gemm`/`run_layer` cell), or as one
+/// materialized program (the `run_program` and reference-core oracles).
 ///
 /// These are diagnostics of the *pipeline*, not of the simulated core —
-/// deterministic for a given configuration (segment boundaries derive from
-/// the shape and kernel alone), but carrying no architectural meaning. The
+/// deterministic for a given configuration (piece boundaries derive from
+/// the shape, the kernel and the core configuration alone), but carrying
+/// no architectural meaning. The
 /// simulated statistics ([`SimReport::cpu`]) are bit-identical either way.
 /// They stay in process: no document or wire payload carries them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PipelineStats {
-    /// Whether the trace was streamed segment by segment (`false` for a
+    /// Whether the trace was streamed piece by piece (`false` for a
     /// materialized program).
     pub streamed: bool,
-    /// Segments fed to the core (1 for a materialized run).
+    /// Pieces fed to the core: one per register block without
+    /// fast-forward, a few per fed block with it (1 for a materialized
+    /// run).
     pub segments: u64,
     /// Total instructions fed (the trace length).
     pub fed_instructions: u64,
     /// Peak instructions resident in the core's fetch buffer — the whole
-    /// trace for a materialized run, roughly one segment for a streamed
-    /// one. The streaming pipeline's memory headroom is the ratio of the
-    /// two.
+    /// trace for a materialized run, at most one register block for a
+    /// streamed one. The streaming pipeline's memory headroom is the ratio
+    /// of the two.
     pub peak_resident_instructions: u64,
     /// Strides skipped by fast-forwarding through the periodic steady
     /// state, at either level: one per skipped stride of register blocks
@@ -42,7 +45,7 @@ pub struct PipelineStats {
 
 impl PipelineStats {
     /// Fraction of the trace resident at the peak (1.0 for a materialized
-    /// run, ~segment/trace for a streamed one; 0 when nothing was fed).
+    /// run, ~block/trace for a streamed one; 0 when nothing was fed).
     #[must_use]
     pub fn residency(&self) -> f64 {
         if self.fed_instructions == 0 {
@@ -87,7 +90,7 @@ pub struct SimReport {
     /// cycle-stepping reference core produced the report, or when the
     /// report was decoded from JSON). In process only.
     pub sched: SchedStats,
-    /// Trace-transport diagnostics: streamed vs materialized, segment count
+    /// Trace-transport diagnostics: streamed vs materialized, pieces fed
     /// and peak resident instructions (default when the report was decoded
     /// from JSON). In process only.
     pub pipeline: PipelineStats,

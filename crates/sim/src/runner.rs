@@ -109,7 +109,7 @@ impl SimJob {
     ///
     /// The kernel half of the key is the kernel's `Debug` rendering, which
     /// covers every scheme axis (two kernels differing only in register
-    /// block, loop order, scalar model or segment hint render differently)
+    /// block, loop order or scalar model render differently)
     /// while default-scheme kernels keep the pre-scheme legacy text, so
     /// pinned golden cache dumps stay byte-stable.
     #[must_use]
@@ -927,6 +927,52 @@ mod tests {
             }
         }
         assert_eq!(runner.memo_stats().0, 2, "one machine per design");
+    }
+
+    #[test]
+    fn the_oldest_machine_goes_first() {
+        // One design under one more kernel cap than the runner keeps
+        // machines: the first machine is dropped with its memo, so the
+        // runner holds exactly the memos of the last `MACHINES` kernels,
+        // and a new cell on the first kernel starts a fresh memo.
+        let design = DesignPoint::rasa_dmdb_wls();
+        let kernel = |cap: usize| GemmKernelConfig::amx_like().with_max_matmuls(cap);
+        let job = |cap: usize, layer: &LayerSpec| {
+            SimJob::new(design.clone(), layer.clone()).with_kernel(kernel(cap))
+        };
+        // What a fresh simulator of `cap`'s machine reports, and holds in
+        // its memo, after running `layer`.
+        let fresh = |cap: usize, layer: &LayerSpec| {
+            let sim = Simulator::new(design.clone())
+                .unwrap()
+                .with_kernel(kernel(cap))
+                .unwrap();
+            let report = sim.run_layer(layer).unwrap();
+            (report, sim.memo_stats())
+        };
+        let small = LayerSpec::fc("small", 64, 64, 64);
+        let runner = ExperimentRunner::new();
+        let caps = 1..=MACHINES + 1;
+        for cap in caps.clone() {
+            runner.run_job(&job(cap, &small)).unwrap();
+        }
+        let held: MemoStats = caps.clone().skip(1).map(|cap| fresh(cap, &small).1).sum();
+        assert_eq!(runner.memo_stats(), (MACHINES, held));
+
+        let other = LayerSpec::fc("other", 96, 64, 64);
+        let report = runner.run_job(&job(1, &other)).unwrap();
+        let (expected, memo) = fresh(1, &other);
+        assert_eq!(*report, expected);
+        assert_eq!(
+            (report.sched, report.pipeline),
+            (expected.sched, expected.pipeline)
+        );
+        let held: MemoStats = caps
+            .skip(2)
+            .map(|cap| fresh(cap, &small).1)
+            .chain([memo])
+            .sum();
+        assert_eq!(runner.memo_stats(), (MACHINES, held));
     }
 
     /// Uncapped small-batch cells, three per machine, so later cells of a

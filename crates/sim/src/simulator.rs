@@ -8,9 +8,7 @@ use rasa_isa::Program;
 use rasa_numeric::GemmShape;
 use rasa_power::{EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
-use rasa_trace::{
-    GemmKernelConfig, GemmTraceStream, PieceKey, TraceGenerator, DEFAULT_SEGMENT_SIZE,
-};
+use rasa_trace::{GemmKernelConfig, GemmTraceStream, PieceKey, TraceGenerator};
 use rasa_workloads::LayerSpec;
 use std::ops::Range;
 use std::sync::Arc;
@@ -48,13 +46,13 @@ struct SpecPlan {
 /// core and returns a [`SimReport`].
 ///
 /// Every cell runs on **one synchronous path** on the calling thread: the
-/// trace is generated as bounded instruction segments, each fed into the
-/// resumable core as soon as it exists, so the resident trace stays
-/// O(segment) instead of O(workload). Cells whose work settles into a
-/// periodic steady state — strides of register blocks, and the reduction
-/// steps inside every block — skip it exactly by fast-forward
-/// ([`Simulator::with_speculation`]); the simulated statistics are
-/// bit-identical either way. [`SimReport::pipeline`] records what the run
+/// trace is generated piece by piece, at most one register block at a
+/// time, and each piece is fed into the resumable core as soon as it
+/// exists, so the resident trace stays O(block) instead of O(workload).
+/// Cells whose work settles into a periodic steady state — strides of
+/// register blocks, and the reduction steps inside every block — skip it
+/// exactly by fast-forward ([`Simulator::with_speculation`]); the
+/// simulated statistics are bit-identical either way. [`SimReport::pipeline`] records what the run
 /// kept resident and how many strides and steps it skipped.
 ///
 /// With fast-forward on, the simulator also remembers what its machine
@@ -138,8 +136,8 @@ impl Simulator {
     }
 
     /// Overrides the full kernel configuration (tiling, scalar overhead,
-    /// `rasa_mm` emission order, cap and segment size hint) used to
-    /// generate traces — the hook the kernel-blocking ablation uses.
+    /// `rasa_mm` emission order, cap and kernel scheme) used to generate
+    /// traces — the hook the kernel-blocking ablation uses.
     ///
     /// # Errors
     ///
@@ -264,7 +262,7 @@ impl Simulator {
             core.run(program)?
         };
         let sched = *core.sched_stats();
-        // A materialized program is held (and fed) whole: one segment,
+        // A materialized program is held (and fed) whole: one piece,
         // everything resident.
         let pipeline = PipelineStats {
             streamed: false,
@@ -278,14 +276,14 @@ impl Simulator {
 
     /// Generates and simulates `shape` on the calling thread: an optional
     /// block-level fast-forward prefix, then every remaining register block
-    /// generated segment by segment straight into the core.
+    /// generated piece by piece straight into the core.
     ///
-    /// Capped or not, the run covers exactly the blocks of
-    /// [`TraceGenerator::block_count`]; without fast-forward it feeds the
-    /// segments of [`TraceGenerator::gemm_blocks`] over `0..block_count`.
-    /// With it, every feed is one *piece* — a range of one block's
-    /// reduction steps ([`GemmTraceStream::steps_to`]) — and two levels
-    /// skip work:
+    /// Capped or not, the run walks exactly the blocks of
+    /// [`TraceGenerator::block_count`] with one
+    /// [`TraceGenerator::gemm_blocks`] cursor, and every feed is one
+    /// *piece* — a range of one block's reduction steps
+    /// ([`GemmTraceStream::steps_to`]). Without fast-forward each block is
+    /// one piece, fed with no memo. With it, two levels skip work:
     ///
     /// * **blocks** ([`TraceGenerator::uniform_blocks`]): warm up one
     ///   stride, probe stride by stride until one stride boundary is an
@@ -335,13 +333,10 @@ impl Simulator {
         run: SpeculativeRun,
     ) -> Result<Option<SimReport>, SimError> {
         let total_matmuls = self.generator.matmul_count(shape)? as u64;
-        let blocks = self.generator.block_count(shape)?;
         let cell = CellRun {
             sim: self,
             run,
-            stream: self
-                .generator
-                .gemm_blocks(shape, name, 0..blocks, DEFAULT_SEGMENT_SIZE)?,
+            stream: self.generator.gemm_blocks(shape)?,
             uniform_steps: self.generator.uniform_steps(shape)?,
             step_checkpoints: Default::default(),
             skipped_steps: 0,
@@ -468,20 +463,8 @@ impl CellRun<'_> {
     }
 
     /// Feeds the register blocks from the stream's cursor up to block
-    /// `end`: as whole-block segments straight into the core without
-    /// fast-forward, else block by block, piece by piece.
+    /// `end`.
     fn feed_blocks_to(&mut self, end: usize) -> Result<(), Halt> {
-        if !self.sim.speculation {
-            loop {
-                let gen = prof::time(Stage::TraceGen);
-                let segment = self.stream.next_segment()?;
-                drop(gen);
-                let Some(segment) = segment else {
-                    return Ok(());
-                };
-                self.run.feed_segment(&segment)?;
-            }
-        }
         while self.stream.cursor_block() < end {
             self.feed_block()?;
         }
@@ -492,14 +475,16 @@ impl CellRun<'_> {
     /// one piece — recalled from the memo when the run can, else generated
     /// and fed — and returns whether there was a step to feed. A run with
     /// a core recalls only pieces that leave its trace builder whole: a
-    /// piece that opens a block without closing it is always fed.
+    /// piece that opens a block without closing it is always fed. Without
+    /// fast-forward the piece is fed and the memo left alone.
     fn feed(&mut self, end: usize) -> Result<bool, Halt> {
         let Some(piece) = self.stream.piece_to(end) else {
             return Ok(false);
         };
         let memo = &*self.sim.memo;
+        let speculation = self.sim.speculation;
         let passable = self.run.is_recalling() || !piece.opens_block || piece.closes_block;
-        if passable && self.run.recall_piece(memo, piece) {
+        if speculation && passable && self.run.recall_piece(memo, piece) {
             self.stream.pass_to(end);
             return Ok(true);
         }
@@ -509,7 +494,11 @@ impl CellRun<'_> {
         let gen = prof::time(Stage::TraceGen);
         let segment = self.stream.steps_to(end)?.expect("a piece holds a step");
         drop(gen);
-        self.run.feed_piece(memo, piece, &segment)?;
+        if speculation {
+            self.run.feed_piece(memo, piece, &segment)?;
+        } else {
+            self.run.feed_segment(&segment)?;
+        }
         Ok(true)
     }
 
@@ -541,16 +530,16 @@ impl CellRun<'_> {
     }
 
     /// Feeds the register block at the stream's cursor, fast-forwarding
-    /// through its uniform reduction steps when they hold a warm-up, a
-    /// probe and one skipped step: the block is fed up to its first probe
-    /// step, probed step by step, skipped to the end of its uniform steps
-    /// and finished with its last step, which stores the accumulators.
-    /// A shorter block is one piece.
+    /// through its uniform reduction steps when fast-forward is on and they
+    /// hold a warm-up, a probe and one skipped step: the block is fed up to
+    /// its first probe step, probed step by step, skipped to the end of its
+    /// uniform steps and finished with its last step, which stores the
+    /// accumulators. Any other block is one piece.
     fn feed_block(&mut self) -> Result<(), Halt> {
         let uniform = self.uniform_steps.clone();
         let step_len = self.stream.step_instructions();
         let end = self.stream.block_steps();
-        if self.sim.holds_step_probe(&uniform, step_len) {
+        if self.sim.speculation && self.sim.holds_step_probe(&uniform, step_len) {
             let mut next = self.sim.first_probe_step(&uniform, step_len);
             self.feed(next)?;
             let mut checkpoints = std::mem::take(&mut self.step_checkpoints);
@@ -690,17 +679,6 @@ mod tests {
         }
     }
 
-    /// The default kernel carrying `cap` and a `segment_size`-instruction
-    /// segment hint — the one place a segment size is set.
-    fn segmented(segment_size: usize, cap: Option<usize>) -> GemmKernelConfig {
-        let mut kernel = rasa_trace::KernelSchemeBuilder::new()
-            .with_segment_size(segment_size)
-            .build()
-            .unwrap();
-        kernel.max_matmuls = cap;
-        kernel
-    }
-
     /// The materialized oracle: the whole trace generated up front by
     /// [`TraceGenerator::gemm`] and run on the one-shot core
     /// ([`CpuCore::run`]).
@@ -714,10 +692,10 @@ mod tests {
     fn streamed_and_materialized_paths_are_bit_identical() {
         let suite = WorkloadSuite::mlperf();
         let layer = suite.layer("DLRM-1").unwrap();
-        for (cap, segment_size) in [(Some(2000), 512), (None, 128)] {
+        for cap in [Some(2000), None] {
             let sim = Simulator::new(DesignPoint::rasa_wlbp())
                 .unwrap()
-                .with_kernel(segmented(segment_size, cap))
+                .with_matmul_cap(cap)
                 .unwrap();
             // Keep the uncapped case tractable: a small GEMM.
             let shape = if cap.is_none() {
@@ -753,29 +731,28 @@ mod tests {
 
     #[test]
     fn capped_cells_stream_exactly_the_gemm_stream_segments() {
-        // Without a fast-forward a capped cell feeds blocks
-        // `0..block_count`, which must cut the same segments as one
-        // `gemm_blocks` stream over them.
+        // Without fast-forward a capped cell feeds every block of its walk
+        // whole, as one piece: exactly the `block_count` whole-block
+        // segments of a `gemm_blocks` cursor, never more than one of them
+        // resident, and it records nothing in the memo.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
-            .with_kernel(segmented(300, Some(700)))
+            .with_matmul_cap(Some(700))
             .unwrap()
             .with_speculation(false);
         let shape = GemmShape::new(512, 256, 512);
         let report = sim.run_gemm(shape).unwrap();
-        let blocks = sim.generator.block_count(shape).unwrap();
-        let mut stream = sim
-            .generator
-            .gemm_blocks(shape, "capped", 0..blocks, 1)
-            .unwrap();
-        let (mut segments, mut peak) = (0u64, 0u64);
-        while let Some(segment) = stream.next_segment().unwrap() {
+        let mut stream = sim.generator.gemm_blocks(shape).unwrap();
+        let (mut segments, mut longest) = (0u64, 0u64);
+        while let Some(block) = stream.steps_to(stream.block_steps()).unwrap() {
             segments += 1;
-            peak = peak.max(segment.len() as u64);
+            longest = longest.max(block.len() as u64);
         }
         assert!(report.is_extrapolated());
+        assert_eq!(segments, sim.generator.block_count(shape).unwrap() as u64);
         assert_eq!(report.pipeline.segments, segments);
-        assert!(report.pipeline.peak_resident_instructions >= peak);
+        assert!(report.pipeline.peak_resident_instructions <= longest);
+        assert_eq!(sim.memo_stats(), MemoStats::default());
     }
 
     #[test]
@@ -788,7 +765,7 @@ mod tests {
         for design in [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()] {
             let sim = Simulator::new(design)
                 .unwrap()
-                .with_kernel(segmented(128, None))
+                .with_matmul_cap(None)
                 .unwrap();
             let speculative = sim.run_gemm(shape).unwrap();
             let sequential = sim.clone().with_speculation(false).run_gemm(shape).unwrap();
@@ -818,7 +795,7 @@ mod tests {
         // the reports compare equal while their pipelines differ.
         let sim = Simulator::new(DesignPoint::rasa_dmdb_wls())
             .unwrap()
-            .with_kernel(segmented(128, None))
+            .with_matmul_cap(None)
             .unwrap();
         let shape = GemmShape::new(256, 64, 512);
         let fast = sim.run_gemm(shape).unwrap();
@@ -843,7 +820,6 @@ mod tests {
             .with_matmul_order(rasa_trace::MatmulOrder::Interleaved)
             .with_loop_order(LoopOrder::NInnermost)
             .with_scalar_ops_per_step(1)
-            .with_segment_size(128)
             .build()
             .unwrap();
         let layer = rasa_workloads::LayerSpec::fc("scheme-parity", 256, 64, 512);
@@ -879,7 +855,7 @@ mod tests {
         // alone, so its counters are reproducible.
         let sim = Simulator::new(DesignPoint::rasa_wlbp())
             .unwrap()
-            .with_kernel(segmented(128, None))
+            .with_matmul_cap(None)
             .unwrap();
         let shape = GemmShape::new(256, 64, 256);
         let a = sim.run_gemm(shape).unwrap();
@@ -969,8 +945,15 @@ mod tests {
             assert!((4 * 70..=4 * 85).contains(&steps), "{steps} steps skipped");
             assert_eq!(fast.pipeline.spec_forks, steps + 2);
             assert_eq!(sequential.pipeline.spec_step_forks, 0);
-            // The fed trace is a few steps per block, never a whole block.
+            // The fed trace is a few steps per block, never a whole block;
+            // the sequential run feeds its six blocks whole, wherever the
+            // fast-forward cuts them.
             assert!(fast.pipeline.peak_resident_instructions < 200);
+            assert_eq!(sequential.pipeline.segments, 6);
+            assert_eq!(
+                sequential.pipeline.peak_resident_instructions,
+                4 + 96 * 12 + 4
+            );
         }
     }
 
@@ -1085,11 +1068,11 @@ mod tests {
 
     #[test]
     fn streamed_pipeline_stats_are_deterministic() {
-        // Segment boundaries derive from the shape and kernel alone, so
+        // Piece boundaries derive from the shape and kernel alone, so
         // repeated runs agree exactly.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
-            .with_kernel(segmented(300, None))
+            .with_matmul_cap(None)
             .unwrap();
         let shape = GemmShape::new(192, 64, 192);
         let a = sim.run_gemm(shape).unwrap();
@@ -1131,16 +1114,6 @@ mod tests {
     fn zero_cap_is_rejected() {
         let sim = Simulator::new(DesignPoint::baseline()).unwrap();
         assert!(sim.with_matmul_cap(Some(0)).is_err());
-    }
-
-    #[test]
-    fn zero_segment_size_is_rejected() {
-        // The kernel scheme's hint is the only segment size knob, and a
-        // zero hint never reaches a stream.
-        let mut kernel = GemmKernelConfig::amx_like();
-        kernel.scheme.segment_size = Some(0);
-        let sim = Simulator::new(DesignPoint::baseline()).unwrap();
-        assert!(matches!(sim.with_kernel(kernel), Err(SimError::Trace(_))));
     }
 
     #[test]

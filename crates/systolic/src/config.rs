@@ -49,12 +49,6 @@ impl PeVariant {
         }
     }
 
-    /// Number of adders per PE.
-    #[must_use]
-    pub const fn adders_per_pe(self) -> usize {
-        self.multipliers_per_pe()
-    }
-
     /// Whether the variant has the shadow weight plane required by
     /// [`ControlScheme::Wls`].
     #[must_use]

@@ -67,8 +67,8 @@ pub struct GemmKernelConfig {
     /// Emission order of the `rasa_mm` instructions inside a register block
     /// (the consecutive-weight-reuse ablation knob).
     pub matmul_order: MatmulOrder,
-    /// Structural kernel axes: register-block shape, loop order,
-    /// scalar-overhead model and streaming segment hint.
+    /// Structural kernel axes: register-block shape, loop order and
+    /// scalar-overhead model.
     pub scheme: KernelScheme,
 }
 

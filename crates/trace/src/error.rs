@@ -18,8 +18,8 @@ pub enum TraceError {
     /// The emitted program failed ISA validation (a generator bug — surfaced
     /// rather than panicking so fuzzing can exercise it).
     Emit(IsaError),
-    /// A streaming trace was configured inconsistently (zero segment size or
-    /// an out-of-range register-block shard).
+    /// A streaming trace's cursor was moved where the walk cannot go (past
+    /// its last block, or across reduction steps that do not repeat).
     Stream {
         /// Human-readable description of the violated constraint.
         reason: String,
@@ -35,7 +35,7 @@ impl fmt::Display for TraceError {
             TraceError::Shape(e) => write!(f, "workload shape error: {e}"),
             TraceError::Emit(e) => write!(f, "emitted program failed validation: {e}"),
             TraceError::Stream { reason } => {
-                write!(f, "invalid stream configuration: {reason}")
+                write!(f, "invalid stream move: {reason}")
             }
         }
     }

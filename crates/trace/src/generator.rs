@@ -252,8 +252,8 @@ impl TraceGenerator {
     /// accumulator stores). The block shape, loop order and scalar-overhead
     /// model all come from the kernel scheme; the default scheme reproduces
     /// the pre-scheme 2×2 Algorithm-1 sequence byte for byte. Shared by the
-    /// materialized [`TraceGenerator::gemm`] path and the streaming
-    /// segmenter, so both emit the identical instruction sequence.
+    /// materialized [`TraceGenerator::gemm`] path and the streaming cursor,
+    /// so both emit the identical instruction sequence.
     pub(crate) fn emit_steps(
         &self,
         b: &mut ProgramBuilder,
@@ -370,8 +370,8 @@ impl TraceGenerator {
     /// which keeps each B tile register live across consecutive `rasa_mm`
     /// instructions — the reuse pattern WLBP and WLS exploit.
     ///
-    /// The streaming counterpart, [`TraceGenerator::gemm_blocks`] over
-    /// `0..block_count`, emits the identical instruction sequence as bounded
+    /// The streaming counterpart, a [`TraceGenerator::gemm_blocks`] cursor,
+    /// emits the identical instruction sequence as bounded
     /// [`rasa_isa::ProgramSegment`]s without materializing the whole trace.
     ///
     /// # Errors
@@ -434,6 +434,7 @@ fn checked_product(shape: GemmShape, factors: &[usize]) -> Result<usize, TraceEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::stream::tests::{block_pieces, concat, matmuls};
     use rasa_isa::InstructionKind;
     use std::collections::HashMap;
 
@@ -734,15 +735,9 @@ mod tests {
                 let blocks = full.block_count(shape).unwrap();
                 // Running (rasa_mm, instruction) totals after each block.
                 let mut prefix = vec![(0, 0)];
-                for block in 0..blocks {
-                    let segment = full
-                        .gemm_blocks(shape, "block", block..block + 1, usize::MAX)
-                        .unwrap()
-                        .next()
-                        .unwrap()
-                        .unwrap();
+                for (block, piece) in block_pieces(&full, shape, 0..blocks).iter().enumerate() {
                     let (mm, len) = prefix[block];
-                    prefix.push((mm + segment.count_matmuls(), len + segment.len()));
+                    prefix.push((mm + matmuls(piece.instructions()), len + piece.len()));
                 }
                 let total = prefix[blocks].0;
                 assert_eq!(total, program.count_matmuls());
@@ -847,11 +842,8 @@ mod tests {
                                     continue;
                                 }
                                 let window = |lo: usize| -> Vec<Instruction> {
-                                    g.gemm_blocks(shape, "window", lo..lo + stride, usize::MAX)
-                                        .unwrap()
-                                        .flat_map(|segment| {
-                                            segment.unwrap().instructions().to_vec()
-                                        })
+                                    concat(&block_pieces(&g, shape, lo..lo + stride))
+                                        .into_iter()
                                         .map(strip)
                                         .collect()
                                 };
@@ -926,9 +918,8 @@ mod tests {
         let (mut compared, mut shared) = (0, 0);
         for block in blocks {
             for plan in &plans {
-                let mut stream = g
-                    .gemm_blocks(shape, "pieces", block..block + 1, usize::MAX)
-                    .unwrap();
+                let mut stream = g.gemm_blocks(shape).unwrap();
+                stream.skip_blocks(block).unwrap();
                 for &(skip, end) in plan {
                     if let Some(step) = skip {
                         stream.skip_to(step).unwrap();
@@ -948,8 +939,7 @@ mod tests {
                     compared += 1;
                     shared += usize::from(*first != shape);
                 }
-                assert_eq!(stream.blocks_remaining(), 0);
-                assert!(stream.piece_to(kt).is_none(), "the walk has finished");
+                assert_eq!(stream.cursor_block(), block + 1, "the block is done");
             }
         }
         (compared, shared)
@@ -974,10 +964,8 @@ mod tests {
         );
         let resident = g.kernel().scheme.loop_order == LoopOrder::KInnermost;
         let mut compared = 0;
+        let mut stream = g.gemm_blocks(shape).unwrap();
         for block in 0..g.block_count(shape).unwrap() {
-            let mut stream = g
-                .gemm_blocks(shape, "steps", block..block + 1, usize::MAX)
-                .unwrap();
             let step_len = stream.step_instructions();
             let steps: Vec<Vec<Instruction>> = (1..=kt)
                 .map(|end| {
@@ -985,7 +973,7 @@ mod tests {
                     segment.instructions().iter().copied().map(strip).collect()
                 })
                 .collect();
-            assert_eq!(stream.blocks_remaining(), 0);
+            assert_eq!(stream.cursor_block(), block + 1);
             let what = format!("kernel {}, {shape:?}, block {block}", g.kernel());
             for k in uniform.clone() {
                 assert_eq!(steps[k], steps[uniform.start], "{what}, step {k}");

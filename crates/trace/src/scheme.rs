@@ -14,8 +14,7 @@
 //! * **loop order** ([`LoopOrder`]) — whether accumulators stay register
 //!   resident across the whole K reduction or spill around every K step;
 //! * **scalar-overhead model** — how many pointer-bump/loop-bookkeeping
-//!   scalar ops accompany each K step (a fully unrolled kernel has none);
-//! * **segment size** — a per-kernel streaming granularity hint.
+//!   scalar ops accompany each K step (a fully unrolled kernel has none).
 
 use crate::config::{GemmKernelConfig, MatmulOrder};
 use crate::TraceError;
@@ -58,11 +57,10 @@ impl fmt::Display for LoopOrder {
 }
 
 /// The structural axes of a generated micro-kernel beyond its tiling: the
-/// register-block shape, loop order, scalar-overhead model and streaming
-/// segment hint.
+/// register-block shape, loop order and scalar-overhead model.
 ///
 /// The default scheme reproduces the paper's Algorithm 1 exactly (2×2 block,
-/// K innermost, three scalar ops + one branch per K step, no segment hint);
+/// K innermost, three scalar ops + one branch per K step);
 /// [`GemmKernelConfig`]s carrying the default scheme generate byte-identical
 /// traces to every release before schemes existed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,14 +73,11 @@ pub struct KernelScheme {
     /// overhead is enabled (Algorithm 1 models three; a software-pipelined
     /// kernel may need fewer, a fully unrolled one none).
     pub scalar_ops_per_step: u8,
-    /// Preferred streaming segment size for traces of this kernel; `None`
-    /// defers to the caller's segment size.
-    pub segment_size: Option<usize>,
 }
 
 impl KernelScheme {
     /// The Algorithm-1 scheme: 2×2 block, K innermost, three scalar ops per
-    /// step, no segment hint. The single source of truth for the default
+    /// step. The single source of truth for the default
     /// kernel — [`GemmKernelConfig::amx_like`] derives from it.
     #[must_use]
     pub fn algorithm_one() -> Self {
@@ -107,7 +102,7 @@ impl KernelScheme {
     /// # Errors
     ///
     /// Returns [`TraceError::InvalidKernel`] when the register block has a
-    /// zero dimension or the segment hint is zero.
+    /// zero dimension.
     pub fn validate(&self) -> Result<(), TraceError> {
         if self.block.m == 0 || self.block.n == 0 {
             return Err(TraceError::InvalidKernel {
@@ -115,11 +110,6 @@ impl KernelScheme {
                     "register block dimensions must be non-zero, got {}",
                     self.block
                 ),
-            });
-        }
-        if self.segment_size == Some(0) {
-            return Err(TraceError::InvalidKernel {
-                reason: "segment size hint must be at least one instruction".to_string(),
             });
         }
         Ok(())
@@ -132,7 +122,6 @@ impl Default for KernelScheme {
             block: RegisterBlock::algorithm_one(),
             loop_order: LoopOrder::KInnermost,
             scalar_ops_per_step: 3,
-            segment_size: None,
         }
     }
 }
@@ -143,11 +132,7 @@ impl fmt::Display for KernelScheme {
             f,
             "{} block, {}, {} scalar ops/step",
             self.block, self.loop_order, self.scalar_ops_per_step
-        )?;
-        if let Some(seg) = self.segment_size {
-            write!(f, ", {seg}-instruction segments")?;
-        }
-        Ok(())
+        )
     }
 }
 
@@ -172,14 +157,12 @@ impl fmt::Display for KernelScheme {
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
 pub struct KernelSchemeBuilder {
-    tiling: Option<TilingConfig>,
     block: Option<RegisterBlock>,
     matmul_order: Option<MatmulOrder>,
     loop_order: Option<LoopOrder>,
     scalar_ops_per_step: Option<u8>,
     emit_scalar_overhead: Option<bool>,
     max_matmuls: Option<usize>,
-    segment_size: Option<usize>,
 }
 
 impl KernelSchemeBuilder {
@@ -187,13 +170,6 @@ impl KernelSchemeBuilder {
     #[must_use]
     pub fn new() -> Self {
         KernelSchemeBuilder::default()
-    }
-
-    /// Sets the register-tile dimensions (default: the AMX tiling).
-    #[must_use]
-    pub const fn with_tiling(mut self, tiling: TilingConfig) -> Self {
-        self.tiling = Some(tiling);
-        self
     }
 
     /// Sets the register-block shape (default 2×2).
@@ -238,22 +214,15 @@ impl KernelSchemeBuilder {
         self
     }
 
-    /// Sets the preferred streaming segment size for this kernel.
-    #[must_use]
-    pub const fn with_segment_size(mut self, instructions: usize) -> Self {
-        self.segment_size = Some(instructions);
-        self
-    }
-
     /// Builds the validated kernel configuration.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::InvalidKernel`] when any axis is invalid (zero
-    /// tile or block dimension, zero cap, zero segment hint).
+    /// block dimension, zero cap).
     pub fn build(self) -> Result<GemmKernelConfig, TraceError> {
         let kernel = GemmKernelConfig {
-            tiling: self.tiling.unwrap_or_default(),
+            tiling: TilingConfig::default(),
             emit_scalar_overhead: self.emit_scalar_overhead.unwrap_or(true),
             max_matmuls: self.max_matmuls,
             matmul_order: self.matmul_order.unwrap_or_default(),
@@ -261,7 +230,6 @@ impl KernelSchemeBuilder {
                 block: self.block.unwrap_or_default(),
                 loop_order: self.loop_order.unwrap_or_default(),
                 scalar_ops_per_step: self.scalar_ops_per_step.unwrap_or(3),
-                segment_size: self.segment_size,
             },
         };
         kernel.validate()?;
@@ -288,7 +256,6 @@ mod tests {
             .with_loop_order(LoopOrder::NInnermost)
             .with_scalar_ops_per_step(1)
             .with_max_matmuls(64)
-            .with_segment_size(256)
             .build()
             .unwrap();
         assert_eq!(k.scheme.block, RegisterBlock::new(3, 1).unwrap());
@@ -296,7 +263,6 @@ mod tests {
         assert_eq!(k.scheme.loop_order, LoopOrder::NInnermost);
         assert_eq!(k.scheme.scalar_ops_per_step, 1);
         assert_eq!(k.max_matmuls, Some(64));
-        assert_eq!(k.scheme.segment_size, Some(256));
         assert!(!k.scheme.is_default());
     }
 
@@ -304,10 +270,6 @@ mod tests {
     fn invalid_axes_rejected() {
         assert!(KernelSchemeBuilder::new().with_block(0, 2).build().is_err());
         assert!(KernelSchemeBuilder::new().with_block(2, 0).build().is_err());
-        assert!(KernelSchemeBuilder::new()
-            .with_segment_size(0)
-            .build()
-            .is_err());
         assert!(KernelSchemeBuilder::new()
             .with_max_matmuls(0)
             .build()
@@ -333,13 +295,12 @@ mod tests {
     }
 
     #[test]
-    fn scheme_display_mentions_block_and_segments() {
+    fn scheme_display_mentions_every_axis() {
         let s = KernelScheme {
-            segment_size: Some(512),
+            loop_order: LoopOrder::NInnermost,
+            scalar_ops_per_step: 1,
             ..KernelScheme::default()
         };
-        let text = s.to_string();
-        assert!(text.contains("2x2 block"));
-        assert!(text.contains("512-instruction segments"));
+        assert_eq!(s.to_string(), "2x2 block, n-innermost, 1 scalar ops/step");
     }
 }

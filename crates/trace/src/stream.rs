@@ -1,43 +1,42 @@
-//! Streaming trace generation: bounded [`ProgramSegment`]s instead of one
-//! materialized [`rasa_isa::Program`].
+//! Streaming trace generation: a cursor over a GEMM trace's register-block
+//! walk that emits bounded [`ProgramSegment`]s instead of one materialized
+//! [`rasa_isa::Program`].
 //!
 //! The materialized [`TraceGenerator::gemm`] path holds the entire
 //! instruction trace in memory — O(workload) — and forces the consumer to
-//! wait for the whole trace before simulating a single cycle. The streaming
-//! path decouples production from consumption: a [`GemmTraceStream`] walks
-//! the same n-block-major register-block order and hands out validated
-//! segments of roughly `segment_size` instructions, so the resident
-//! footprint is O(segment) however large the workload, and a consumer (the
-//! resumable `rasa-cpu` core) can simulate each segment as soon as it is
+//! wait for the whole trace before simulating a single cycle. A
+//! [`GemmTraceStream`] walks the same n-block-major register-block order
+//! and emits it piece by piece, so the resident footprint is at most one
+//! register block however large the workload, and a consumer (the
+//! resumable `rasa-cpu` core) can simulate each piece as soon as it is
 //! generated.
 //!
 //! Two invariants make the stream a drop-in replacement for the
 //! materialized path:
 //!
-//! * **identical sequence** — segments are cut only at register-block
-//!   boundaries and both paths share the same block emitter, so
-//!   concatenating the segments reproduces [`TraceGenerator::gemm`]'s
-//!   instruction sequence byte for byte, matmul-cap truncation included
-//!   (both walk exactly the blocks of [`TraceGenerator::block_count`]);
-//! * **carried validation** — segments are validated by the shared
+//! * **identical sequence** — both paths share the same block emitter and
+//!   walk exactly the blocks of [`TraceGenerator::block_count`], so
+//!   concatenating the pieces of a whole walk reproduces
+//!   [`TraceGenerator::gemm`]'s instruction sequence byte for byte,
+//!   matmul-cap truncation included;
+//! * **carried validation** — pieces are validated by the shared
 //!   [`rasa_isa::ProgramBuilder`] segmenter with register state carried
-//!   across segments, so a streamed trace is exactly as well-formed as its
+//!   across pieces, so a streamed trace is exactly as well-formed as its
 //!   materialized counterpart.
 //!
-//! [`TraceGenerator::gemm_blocks`] is the one entry point: it opens a
-//! stream over a range of register blocks (a *shard*; `0..block_count` is
-//! the whole walk). Shards partition the block walk, so
-//! generating `[0..b1)`, `[b1..b2)`, … and concatenating the results in
-//! order reproduces the full sequence — the granularity at which
-//! `rasa-sim` feeds a run around the block strides it fast-forwards.
-//!
-//! Inside a block the stream is a **step cursor**: [`GemmTraceStream::steps_to`]
-//! emits the block's reduction steps up to a given one as a segment, and
-//! [`GemmTraceStream::skip_to`] moves past steps of the block's uniform
-//! range ([`TraceGenerator::uniform_steps`]) without emitting them — what
+//! [`TraceGenerator::gemm_blocks`] opens the cursor at the walk's first
+//! block. Inside a block it is a **step cursor**:
+//! [`GemmTraceStream::steps_to`] emits the block's reduction steps up to a
+//! given one as a segment (up to the block's last step emits the rest of
+//! the block and moves to the next), and [`GemmTraceStream::skip_to`]
+//! moves past steps of the block's uniform range
+//! ([`TraceGenerator::uniform_steps`]) without emitting them — what
 //! `rasa-sim` does for the steps it fast-forwards. One builder carries the
 //! whole block, so the steps after a skip still validate against the
-//! accumulator and operand loads of the block's first step.
+//! accumulator and operand loads of the block's first step. Between blocks,
+//! [`GemmTraceStream::skip_blocks`] moves past whole blocks, the strides
+//! `rasa-sim` fast-forwards; every block validates on its own, so the walk
+//! resumes at any block.
 //!
 //! Every `steps_to` feed has a [`PieceKey`] ([`GemmTraceStream::piece_to`]):
 //! the block's shape in tiles, the number of steps and whether the piece
@@ -49,17 +48,9 @@
 
 use crate::generator::uniform_step_range;
 use crate::{TraceError, TraceGenerator};
-use rasa_isa::{IsaConfig, ProgramBuilder, ProgramSegment};
+use rasa_isa::{ProgramBuilder, ProgramSegment};
 use rasa_numeric::GemmShape;
 use std::ops::Range;
-
-/// Default target size (in instructions) of a streamed segment.
-///
-/// Large enough that per-segment overhead (validation bookkeeping, core
-/// feed calls) is negligible, small enough that a stream of the
-/// largest Table I layer keeps three orders of magnitude less trace
-/// resident than the materialized path.
-pub const DEFAULT_SEGMENT_SIZE: usize = 8192;
 
 /// What one [`GemmTraceStream::steps_to`] feed emits, up to memory
 /// addresses: a run of reduction steps of one register block.
@@ -83,12 +74,12 @@ pub struct PieceKey {
     pub closes_block: bool,
 }
 
-/// A resumable walk over a GEMM trace's register blocks, emitting bounded
-/// segments in program order. Created by [`TraceGenerator::gemm_blocks`].
+/// A resumable cursor over a GEMM trace's register-block walk, emitting
+/// it piece by piece in program order. Created by
+/// [`TraceGenerator::gemm_blocks`].
 #[derive(Debug, Clone)]
 pub struct GemmTraceStream {
     generator: TraceGenerator,
-    name: String,
     dims: (usize, usize, usize),
     mb_count: usize,
     /// Blocks not yet emitted whole; the cursor is in the first of them.
@@ -96,85 +87,15 @@ pub struct GemmTraceStream {
     /// The cursor's next reduction step in block `blocks.start` (0 at a
     /// block boundary).
     step: usize,
-    emitted: usize,
-    segment_size: usize,
     builder: ProgramBuilder,
 }
 
 impl GemmTraceStream {
-    fn new(
-        generator: &TraceGenerator,
-        shape: GemmShape,
-        name: &str,
-        blocks: Range<usize>,
-        segment_size: usize,
-    ) -> Result<Self, TraceError> {
-        if segment_size == 0 {
-            return Err(TraceError::Stream {
-                reason: "segment size must be at least one instruction".to_string(),
-            });
-        }
-        // A kernel scheme may pin its preferred streaming granularity;
-        // otherwise the caller's segment size applies.
-        let segment_size = generator
-            .kernel()
-            .scheme
-            .segment_size
-            .unwrap_or(segment_size);
-        let dims = generator.tile_dims(shape)?;
-        let (mt, _, _) = dims;
-        let total_blocks = generator.block_count(shape)?;
-        if blocks.start > blocks.end || blocks.end > total_blocks {
-            return Err(TraceError::Stream {
-                reason: format!(
-                    "block range {}..{} is outside the trace's {total_blocks} register blocks",
-                    blocks.start, blocks.end
-                ),
-            });
-        }
-        Ok(GemmTraceStream {
-            generator: generator.clone(),
-            name: name.to_string(),
-            dims,
-            mb_count: generator.kernel().scheme.block.m_blocks(mt),
-            blocks,
-            step: 0,
-            emitted: 0,
-            segment_size,
-            builder: ProgramBuilder::new(*generator.isa()),
-        })
-    }
-
-    /// The target segment size in instructions (segments may exceed it by
-    /// at most one register block, the cut granularity).
-    #[must_use]
-    pub const fn segment_size(&self) -> usize {
-        self.segment_size
-    }
-
-    /// `rasa_mm` instructions emitted so far.
-    #[must_use]
-    pub const fn emitted_matmuls(&self) -> usize {
-        self.emitted
-    }
-
     /// Register blocks not yet emitted whole, the cursor's included (0 once
     /// the walk has finished).
     #[must_use]
     pub fn blocks_remaining(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// The ISA configuration the stream emits for.
-    #[must_use]
-    pub fn isa(&self) -> &IsaConfig {
-        self.generator.isa()
-    }
-
-    /// Workload / kernel identifier carried into reports.
-    #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Reduction steps per register block (the K tile count).
@@ -194,8 +115,8 @@ impl GemmTraceStream {
         self.generator.block_step_instructions(rows, cols)
     }
 
-    /// The index of the cursor's block in the stream's block range (its
-    /// end once the walk has finished).
+    /// The index of the cursor's block in the walk (the walk's block count
+    /// once it has finished).
     #[must_use]
     pub const fn cursor_block(&self) -> usize {
         self.blocks.start
@@ -272,48 +193,6 @@ impl GemmTraceStream {
         )
     }
 
-    /// Emits the cursor's block up to reduction step `end` (clamped to the
-    /// block) into the builder, moving to the next block at its end.
-    fn emit_to(&mut self, end: usize) {
-        let end = end.min(self.dims.1);
-        if self.step < end {
-            let block = self.block();
-            self.generator
-                .emit_steps(&mut self.builder, self.dims, block, self.step..end);
-            self.step = end;
-        }
-        if self.step == self.dims.1 {
-            self.blocks.start += 1;
-            self.step = 0;
-        }
-    }
-
-    /// Drains the builder into a validated segment, if it holds any
-    /// instruction.
-    fn flush(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
-        if self.builder.is_empty() {
-            return Ok(None);
-        }
-        let segment = self.builder.finish_segment()?;
-        self.emitted += segment.count_matmuls();
-        Ok(Some(segment))
-    }
-
-    /// Produces the next segment, or `None` when the stream is exhausted:
-    /// the rest of the cursor's block, then whole blocks until the segment
-    /// target is reached.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Emit`] when a segment fails ISA validation
-    /// (a generator bug, surfaced rather than panicking).
-    pub fn next_segment(&mut self) -> Result<Option<ProgramSegment>, TraceError> {
-        while !self.blocks.is_empty() && self.builder.len() < self.segment_size {
-            self.emit_to(self.dims.1);
-        }
-        self.flush()
-    }
-
     /// Emits the cursor's block from its next step up to reduction step
     /// `end` (clamped to [`GemmTraceStream::block_steps`]) as one segment;
     /// `None` when that is no step. Reaching the block's end moves the
@@ -321,12 +200,18 @@ impl GemmTraceStream {
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Emit`] when the segment fails ISA validation.
+    /// Returns [`TraceError::Emit`] when the segment fails ISA validation
+    /// (a generator bug, surfaced rather than panicking).
     pub fn steps_to(&mut self, end: usize) -> Result<Option<ProgramSegment>, TraceError> {
-        if !self.blocks.is_empty() {
-            self.emit_to(end);
+        if self.piece_to(end).is_none() {
+            return Ok(None);
         }
-        self.flush()
+        let end = end.min(self.dims.1);
+        let block = self.block();
+        self.generator
+            .emit_steps(&mut self.builder, self.dims, block, self.step..end);
+        self.pass_to(end);
+        Ok(Some(self.builder.finish_segment()?))
     }
 
     /// Moves the cursor to reduction step `step` of its block without
@@ -357,67 +242,76 @@ impl GemmTraceStream {
     }
 }
 
-/// Iterator convenience: `for segment in stream { … }` over
-/// [`GemmTraceStream::next_segment`] results.
-impl Iterator for GemmTraceStream {
-    type Item = Result<ProgramSegment, TraceError>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        self.next_segment().transpose()
-    }
-}
-
 impl TraceGenerator {
-    /// Opens a streaming trace over a range of `shape`'s register blocks —
-    /// a *shard* of the full walk (see [`TraceGenerator::block_count`] for
-    /// the block indexing), emitted as validated segments of roughly
-    /// `segment_size` instructions. Over `0..block_count` the stream is
-    /// the same instruction sequence as [`TraceGenerator::gemm`]
-    /// (including matmul-cap truncation), and shards over a partition of
-    /// `0..block_count` concatenate, in order, to that sequence. A kernel
-    /// scheme carrying a segment size hint overrides `segment_size`.
-    ///
-    /// Segment indices and instruction offsets are shard-local. A matmul
-    /// cap bounds the walk itself, so shards of a capped trace partition
-    /// its shorter `0..block_count`.
+    /// Opens a cursor at the first register block of `shape`'s walk (see
+    /// [`TraceGenerator::block_count`] for the block indexing). Emitting
+    /// the whole walk with [`GemmTraceStream::steps_to`] produces the same
+    /// instruction sequence as [`TraceGenerator::gemm`], matmul-cap
+    /// truncation included.
     ///
     /// # Errors
     ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM and
-    /// [`TraceError::Stream`] for a zero segment size or an out-of-range
-    /// block range.
-    pub fn gemm_blocks(
-        &self,
-        shape: GemmShape,
-        name: &str,
-        blocks: Range<usize>,
-        segment_size: usize,
-    ) -> Result<GemmTraceStream, TraceError> {
-        GemmTraceStream::new(self, shape, name, blocks, segment_size)
+    /// Returns [`TraceError::Shape`] for an empty GEMM.
+    pub fn gemm_blocks(&self, shape: GemmShape) -> Result<GemmTraceStream, TraceError> {
+        let dims = self.tile_dims(shape)?;
+        Ok(GemmTraceStream {
+            generator: self.clone(),
+            dims,
+            mb_count: self.kernel().scheme.block.m_blocks(dims.0),
+            blocks: 0..self.block_count(shape)?,
+            step: 0,
+            builder: ProgramBuilder::new(*self.isa()),
+        })
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use rasa_isa::Program;
+    use rasa_isa::{Instruction, InstructionKind, Program};
 
-    /// A stream over the whole block walk of `shape`.
-    fn whole(
+    /// Blocks `blocks` of `shape`'s walk as whole-block pieces, the cursor
+    /// moved to the first of them with [`GemmTraceStream::skip_blocks`].
+    pub(crate) fn block_pieces(
         g: &TraceGenerator,
         shape: GemmShape,
-        name: &str,
-        segment_size: usize,
-    ) -> Result<GemmTraceStream, TraceError> {
-        g.gemm_blocks(shape, name, 0..g.block_count(shape)?, segment_size)
+        blocks: Range<usize>,
+    ) -> Vec<ProgramSegment> {
+        let mut stream = g.gemm_blocks(shape).unwrap();
+        stream.skip_blocks(blocks.start).unwrap();
+        blocks
+            .map(|_| stream.steps_to(stream.block_steps()).unwrap().unwrap())
+            .collect()
     }
 
-    fn reassemble(mut stream: GemmTraceStream, name: &str) -> Program {
-        let mut segments = Vec::new();
-        while let Some(segment) = stream.next_segment().unwrap() {
-            segments.push(segment);
-        }
-        Program::from_segments(segments, name).unwrap()
+    /// The pieces' instructions, concatenated in order.
+    pub(crate) fn concat(pieces: &[ProgramSegment]) -> Vec<Instruction> {
+        pieces
+            .iter()
+            .flat_map(|piece| piece.instructions().iter().copied())
+            .collect()
+    }
+
+    /// The `rasa_mm` instructions among `instructions`.
+    pub(crate) fn matmuls(instructions: &[Instruction]) -> usize {
+        instructions
+            .iter()
+            .filter(|inst| inst.kind() == InstructionKind::MatMul)
+            .count()
+    }
+
+    /// The whole walk of `shape`, block by block.
+    fn walk(g: &TraceGenerator, shape: GemmShape) -> Vec<ProgramSegment> {
+        block_pieces(g, shape, 0..g.block_count(shape).unwrap())
+    }
+
+    fn assert_reproduces(g: &TraceGenerator, shape: GemmShape, program: &Program) {
+        let pieces = walk(g, shape);
+        assert_eq!(
+            concat(&pieces).as_slice(),
+            program.instructions(),
+            "{shape:?}"
+        );
     }
 
     #[test]
@@ -425,14 +319,17 @@ mod tests {
         let g = TraceGenerator::amx_like();
         for (m, k, n) in [(64, 64, 64), (50, 70, 40), (7, 5, 3), (1, 1024, 64)] {
             let shape = GemmShape::new(m, k, n);
-            let program = g.gemm(shape, "parity").unwrap();
-            for segment_size in [1, 64, 1 << 20] {
-                let stream = whole(&g, shape, "parity", segment_size).unwrap();
-                assert_eq!(stream.name(), "parity");
-                assert_eq!(stream.isa(), g.isa());
-                let rebuilt = reassemble(stream, "parity");
-                assert_eq!(rebuilt, program, "{m}x{k}x{n} @ {segment_size}");
+            assert_reproduces(&g, shape, &g.gemm(shape, "parity").unwrap());
+            // Pieces of one reduction step each are the same sequence (a
+            // piece to the block's end counts the steps left in it).
+            let mut stream = g.gemm_blocks(shape).unwrap();
+            let kt = stream.block_steps();
+            let mut steps = Vec::new();
+            while let Some(rest) = stream.piece_to(kt) {
+                steps.push(stream.steps_to(kt - rest.steps + 1).unwrap().unwrap());
             }
+            let program = g.gemm(shape, "parity").unwrap();
+            assert_eq!(concat(&steps).as_slice(), program.instructions());
         }
     }
 
@@ -443,66 +340,51 @@ mod tests {
             .unwrap();
         let shape = GemmShape::new(512, 512, 512);
         let program = g.gemm(shape, "capped").unwrap();
-        let rebuilt = reassemble(whole(&g, shape, "capped", 32).unwrap(), "capped");
-        assert_eq!(rebuilt, program);
-        assert!(rebuilt.count_matmuls() < g.matmul_count(shape).unwrap());
+        assert_reproduces(&g, shape, &program);
+        assert!(program.count_matmuls() < g.matmul_count(shape).unwrap());
     }
 
     #[test]
     fn segments_are_bounded_and_cut_at_block_boundaries() {
+        // A whole-block piece is one register block: 4 C loads, kt K-steps
+        // of 12 instructions (8 in the ragged last column: one B tile) and
+        // 4 stores, at kt = 4.
         let g = TraceGenerator::amx_like();
-        let shape = GemmShape::new(256, 128, 256);
-        let segment_size = 200;
-        let mut stream = whole(&g, shape, "bounded", segment_size).unwrap();
-        assert_eq!(stream.segment_size(), segment_size);
-        // One register block is 4 C loads + kt K-steps (≤ 12 instructions
-        // each at kt = 4) + 4 stores: the overshoot bound.
-        let max_block = 4 + 4 * 12 + 4;
-        let mut total = 0usize;
-        let mut count = 0usize;
-        while let Some(segment) = stream.next_segment().unwrap() {
-            assert!(!segment.is_empty());
-            assert!(
-                segment.len() < segment_size + max_block,
-                "segment of {} instructions",
-                segment.len()
-            );
-            assert_eq!(segment.index(), count);
-            assert_eq!(segment.first_instruction(), total);
-            total += segment.len();
+        let shape = GemmShape::new(256, 128, 240);
+        let mut stream = g.gemm_blocks(shape).unwrap();
+        assert_eq!(stream.block_steps(), 4);
+        let (mut total, mut count) = (0usize, 0usize);
+        while let Some(piece) = stream.steps_to(4).unwrap() {
+            let expected = if stream.cursor_block() > 56 {
+                2 + 4 * 9 + 2
+            } else {
+                4 + 4 * 12 + 4
+            };
+            assert_eq!(piece.len(), expected, "block {count}");
+            total += piece.len();
             count += 1;
+            assert_eq!(stream.cursor_block(), count);
         }
+        assert_eq!(count, g.block_count(shape).unwrap());
         assert_eq!(stream.blocks_remaining(), 0);
         assert_eq!(total, g.gemm(shape, "bounded").unwrap().len());
-        assert!(count > 1, "expected a multi-segment stream");
     }
 
     #[test]
     fn matmul_counts_agree_between_stream_count_and_materialized_paths() {
-        // Satellite: `matmul_count` vs actually emitted `rasa_mm`s on both
-        // gemm and conv paths, capped and uncapped, shared with the
-        // streaming parity machinery.
+        // `matmul_count` vs actually emitted `rasa_mm`s on both gemm and
+        // conv paths, capped and uncapped.
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(100, 90, 80);
         let predicted = g.matmul_count(shape).unwrap();
         assert_eq!(g.gemm(shape, "mm").unwrap().count_matmuls(), predicted);
-        let mut streamed = 0usize;
-        let mut stream = whole(&g, shape, "mm", 128).unwrap();
-        while let Some(segment) = stream.next_segment().unwrap() {
-            streamed += segment.count_matmuls();
-        }
-        assert_eq!(streamed, predicted);
-        assert_eq!(stream.emitted_matmuls(), predicted);
+        assert_eq!(matmuls(&concat(&walk(&g, shape))), predicted);
 
         // Conv: the lowered GEMM drives both the count and the emission.
         let conv = rasa_numeric::ConvShape::new(4, 16, 14, 14, 32, 3, 3, 1, 1);
         let predicted = g.matmul_count(conv.to_gemm()).unwrap();
         assert_eq!(g.conv(&conv, "conv").unwrap().count_matmuls(), predicted);
-        let streamed: usize = whole(&g, conv.to_gemm(), "conv", 256)
-            .unwrap()
-            .map(|s| s.unwrap().count_matmuls())
-            .sum();
-        assert_eq!(streamed, predicted);
+        assert_eq!(matmuls(&concat(&walk(&g, conv.to_gemm()))), predicted);
 
         // Capped: emitted counts match between paths but undershoot the
         // full tiling, overshooting the cap by at most one register block.
@@ -510,13 +392,10 @@ mod tests {
             .with_kernel(crate::GemmKernelConfig::amx_like().with_max_matmuls(64))
             .unwrap();
         let program = capped.gemm(shape, "capped").unwrap();
-        let streamed: usize = whole(&capped, shape, "capped", 128)
-            .unwrap()
-            .map(|s| s.unwrap().count_matmuls())
-            .sum();
+        let streamed = matmuls(&concat(&walk(&capped, shape)));
         assert_eq!(streamed, program.count_matmuls());
         assert!((64..64 + 4).contains(&streamed));
-        assert!(streamed < predicted);
+        assert!(streamed < g.matmul_count(shape).unwrap());
     }
 
     #[test]
@@ -533,53 +412,24 @@ mod tests {
                 .unwrap(),
         ] {
             let g = TraceGenerator::amx_like().with_kernel(kernel).unwrap();
-            let program = g.gemm(shape, "scheme-parity").unwrap();
-            for segment_size in [1, 96, 1 << 20] {
-                let stream = whole(&g, shape, "scheme-parity", segment_size).unwrap();
-                let rebuilt = reassemble(stream, "scheme-parity");
-                assert_eq!(rebuilt, program, "kernel {kernel} @ {segment_size}");
-            }
+            assert_reproduces(&g, shape, &g.gemm(shape, "scheme-parity").unwrap());
         }
     }
 
     #[test]
-    fn scheme_segment_hint_overrides_the_caller() {
-        use crate::KernelSchemeBuilder;
-        let kernel = KernelSchemeBuilder::new()
-            .with_segment_size(64)
-            .build()
-            .unwrap();
-        let g = TraceGenerator::amx_like().with_kernel(kernel).unwrap();
-        let stream = whole(&g, GemmShape::new(64, 64, 64), "hinted", 1 << 20).unwrap();
-        assert_eq!(stream.segment_size(), 64);
-        // The hint only changes segmentation, never the sequence.
-        let rebuilt = reassemble(stream, "hinted");
-        let plain = TraceGenerator::amx_like()
-            .with_kernel(KernelSchemeBuilder::new().build().unwrap())
-            .unwrap()
-            .gemm(GemmShape::new(64, 64, 64), "hinted")
-            .unwrap();
-        assert_eq!(rebuilt, plain);
-    }
-
-    #[test]
-    fn shards_partition_the_full_walk() {
+    fn skipped_blocks_resume_the_walk_at_any_block() {
+        // Every block validates on its own, so a cursor moved past any
+        // number of blocks emits the rest of the walk unchanged: runs of
+        // blocks started at uneven cuts concatenate to the full trace.
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(200, 96, 120);
         let blocks = g.block_count(shape).unwrap();
         assert!(blocks >= 5);
-        let full = g.gemm(shape, "sharded").unwrap();
-
-        // Concatenate three uneven shards' instructions in order.
+        let full = g.gemm(shape, "full").unwrap();
         let cuts = [0, 2, blocks / 2, blocks];
         let mut instructions = Vec::new();
         for pair in cuts.windows(2) {
-            let shard = g
-                .gemm_blocks(shape, "sharded", pair[0]..pair[1], 64)
-                .unwrap();
-            for segment in shard {
-                instructions.extend_from_slice(segment.unwrap().instructions());
-            }
+            instructions.extend(concat(&block_pieces(&g, shape, pair[0]..pair[1])));
         }
         assert_eq!(instructions.as_slice(), full.instructions());
     }
@@ -589,20 +439,16 @@ mod tests {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(64, 64, 64);
         let blocks = g.block_count(shape).unwrap();
+        let mut stream = g.gemm_blocks(shape).unwrap();
         assert!(matches!(
-            g.gemm_blocks(shape, "bad", 0..blocks, 0),
+            stream.skip_blocks(blocks + 1),
             Err(TraceError::Stream { .. })
         ));
+        assert_eq!(stream.cursor_block(), 0, "a rejected skip moves nothing");
         assert!(matches!(
-            g.gemm_blocks(shape, "bad", 0..blocks + 1, 64),
-            Err(TraceError::Stream { .. })
+            g.gemm_blocks(GemmShape::new(0, 1, 1)),
+            Err(TraceError::Shape(_))
         ));
-        #[allow(clippy::reversed_empty_ranges)]
-        let reversed = 3..1;
-        assert!(g.gemm_blocks(shape, "bad", reversed, 64).is_err());
-        assert!(g
-            .gemm_blocks(GemmShape::new(0, 1, 1), "bad", 0..0, 64)
-            .is_err());
     }
 
     #[test]
@@ -613,7 +459,7 @@ mod tests {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(40, 250, 40);
         let full = g.gemm(shape, "full").unwrap();
-        let mut stream = whole(&g, shape, "skip", 1 << 20).unwrap();
+        let mut stream = g.gemm_blocks(shape).unwrap();
         assert_eq!(stream.block_steps(), 8);
         assert_eq!(g.uniform_steps(shape).unwrap(), 1..7);
         // Default 2×2 step: 2 B and 2 A loads, 4 rasa_mm, 3 scalar ops and
@@ -625,8 +471,10 @@ mod tests {
         stream.skip_to(6).unwrap();
         let tail = stream.steps_to(stream.block_steps()).unwrap().unwrap();
         assert_eq!(stream.blocks_remaining(), 3);
-        let rest = stream.next_segment().unwrap().unwrap();
-        assert!(stream.next_segment().unwrap().is_none());
+        let mut rest = Vec::new();
+        while let Some(piece) = stream.steps_to(8).unwrap() {
+            rest.extend_from_slice(piece.instructions());
+        }
         let skipped = head.len() + 3 * step;
         let block_end = skipped + tail.len();
         assert_eq!(head.instructions(), &full.instructions()[..head.len()]);
@@ -634,10 +482,14 @@ mod tests {
             tail.instructions(),
             &full.instructions()[skipped..block_end]
         );
-        assert_eq!(rest.instructions(), &full.instructions()[block_end..]);
-        // A ragged block repeats a narrower step: 1 row by 2 columns.
-        let mut edge = g.gemm_blocks(shape, "edge", 1..2, 1 << 20).unwrap();
+        assert_eq!(rest.as_slice(), &full.instructions()[block_end..]);
+        // A ragged block repeats a narrower step: 1 row by 2 columns, and
+        // 1 by 1 in the corner.
+        let mut edge = g.gemm_blocks(shape).unwrap();
+        edge.skip_blocks(1).unwrap();
         assert_eq!(edge.step_instructions(), 2 + 1 + 2 + 3 + 1);
+        edge.skip_blocks(2).unwrap();
+        assert_eq!(edge.step_instructions(), 1 + 1 + 1 + 3 + 1);
         edge.steps_to(8).unwrap();
         assert_eq!(edge.step_instructions(), 0, "the walk has finished");
     }
@@ -646,7 +498,7 @@ mod tests {
     fn skips_outside_the_uniform_steps_are_rejected() {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(40, 250, 40);
-        let mut stream = whole(&g, shape, "skip", 1 << 20).unwrap();
+        let mut stream = g.gemm_blocks(shape).unwrap();
         // Step 0 loads the accumulators, so no skip may start there…
         assert!(matches!(stream.skip_to(3), Err(TraceError::Stream { .. })));
         stream.steps_to(2).unwrap();
@@ -657,9 +509,10 @@ mod tests {
         stream.skip_to(7).unwrap();
         assert_eq!(stream.steps_to(8).unwrap().unwrap().len(), 12 + 4);
         // Nor past the end of the walk.
-        let mut one = g.gemm_blocks(shape, "one", 0..1, 1 << 20).unwrap();
-        one.steps_to(8).unwrap();
-        assert!(one.skip_to(0).is_err());
+        let mut last = g.gemm_blocks(shape).unwrap();
+        last.skip_blocks(3).unwrap();
+        last.steps_to(8).unwrap();
+        assert!(last.skip_to(0).is_err());
     }
 
     #[test]
@@ -670,7 +523,7 @@ mod tests {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(40, 250, 40);
         let full = g.gemm(shape, "full").unwrap();
-        let mut stream = whole(&g, shape, "pass", 1 << 20).unwrap();
+        let mut stream = g.gemm_blocks(shape).unwrap();
         let head = PieceKey {
             block: (2, 2),
             steps: 3,
@@ -694,8 +547,8 @@ mod tests {
         assert!(stream.skip_blocks(1).is_err(), "not at a block boundary");
         stream.pass_to(8);
         assert!(stream.skip_blocks(2).is_err(), "past the end of the walk");
-        let last = stream.next_segment().unwrap().unwrap();
-        assert!(stream.next_segment().unwrap().is_none());
+        let last = stream.steps_to(8).unwrap().unwrap();
+        assert!(stream.steps_to(8).unwrap().is_none());
         // The two edge blocks before it: 2 accumulators, 8 steps of 9.
         let edge_len = 2 + 8 * 9 + 2;
         assert_eq!(
@@ -707,11 +560,14 @@ mod tests {
 
     #[test]
     fn empty_block_range_yields_no_segments() {
+        // A cursor moved past the last block has no blocks left to emit.
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(64, 64, 64);
-        let mut shard = g.gemm_blocks(shape, "empty", 2..2, 64).unwrap();
-        assert!(shard.next_segment().unwrap().is_none());
-        assert!(shard.next_segment().unwrap().is_none(), "stays exhausted");
-        assert_eq!(shard.blocks_remaining(), 0);
+        let mut stream = g.gemm_blocks(shape).unwrap();
+        stream.skip_blocks(g.block_count(shape).unwrap()).unwrap();
+        assert!(stream.steps_to(2).unwrap().is_none());
+        assert!(stream.steps_to(2).unwrap().is_none(), "stays exhausted");
+        assert_eq!(stream.blocks_remaining(), 0);
+        assert!(block_pieces(&g, shape, 3..3).is_empty());
     }
 }

@@ -24,15 +24,15 @@ proptest! {
 
     /// The trace generator always emits exactly one rasa_mm per register
     /// tile, whatever the GEMM shape, and the emitted program is valid.
-    /// The streaming source emits the identical sequence as bounded
-    /// segments (with per-segment matmul counts summing to the same total),
-    /// and `matmul_count` predicts the uncapped emission exactly.
+    /// The streaming cursor emits the identical sequence as whole-block
+    /// pieces, from the walk's start or from any block it skips to, and
+    /// `matmul_count` predicts the uncapped emission exactly.
     #[test]
     fn trace_matmul_count_matches_tiling(
         m in 1usize..200,
         k in 1usize..200,
         n in 1usize..200,
-        segment_size in 1usize..600,
+        skip in 0usize..64,
     ) {
         let generator = TraceGenerator::amx_like()
             .with_kernel(GemmKernelConfig::amx_like().without_scalar_overhead())
@@ -46,18 +46,27 @@ proptest! {
         let c_tiles = m.div_ceil(16) * n.div_ceil(16);
         prop_assert_eq!(program.stats().tile_stores, c_tiles);
 
-        // Streamed segments reassemble to the materialized program.
-        let blocks = generator.block_count(shape).unwrap();
-        let mut stream = generator.gemm_blocks(shape, "prop", 0..blocks, segment_size).unwrap();
-        let mut segments = Vec::new();
-        let mut streamed_matmuls = 0usize;
-        while let Some(segment) = stream.next_segment().unwrap() {
-            streamed_matmuls += segment.count_matmuls();
-            segments.push(segment);
-        }
+        // Whole-block pieces concatenate to the materialized program, and a
+        // cursor that skips blocks emits the rest of it.
+        let pieces = |skip: usize| {
+            let mut stream = generator.gemm_blocks(shape).unwrap();
+            stream.skip_blocks(skip).unwrap();
+            let mut instructions = Vec::new();
+            while let Some(piece) = stream.steps_to(stream.block_steps()).unwrap() {
+                instructions.extend_from_slice(piece.instructions());
+            }
+            instructions
+        };
+        let streamed = pieces(0);
+        prop_assert_eq!(streamed.as_slice(), program.instructions());
+        let streamed_matmuls = streamed
+            .iter()
+            .filter(|inst| inst.kind() == rasa::isa::InstructionKind::MatMul)
+            .count();
         prop_assert_eq!(streamed_matmuls, tiles);
-        let rebuilt = rasa::isa::Program::from_segments(segments, "prop").unwrap();
-        prop_assert_eq!(&rebuilt, &program);
+        let skip = skip.min(generator.block_count(shape).unwrap());
+        let rest = pieces(skip);
+        prop_assert!(program.instructions().ends_with(&rest));
     }
 
     /// Every RASA design completes any small workload at least as fast as
@@ -315,8 +324,8 @@ proptest! {
 }
 
 /// Steady-state fast-forward is exact: on random GEMMs (M and N need not
-/// be multiples of the register block), matmul caps, kernel schemes,
-/// designs and segment sizes, the fast-forwarded run's `CpuStats` and
+/// be multiples of the register block), matmul caps, kernel schemes and
+/// designs, the fast-forwarded run's `CpuStats` and
 /// `SchedStats` equal both the sequential streamed run's and those of the
 /// materialized trace on the one-shot core, bit for bit, and it counts every
 /// skipped instruction as fed. Every other case is deep — K in the low
@@ -364,8 +373,7 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
             1 => builder.with_scalar_ops_per_step(1),
             _ => builder.without_scalar_overhead(),
         };
-        let segment_size = (8usize..128).sample(&mut rng);
-        let mut kernel = builder.with_segment_size(segment_size).build().unwrap();
+        let mut kernel = builder.build().unwrap();
         kernel.max_matmuls = if any::<bool>().sample(&mut rng) {
             None
         } else {
@@ -374,7 +382,7 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
 
         let sim = Simulator::new(design).unwrap().with_kernel(kernel).unwrap();
         let what = format!(
-            "case {case}: {} on {shape:?}, kernel {kernel}, segment {segment_size}",
+            "case {case}: {} on {shape:?}, kernel {kernel}",
             sim.design().name()
         );
         let fast = sim.run_gemm(shape).unwrap();
