@@ -16,7 +16,8 @@
 //! `--shards N` `rasa-shardd` worker processes (the binaries must sit next
 //! to `serve_soak`, i.e. build the full suite first) and drives the same
 //! Zipf-skewed traffic through the wire protocol. `--kill-worker`
-//! additionally kills one worker mid-run to prove the router's failover
+//! additionally kills one worker exactly half way (the client that
+//! completes request `total / 2` kills it) to prove the router's failover
 //! loses zero requests. Every distinct simulated cell is then re-run on an
 //! in-process [`GemmServer`] and its [`SimSummary`] JSON must match the
 //! distributed answer byte for byte.
@@ -34,7 +35,7 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
 use std::process::{Child, ChildStdin, Command, Stdio};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -316,6 +317,9 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     if options.kill_worker && options.shards < 2 {
         return Err("--kill-worker needs --shards 2 or more (someone must survive)".into());
     }
+    if options.kill_worker && options.clients * options.requests_per_client < 2 {
+        return Err("--kill-worker needs two requests or more in all (it kills half way)".into());
+    }
     let shardd_exe = sibling("rasa-shardd")?;
     let router_exe = sibling("rasa-router")?;
 
@@ -372,52 +376,30 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     );
 
     // The failover drill: the designated victim is pulled from the worker
-    // pool up front; a watcher thread hard-kills it once half the total
-    // requests have completed. Its address stays registered with the
-    // router, which must mark it dead and re-route its keys without
-    // losing a single in-flight request.
+    // pool up front, and the client whose completion brings the count to
+    // half the total hard-kills it on the spot. Its address stays
+    // registered with the router, which must mark it dead and re-route its
+    // keys without losing a single in-flight request.
     let victim = Mutex::new(if options.kill_worker {
         Some(workers.remove(0))
     } else {
         None
     });
     let completed = AtomicUsize::new(0);
-    let aborted = AtomicBool::new(false);
+    let killed_at = AtomicUsize::new(0);
     let reroutes = AtomicU64::new(0);
 
     type ClientOutcome = Result<(Vec<DistCompletion>, ClientStats), String>;
     let soak_start = Instant::now();
     let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
-        if options.kill_worker {
-            let victim = &victim;
-            let completed = &completed;
-            let aborted = &aborted;
-            scope.spawn(move || loop {
-                if aborted.load(Ordering::Relaxed) {
-                    return;
-                }
-                if completed.load(Ordering::Relaxed) * 2 >= total {
-                    if let Some(mut daemon) = victim.lock().expect("victim lock").take() {
-                        let seen = completed.load(Ordering::Relaxed);
-                        daemon.kill();
-                        eprintln!(
-                            "serve_soak: killed {} at {seen}/{total} completions ({:.1} ms in)",
-                            daemon.name,
-                            soak_start.elapsed().as_secs_f64() * 1e3,
-                        );
-                    }
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(2));
-            });
-        }
         let mut clients = Vec::new();
         for client in 0..options.clients {
             let router_addr = &router_addr;
             let layers = &layers;
             let designs = &designs;
+            let victim = &victim;
             let completed = &completed;
-            let aborted = &aborted;
+            let killed_at = &killed_at;
             let reroutes = &reroutes;
             clients.push(scope.spawn(move || -> ClientOutcome {
                 let mut net = NetClient::new(vec![router_addr.clone()]);
@@ -461,7 +443,20 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                                 response.id
                             ));
                         }
-                        completed.fetch_add(1, Ordering::Relaxed);
+                        // Each count is one client's, so exactly one
+                        // client reaches half way.
+                        let done = completed.fetch_add(1, Ordering::Relaxed) + 1;
+                        if done == total / 2 {
+                            if let Some(mut daemon) = victim.lock().expect("victim lock").take() {
+                                daemon.kill();
+                                killed_at.store(done, Ordering::Relaxed);
+                                eprintln!(
+                                    "serve_soak: killed {} at {done}/{total} completions ({:.1} ms in)",
+                                    daemon.name,
+                                    soak_start.elapsed().as_secs_f64() * 1e3,
+                                );
+                            }
+                        }
                         let summary = response.report.summary();
                         completions.push(DistCompletion {
                             design: response.report.design.clone(),
@@ -474,11 +469,7 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
                     }
                     Ok(completions)
                 };
-                let result = run(&mut net);
-                if result.is_err() {
-                    aborted.store(true, Ordering::Relaxed);
-                }
-                result.map(|completions| (completions, net.stats()))
+                run(&mut net).map(|completions| (completions, net.stats()))
             }));
         }
         clients
@@ -501,7 +492,7 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
     }
 
     // The zero-lost proof: every closed-loop client completed its full
-    // request budget despite the mid-run kill.
+    // request budget despite the mid-run kill, which came half way.
     if completions.len() != total {
         return Err(format!("lost requests: {} of {total} completed", completions.len()).into());
     }
@@ -512,6 +503,15 @@ fn run_distributed(options: &BinOptions) -> Result<(), Box<dyn std::error::Error
         reroutes.load(Ordering::Relaxed),
         client_stats.connects,
     );
+    if options.kill_worker {
+        let at = killed_at.load(Ordering::Relaxed);
+        println!("victim killed at {at}/{total} completions");
+        if at != total / 2 {
+            return Err(
+                format!("the victim died at {at}/{total} completions, not half way").into(),
+            );
+        }
+    }
 
     let totals: Vec<f64> = completions.iter().map(|c| c.total_seconds).collect();
     let latency = LatencySummary::from_samples(&totals).expect("at least one completion");

@@ -244,35 +244,108 @@ impl CoreRun {
 }
 
 /// A paused boundary as [`CpuCore::fingerprint`] writes it, with the
-/// scratch its event heap is sorted in. Refilled from checkpoint to
-/// checkpoint, so writing one allocates nothing once its buffers have
-/// grown. Equality compares the written words.
+/// scratch its event heap is sorted in and its engine's words are gathered
+/// in. Its words are written once, straight into the compact form a memo
+/// interns ([`Words::push`]), so two fingerprints are equal exactly when
+/// their bytes are. Refilled from checkpoint to checkpoint, so writing one
+/// allocates nothing once its buffers have grown.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Fingerprint {
-    words: Vec<u64>,
+    /// The compact form in the first `len` bytes. The buffer runs on past
+    /// them, so that writing a word is one 8-byte store.
+    bytes: Vec<u8>,
+    len: usize,
     events: Vec<(u64, u64)>,
+    engine: Vec<u64>,
 }
 
 impl PartialEq for Fingerprint {
     fn eq(&self, other: &Self) -> bool {
-        self.words == other.words
+        self.bytes() == other.bytes()
     }
 }
 
 impl Fingerprint {
-    /// The written words.
-    pub(crate) fn words(&self) -> &[u64] {
-        &self.words
+    /// The written words in their compact form.
+    pub(crate) fn bytes(&self) -> &[u8] {
+        &self.bytes[..self.len]
     }
 
     /// Copies `other`'s words, reusing this buffer.
     pub(crate) fn copy_from(&mut self, other: &Fingerprint) {
-        self.words.clone_from(&other.words);
+        self.bytes.clear();
+        self.bytes.extend_from_slice(other.bytes());
+        self.len = other.len;
     }
 
     /// Forgets the written words.
     pub(crate) fn clear(&mut self) {
-        self.words.clear();
+        self.len = 0;
+    }
+
+    /// Starts writing the words afresh, in this fingerprint's buffer.
+    pub(crate) fn words(&mut self) -> Words {
+        Words {
+            bytes: std::mem::take(&mut self.bytes),
+            len: 0,
+        }
+    }
+
+    /// Keeps the words `words` wrote.
+    pub(crate) fn close(&mut self, words: Words) {
+        self.bytes = words.bytes;
+        self.len = words.len;
+    }
+}
+
+/// Fingerprint words on their way into the compact form: the buffer taken
+/// out of a fingerprint while its words are written
+/// ([`Fingerprint::words`]), so they can be read from its scratch.
+#[derive(Debug)]
+pub(crate) struct Words {
+    bytes: Vec<u8>,
+    len: usize,
+}
+
+impl Words {
+    /// Writes `word` in the compact form. The word is rotated so its tag
+    /// byte comes last and zigzag-folded so that small negative offsets
+    /// (wrapped relative times) stay small. A folded value below 2⁵⁶ — it
+    /// has at most 56 significant bits, `b` — then takes `n` = ⌈`b` / 7⌉
+    /// bytes (one at least), written little-endian as the value shifted up
+    /// `n` bits over a 1 at bit `n` − 1, so the first byte's trailing
+    /// zeros give the length; any other value takes a zero byte and its
+    /// eight bytes. Every step is a bijection and each word's bytes carry
+    /// their own length, so two fingerprints are equal bytes exactly when
+    /// they are equal words, at about a third of their size (a word takes
+    /// as many bytes as in LEB128, at most, in one store).
+    #[inline(always)]
+    pub(crate) fn push(&mut self, word: u64) {
+        if self.len + 9 > self.bytes.len() {
+            self.bytes.resize(2 * self.bytes.len() + 64, 0);
+        }
+        let rotated = word.rotate_left(8) as i64;
+        let folded = ((rotated << 1) ^ (rotated >> 63)) as u64;
+        let at = self.len;
+        if folded >> 56 == 0 {
+            let n = (70 - (folded | 1).leading_zeros()) / 7;
+            let code = folded << n | 1 << (n - 1);
+            self.bytes[at..at + 8].copy_from_slice(&code.to_le_bytes());
+            self.len = at + n as usize;
+        } else {
+            self.bytes[at] = 0;
+            self.bytes[at + 1..at + 9].copy_from_slice(&folded.to_le_bytes());
+            self.len = at + 9;
+        }
+    }
+}
+
+impl Extend<u64> for Words {
+    #[inline(always)]
+    fn extend<I: IntoIterator<Item = u64>>(&mut self, words: I) {
+        for word in words {
+            self.push(word);
+        }
     }
 }
 
@@ -296,10 +369,13 @@ mod tag {
     pub const WRITE: u64 = 11;
     pub const MATMUL: u64 = 12;
     pub const EVENTS: u64 = 13;
-    pub const LIVE_WRITER: u64 = 14;
-    pub const RETIRED_WRITER: u64 = 15;
+    /// The writer map's mask of slots whose producer is in flight.
+    pub const LIVE_WRITERS: u64 = 14;
     pub const CLOCK_PHASE: u64 = 16;
 }
+
+// The writer map's mask takes one bit a register below a tag.
+const _: () = assert!(NUM_TILE_REGS + NUM_GPR_REGS + NUM_VEC_REGS <= 56);
 
 /// One fingerprint word: `tag` in the top byte over `value`, which must
 /// fit below it. Relative times, which may wrap, get words of their own.
@@ -632,17 +708,19 @@ impl CpuCore {
     /// so only boundaries a whole number of engine cycles apart can be
     /// translations of each other.
     ///
-    /// Every value carries a tag. Two classes of semantically dead values
-    /// are normalized to a bare tag rather than written:
+    /// Every value carries a tag, or follows a word that says how many
+    /// values follow (a count, or the writer map's mask). Two classes of
+    /// semantically dead values are normalized rather than written:
     ///
-    /// * writer-map slots whose producer has retired — `None` and any
-    ///   retired sequence are interchangeable, because rename treats both
-    ///   as "operand complete" and nothing else ever reads them;
+    /// * writer-map slots whose producer has retired are a clear bit in the
+    ///   map's mask — `None` and any retired sequence are interchangeable,
+    ///   because rename treats both as "operand complete" and nothing else
+    ///   ever reads them;
     /// * the `complete_cycle` of a ROB entry that has issued, completed by
-    ///   the current cycle and drained its waiters — every future read is
-    ///   a `complete_cycle <= cycle` test that is invariantly true, so the
-    ///   exact timestamp (often dating from a long-gone pipeline-fill
-    ///   transient) cannot influence anything.
+    ///   the current cycle and drained its waiters is a bare tag — every
+    ///   future read is a `complete_cycle <= cycle` test that is
+    ///   invariantly true, so the exact timestamp (often dating from a
+    ///   long-gone pipeline-fill transient) cannot influence anything.
     ///
     /// The event heap is written in its canonical sorted order (heap layout
     /// is insertion-order dependent and has no semantic meaning).
@@ -655,19 +733,9 @@ impl CpuCore {
             run.retired as u64, run.rob_base,
             "every retirement pops the ROB"
         );
-        let out = &mut into.words;
-        out.clear();
-        // At most two words per ROB entry and its event, one per queued or
-        // mapped item, plus waiters, headers and the engine's few dozen.
-        out.reserve(
-            64 + 4 * run.rob.len()
-                + run.rs_slots.len()
-                + run.engine_events.len()
-                + NUM_TILE_REGS
-                + NUM_GPR_REGS
-                + NUM_VEC_REGS,
-        );
         let (now, next) = (run.cycle, run.next_seq);
+        run.events.relative_events(now, next, &mut into.events);
+        let mut out = into.words();
         let time = |t: u64| t.wrapping_sub(now);
         let seq = |s: u64| next.wrapping_sub(s);
         out.push(match run.phase {
@@ -729,22 +797,30 @@ impl CpuCore {
                 }
             });
         }
-        run.events.relative_events(now, next, &mut into.events);
         out.push(tagged(tag::EVENTS, into.events.len() as u64));
         for &(due, renamed) in &into.events {
             out.extend([due, renamed]);
         }
-        out.extend(
+        // The writer map, tile then scalar then vector registers: a mask of
+        // the slots whose producer is still in flight, then the sequence of
+        // each of those producers in slot order.
+        let slots = || {
             run.tile_writer
                 .iter()
                 .chain(&run.gpr_writer)
                 .chain(&run.vec_writer)
-                .map(|slot| match *slot {
-                    Some(s) if s >= run.rob_base => tagged(tag::LIVE_WRITER, seq(s)),
-                    _ => tagged(tag::RETIRED_WRITER, 0),
-                }),
-        );
-        self.engine.fingerprint(now / run.clock_ratio, out);
+        };
+        let live = |slot: &Option<u64>| slot.filter(|&s| s >= run.rob_base);
+        let mask = slots().enumerate().fold(0, |mask, (i, slot)| {
+            mask | u64::from(live(slot).is_some()) << i
+        });
+        out.push(tagged(tag::LIVE_WRITERS, mask));
+        out.extend(slots().filter_map(live).map(seq));
+        into.engine.clear();
+        self.engine
+            .fingerprint(now / run.clock_ratio, &mut into.engine);
+        out.extend(into.engine.iter().copied());
+        into.close(out);
     }
 
     /// The streaming pipeline loop: simulates cycles until the run
@@ -1412,6 +1488,7 @@ impl CpuCore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rasa_isa::{GprReg, IsaConfig, MemRef, ProgramBuilder};
     use rasa_systolic::{ControlScheme, PeVariant, SystolicConfig};
 
@@ -1877,6 +1954,75 @@ mod tests {
         assert_eq!(original, c.run(&p).unwrap(), "and both match one-shot");
     }
 
+    /// The compact form of `words`.
+    fn compact(words: &[u64]) -> Vec<u8> {
+        let mut fingerprint = Fingerprint::default();
+        let mut out = fingerprint.words();
+        out.extend(words.iter().copied());
+        fingerprint.close(out);
+        fingerprint.bytes().to_vec()
+    }
+
+    /// Reads the words back from a compact form: the inverse of
+    /// [`Words::push`] applied word by word.
+    fn decode(mut bytes: &[u8]) -> Vec<u64> {
+        let mut words = Vec::new();
+        while let Some(&first) = bytes.first() {
+            let (folded, len) = if first == 0 {
+                let mut le = [0; 8];
+                le.copy_from_slice(&bytes[1..9]);
+                (u64::from_le_bytes(le), 9)
+            } else {
+                let len = first.trailing_zeros() as usize + 1;
+                let mut le = [0; 8];
+                le[..len].copy_from_slice(&bytes[..len]);
+                (u64::from_le_bytes(le) >> len, len)
+            };
+            let rotated = (folded >> 1) as i64 ^ -((folded & 1) as i64);
+            words.push((rotated as u64).rotate_right(8));
+            bytes = &bytes[len..];
+        }
+        words
+    }
+
+    /// Fingerprint-like words: tagged values of every width, relative
+    /// times that wrapped below zero, untagged counts and sequences, and
+    /// arbitrary words.
+    fn fingerprint_word() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (1u64..17, 0u64..1 << 20).prop_map(|(tag, value)| tagged(tag, value)),
+            (1u64..17, any::<u64>()).prop_map(|(tag, value)| tagged(tag, value >> 8)),
+            (1u64..5000).prop_map(|before| 0u64.wrapping_sub(before)),
+            0u64..5000,
+            any::<u64>(),
+        ]
+    }
+
+    proptest! {
+        #[test]
+        fn the_compact_form_is_injective(
+            a in proptest::collection::vec(fingerprint_word(), 0..48),
+            b in proptest::collection::vec(fingerprint_word(), 0..48),
+            at in any::<usize>(),
+            edit in fingerprint_word(),
+        ) {
+            // It decodes back to the words, so two sequences share a form
+            // only when they are equal: random pairs, and a sequence
+            // against itself with one word changed, dropped or added.
+            prop_assert_eq!(decode(&compact(&a)), a.clone());
+            prop_assert_eq!(compact(&a) == compact(&b), a == b);
+            let mut changed = a.clone();
+            if let Some(word) = changed.get_mut(at % a.len().max(1)) {
+                *word = edit;
+            }
+            prop_assert_eq!(compact(&a) == compact(&changed), a == changed);
+            let mut grown = a.clone();
+            grown.insert(at % (a.len() + 1), edit);
+            prop_assert_ne!(compact(&a), compact(&grown));
+            prop_assert!(compact(&grown).len() <= 9 * grown.len());
+        }
+    }
+
     /// The boundary fingerprint of a paused run.
     fn fingerprint(c: &CpuCore, run: &CoreRun) -> Fingerprint {
         let mut out = Fingerprint::default();
@@ -1945,7 +2091,11 @@ mod tests {
         // the engine clock's origin.
         let mut engine = Vec::new();
         c.engine.fingerprint(now / run.clock_ratio, &mut engine);
-        assert!(base.words.ends_with(&engine));
+        let mut compact = Fingerprint::default();
+        let mut words = compact.words();
+        words.extend(engine);
+        compact.close(words);
+        assert!(base.bytes().ends_with(compact.bytes()));
 
         // Dead values are normalized: a retired writer is as good as none,
         // and a drained, completed entry's exact completion time is moot.

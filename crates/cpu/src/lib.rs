@@ -68,6 +68,7 @@ pub use core::{CoreRun, CpuCore};
 pub use error::CpuError;
 pub use sched::SchedStats;
 pub use spec::{
-    MemoStats, SpecCheckpoint, SpecDelta, SpecMemo, SpeculativeRun, MEMO_STATES, MEMO_TRANSITIONS,
+    MemoStats, MemoView, SpecCheckpoint, SpecDelta, SpecMemo, SpeculativeRun, MEMO_STATES,
+    MEMO_TRANSITIONS,
 };
 pub use stats::{CpuStats, StreamStats};

@@ -50,23 +50,36 @@
 //! instead of simulating it:
 //!
 //! * a recalling run ([`SpeculativeRun::recall`]) has no core at all. It
-//!   advances piece by piece from the memo ([`SpeculativeRun::recall_piece`]),
-//!   and its checkpoints, deltas and fast-forwards work on interned states
-//!   exactly as a core's do on fingerprints. When the memo lacks a piece, the
-//!   caller reruns the cell with a core;
+//!   advances piece by piece from the memo ([`SpeculativeRun::recall_piece`],
+//!   [`SpeculativeRun::recall_drain`]), and its checkpoints, deltas and
+//!   fast-forwards work on interned states exactly as a core's do on
+//!   fingerprints. It reads the memo through one [`MemoView`]: one read lock
+//!   for its whole walk, its transitions borrowed, not copied. When the memo
+//!   lacks a piece, the caller reruns the cell with a core;
 //! * a run with a core feeds every piece and records it
 //!   ([`SpeculativeRun::feed_piece`], [`SpeculativeRun::finish_with`] for the
-//!   drain). A piece whose recorded transition ends where it started (a
-//!   *fixed point*, a confirmed delta) it shifts past instead of feeding.
+//!   drain), taking the memo's write lock for each record. A piece whose
+//!   recorded transition ends where it started (a *fixed point*, a confirmed
+//!   delta) it shifts past instead of feeding.
 //!
 //! Either way the run's statistics, and its [`StreamStats`], are the ones
 //! feeding every piece would give. Engine horizons and a drain's final cycle
-//! are stored relative to the piece's start, the fingerprint includes the
-//! cycle's phase against the engine clock, and lookups compare whole
-//! fingerprint words. A memo holds at most [`MEMO_STATES`] fingerprints and
-//! [`MEMO_TRANSITIONS`] transitions; once full it records nothing more, and
-//! runs stay exact. The fingerprint does not encode the configuration, so a
-//! memo must serve one machine (core, engine and kernel) only.
+//! are stored relative to the piece's start, and the fingerprint includes
+//! the cycle's phase against the engine clock.
+//!
+//! Lookups compare whole fingerprints. The core writes a fingerprint's words
+//! once, straight into a compact form: each word rotated so its tag byte
+//! comes last, zigzag-folded so that small negative offsets (wrapped
+//! relative times) stay small, and written in as many bytes as its
+//! significant bits need at seven a byte, the length in the first byte's
+//! trailing zeros (a prefix varint, as long as LEB128 but one store a
+//! word). Every step is a bijection and each word's bytes carry their own
+//! length, so two fingerprints are equal bytes exactly when they are equal
+//! words, at about a third of their size. The memo interns that form, and
+//! checkpoints copy it. A memo holds at most [`MEMO_STATES`] fingerprints
+//! and [`MEMO_TRANSITIONS`] transitions; once full it records nothing more,
+//! and runs stay exact. The fingerprint does not encode the configuration,
+//! so a memo must serve one machine (core, engine and kernel) only.
 
 use crate::core::{CoreRun, CpuCore, Fingerprint};
 use crate::{CpuConfig, CpuError, CpuStats, SchedStats, StreamStats};
@@ -77,7 +90,7 @@ use std::fmt;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Distinct boundary fingerprints a [`SpecMemo`] interns at most.
 pub const MEMO_STATES: usize = 256;
@@ -159,27 +172,61 @@ impl Transition {
 #[derive(Default)]
 struct WordHasher(u64);
 
+/// The multiplier of [`WordHasher`]'s rounds.
+const WORD_HASH_MULTIPLIER: u64 = 0x517c_c1b7_2722_0a95;
+
 impl WordHasher {
     fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(WORD_HASH_MULTIPLIER);
     }
+}
+
+/// The little-endian word of an 8-byte chunk.
+fn le_word(chunk: &[u8]) -> u64 {
+    let mut le = [0; 8];
+    le.copy_from_slice(chunk);
+    u64::from_le_bytes(le)
 }
 
 impl Hasher for WordHasher {
     fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
+        // Long keys go four words a round through four lanes, so hashing a
+        // fingerprint is four short multiply chains, not one long one.
+        let mut rounds = bytes.chunks_exact(32);
+        if rounds.len() > 0 {
+            let mut lanes = [0, 1, 2, 3].map(|lane| self.0 ^ lane);
+            for round in &mut rounds {
+                for (lane, chunk) in lanes.iter_mut().zip(round.chunks_exact(8)) {
+                    *lane =
+                        (lane.rotate_left(5) ^ le_word(chunk)).wrapping_mul(WORD_HASH_MULTIPLIER);
+                }
+            }
+            self.0 = lanes[0];
+            lanes[1..].iter().for_each(|&lane| self.add(lane));
+        }
+        let mut words = rounds.remainder().chunks_exact(8);
         for word in &mut words {
-            let mut le = [0; 8];
-            le.copy_from_slice(word);
-            self.add(u64::from_le_bytes(le));
+            self.add(le_word(word));
         }
         for &byte in words.remainder() {
             self.add(u64::from(byte));
         }
     }
 
+    fn write_u8(&mut self, byte: u8) {
+        self.add(u64::from(byte));
+    }
+
+    fn write_u32(&mut self, word: u32) {
+        self.add(u64::from(word));
+    }
+
     fn write_u64(&mut self, word: u64) {
         self.add(word);
+    }
+
+    fn write_usize(&mut self, word: usize) {
+        self.add(word as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -189,29 +236,10 @@ impl Hasher for WordHasher {
 
 type WordHash = BuildHasherDefault<WordHasher>;
 
-/// Writes `words` into `out` in the compact form a [`SpecMemo`] interns
-/// fingerprints in: each word rotated so its tag byte comes last,
-/// zigzag-folded so that small negative offsets stay small, and
-/// LEB128-encoded. Every step is a bijection and LEB128 is prefix-free, so
-/// two encodings are equal exactly when the word sequences are — a lookup
-/// still compares whole fingerprints — at a third of the size.
-fn encode(words: &[u64], out: &mut Vec<u8>) {
-    out.clear();
-    for &word in words {
-        let rotated = word.rotate_left(8) as i64;
-        let mut folded = ((rotated << 1) ^ (rotated >> 63)) as u64;
-        while folded >= 0x80 {
-            out.push(folded as u8 | 0x80);
-            folded >>= 7;
-        }
-        out.push(folded as u8);
-    }
-}
-
 /// The tables behind a [`SpecMemo`]'s lock.
 struct Tables<K> {
-    /// Each distinct fingerprint once, in its compact form ([`encode`]),
-    /// found by comparing that form whole.
+    /// Each distinct fingerprint once, in its compact form (see the module
+    /// docs), found by comparing that form whole.
     states: HashMap<Box<[u8]>, StateId, WordHash>,
     /// Transitions by start boundary and what was fed.
     transitions: HashMap<(StateId, Step<K>), Transition, WordHash>,
@@ -221,8 +249,8 @@ struct Tables<K> {
 }
 
 impl<K> Tables<K> {
-    /// The id of the fingerprint `encoded` ([`encode`]), interning it when
-    /// there is room.
+    /// The id of the fingerprint whose compact form is `encoded`, interning
+    /// it when there is room.
     fn intern(&mut self, encoded: &[u8]) -> Option<StateId> {
         if let Some(&id) = self.states.get(encoded) {
             return Some(id);
@@ -272,13 +300,15 @@ impl std::iter::Sum for MemoStats {
 /// why a recalled transition is exact, and [`SpeculativeRun`] for the runs
 /// that record and recall them.
 ///
-/// The memo is shared by reference between concurrent runs of its machine;
-/// its lock recovers from a panic by clearing the memo, which only ever
-/// costs re-simulation.
+/// The memo is shared by reference between concurrent runs of its machine:
+/// recalling runs read it side by side, each through one [`MemoView`], and
+/// runs with a core lock it to record. Its lock recovers from a panic while
+/// recording by clearing the memo, which only ever costs re-simulation.
 pub struct SpecMemo<K> {
-    tables: Mutex<Tables<K>>,
-    /// Set when a holder of the tables panicked; the next lock clears them.
-    /// Written and read only while `tables` is locked, which orders it.
+    tables: RwLock<Tables<K>>,
+    /// Set when a holder of the write lock panicked; the next holder of
+    /// either lock clears the tables first. Written and read only while
+    /// `tables` is locked, which orders it.
     torn: AtomicBool,
     /// [`MemoStats::recalls`].
     recalls: AtomicU64,
@@ -291,7 +321,7 @@ pub struct SpecMemo<K> {
 impl<K> Default for SpecMemo<K> {
     fn default() -> Self {
         SpecMemo {
-            tables: Mutex::new(Tables {
+            tables: RwLock::new(Tables {
                 states: HashMap::default(),
                 transitions: HashMap::default(),
                 last: START,
@@ -311,9 +341,9 @@ impl<K: Copy + Eq + Hash> SpecMemo<K> {
         SpecMemo::default()
     }
 
-    /// The tables, cleared first if their last holder panicked.
+    /// The tables to write, cleared first if their last writer panicked.
     fn tables(&self) -> TablesGuard<'_, K> {
-        let mut tables = self.tables.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut tables = self.tables.write().unwrap_or_else(PoisonError::into_inner);
         if self.torn.swap(false, Ordering::Relaxed) {
             tables.states.clear();
             tables.transitions.clear();
@@ -324,9 +354,21 @@ impl<K: Copy + Eq + Hash> SpecMemo<K> {
         }
     }
 
-    /// The transition recorded for `step` from `from`.
-    fn transition(&self, from: StateId, step: Step<K>) -> Option<Transition> {
-        self.tables().transitions.get(&(from, step)).copied()
+    /// The memo to read for one walk, under one read lock held until the
+    /// view is dropped (the tables cleared first if their last writer
+    /// panicked). Recalling runs of one machine read side by side; a run
+    /// that records waits for the views to go. So a thread must not record
+    /// into the memo, or take a second view of it, while it holds one.
+    #[must_use]
+    pub fn view(&self) -> MemoView<'_, K> {
+        loop {
+            let tables = self.tables.read().unwrap_or_else(PoisonError::into_inner);
+            if !self.torn.load(Ordering::Relaxed) {
+                return MemoView { tables, memo: self };
+            }
+            drop(tables);
+            drop(self.tables());
+        }
     }
 
     /// Counts a recalling run that ended: recalled whole, or missed at
@@ -370,7 +412,7 @@ impl<K: Copy + Eq + Hash> SpecMemo<K> {
     /// What the memo holds.
     #[must_use]
     pub fn stats(&self) -> MemoStats {
-        let tables = self.tables();
+        let tables = self.view().tables;
         let encoded: usize = tables.states.keys().map(|state| state.len()).sum();
         MemoStats {
             states: tables.states.len(),
@@ -386,10 +428,10 @@ impl<K: Copy + Eq + Hash> SpecMemo<K> {
     }
 }
 
-/// Locked [`SpecMemo`] tables. A panic while they are held marks them
-/// torn, so the next holder finds them cleared.
+/// [`SpecMemo`] tables locked for writing. A panic while they are held
+/// marks them torn, so the next holder finds them cleared.
 struct TablesGuard<'a, K> {
-    tables: MutexGuard<'a, Tables<K>>,
+    tables: RwLockWriteGuard<'a, Tables<K>>,
     torn: &'a AtomicBool,
 }
 
@@ -413,6 +455,30 @@ impl<K> Drop for TablesGuard<'_, K> {
         if std::thread::panicking() {
             self.torn.store(true, Ordering::Relaxed);
         }
+    }
+}
+
+/// A [`SpecMemo`] read for one recalling walk ([`SpecMemo::view`]): its
+/// tables under one read lock, so the walk's lookups lock nothing more and
+/// borrow the transitions they recall instead of copying them.
+pub struct MemoView<'a, K> {
+    tables: RwLockReadGuard<'a, Tables<K>>,
+    memo: &'a SpecMemo<K>,
+}
+
+impl<K: Copy + Eq + Hash> MemoView<'_, K> {
+    /// The transition recorded for `step` from `from`.
+    fn transition(&self, from: StateId, step: Step<K>) -> Option<&Transition> {
+        self.tables.transitions.get(&(from, step))
+    }
+}
+
+impl<K> fmt::Debug for MemoView<'_, K> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("MemoView")
+            .field("states", &self.tables.states.len())
+            .field("transitions", &self.tables.transitions.len())
+            .finish()
     }
 }
 
@@ -452,9 +518,9 @@ impl SpecCheckpoint {
     /// exact translation of this boundary: every time advanced by the
     /// cycles of [`SpecDelta::between`] the two, every sequence by its
     /// instructions and `rasa_mm`s — the periodicity test a probe runs
-    /// before trusting a delta. It is fingerprint equality, or in a
-    /// recalling run the equality of the interned states that stand for
-    /// the fingerprints.
+    /// before trusting a delta. It is fingerprint equality, or where a
+    /// checkpoint has none (a recalling run, or a run's start) the equality
+    /// of the interned states that stand for the fingerprints.
     ///
     /// When this holds, and because the core model's scheduling is
     /// translation-covariant, feeding both boundaries the same uniform work
@@ -464,7 +530,7 @@ impl SpecCheckpoint {
     /// exact.
     #[must_use]
     pub fn shifted_matches(&self, other: &SpecCheckpoint) -> bool {
-        if self.fingerprint.words().is_empty() || other.fingerprint.words().is_empty() {
+        if self.fingerprint.bytes().is_empty() || other.fingerprint.bytes().is_empty() {
             self.state.is_some() && self.state == other.state
         } else {
             self.fingerprint == other.fingerprint
@@ -542,13 +608,13 @@ pub struct SpeculativeRun {
     /// once the run passed a boundary no memo interned.
     state: Option<StateId>,
     /// Whether the statistics fed since the last boundary are taken and
-    /// its fingerprint written (always, in a recalling run).
+    /// its fingerprint written. A run starts settled: nothing is fed yet,
+    /// and [`START`] stands for its first boundary's fingerprint, as every
+    /// interned state does in a recalling run.
     settled: bool,
-    /// The boundary's fingerprint, once settled (runs with a core).
+    /// The boundary's fingerprint, once settled past the start (runs with a
+    /// core).
     fingerprint: Fingerprint,
-    /// A reused buffer for the fingerprint's compact form, which the memo
-    /// interns.
-    encoded: Vec<u8>,
     cpu: CpuStats,
     sched: SchedStats,
     stream: StreamStats,
@@ -567,9 +633,8 @@ impl SpeculativeRun {
             clock_ratio: run.clock_ratio(),
             core: Some((core, run)),
             state: Some(START),
-            settled: false,
+            settled: true,
             fingerprint: Fingerprint::default(),
-            encoded: Vec::new(),
             cpu: CpuStats::default(),
             sched: SchedStats::default(),
             stream: StreamStats::default(),
@@ -588,7 +653,6 @@ impl SpeculativeRun {
             state: Some(START),
             settled: true,
             fingerprint: Fingerprint::default(),
-            encoded: Vec::new(),
             cpu: CpuStats::default(),
             sched: SchedStats::default(),
             stream: StreamStats::default(),
@@ -699,14 +763,14 @@ impl SpeculativeRun {
     /// which it applies by shifting its core instead of feeding it. The
     /// statistics, feed counters included, are those of feeding the piece.
     ///
-    /// `memo` must be the one every piece of this run was recorded in.
-    pub fn recall_piece<K: Copy + Eq + Hash>(&mut self, memo: &SpecMemo<K>, piece: K) -> bool {
+    /// `memo` must view the memo every piece of this run was recorded in.
+    pub fn recall_piece<K: Copy + Eq + Hash>(&mut self, memo: &MemoView<'_, K>, piece: K) -> bool {
         let recalled = self
             .state
             .and_then(|from| memo.transition(from, Step::Feed(piece)));
         let Some(transition) = recalled else {
             if self.is_recalling() {
-                memo.count(false, self.state);
+                memo.memo.count(false, self.state);
             }
             return false;
         };
@@ -718,7 +782,7 @@ impl SpeculativeRun {
             let (cycles, instructions, matmuls) = transition.advance;
             core.shift_boundary(run, cycles, instructions, matmuls);
         }
-        self.apply(&transition);
+        self.apply(transition);
         true
     }
 
@@ -742,10 +806,12 @@ impl SpeculativeRun {
         self.feed_segment(segment)?;
         let interval = self.settle();
         let (to, ratio) = (self.position, self.clock_ratio);
-        encode(self.fingerprint.words(), &mut self.encoded);
-        self.state = memo.record(from, Step::Feed(piece), Some(&self.encoded), |end| {
-            Transition::between(start, to, ratio, interval, end)
-        });
+        self.state = memo.record(
+            from,
+            Step::Feed(piece),
+            Some(self.fingerprint.bytes()),
+            |end| Transition::between(start, to, ratio, interval, end),
+        );
         Ok(())
     }
 
@@ -783,45 +849,49 @@ impl SpeculativeRun {
     ///
     /// Propagates [`CpuCore::run_to_quiescence`] errors, and returns
     /// [`CpuError::Stream`] for a recalling run, which drains only by
-    /// recall ([`SpeculativeRun::finish_with`]).
+    /// recall ([`SpeculativeRun::recall_drain`]).
     pub fn finish(self) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
-        self.drain(None::<&SpecMemo<()>>)?
-            .ok_or_else(|| CpuError::Stream {
-                reason: "a recalling run drains only from a memo".to_string(),
-            })
+        self.drain(None::<&SpecMemo<()>>)
     }
 
-    /// [`SpeculativeRun::finish`] through `memo`: a recalling run recalls
-    /// the drain from its final boundary, or returns `None` when `memo`
-    /// does not hold it; a run with a core drains and records the drain.
+    /// [`SpeculativeRun::finish`], recording the drain in `memo` when the
+    /// boundary it starts from is interned there.
     ///
     /// # Errors
     ///
-    /// Propagates [`CpuCore::run_to_quiescence`] errors.
+    /// As [`SpeculativeRun::finish`].
     pub fn finish_with<K: Copy + Eq + Hash>(
         self,
         memo: &SpecMemo<K>,
-    ) -> Result<Option<(CpuStats, SchedStats, StreamStats)>, CpuError> {
+    ) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
         self.drain(Some(memo))
+    }
+
+    /// Finalizes a recalling run by recalling the drain from its final
+    /// boundary, or returns `None` when `memo` does not hold it (or the run
+    /// has a core, which drains by [`SpeculativeRun::finish_with`]).
+    pub fn recall_drain<K: Copy + Eq + Hash>(
+        mut self,
+        memo: &MemoView<'_, K>,
+    ) -> Option<(CpuStats, SchedStats, StreamStats)> {
+        if !self.is_recalling() {
+            return None;
+        }
+        let drain = self
+            .state
+            .and_then(|from| memo.transition(from, Step::Drain));
+        memo.memo.count(drain.is_some(), self.state);
+        self.apply(drain?);
+        Some((self.cpu, self.sched, self.stream))
     }
 
     fn drain<K: Copy + Eq + Hash>(
         mut self,
         memo: Option<&SpecMemo<K>>,
-    ) -> Result<Option<(CpuStats, SchedStats, StreamStats)>, CpuError> {
-        let Some((mut core, run)) = self.core.take() else {
-            let Some(memo) = memo else {
-                return Ok(None);
-            };
-            let drain = self
-                .state
-                .and_then(|from| memo.transition(from, Step::Drain));
-            memo.count(drain.is_some(), self.state);
-            return Ok(drain.map(|drain| {
-                self.apply(&drain);
-                (self.cpu, self.sched, self.stream)
-            }));
-        };
+    ) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
+        let (mut core, run) = self.core.take().ok_or_else(|| CpuError::Stream {
+            reason: "a recalling run drains only by recall".to_string(),
+        })?;
         let tail = core.run_to_quiescence(run)?;
         let interval = (tail, *core.sched_stats(), *core.stream_stats());
         if let (Some(memo), Some(from), true) = (memo, self.state, self.settled) {
@@ -833,7 +903,7 @@ impl SpeculativeRun {
         self.cpu.accumulate(&interval.0);
         self.sched.accumulate(&interval.1);
         self.stream.accumulate(&interval.2);
-        Ok(Some((self.cpu, self.sched, self.stream)))
+        Ok((self.cpu, self.sched, self.stream))
     }
 }
 
@@ -968,13 +1038,20 @@ mod tests {
         blocks: &[ProgramSegment],
         last: u8,
     ) -> Option<Stats> {
+        // A recalling run reads the memo through one view; a run with a
+        // core takes one for each fixed point it looks for.
+        let view = spec.is_recalling().then(|| memo.view());
         let feed = |spec: &mut SpeculativeRun, k: usize| {
             let piece = match k {
                 0 => 0,
                 _ if k + 1 == blocks.len() => last,
                 _ => 1,
             };
-            if spec.recall_piece(memo, piece) {
+            let recalled = match &view {
+                Some(view) => spec.recall_piece(view, piece),
+                None => spec.recall_piece(&memo.view(), piece),
+            };
+            if recalled {
                 return true;
             }
             if spec.is_recalling() {
@@ -1010,7 +1087,10 @@ mod tests {
                 return None;
             }
         }
-        spec.finish_with(memo).unwrap()
+        match &view {
+            Some(view) => spec.recall_drain(view),
+            None => Some(spec.finish_with(memo).unwrap()),
+        }
     }
 
     /// The sequential oracle: every block fed to one core.
@@ -1092,10 +1172,12 @@ mod tests {
         let memo = SpecMemo::new();
         {
             let mut tables = memo.tables();
-            let mut encoded = Vec::new();
             for word in 0..MEMO_STATES as u64 {
-                encode(&[u64::MAX - word], &mut encoded);
-                tables.intern(&encoded).unwrap();
+                let mut fingerprint = Fingerprint::default();
+                let mut words = fingerprint.words();
+                words.push(u64::MAX - word);
+                fingerprint.close(words);
+                tables.intern(fingerprint.bytes()).unwrap();
             }
             assert!(tables.intern(&[]).is_none(), "full");
         }

@@ -16,6 +16,22 @@ pub struct DesignPoint {
     cpu: CpuConfig,
 }
 
+/// A paper design's name and its constructor.
+type NamedDesign = (&'static str, fn() -> DesignPoint);
+
+/// The paper designs in Fig. 5 order, each under its name, so that a name
+/// resolves without building the other designs.
+const PAPER_DESIGNS: [NamedDesign; 8] = [
+    ("BASELINE", DesignPoint::baseline),
+    ("RASA-PIPE", DesignPoint::rasa_pipe),
+    ("RASA-WLBP", DesignPoint::rasa_wlbp),
+    ("RASA-DM-PIPE", DesignPoint::rasa_dm_pipe),
+    ("RASA-DM-WLBP", DesignPoint::rasa_dm_wlbp),
+    ("RASA-DB-WLS", DesignPoint::rasa_db_wls),
+    ("RASA-DMDB-WLBP", DesignPoint::rasa_dmdb_wlbp),
+    ("RASA-DMDB-WLS", DesignPoint::rasa_dmdb_wls),
+];
+
 impl DesignPoint {
     /// Creates a custom design point.
     #[must_use]
@@ -90,27 +106,20 @@ impl DesignPoint {
     /// comparison, in presentation order.
     #[must_use]
     pub fn paper_designs() -> Vec<DesignPoint> {
-        vec![
-            DesignPoint::baseline(),
-            DesignPoint::rasa_pipe(),
-            DesignPoint::rasa_wlbp(),
-            DesignPoint::rasa_dm_pipe(),
-            DesignPoint::rasa_dm_wlbp(),
-            DesignPoint::rasa_db_wls(),
-            DesignPoint::rasa_dmdb_wlbp(),
-            DesignPoint::rasa_dmdb_wls(),
-        ]
+        PAPER_DESIGNS.iter().map(|(_, design)| design()).collect()
     }
 
     /// Resolves one of the eight named paper designs from its Fig. 5 name
     /// (e.g. `"RASA-DMDB-WLS"`). The wire protocol ships designs by name,
     /// so this is how a shard worker reconstructs the design point a
     /// remote request asks for; custom design points are not resolvable.
+    /// Only the design named is built.
     #[must_use]
     pub fn by_name(name: &str) -> Option<DesignPoint> {
-        DesignPoint::paper_designs()
-            .into_iter()
-            .find(|design| design.name() == name)
+        PAPER_DESIGNS
+            .iter()
+            .find(|(paper, _)| *paper == name)
+            .map(|(_, design)| design())
     }
 
     /// The three RASA-Data design points compared in Fig. 6 (each paired
@@ -179,6 +188,15 @@ mod tests {
                 "RASA-DMDB-WLS",
             ]
         );
+    }
+
+    #[test]
+    fn each_paper_design_resolves_by_its_own_name() {
+        for (name, design) in PAPER_DESIGNS {
+            assert_eq!(design().name(), name);
+            assert_eq!(DesignPoint::by_name(name), Some(design()));
+        }
+        assert_eq!(DesignPoint::by_name("RASA-DMDB"), None);
     }
 
     #[test]

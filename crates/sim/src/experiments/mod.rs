@@ -394,6 +394,31 @@ mod tests {
     }
 
     #[test]
+    fn a_cold_evaluation_keeps_its_memos_compact() {
+        // The uncapped evaluation at `--max-batch 64` (perfbench's
+        // `eval_full`): 18 of its 156 cells simulated, the other 138
+        // recalled, and the memos' summed storage no more than the 90 522
+        // bytes they took when fingerprints were written word by word and
+        // LEB128-encoded after.
+        let suite = ExperimentSuite::builder()
+            .with_matmul_cap(None)
+            .with_fig7_max_batch(64)
+            .build()
+            .unwrap();
+        suite.fig1_toy().unwrap();
+        let fig5 = suite.fig5_runtime().unwrap();
+        let _ = suite.area_energy_from(&fig5);
+        suite.fig7_batch().unwrap();
+        let (machines, memo) = suite.runner().memo_stats();
+        assert_eq!(machines, 8);
+        assert_eq!(
+            (memo.recalls, memo.misses, memo.midway_misses),
+            (138, 18, 0)
+        );
+        assert!(memo.bytes <= 90_522, "{memo:?}");
+    }
+
+    #[test]
     fn streaming_options_flow_to_the_runner() {
         // Fast-forward is the streamed path's one option.
         let s = ExperimentSuite::builder()

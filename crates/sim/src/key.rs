@@ -32,6 +32,10 @@
 //! between every cell of that machine, so a cached cell keeps only its
 //! shape's few dozen bytes. The parts hash and compare as their
 //! concatenation, so a key held in parts equals the same text held whole.
+//! The machine also keeps the FNV-1a state its design part leaves, worked
+//! out once when the machine is built: the design is about 70% of a key's
+//! text and comes first, so a cell's key hashes only its shape and the
+//! kernel from that state on, and still gets the whole text's hash.
 
 use crate::net::hash::{fnv1a_64_from, mix64, ring_point, FNV_OFFSET_BASIS};
 use std::borrow::Cow;
@@ -44,9 +48,25 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub(crate) struct MachineKey {
     /// The design's part, up to and including the first separator.
-    pub(crate) design: String,
+    design: String,
     /// The kernel's part, from the second separator on.
-    pub(crate) kernel: String,
+    kernel: String,
+    /// The FNV-1a state after the design's part: where every cell key of
+    /// the machine goes on hashing from.
+    design_state: u64,
+}
+
+impl MachineKey {
+    /// The shared parts of the keys of `design`'s cells under `kernel`,
+    /// hashing the design's part once.
+    pub(crate) fn new(design: String, kernel: String) -> MachineKey {
+        let design_state = fnv1a_64_from(FNV_OFFSET_BASIS, design.as_bytes());
+        MachineKey {
+            design,
+            kernel,
+            design_state,
+        }
+    }
 }
 
 /// A key's text: rendered whole, or a cell's shape between its machine's
@@ -84,13 +104,13 @@ impl CellKey {
 
     /// The key of a cell whose rendered shape is `shape` on `machine`:
     /// the same text, hash and equality as the whole key
-    /// `"{design:?}|{shape}|{kernel:?}"`, sharing the machine's parts.
-    pub(crate) fn cell(machine: &Arc<MachineKey>, shape: String) -> CellKey {
-        let hash = [&machine.design, &shape, &machine.kernel]
-            .iter()
-            .fold(FNV_OFFSET_BASIS, |hash, part| {
-                fnv1a_64_from(hash, part.as_bytes())
-            });
+    /// `"{design:?}|{shape}|{kernel:?}"`, sharing the machine's parts and
+    /// hashing on from the state its design part leaves.
+    pub(crate) fn cell(machine: &Arc<MachineKey>, shape: &str) -> CellKey {
+        let hash = fnv1a_64_from(
+            fnv1a_64_from(machine.design_state, shape.as_bytes()),
+            machine.kernel.as_bytes(),
+        );
         CellKey {
             text: KeyText::Cell {
                 machine: Arc::clone(machine),
@@ -227,25 +247,25 @@ mod tests {
         // Same text, same hash, equal both ways; the machine's parts are
         // shared, and texts that differ anywhere, or only split
         // differently into parts, compare as their bytes.
-        let machine = Arc::new(MachineKey {
-            design: "BASELINE {…}|".to_string(),
-            kernel: "|Kernel { cap: 96 }".to_string(),
-        });
+        let machine = Arc::new(MachineKey::new(
+            "BASELINE {…}|".to_string(),
+            "|Kernel { cap: 96 }".to_string(),
+        ));
         let whole = "BASELINE {…}|Gemm { m: 512 }|Kernel { cap: 96 }";
-        let cell = CellKey::cell(&machine, "Gemm { m: 512 }".to_string());
+        let cell = CellKey::cell(&machine, "Gemm { m: 512 }");
         assert_eq!(cell.text(), whole);
         assert_eq!(cell.to_string(), whole);
         assert_eq!(cell.hash64(), CellKey::new(whole).hash64());
         assert_eq!(cell, CellKey::new(whole));
         assert_eq!(CellKey::new(whole), cell);
-        assert_eq!(cell, CellKey::cell(&machine, "Gemm { m: 512 }".to_string()));
-        let other = CellKey::cell(&machine, "Gemm { m: 511 }".to_string());
+        assert_eq!(cell, CellKey::cell(&machine, "Gemm { m: 512 }"));
+        let other = CellKey::cell(&machine, "Gemm { m: 511 }");
         assert_ne!(cell, other);
-        let resplit = Arc::new(MachineKey {
-            design: "BASELINE {…}|Gemm".to_string(),
-            kernel: machine.kernel.clone(),
-        });
-        assert_eq!(cell, CellKey::cell(&resplit, " { m: 512 }".to_string()));
+        let resplit = Arc::new(MachineKey::new(
+            "BASELINE {…}|Gemm".to_string(),
+            machine.kernel.clone(),
+        ));
+        assert_eq!(cell, CellKey::cell(&resplit, " { m: 512 }"));
         let forged = CellKey {
             text: KeyText::Whole(Arc::from("BASELINE {…}|Gemm { m: 513 }|Kernel { cap: 96 }")),
             hash: cell.hash64(),

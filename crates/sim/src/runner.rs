@@ -32,6 +32,7 @@ use crate::prof::{self, Stage};
 use crate::simulator::DEFAULT_MATMUL_CAP;
 use crate::{DesignPoint, SimError, SimReport, Simulator, WorkloadRun};
 use rasa_cpu::MemoStats;
+use rasa_numeric::GemmShape;
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -55,6 +56,59 @@ const MACHINES: usize = 16;
 struct Machine {
     sim: Arc<Simulator>,
     key: Arc<MachineKey>,
+}
+
+/// A shape's part of a cell key: byte for byte its `Debug` text,
+/// `GemmShape { m: .., k: .., n: .. }`, written into a stack buffer without
+/// the formatting machinery, since every job renders one.
+struct ShapeText {
+    bytes: [u8; 96],
+    len: usize,
+}
+
+impl Default for ShapeText {
+    fn default() -> Self {
+        ShapeText {
+            bytes: [0; 96],
+            len: 0,
+        }
+    }
+}
+
+impl ShapeText {
+    /// Writes `shape`'s text (the longest, three 20-digit sizes, takes 87
+    /// bytes).
+    fn write(&mut self, shape: GemmShape) {
+        for (label, size) in [
+            ("GemmShape { m: ", shape.m),
+            (", k: ", shape.k),
+            (", n: ", shape.n),
+        ] {
+            self.push(label.as_bytes());
+            let mut digits = [0; 20];
+            let mut start = digits.len();
+            let mut rest = size;
+            loop {
+                start -= 1;
+                digits[start] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            self.push(&digits[start..]);
+        }
+        self.push(b" }");
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..self.len]).expect("the text is ASCII")
+    }
 }
 
 /// One simulation cell: a workload on a design point, optionally under a
@@ -280,10 +334,10 @@ impl ExperimentRunner {
             .with_speculation(self.speculation);
         let machine = Machine {
             sim: Arc::new(sim),
-            key: Arc::new(MachineKey {
-                design: format!("{:?}|", job.design),
-                kernel: format!("|{kernel:?}"),
-            }),
+            key: Arc::new(MachineKey::new(
+                format!("{:?}|", job.design),
+                format!("|{kernel:?}"),
+            )),
         };
         if machines.len() == MACHINES {
             machines.remove(0);
@@ -456,7 +510,11 @@ impl ExperimentRunner {
     /// kernel name (or a whole key when it has none: an invalid kernel).
     fn machine_key(&self, job: &SimJob, machine: &Result<Machine, SimError>) -> CellKey {
         match machine {
-            Ok(machine) => CellKey::cell(&machine.key, format!("{:?}", job.workload.gemm_shape())),
+            Ok(machine) => {
+                let mut shape = ShapeText::default();
+                shape.write(job.workload.gemm_shape());
+                CellKey::cell(&machine.key, shape.as_str())
+            }
             Err(_) => job.cell_key(self.matmul_cap),
         }
     }
@@ -927,6 +985,50 @@ mod tests {
             }
         }
         assert_eq!(runner.memo_stats().0, 2, "one machine per design");
+    }
+
+    #[test]
+    fn shape_text_is_the_shapes_debug_text() {
+        for (m, k, n) in [
+            (0, 0, 0),
+            (1, 9, 10),
+            (512, 1024, 1024),
+            (401_604, 64, 99),
+            (usize::MAX, usize::MAX, usize::MAX),
+        ] {
+            let shape = GemmShape::new(m, k, n);
+            let mut text = ShapeText::default();
+            text.write(shape);
+            assert_eq!(text.as_str(), format!("{shape:?}"));
+        }
+    }
+
+    #[test]
+    fn every_paper_designs_keys_are_its_whole_keys() {
+        // A runner hashes its cells' keys on from their machine's design
+        // state: for each paper design under the default kernel, capped or
+        // not, the key is the whole key's text and hash, equal either way.
+        let layers = [
+            WorkloadSuite::mlperf().layer("BERT-1").unwrap().clone(),
+            LayerSpec::fc("ragged", 7, 1000, 33),
+        ];
+        for cap in [Some(4096), Some(256), None] {
+            let runner = ExperimentRunner::builder()
+                .with_matmul_cap(cap)
+                .build()
+                .unwrap();
+            for design in DesignPoint::paper_designs() {
+                for layer in &layers {
+                    let job = SimJob::new(design.clone(), layer.clone());
+                    let (key, whole) = (runner.job_key(&job), CellKey::new(job.semantic_key(cap)));
+                    assert_eq!(key.text(), whole.text());
+                    assert_eq!(key.hash64(), whole.hash64(), "{whole}");
+                    assert_eq!(key, whole);
+                    assert_eq!(whole, key);
+                }
+            }
+            assert_eq!(runner.memo_stats().0, 8, "one machine per design");
+        }
     }
 
     #[test]

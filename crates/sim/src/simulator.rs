@@ -1,8 +1,8 @@
 use crate::prof::{self, Stage};
 use crate::{DesignPoint, PipelineStats, SimError, SimReport};
 use rasa_cpu::{
-    CpuCore, CpuStats, MemoStats, SchedStats, SpecCheckpoint, SpecDelta, SpecMemo, SpeculativeRun,
-    StreamStats,
+    CpuCore, CpuStats, MemoStats, MemoView, SchedStats, SpecCheckpoint, SpecDelta, SpecMemo,
+    SpeculativeRun, StreamStats,
 };
 use rasa_isa::Program;
 use rasa_numeric::GemmShape;
@@ -26,13 +26,17 @@ pub(crate) const DEFAULT_MATMUL_CAP: usize = 4096;
 const SPEC_PROBE_STRIDES: usize = 8;
 
 /// The deterministic fast-forward schedule of a cell: how many register
-/// blocks one stride spans and where the uniform (periodic) region of the
-/// block walk ends.
+/// blocks one stride spans, how many warm the pipeline up before the first
+/// probe, and where the uniform (periodic) region of the block walk ends.
 #[derive(Debug, Clone, Copy)]
 struct SpecPlan {
     /// Register blocks per stride — one period of the block walk, so every
     /// stride carries identical work.
     stride_blocks: usize,
+    /// Blocks fed before the first probe: whole strides, about
+    /// ⌈`rob_size` / instructions per stride⌉ of them (one at least), as a
+    /// block warms up its reduction steps.
+    warm_up_blocks: usize,
     /// Blocks `>= uniform_end` (a ragged block column, or the rest of a
     /// walk whose uniform run is its first column) are never skipped; they
     /// are fed sequentially after the fast-forward.
@@ -87,6 +91,9 @@ impl<E: Into<SimError>> From<E> for Halt {
 /// and the checkpoints the in-block probe refills from block to block.
 struct CellRun<'a> {
     sim: &'a Simulator,
+    /// The memo a recalling run reads its whole walk through; `None` for a
+    /// run with a core, which records as it goes.
+    view: Option<&'a MemoView<'a, PieceKey>>,
     run: SpeculativeRun,
     stream: GemmTraceStream,
     /// The reduction steps every block of the cell repeats identically.
@@ -305,14 +312,17 @@ impl Simulator {
     /// **Recall.** With fast-forward on, the cell first walks that same
     /// schedule with no core: every piece, and the final drain, is recalled
     /// from the simulator's memo of transitions ([`SpeculativeRun::recall`]),
-    /// and no trace is generated. Only if the memo lacks one does the cell
-    /// rerun from its start with a core, recording every piece it feeds and
+    /// read under one lock for the whole walk ([`SpecMemo::view`]), and no
+    /// trace is generated. Only if the memo lacks one does the cell rerun
+    /// from its start with a core, recording every piece it feeds and
     /// shifting past the recorded fixed points it meets. The walk, and so
     /// the report, `sched` and `pipeline` included, is the same either way.
     fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
         if self.speculation {
+            // The view goes before the run with a core records.
+            let view = self.memo.view();
             let recall = SpeculativeRun::recall(self.design.cpu(), self.design.systolic());
-            if let Some(report) = self.walk(shape, name, recall)? {
+            if let Some(report) = self.walk(shape, name, recall, Some(&view))? {
                 return Ok(report);
             }
         }
@@ -320,21 +330,24 @@ impl Simulator {
         let core = CpuCore::new(*self.design.cpu(), engine);
         let run = SpeculativeRun::begin(core, self.generator.isa())?;
         Ok(self
-            .walk(shape, name, run)?
+            .walk(shape, name, run, None)?
             .expect("a run with a core never misses"))
     }
 
-    /// Walks the cell of `shape` on `run`; `None` when a recalling run
-    /// missed a transition.
+    /// Walks the cell of `shape` on `run`, a recalling run reading `view`
+    /// or a run with a core; `None` when the recalling run missed a
+    /// transition.
     fn walk(
         &self,
         shape: GemmShape,
         name: &str,
         run: SpeculativeRun,
+        view: Option<&MemoView<'_, PieceKey>>,
     ) -> Result<Option<SimReport>, SimError> {
         let total_matmuls = self.generator.matmul_count(shape)? as u64;
         let cell = CellRun {
             sim: self,
+            view,
             run,
             stream: self.generator.gemm_blocks(shape)?,
             uniform_steps: self.generator.uniform_steps(shape)?,
@@ -386,7 +399,7 @@ impl Simulator {
     /// `None` when no block stride is skipped: fast-forward is off, or the
     /// uniform block region is too short to hold a warm-up stride, a probe
     /// and a skipped stride. One stride is one period of the block walk,
-    /// capped or not.
+    /// capped or not; short blocks warm up over several strides.
     fn spec_plan(&self, shape: GemmShape) -> Result<Option<SpecPlan>, SimError> {
         if !self.speculation {
             return Ok(None);
@@ -398,8 +411,16 @@ impl Simulator {
         if uniform_end < stride_blocks * 4 {
             return Ok(None);
         }
+        let stride_instructions = stride_blocks * self.generator.block_instructions(shape)?;
+        let warm_up_strides = self
+            .design
+            .cpu()
+            .rob_size
+            .div_ceil(stride_instructions.max(1))
+            .max(1);
         Ok(Some(SpecPlan {
             stride_blocks,
+            warm_up_blocks: (warm_up_strides * stride_blocks).min(uniform_end),
             uniform_end,
         }))
     }
@@ -454,10 +475,10 @@ impl CellRun<'_> {
         }
         let blocks = self.stream.cursor_block() + self.stream.blocks_remaining();
         self.feed_blocks_to(blocks)?;
-        let stats = if self.sim.speculation {
-            self.run.finish_with(&self.sim.memo)?.ok_or(Halt::Missed)?
-        } else {
-            self.run.finish()?
+        let stats = match self.view {
+            Some(view) => self.run.recall_drain(view).ok_or(Halt::Missed)?,
+            None if self.sim.speculation => self.run.finish_with(&self.sim.memo)?,
+            None => self.run.finish()?,
         };
         Ok((stats.0, stats.1, stats.2, self.skipped_steps))
     }
@@ -484,9 +505,15 @@ impl CellRun<'_> {
         let memo = &*self.sim.memo;
         let speculation = self.sim.speculation;
         let passable = self.run.is_recalling() || !piece.opens_block || piece.closes_block;
-        if speculation && passable && self.run.recall_piece(memo, piece) {
-            self.stream.pass_to(end);
-            return Ok(true);
+        if speculation && passable {
+            let recalled = match self.view {
+                Some(view) => self.run.recall_piece(view, piece),
+                None => self.run.recall_piece(&memo.view(), piece),
+            };
+            if recalled {
+                self.stream.pass_to(end);
+                return Ok(true);
+            }
         }
         if self.run.is_recalling() {
             return Err(Halt::Missed);
@@ -566,7 +593,7 @@ impl CellRun<'_> {
     /// The block-level fast-forward prefix of a cell, leaving the stream's
     /// cursor at the first register block still to be fed.
     ///
-    /// Warm up one stride to move the pipeline off the cold-start
+    /// Warm up the plan's strides to move the pipeline off the cold-start
     /// transient, then probe stride by stride. Once a delta is confirmed,
     /// every remaining whole stride of the uniform region is the same work
     /// with only its addresses changed, so the run skips them in O(1): it
@@ -578,8 +605,8 @@ impl CellRun<'_> {
     /// difference of two cumulative checkpoints, spans those skips.
     fn fast_forward_prefix(&mut self, plan: SpecPlan) -> Result<(), Halt> {
         let stride = plan.stride_blocks;
-        self.feed_blocks_to(stride)?;
-        let mut next = stride;
+        self.feed_blocks_to(plan.warm_up_blocks)?;
+        let mut next = plan.warm_up_blocks;
         let delta = self.probe(&mut Default::default(), |cell| {
             if next + stride > plan.uniform_end {
                 return Ok(false);
@@ -908,6 +935,9 @@ mod tests {
             .unwrap();
         let plan = sim.spec_plan(GemmShape::new(32, 64, 128)).unwrap().unwrap();
         assert_eq!((plan.stride_blocks, plan.uniform_end), (1, 4));
+        // Its 2×2 blocks of two steps are 32 instructions, so the 97-entry
+        // ROB warms up over four of them before the first probe.
+        assert_eq!(plan.warm_up_blocks, 4);
         for short in [GemmShape::new(32, 64, 96), GemmShape::new(32, 64, 112)] {
             assert!(sim.spec_plan(short).unwrap().is_none(), "{short:?}");
         }

@@ -229,6 +229,24 @@ impl TraceGenerator {
         Ok(self.block_step_instructions(block.m.min(mt), block.n.min(nt)))
     }
 
+    /// Instructions `shape`'s widest register block emits — the most any
+    /// block of the walk does: its reduction steps, and the loads and
+    /// stores of its accumulators when they stay resident (K-innermost).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TraceError::Shape`] for an empty GEMM.
+    pub fn block_instructions(&self, shape: GemmShape) -> Result<usize, TraceError> {
+        let (mt, kt, nt) = self.tile_dims(shape)?;
+        let block = self.kernel.scheme.block;
+        let (rows, cols) = (block.m.min(mt), block.n.min(nt));
+        let accumulators = match self.kernel.scheme.loop_order {
+            LoopOrder::KInnermost => 2 * rows * cols,
+            LoopOrder::NInnermost => 0,
+        };
+        Ok(kt * self.block_step_instructions(rows, cols) + accumulators)
+    }
+
     /// Instructions one uniform reduction step emits in a block of `rows`
     /// row tiles by `cols` column tiles: its A and B tile loads and
     /// `rasa_mm`s, the accumulator loads and stores N-innermost spills
@@ -975,6 +993,13 @@ mod tests {
                 .collect();
             assert_eq!(stream.cursor_block(), block + 1);
             let what = format!("kernel {}, {shape:?}, block {block}", g.kernel());
+            let emitted: usize = steps.iter().map(Vec::len).sum();
+            let widest = g.block_instructions(shape).unwrap();
+            if step_len == g.step_instructions(shape).unwrap() {
+                assert_eq!(emitted, widest, "{what}");
+            } else {
+                assert!(emitted < widest, "{what}");
+            }
             for k in uniform.clone() {
                 assert_eq!(steps[k], steps[uniform.start], "{what}, step {k}");
                 assert_eq!(steps[k].len(), step_len, "{what}, step {k}");
