@@ -395,27 +395,68 @@ mod tests {
 
     #[test]
     fn a_cold_evaluation_keeps_its_memos_compact() {
-        // The uncapped evaluation at `--max-batch 64` (perfbench's
-        // `eval_full`): 18 of its 156 cells simulated, the other 138
-        // recalled, and the memos' summed storage no more than the 90 522
-        // bytes they took when fingerprints were written word by word and
-        // LEB128-encoded after.
-        let suite = ExperimentSuite::builder()
-            .with_matmul_cap(None)
-            .with_fig7_max_batch(64)
-            .build()
-            .unwrap();
-        suite.fig1_toy().unwrap();
-        let fig5 = suite.fig5_runtime().unwrap();
-        let _ = suite.area_energy_from(&fig5);
-        suite.fig7_batch().unwrap();
-        let (machines, memo) = suite.runner().memo_stats();
-        assert_eq!(machines, 8);
-        assert_eq!(
-            (memo.recalls, memo.misses, memo.midway_misses),
-            (138, 18, 0)
-        );
-        assert!(memo.bytes <= 90_522, "{memo:?}");
+        // The evaluation at `--max-batch 64`, uncapped (perfbench's
+        // `eval_full`) and at cap 256: 18 of its 156 cells simulated, the
+        // other 138 recalled, and the memos' summed storage no more than
+        // the 90 522 bytes they took when fingerprints were written word by
+        // word and LEB128-encoded after. The work the walks did is pinned
+        // too, summed over fig5's 72 reports: pieces and instructions fed,
+        // block strides and reduction steps skipped, and the largest piece
+        // held.
+        for (cap, fed_instructions, spec_forks, spec_step_forks) in [
+            (None, 34_797_568, 150_776, 3_744),
+            (Some(256), 63_872, 3_080, 2_848),
+        ] {
+            let suite = ExperimentSuite::builder()
+                .with_matmul_cap(cap)
+                .with_fig7_max_batch(64)
+                .build()
+                .unwrap();
+            suite.fig1_toy().unwrap();
+            let fig5 = suite.fig5_runtime().unwrap();
+            let _ = suite.area_energy_from(&fig5);
+            suite.fig7_batch().unwrap();
+            let pipelines: Vec<_> = fig5
+                .runs
+                .iter()
+                .flat_map(|run| run.reports.iter().map(|report| report.pipeline))
+                .collect();
+            assert_eq!(pipelines.len(), 72);
+            let sum =
+                |field: fn(&crate::PipelineStats) -> u64| pipelines.iter().map(field).sum::<u64>();
+            assert_eq!(
+                (
+                    sum(|p| p.segments),
+                    sum(|p| p.fed_instructions),
+                    sum(|p| p.spec_forks),
+                    sum(|p| p.spec_step_forks),
+                ),
+                (424, fed_instructions, spec_forks, spec_step_forks),
+                "cap {cap:?}"
+            );
+            let peak = pipelines.iter().map(|p| p.peak_resident_instructions);
+            assert_eq!(peak.max(), Some(112), "cap {cap:?}");
+            let (machines, memo) = suite.runner().memo_stats();
+            assert_eq!(machines, 8);
+            assert_eq!(
+                (
+                    memo.states,
+                    memo.transitions,
+                    memo.recalls,
+                    memo.misses,
+                    memo.midway_misses
+                ),
+                (62, 108, 138, 18, 0),
+                "cap {cap:?}"
+            );
+            assert!(memo.bytes <= 90_522, "{memo:?}");
+            let cache = suite.runner().cache_stats();
+            assert_eq!(
+                (cache.hits, cache.misses, cache.evictions),
+                (0, 156, 0),
+                "cap {cap:?}"
+            );
+        }
     }
 
     #[test]

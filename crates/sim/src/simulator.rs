@@ -941,6 +941,35 @@ mod tests {
         for short in [GemmShape::new(32, 64, 96), GemmShape::new(32, 64, 112)] {
             assert!(sim.spec_plan(short).unwrap().is_none(), "{short:?}");
         }
+        // One shape per kind of walk: even M; a ragged M whose run is whole
+        // columns, or the first column's full blocks; a ragged N; a cap
+        // that ends inside a column; and 96 reduction steps per block.
+        // Each pins its (block count, period, uniform end), the blocks fed
+        // before the first block probe, and the cell's (pieces fed, strides
+        // skipped, reduction steps skipped).
+        for (shape, cap, walk, warm_up, work) in [
+            ((192, 64, 192), None, (36, 1, 36), 4, (5, 31, 0)),
+            ((200, 64, 192), None, (42, 7, 42), 7, (14, 4, 0)),
+            ((400, 64, 40), None, (26, 1, 12), 4, (19, 7, 0)),
+            ((192, 70, 200), None, (42, 1, 36), 3, (10, 32, 0)),
+            ((192, 64, 192), Some(100), (13, 1, 13), 4, (5, 8, 0)),
+            ((64, 3072, 80), None, (6, 1, 4), 1, (14, 336, 334)),
+        ] {
+            let sim = sim.clone().with_matmul_cap(cap).unwrap();
+            let shape = GemmShape::new(shape.0, shape.1, shape.2);
+            let plan = sim.spec_plan(shape).unwrap().unwrap();
+            let blocks = sim.generator.block_count(shape).unwrap();
+            let report = sim.run_gemm(shape).unwrap().pipeline;
+            assert_eq!(
+                (
+                    (blocks, plan.stride_blocks, plan.uniform_end),
+                    plan.warm_up_blocks,
+                    (report.segments, report.spec_forks, report.spec_step_forks)
+                ),
+                (walk, warm_up, work),
+                "{shape:?} at cap {cap:?}"
+            );
+        }
     }
 
     #[test]
