@@ -8,9 +8,8 @@ use rasa_isa::Program;
 use rasa_numeric::GemmShape;
 use rasa_power::{EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
-use rasa_trace::{GemmKernelConfig, GemmTraceStream, PieceKey, TraceGenerator};
+use rasa_trace::{GemmKernelConfig, GemmTraceStream, PieceKey, TraceGenerator, WalkPlan};
 use rasa_workloads::LayerSpec;
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Default cap on the number of `rasa_mm` instructions simulated per
@@ -25,22 +24,29 @@ pub(crate) const DEFAULT_MATMUL_CAP: usize = 4096;
 /// gives up and feeds the rest of that level's uniform run sequentially.
 const SPEC_PROBE_STRIDES: usize = 8;
 
-/// The deterministic fast-forward schedule of a cell: how many register
-/// blocks one stride spans, how many warm the pipeline up before the first
-/// probe, and where the uniform (periodic) region of the block walk ends.
-#[derive(Debug, Clone, Copy)]
-struct SpecPlan {
-    /// Register blocks per stride — one period of the block walk, so every
-    /// stride carries identical work.
-    stride_blocks: usize,
-    /// Blocks fed before the first probe: whole strides, about
-    /// ⌈`rob_size` / instructions per stride⌉ of them (one at least), as a
-    /// block warms up its reduction steps.
-    warm_up_blocks: usize,
-    /// Blocks `>= uniform_end` (a ragged block column, or the rest of a
-    /// walk whose uniform run is its first column) are never skipped; they
-    /// are fed sequentially after the fast-forward.
-    uniform_end: usize,
+/// The block strides a cell feeds before its first block probe, or `None`
+/// when no stride is skipped: the uniform run must hold the warm-up, two
+/// probe strides (a first comparison and one retry) and at least one
+/// skipped stride. A stride is one period of the walk, capped or not, and
+/// the warm-up spans about ⌈`rob_size` / instructions per stride⌉ of them
+/// (one at least, the whole run at most), as a block warms up its
+/// reduction steps.
+fn warm_up_strides(plan: &WalkPlan, rob_size: usize) -> Option<usize> {
+    let (period, run) = (plan.period(), plan.uniform_end() / plan.period());
+    let stride = period * plan.block_len(0);
+    (run >= 4).then(|| rob_size.div_ceil(stride.max(1)).clamp(1, run))
+}
+
+/// The reduction step block `block`'s in-block probe measures first: past
+/// a warm-up of about ⌈`rob_size` / instructions per step⌉ steps, inside
+/// the uniform steps. `None` when they do not hold that step, a probe step
+/// and one skipped step; the block is then fed whole.
+fn probe_step(plan: &WalkPlan, block: usize, rob_size: usize) -> Option<usize> {
+    let uniform = plan.repeated_steps();
+    let first = rob_size
+        .div_ceil(plan.step_len(block).max(1))
+        .max(uniform.start);
+    (first + 2 <= uniform.end).then_some(first)
 }
 
 /// End-to-end simulator for one design point.
@@ -87,8 +93,9 @@ impl<E: Into<SimError>> From<E> for Halt {
     }
 }
 
-/// One cell in flight: its run, the trace stream whose cursor it walks,
-/// and the checkpoints the in-block probe refills from block to block.
+/// One cell in flight: its run, the trace stream whose cursor walks the
+/// cell's plan, and the checkpoints the in-block probe refills from block
+/// to block.
 struct CellRun<'a> {
     sim: &'a Simulator,
     /// The memo a recalling run reads its whole walk through; `None` for a
@@ -96,8 +103,6 @@ struct CellRun<'a> {
     view: Option<&'a MemoView<'a, PieceKey>>,
     run: SpeculativeRun,
     stream: GemmTraceStream,
-    /// The reduction steps every block of the cell repeats identically.
-    uniform_steps: Range<usize>,
     /// The in-block probe's seed and probe checkpoints.
     step_checkpoints: [SpecCheckpoint; 2],
     /// Reduction steps skipped inside blocks.
@@ -234,7 +239,7 @@ impl Simulator {
         let gen = prof::time(Stage::TraceGen);
         let program = self.generator.gemm(shape, layer.name())?;
         drop(gen);
-        let total = self.generator.matmul_count(shape)?;
+        let total = self.generator.plan(shape)?.matmuls();
         self.run_program_on(&program, total as u64, layer.name(), true)
     }
 
@@ -285,22 +290,22 @@ impl Simulator {
     /// block-level fast-forward prefix, then every remaining register block
     /// generated piece by piece straight into the core.
     ///
-    /// Capped or not, the run walks exactly the blocks of
-    /// [`TraceGenerator::block_count`] with one
-    /// [`TraceGenerator::gemm_blocks`] cursor, and every feed is one
-    /// *piece* — a range of one block's reduction steps
-    /// ([`GemmTraceStream::steps_to`]). Without fast-forward each block is
-    /// one piece, fed with no memo. With it, two levels skip work:
+    /// The cell's [`WalkPlan`] is built once. Capped or not, the run walks
+    /// exactly its blocks with one [`TraceGenerator::gemm_blocks`] cursor,
+    /// and every feed is one *piece* — a range of one block's reduction
+    /// steps ([`GemmTraceStream::steps_to`]). Without fast-forward each
+    /// block is one piece, fed with no memo. With it, two levels skip work:
     ///
-    /// * **blocks** ([`TraceGenerator::uniform_blocks`]): warm up one
-    ///   stride, probe stride by stride until one stride boundary is an
-    ///   exact translation of its predecessor, then skip the remaining
+    /// * **blocks** ([`WalkPlan::period`], [`WalkPlan::uniform_end`]): warm
+    ///   up about ⌈`rob_size` / instructions per stride⌉ strides of one
+    ///   period each, probe stride by stride until one stride boundary is
+    ///   an exact translation of its predecessor, then skip the remaining
     ///   whole strides of the uniform run;
-    /// * **reduction steps** ([`TraceGenerator::uniform_steps`]): inside
-    ///   every block that is fed — the warm-up and probe strides, and every
-    ///   block after the skip — warm up about ⌈`rob_size` / instructions
-    ///   per step⌉ steps, probe step by step, then skip the rest of the
-    ///   block's uniform steps. A block too short for that is one piece.
+    /// * **reduction steps** ([`WalkPlan::repeated_steps`]): inside every
+    ///   block that is fed — the warm-up and probe strides, and every block
+    ///   after the skip — warm up about ⌈`rob_size` / instructions per
+    ///   step⌉ steps, probe step by step, then skip the rest of the block's
+    ///   uniform steps. A block too short for that is one piece.
     ///
     /// Each probe tries at most `SPEC_PROBE_STRIDES` repeats. The schedule
     /// derives only from the shape, the kernel and the core configuration,
@@ -313,16 +318,18 @@ impl Simulator {
     /// schedule with no core: every piece, and the final drain, is recalled
     /// from the simulator's memo of transitions ([`SpeculativeRun::recall`]),
     /// read under one lock for the whole walk ([`SpecMemo::view`]), and no
-    /// trace is generated. Only if the memo lacks one does the cell rerun
-    /// from its start with a core, recording every piece it feeds and
+    /// trace is generated: its cursor only moves, so it builds no trace
+    /// builder. Only if the memo lacks one does the cell rerun the same
+    /// plan from its start with a core, recording every piece it feeds and
     /// shifting past the recorded fixed points it meets. The walk, and so
     /// the report, `sched` and `pipeline` included, is the same either way.
     fn run_shape(&self, shape: GemmShape, name: &str) -> Result<SimReport, SimError> {
+        let plan = self.generator.plan(shape)?;
         if self.speculation {
             // The view goes before the run with a core records.
             let view = self.memo.view();
             let recall = SpeculativeRun::recall(self.design.cpu(), self.design.systolic());
-            if let Some(report) = self.walk(shape, name, recall, Some(&view))? {
+            if let Some(report) = self.walk(plan, name, recall, Some(&view))? {
                 return Ok(report);
             }
         }
@@ -330,31 +337,29 @@ impl Simulator {
         let core = CpuCore::new(*self.design.cpu(), engine);
         let run = SpeculativeRun::begin(core, self.generator.isa())?;
         Ok(self
-            .walk(shape, name, run, None)?
+            .walk(plan, name, run, None)?
             .expect("a run with a core never misses"))
     }
 
-    /// Walks the cell of `shape` on `run`, a recalling run reading `view`
+    /// Walks the cell of `plan` on `run`, a recalling run reading `view`
     /// or a run with a core; `None` when the recalling run missed a
     /// transition.
     fn walk(
         &self,
-        shape: GemmShape,
+        plan: WalkPlan,
         name: &str,
         run: SpeculativeRun,
         view: Option<&MemoView<'_, PieceKey>>,
     ) -> Result<Option<SimReport>, SimError> {
-        let total_matmuls = self.generator.matmul_count(shape)? as u64;
         let cell = CellRun {
             sim: self,
             view,
             run,
-            stream: self.generator.gemm_blocks(shape)?,
-            uniform_steps: self.generator.uniform_steps(shape)?,
+            stream: self.generator.gemm_blocks(plan),
             step_checkpoints: Default::default(),
             skipped_steps: 0,
         };
-        let (cpu_stats, sched, stream, skipped_steps) = match cell.execute(self.spec_plan(shape)?) {
+        let (cpu_stats, sched, stream, skipped_steps) = match cell.execute() {
             Ok(stats) => stats,
             Err(Halt::Missed) => return Ok(None),
             Err(Halt::Failed(error)) => return Err(error),
@@ -372,57 +377,9 @@ impl Simulator {
             cpu_stats,
             sched,
             pipeline,
-            total_matmuls,
+            plan.matmuls() as u64,
             name,
         )))
-    }
-
-    /// The first reduction step a block's in-block probe measures: past
-    /// the warm-up of about ⌈`rob_size` / `step_len`⌉ steps, and inside the
-    /// uniform range.
-    fn first_probe_step(&self, uniform: &Range<usize>, step_len: usize) -> usize {
-        self.design
-            .cpu()
-            .rob_size
-            .div_ceil(step_len.max(1))
-            .max(uniform.start)
-    }
-
-    /// Whether a block whose uniform steps are `uniform`, `step_len`
-    /// instructions each, holds a warm-up, a probe step and one skipped
-    /// step.
-    fn holds_step_probe(&self, uniform: &Range<usize>, step_len: usize) -> bool {
-        self.first_probe_step(uniform, step_len) + 2 <= uniform.end
-    }
-
-    /// The deterministic block-level fast-forward schedule for `shape`, or
-    /// `None` when no block stride is skipped: fast-forward is off, or the
-    /// uniform block region is too short to hold a warm-up stride, a probe
-    /// and a skipped stride. One stride is one period of the block walk,
-    /// capped or not; short blocks warm up over several strides.
-    fn spec_plan(&self, shape: GemmShape) -> Result<Option<SpecPlan>, SimError> {
-        if !self.speculation {
-            return Ok(None);
-        }
-        let (stride_blocks, uniform_end) = self.generator.uniform_blocks(shape)?;
-        // Worth it only when the uniform region holds the warm-up stride,
-        // two probe strides (a first comparison and one retry) and at
-        // least one skipped stride.
-        if uniform_end < stride_blocks * 4 {
-            return Ok(None);
-        }
-        let stride_instructions = stride_blocks * self.generator.block_instructions(shape)?;
-        let warm_up_strides = self
-            .design
-            .cpu()
-            .rob_size
-            .div_ceil(stride_instructions.max(1))
-            .max(1);
-        Ok(Some(SpecPlan {
-            stride_blocks,
-            warm_up_blocks: (warm_up_strides * stride_blocks).min(uniform_end),
-            uniform_end,
-        }))
     }
 
     fn report(
@@ -463,18 +420,21 @@ impl Simulator {
 }
 
 impl CellRun<'_> {
-    /// Walks the whole cell — the block-level fast-forward prefix of
-    /// `plan`, the remaining blocks, the drain — and returns its
-    /// statistics and the reduction steps it skipped inside blocks.
-    fn execute(
-        mut self,
-        plan: Option<SpecPlan>,
-    ) -> Result<(CpuStats, SchedStats, StreamStats, u64), Halt> {
-        if let Some(plan) = plan {
-            self.fast_forward_prefix(plan)?;
+    /// The core's reorder-buffer size, which sets both warm-ups.
+    fn rob_size(&self) -> usize {
+        self.sim.design.cpu().rob_size
+    }
+
+    /// Walks the whole cell — the block-level fast-forward prefix, the
+    /// remaining blocks, the drain — and returns its statistics and the
+    /// reduction steps it skipped inside blocks.
+    fn execute(mut self) -> Result<(CpuStats, SchedStats, StreamStats, u64), Halt> {
+        let plan = *self.stream.plan();
+        let warm_up = warm_up_strides(&plan, self.rob_size()).filter(|_| self.sim.speculation);
+        if let Some(strides) = warm_up {
+            self.fast_forward_prefix(strides)?;
         }
-        let blocks = self.stream.cursor_block() + self.stream.blocks_remaining();
-        self.feed_blocks_to(blocks)?;
+        self.feed_blocks_to(plan.blocks())?;
         let stats = match self.view {
             Some(view) => self.run.recall_drain(view).ok_or(Halt::Missed)?,
             None if self.sim.speculation => self.run.finish_with(&self.sim.memo)?,
@@ -563,11 +523,10 @@ impl CellRun<'_> {
     /// uniform steps and finished with its last step, which stores the
     /// accumulators. Any other block is one piece.
     fn feed_block(&mut self) -> Result<(), Halt> {
-        let uniform = self.uniform_steps.clone();
-        let step_len = self.stream.step_instructions();
-        let end = self.stream.block_steps();
-        if self.sim.speculation && self.sim.holds_step_probe(&uniform, step_len) {
-            let mut next = self.sim.first_probe_step(&uniform, step_len);
+        let plan = *self.stream.plan();
+        let uniform = plan.repeated_steps();
+        let probe = probe_step(&plan, self.stream.cursor_block(), self.rob_size());
+        if let Some(mut next) = probe.filter(|_| self.sim.speculation) {
             self.feed(next)?;
             let mut checkpoints = std::mem::take(&mut self.step_checkpoints);
             let delta = self.probe(&mut checkpoints, |cell| {
@@ -586,14 +545,14 @@ impl CellRun<'_> {
                 self.skipped_steps += skipped as u64;
             }
         }
-        self.feed(end)?;
+        self.feed(plan.steps())?;
         Ok(())
     }
 
     /// The block-level fast-forward prefix of a cell, leaving the stream's
     /// cursor at the first register block still to be fed.
     ///
-    /// Warm up the plan's strides to move the pipeline off the cold-start
+    /// Warm up `warm_up` strides to move the pipeline off the cold-start
     /// transient, then probe stride by stride. Once a delta is confirmed,
     /// every remaining whole stride of the uniform region is the same work
     /// with only its addresses changed, so the run skips them in O(1): it
@@ -603,12 +562,13 @@ impl CellRun<'_> {
     /// a ragged first one — is left to the sequential feed. Every block
     /// fed here fast-forwards inside itself too; the stride's delta, the
     /// difference of two cumulative checkpoints, spans those skips.
-    fn fast_forward_prefix(&mut self, plan: SpecPlan) -> Result<(), Halt> {
-        let stride = plan.stride_blocks;
-        self.feed_blocks_to(plan.warm_up_blocks)?;
-        let mut next = plan.warm_up_blocks;
+    fn fast_forward_prefix(&mut self, warm_up: usize) -> Result<(), Halt> {
+        let plan = *self.stream.plan();
+        let (stride, uniform_end) = (plan.period(), plan.uniform_end());
+        let mut next = warm_up * stride;
+        self.feed_blocks_to(next)?;
         let delta = self.probe(&mut Default::default(), |cell| {
-            if next + stride > plan.uniform_end {
+            if next + stride > uniform_end {
                 return Ok(false);
             }
             next += stride;
@@ -616,7 +576,7 @@ impl CellRun<'_> {
             Ok(true)
         })?;
         if let Some(delta) = delta {
-            let strides = (plan.uniform_end - next) / stride;
+            let strides = (uniform_end - next) / stride;
             self.run.fast_forward(&delta, strides as u64);
             self.stream.skip_blocks(strides * stride)?;
         }
@@ -711,7 +671,7 @@ mod tests {
     /// ([`CpuCore::run`]).
     fn materialized(sim: &Simulator, shape: GemmShape) -> SimReport {
         let program = sim.generator.gemm(shape, "oracle").unwrap();
-        let total = sim.generator.matmul_count(shape).unwrap() as u64;
+        let total = sim.generator.plan(shape).unwrap().matmuls() as u64;
         sim.run_program(&program, total, "oracle").unwrap()
     }
 
@@ -759,8 +719,8 @@ mod tests {
     #[test]
     fn capped_cells_stream_exactly_the_gemm_stream_segments() {
         // Without fast-forward a capped cell feeds every block of its walk
-        // whole, as one piece: exactly the `block_count` whole-block
-        // segments of a `gemm_blocks` cursor, never more than one of them
+        // whole, as one piece: exactly the whole-block segments of a
+        // `gemm_blocks` cursor over its plan, never more than one of them
         // resident, and it records nothing in the memo.
         let sim = Simulator::new(DesignPoint::baseline())
             .unwrap()
@@ -769,14 +729,15 @@ mod tests {
             .with_speculation(false);
         let shape = GemmShape::new(512, 256, 512);
         let report = sim.run_gemm(shape).unwrap();
-        let mut stream = sim.generator.gemm_blocks(shape).unwrap();
+        let plan = sim.generator.plan(shape).unwrap();
+        let mut stream = sim.generator.gemm_blocks(plan);
         let (mut segments, mut longest) = (0u64, 0u64);
-        while let Some(block) = stream.steps_to(stream.block_steps()).unwrap() {
+        while let Some(block) = stream.steps_to(plan.steps()).unwrap() {
             segments += 1;
             longest = longest.max(block.len() as u64);
         }
         assert!(report.is_extrapolated());
-        assert_eq!(segments, sim.generator.block_count(shape).unwrap() as u64);
+        assert_eq!(segments, plan.blocks() as u64);
         assert_eq!(report.pipeline.segments, segments);
         assert!(report.pipeline.peak_resident_instructions <= longest);
         assert_eq!(sim.memo_stats(), MemoStats::default());
@@ -903,9 +864,10 @@ mod tests {
         let sim = Simulator::new(DesignPoint::baseline()).unwrap();
         assert!(sim.is_speculative());
         let shape = GemmShape::new(1024, 1024, 1024);
-        let plan = sim.spec_plan(shape).unwrap().expect("a capped cell plans");
-        let blocks = sim.generator.block_count(shape).unwrap();
-        assert_eq!((plan.stride_blocks, plan.uniform_end), (1, blocks));
+        let plan = sim.generator.plan(shape).unwrap();
+        assert_eq!((plan.period(), plan.uniform_end()), (1, plan.blocks()));
+        let rob = sim.design().cpu().rob_size;
+        assert!(warm_up_strides(&plan, rob).is_some(), "a capped cell plans");
         let fast = sim.run_gemm(shape).unwrap();
         let sequential = sim.clone().with_speculation(false).run_gemm(shape).unwrap();
         let materialized = materialized(&sim, shape);
@@ -933,13 +895,15 @@ mod tests {
             .unwrap()
             .with_matmul_cap(None)
             .unwrap();
-        let plan = sim.spec_plan(GemmShape::new(32, 64, 128)).unwrap().unwrap();
-        assert_eq!((plan.stride_blocks, plan.uniform_end), (1, 4));
+        let rob = sim.design().cpu().rob_size;
+        let plan = |sim: &Simulator, shape| sim.generator.plan(shape).unwrap();
+        let even = plan(&sim, GemmShape::new(32, 64, 128));
+        assert_eq!((even.period(), even.uniform_end()), (1, 4));
         // Its 2×2 blocks of two steps are 32 instructions, so the 97-entry
         // ROB warms up over four of them before the first probe.
-        assert_eq!(plan.warm_up_blocks, 4);
+        assert_eq!(warm_up_strides(&even, rob), Some(4));
         for short in [GemmShape::new(32, 64, 96), GemmShape::new(32, 64, 112)] {
-            assert!(sim.spec_plan(short).unwrap().is_none(), "{short:?}");
+            assert_eq!(warm_up_strides(&plan(&sim, short), rob), None, "{short:?}");
         }
         // One shape per kind of walk: even M; a ragged M whose run is whole
         // columns, or the first column's full blocks; a ragged N; a cap
@@ -957,16 +921,16 @@ mod tests {
         ] {
             let sim = sim.clone().with_matmul_cap(cap).unwrap();
             let shape = GemmShape::new(shape.0, shape.1, shape.2);
-            let plan = sim.spec_plan(shape).unwrap().unwrap();
-            let blocks = sim.generator.block_count(shape).unwrap();
+            let plan = plan(&sim, shape);
+            let warm_up_blocks = warm_up_strides(&plan, rob).map(|strides| strides * plan.period());
             let report = sim.run_gemm(shape).unwrap().pipeline;
             assert_eq!(
                 (
-                    (blocks, plan.stride_blocks, plan.uniform_end),
-                    plan.warm_up_blocks,
+                    (plan.blocks(), plan.period(), plan.uniform_end()),
+                    warm_up_blocks,
                     (report.segments, report.spec_forks, report.spec_step_forks)
                 ),
-                (walk, warm_up, work),
+                (walk, Some(warm_up), work),
                 "{shape:?} at cap {cap:?}"
             );
         }
@@ -1021,13 +985,18 @@ mod tests {
         // The default core's 97-entry ROB holds about nine 12-instruction
         // 2×2 steps, so the first probe measures step 9 and a block needs
         // uniform steps 1..11 (twelve steps) to skip one; a ragged block's
-        // 9-instruction steps need two more.
+        // 9-instruction steps (one row by two columns, the second block of
+        // a three-row-tile column) need two more.
         let sim = Simulator::new(DesignPoint::baseline()).unwrap();
-        assert_eq!(sim.first_probe_step(&(1..11), 12), 9);
-        assert!(sim.holds_step_probe(&(1..11), 12));
-        assert!(!sim.holds_step_probe(&(1..10), 12));
-        assert!(sim.holds_step_probe(&(1..13), 9));
-        assert!(!sim.holds_step_probe(&(1..12), 9));
+        let rob = sim.design().cpu().rob_size;
+        let plan = |m, k| sim.generator.plan(GemmShape::new(m, k, 32)).unwrap();
+        assert_eq!(plan(32, 384).repeated_steps(), 1..11);
+        assert_eq!(probe_step(&plan(32, 384), 0, rob), Some(9));
+        assert_eq!(probe_step(&plan(32, 352), 0, rob), None);
+        assert_eq!(plan(48, 448).step_len(1), 9);
+        assert_eq!(probe_step(&plan(48, 448), 0, rob), Some(9));
+        assert_eq!(probe_step(&plan(48, 448), 1, rob), Some(11));
+        assert_eq!(probe_step(&plan(48, 416), 1, rob), None);
         // A block too short to skip a step is fed whole.
         let sim = sim.with_matmul_cap(None).unwrap();
         let short = sim.run_gemm(GemmShape::new(32, 352, 32)).unwrap();

@@ -60,7 +60,7 @@ pub struct GemmKernelConfig {
     pub emit_scalar_overhead: bool,
     /// Optional cap on the number of `rasa_mm` instructions emitted; the
     /// block walk ends with the register block that reaches the cap (see
-    /// [`crate::TraceGenerator::block_count`]). Used to keep
+    /// [`crate::WalkPlan::blocks`]). Used to keep
     /// cycle-level simulations of very large layers tractable — the caller
     /// can extrapolate using the true tile count.
     pub max_matmuls: Option<usize>,

@@ -1,6 +1,6 @@
-use crate::{GemmKernelConfig, LoopOrder, MatmulOrder, TraceError};
+use crate::{GemmKernelConfig, LoopOrder, MatmulOrder, TraceError, WalkPlan};
 use rasa_isa::{GprReg, IsaConfig, MemRef, Program, ProgramBuilder, TileReg};
-use rasa_numeric::{ConvShape, GemmShape, NumericError, TileGrid};
+use rasa_numeric::{ConvShape, GemmShape};
 use std::ops::Range;
 
 /// Base addresses used for the three operand matrices in generated traces.
@@ -20,7 +20,7 @@ const TILE_BYTES: u64 = 1024;
 ///
 /// See the crate documentation for the kernel structure. The generator is
 /// deterministic: the same shape always produces the same program.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct TraceGenerator {
     isa: IsaConfig,
     kernel: GemmKernelConfig,
@@ -94,18 +94,6 @@ impl TraceGenerator {
         TraceGenerator::new(self.isa, kernel)
     }
 
-    /// The total number of `rasa_mm` instructions a full (uncapped) trace of
-    /// `shape` contains: one per (M, K, N) register tile.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM, or one with more
-    /// register tiles than `usize` counts.
-    pub fn matmul_count(&self, shape: GemmShape) -> Result<usize, TraceError> {
-        let (mt, kt, nt) = self.tile_dims(shape)?;
-        Ok(mt * kt * nt)
-    }
-
     fn a_addr(&self, mi: usize, ki: usize, k_tiles: usize) -> u64 {
         A_BASE + ((mi * k_tiles + ki) as u64) * TILE_BYTES
     }
@@ -118,173 +106,27 @@ impl TraceGenerator {
         C_BASE + ((mi * n_tiles + ni) as u64) * TILE_BYTES
     }
 
-    /// The (mt, kt, nt) tile grid of a shape under this generator's tiling.
-    /// Its tile count `mt·kt·nt` is checked to fit in `usize`, so every
-    /// product of fewer grid dimensions fits too.
-    pub(crate) fn tile_dims(&self, shape: GemmShape) -> Result<(usize, usize, usize), TraceError> {
-        let grid = TileGrid::new(shape, self.kernel.tiling)?;
-        let dims = (grid.m_tiles(), grid.k_tiles(), grid.n_tiles());
-        checked_product(shape, &[dims.0, dims.1, dims.2])?;
-        Ok(dims)
-    }
-
-    /// The number of register blocks a trace of `shape` walks: every
-    /// trace, materialized or streamed, is exactly blocks
-    /// `0..block_count`. Blocks are ordered n-block-major: linear index
-    /// `nb * mb_count + mb`, with the block shape taken from the kernel
-    /// scheme (2×2 by default).
-    ///
-    /// A matmul cap shortens the walk to the blocks up to and including
-    /// the first one that brings the emitted `rasa_mm` count to the cap, so
-    /// the last block may overshoot it; a cap past the whole trace leaves
-    /// the walk whole.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM, or one whose tile
-    /// counts overflow `usize`.
-    pub fn block_count(&self, shape: GemmShape) -> Result<usize, TraceError> {
-        let (mt, kt, nt) = self.tile_dims(shape)?;
-        let block = self.kernel.scheme.block;
-        let column = block.m_blocks(mt);
-        let walk = block.n_blocks(nt) * column;
-        let Some(cap) = self.kernel.max_matmuls else {
-            return Ok(walk);
-        };
-        // The full-width columns the cap covers whole, then the rows of the
-        // next column up to the block that reaches it.
-        let column_matmuls = checked_product(shape, &[kt, mt, block.n])?;
-        let columns = (cap / column_matmuls).min(nt / block.n);
-        let width = (nt - columns * block.n).min(block.n);
-        if width == 0 {
-            return Ok(walk);
-        }
-        let rows = (cap - columns * column_matmuls)
-            .div_ceil(checked_product(shape, &[kt, width, block.m])?);
-        Ok(columns * column + rows.min(column))
-    }
-
-    /// The periodic structure of `shape`'s block walk, as `(period,
-    /// uniform_end)`: blocks `[0, uniform_end)` are a run of identical
-    /// `period`-block windows — the same instructions once memory
-    /// addresses are stripped — inside the (possibly capped) walk
-    /// `0..block_count`.
-    ///
-    /// The walk is n-block-major: a column of row blocks per block-width
-    /// tile column. An N that does not divide by the block width makes the
-    /// whole last column ragged, and it lies past `uniform_end`. An M that
-    /// does not divide by the block height makes the last block of every
-    /// column ragged; the run is then whichever spans more periods — whole
-    /// columns (period one column), or the full blocks inside the first
-    /// column (period one block).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM.
-    pub fn uniform_blocks(&self, shape: GemmShape) -> Result<(usize, usize), TraceError> {
-        let (mt, _, nt) = self.tile_dims(shape)?;
-        let walk = self.block_count(shape)?;
-        let block = self.kernel.scheme.block;
-        let column = block.m_blocks(mt);
-        if mt % block.m == 0 {
-            return Ok((1, (nt / block.n * column).min(walk)));
-        }
-        let columns = (nt / block.n).min(walk / column);
-        let first_column = (mt / block.m).min(walk);
-        if columns >= first_column {
-            Ok((column, columns * column))
-        } else {
-            Ok((1, first_column))
-        }
-    }
-
-    /// The reduction steps every register block of `shape` repeats
-    /// identically up to memory addresses: all but the first and the last.
-    /// Step `k` is iteration `k` of the block's K loop. Under K-innermost
-    /// the first step also loads the block's accumulators and the last one
-    /// stores them; with scalar overhead the last step's loop branch is the
-    /// one not taken. The range is the same for every block, ragged edge
-    /// blocks included (theirs repeat a narrower step), and empty when the
-    /// block has fewer than three steps.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM.
-    pub fn uniform_steps(&self, shape: GemmShape) -> Result<Range<usize>, TraceError> {
-        let (_, kt, _) = self.tile_dims(shape)?;
-        Ok(uniform_step_range(kt))
-    }
-
-    /// Instructions one uniform reduction step of `shape`'s widest register
-    /// block emits — the most any block of the walk repeats per step; a
-    /// ragged edge block repeats fewer
-    /// ([`crate::GemmTraceStream::step_instructions`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM.
-    pub fn step_instructions(&self, shape: GemmShape) -> Result<usize, TraceError> {
-        let (mt, _, nt) = self.tile_dims(shape)?;
-        let block = self.kernel.scheme.block;
-        Ok(self.block_step_instructions(block.m.min(mt), block.n.min(nt)))
-    }
-
-    /// Instructions `shape`'s widest register block emits — the most any
-    /// block of the walk does: its reduction steps, and the loads and
-    /// stores of its accumulators when they stay resident (K-innermost).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM.
-    pub fn block_instructions(&self, shape: GemmShape) -> Result<usize, TraceError> {
-        let (mt, kt, nt) = self.tile_dims(shape)?;
-        let block = self.kernel.scheme.block;
-        let (rows, cols) = (block.m.min(mt), block.n.min(nt));
-        let accumulators = match self.kernel.scheme.loop_order {
-            LoopOrder::KInnermost => 2 * rows * cols,
-            LoopOrder::NInnermost => 0,
-        };
-        Ok(kt * self.block_step_instructions(rows, cols) + accumulators)
-    }
-
-    /// Instructions one uniform reduction step emits in a block of `rows`
-    /// row tiles by `cols` column tiles: its A and B tile loads and
-    /// `rasa_mm`s, the accumulator loads and stores N-innermost spills
-    /// around every step, and the scalar overhead with its branch.
-    pub(crate) fn block_step_instructions(&self, rows: usize, cols: usize) -> usize {
-        let scheme = &self.kernel.scheme;
-        let spills = match scheme.loop_order {
-            LoopOrder::KInnermost => 0,
-            LoopOrder::NInnermost => 2 * rows * cols,
-        };
-        let scalar = if self.kernel.emit_scalar_overhead {
-            usize::from(scheme.scalar_ops_per_step) + 1
-        } else {
-            0
-        };
-        rows + cols + rows * cols + spills + scalar
-    }
-
-    /// Emits reduction steps `steps` of the register block at `(nb, mb)`;
-    /// `0..kt` is the whole block (accumulator loads, the K reduction loop,
-    /// accumulator stores). The block shape, loop order and scalar-overhead
-    /// model all come from the kernel scheme; the default scheme reproduces
-    /// the pre-scheme 2×2 Algorithm-1 sequence byte for byte. Shared by the
-    /// materialized [`TraceGenerator::gemm`] path and the streaming cursor,
-    /// so both emit the identical instruction sequence.
+    /// Emits reduction steps `steps` of block `block` of `plan`'s walk;
+    /// `0..plan.steps()` is the whole block (accumulator loads, the K
+    /// reduction loop, accumulator stores). The block shape, loop order and
+    /// scalar-overhead model all come from the kernel scheme; the default
+    /// scheme reproduces the pre-scheme 2×2 Algorithm-1 sequence byte for
+    /// byte. Shared by the materialized [`TraceGenerator::gemm`] path and
+    /// the streaming cursor, so both emit the identical instruction
+    /// sequence.
     pub(crate) fn emit_steps(
         &self,
         b: &mut ProgramBuilder,
-        (mt, kt, nt): (usize, usize, usize),
-        (nb, mb): (usize, usize),
+        plan: &WalkPlan,
+        block: usize,
         steps: Range<usize>,
     ) {
+        let (_, kt, nt) = plan.grid;
+        let (m_here, n_here) = plan.tile_ranges(block);
         // Register allocation generalizing Algorithm 1: accumulators first,
         // then the weight (B) tiles, then the activation (A) tiles — for the
         // default 2×2 block exactly C=treg0..3, B=treg4..5, A=treg6..7.
         let block = self.kernel.scheme.block;
-        let n_here = block.n * nb..(block.n * nb + block.n).min(nt);
-        let m_here = block.m * mb..(block.m * mb + block.m).min(mt);
         let treg =
             |i: usize| TileReg::new(i as u8).expect("validated register blocks fit the tile file");
         let c_reg = |m_idx: usize, n_idx: usize| treg(m_idx * n_here.len() + n_idx);
@@ -388,9 +230,10 @@ impl TraceGenerator {
     /// which keeps each B tile register live across consecutive `rasa_mm`
     /// instructions — the reuse pattern WLBP and WLS exploit.
     ///
-    /// The streaming counterpart, a [`TraceGenerator::gemm_blocks`] cursor,
-    /// emits the identical instruction sequence as bounded
-    /// [`rasa_isa::ProgramSegment`]s without materializing the whole trace.
+    /// The streaming counterpart, a [`TraceGenerator::gemm_blocks`] cursor
+    /// over the same [`WalkPlan`], emits the identical instruction sequence
+    /// as bounded [`rasa_isa::ProgramSegment`]s without materializing the
+    /// whole trace.
     ///
     /// # Errors
     ///
@@ -398,16 +241,12 @@ impl TraceGenerator {
     /// [`TraceError::Emit`] if the emitted program fails ISA validation
     /// (which would be a generator bug).
     pub fn gemm(&self, shape: GemmShape, name: &str) -> Result<Program, TraceError> {
-        let dims = self.tile_dims(shape)?;
-        let column = self.kernel.scheme.block.m_blocks(dims.0);
-
+        let plan = self.plan(shape)?;
         let mut b = ProgramBuilder::new(self.isa);
         b.set_name(name);
-
-        for block in 0..self.block_count(shape)? {
-            self.emit_steps(&mut b, dims, (block / column, block % column), 0..dims.1);
+        for block in 0..plan.blocks() {
+            self.emit_steps(&mut b, &plan, block, 0..plan.steps());
         }
-
         Ok(b.finish()?)
     }
 
@@ -430,25 +269,6 @@ impl Default for TraceGenerator {
     }
 }
 
-/// The uniform reduction steps of a block of `kt` steps (see
-/// [`TraceGenerator::uniform_steps`]).
-pub(crate) fn uniform_step_range(kt: usize) -> Range<usize> {
-    1..kt.saturating_sub(1).max(1)
-}
-
-/// The product of `factors`, or a [`TraceError::Shape`] naming `shape`
-/// when it overflows `usize`.
-fn checked_product(shape: GemmShape, factors: &[usize]) -> Result<usize, TraceError> {
-    factors
-        .iter()
-        .try_fold(1usize, |product, &factor| product.checked_mul(factor))
-        .ok_or_else(|| {
-            TraceError::Shape(NumericError::InvalidTiling {
-                reason: format!("the tile counts of {shape} overflow usize"),
-            })
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +282,7 @@ mod tests {
         // 64/16 = 4 M tiles, 64/32 = 2 K tiles, 64/16 = 4 N tiles.
         let p = g.gemm(GemmShape::new(64, 64, 64), "exact").unwrap();
         assert_eq!(p.count_matmuls(), 32);
-        assert_eq!(g.matmul_count(GemmShape::new(64, 64, 64)).unwrap(), 32);
+        assert_eq!(g.plan(GemmShape::new(64, 64, 64)).unwrap().matmuls(), 32);
         assert_eq!(p.name(), "exact");
     }
 
@@ -473,7 +293,7 @@ mod tests {
         let shape = GemmShape::new(50, 70, 40);
         let p = g.gemm(shape, "ragged").unwrap();
         assert_eq!(p.count_matmuls(), 36);
-        assert_eq!(p.count_matmuls(), g.matmul_count(shape).unwrap());
+        assert_eq!(p.count_matmuls(), g.plan(shape).unwrap().matmuls());
     }
 
     #[test]
@@ -520,7 +340,7 @@ mod tests {
             .unwrap();
         let shape = GemmShape::new(512, 512, 512);
         let p = g.gemm(shape, "capped").unwrap();
-        let full = g.matmul_count(shape).unwrap();
+        let full = g.plan(shape).unwrap().matmuls();
         assert!(p.count_matmuls() >= 10);
         // The cap is honoured at register-block granularity.
         assert!(p.count_matmuls() <= 10 + 4 * 16);
@@ -570,7 +390,7 @@ mod tests {
         let g = TraceGenerator::amx_like();
         // ResNet50-1: 1×1 conv → GEMM M=32·56·56, K=64, N=64.
         let conv = ConvShape::new(32, 64, 56, 56, 64, 1, 1, 1, 0);
-        let expected = g.matmul_count(conv.to_gemm()).unwrap();
+        let expected = g.plan(conv.to_gemm()).unwrap().matmuls();
         let g_capped = g
             .with_kernel(GemmKernelConfig::amx_like().with_max_matmuls(500))
             .unwrap();
@@ -591,7 +411,7 @@ mod tests {
     fn empty_gemm_rejected() {
         let g = TraceGenerator::amx_like();
         assert!(g.gemm(GemmShape::new(0, 32, 16), "empty").is_err());
-        assert!(g.matmul_count(GemmShape::new(0, 32, 16)).is_err());
+        assert!(g.plan(GemmShape::new(0, 32, 16)).is_err());
     }
 
     #[test]
@@ -603,22 +423,14 @@ mod tests {
             .with_kernel(GemmKernelConfig::amx_like().with_max_matmuls(4096))
             .unwrap();
         for g in [TraceGenerator::amx_like(), capped] {
-            for result in [
-                g.matmul_count(huge),
-                g.block_count(huge),
-                g.uniform_blocks(huge).map(|(period, _)| period),
-            ] {
-                let err = result.unwrap_err();
-                assert!(matches!(err, TraceError::Shape(_)), "{err}");
-                assert!(err.to_string().contains("overflow"), "{err}");
-            }
+            let err = g.plan(huge).unwrap_err();
+            assert!(matches!(err, TraceError::Shape(_)), "{err}");
+            assert!(err.to_string().contains("overflow"), "{err}");
         }
         // The largest grid that fits still counts.
         let edge = GemmShape::new(1 << 35, 1 << 37, 16);
-        assert_eq!(
-            TraceGenerator::amx_like().matmul_count(edge).unwrap(),
-            1 << 63
-        );
+        let plan = TraceGenerator::amx_like().plan(edge).unwrap();
+        assert_eq!(plan.matmuls(), 1 << 63);
     }
 
     #[test]
@@ -750,7 +562,7 @@ mod tests {
             let full = TraceGenerator::new(IsaConfig::amx_like(), kernel).unwrap();
             for shape in shapes {
                 let program = full.gemm(shape, "full").unwrap();
-                let blocks = full.block_count(shape).unwrap();
+                let blocks = full.plan(shape).unwrap().blocks();
                 // Running (rasa_mm, instruction) totals after each block.
                 let mut prefix = vec![(0, 0)];
                 for (block, piece) in block_pieces(&full, shape, 0..blocks).iter().enumerate() {
@@ -762,8 +574,7 @@ mod tests {
                 // Caps inside and on the edge of the first blocks, the
                 // ragged last block of the first column, the first block of
                 // the second column and the last block, then past the walk.
-                let (mt, _, _) = full.tile_dims(shape).unwrap();
-                let column = kernel.scheme.block.m_blocks(mt);
+                let column = kernel.scheme.block.m_blocks(shape.m.div_ceil(16));
                 let mut caps = vec![total + 1, 10 * total];
                 for block in [0, 1, column - 1, column, blocks - 1] {
                     caps.extend([prefix[block].0 + 1, prefix[block + 1].0]);
@@ -772,7 +583,7 @@ mod tests {
                     let expected = (1..=blocks).find(|&b| prefix[b].0 >= cap).unwrap_or(blocks);
                     let capped = full.with_kernel(kernel.with_max_matmuls(cap)).unwrap();
                     let what = format!("block {m}x{n}, {shape:?}, cap {cap}");
-                    assert_eq!(capped.block_count(shape).unwrap(), expected, "{what}");
+                    assert_eq!(capped.plan(shape).unwrap().blocks(), expected, "{what}");
                     let trace = capped.gemm(shape, "capped").unwrap();
                     assert_eq!(trace.count_matmuls(), prefix[expected].0, "{what}");
                     assert_eq!(
@@ -844,15 +655,15 @@ mod tests {
                         // scalar model.
                         let mut pieces = HashMap::new();
                         for shape in shapes {
-                            compared_steps += uniform_steps_repeat(&g, shape, strip);
+                            compared_steps += repeated_steps_match(&g, shape, strip);
                             let (cmp, shared) = pieces_repeat(&g, shape, strip, &mut pieces);
                             compared_pieces += cmp;
                             shared_pieces += shared;
-                            let (period, uniform_end) = g.uniform_blocks(shape).unwrap();
+                            let plan = g.plan(shape).unwrap();
+                            let (period, uniform_end) = (plan.period(), plan.uniform_end());
                             assert_eq!(uniform_end % period, 0);
-                            assert!(uniform_end <= g.block_count(shape).unwrap());
-                            let (mt, _, _) = g.tile_dims(shape).unwrap();
-                            if mt % m != 0 && period == 1 && uniform_end > 1 {
+                            assert!(uniform_end <= plan.blocks());
+                            if shape.m.div_ceil(16) % m != 0 && period == 1 && uniform_end > 1 {
                                 first_column_runs += 1;
                             }
                             for stride in [period, 2 * period, 3 * period] {
@@ -912,10 +723,9 @@ mod tests {
         strip: fn(rasa_isa::Instruction) -> rasa_isa::Instruction,
         seen: &mut HashMap<crate::PieceKey, (GemmShape, Vec<rasa_isa::Instruction>)>,
     ) -> (usize, usize) {
-        let (mt, kt, _) = g.tile_dims(shape).unwrap();
-        let uniform = g.uniform_steps(shape).unwrap();
-        let walk = g.block_count(shape).unwrap();
-        let column = g.kernel().scheme.block.m_blocks(mt);
+        let plan = g.plan(shape).unwrap();
+        let (kt, uniform, walk) = (plan.steps(), plan.repeated_steps(), plan.blocks());
+        let column = g.kernel().scheme.block.m_blocks(shape.m.div_ceil(16));
         let last_column = (walk - 1) / column * column;
         let mut blocks = vec![0, 1, column - 1, last_column, walk - 1];
         blocks.retain(|&block| block < walk);
@@ -923,22 +733,22 @@ mod tests {
         // Cuts of one block: its steps up to each cut are fed as one piece,
         // and `Some(skip)` moves the cursor to step `skip` of the uniform
         // range first.
-        let mut plans: Vec<Vec<(Option<usize>, usize)>> =
+        let mut cut_lists: Vec<Vec<(Option<usize>, usize)>> =
             vec![vec![(None, kt)], (1..=kt).map(|end| (None, end)).collect()];
         for head in [2, kt / 2, 9, 11] {
             if head > 0 && head < kt {
-                plans.push(vec![(None, head), (None, kt)]);
+                cut_lists.push(vec![(None, head), (None, kt)]);
                 if head >= uniform.start && head < uniform.end {
-                    plans.push(vec![(None, head), (Some(uniform.end), kt)]);
+                    cut_lists.push(vec![(None, head), (Some(uniform.end), kt)]);
                 }
             }
         }
         let (mut compared, mut shared) = (0, 0);
         for block in blocks {
-            for plan in &plans {
-                let mut stream = g.gemm_blocks(shape).unwrap();
+            for cuts in &cut_lists {
+                let mut stream = g.gemm_blocks(plan);
                 stream.skip_blocks(block).unwrap();
-                for &(skip, end) in plan {
+                for &(skip, end) in cuts {
                     if let Some(step) = skip {
                         stream.skip_to(step).unwrap();
                     }
@@ -965,26 +775,27 @@ mod tests {
 
     /// Checks that every step of each block's uniform step range emits the
     /// same instructions up to memory addresses (`strip`), as many as
-    /// `GemmTraceStream::step_instructions` reports, and never the
-    /// not-taken loop branch or, under K-innermost, an accumulator load or
-    /// store. Returns how many steps it compared.
-    fn uniform_steps_repeat(
+    /// `WalkPlan::step_len` reports, that each block emits
+    /// `WalkPlan::block_len` instructions, and that no uniform step emits
+    /// the not-taken loop branch or, under K-innermost, an accumulator load
+    /// or store. Returns how many steps it compared.
+    fn repeated_steps_match(
         g: &TraceGenerator,
         shape: GemmShape,
         strip: fn(rasa_isa::Instruction) -> rasa_isa::Instruction,
     ) -> usize {
         use rasa_isa::Instruction;
-        let uniform = g.uniform_steps(shape).unwrap();
-        let (_, kt, _) = g.tile_dims(shape).unwrap();
+        let plan = g.plan(shape).unwrap();
+        let (uniform, kt) = (plan.repeated_steps(), plan.steps());
         assert!(
             uniform.end < kt || uniform.is_empty(),
             "{uniform:?} of {kt}"
         );
         let resident = g.kernel().scheme.loop_order == LoopOrder::KInnermost;
         let mut compared = 0;
-        let mut stream = g.gemm_blocks(shape).unwrap();
-        for block in 0..g.block_count(shape).unwrap() {
-            let step_len = stream.step_instructions();
+        let mut stream = g.gemm_blocks(plan);
+        for block in 0..plan.blocks() {
+            let step_len = plan.step_len(block);
             let steps: Vec<Vec<Instruction>> = (1..=kt)
                 .map(|end| {
                     let segment = stream.steps_to(end).unwrap().unwrap();
@@ -994,12 +805,11 @@ mod tests {
             assert_eq!(stream.cursor_block(), block + 1);
             let what = format!("kernel {}, {shape:?}, block {block}", g.kernel());
             let emitted: usize = steps.iter().map(Vec::len).sum();
-            let widest = g.block_instructions(shape).unwrap();
-            if step_len == g.step_instructions(shape).unwrap() {
-                assert_eq!(emitted, widest, "{what}");
-            } else {
-                assert!(emitted < widest, "{what}");
-            }
+            assert_eq!(emitted, plan.block_len(block), "{what}");
+            assert!(
+                emitted <= plan.block_len(0),
+                "{what}: block 0 is the widest"
+            );
             for k in uniform.clone() {
                 assert_eq!(steps[k], steps[uniform.start], "{what}, step {k}");
                 assert_eq!(steps[k].len(), step_len, "{what}, step {k}");

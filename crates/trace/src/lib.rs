@@ -20,6 +20,13 @@
 //! * optional scalar pointer-bump and loop-branch overhead can be emitted to
 //!   make the traces look like real compiled kernels.
 //!
+//! Every trace of a shape walks the register blocks one [`WalkPlan`]
+//! ([`TraceGenerator::plan`]) lays out: the block count a matmul cap
+//! leaves, where the block walk and each block's K loop repeat, and each
+//! block's tile shape and step length. [`TraceGenerator::gemm`] emits the
+//! walk whole; a [`GemmTraceStream`] cursor over the same plan
+//! ([`TraceGenerator::gemm_blocks`]) emits it piece by piece.
+//!
 //! ## Example
 //!
 //! ```
@@ -27,9 +34,13 @@
 //! use rasa_numeric::GemmShape;
 //!
 //! let generator = TraceGenerator::amx_like();
-//! let program = generator.gemm(GemmShape::new(64, 64, 64), "toy")?;
-//! // 4 M-tiles × 2 K-tiles × 4 N-tiles = 32 rasa_mm instructions.
+//! let shape = GemmShape::new(64, 64, 64);
+//! let program = generator.gemm(shape, "toy")?;
+//! // 4 M-tiles × 2 K-tiles × 4 N-tiles = 32 rasa_mm instructions, in
+//! // 2 × 2 register blocks of 2 reduction steps each.
 //! assert_eq!(program.count_matmuls(), 32);
+//! let plan = generator.plan(shape)?;
+//! assert_eq!((plan.matmuls(), plan.blocks(), plan.steps()), (32, 4, 2));
 //! # Ok::<(), rasa_trace::TraceError>(())
 //! ```
 
@@ -39,11 +50,13 @@ mod avx;
 mod config;
 mod error;
 mod generator;
+mod plan;
 mod scheme;
 mod stream;
 
 pub use config::{GemmKernelConfig, MatmulOrder};
 pub use error::TraceError;
 pub use generator::TraceGenerator;
+pub use plan::WalkPlan;
 pub use scheme::{KernelScheme, KernelSchemeBuilder, LoopOrder};
 pub use stream::{GemmTraceStream, PieceKey};

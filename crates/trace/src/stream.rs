@@ -15,25 +15,24 @@
 //! materialized path:
 //!
 //! * **identical sequence** — both paths share the same block emitter and
-//!   walk exactly the blocks of [`TraceGenerator::block_count`], so
-//!   concatenating the pieces of a whole walk reproduces
-//!   [`TraceGenerator::gemm`]'s instruction sequence byte for byte,
-//!   matmul-cap truncation included;
+//!   walk exactly the blocks of one [`WalkPlan`], so concatenating the
+//!   pieces of a whole walk reproduces [`TraceGenerator::gemm`]'s
+//!   instruction sequence byte for byte, matmul-cap truncation included;
 //! * **carried validation** — pieces are validated by the shared
 //!   [`rasa_isa::ProgramBuilder`] segmenter with register state carried
 //!   across pieces, so a streamed trace is exactly as well-formed as its
 //!   materialized counterpart.
 //!
-//! [`TraceGenerator::gemm_blocks`] opens the cursor at the walk's first
-//! block. Inside a block it is a **step cursor**:
+//! [`TraceGenerator::gemm_blocks`] opens the cursor at the first block of a
+//! [`WalkPlan`]. Inside a block it is a **step cursor**:
 //! [`GemmTraceStream::steps_to`] emits the block's reduction steps up to a
 //! given one as a segment (up to the block's last step emits the rest of
 //! the block and moves to the next), and [`GemmTraceStream::skip_to`]
 //! moves past steps of the block's uniform range
-//! ([`TraceGenerator::uniform_steps`]) without emitting them — what
-//! `rasa-sim` does for the steps it fast-forwards. One builder carries the
-//! whole block, so the steps after a skip still validate against the
-//! accumulator and operand loads of the block's first step. Between blocks,
+//! ([`WalkPlan::repeated_steps`]) without emitting them — what `rasa-sim`
+//! does for the steps it fast-forwards. One builder carries the whole
+//! block, so the steps after a skip still validate against the accumulator
+//! and operand loads of the block's first step. Between blocks,
 //! [`GemmTraceStream::skip_blocks`] moves past whole blocks, the strides
 //! `rasa-sim` fast-forwards; every block validates on its own, so the walk
 //! resumes at any block.
@@ -44,13 +43,12 @@
 //! instructions up to memory addresses, whatever block, shape or cap of one
 //! kernel they come from — so `rasa-sim` can recall what feeding a piece did
 //! instead of generating it again, and [`GemmTraceStream::pass_to`] moves
-//! the cursor past a recalled piece without emitting it.
+//! the cursor past a recalled piece without emitting it. A cursor builds
+//! its trace builder when it first emits, so one that only moves allocates
+//! nothing.
 
-use crate::generator::uniform_step_range;
-use crate::{TraceError, TraceGenerator};
+use crate::{TraceError, TraceGenerator, WalkPlan};
 use rasa_isa::{ProgramBuilder, ProgramSegment};
-use rasa_numeric::GemmShape;
-use std::ops::Range;
 
 /// What one [`GemmTraceStream::steps_to`] feed emits, up to memory
 /// addresses: a run of reduction steps of one register block.
@@ -80,61 +78,47 @@ pub struct PieceKey {
 #[derive(Debug, Clone)]
 pub struct GemmTraceStream {
     generator: TraceGenerator,
-    dims: (usize, usize, usize),
-    mb_count: usize,
-    /// Blocks not yet emitted whole; the cursor is in the first of them.
-    blocks: Range<usize>,
-    /// The cursor's next reduction step in block `blocks.start` (0 at a
-    /// block boundary).
+    plan: WalkPlan,
+    /// The cursor's block ([`WalkPlan::blocks`] once the walk has
+    /// finished).
+    block: usize,
+    /// The cursor's next reduction step in its block (0 at a block
+    /// boundary).
     step: usize,
-    builder: ProgramBuilder,
+    /// Built when the cursor first emits, at the start of a block: a
+    /// cursor that passes a block's first steps never emits the rest of
+    /// that block ([`GemmTraceStream::pass_to`]).
+    builder: Option<ProgramBuilder>,
 }
 
 impl GemmTraceStream {
-    /// Register blocks not yet emitted whole, the cursor's included (0 once
-    /// the walk has finished).
+    /// The walk the cursor moves along.
     #[must_use]
-    pub fn blocks_remaining(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Reduction steps per register block (the K tile count).
-    #[must_use]
-    pub const fn block_steps(&self) -> usize {
-        self.dims.1
-    }
-
-    /// Instructions one uniform reduction step of the cursor's block emits
-    /// (fewer in a ragged edge block; 0 once the walk has finished).
-    #[must_use]
-    pub fn step_instructions(&self) -> usize {
-        if self.blocks.is_empty() {
-            return 0;
-        }
-        let (rows, cols) = self.block_tiles();
-        self.generator.block_step_instructions(rows, cols)
+    pub const fn plan(&self) -> &WalkPlan {
+        &self.plan
     }
 
     /// The index of the cursor's block in the walk (the walk's block count
     /// once it has finished).
     #[must_use]
     pub const fn cursor_block(&self) -> usize {
-        self.blocks.start
+        self.block
     }
 
     /// The key of the piece [`GemmTraceStream::steps_to`] would emit up to
     /// reduction step `end`, or `None` when it would emit no step.
     #[must_use]
     pub fn piece_to(&self, end: usize) -> Option<PieceKey> {
-        let end = end.min(self.dims.1);
-        if self.blocks.is_empty() || end <= self.step {
+        let steps = self.plan.steps();
+        let end = end.min(steps);
+        if self.block >= self.plan.blocks() || end <= self.step {
             return None;
         }
         Some(PieceKey {
-            block: self.block_tiles(),
+            block: self.plan.tiles(self.block),
             steps: end - self.step,
             opens_block: self.step == 0,
-            closes_block: end == self.dims.1,
+            closes_block: end == steps,
         })
     }
 
@@ -144,10 +128,10 @@ impl GemmTraceStream {
     /// the rest of that block, whose steps read the accumulators it would
     /// have loaded.
     pub fn pass_to(&mut self, end: usize) {
-        if !self.blocks.is_empty() {
-            self.step = self.step.max(end.min(self.dims.1));
-            if self.step == self.dims.1 {
-                self.blocks.start += 1;
+        if self.block < self.plan.blocks() {
+            self.step = self.step.max(end.min(self.plan.steps()));
+            if self.step == self.plan.steps() {
+                self.block += 1;
                 self.step = 0;
             }
         }
@@ -161,42 +145,23 @@ impl GemmTraceStream {
     /// Returns [`TraceError::Stream`] when the cursor is inside a block or
     /// fewer blocks remain.
     pub fn skip_blocks(&mut self, blocks: usize) -> Result<(), TraceError> {
-        if self.step != 0 || blocks > self.blocks.len() {
+        let left = self.plan.blocks() - self.block;
+        if self.step != 0 || blocks > left {
             return Err(TraceError::Stream {
                 reason: format!(
-                    "cannot skip {blocks} blocks from step {} with {} blocks left",
-                    self.step,
-                    self.blocks.len()
+                    "cannot skip {blocks} blocks from step {} with {left} blocks left",
+                    self.step
                 ),
             });
         }
-        self.blocks.start += blocks;
+        self.block += blocks;
         Ok(())
     }
 
-    /// Row tiles × column tiles of the cursor's block.
-    fn block_tiles(&self) -> (usize, usize) {
-        let (mt, _, nt) = self.dims;
-        let block = self.generator.kernel().scheme.block;
-        let (nb, mb) = self.block();
-        (
-            (mt - block.m * mb).min(block.m),
-            (nt - block.n * nb).min(block.n),
-        )
-    }
-
-    /// The cursor's block as `(n-block, m-block)` coordinates.
-    const fn block(&self) -> (usize, usize) {
-        (
-            self.blocks.start / self.mb_count,
-            self.blocks.start % self.mb_count,
-        )
-    }
-
     /// Emits the cursor's block from its next step up to reduction step
-    /// `end` (clamped to [`GemmTraceStream::block_steps`]) as one segment;
-    /// `None` when that is no step. Reaching the block's end moves the
-    /// cursor to step 0 of the next block.
+    /// `end` (clamped to [`WalkPlan::steps`]) as one segment; `None` when
+    /// that is no step. Reaching the block's end moves the cursor to step 0
+    /// of the next block.
     ///
     /// # Errors
     ///
@@ -206,12 +171,14 @@ impl GemmTraceStream {
         if self.piece_to(end).is_none() {
             return Ok(None);
         }
-        let end = end.min(self.dims.1);
-        let block = self.block();
+        let end = end.min(self.plan.steps());
+        let isa = *self.generator.isa();
+        let builder = self.builder.get_or_insert_with(|| ProgramBuilder::new(isa));
         self.generator
-            .emit_steps(&mut self.builder, self.dims, block, self.step..end);
+            .emit_steps(builder, &self.plan, self.block, self.step..end);
+        let segment = builder.finish_segment();
         self.pass_to(end);
-        Ok(Some(self.builder.finish_segment()?))
+        Ok(Some(segment?))
     }
 
     /// Moves the cursor to reduction step `step` of its block without
@@ -224,8 +191,8 @@ impl GemmTraceStream {
     /// Returns [`TraceError::Stream`] when the walk has finished or the
     /// skipped steps leave the uniform range.
     pub fn skip_to(&mut self, step: usize) -> Result<(), TraceError> {
-        let uniform = uniform_step_range(self.dims.1);
-        if self.blocks.is_empty()
+        let uniform = self.plan.repeated_steps();
+        if self.block >= self.plan.blocks()
             || step < self.step
             || self.step < uniform.start
             || step > uniform.end
@@ -243,25 +210,20 @@ impl GemmTraceStream {
 }
 
 impl TraceGenerator {
-    /// Opens a cursor at the first register block of `shape`'s walk (see
-    /// [`TraceGenerator::block_count`] for the block indexing). Emitting
-    /// the whole walk with [`GemmTraceStream::steps_to`] produces the same
-    /// instruction sequence as [`TraceGenerator::gemm`], matmul-cap
+    /// Opens a cursor at the first register block of `plan`'s walk, which
+    /// must be this generator's plan of the shape ([`TraceGenerator::plan`]).
+    /// Emitting the whole walk with [`GemmTraceStream::steps_to`] produces
+    /// the same instruction sequence as [`TraceGenerator::gemm`], matmul-cap
     /// truncation included.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::Shape`] for an empty GEMM.
-    pub fn gemm_blocks(&self, shape: GemmShape) -> Result<GemmTraceStream, TraceError> {
-        let dims = self.tile_dims(shape)?;
-        Ok(GemmTraceStream {
-            generator: self.clone(),
-            dims,
-            mb_count: self.kernel().scheme.block.m_blocks(dims.0),
-            blocks: 0..self.block_count(shape)?,
+    #[must_use]
+    pub const fn gemm_blocks(&self, plan: WalkPlan) -> GemmTraceStream {
+        GemmTraceStream {
+            generator: *self,
+            plan,
+            block: 0,
             step: 0,
-            builder: ProgramBuilder::new(*self.isa()),
-        })
+            builder: None,
+        }
     }
 }
 
@@ -269,6 +231,13 @@ impl TraceGenerator {
 pub(crate) mod tests {
     use super::*;
     use rasa_isa::{Instruction, InstructionKind, Program};
+    use rasa_numeric::GemmShape;
+    use std::ops::Range;
+
+    /// A cursor at the first block of `shape`'s walk.
+    pub(crate) fn cursor(g: &TraceGenerator, shape: GemmShape) -> GemmTraceStream {
+        g.gemm_blocks(g.plan(shape).unwrap())
+    }
 
     /// Blocks `blocks` of `shape`'s walk as whole-block pieces, the cursor
     /// moved to the first of them with [`GemmTraceStream::skip_blocks`].
@@ -277,10 +246,10 @@ pub(crate) mod tests {
         shape: GemmShape,
         blocks: Range<usize>,
     ) -> Vec<ProgramSegment> {
-        let mut stream = g.gemm_blocks(shape).unwrap();
+        let mut stream = cursor(g, shape);
         stream.skip_blocks(blocks.start).unwrap();
         blocks
-            .map(|_| stream.steps_to(stream.block_steps()).unwrap().unwrap())
+            .map(|_| stream.steps_to(stream.plan().steps()).unwrap().unwrap())
             .collect()
     }
 
@@ -302,7 +271,7 @@ pub(crate) mod tests {
 
     /// The whole walk of `shape`, block by block.
     fn walk(g: &TraceGenerator, shape: GemmShape) -> Vec<ProgramSegment> {
-        block_pieces(g, shape, 0..g.block_count(shape).unwrap())
+        block_pieces(g, shape, 0..g.plan(shape).unwrap().blocks())
     }
 
     fn assert_reproduces(g: &TraceGenerator, shape: GemmShape, program: &Program) {
@@ -322,8 +291,8 @@ pub(crate) mod tests {
             assert_reproduces(&g, shape, &g.gemm(shape, "parity").unwrap());
             // Pieces of one reduction step each are the same sequence (a
             // piece to the block's end counts the steps left in it).
-            let mut stream = g.gemm_blocks(shape).unwrap();
-            let kt = stream.block_steps();
+            let mut stream = cursor(&g, shape);
+            let kt = stream.plan().steps();
             let mut steps = Vec::new();
             while let Some(rest) = stream.piece_to(kt) {
                 steps.push(stream.steps_to(kt - rest.steps + 1).unwrap().unwrap());
@@ -341,7 +310,7 @@ pub(crate) mod tests {
         let shape = GemmShape::new(512, 512, 512);
         let program = g.gemm(shape, "capped").unwrap();
         assert_reproduces(&g, shape, &program);
-        assert!(program.count_matmuls() < g.matmul_count(shape).unwrap());
+        assert!(program.count_matmuls() < g.plan(shape).unwrap().matmuls());
     }
 
     #[test]
@@ -351,8 +320,8 @@ pub(crate) mod tests {
         // 4 stores, at kt = 4.
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(256, 128, 240);
-        let mut stream = g.gemm_blocks(shape).unwrap();
-        assert_eq!(stream.block_steps(), 4);
+        let mut stream = cursor(&g, shape);
+        assert_eq!(stream.plan().steps(), 4);
         let (mut total, mut count) = (0usize, 0usize);
         while let Some(piece) = stream.steps_to(4).unwrap() {
             let expected = if stream.cursor_block() > 56 {
@@ -365,24 +334,24 @@ pub(crate) mod tests {
             count += 1;
             assert_eq!(stream.cursor_block(), count);
         }
-        assert_eq!(count, g.block_count(shape).unwrap());
-        assert_eq!(stream.blocks_remaining(), 0);
+        assert_eq!(count, stream.plan().blocks());
+        assert_eq!(stream.cursor_block(), count);
         assert_eq!(total, g.gemm(shape, "bounded").unwrap().len());
     }
 
     #[test]
     fn matmul_counts_agree_between_stream_count_and_materialized_paths() {
-        // `matmul_count` vs actually emitted `rasa_mm`s on both gemm and
-        // conv paths, capped and uncapped.
+        // The plan's `rasa_mm` count vs those actually emitted on both gemm
+        // and conv paths, capped and uncapped.
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(100, 90, 80);
-        let predicted = g.matmul_count(shape).unwrap();
+        let predicted = g.plan(shape).unwrap().matmuls();
         assert_eq!(g.gemm(shape, "mm").unwrap().count_matmuls(), predicted);
         assert_eq!(matmuls(&concat(&walk(&g, shape))), predicted);
 
         // Conv: the lowered GEMM drives both the count and the emission.
         let conv = rasa_numeric::ConvShape::new(4, 16, 14, 14, 32, 3, 3, 1, 1);
-        let predicted = g.matmul_count(conv.to_gemm()).unwrap();
+        let predicted = g.plan(conv.to_gemm()).unwrap().matmuls();
         assert_eq!(g.conv(&conv, "conv").unwrap().count_matmuls(), predicted);
         assert_eq!(matmuls(&concat(&walk(&g, conv.to_gemm()))), predicted);
 
@@ -395,7 +364,7 @@ pub(crate) mod tests {
         let streamed = matmuls(&concat(&walk(&capped, shape)));
         assert_eq!(streamed, program.count_matmuls());
         assert!((64..64 + 4).contains(&streamed));
-        assert!(streamed < g.matmul_count(shape).unwrap());
+        assert!(streamed < predicted);
     }
 
     #[test]
@@ -423,7 +392,7 @@ pub(crate) mod tests {
         // blocks started at uneven cuts concatenate to the full trace.
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(200, 96, 120);
-        let blocks = g.block_count(shape).unwrap();
+        let blocks = g.plan(shape).unwrap().blocks();
         assert!(blocks >= 5);
         let full = g.gemm(shape, "full").unwrap();
         let cuts = [0, 2, blocks / 2, blocks];
@@ -438,15 +407,15 @@ pub(crate) mod tests {
     fn invalid_stream_configurations_are_rejected() {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(64, 64, 64);
-        let blocks = g.block_count(shape).unwrap();
-        let mut stream = g.gemm_blocks(shape).unwrap();
+        let mut stream = cursor(&g, shape);
+        let blocks = stream.plan().blocks();
         assert!(matches!(
             stream.skip_blocks(blocks + 1),
             Err(TraceError::Stream { .. })
         ));
         assert_eq!(stream.cursor_block(), 0, "a rejected skip moves nothing");
         assert!(matches!(
-            g.gemm_blocks(GemmShape::new(0, 1, 1)),
+            g.plan(GemmShape::new(0, 1, 1)),
             Err(TraceError::Shape(_))
         ));
     }
@@ -459,18 +428,19 @@ pub(crate) mod tests {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(40, 250, 40);
         let full = g.gemm(shape, "full").unwrap();
-        let mut stream = g.gemm_blocks(shape).unwrap();
-        assert_eq!(stream.block_steps(), 8);
-        assert_eq!(g.uniform_steps(shape).unwrap(), 1..7);
+        let plan = g.plan(shape).unwrap();
+        let mut stream = g.gemm_blocks(plan);
+        assert_eq!(plan.steps(), 8);
+        assert_eq!(plan.repeated_steps(), 1..7);
         // Default 2×2 step: 2 B and 2 A loads, 4 rasa_mm, 3 scalar ops and
         // the loop branch.
-        let step = stream.step_instructions();
+        let step = plan.step_len(0);
         assert_eq!(step, 12);
         let head = stream.steps_to(3).unwrap().unwrap();
         assert_eq!(head.len(), 4 + 3 * step);
         stream.skip_to(6).unwrap();
-        let tail = stream.steps_to(stream.block_steps()).unwrap().unwrap();
-        assert_eq!(stream.blocks_remaining(), 3);
+        let tail = stream.steps_to(plan.steps()).unwrap().unwrap();
+        assert_eq!(stream.cursor_block(), 1);
         let mut rest = Vec::new();
         while let Some(piece) = stream.steps_to(8).unwrap() {
             rest.extend_from_slice(piece.instructions());
@@ -485,20 +455,18 @@ pub(crate) mod tests {
         assert_eq!(rest.as_slice(), &full.instructions()[block_end..]);
         // A ragged block repeats a narrower step: 1 row by 2 columns, and
         // 1 by 1 in the corner.
-        let mut edge = g.gemm_blocks(shape).unwrap();
-        edge.skip_blocks(1).unwrap();
-        assert_eq!(edge.step_instructions(), 2 + 1 + 2 + 3 + 1);
-        edge.skip_blocks(2).unwrap();
-        assert_eq!(edge.step_instructions(), 1 + 1 + 1 + 3 + 1);
-        edge.steps_to(8).unwrap();
-        assert_eq!(edge.step_instructions(), 0, "the walk has finished");
+        assert_eq!(plan.blocks(), 4);
+        assert_eq!(plan.tiles(1), (1, 2));
+        assert_eq!(plan.step_len(1), 2 + 1 + 2 + 3 + 1);
+        assert_eq!(plan.tiles(3), (1, 1));
+        assert_eq!(plan.step_len(3), 1 + 1 + 1 + 3 + 1);
     }
 
     #[test]
     fn skips_outside_the_uniform_steps_are_rejected() {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(40, 250, 40);
-        let mut stream = g.gemm_blocks(shape).unwrap();
+        let mut stream = cursor(&g, shape);
         // Step 0 loads the accumulators, so no skip may start there…
         assert!(matches!(stream.skip_to(3), Err(TraceError::Stream { .. })));
         stream.steps_to(2).unwrap();
@@ -509,7 +477,7 @@ pub(crate) mod tests {
         stream.skip_to(7).unwrap();
         assert_eq!(stream.steps_to(8).unwrap().unwrap().len(), 12 + 4);
         // Nor past the end of the walk.
-        let mut last = g.gemm_blocks(shape).unwrap();
+        let mut last = cursor(&g, shape);
         last.skip_blocks(3).unwrap();
         last.steps_to(8).unwrap();
         assert!(last.skip_to(0).is_err());
@@ -523,7 +491,7 @@ pub(crate) mod tests {
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(40, 250, 40);
         let full = g.gemm(shape, "full").unwrap();
-        let mut stream = g.gemm_blocks(shape).unwrap();
+        let mut stream = cursor(&g, shape);
         let head = PieceKey {
             block: (2, 2),
             steps: 3,
@@ -559,15 +527,34 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_cursor_builds_its_builder_when_it_first_emits() {
+        // A cursor that only moves — past pieces, steps and blocks — holds
+        // no trace builder; the first piece it emits opens a block and
+        // validates on a fresh one.
+        let g = TraceGenerator::amx_like();
+        let shape = GemmShape::new(40, 250, 40);
+        let mut stream = cursor(&g, shape);
+        stream.pass_to(3);
+        stream.skip_to(6).unwrap();
+        stream.pass_to(8);
+        stream.skip_blocks(1).unwrap();
+        assert!(stream.builder.is_none());
+        let piece = stream.steps_to(8).unwrap().unwrap();
+        assert!(stream.builder.is_some());
+        assert_eq!(piece.instructions(), concat(&block_pieces(&g, shape, 2..3)));
+    }
+
+    #[test]
     fn empty_block_range_yields_no_segments() {
         // A cursor moved past the last block has no blocks left to emit.
         let g = TraceGenerator::amx_like();
         let shape = GemmShape::new(64, 64, 64);
-        let mut stream = g.gemm_blocks(shape).unwrap();
-        stream.skip_blocks(g.block_count(shape).unwrap()).unwrap();
+        let mut stream = cursor(&g, shape);
+        let blocks = stream.plan().blocks();
+        stream.skip_blocks(blocks).unwrap();
         assert!(stream.steps_to(2).unwrap().is_none());
         assert!(stream.steps_to(2).unwrap().is_none(), "stays exhausted");
-        assert_eq!(stream.blocks_remaining(), 0);
+        assert_eq!(stream.cursor_block(), blocks);
         assert!(block_pieces(&g, shape, 3..3).is_empty());
     }
 }

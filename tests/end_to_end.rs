@@ -106,7 +106,7 @@ fn trace_statistics_match_workload_structure() {
     let layer = &dlrm_layers()[1]; // DLRM-2: 512x1024x64
     let shape = layer.gemm_shape();
     let expected = (512 / 16) * (1024 / 32) * (64 / 16);
-    assert_eq!(generator.matmul_count(shape).unwrap(), expected);
+    assert_eq!(generator.plan(shape).unwrap().matmuls(), expected);
 
     let report = quick_sim(DesignPoint::baseline()).run_layer(layer).unwrap();
     assert_eq!(report.total_matmuls, expected as u64);

@@ -2,9 +2,38 @@
 //! workload shapes and design points.
 
 use proptest::prelude::*;
+use rasa::isa::{Instruction, InstructionKind};
 use rasa::prelude::*;
 use rasa::systolic::{base_latency, steady_state_interval, ControlScheme, PeVariant, TileDims};
 use rasa::trace::{GemmKernelConfig, KernelSchemeBuilder, LoopOrder, MatmulOrder};
+
+/// A kernel scheme drawn over every axis: register block, loop order,
+/// matmul order and scalar-overhead model (uncapped).
+fn arb_kernel() -> impl Strategy<Value = GemmKernelConfig> {
+    (0usize..5, any::<bool>(), any::<bool>(), 0u8..3).prop_map(
+        |(block, n_innermost, interleaved, scalar)| {
+            let (bm, bn) = [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)][block];
+            let builder = KernelSchemeBuilder::new()
+                .with_block(bm, bn)
+                .with_loop_order(if n_innermost {
+                    LoopOrder::NInnermost
+                } else {
+                    LoopOrder::KInnermost
+                })
+                .with_matmul_order(if interleaved {
+                    MatmulOrder::Interleaved
+                } else {
+                    MatmulOrder::WeightPaired
+                });
+            let builder = match scalar {
+                0 => builder,
+                1 => builder.with_scalar_ops_per_step(1),
+                _ => builder.without_scalar_overhead(),
+            };
+            builder.build().unwrap()
+        },
+    )
+}
 
 fn arb_design() -> impl Strategy<Value = DesignPoint> {
     prop_oneof![
@@ -23,50 +52,93 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The trace generator always emits exactly one rasa_mm per register
-    /// tile, whatever the GEMM shape, and the emitted program is valid.
-    /// The streaming cursor emits the identical sequence as whole-block
-    /// pieces, from the walk's start or from any block it skips to, and
-    /// `matmul_count` predicts the uncapped emission exactly.
+    /// tile, whatever the GEMM shape and kernel scheme, and the emitted
+    /// program is valid. The streaming cursor emits the identical sequence
+    /// as whole-block pieces, capped or not, from the walk's start or from
+    /// any block it skips to. The walk plan predicts what the cursor emits:
+    /// its whole-block pieces, which under a cap are the shortest block
+    /// prefix whose `rasa_mm`s reach it; the uncapped `rasa_mm` count; the
+    /// length of a uniform step of any block; and a uniform run of whole
+    /// periods inside the walk.
     #[test]
     fn trace_matmul_count_matches_tiling(
         m in 1usize..200,
         k in 1usize..200,
         n in 1usize..200,
+        kernel in arb_kernel(),
+        (capped, cap) in (any::<bool>(), 0usize..1_000_000),
         skip in 0usize..64,
+        sample in 0usize..1_000_000,
     ) {
-        let generator = TraceGenerator::amx_like()
-            .with_kernel(GemmKernelConfig::amx_like().without_scalar_overhead())
-            .unwrap();
         let shape = GemmShape::new(m, k, n);
-        let program = generator.gemm(shape, "prop").unwrap();
-        let tiles = m.div_ceil(16) * k.div_ceil(32) * n.div_ceil(16);
+        let (m_tiles, k_tiles, n_tiles) = (m.div_ceil(16), k.div_ceil(32), n.div_ceil(16));
+        let tiles = m_tiles * k_tiles * n_tiles;
+        let uncapped = TraceGenerator::amx_like().with_kernel(kernel).unwrap();
+        let program = uncapped.gemm(shape, "prop").unwrap();
         prop_assert_eq!(program.count_matmuls(), tiles);
-        prop_assert_eq!(generator.matmul_count(shape).unwrap(), tiles);
-        // Every accumulator tile is loaded and stored exactly once.
-        let c_tiles = m.div_ceil(16) * n.div_ceil(16);
-        prop_assert_eq!(program.stats().tile_stores, c_tiles);
-
-        // Whole-block pieces concatenate to the materialized program, and a
-        // cursor that skips blocks emits the rest of it.
-        let pieces = |skip: usize| {
-            let mut stream = generator.gemm_blocks(shape).unwrap();
-            stream.skip_blocks(skip).unwrap();
-            let mut instructions = Vec::new();
-            while let Some(piece) = stream.steps_to(stream.block_steps()).unwrap() {
-                instructions.extend_from_slice(piece.instructions());
-            }
-            instructions
+        // Every accumulator tile is stored once, or once per reduction step
+        // when the accumulators are spilled around every step.
+        let stores = match kernel.scheme.loop_order {
+            LoopOrder::KInnermost => m_tiles * n_tiles,
+            LoopOrder::NInnermost => m_tiles * n_tiles * k_tiles,
         };
-        let streamed = pieces(0);
-        prop_assert_eq!(streamed.as_slice(), program.instructions());
-        let streamed_matmuls = streamed
-            .iter()
-            .filter(|inst| inst.kind() == rasa::isa::InstructionKind::MatMul)
-            .count();
-        prop_assert_eq!(streamed_matmuls, tiles);
-        let skip = skip.min(generator.block_count(shape).unwrap());
-        let rest = pieces(skip);
+        prop_assert_eq!(program.stats().tile_stores, stores);
+
+        // The whole-block pieces of a cursor that first skips `skip` blocks.
+        let pieces = |generator: &TraceGenerator, skip: usize| {
+            let plan = generator.plan(shape).unwrap();
+            let mut stream = generator.gemm_blocks(plan);
+            stream.skip_blocks(skip).unwrap();
+            let mut pieces = Vec::new();
+            while let Some(piece) = stream.steps_to(plan.steps()).unwrap() {
+                pieces.push(piece.instructions().to_vec());
+            }
+            pieces
+        };
+        let matmuls = |instructions: &[Instruction]| {
+            instructions
+                .iter()
+                .filter(|inst| inst.kind() == InstructionKind::MatMul)
+                .count()
+        };
+        // Running rasa_mm totals after each block of the uncapped walk.
+        let mut prefix = vec![0];
+        for piece in pieces(&uncapped, 0) {
+            prefix.push(prefix[prefix.len() - 1] + matmuls(&piece));
+        }
+        let walk = prefix.len() - 1;
+        prop_assert_eq!(prefix[walk], tiles);
+
+        // A cap of none, or 1 up to one past the tile count.
+        let cap = capped.then_some(1 + cap % (tiles + 1));
+        let generator = TraceGenerator::amx_like()
+            .with_kernel(GemmKernelConfig { max_matmuls: cap, ..kernel })
+            .unwrap();
+        let plan = generator.plan(shape).unwrap();
+        let program = generator.gemm(shape, "prop").unwrap();
+        let walked = pieces(&generator, 0);
+        prop_assert_eq!(walked.len(), plan.blocks());
+        prop_assert_eq!(walked.concat().as_slice(), program.instructions());
+        let blocks = cap.map_or(walk, |cap| (1..=walk).find(|&b| prefix[b] >= cap).unwrap_or(walk));
+        prop_assert_eq!(plan.blocks(), blocks);
+        prop_assert_eq!(matmuls(program.instructions()), prefix[blocks]);
+        prop_assert_eq!(plan.matmuls(), tiles);
+        let rest = pieces(&generator, skip.min(blocks)).concat();
         prop_assert!(program.instructions().ends_with(&rest));
+        prop_assert_eq!(plan.uniform_end() % plan.period(), 0);
+        prop_assert!(plan.uniform_end() <= plan.blocks());
+
+        // One uniform step of a sampled block.
+        let uniform = plan.repeated_steps();
+        if !uniform.is_empty() {
+            let block = sample % blocks;
+            let step = uniform.start + sample / blocks % uniform.len();
+            let mut stream = generator.gemm_blocks(plan);
+            stream.skip_blocks(block).unwrap();
+            stream.steps_to(step).unwrap();
+            let emitted = stream.steps_to(step + 1).unwrap().unwrap();
+            prop_assert_eq!(emitted.len(), plan.step_len(block));
+        }
     }
 
     /// Every RASA design completes any small workload at least as fast as
@@ -336,10 +408,10 @@ proptest! {
 /// cannot hold vacuously at either level.
 #[test]
 fn fast_forward_matches_sequential_and_materialized_runs() {
-    const CASES: usize = 64;
+    let cases = proptest::case_count(64) as usize;
     let mut rng = proptest::rng_for("fast_forward_matches_sequential_and_materialized_runs");
     let (mut engaged, mut skipped_steps) = (0, 0);
-    for case in 0..CASES {
+    for case in 0..cases {
         let deep = case % 2 == 1;
         let design = arb_design().sample(&mut rng);
         let shape = if deep {
@@ -355,25 +427,7 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
                 (1usize..400).sample(&mut rng),
             )
         };
-        let (bm, bn) = [(2, 2), (1, 2), (2, 1), (1, 3), (3, 1)][(0usize..5).sample(&mut rng)];
-        let builder = KernelSchemeBuilder::new()
-            .with_block(bm, bn)
-            .with_loop_order(if any::<bool>().sample(&mut rng) {
-                LoopOrder::NInnermost
-            } else {
-                LoopOrder::KInnermost
-            })
-            .with_matmul_order(if any::<bool>().sample(&mut rng) {
-                MatmulOrder::Interleaved
-            } else {
-                MatmulOrder::WeightPaired
-            });
-        let builder = match (0u8..3).sample(&mut rng) {
-            0 => builder,
-            1 => builder.with_scalar_ops_per_step(1),
-            _ => builder.without_scalar_overhead(),
-        };
-        let mut kernel = builder.build().unwrap();
+        let mut kernel = arb_kernel().sample(&mut rng);
         kernel.max_matmuls = if any::<bool>().sample(&mut rng) {
             None
         } else {
@@ -391,7 +445,7 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
         // core.
         let generator = TraceGenerator::amx_like().with_kernel(kernel).unwrap();
         let program = generator.gemm(shape, "oracle").unwrap();
-        let total = generator.matmul_count(shape).unwrap() as u64;
+        let total = generator.plan(shape).unwrap().matmuls() as u64;
         let materialized = sim.run_program(&program, total, "oracle").unwrap();
         assert_eq!(fast.cpu, sequential.cpu, "{what}");
         assert_eq!(fast.sched, sequential.sched, "{what}");
@@ -412,13 +466,13 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
         }
     }
     assert!(
-        engaged * 5 >= CASES * 4,
-        "only {engaged} of {CASES} cases fast-forwarded"
+        engaged * 5 >= cases * 4,
+        "only {engaged} of {cases} cases fast-forwarded"
     );
     assert!(
-        skipped_steps * 4 >= CASES / 2 * 3,
+        skipped_steps * 4 >= cases / 2 * 3,
         "only {skipped_steps} of {} deep cases skipped reduction steps",
-        CASES / 2
+        cases / 2
     );
 }
 
@@ -436,7 +490,7 @@ fn fast_forward_matches_sequential_and_materialized_runs() {
 /// one must miss midway and replay, so the property cannot hold vacuously.
 #[test]
 fn recalled_cells_match_fresh_sequential_and_fast_forwarded_runs() {
-    const CASES: usize = 64;
+    let cases = proptest::case_count(64) as usize;
     let mut rng =
         proptest::rng_for("recalled_cells_match_fresh_sequential_and_fast_forwarded_runs");
     let runner = ExperimentRunner::builder()
@@ -445,10 +499,10 @@ fn recalled_cells_match_fresh_sequential_and_fast_forwarded_runs() {
         .build()
         .unwrap();
     let designs = [DesignPoint::baseline(), DesignPoint::rasa_dmdb_wls()];
-    let mut cases: Vec<(usize, GemmShape, Option<usize>)> = Vec::new();
-    for case in 0..CASES {
+    let mut drawn: Vec<(usize, GemmShape, Option<usize>)> = Vec::new();
+    for case in 0..cases {
         let deep = |rng: &mut proptest::TestRng| (1000usize..4000).sample(rng);
-        let (design, shape, cap) = if case % 4 == 0 || cases.is_empty() {
+        let (design, shape, cap) = if case % 4 == 0 || drawn.is_empty() {
             let shape = if any::<bool>().sample(&mut rng) {
                 GemmShape::new(
                     (1usize..100).sample(&mut rng),
@@ -465,7 +519,7 @@ fn recalled_cells_match_fresh_sequential_and_fast_forwarded_runs() {
             let cap = any::<bool>().sample(&mut rng).then_some(1500);
             ((0usize..2).sample(&mut rng), shape, cap)
         } else {
-            let (design, mut shape, cap) = cases[(0..cases.len()).sample(&mut rng)];
+            let (design, mut shape, cap) = drawn[(0..drawn.len()).sample(&mut rng)];
             match (0u8..3).sample(&mut rng) {
                 0 => {}
                 1 if shape.k >= 1000 => shape.k = deep(&mut rng),
@@ -480,7 +534,7 @@ fn recalled_cells_match_fresh_sequential_and_fast_forwarded_runs() {
             }
             (design, shape, cap)
         };
-        cases.push((design, shape, cap));
+        drawn.push((design, shape, cap));
         let layer = LayerSpec::fc(format!("case{case}"), shape.m, shape.k, shape.n);
         let mut job = SimJob::new(designs[design].clone(), layer.clone());
         if let Some(cap) = cap {
@@ -510,7 +564,7 @@ fn recalled_cells_match_fresh_sequential_and_fast_forwarded_runs() {
     assert_eq!(machines, 4, "two designs, uncapped and capped");
     // A repeat of the case just before it is the one cell the cache holds.
     let walked = memo.recalls + memo.misses;
-    assert_eq!(walked + runner.cache_stats().hits, CASES as u64);
+    assert_eq!(walked + runner.cache_stats().hits, cases as u64);
     assert!(
         memo.recalls * 2 >= walked,
         "only {} of {walked} cells recalled whole",
