@@ -36,8 +36,8 @@
 //! let generator = TraceGenerator::amx_like();
 //! let shape = GemmShape::new(64, 64, 64);
 //! let program = generator.gemm(shape, "toy")?;
-//! // 4 M-tiles × 2 K-tiles × 4 N-tiles = 32 rasa_mm instructions, in
-//! // 2 × 2 register blocks of 2 reduction steps each.
+//! // 4 M-tiles × 2 K-tiles × 4 N-tiles = 32 rasa_mm instructions, walked
+//! // as four register blocks of 2×2 tiles and 2 reduction steps each.
 //! assert_eq!(program.count_matmuls(), 32);
 //! let plan = generator.plan(shape)?;
 //! assert_eq!((plan.matmuls(), plan.blocks(), plan.steps()), (32, 4, 2));

@@ -61,6 +61,6 @@ pub mod prelude {
     pub use rasa_systolic::{
         ControlScheme, FunctionalArray, MatrixEngine, PeVariant, SystolicConfig, TileDims,
     };
-    pub use rasa_trace::{GemmKernelConfig, GemmTraceStream, TraceGenerator, WalkPlan};
+    pub use rasa_trace::{GemmKernelConfig, GemmTraceStream, TraceGenerator};
     pub use rasa_workloads::{LayerSpec, MlperfWorkload, WorkloadSuite};
 }
