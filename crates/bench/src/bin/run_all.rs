@@ -15,7 +15,7 @@
 //! is printed. `--timing-only` skips the evaluation and runs just this
 //! comparison — the CI smoke step for the `--full` path.
 
-use rasa_sim::{DesignPoint, ExperimentSuite, JsonValue, SimReport, Simulator, ToJson};
+use rasa_sim::{DesignPoint, ExperimentSuite, JsonValue, Simulator, ToJson};
 use rasa_workloads::WorkloadSuite;
 use std::time::{Duration, Instant};
 
@@ -177,7 +177,7 @@ fn results_document(
         .fig5
         .runs
         .iter()
-        .flat_map(|run| run.reports.iter().map(SimReport::summary))
+        .flat_map(|run| run.reports.iter().map(|report| report.summary()))
         .collect();
     let (fig5, area_energy, fig7) = (&results.fig5, &results.area_energy, &results.fig7);
     JsonValue::object([

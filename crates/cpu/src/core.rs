@@ -1,4 +1,4 @@
-use crate::sched::EventHeap;
+use crate::sched::{EventHeap, Waiters};
 use crate::stats::StreamStats;
 use crate::{CpuConfig, CpuError, CpuStats, SchedStats};
 use rasa_isa::{
@@ -23,10 +23,11 @@ struct RobEntry {
     /// this reaches zero.
     pending: u32,
     /// Sequences of younger instructions waiting on this entry's
-    /// completion (event-driven path only; drained by the completion
-    /// event, so always empty by the time the entry retires). The buffer
-    /// is recycled through `CoreRun::spare_waiters`.
-    waiters: Vec<u64>,
+    /// completion, in rename order (event-driven path only; drained by the
+    /// completion event, so always empty by the time the entry retires).
+    /// The first few live in the entry itself; only a wider fan-out spills
+    /// to the heap.
+    waiters: Waiters,
 }
 
 impl RobEntry {
@@ -37,7 +38,7 @@ impl RobEntry {
             complete_cycle: u64::MAX,
             retired: false,
             pending: 0,
-            waiters: Vec::new(),
+            waiters: Waiters::default(),
         }
     }
 }
@@ -85,6 +86,11 @@ enum RunPhase {
 /// bit-identical to a one-shot [`CpuCore::run`] of the concatenated
 /// trace — however the trace is sliced.
 ///
+/// A paused run holds no instructions of its own: a feed renames its
+/// instructions straight from the caller's slice and pauses only once
+/// rename has taken the last of them. Its queues are sized once from the
+/// [`CpuConfig`] when the run opens, so advancing it allocates nothing.
+///
 /// The state is checkpointable: `CoreRun` is `Clone`, and cloning it
 /// together with its core (which owns the matrix engine) snapshots the
 /// whole execution; both copies can then be driven independently and
@@ -108,11 +114,6 @@ pub struct CoreRun {
     rs_ready: usize,
     engine_events: VecDeque<EngineEvent>,
     events: EventHeap,
-    /// Drained waiter buffers, handed to the next entry that gains a
-    /// waiter so the steady state allocates no per-instruction lists.
-    spare_waiters: Vec<Vec<u64>>,
-    /// Fed-but-not-yet-renamed instructions (the resident window).
-    pending: VecDeque<Instruction>,
     fed: usize,
     retired: usize,
     cycle: u64,
@@ -141,10 +142,11 @@ impl CoreRun {
             rs_slots: Vec::with_capacity(config.rs_size),
             rs_unsorted: false,
             rs_ready: 0,
-            engine_events: VecDeque::new(),
-            events: EventHeap::default(),
-            spare_waiters: Vec::new(),
-            pending: VecDeque::new(),
+            // Every queued engine event belongs to an instruction in the
+            // ROB (a `rasa_mm` queues two), and every pending completion
+            // to an issued one.
+            engine_events: VecDeque::with_capacity(2 * config.rob_size),
+            events: EventHeap::with_capacity(config.rob_size),
             fed: 0,
             retired: 0,
             // The front end delivers the first instructions after the
@@ -170,12 +172,6 @@ impl CoreRun {
     #[must_use]
     pub const fn is_finished(&self) -> bool {
         self.done
-    }
-
-    /// Instructions fed but not yet renamed into the pipeline.
-    #[must_use]
-    pub fn pending_instructions(&self) -> usize {
-        self.pending.len()
     }
 
     /// Instructions retired so far.
@@ -206,8 +202,8 @@ impl CoreRun {
         while let Some((_, seq)) = self.events.pop_due(now) {
             self.sched.completion_events += 1;
             debug_assert!(seq >= self.rob_base, "completion for retired entry");
-            let mut waiters = std::mem::take(&mut self.rob[(seq - self.rob_base) as usize].waiters);
-            for &consumer in &waiters {
+            let waiters = std::mem::take(&mut self.rob[(seq - self.rob_base) as usize].waiters);
+            for consumer in waiters.iter() {
                 self.sched.wakeups += 1;
                 let entry = &mut self.rob[(consumer - self.rob_base) as usize];
                 entry.pending -= 1;
@@ -215,16 +211,12 @@ impl CoreRun {
                     self.rs_ready += 1;
                 }
             }
-            if waiters.capacity() > 0 {
-                waiters.clear();
-                self.spare_waiters.push(waiters);
-            }
         }
     }
 
     /// Registers `seq` as a waiter on `producer` if the producer has not
     /// completed by the current cycle, bumping `pending` per outstanding
-    /// reference. An entry's first waiter reuses a drained buffer.
+    /// reference.
     fn subscribe(&mut self, seq: u64, producer: u64, pending: &mut u32) {
         if producer < self.rob_base {
             return; // retired, hence complete
@@ -233,15 +225,20 @@ impl CoreRun {
         if entry.issued && entry.complete_cycle <= self.cycle {
             return; // already complete
         }
-        if entry.waiters.capacity() == 0 {
-            if let Some(spare) = self.spare_waiters.pop() {
-                entry.waiters = spare;
-            }
-        }
         entry.waiters.push(seq);
         *pending += 1;
     }
 }
+
+/// Compact fingerprint bytes a run's buffer holds per ROB entry. The
+/// evaluation's largest boundary takes about 12.4 (1 198 bytes on a 97-entry
+/// ROB): an entry's words, its waiters and its share of the queues.
+const FINGERPRINT_BYTES_PER_ROB_ENTRY: usize = 16;
+
+/// Words an engine fingerprint takes at most: its previous schedule, weight
+/// plane, dirty bits and channel, and the paper engines' in-flight
+/// completions and undrained events.
+const ENGINE_FINGERPRINT_WORDS: usize = 32;
 
 /// A paused boundary as [`CpuCore::fingerprint`] writes it, with the
 /// scratch its event heap is sorted in and its engine's words are gathered
@@ -271,9 +268,26 @@ impl Fingerprint {
         &self.bytes[..self.len]
     }
 
-    /// Copies `other`'s words, reusing this buffer.
+    /// An empty fingerprint with room for the boundaries of runs on a core
+    /// of `config`: [`FINGERPRINT_BYTES_PER_ROB_ENTRY`] compact bytes per
+    /// ROB entry, a completion event per entry, and the engine's words:
+    /// the evaluation's runs write every fingerprint into it without
+    /// growing it.
+    pub(crate) fn with_room(config: &CpuConfig) -> Fingerprint {
+        Fingerprint {
+            bytes: vec![0; FINGERPRINT_BYTES_PER_ROB_ENTRY * config.rob_size + 64],
+            len: 0,
+            events: Vec::with_capacity(config.rob_size),
+            engine: Vec::with_capacity(ENGINE_FINGERPRINT_WORDS),
+        }
+    }
+
+    /// Copies `other`'s words, reusing this buffer, which grows to the
+    /// room `other` has: a checkpoint copying a run's fingerprints
+    /// allocates once.
     pub(crate) fn copy_from(&mut self, other: &Fingerprint) {
         self.bytes.clear();
+        self.bytes.reserve(other.bytes.len());
         self.bytes.extend_from_slice(other.bytes());
         self.len = other.len;
     }
@@ -548,10 +562,11 @@ impl CpuCore {
         self.feed_instructions(run, segment.instructions())
     }
 
-    /// Appends `instructions` to a streaming run's fetch buffer and
-    /// advances the pipeline until it either needs instructions that have
-    /// not been fed yet (pausing at an exact mid-cycle boundary) or all fed
-    /// work is in flight.
+    /// Feeds `instructions` to a streaming run and advances the pipeline
+    /// until rename wants an instruction past them (pausing at an exact
+    /// mid-cycle boundary). Rename reads them straight from the slice, so
+    /// the run keeps none of them: once this returns `Ok`, every one is in
+    /// flight or retired.
     ///
     /// # Errors
     ///
@@ -568,14 +583,13 @@ impl CpuCore {
                 reason: "cannot feed a finalized run".to_string(),
             });
         }
-        run.pending.extend(instructions.iter().copied());
         run.fed += instructions.len();
         if !instructions.is_empty() {
             run.stream.segments += 1;
             run.stream.fed_instructions += instructions.len() as u64;
-            run.stream.peak_resident = run.stream.peak_resident.max(run.pending.len());
+            run.stream.peak_resident = run.stream.peak_resident.max(instructions.len());
         }
-        let result = self.advance(run);
+        let result = self.advance(run, instructions);
         self.sched = run.sched;
         self.stream = run.stream;
         result
@@ -593,7 +607,7 @@ impl CpuCore {
     pub fn run_to_quiescence(&mut self, mut run: CoreRun) -> Result<CpuStats, CpuError> {
         self.check_run(&run)?;
         run.finalized = true;
-        self.advance(&mut run)?;
+        self.advance(&mut run, &[])?;
         debug_assert!(run.done, "a finalized run drains to completion");
         self.sched = run.sched;
         self.stream = run.stream;
@@ -642,7 +656,7 @@ impl CpuCore {
     /// Time-valued fields move by `cycles` (the `u64::MAX` not-yet-issued
     /// sentinel excepted), sequence-valued fields by `seqs`, and the hosted
     /// engine by the corresponding engine-clock deltas. Requires a starved-
-    /// rename pause boundary (empty fetch buffer) and a cycle delta that is
+    /// rename pause boundary (every fed instruction renamed) and a cycle delta that is
     /// a whole number of engine cycles.
     pub(crate) fn shift_boundary(
         &mut self,
@@ -651,10 +665,6 @@ impl CpuCore {
         seqs: u64,
         matmuls: u64,
     ) {
-        debug_assert!(
-            run.pending.is_empty(),
-            "shift only at a starved-rename boundary"
-        );
         debug_assert_eq!(
             cycles % run.clock_ratio,
             0,
@@ -672,7 +682,7 @@ impl CpuCore {
             if entry.complete_cycle != u64::MAX {
                 entry.complete_cycle += cycles;
             }
-            for waiter in &mut entry.waiters {
+            for waiter in entry.waiters.iter_mut() {
                 *waiter += seqs;
             }
         }
@@ -725,10 +735,6 @@ impl CpuCore {
     /// The event heap is written in its canonical sorted order (heap layout
     /// is insertion-order dependent and has no semantic meaning).
     pub(crate) fn fingerprint(&self, run: &CoreRun, into: &mut Fingerprint) {
-        debug_assert!(
-            run.pending.is_empty(),
-            "fingerprint only at a starved-rename boundary"
-        );
         debug_assert_eq!(
             run.retired as u64, run.rob_base,
             "every retirement pops the ROB"
@@ -746,10 +752,7 @@ impl CpuCore {
         });
         out.push(tagged(
             tag::FLAGS,
-            u64::from(run.finalized)
-                | u64::from(run.done) << 1
-                | u64::from(run.rs_unsorted) << 2
-                | (run.pending.len() as u64) << 3,
+            u64::from(run.finalized) | u64::from(run.done) << 1 | u64::from(run.rs_unsorted) << 2,
         ));
         out.push(tagged(tag::CLOCK_PHASE, now % run.clock_ratio));
         out.push(tagged(tag::RS_READY, run.rs_ready as u64));
@@ -771,7 +774,7 @@ impl CpuCore {
             }
             if !entry.waiters.is_empty() {
                 out.push(entry.waiters.len() as u64);
-                out.extend(entry.waiters.iter().map(|&w| seq(w)));
+                out.extend(entry.waiters.iter().map(seq));
             }
         }
         // Each reservation-station slot: its kind over its sequence.
@@ -825,10 +828,11 @@ impl CpuCore {
 
     /// The streaming pipeline loop: simulates cycles until the run
     /// completes (finalized and fully retired) or must pause for more
-    /// instructions. Resumes exactly where the previous call paused —
-    /// including mid-cycle, mid-rename — so the feed pattern cannot perturb
-    /// the simulated statistics.
-    fn advance(&mut self, run: &mut CoreRun) -> Result<(), CpuError> {
+    /// instructions, renaming from `fed`, the instructions of this feed.
+    /// Resumes exactly where the previous call paused — including
+    /// mid-cycle, mid-rename — so the feed pattern cannot perturb the
+    /// simulated statistics.
+    fn advance(&mut self, run: &mut CoreRun, fed: &[Instruction]) -> Result<(), CpuError> {
         if run.done {
             return Ok(());
         }
@@ -840,6 +844,7 @@ impl CpuCore {
             return Ok(());
         }
 
+        let mut fed = fed.iter();
         loop {
             if matches!(run.phase, RunPhase::TopOfCycle) {
                 run.sched.visited_cycles += 1;
@@ -1028,12 +1033,12 @@ impl CpuCore {
                 if renamed >= run.config.fetch_width {
                     break;
                 }
-                let Some(&inst) = run.pending.front() else {
+                let Some(&inst) = fed.as_slice().first() else {
                     if run.finalized {
                         break;
                     }
-                    // The fetch buffer ran dry mid-program: pause *before*
-                    // probing ROB/RS occupancy, because the stall counters
+                    // This feed's instructions ran out mid-program: pause
+                    // *before* probing ROB/RS occupancy, because the stall counters
                     // (and rename itself) depend on whether an instruction
                     // is available — exactly like the one-shot loop's
                     // `next_fetch < total` guard.
@@ -1117,7 +1122,7 @@ impl CpuCore {
                 let mut entry = RobEntry::new(kind);
                 entry.pending = pending;
                 run.rob.push_back(entry);
-                run.pending.pop_front();
+                fed.next();
                 run.next_seq += 1;
                 renamed += 1;
                 progress = true;
@@ -1526,6 +1531,26 @@ mod tests {
         b.finish().unwrap()
     }
 
+    /// A chain of six scalar loads into `r1`, one ALU op reading it into
+    /// `r0`, then `readers` ALU ops reading `r0`: the readers rename while
+    /// `r0` still waits on the chain, so its ROB entry gains `readers`
+    /// waiters, more than its inline slots hold.
+    fn fan_out_program(readers: u8) -> Program {
+        let gpr = |i| GprReg::new(i).unwrap();
+        let mut b = ProgramBuilder::new(IsaConfig::amx_like());
+        for _ in 0..6 {
+            b.push(Instruction::ScalarLoad {
+                dst: gpr(1),
+                base: Some(gpr(1)),
+            });
+        }
+        b.scalar_alu(gpr(0), &[gpr(1)]);
+        for i in 0..readers {
+            b.scalar_alu(gpr(2 + i % 14), &[gpr(0)]);
+        }
+        b.finish().unwrap()
+    }
+
     #[test]
     fn empty_program_runs_instantly() {
         let p = ProgramBuilder::new(IsaConfig::amx_like()).finish().unwrap();
@@ -1762,6 +1787,37 @@ mod tests {
     }
 
     #[test]
+    fn a_wide_fan_out_spills_its_waiters_and_matches_the_reference() {
+        // One producer read by twelve younger instructions: its waiter list
+        // spills past the inline slots, and the run still matches the
+        // reference and every chunked streaming run bit for bit.
+        let p = fan_out_program(12);
+        let mut c = core(PeVariant::Baseline, ControlScheme::Base);
+        let mut run = c.begin_run(p.isa()).unwrap();
+        c.feed_instructions(&mut run, p.instructions()).unwrap();
+        let widest = run.rob.iter().map(|entry| entry.waiters.len()).max();
+        assert_eq!(widest, Some(12));
+        const _: () = assert!(12 > crate::sched::INLINE_WAITERS);
+        let streamed = c.run_to_quiescence(run).unwrap();
+        let reference = c.run_reference(&p).unwrap();
+        assert_eq!(streamed, reference);
+        for chunk in [1, 3, 5] {
+            assert_eq!(run_chunked(&mut c, &p, chunk), reference, "chunk {chunk}");
+        }
+        // Spilled lists beside the matrix engine's traffic, on every design.
+        let mut b = ProgramBuilder::new(IsaConfig::amx_like());
+        for (i, inst) in microkernel_program(6).iter().enumerate() {
+            b.push(*inst);
+            if i % 20 == 10 {
+                fan_out_program(9).iter().for_each(|inst| {
+                    b.push(*inst);
+                });
+            }
+        }
+        assert_parity(&b.finish().unwrap(), "fan-out mix");
+    }
+
+    #[test]
     fn event_core_matches_reference_under_tiny_buffers() {
         // Small ROB/RS force every stall path (rob_full, rs_full) and the
         // skip-ahead, so parity here covers the stall accounting too.
@@ -1908,20 +1964,29 @@ mod tests {
         // one-shot path records exactly one starved-rename pause.
         assert_eq!(stream.pauses, 1);
 
-        // Chunked: one segment per feed, peak resident bounded by the
-        // chunk (the pipeline drains each chunk before pausing for more),
-        // and one pause per starved rename.
-        let chunk = 5;
-        run_chunked(&mut c, &p, chunk);
-        let stream = *c.stream_stats();
-        assert_eq!(stream.segments as usize, p.len().div_ceil(chunk));
-        assert_eq!(stream.fed_instructions as usize, p.len());
-        assert!(
-            stream.peak_resident <= 2 * chunk,
-            "peak {} for chunk {chunk}",
-            stream.peak_resident
-        );
-        assert!(stream.pauses >= stream.segments - 1);
+        // Chunked: one segment per feed, peak resident the longest chunk
+        // (rename takes every fed instruction before the run pauses for
+        // more), and one pause per starved rename.
+        for chunk in [5, 7, p.len() - 1] {
+            run_chunked(&mut c, &p, chunk);
+            let stream = *c.stream_stats();
+            assert_eq!(stream.segments as usize, p.len().div_ceil(chunk));
+            assert_eq!(stream.fed_instructions as usize, p.len());
+            assert_eq!(stream.peak_resident, chunk, "chunk {chunk}");
+            assert!(stream.pauses >= stream.segments - 1);
+        }
+        // Uneven feeds: the longest of them, wherever it falls.
+        let mut run = c.begin_run(p.isa()).unwrap();
+        let feeds = [3, 11, 2, p.len() - 16];
+        let mut rest = p.instructions();
+        for len in feeds {
+            let (feed, tail) = rest.split_at(len);
+            c.feed_instructions(&mut run, feed).unwrap();
+            rest = tail;
+        }
+        assert!(rest.is_empty());
+        c.run_to_quiescence(run).unwrap();
+        assert_eq!(c.stream_stats().peak_resident, p.len() - 16);
 
         // The reference loop reports no streaming activity.
         c.run_reference(&p).unwrap();
@@ -2116,6 +2181,29 @@ mod tests {
         {
             assert!(!differs(&|_, r| r.rob[dead].complete_cycle = 0));
         }
+
+        // A boundary where one producer's waiters spill past the inline
+        // slots: its translated copy fingerprints alike, and changing a
+        // spilled waiter changes the fingerprint.
+        let (mut c, p) = (
+            core(PeVariant::Dmdb, ControlScheme::Wls),
+            fan_out_program(12),
+        );
+        let mut run = c.begin_run(p.isa()).unwrap();
+        c.feed_instructions(&mut run, p.instructions()).unwrap();
+        let spilled = run
+            .rob
+            .iter()
+            .position(|e| e.waiters.len() > crate::sched::INLINE_WAITERS)
+            .expect("a spilled waiter list");
+        let base = fingerprint(&c, &run);
+        let (mut moved, mut moved_run) = (c.clone(), run.clone());
+        moved.shift_boundary(&mut moved_run, 4 * 1000, 77, 9);
+        assert_eq!(fingerprint(&moved, &moved_run), base);
+        let mut edited = run.clone();
+        let last = edited.rob[spilled].waiters.iter_mut().last().unwrap();
+        *last += 1;
+        assert_ne!(fingerprint(&c, &edited), base);
     }
 
     #[test]
@@ -2145,14 +2233,13 @@ mod tests {
         let segment = b.finish_segment().unwrap();
         let mut run = c.begin_run(p.isa()).unwrap();
         assert!(matches!(
-            c.feed_segment(&mut run, &segment),
+            c.feed_segment(&mut run, segment),
             Err(CpuError::Stream { .. })
         ));
 
         // An empty finalized run completes with default statistics, like
         // the one-shot empty-program fast path.
         let run = c.begin_run(p.isa()).unwrap();
-        assert_eq!(run.pending_instructions(), 0);
         let stats = c.run_to_quiescence(run).unwrap();
         assert_eq!(stats, CpuStats::default());
 
@@ -2186,10 +2273,10 @@ mod tests {
         for (i, inst) in p.iter().enumerate() {
             b.push(*inst);
             if i % 9 == 8 {
-                segments.push(b.finish_segment().unwrap());
+                segments.push(b.finish_segment().unwrap().clone());
             }
         }
-        segments.push(b.finish_segment().unwrap());
+        segments.push(b.finish_segment().unwrap().clone());
 
         let mut c = core(PeVariant::Dmdb, ControlScheme::Wls);
         let oneshot = c.run(&p).unwrap();

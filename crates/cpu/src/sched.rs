@@ -10,11 +10,21 @@
 //!   something can happen: after a cycle with progress the very next cycle
 //!   (issue/rename/retire widths reset), otherwise the heap's next
 //!   completion time, jumping over the gap in one step;
-//! * per-ROB-entry **waiter lists** — consumers register with their
-//!   incomplete producers at rename, and a popped completion event wakes
-//!   exactly the instructions that were waiting on it, so readiness is
-//!   maintained incrementally instead of being re-derived from the register
-//!   state every cycle.
+//! * per-ROB-entry **waiter lists** ([`Waiters`]) — consumers register
+//!   with their incomplete producers at rename, and a popped completion
+//!   event wakes exactly the instructions that were waiting on it, so
+//!   readiness is maintained incrementally instead of being re-derived from
+//!   the register state every cycle. A list keeps its first
+//!   [`INLINE_WAITERS`] sequences in the ROB entry itself, which covers
+//!   every producer of the GEMM traces (a tile feeds at most three
+//!   `rasa_mm`s of one register block); only a wider fan-out spills into a
+//!   heap buffer of its own.
+//!
+//! Together with the queues a run sizes once from its [`crate::CpuConfig`]
+//! (the ROB, the reservation station, the engine-event queue and the event
+//! heap) and the instructions it renames straight from the caller's slice,
+//! this keeps the event-driven loop off the heap: simulating an
+//! instruction allocates nothing.
 //!
 //! The scheduler is cycle-exact: [`crate::CpuStats`] from the event-driven
 //! loop is bit-identical to the retained cycle-stepping reference
@@ -90,6 +100,55 @@ impl SchedStats {
     }
 }
 
+/// Waiters a [`Waiters`] list holds in place before it spills.
+pub(crate) const INLINE_WAITERS: usize = 4;
+
+/// The ROB sequences waiting on one producer's completion, in the order
+/// they subscribed: the first [`INLINE_WAITERS`] in place, any further ones
+/// in a spill buffer, which only a producer with a wider fan-out allocates.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Waiters {
+    inline: [u64; INLINE_WAITERS],
+    len: usize,
+    spill: Vec<u64>,
+}
+
+impl Waiters {
+    /// Appends `seq` after the waiters already subscribed.
+    pub fn push(&mut self, seq: u64) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = seq,
+            None => self.spill.push(seq),
+        }
+        self.len += 1;
+    }
+
+    /// Waiters subscribed.
+    pub const fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no waiter is subscribed.
+    pub const fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The waiters in subscription order.
+    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
+        self.inline[..self.len.min(INLINE_WAITERS)]
+            .iter()
+            .chain(&self.spill)
+            .copied()
+    }
+
+    /// The waiters in subscription order, to shift in place.
+    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.inline[..self.len.min(INLINE_WAITERS)]
+            .iter_mut()
+            .chain(&mut self.spill)
+    }
+}
+
 /// A min-heap of `(wake cycle, ROB sequence)` completion events.
 ///
 /// Sequences break timestamp ties so pop order is fully deterministic.
@@ -99,6 +158,13 @@ pub(crate) struct EventHeap {
 }
 
 impl EventHeap {
+    /// An empty heap with room for `capacity` events.
+    pub fn with_capacity(capacity: usize) -> Self {
+        EventHeap {
+            heap: BinaryHeap::with_capacity(capacity),
+        }
+    }
+
     /// Schedules the completion of ROB entry `seq` at `cycle`.
     pub fn push(&mut self, cycle: u64, seq: u64) {
         self.heap.push(Reverse((cycle, seq)));
@@ -164,6 +230,21 @@ mod tests {
         assert_eq!(heap.pop_due(40), Some((30, 2)));
         assert_eq!(heap.next_time(), None);
         assert_eq!(heap.pop_due(u64::MAX), None);
+    }
+
+    #[test]
+    fn waiters_keep_their_order_across_the_spill() {
+        let mut waiters = Waiters::default();
+        assert!(waiters.is_empty());
+        let seqs: Vec<u64> = (10..10 + 2 * INLINE_WAITERS as u64 + 1).collect();
+        for &seq in &seqs {
+            waiters.push(seq);
+        }
+        assert_eq!(waiters.len(), seqs.len());
+        assert_eq!(waiters.iter().collect::<Vec<_>>(), seqs);
+        waiters.iter_mut().for_each(|seq| *seq += 100);
+        let shifted: Vec<u64> = seqs.iter().map(|seq| seq + 100).collect();
+        assert_eq!(waiters.iter().collect::<Vec<_>>(), shifted);
     }
 
     #[test]

@@ -596,10 +596,15 @@ impl SpecDelta {
 /// statistics are **bit-identical** to feeding the same instruction stream
 /// sequentially, however much it skips or recalls. See the module docs for
 /// the argument.
+///
+/// The core and its paused run live on the heap, so the run itself stays a
+/// few hundred bytes; a run with a core allocates its buffers once, when it
+/// begins, sized from the core's ROB.
 #[derive(Debug)]
 pub struct SpeculativeRun {
-    /// The core and its paused run; `None` in a recalling run.
-    core: Option<(CpuCore, CoreRun)>,
+    /// The core and its paused run; `None` in a recalling run, and once a
+    /// run with a core has drained.
+    core: Option<Box<(CpuCore, CoreRun)>>,
     /// `(core cycle, rename sequence, engine submissions)` of the boundary.
     position: (u64, u64, u64),
     /// Core cycles per engine cycle.
@@ -631,10 +636,10 @@ impl SpeculativeRun {
         Ok(SpeculativeRun {
             position: (run.current_cycle(), run.next_sequence(), 0),
             clock_ratio: run.clock_ratio(),
-            core: Some((core, run)),
+            fingerprint: Fingerprint::with_room(core.config()),
+            core: Some(Box::new((core, run))),
             state: Some(START),
             settled: true,
-            fingerprint: Fingerprint::default(),
             cpu: CpuStats::default(),
             sched: SchedStats::default(),
             stream: StreamStats::default(),
@@ -672,8 +677,8 @@ impl SpeculativeRun {
     /// Propagates [`CpuCore::feed_segment`] errors, and returns
     /// [`CpuError::Stream`] for a recalling run, which has no core to feed.
     pub fn feed_segment(&mut self, segment: &ProgramSegment) -> Result<(), CpuError> {
-        let (core, run) = self.core.as_mut().ok_or_else(|| CpuError::Stream {
-            reason: "a recalling run has no core to feed".to_string(),
+        let (core, run) = self.core.as_deref_mut().ok_or_else(|| CpuError::Stream {
+            reason: "the run has no core to feed: it recalls, or it has drained".to_string(),
         })?;
         self.settled = false;
         self.state = None;
@@ -684,7 +689,7 @@ impl SpeculativeRun {
     /// accumulators and writes the boundary's position and fingerprint.
     /// Returns what it took: the interval's statistics.
     fn settle(&mut self) -> (CpuStats, SchedStats, StreamStats) {
-        let Some((core, run)) = self.core.as_mut() else {
+        let Some((core, run)) = self.core.as_deref_mut() else {
             return Default::default();
         };
         let interval = core.take_interval_stats(run);
@@ -743,7 +748,7 @@ impl SpeculativeRun {
             delta.instructions * strides,
             delta.matmuls * strides,
         );
-        if let Some((core, run)) = self.core.as_mut() {
+        if let Some((core, run)) = self.core.as_deref_mut() {
             core.shift_boundary(run, cycles, instructions, matmuls);
         }
         let (cycle, seq, submitted) = self.position;
@@ -775,7 +780,7 @@ impl SpeculativeRun {
             return false;
         };
         let from = self.state.unwrap_or(START);
-        if let Some((core, run)) = self.core.as_mut() {
+        if let Some((core, run)) = self.core.as_deref_mut() {
             if transition.end != from {
                 return false;
             }
@@ -843,14 +848,15 @@ impl SpeculativeRun {
     /// Finalizes the run, drains the pipeline to quiescence and returns the
     /// accumulated `(CpuStats, SchedStats, StreamStats)` — the architectural
     /// and scheduler counters bit-identical to the sequential streamed
-    /// execution of the same instruction stream.
+    /// execution of the same instruction stream. The run ends here: its
+    /// core is gone, and it feeds, recalls and drains nothing more.
     ///
     /// # Errors
     ///
     /// Propagates [`CpuCore::run_to_quiescence`] errors, and returns
     /// [`CpuError::Stream`] for a recalling run, which drains only by
-    /// recall ([`SpeculativeRun::recall_drain`]).
-    pub fn finish(self) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
+    /// recall ([`SpeculativeRun::recall_drain`]), or one already drained.
+    pub fn finish(&mut self) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
         self.drain(None::<&SpecMemo<()>>)
     }
 
@@ -861,7 +867,7 @@ impl SpeculativeRun {
     ///
     /// As [`SpeculativeRun::finish`].
     pub fn finish_with<K: Copy + Eq + Hash>(
-        self,
+        &mut self,
         memo: &SpecMemo<K>,
     ) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
         self.drain(Some(memo))
@@ -869,9 +875,10 @@ impl SpeculativeRun {
 
     /// Finalizes a recalling run by recalling the drain from its final
     /// boundary, or returns `None` when `memo` does not hold it (or the run
-    /// has a core, which drains by [`SpeculativeRun::finish_with`]).
+    /// has a core, which drains by [`SpeculativeRun::finish_with`]). A
+    /// recalled drain ends the run.
     pub fn recall_drain<K: Copy + Eq + Hash>(
-        mut self,
+        &mut self,
         memo: &MemoView<'_, K>,
     ) -> Option<(CpuStats, SchedStats, StreamStats)> {
         if !self.is_recalling() {
@@ -886,11 +893,11 @@ impl SpeculativeRun {
     }
 
     fn drain<K: Copy + Eq + Hash>(
-        mut self,
+        &mut self,
         memo: Option<&SpecMemo<K>>,
     ) -> Result<(CpuStats, SchedStats, StreamStats), CpuError> {
-        let (mut core, run) = self.core.take().ok_or_else(|| CpuError::Stream {
-            reason: "a recalling run drains only by recall".to_string(),
+        let (mut core, run) = *self.core.take().ok_or_else(|| CpuError::Stream {
+            reason: "the run has no core to drain: it recalls, or it has drained".to_string(),
         })?;
         let tail = core.run_to_quiescence(run)?;
         let interval = (tail, *core.sched_stats(), *core.stream_stats());
@@ -903,6 +910,9 @@ impl SpeculativeRun {
         self.cpu.accumulate(&interval.0);
         self.sched.accumulate(&interval.1);
         self.stream.accumulate(&interval.2);
+        // Drained, as a recalled drain leaves a run: nothing recalls from
+        // here.
+        self.state = Some(DRAINED);
         Ok((self.cpu, self.sched, self.stream))
     }
 }
@@ -946,7 +956,7 @@ mod tests {
             b.tile_load(treg(5), MemRef::tile(base + 0xc00, 64));
             b.matmul(treg(2), treg(6), treg(5));
             b.matmul(treg(3), treg(7), treg(5));
-            out.push(b.finish_segment().unwrap());
+            out.push(b.finish_segment().unwrap().clone());
         }
         out
     }
@@ -1163,6 +1173,32 @@ mod tests {
                 (2, 2, 1)
             );
         }
+    }
+
+    #[test]
+    fn a_drained_run_feeds_and_drains_nothing_more() {
+        // Draining ends a run, with a core or by recall: a second drain, a
+        // recall or a feed after it is refused, and the stats it returned
+        // stay its stats.
+        let (pe, scheme) = (PeVariant::Dmdb, ControlScheme::Wls);
+        let blocks = trace_blocks(12);
+        let memo = SpecMemo::new();
+        let mut run = begun(pe, scheme);
+        for (k, block) in blocks.iter().enumerate() {
+            run.feed_piece(&memo, k as u8, block).unwrap();
+        }
+        let stats = run.finish_with(&memo).unwrap();
+        assert!(run.finish().is_err());
+        assert!(run.feed_segment(&blocks[0]).is_err());
+        assert_eq!(run.recall_drain(&memo.view()), None);
+        assert!(!run.recall_piece(&memo.view(), 0));
+        let (view, mut recall) = (memo.view(), recalling(pe, scheme));
+        for k in 0..blocks.len() {
+            assert!(recall.recall_piece(&view, k as u8));
+        }
+        assert_eq!(recall.recall_drain(&view), Some(stats));
+        assert_eq!(recall.recall_drain(&view), None);
+        assert!(!recall.recall_piece(&view, 0));
     }
 
     #[test]

@@ -118,12 +118,12 @@ pub struct StreamStats {
     pub segments: u64,
     /// Total instructions fed.
     pub fed_instructions: u64,
-    /// Peak number of fed-but-not-yet-renamed instructions resident in the
-    /// run's fetch buffer. A one-shot [`crate::CpuCore::run`] feeds the
-    /// whole program at once, so this equals the program length; a
-    /// segment-wise feed keeps it at the largest single segment.
+    /// Peak number of fed instructions resident at once: the longest
+    /// segment fed, which rename reads in place before the run pauses for
+    /// the next. A one-shot [`crate::CpuCore::run`] feeds the whole program
+    /// at once, so this equals the program length.
     pub peak_resident: usize,
-    /// Times the run paused because the fetch buffer ran dry before
+    /// Times the run paused because its fed instructions ran out before
     /// finalization (i.e. rename wanted instructions not yet fed). Every
     /// feed ends in one such pause — including the single feed of a
     /// one-shot run — so this counts at least one per segment.

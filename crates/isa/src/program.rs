@@ -227,20 +227,27 @@ impl<'a> IntoIterator for &'a Program {
 /// registers — a common bug class in hand-written kernel generators.
 ///
 /// For streaming producers the builder doubles as a **segmenter**:
-/// [`ProgramBuilder::finish_segment`] drains and validates the buffered
-/// instructions as one [`ProgramSegment`], carrying the written-register
+/// [`ProgramBuilder::finish_segment`] validates the buffered instructions
+/// and lends them as one [`ProgramSegment`], carrying the written-register
 /// state (and the global instruction offset) forward so later segments may
 /// read registers defined by earlier ones — exactly as a single validated
-/// [`Program`] would allow.
+/// [`Program`] would allow. The lent segment's buffer and the builder's
+/// trade places at every flush, so a builder that emits piece after piece
+/// stops allocating once both have grown to its largest piece;
+/// [`ProgramBuilder::reserve`] grows the buffer ahead of a known piece.
 #[derive(Debug, Clone)]
 pub struct ProgramBuilder {
     isa: IsaConfig,
     instructions: Vec<Instruction>,
     live_in: [bool; NUM_TILE_REGS],
-    name: String,
+    /// Set by [`ProgramBuilder::set_name`]; a program left unnamed is
+    /// `"unnamed"`.
+    name: Option<String>,
     /// Instructions already flushed into segments (the global offset of the
     /// first buffered instruction).
     flushed_instructions: usize,
+    /// The segment the last [`ProgramBuilder::finish_segment`] lent.
+    flushed: ProgramSegment,
 }
 
 /// Validates `instructions` against the carried written-register state,
@@ -291,14 +298,18 @@ impl ProgramBuilder {
             isa,
             instructions: Vec::new(),
             live_in: [false; NUM_TILE_REGS],
-            name: "unnamed".to_string(),
+            name: None,
             flushed_instructions: 0,
+            flushed: ProgramSegment {
+                isa,
+                instructions: Vec::new(),
+            },
         }
     }
 
     /// Sets the program name used in reports.
     pub fn set_name(&mut self, name: impl Into<String>) -> &mut Self {
-        self.name = name.into();
+        self.name = Some(name.into());
         self
     }
 
@@ -361,6 +372,12 @@ impl ProgramBuilder {
         self.push(Instruction::VectorFma { dst, src1, src2 })
     }
 
+    /// Makes room for `additional` more instructions in the buffer.
+    pub fn reserve(&mut self, additional: usize) -> &mut Self {
+        self.instructions.reserve(additional);
+        self
+    }
+
     /// Number of instructions emitted so far.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -373,29 +390,30 @@ impl ProgramBuilder {
         self.instructions.is_empty()
     }
 
-    /// Drains the buffered instructions into a validated [`ProgramSegment`],
-    /// carrying the written-register state forward so later segments (or a
-    /// final [`finish`](Self::finish)) may read registers defined here.
-    /// Flushing an empty buffer produces an empty segment, which is valid
-    /// but rarely useful.
+    /// Validates the buffered instructions and lends them as a
+    /// [`ProgramSegment`], carrying the written-register state forward so
+    /// later segments (or a final [`finish`](Self::finish)) may read
+    /// registers defined here. The buffer starts afresh in the previous
+    /// segment's buffer, and the segment's is the next flush's: flushing
+    /// allocates nothing, and emitting only once a segment is longer than
+    /// both have been. Flushing an empty buffer lends an empty segment,
+    /// which is valid but rarely useful.
     ///
     /// # Errors
     ///
     /// Returns [`IsaError::InvalidProgram`] under the same rules as
     /// [`finish`](Self::finish); error indices are global stream positions.
-    pub fn finish_segment(&mut self) -> Result<ProgramSegment, IsaError> {
-        let instructions = std::mem::take(&mut self.instructions);
+    pub fn finish_segment(&mut self) -> Result<&ProgramSegment, IsaError> {
+        std::mem::swap(&mut self.instructions, &mut self.flushed.instructions);
+        self.instructions.clear();
         validate_instructions(
             &self.isa,
             &mut self.live_in,
-            &instructions,
+            &self.flushed.instructions,
             self.flushed_instructions,
         )?;
-        self.flushed_instructions += instructions.len();
-        Ok(ProgramSegment {
-            isa: self.isa,
-            instructions,
-        })
+        self.flushed_instructions += self.flushed.len();
+        Ok(&self.flushed)
     }
 
     /// Validates the emitted instructions and produces a [`Program`].
@@ -423,7 +441,7 @@ impl ProgramBuilder {
             isa: self.isa,
             instructions: self.instructions,
             stats,
-            name: self.name,
+            name: self.name.unwrap_or_else(|| "unnamed".to_string()),
         })
     }
 }
@@ -549,10 +567,10 @@ mod tests {
         for (i, inst) in whole.iter().enumerate() {
             b.push(*inst);
             if i % 5 == 4 {
-                segments.push(b.finish_segment().unwrap());
+                segments.push(b.finish_segment().unwrap().clone());
             }
         }
-        segments.push(b.finish_segment().unwrap());
+        segments.push(b.finish_segment().unwrap().clone());
         assert_eq!(segments.len(), 4);
         for s in &segments {
             assert_eq!(s.isa(), &isa);
@@ -596,6 +614,30 @@ mod tests {
     }
 
     #[test]
+    fn finished_segments_reuse_their_buffers() {
+        // Flushes lend segments whose buffers trade places with the
+        // builder's: once both have grown, the same two buffers serve
+        // every later segment of at most that length.
+        let mut b = ProgramBuilder::new(IsaConfig::amx_like());
+        let mut buffers = Vec::new();
+        for round in 0..6u64 {
+            for i in 0..4u8 {
+                b.tile_load(treg(i), MemRef::tile(round * 0x1000 + u64::from(i), 64));
+            }
+            let segment = b.finish_segment().unwrap();
+            assert_eq!(segment.len(), 4);
+            buffers.push(segment.instructions().as_ptr());
+        }
+        assert_eq!(buffers[2..], [buffers[0], buffers[1]].repeat(2));
+        // A failed flush reports the global stream index it failed at.
+        b.matmul(treg(0), treg(1), treg(2));
+        assert!(b.finish_segment().is_ok());
+        b.matmul(treg(0), treg(6), treg(1));
+        let err = b.finish_segment().unwrap_err();
+        assert!(matches!(err, IsaError::InvalidProgram { index: 25, .. }));
+    }
+
+    #[test]
     fn empty_segment_is_valid() {
         let mut b = ProgramBuilder::new(IsaConfig::amx_like());
         let s = b.finish_segment().unwrap();
@@ -603,7 +645,7 @@ mod tests {
         assert_eq!(s.len(), 0);
         b.tile_load(treg(0), MemRef::tile(0, 64));
         let s = b.finish_segment().unwrap();
-        assert_eq!((&s).into_iter().count(), 1);
+        assert_eq!(s.into_iter().count(), 1);
     }
 
     #[test]

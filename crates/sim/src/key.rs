@@ -30,7 +30,8 @@
 //! A runner's cell key is held in parts: about 95% of its text is the
 //! design and kernel of its *machine*, which [`CellKey::cell`] shares
 //! between every cell of that machine, so a cached cell keeps only its
-//! shape's few dozen bytes. The parts hash and compare as their
+//! shape, whose text it renders when asked: keying a cell, and cloning its
+//! key into a cache, allocate nothing. The parts hash and compare as their
 //! concatenation, so a key held in parts equals the same text held whole.
 //! The machine also keeps the FNV-1a state its design part leaves, worked
 //! out once when the machine is built: the design is about 70% of a key's
@@ -38,6 +39,7 @@
 //! kernel from that state on, and still gets the whole text's hash.
 
 use crate::net::hash::{fnv1a_64_from, mix64, ring_point, FNV_OFFSET_BASIS};
+use rasa_numeric::GemmShape;
 use std::borrow::Cow;
 use std::fmt;
 use std::hash::{Hash, Hasher};
@@ -69,6 +71,58 @@ impl MachineKey {
     }
 }
 
+/// A shape's part of a cell key: byte for byte its `Debug` text,
+/// `GemmShape { m: .., k: .., n: .. }`, written on the stack without the
+/// formatting machinery, since every cell key hashes one.
+pub(crate) struct ShapeText {
+    bytes: [u8; SHAPE_TEXT_BYTES],
+    len: u8,
+}
+
+/// The longest shape text: three 20-digit sizes take 87 bytes.
+const SHAPE_TEXT_BYTES: usize = 87;
+
+impl ShapeText {
+    /// `shape`'s text.
+    pub(crate) fn new(shape: GemmShape) -> ShapeText {
+        let mut text = ShapeText {
+            bytes: [0; SHAPE_TEXT_BYTES],
+            len: 0,
+        };
+        for (label, size) in [
+            ("GemmShape { m: ", shape.m),
+            (", k: ", shape.k),
+            (", n: ", shape.n),
+        ] {
+            text.push(label.as_bytes());
+            let mut digits = [0; 20];
+            let mut start = digits.len();
+            let mut rest = size;
+            loop {
+                start -= 1;
+                digits[start] = b'0' + (rest % 10) as u8;
+                rest /= 10;
+                if rest == 0 {
+                    break;
+                }
+            }
+            text.push(&digits[start..]);
+        }
+        text.push(b" }");
+        text
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        let at = usize::from(self.len);
+        self.bytes[at..at + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len() as u8;
+    }
+
+    pub(crate) fn as_str(&self) -> &str {
+        std::str::from_utf8(&self.bytes[..usize::from(self.len)]).expect("the text is ASCII")
+    }
+}
+
 /// A key's text: rendered whole, or a cell's shape between its machine's
 /// shared parts.
 #[derive(Debug, Clone)]
@@ -76,7 +130,7 @@ enum KeyText {
     Whole(Arc<str>),
     Cell {
         machine: Arc<MachineKey>,
-        shape: Box<str>,
+        shape: GemmShape,
     },
 }
 
@@ -102,29 +156,37 @@ impl CellKey {
         }
     }
 
-    /// The key of a cell whose rendered shape is `shape` on `machine`:
-    /// the same text, hash and equality as the whole key
-    /// `"{design:?}|{shape}|{kernel:?}"`, sharing the machine's parts and
-    /// hashing on from the state its design part leaves.
-    pub(crate) fn cell(machine: &Arc<MachineKey>, shape: &str) -> CellKey {
+    /// The key of a cell of `shape` on `machine`: the same text, hash and
+    /// equality as the whole key `"{design:?}|{shape:?}|{kernel:?}"`,
+    /// sharing the machine's parts and hashing on from the state its
+    /// design part leaves.
+    pub(crate) fn cell(machine: &Arc<MachineKey>, shape: GemmShape) -> CellKey {
         let hash = fnv1a_64_from(
-            fnv1a_64_from(machine.design_state, shape.as_bytes()),
+            fnv1a_64_from(
+                machine.design_state,
+                ShapeText::new(shape).as_str().as_bytes(),
+            ),
             machine.kernel.as_bytes(),
         );
         CellKey {
             text: KeyText::Cell {
                 machine: Arc::clone(machine),
-                shape: shape.into(),
+                shape,
             },
             hash: mix64(hash),
         }
     }
 
-    /// The key text in its parts, in order (a whole key is one part).
-    fn parts(&self) -> [&str; 3] {
+    /// Calls `f` with the key text in its parts, in order (a whole key is
+    /// one part).
+    fn with_parts<R>(&self, f: impl FnOnce([&str; 3]) -> R) -> R {
         match &self.text {
-            KeyText::Whole(text) => [text, "", ""],
-            KeyText::Cell { machine, shape } => [&machine.design, shape, &machine.kernel],
+            KeyText::Whole(text) => f([text, "", ""]),
+            KeyText::Cell { machine, shape } => f([
+                &machine.design,
+                ShapeText::new(*shape).as_str(),
+                &machine.kernel,
+            ]),
         }
     }
 
@@ -134,7 +196,7 @@ impl CellKey {
     pub fn text(&self) -> Cow<'_, str> {
         match &self.text {
             KeyText::Whole(text) => Cow::Borrowed(text),
-            KeyText::Cell { .. } => Cow::Owned(self.parts().concat()),
+            KeyText::Cell { .. } => Cow::Owned(self.with_parts(|parts| parts.concat())),
         }
     }
 
@@ -164,12 +226,13 @@ impl PartialEq for CellKey {
                     shape: other_shape,
                 },
             ) if Arc::ptr_eq(machine, other_machine) => shape == other_shape,
-            _ => {
-                let (a, b) = (self.parts(), other.parts());
-                a.iter()
-                    .flat_map(|part| part.bytes())
-                    .eq(b.iter().flat_map(|part| part.bytes()))
-            }
+            _ => self.with_parts(|a| {
+                other.with_parts(|b| {
+                    a.iter()
+                        .flat_map(|part| part.bytes())
+                        .eq(b.iter().flat_map(|part| part.bytes()))
+                })
+            }),
         }
     }
 }
@@ -184,7 +247,7 @@ impl Hash for CellKey {
 
 impl fmt::Display for CellKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        self.parts().iter().try_for_each(|part| f.write_str(part))
+        self.with_parts(|parts| parts.iter().try_for_each(|part| f.write_str(part)))
     }
 }
 
@@ -245,32 +308,38 @@ mod tests {
     #[test]
     fn a_key_in_parts_is_its_whole_text() {
         // Same text, same hash, equal both ways; the machine's parts are
-        // shared, and texts that differ anywhere, or only split
-        // differently into parts, compare as their bytes.
+        // shared, and texts that differ anywhere, or that another machine
+        // or a whole key holds, compare as their bytes.
         let machine = Arc::new(MachineKey::new(
             "BASELINE {…}|".to_string(),
             "|Kernel { cap: 96 }".to_string(),
         ));
-        let whole = "BASELINE {…}|Gemm { m: 512 }|Kernel { cap: 96 }";
-        let cell = CellKey::cell(&machine, "Gemm { m: 512 }");
+        let shape = GemmShape::new(512, 64, 32);
+        let whole = format!("BASELINE {{…}}|{shape:?}|Kernel {{ cap: 96 }}");
+        let cell = CellKey::cell(&machine, shape);
         assert_eq!(cell.text(), whole);
         assert_eq!(cell.to_string(), whole);
-        assert_eq!(cell.hash64(), CellKey::new(whole).hash64());
-        assert_eq!(cell, CellKey::new(whole));
-        assert_eq!(CellKey::new(whole), cell);
-        assert_eq!(cell, CellKey::cell(&machine, "Gemm { m: 512 }"));
-        let other = CellKey::cell(&machine, "Gemm { m: 511 }");
+        assert_eq!(cell.hash64(), CellKey::new(whole.as_str()).hash64());
+        assert_eq!(cell, CellKey::new(whole.as_str()));
+        assert_eq!(CellKey::new(whole.as_str()), cell);
+        assert_eq!(cell, CellKey::cell(&machine, shape));
+        let other = CellKey::cell(&machine, GemmShape::new(511, 64, 32));
         assert_ne!(cell, other);
-        let resplit = Arc::new(MachineKey::new(
-            "BASELINE {…}|Gemm".to_string(),
+        let twin = Arc::new(MachineKey::new(
+            machine.design.clone(),
             machine.kernel.clone(),
         ));
-        assert_eq!(cell, CellKey::cell(&resplit, " { m: 512 }"));
+        assert_eq!(cell, CellKey::cell(&twin, shape));
         let forged = CellKey {
-            text: KeyText::Whole(Arc::from("BASELINE {…}|Gemm { m: 513 }|Kernel { cap: 96 }")),
+            text: KeyText::Whole(Arc::from(whole.replace("512", "513"))),
             hash: cell.hash64(),
         };
         assert_ne!(cell, forged, "a collision in parts must not alias");
+        let forged_twin = CellKey {
+            hash: cell.hash64(),
+            ..CellKey::cell(&twin, GemmShape::new(511, 64, 32))
+        };
+        assert_ne!(cell, forged_twin, "nor one on another machine");
     }
 
     #[test]

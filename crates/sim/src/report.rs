@@ -2,6 +2,7 @@ use rasa_cpu::{CpuStats, SchedStats};
 use rasa_power::PowerReport;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 
 /// How the trace reached the simulating core: piece by piece, at most one
 /// register block at a time (every `run_gemm`/`run_layer` cell), or as one
@@ -24,7 +25,7 @@ pub struct PipelineStats {
     pub segments: u64,
     /// Total instructions fed (the trace length).
     pub fed_instructions: u64,
-    /// Peak instructions resident in the core's fetch buffer — the whole
+    /// Peak instructions resident at once, the longest piece fed — the whole
     /// trace for a materialized run, at most one register block for a
     /// streamed one. The streaming pipeline's memory headroom is the ratio
     /// of the two.
@@ -244,20 +245,24 @@ impl SimSummary {
 }
 
 /// A labelled collection of reports for one workload across design points
-/// (one Fig. 5 column group).
+/// (one Fig. 5 column group). The reports are shared with the runner's
+/// cell cache, not copied out of it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadRun {
     /// Workload name.
     pub workload: String,
     /// One report per design point, in the order they were run.
-    pub reports: Vec<SimReport>,
+    pub reports: Vec<Arc<SimReport>>,
 }
 
 impl WorkloadRun {
     /// The baseline report (design named `BASELINE`), if present.
     #[must_use]
     pub fn baseline(&self) -> Option<&SimReport> {
-        self.reports.iter().find(|r| r.design == "BASELINE")
+        self.reports
+            .iter()
+            .map(Arc::as_ref)
+            .find(|r| r.design == "BASELINE")
     }
 
     /// Normalized runtime of every design against the workload's baseline.
@@ -384,8 +389,8 @@ mod tests {
         let run = WorkloadRun {
             workload: "DLRM-1".to_string(),
             reports: vec![
-                report("BASELINE", "DLRM-1", 1000),
-                report("RASA-WLBP", "DLRM-1", 700),
+                Arc::new(report("BASELINE", "DLRM-1", 1000)),
+                Arc::new(report("RASA-WLBP", "DLRM-1", 700)),
             ],
         };
         let normalized = run.normalized_runtimes();
@@ -395,7 +400,7 @@ mod tests {
 
         let empty = WorkloadRun {
             workload: "x".to_string(),
-            reports: vec![report("RASA-PIPE", "x", 10)],
+            reports: vec![Arc::new(report("RASA-PIPE", "x", 10))],
         };
         assert!(empty.baseline().is_none());
         assert!(empty.normalized_runtimes().is_empty());

@@ -32,7 +32,6 @@ use crate::prof::{self, Stage};
 use crate::simulator::DEFAULT_MATMUL_CAP;
 use crate::{DesignPoint, SimError, SimReport, Simulator, WorkloadRun};
 use rasa_cpu::MemoStats;
-use rasa_numeric::GemmShape;
 use rasa_trace::GemmKernelConfig;
 use rasa_workloads::LayerSpec;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -56,59 +55,6 @@ const MACHINES: usize = 16;
 struct Machine {
     sim: Arc<Simulator>,
     key: Arc<MachineKey>,
-}
-
-/// A shape's part of a cell key: byte for byte its `Debug` text,
-/// `GemmShape { m: .., k: .., n: .. }`, written into a stack buffer without
-/// the formatting machinery, since every job renders one.
-struct ShapeText {
-    bytes: [u8; 96],
-    len: usize,
-}
-
-impl Default for ShapeText {
-    fn default() -> Self {
-        ShapeText {
-            bytes: [0; 96],
-            len: 0,
-        }
-    }
-}
-
-impl ShapeText {
-    /// Writes `shape`'s text (the longest, three 20-digit sizes, takes 87
-    /// bytes).
-    fn write(&mut self, shape: GemmShape) {
-        for (label, size) in [
-            ("GemmShape { m: ", shape.m),
-            (", k: ", shape.k),
-            (", n: ", shape.n),
-        ] {
-            self.push(label.as_bytes());
-            let mut digits = [0; 20];
-            let mut start = digits.len();
-            let mut rest = size;
-            loop {
-                start -= 1;
-                digits[start] = b'0' + (rest % 10) as u8;
-                rest /= 10;
-                if rest == 0 {
-                    break;
-                }
-            }
-            self.push(&digits[start..]);
-        }
-        self.push(b" }");
-    }
-
-    fn push(&mut self, bytes: &[u8]) {
-        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
-        self.len += bytes.len();
-    }
-
-    fn as_str(&self) -> &str {
-        std::str::from_utf8(&self.bytes[..self.len]).expect("the text is ASCII")
-    }
 }
 
 /// One simulation cell: a workload on a design point, optionally under a
@@ -147,10 +93,16 @@ impl SimJob {
     /// the cap.
     #[must_use]
     pub fn resolved_kernel(&self, default_matmul_cap: Option<usize>) -> GemmKernelConfig {
-        self.kernel.unwrap_or_else(|| GemmKernelConfig {
-            max_matmuls: default_matmul_cap,
-            ..GemmKernelConfig::default()
-        })
+        self.cell().resolved_kernel(default_matmul_cap)
+    }
+
+    /// The job as the runner runs it.
+    fn cell(&self) -> Cell<'_> {
+        Cell {
+            design: &self.design,
+            workload: &self.workload,
+            kernel: self.kernel,
+        }
     }
 
     /// The semantic identity of this job's simulation cell under a given
@@ -168,12 +120,7 @@ impl SimJob {
     /// pinned golden cache dumps stay byte-stable.
     #[must_use]
     pub fn semantic_key(&self, default_matmul_cap: Option<usize>) -> String {
-        let kernel = self.resolved_kernel(default_matmul_cap);
-        format!(
-            "{:?}|{:?}|{kernel:?}",
-            self.design,
-            self.workload.gemm_shape()
-        )
+        self.cell().semantic_key(default_matmul_cap)
     }
 
     /// The interned form of [`semantic_key`](Self::semantic_key): the same
@@ -182,6 +129,35 @@ impl SimJob {
     #[must_use]
     pub fn cell_key(&self, default_matmul_cap: Option<usize>) -> CellKey {
         CellKey::new(self.semantic_key(default_matmul_cap))
+    }
+}
+
+/// One cell as the runner runs it: a job's design and workload, borrowed
+/// from the job or from a spec's matrix, and its kernel override.
+#[derive(Clone, Copy)]
+struct Cell<'a> {
+    design: &'a DesignPoint,
+    workload: &'a LayerSpec,
+    kernel: Option<GemmKernelConfig>,
+}
+
+impl Cell<'_> {
+    /// See [`SimJob::resolved_kernel`].
+    fn resolved_kernel(&self, default_matmul_cap: Option<usize>) -> GemmKernelConfig {
+        self.kernel.unwrap_or_else(|| GemmKernelConfig {
+            max_matmuls: default_matmul_cap,
+            ..GemmKernelConfig::default()
+        })
+    }
+
+    /// See [`SimJob::semantic_key`].
+    fn semantic_key(&self, default_matmul_cap: Option<usize>) -> String {
+        let kernel = self.resolved_kernel(default_matmul_cap);
+        format!(
+            "{:?}|{:?}|{kernel:?}",
+            self.design,
+            self.workload.gemm_shape()
+        )
     }
 }
 
@@ -320,22 +296,24 @@ impl ExperimentRunner {
         self.machines.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// `job`'s machine under `kernel`, built on first use.
-    fn machine(&self, job: &SimJob, kernel: GemmKernelConfig) -> Result<Machine, SimError> {
+    /// The machine of `cell`'s design and resolved kernel, built on first
+    /// use.
+    fn machine(&self, cell: Cell<'_>) -> Result<Machine, SimError> {
+        let (design, kernel) = (cell.design, cell.resolved_kernel(self.matmul_cap));
         let mut machines = self.machines();
         if let Some(machine) = machines
             .iter()
-            .find(|machine| *machine.sim.kernel() == kernel && *machine.sim.design() == job.design)
+            .find(|machine| *machine.sim.kernel() == kernel && machine.sim.design() == design)
         {
             return Ok(machine.clone());
         }
-        let sim = Simulator::new(job.design.clone())?
+        let sim = Simulator::new(design.clone())?
             .with_kernel(kernel)?
             .with_speculation(self.speculation);
         let machine = Machine {
             sim: Arc::new(sim),
             key: Arc::new(MachineKey::new(
-                format!("{:?}|", job.design),
+                format!("{design:?}|"),
                 format!("|{kernel:?}"),
             )),
         };
@@ -479,12 +457,6 @@ impl ExperimentRunner {
         Ok(loaded)
     }
 
-    /// The kernel a job resolves to: its explicit override, or the default
-    /// kernel carrying the runner's matmul cap.
-    fn resolve_kernel(&self, job: &SimJob) -> GemmKernelConfig {
-        job.resolved_kernel(self.matmul_cap)
-    }
-
     /// The semantic cache key of a job's simulation cell.
     ///
     /// Simulated cycle counts depend only on the design, the lowered GEMM
@@ -503,19 +475,16 @@ impl ExperimentRunner {
     /// machine.
     #[must_use]
     pub fn job_key(&self, job: &SimJob) -> CellKey {
-        self.machine_key(job, &self.machine(job, self.resolve_kernel(job)))
+        let cell = job.cell();
+        self.machine_key(cell, &self.machine(cell))
     }
 
-    /// The key of `job` on `machine`, the machine its design and resolved
+    /// The key of `cell` on `machine`, the machine its design and resolved
     /// kernel name (or a whole key when it has none: an invalid kernel).
-    fn machine_key(&self, job: &SimJob, machine: &Result<Machine, SimError>) -> CellKey {
+    fn machine_key(&self, cell: Cell<'_>, machine: &Result<Machine, SimError>) -> CellKey {
         match machine {
-            Ok(machine) => {
-                let mut shape = ShapeText::default();
-                shape.write(job.workload.gemm_shape());
-                CellKey::cell(&machine.key, shape.as_str())
-            }
-            Err(_) => job.cell_key(self.matmul_cap),
+            Ok(machine) => CellKey::cell(&machine.key, cell.workload.gemm_shape()),
+            Err(_) => CellKey::new(cell.semantic_key(self.matmul_cap)),
         }
     }
 
@@ -526,8 +495,13 @@ impl ExperimentRunner {
     ///
     /// Propagates simulation errors from the underlying [`Simulator`].
     pub fn run_job(&self, job: &SimJob) -> Result<Arc<SimReport>, SimError> {
-        let machine = self.machine(job, self.resolve_kernel(job));
-        let key = self.machine_key(job, &machine);
+        self.run_cell(job.cell())
+    }
+
+    /// [`run_job`](Self::run_job) on a borrowed cell.
+    fn run_cell(&self, cell: Cell<'_>) -> Result<Arc<SimReport>, SimError> {
+        let machine = self.machine(cell);
+        let key = self.machine_key(cell, &machine);
         {
             let probe = prof::time(Stage::CacheProbe);
             let hit = self.cache.lock().get(&key).map(Arc::clone);
@@ -536,18 +510,18 @@ impl ExperimentRunner {
                 self.hits.fetch_add(1, Ordering::Relaxed);
                 // Same numbers, possibly a different label: restamp the
                 // workload name the caller asked for.
-                return Ok(if report.workload == job.workload.name() {
+                return Ok(if report.workload == cell.workload.name() {
                     report
                 } else {
                     let mut relabelled = (*report).clone();
-                    relabelled.workload = job.workload.name().to_string();
+                    relabelled.workload = cell.workload.name().to_string();
                     Arc::new(relabelled)
                 });
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         let simulate = prof::time(Stage::Simulate);
-        let report = Arc::new(machine?.sim.run_layer(&job.workload)?);
+        let report = Arc::new(machine?.sim.run_layer(cell.workload)?);
         drop(simulate);
         let outcome = self.cache.lock().insert(key, Arc::clone(&report));
         if matches!(outcome, InsertOutcome::Evicted(..)) {
@@ -567,7 +541,8 @@ impl ExperimentRunner {
 
     /// Runs the full (workload × design) matrix of a spec and groups the
     /// reports into one [`WorkloadRun`] per workload (designs in spec
-    /// order).
+    /// order). The cells run in [`ExperimentSpec::jobs`] order, straight
+    /// from the spec's workloads and designs.
     ///
     /// # Errors
     ///
@@ -582,15 +557,26 @@ impl ExperimentRunner {
                 ),
             });
         }
-        let reports = self.run_jobs(&spec.jobs())?;
-        Ok(reports
-            .chunks(spec.designs.len())
-            .zip(&spec.workloads)
-            .map(|(chunk, workload)| WorkloadRun {
-                workload: workload.name().to_string(),
-                reports: chunk.iter().map(|r| (**r).clone()).collect(),
+        spec.workloads
+            .iter()
+            .map(|workload| {
+                let reports = spec
+                    .designs
+                    .iter()
+                    .map(|design| {
+                        self.run_cell(Cell {
+                            design,
+                            workload,
+                            kernel: spec.kernel,
+                        })
+                    })
+                    .collect::<Result<_, _>>()?;
+                Ok(WorkloadRun {
+                    workload: workload.name().to_string(),
+                    reports,
+                })
             })
-            .collect())
+            .collect()
     }
 
     /// Convenience wrapper: runs `workloads × designs` with the default
@@ -996,9 +982,8 @@ mod tests {
             (401_604, 64, 99),
             (usize::MAX, usize::MAX, usize::MAX),
         ] {
-            let shape = GemmShape::new(m, k, n);
-            let mut text = ShapeText::default();
-            text.write(shape);
+            let shape = rasa_numeric::GemmShape::new(m, k, n);
+            let text = crate::key::ShapeText::new(shape);
             assert_eq!(text.as_str(), format!("{shape:?}"));
         }
     }

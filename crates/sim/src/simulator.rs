@@ -6,9 +6,11 @@ use rasa_cpu::{
 };
 use rasa_isa::Program;
 use rasa_numeric::GemmShape;
-use rasa_power::{EngineActivitySummary, PowerReport};
+use rasa_power::{AreaBreakdown, AreaModel, EnergyModel, EngineActivitySummary, PowerReport};
 use rasa_systolic::MatrixEngine;
-use rasa_trace::{GemmKernelConfig, GemmTraceStream, PieceKey, TraceGenerator, WalkPlan};
+use rasa_trace::{
+    GemmKernelConfig, GemmTraceStream, PieceKey, TraceError, TraceGenerator, WalkPlan,
+};
 use rasa_workloads::LayerSpec;
 use std::sync::Arc;
 
@@ -77,6 +79,10 @@ pub struct Simulator {
     generator: TraceGenerator,
     speculation: bool,
     memo: Arc<SpecMemo<PieceKey>>,
+    /// The power model's label for the design's array, and the array's
+    /// area breakdown: worked out once, as every report carries them.
+    power_label: String,
+    area: AreaBreakdown,
 }
 
 /// Why a cell's walk stopped before its report.
@@ -93,20 +99,26 @@ impl<E: Into<SimError>> From<E> for Halt {
     }
 }
 
-/// One cell in flight: its run, the trace stream whose cursor walks the
-/// cell's plan, and the checkpoints the in-block probe refills from block
-/// to block.
+/// One cell in flight: its run and the trace stream whose cursor walks the
+/// cell's plan.
 struct CellRun<'a> {
     sim: &'a Simulator,
     /// The memo a recalling run reads its whole walk through; `None` for a
     /// run with a core, which records as it goes.
     view: Option<&'a MemoView<'a, PieceKey>>,
-    run: SpeculativeRun,
+    run: &'a mut SpeculativeRun,
     stream: GemmTraceStream,
-    /// The in-block probe's seed and probe checkpoints.
-    step_checkpoints: [SpecCheckpoint; 2],
     /// Reduction steps skipped inside blocks.
     skipped_steps: u64,
+}
+
+/// The seed and probe checkpoints of a cell's two probes, refilled in
+/// place: the block probe's, and the in-block probe's, which every fed
+/// block reuses.
+#[derive(Default)]
+struct Checkpoints {
+    blocks: [SpecCheckpoint; 2],
+    steps: [SpecCheckpoint; 2],
 }
 
 impl Simulator {
@@ -123,6 +135,8 @@ impl Simulator {
         let generator = TraceGenerator::amx_like()
             .with_kernel(GemmKernelConfig::default().with_max_matmuls(DEFAULT_MATMUL_CAP))?;
         Ok(Simulator {
+            power_label: design.systolic().label(),
+            area: AreaModel::new().breakdown(design.systolic()),
             design,
             generator,
             speculation: true,
@@ -328,16 +342,16 @@ impl Simulator {
         if self.speculation {
             // The view goes before the run with a core records.
             let view = self.memo.view();
-            let recall = SpeculativeRun::recall(self.design.cpu(), self.design.systolic());
-            if let Some(report) = self.walk(plan, name, recall, Some(&view))? {
+            let mut recall = SpeculativeRun::recall(self.design.cpu(), self.design.systolic());
+            if let Some(report) = self.walk(plan, name, &mut recall, Some(&view))? {
                 return Ok(report);
             }
         }
         let engine = MatrixEngine::new(*self.design.systolic());
         let core = CpuCore::new(*self.design.cpu(), engine);
-        let run = SpeculativeRun::begin(core, self.generator.isa())?;
+        let mut run = SpeculativeRun::begin(core, self.generator.isa())?;
         Ok(self
-            .walk(plan, name, run, None)?
+            .walk(plan, name, &mut run, None)?
             .expect("a run with a core never misses"))
     }
 
@@ -348,15 +362,14 @@ impl Simulator {
         &self,
         plan: WalkPlan,
         name: &str,
-        run: SpeculativeRun,
+        run: &mut SpeculativeRun,
         view: Option<&MemoView<'_, PieceKey>>,
     ) -> Result<Option<SimReport>, SimError> {
-        let cell = CellRun {
+        let mut cell = CellRun {
             sim: self,
             view,
             run,
             stream: self.generator.gemm_blocks(plan),
-            step_checkpoints: Default::default(),
             skipped_steps: 0,
         };
         let (cpu_stats, sched, stream, skipped_steps) = match cell.execute() {
@@ -401,7 +414,12 @@ impl Simulator {
         };
 
         let activity = EngineActivitySummary::from_engine_stats(&cpu_stats.engine);
-        let power = PowerReport::new(self.design.systolic(), &activity, simulated_cycles);
+        let power = PowerReport {
+            design: self.power_label.clone(),
+            area: self.area,
+            energy: EnergyModel::new().energy(self.design.systolic(), &activity),
+            core_cycles: simulated_cycles,
+        };
 
         SimReport {
             design: self.design.name().to_string(),
@@ -428,13 +446,14 @@ impl CellRun<'_> {
     /// Walks the whole cell — the block-level fast-forward prefix, the
     /// remaining blocks, the drain — and returns its statistics and the
     /// reduction steps it skipped inside blocks.
-    fn execute(mut self) -> Result<(CpuStats, SchedStats, StreamStats, u64), Halt> {
+    fn execute(&mut self) -> Result<(CpuStats, SchedStats, StreamStats, u64), Halt> {
         let plan = *self.stream.plan();
+        let mut checkpoints = Checkpoints::default();
         let warm_up = warm_up_strides(&plan, self.rob_size()).filter(|_| self.sim.speculation);
         if let Some(strides) = warm_up {
-            self.fast_forward_prefix(strides)?;
+            self.fast_forward_prefix(strides, &mut checkpoints)?;
         }
-        self.feed_blocks_to(plan.blocks())?;
+        self.feed_blocks_to(plan.blocks(), &mut checkpoints.steps)?;
         let stats = match self.view {
             Some(view) => self.run.recall_drain(view).ok_or(Halt::Missed)?,
             None if self.sim.speculation => self.run.finish_with(&self.sim.memo)?,
@@ -444,10 +463,20 @@ impl CellRun<'_> {
     }
 
     /// Feeds the register blocks from the stream's cursor up to block
-    /// `end`.
-    fn feed_blocks_to(&mut self, end: usize) -> Result<(), Halt> {
+    /// `end`, each probing its reduction steps with `steps`. Asking for a
+    /// block past the end of the walk is an error, not a feed that never
+    /// moves the cursor.
+    fn feed_blocks_to(&mut self, end: usize, steps: &mut [SpecCheckpoint; 2]) -> Result<(), Halt> {
         while self.stream.cursor_block() < end {
-            self.feed_block()?;
+            let block = self.stream.cursor_block();
+            self.feed_block(steps)?;
+            if self.stream.cursor_block() == block {
+                return Err(Halt::Failed(SimError::Trace(TraceError::Stream {
+                    reason: format!(
+                        "cannot feed up to block {end}: the walk ends at block {block}"
+                    ),
+                })));
+            }
         }
         Ok(())
     }
@@ -482,9 +511,9 @@ impl CellRun<'_> {
         let segment = self.stream.steps_to(end)?.expect("a piece holds a step");
         drop(gen);
         if speculation {
-            self.run.feed_piece(memo, piece, &segment)?;
+            self.run.feed_piece(memo, piece, segment)?;
         } else {
-            self.run.feed_segment(&segment)?;
+            self.run.feed_segment(segment)?;
         }
         Ok(true)
     }
@@ -521,15 +550,15 @@ impl CellRun<'_> {
     /// hold a warm-up, a probe and one skipped step: the block is fed up to
     /// its first probe step, probed step by step, skipped to the end of its
     /// uniform steps and finished with its last step, which stores the
-    /// accumulators. Any other block is one piece.
-    fn feed_block(&mut self) -> Result<(), Halt> {
+    /// accumulators. Any other block is one piece. The in-block probe
+    /// refills `checkpoints`.
+    fn feed_block(&mut self, checkpoints: &mut [SpecCheckpoint; 2]) -> Result<(), Halt> {
         let plan = *self.stream.plan();
         let uniform = plan.repeated_steps();
         let probe = probe_step(&plan, self.stream.cursor_block(), self.rob_size());
         if let Some(mut next) = probe.filter(|_| self.sim.speculation) {
             self.feed(next)?;
-            let mut checkpoints = std::mem::take(&mut self.step_checkpoints);
-            let delta = self.probe(&mut checkpoints, |cell| {
+            let delta = self.probe(checkpoints, |cell| {
                 // Leave at least one uniform step to skip.
                 if next + 1 >= uniform.end {
                     return Ok(false);
@@ -537,7 +566,6 @@ impl CellRun<'_> {
                 next += 1;
                 cell.feed(next)
             });
-            self.step_checkpoints = checkpoints;
             if let Some(delta) = delta? {
                 let skipped = uniform.end - next;
                 self.stream.skip_to(uniform.end)?;
@@ -562,17 +590,21 @@ impl CellRun<'_> {
     /// a ragged first one — is left to the sequential feed. Every block
     /// fed here fast-forwards inside itself too; the stride's delta, the
     /// difference of two cumulative checkpoints, spans those skips.
-    fn fast_forward_prefix(&mut self, warm_up: usize) -> Result<(), Halt> {
+    fn fast_forward_prefix(
+        &mut self,
+        warm_up: usize,
+        checkpoints: &mut Checkpoints,
+    ) -> Result<(), Halt> {
         let plan = *self.stream.plan();
         let (stride, uniform_end) = (plan.period(), plan.uniform_end());
         let mut next = warm_up * stride;
-        self.feed_blocks_to(next)?;
-        let delta = self.probe(&mut Default::default(), |cell| {
+        self.feed_blocks_to(next, &mut checkpoints.steps)?;
+        let delta = self.probe(&mut checkpoints.blocks, |cell| {
             if next + stride > uniform_end {
                 return Ok(false);
             }
             next += stride;
-            cell.feed_blocks_to(next)?;
+            cell.feed_blocks_to(next, &mut checkpoints.steps)?;
             Ok(true)
         })?;
         if let Some(delta) = delta {
@@ -1082,6 +1114,73 @@ mod tests {
             held,
             "the old machine's memo is untouched"
         );
+    }
+
+    #[test]
+    fn feeding_past_the_walk_fails_instead_of_hanging() {
+        // A warm-up or stride rule that overshoots the walk asks for blocks
+        // the cursor never reaches: the feed fails with the walk's end, on a
+        // run with a core and on a recalling one.
+        let sim = Simulator::new(DesignPoint::baseline())
+            .unwrap()
+            .with_matmul_cap(None)
+            .unwrap();
+        let plan = sim.generator.plan(GemmShape::new(64, 64, 64)).unwrap();
+        let overshoot = |run: &mut SpeculativeRun, view| {
+            let mut cell = CellRun {
+                sim: &sim,
+                view,
+                run,
+                stream: sim.generator.gemm_blocks(plan),
+                skipped_steps: 0,
+            };
+            let fed = cell.feed_blocks_to(plan.blocks() + 1, &mut Default::default());
+            assert_eq!(cell.stream.cursor_block(), plan.blocks());
+            match fed {
+                Err(Halt::Failed(SimError::Trace(TraceError::Stream { reason }))) => {
+                    assert!(reason.contains("ends at block"), "{reason}");
+                }
+                _ => panic!("feeding past the walk must fail"),
+            }
+        };
+        let core = CpuCore::new(*sim.design.cpu(), MatrixEngine::new(*sim.design.systolic()));
+        let mut run = SpeculativeRun::begin(core, sim.generator.isa()).unwrap();
+        overshoot(&mut run, None);
+        assert_eq!(run.finish().map(|stats| stats.0.retired_matmuls), Ok(32));
+        // The walk is recorded now, so a recalling run recalls it whole
+        // and then fails the same way.
+        let mut recall = SpeculativeRun::recall(sim.design.cpu(), sim.design.systolic());
+        overshoot(&mut recall, Some(&sim.memo.view()));
+    }
+
+    #[test]
+    fn reports_carry_the_power_models_label_and_area() {
+        // The label and area worked out once per simulator are what the
+        // power model reports for each cell.
+        let custom = DesignPoint::new(
+            "custom",
+            rasa_systolic::SystolicConfig::paper(
+                rasa_systolic::PeVariant::Dm,
+                rasa_systolic::ControlScheme::Pipe,
+            )
+            .unwrap(),
+            rasa_cpu::CpuConfig::skylake_like(),
+        );
+        for design in [
+            DesignPoint::baseline(),
+            DesignPoint::rasa_dmdb_wls(),
+            custom,
+        ] {
+            let report = Simulator::new(design.clone())
+                .unwrap()
+                .run_gemm(GemmShape::new(64, 64, 64))
+                .unwrap();
+            let activity = EngineActivitySummary::from_engine_stats(&report.cpu.engine);
+            let power =
+                PowerReport::new(design.systolic(), &activity, report.simulated_core_cycles);
+            assert_eq!(report.power, power, "{}", design.name());
+            assert_eq!(report.design, design.name());
+        }
     }
 
     #[test]

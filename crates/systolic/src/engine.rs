@@ -82,6 +82,11 @@ pub struct EngineCompletion {
     pub complete_cycle: u64,
 }
 
+/// In-flight completions an engine makes room for when it is built: the
+/// window of the paper configurations, eight, plus the one it holds while
+/// it slides. A wider window grows past it.
+const IN_FLIGHT_ROOM: usize = 9;
+
 /// The RASA matrix engine scheduler.
 ///
 /// The engine accepts `rasa_mm` instructions **in program order** and
@@ -150,8 +155,12 @@ impl MatrixEngine {
             installed_weights: None,
             dirty: [true; NUM_TILE_REGS],
             wl_channel_free: 0,
-            in_flight: VecDeque::new(),
-            pending_completions: Vec::new(),
+            in_flight: VecDeque::with_capacity(
+                config.max_in_flight().saturating_add(1).min(IN_FLIGHT_ROOM),
+            ),
+            // The event-driven host drains each submission's completion
+            // before the next.
+            pending_completions: Vec::with_capacity(1),
         }
     }
 

@@ -775,7 +775,8 @@ mod tests {
 
     /// Checks that every step of each block's uniform step range emits the
     /// same instructions up to memory addresses (`strip`), as many as
-    /// `WalkPlan::step_len` reports, that each block emits
+    /// `WalkPlan::step_len` reports, that each step emits the
+    /// `WalkPlan::piece_len` of its one step and each block
     /// `WalkPlan::block_len` instructions, and that no uniform step emits
     /// the not-taken loop branch or, under K-innermost, an accumulator load
     /// or store. Returns how many steps it compared.
@@ -799,6 +800,7 @@ mod tests {
             let steps: Vec<Vec<Instruction>> = (1..=kt)
                 .map(|end| {
                     let segment = stream.steps_to(end).unwrap().unwrap();
+                    assert_eq!(segment.len(), plan.piece_len(block, end - 1..end));
                     segment.instructions().iter().copied().map(strip).collect()
                 })
                 .collect();

@@ -113,9 +113,18 @@ impl WalkPlan {
     /// the widest block of the walk.
     #[must_use]
     pub fn block_len(&self, block: usize) -> usize {
+        self.piece_len(block, 0..self.steps())
+    }
+
+    /// Instructions reduction steps `steps` of block `block` emit: the
+    /// steps, and the loads of resident accumulators when they include the
+    /// block's first step and their stores when they include its last.
+    #[must_use]
+    pub fn piece_len(&self, block: usize, steps: Range<usize>) -> usize {
         let (rows, cols) = self.tiles(block);
-        let accumulators = if self.resident { 2 * rows * cols } else { 0 };
-        self.steps() * self.step_len(block) + accumulators
+        let ends = usize::from(steps.start == 0) + usize::from(steps.end == self.steps());
+        let accumulators = if self.resident { ends * rows * cols } else { 0 };
+        steps.len() * self.step_len(block) + accumulators
     }
 
     /// The M tiles and N tiles block `block` covers.

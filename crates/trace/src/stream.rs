@@ -45,7 +45,10 @@
 //! instead of generating it again, and [`GemmTraceStream::pass_to`] moves
 //! the cursor past a recalled piece without emitting it. A cursor builds
 //! its trace builder when it first emits, so one that only moves allocates
-//! nothing.
+//! nothing. An emitting cursor reserves each piece's instructions
+//! ([`WalkPlan::piece_len`]) before it emits them, and its builder lends
+//! the piece ([`ProgramBuilder::finish_segment`]), so it allocates only when
+//! a piece is longer than any before it.
 
 use crate::{TraceError, TraceGenerator, WalkPlan};
 use rasa_isa::{ProgramBuilder, ProgramSegment};
@@ -159,26 +162,31 @@ impl GemmTraceStream {
     }
 
     /// Emits the cursor's block from its next step up to reduction step
-    /// `end` (clamped to [`WalkPlan::steps`]) as one segment; `None` when
-    /// that is no step. Reaching the block's end moves the cursor to step 0
-    /// of the next block.
+    /// `end` (clamped to [`WalkPlan::steps`]) as one segment, lent by the
+    /// cursor's builder until the next emit; `None` when that is no step.
+    /// Reaching the block's end moves the cursor to step 0 of the next
+    /// block.
     ///
     /// # Errors
     ///
     /// Returns [`TraceError::Emit`] when the segment fails ISA validation
     /// (a generator bug, surfaced rather than panicking).
-    pub fn steps_to(&mut self, end: usize) -> Result<Option<ProgramSegment>, TraceError> {
+    pub fn steps_to(&mut self, end: usize) -> Result<Option<&ProgramSegment>, TraceError> {
         if self.piece_to(end).is_none() {
             return Ok(None);
         }
         let end = end.min(self.plan.steps());
         let isa = *self.generator.isa();
-        let builder = self.builder.get_or_insert_with(|| ProgramBuilder::new(isa));
-        self.generator
-            .emit_steps(builder, &self.plan, self.block, self.step..end);
-        let segment = builder.finish_segment();
+        let (block, step) = (self.block, self.step);
         self.pass_to(end);
-        Ok(Some(segment?))
+        let builder = self.builder.get_or_insert_with(|| ProgramBuilder::new(isa));
+        let len = self.plan.piece_len(block, step..end);
+        builder.reserve(len);
+        self.generator
+            .emit_steps(builder, &self.plan, block, step..end);
+        let segment = builder.finish_segment()?;
+        debug_assert_eq!(segment.len(), len, "the plan sizes every piece");
+        Ok(Some(segment))
     }
 
     /// Moves the cursor to reduction step `step` of its block without
@@ -249,7 +257,10 @@ pub(crate) mod tests {
         let mut stream = cursor(g, shape);
         stream.skip_blocks(blocks.start).unwrap();
         blocks
-            .map(|_| stream.steps_to(stream.plan().steps()).unwrap().unwrap())
+            .map(|_| {
+                let steps = stream.plan().steps();
+                stream.steps_to(steps).unwrap().unwrap().clone()
+            })
             .collect()
     }
 
@@ -295,7 +306,13 @@ pub(crate) mod tests {
             let kt = stream.plan().steps();
             let mut steps = Vec::new();
             while let Some(rest) = stream.piece_to(kt) {
-                steps.push(stream.steps_to(kt - rest.steps + 1).unwrap().unwrap());
+                steps.push(
+                    stream
+                        .steps_to(kt - rest.steps + 1)
+                        .unwrap()
+                        .unwrap()
+                        .clone(),
+                );
             }
             let program = g.gemm(shape, "parity").unwrap();
             assert_eq!(concat(&steps).as_slice(), program.instructions());
@@ -323,14 +340,14 @@ pub(crate) mod tests {
         let mut stream = cursor(&g, shape);
         assert_eq!(stream.plan().steps(), 4);
         let (mut total, mut count) = (0usize, 0usize);
-        while let Some(piece) = stream.steps_to(4).unwrap() {
+        while let Some(piece) = stream.steps_to(4).unwrap().map(ProgramSegment::len) {
             let expected = if stream.cursor_block() > 56 {
                 2 + 4 * 9 + 2
             } else {
                 4 + 4 * 12 + 4
             };
-            assert_eq!(piece.len(), expected, "block {count}");
-            total += piece.len();
+            assert_eq!(piece, expected, "block {count}");
+            total += piece;
             count += 1;
             assert_eq!(stream.cursor_block(), count);
         }
@@ -436,10 +453,10 @@ pub(crate) mod tests {
         // the loop branch.
         let step = plan.step_len(0);
         assert_eq!(step, 12);
-        let head = stream.steps_to(3).unwrap().unwrap();
+        let head = stream.steps_to(3).unwrap().unwrap().clone();
         assert_eq!(head.len(), 4 + 3 * step);
         stream.skip_to(6).unwrap();
-        let tail = stream.steps_to(plan.steps()).unwrap().unwrap();
+        let tail = stream.steps_to(plan.steps()).unwrap().unwrap().clone();
         assert_eq!(stream.cursor_block(), 1);
         let mut rest = Vec::new();
         while let Some(piece) = stream.steps_to(8).unwrap() {
@@ -515,7 +532,7 @@ pub(crate) mod tests {
         assert!(stream.skip_blocks(1).is_err(), "not at a block boundary");
         stream.pass_to(8);
         assert!(stream.skip_blocks(2).is_err(), "past the end of the walk");
-        let last = stream.steps_to(8).unwrap().unwrap();
+        let last = stream.steps_to(8).unwrap().unwrap().clone();
         assert!(stream.steps_to(8).unwrap().is_none());
         // The two edge blocks before it: 2 accumulators, 8 steps of 9.
         let edge_len = 2 + 8 * 9 + 2;
@@ -539,7 +556,7 @@ pub(crate) mod tests {
         stream.pass_to(8);
         stream.skip_blocks(1).unwrap();
         assert!(stream.builder.is_none());
-        let piece = stream.steps_to(8).unwrap().unwrap();
+        let piece = stream.steps_to(8).unwrap().unwrap().clone();
         assert!(stream.builder.is_some());
         assert_eq!(piece.instructions(), concat(&block_pieces(&g, shape, 2..3)));
     }
