@@ -228,7 +228,8 @@ impl TraceGenerator {
     /// The loop nest is `for n-block { for m-block { load C; for k { … };
     /// store C } }` with the scheme's register blocking (2×2 by default),
     /// which keeps each B tile register live across consecutive `rasa_mm`
-    /// instructions — the reuse pattern WLBP and WLS exploit.
+    /// instructions — the reuse pattern WLBP and WLS exploit. The program's
+    /// buffer is sized once, from the plan's block lengths.
     ///
     /// The streaming counterpart, a [`TraceGenerator::gemm_blocks`] cursor
     /// over the same [`WalkPlan`], emits the identical instruction sequence
@@ -242,11 +243,13 @@ impl TraceGenerator {
     /// (which would be a generator bug).
     pub fn gemm(&self, shape: GemmShape, name: &str) -> Result<Program, TraceError> {
         let plan = self.plan(shape)?;
+        let len = (0..plan.blocks()).map(|block| plan.block_len(block)).sum();
         let mut b = ProgramBuilder::new(self.isa);
-        b.set_name(name);
+        b.set_name(name).reserve(len);
         for block in 0..plan.blocks() {
             self.emit_steps(&mut b, &plan, block, 0..plan.steps());
         }
+        debug_assert_eq!(b.len(), len, "the plan sizes the program");
         Ok(b.finish()?)
     }
 
