@@ -335,11 +335,13 @@ mod tests {
             hash: cell.hash64(),
         };
         assert_ne!(cell, forged, "a collision in parts must not alias");
-        let forged_twin = CellKey {
-            hash: cell.hash64(),
-            ..CellKey::cell(&twin, GemmShape::new(511, 64, 32))
-        };
-        assert_ne!(cell, forged_twin, "nor one on another machine");
+        for machine in [&machine, &twin] {
+            let forged = CellKey {
+                hash: cell.hash64(),
+                ..CellKey::cell(machine, GemmShape::new(511, 64, 32))
+            };
+            assert_ne!(cell, forged, "nor one between cells");
+        }
     }
 
     #[test]
