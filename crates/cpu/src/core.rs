@@ -89,7 +89,8 @@ enum RunPhase {
 /// A paused run holds no instructions of its own: a feed renames its
 /// instructions straight from the caller's slice and pauses only once
 /// rename has taken the last of them. Its queues are sized once from the
-/// [`CpuConfig`] when the run opens, so advancing it allocates nothing.
+/// [`CpuConfig`] when the run opens, so advancing it allocates nothing
+/// unless a producer's waiters spill.
 ///
 /// The state is checkpointable: `CoreRun` is `Clone`, and cloning it
 /// together with its core (which owns the matrix engine) snapshots the

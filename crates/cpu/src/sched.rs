@@ -24,7 +24,7 @@
 //! (the ROB, the reservation station, the engine-event queue and the event
 //! heap) and the instructions it renames straight from the caller's slice,
 //! this keeps the event-driven loop off the heap: simulating an
-//! instruction allocates nothing.
+//! instruction allocates nothing unless its waiter list spills.
 //!
 //! The scheduler is cycle-exact: [`crate::CpuStats`] from the event-driven
 //! loop is bit-identical to the retained cycle-stepping reference
